@@ -63,6 +63,8 @@ from .policy import (
     linear_policy,
     linearization_residual,
     mlp1_policy,
+    pullback,
+    sigma_max,
     tabular_policy,
 )
 from .envs import MatchReward, TableReward, ToyEnvironment

@@ -26,7 +26,7 @@ import numpy as np
 
 from .dist import as_logits, as_probs, check_action, softmax
 from .errors import InactiveRegionError, InvalidInputError, KinkError, WitnessSearchError
-from .linalg import jacobi_eigh, require_symmetric
+from .linalg import require_symmetric
 from .objectives import (
     LCO_KINDS,
     ObjectiveKind,
@@ -67,7 +67,7 @@ class BoundCheck:
 
 def _report(matrix: np.ndarray) -> HessianReport:
     matrix = require_symmetric(matrix)
-    eigenvalues, eigenvectors = jacobi_eigh(matrix)
+    eigenvalues, eigenvectors = np.linalg.eigh(matrix)
     witness = None
     if eigenvalues[0] < -WITNESS_TOL:
         witness = eigenvectors[:, 0].copy()
@@ -201,8 +201,8 @@ def hessian_numeric(
 
 
 def min_eigenvalue(matrix) -> float:
-    """Smallest eigenvalue of a symmetric matrix (Jacobi rotations)."""
-    return float(jacobi_eigh(require_symmetric(matrix))[0][0])
+    """Smallest eigenvalue of a symmetric matrix."""
+    return float(np.linalg.eigvalsh(require_symmetric(matrix))[0])
 
 
 def ppo_witness(
@@ -283,10 +283,10 @@ def gradient_norm_bound(kind: ObjectiveKind, loss_value: float, sigma_max: float
     LCO_KLD: sigma sqrt(2 L).  Monotone increasing in the loss, so the bound
     dissipates as training closes in on the target.
     """
-    if loss_value < 0.0:
-        raise InvalidInputError("loss must be nonnegative")
-    if sigma_max < 0.0:
-        raise InvalidInputError("sigma_max must be nonnegative")
+    if not (np.isfinite(loss_value) and loss_value >= 0.0):
+        raise InvalidInputError(f"loss must be finite and nonnegative, got {loss_value!r}")
+    if not (np.isfinite(sigma_max) and sigma_max >= 0.0):
+        raise InvalidInputError(f"sigma_max must be finite and nonnegative, got {sigma_max!r}")
     if kind is ObjectiveKind.LCO_MSE:
         if vocab_size < 2:
             raise InvalidInputError("vocab_size must be >= 2")

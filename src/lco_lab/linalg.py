@@ -1,7 +1,8 @@
-"""Dense symmetric eigenvalues and spectral norms for small matrices.
+"""Input check for the symmetric matrices handed to ``numpy.linalg.eigh``.
 
-Self-contained cyclic Jacobi rotations and power iteration; matrices here
-are at most vocabulary-sized (~64), so no external solver is needed.
+The eigenvalue problems here are at most vocabulary-sized (~64); LAPACK
+solves them through ``eigh`` / ``eigvalsh``, which only ever read one
+triangle, so asymmetric input is rejected before it gets there.
 """
 
 from __future__ import annotations
@@ -22,96 +23,3 @@ def require_symmetric(matrix) -> np.ndarray:
     if np.abs(matrix - matrix.T).max() > SYMMETRY_ATOL:
         raise InvalidInputError("matrix is not symmetric within 1e-10")
     return matrix
-
-
-def jacobi_eigh(matrix, off_tol: float = 1e-12, max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of a symmetric matrix.
-
-    Cyclic-by-row Jacobi rotations until the off-diagonal Frobenius norm
-    drops below ``off_tol``.  A diagonal input is returned untouched, so the
-    result is exact in that case.
-    """
-    a = require_symmetric(matrix).copy()
-    a = 0.5 * (a + a.T)
-    n = a.shape[0]
-    vectors = np.eye(n)
-    # entries this small cannot push the off-diagonal norm above off_tol,
-    # so rotating them away is wasted work
-    skip_tol = off_tol / (2.0 * n)
-
-    def off_norm() -> float:
-        residue = (a**2).sum() - (np.diag(a) ** 2).sum()
-        return float(np.sqrt(max(residue, 0.0)))
-
-    for _ in range(max_sweeps):
-        if off_norm() < off_tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip_tol:
-                    a[p, q] = a[q, p] = apq  # leave negligible couplings alone
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if abs(tau) > 1e150:
-                    t = 1.0 / (2.0 * tau)
-                else:
-                    t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0.0 else 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                rot = np.array([[c, s], [-s, c]])
-                a[[p, q], :] = rot.T @ a[[p, q], :]
-                a[:, [p, q]] = a[:, [p, q]] @ rot
-                a[p, q] = a[q, p] = 0.0
-                vectors[:, [p, q]] = vectors[:, [p, q]] @ rot
-    order = np.argsort(np.diag(a), kind="stable")
-    return np.diag(a)[order].copy(), vectors[:, order]
-
-
-def jacobi_eigenvalues(matrix, off_tol: float = 1e-12) -> np.ndarray:
-    return jacobi_eigh(matrix, off_tol)[0]
-
-
-def power_iteration_sym(matrix, rel_tol: float = 1e-12, max_iters: int = 100_000, seed: int = 0) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration.
-
-    Iterates until the Rayleigh quotient is stable to ``rel_tol`` relative
-    change.  The start vector is seeded and dense, so the top eigenspace is
-    never missed and repeated calls agree bit for bit.
-    """
-    a = require_symmetric(matrix)
-    n = a.shape[0]
-    scale = float(np.abs(a).max())
-    if scale == 0.0:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    v = np.ones(n) + 0.01 * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    previous = 0.0
-    stable = 0
-    for _ in range(max_iters):
-        w = a @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        rayleigh = float(v @ (a @ v))
-        if abs(rayleigh - previous) <= rel_tol * max(abs(rayleigh), scale * 1e-12):
-            stable += 1
-            if stable >= 3:
-                return rayleigh
-        else:
-            stable = 0
-        previous = rayleigh
-    return previous
-
-
-def spectral_norm(matrix, rel_tol: float = 1e-12) -> float:
-    """Largest singular value via power iteration on the Gram matrix."""
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2:
-        raise InvalidInputError("expected a matrix")
-    gram = m @ m.T if m.shape[0] <= m.shape[1] else m.T @ m
-    gram = 0.5 * (gram + gram.T)
-    top = power_iteration_sym(gram, rel_tol=rel_tol)
-    return float(np.sqrt(max(top, 0.0)))

@@ -21,7 +21,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidInputError, InvalidStateError
-from .linalg import power_iteration_sym
 
 
 class Family(Enum):
@@ -132,11 +131,55 @@ def forward(model: PolicyModel, state: int) -> np.ndarray:
     return w2 @ hidden + b2
 
 
-def jacobian(model: PolicyModel, state: int) -> JacobianInfo:
-    """Analytic Jacobian d z / d theta at one state, with sigma_max.
+def pullback(model: PolicyModel, state: int, grad_z) -> np.ndarray:
+    """Vector-Jacobian product J(state)^T grad_z in reverse mode.
 
-    The largest singular value comes from power iteration on J J^T driven to
-    1e-10 relative convergence.
+    Never forms the V x n_params Jacobian: TABULAR scatters grad_z into the
+    state's logit row, LINEAR is the outer product grad_z phi^T, and MLP1
+    backpropagates once through the tanh layer.
+    """
+    state = _check_state(model, state)
+    grad_z = np.asarray(grad_z, dtype=np.float64)
+    if grad_z.shape != (model.vocab_size,):
+        raise InvalidInputError(f"grad_z must have shape ({model.vocab_size},), got {grad_z.shape}")
+    if model.family is Family.TABULAR:
+        v = model.vocab_size
+        grad = np.zeros(model.n_params)
+        grad[state * v : (state + 1) * v] = grad_z
+        return grad
+    phi = model.features[state]
+    if model.family is Family.LINEAR:
+        return np.outer(grad_z, phi).ravel()
+    w1, b1, w2, _ = _mlp_unpack(model)
+    h = np.tanh(w1 @ phi + b1)
+    back = (grad_z @ w2) * (1.0 - h**2)  # through sech^2 of the pre-activation
+    return np.concatenate((np.outer(back, phi).ravel(), back, np.outer(grad_z, h).ravel(), grad_z))
+
+
+def sigma_max(model: PolicyModel, state: int) -> float:
+    """Largest singular value of the logit Jacobian at one state, in closed form.
+
+    TABULAR: J is a 0/1 selection, so 1.  LINEAR: J = I kron phi^T, so
+    ||phi||.  MLP1: J J^T = (||h||^2 + 1) I + (||phi||^2 + 1) B B^T with
+    B = w2 diag(1 - h^2), so the top eigenvalue is read off sigma_max(B).
+    """
+    state = _check_state(model, state)
+    if model.family is Family.TABULAR:
+        return 1.0
+    phi = model.features[state]
+    if model.family is Family.LINEAR:
+        return float(np.linalg.norm(phi))
+    w1, b1, w2, _ = _mlp_unpack(model)
+    h = np.tanh(w1 @ phi + b1)
+    top_b = float(np.linalg.norm(w2 * (1.0 - h**2), 2))
+    return float(np.sqrt((h @ h + 1.0) + (phi @ phi + 1.0) * top_b**2))
+
+
+def jacobian(model: PolicyModel, state: int) -> JacobianInfo:
+    """Dense analytic Jacobian d z / d theta at one state, with sigma_max.
+
+    The reference that ``pullback`` and ``sigma_max`` are tested against;
+    training and the verify suites use those two instead.
     """
     state = _check_state(model, state)
     v, p = model.vocab_size, model.n_params
@@ -153,7 +196,6 @@ def jacobian(model: PolicyModel, state: int) -> JacobianInfo:
         phi = model.features[state]
         h = np.tanh(w1 @ phi + b1)
         gate = 1.0 - h**2  # sech^2 of the pre-activation
-        d = phi.size
         jac = np.zeros((v, p))
         for a in range(v):
             back = w2[a] * gate
@@ -162,9 +204,7 @@ def jacobian(model: PolicyModel, state: int) -> JacobianInfo:
             jac[a, w1.size + b1.size + a * h.size : w1.size + b1.size + (a + 1) * h.size] = h
             jac[a, w1.size + b1.size + v * h.size + a] = 1.0
 
-    gram = jac @ jac.T
-    sigma_sq = power_iteration_sym(0.5 * (gram + gram.T), rel_tol=1e-10)
-    return JacobianInfo(jac, float(np.sqrt(max(sigma_sq, 0.0))))
+    return JacobianInfo(jac, sigma_max(model, state))
 
 
 def linearization_residual(model: PolicyModel, theta, theta_star, state: int) -> float:

@@ -59,18 +59,16 @@ def optimal_policy(pi_old, a: Advantages | np.ndarray, beta: float) -> np.ndarra
     """Distribution maximizing expected advantage under a KL leash to pi_old.
 
     Computed in log space (log pi_old + A/beta, then a shifted exp) so large
-    advantage-to-beta ratios cannot overflow.
+    advantage-to-beta ratios cannot overflow; a ratio beyond the float range
+    raises instead of returning NaN.
     """
     pi_old = as_probs(pi_old)
     values = a.values if isinstance(a, Advantages) else np.asarray(a, dtype=np.float64)
     if values.size != pi_old.size:
         raise InvalidInputError("advantage length must match distribution length")
-    if not np.all(np.isfinite(values)):
-        raise InvalidInputError("advantages must be finite")
-    if not beta > 0.0:
-        raise InvalidInputError("beta must be positive")
+    scaled = _scaled_advantages(values, beta)
     with np.errstate(divide="ignore"):
-        logits = np.where(pi_old > 0.0, np.log(np.maximum(pi_old, 5e-324)), -np.inf) + values / beta
+        logits = np.where(pi_old > 0.0, np.log(np.maximum(pi_old, 5e-324)), -np.inf) + scaled
     shifted = logits - logits.max()
     weights = np.exp(shifted)
     return weights / weights.sum()
@@ -82,11 +80,25 @@ def optimal_logits(z_old, a: Advantages | np.ndarray, beta: float) -> np.ndarray
     values = a.values if isinstance(a, Advantages) else np.asarray(a, dtype=np.float64)
     if values.size != z_old.size:
         raise InvalidInputError("advantage length must match logit length")
+    scaled = _scaled_advantages(values, beta)
+    with np.errstate(over="ignore"):
+        z_star = z_old + scaled
+    if not np.all(np.isfinite(z_star)):
+        raise InvalidInputError("target logits z_old + A/beta overflow")
+    return z_star
+
+
+def _scaled_advantages(values: np.ndarray, beta: float) -> np.ndarray:
+    """A / beta, checked finite so neither target can come out NaN or inf."""
     if not np.all(np.isfinite(values)):
         raise InvalidInputError("advantages must be finite")
     if not beta > 0.0:
         raise InvalidInputError("beta must be positive")
-    return z_old + values / beta
+    with np.errstate(over="ignore"):
+        scaled = values / beta
+    if not np.all(np.isfinite(scaled)):
+        raise InvalidInputError("A/beta overflows")
+    return scaled
 
 
 def optimal_target(z_old, a: Advantages | np.ndarray, beta: float) -> OptimalTarget:

@@ -3,7 +3,8 @@
 One training step rolls out a single episode under a frozen behavioral
 snapshot, estimates per-timestep advantages, evaluates the configured
 objective at every visited state, pulls the logit gradients back through
-the model Jacobian, and applies one plain gradient-descent update:
+the model with a vector-Jacobian product (``policy.pullback``; the dense
+Jacobian is never formed), and applies one plain gradient-descent update:
 
     grad_theta = (1/T) * sum_t J(s_t)^T grad_z L_t
     theta     <- theta - lr * grad_theta
@@ -29,12 +30,12 @@ from .convexity import gradient_norm_bound
 from .dist import Advantages, entropy, normalize_advantages, sample_action, softmax
 from .envs import MatchReward, ToyEnvironment
 from .errors import InvalidInputError, NonFiniteGradientError, StepSizeError
-from .linalg import jacobi_eigenvalues
 from .objectives import (
     LCO_KINDS,
     LossEval,
     ObjectiveKind,
     TimestepContext,
+    _log_cosh,
     lco_kld_eval,
     lco_lch_eval,
     lco_mse_eval,
@@ -43,7 +44,16 @@ from .objectives import (
     reinforce_eval,
     sft_eval,
 )
-from .policy import Family, PolicyModel, forward, jacobian, linear_policy, tabular_policy
+from .policy import (
+    Family,
+    PolicyModel,
+    forward,
+    jacobian,
+    linear_policy,
+    pullback,
+    sigma_max,
+    tabular_policy,
+)
 from .targets import AdvantageEstimator, EstimatorKind, estimate_advantages, optimal_logits, optimal_policy
 
 
@@ -222,7 +232,7 @@ def episode_eval(
     for t in range(env.horizon):
         adv = _step_advantages(env, config, rollout, t)
         evaluation = _step_eval(model, config, rollout, adv, t)
-        grad_theta += jacobian(model, rollout.states[t]).J.T @ evaluation.logit_gradient
+        grad_theta += pullback(model, rollout.states[t], evaluation.logit_gradient)
         evals.append(evaluation)
         advantages.append(adv)
     grad_theta /= env.horizon
@@ -245,7 +255,7 @@ def _envelope(config: TrainerConfig, model: PolicyModel, rollout: Rollout, evals
     kind = config.objective
     per_step = []
     for t, evaluation in enumerate(evals):
-        sigma = jacobian(model, rollout.states[t]).sigma_max
+        sigma = sigma_max(model, rollout.states[t])
         if kind in LCO_KINDS:
             per_step.append(gradient_norm_bound(kind, max(evaluation.value, 0.0), sigma, env.vocab_size))
         else:
@@ -357,17 +367,8 @@ def spectral_radius(J, eta: float, c: float) -> float:
     if J.ndim != 2 or not np.all(np.isfinite(J)):
         raise InvalidInputError("J must be a finite matrix")
     gram = J @ J.T
-    eigenvalues = jacobi_eigenvalues(0.5 * (gram + gram.T))
+    eigenvalues = np.linalg.eigvalsh(0.5 * (gram + gram.T))
     return float(np.max(np.abs(1.0 - eta * c * eigenvalues)))
-
-
-def _log_cosh_loss(residual: np.ndarray) -> float:
-    ax = np.abs(residual)
-    small = ax < 20.0
-    out = np.empty_like(ax)
-    out[small] = np.log1p(2.0 * np.sinh(0.5 * ax[small]) ** 2)
-    out[~small] = ax[~small] + np.log1p(np.exp(-2.0 * ax[~small])) - np.log(2.0)
-    return float(out.mean())
 
 
 def converge_experiment(
@@ -430,7 +431,7 @@ def converge_experiment(
         if objective is ObjectiveKind.LCO_MSE:
             loss = float((residual**2).mean())
         else:
-            loss = _log_cosh_loss(residual)
+            loss = float(_log_cosh(residual).mean())
         rows.append(
             ConvergeRow(
                 step=k,

@@ -16,7 +16,7 @@ from . import convexity, dist, objectives, targets
 from .envs import MatchReward, TableReward, ToyEnvironment
 from .errors import LcoLabError
 from .objectives import LossEval, ObjectiveKind
-from .policy import Family, forward, jacobian, linear_policy, mlp1_policy, tabular_policy
+from .policy import Family, forward, linear_policy, mlp1_policy, pullback, sigma_max, tabular_policy
 from .targets import EstimatorKind
 from .training import (
     ConvergeConfig,
@@ -497,7 +497,6 @@ def suite_bounds(seed: int = 505) -> SuiteResult:
             v = int(rng.integers(2, 9))
             model = _random_model(rng, v)
             z = forward(model, 0)
-            info = jacobian(model, 0)
             offset = rng.uniform(-2.0, 2.0, v)
             if kind is ObjectiveKind.LCO_MSE:
                 evaluation = objectives.lco_mse_eval(z, z + offset)
@@ -505,9 +504,9 @@ def suite_bounds(seed: int = 505) -> SuiteResult:
                 evaluation = objectives.lco_lch_eval(z, z + offset)
             else:
                 evaluation = objectives.lco_kld_eval(z, dist.softmax(z + offset))
-            grad_theta = info.J.T @ evaluation.logit_gradient
+            grad_theta = pullback(model, 0, evaluation.logit_gradient)
             check = convexity.bound_check(
-                kind, float(np.linalg.norm(grad_theta)), max(evaluation.value, 0.0), info.sigma_max, v
+                kind, float(np.linalg.norm(grad_theta)), max(evaluation.value, 0.0), sigma_max(model, 0), v
             )
             cases += 1
             if not check.satisfied:
@@ -573,7 +572,7 @@ def suite_directionality(seed: int = 606) -> SuiteResult:
             grad_z = objectives.lco_lch_eval(z, z_star).logit_gradient
         else:
             grad_z = objectives.lco_kld_eval(z, dist.softmax(z_star)).logit_gradient
-        grad_theta = jacobian(model, 0).J.T @ grad_z
+        grad_theta = pullback(model, 0, grad_z)
         cases += 1
         if float(grad_theta @ (model.theta - w_star.ravel())) < -1e-10:
             failures += 1

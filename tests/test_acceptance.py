@@ -50,7 +50,7 @@ def test_criterion_3_optimal_targets():
 
 def test_criterion_4_gradient_norm_bounds():
     # ||J^T grad|| under the loss-anchored envelope on 500 random
-    # (model, target) pairs per objective, sigma from power iteration
+    # (model, target) pairs per objective, sigma_max in closed form
     run_criterion("4 gradient-norm-bounds", suite_bounds, 30.0)
     run_criterion("4b directionality", suite_directionality, 30.0)
 

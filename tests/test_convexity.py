@@ -18,7 +18,6 @@ from lco_lab.errors import (
     KinkError,
     WitnessSearchError,
 )
-from lco_lab.linalg import jacobi_eigh
 from lco_lab.objectives import ObjectiveKind, TimestepContext
 from lco_lab.dist import Advantages
 
@@ -111,8 +110,10 @@ def test_min_eigenvalue_rejects_asymmetric():
         min_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_jacobi_exact_on_diagonal():
-    values, vectors = jacobi_eigh(np.diag([3.0, -1.0, 2.0]))
+def test_eigh_exact_on_diagonal():
+    # the LCO_MSE / LCO_LCH Hessians are diagonal; their spectra must come
+    # back exact, with the basis vectors as eigenvectors
+    values, vectors = np.linalg.eigh(np.diag([3.0, -1.0, 2.0]))
     assert np.array_equal(values, [-1.0, 2.0, 3.0])
     assert np.array_equal(np.abs(vectors), np.eye(3)[:, [1, 2, 0]])
 
@@ -143,8 +144,7 @@ def test_witness_high_probability_negative_advantage():
     hess = ppo_hessian_matrix(pi, 0, -1.0, 0.9)
     assert witness @ hess @ witness < -1e-8
     # cross-check against the eigensolver: the Hessian truly is indefinite
-    values, _ = jacobi_eigh(hess)
-    assert values[0] < -1e-8
+    assert np.linalg.eigvalsh(hess)[0] < -1e-8
 
 
 def test_directionality_values():
@@ -174,6 +174,13 @@ def test_gradient_norm_bounds():
         assert all(b2 >= b1 for b1, b2 in zip(bounds, bounds[1:]))
     with pytest.raises(InvalidInputError):
         gradient_norm_bound(ObjectiveKind.LCO_MSE, -0.1, 1.0, 4)
+
+
+@pytest.mark.parametrize("kind", [ObjectiveKind.LCO_MSE, ObjectiveKind.LCO_LCH, ObjectiveKind.LCO_KLD])
+@pytest.mark.parametrize("loss, sigma", [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf)])
+def test_gradient_norm_bound_rejects_non_finite(kind, loss, sigma):
+    with pytest.raises(InvalidInputError):
+        gradient_norm_bound(kind, loss, sigma, 4)
 
 
 def test_bound_check_flag():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lco_lab.errors import InvalidStateError
+from lco_lab.errors import InvalidInputError, InvalidStateError
 from lco_lab.policy import (
     Family,
     forward,
@@ -9,6 +9,8 @@ from lco_lab.policy import (
     linear_policy,
     linearization_residual,
     mlp1_policy,
+    pullback,
+    sigma_max,
     tabular_policy,
 )
 
@@ -121,3 +123,41 @@ def test_unknown_state_rejected():
         forward(model, 5)
     with pytest.raises(InvalidStateError):
         jacobian(model, -1)
+
+
+def _random_model(family: Family, v: int, rng: np.random.Generator):
+    if family is Family.TABULAR:
+        model = tabular_policy(5, v)
+        return model.with_theta(rng.uniform(-2.0, 2.0, model.n_params))
+    if family is Family.LINEAR:
+        model = linear_policy(5, v, 6, seed=int(rng.integers(10_000)))
+        return model.with_theta(rng.uniform(-1.0, 1.0, model.n_params))
+    model = mlp1_policy(5, v, 4, hidden=12, seed=int(rng.integers(10_000)))
+    return model.with_theta(rng.uniform(-1.0, 1.0, model.n_params))
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("v", [2, 8, 32, 64])
+def test_pullback_and_sigma_max_match_dense_jacobian(family, v):
+    rng = np.random.default_rng(v)
+    model = _random_model(family, v, rng)
+    for state in (0, 2, 4):
+        J = jacobian(model, state).J
+        for _ in range(3):
+            g = rng.standard_normal(v)
+            dense = J.T @ g
+            assert np.linalg.norm(pullback(model, state, g) - dense) <= 1e-12 * np.linalg.norm(dense)
+        top = float(np.linalg.svd(J, compute_uv=False)[0])
+        assert abs(sigma_max(model, state) - top) <= 1e-12 * top
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_pullback_and_sigma_max_reject_bad_input(family):
+    model = _random_model(family, 3, np.random.default_rng(0))
+    with pytest.raises(InvalidStateError):
+        pullback(model, 5, np.ones(3))
+    with pytest.raises(InvalidStateError):
+        sigma_max(model, -1)
+    for bad in (np.ones(2), np.ones(4), np.ones((3, 1))):
+        with pytest.raises(InvalidInputError):
+            pullback(model, 0, bad)

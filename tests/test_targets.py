@@ -40,6 +40,16 @@ def test_optimal_policy_survives_huge_advantage_ratio():
     assert abs(pi_star[0] - 1.0) < 1e-12
 
 
+def test_targets_reject_overflowing_advantage_ratio():
+    advantages = np.array([1e308, -1e308])
+    with pytest.raises(InvalidInputError):
+        optimal_policy([0.5, 0.5], advantages, 1e-10)
+    with pytest.raises(InvalidInputError):
+        optimal_logits([0.0, 0.0], advantages, 1e-10)
+    with pytest.raises(InvalidInputError):  # A/beta finite, the sum is not
+        optimal_logits([1e308, 0.0], np.array([1e308, 0.0]), 1.0)
+
+
 def test_optimal_logits_is_exact_adjustment():
     assert np.array_equal(optimal_logits([0.0, 0.0], np.array([1.0, -1.0]), 1.0), [1.0, -1.0])
     z_old = np.array([0.3, -0.7, 1.2])

@@ -1,6 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
+from lco_lab import policy
+from lco_lab.config import build_trainer, parse_config
 from lco_lab.dist import softmax, total_variation
 from lco_lab.envs import MatchReward, TableReward, ToyEnvironment
 from lco_lab.errors import InvalidInputError, NonFiniteGradientError, StepSizeError
@@ -176,6 +180,54 @@ def test_non_finite_gradient_aborts():
     with pytest.raises(NonFiniteGradientError), np.errstate(over="ignore", invalid="ignore"):
         for _ in range(50):
             state, _ = train_step(state, env, config, rng)
+
+
+@pytest.mark.parametrize(
+    "family, vocab_size, objective",
+    [(Family.TABULAR, 64, ObjectiveKind.LCO_KLD), (Family.MLP1, 8, ObjectiveKind.PPO)],
+)
+def test_training_never_builds_the_dense_jacobian(monkeypatch, family, vocab_size, objective):
+    def refuse(*args, **kwargs):
+        raise AssertionError("training must pull gradients back without the dense Jacobian")
+
+    dense = policy.jacobian
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lco_lab") and getattr(module, "jacobian", None) is dense:
+            monkeypatch.setattr(module, "jacobian", refuse)
+
+    env = ToyEnvironment(vocab_size, 3, MatchReward((1, 0, 2)))
+    if family is Family.TABULAR:
+        model = tabular_policy(env.n_states, vocab_size)
+    else:
+        model = mlp1_policy(env.n_states, vocab_size, 3, hidden=6, seed=4)
+    config = TrainerConfig(objective=objective, learning_rate=0.1, steps=3, seed=5)
+    final, records = run_training(model, env, config)
+    assert len(records) == 3 and all(np.isfinite(r.bound_value) for r in records)
+    assert not np.array_equal(final.theta, model.theta)
+
+
+def test_grad_clip_norm_caps_the_update_and_logs_the_raw_norm(tmp_path):
+    cfg = tmp_path / "clip.cfg"
+    cfg.write_text(
+        "[training]\nobjective = REINFORCE\nlearning_rate = 0.5\nsteps = 1\nseed = 2\ngrad_clip_norm = 0.01\n"
+    )
+    clipped = build_trainer(parse_config(cfg))
+    assert clipped.grad_clip_norm == 0.01
+    free = TrainerConfig(objective=ObjectiveKind.REINFORCE, learning_rate=0.5, steps=1, seed=2)
+
+    env = ToyEnvironment(3, 2, MatchReward((1, 2)))
+    model = tabular_policy(env.n_states, env.vocab_size)
+    updates, raw_norms = [], []
+    for config in (free, clipped):
+        state, record = train_step(init_trainer(model), env, config, np.random.default_rng(2))
+        updates.append(state.model.theta - model.theta)
+        raw_norms.append(record.grad_norm_param)
+
+    assert raw_norms[0] == raw_norms[1] > 0.01
+    assert abs(np.linalg.norm(updates[0]) - 0.5 * raw_norms[0]) <= 1e-12 * raw_norms[0]
+    assert abs(np.linalg.norm(updates[1]) - 0.5 * 0.01) <= 1e-15
+    # clipping rescales the step, it does not turn it
+    assert np.allclose(updates[1] * raw_norms[0] / 0.01, updates[0], rtol=1e-12, atol=0.0)
 
 
 def test_sft_requires_match_reward():
