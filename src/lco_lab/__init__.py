@@ -14,6 +14,7 @@ from .dist import (
     log_softmax,
     normalize_advantages,
     sample_action,
+    sample_actions,
     softmax,
     total_variation,
 )

@@ -167,13 +167,15 @@ def normalize_advantages(a: Advantages, unit_std: bool = False, std_floor: float
     return Advantages(centered)
 
 
-def sample_action(p, temperature: float, top_p: float, rng: np.random.Generator) -> int:
-    """Draw one action index with temperature and nucleus truncation.
+def _nucleus(p, temperature: float, top_p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Kept action indices and the inner bounds of their inverse CDF.
 
     Temperature rescales log-probabilities (log p / T).  The support is then
     cut to the smallest descending-probability prefix whose mass reaches
-    ``top_p`` (ties broken toward the lower index), renormalized, and sampled
-    by inverse CDF.  Deterministic given the generator state.
+    ``top_p`` (ties broken toward the lower index), never past the last
+    action with positive tempered mass, and renormalized.  The bounds are
+    the cumulative kept mass without its last entry, so a uniform at or
+    above a total that rounded below 1 still lands on the last kept action.
     """
     p = as_probs(p)
     if not temperature > 0.0:
@@ -181,21 +183,45 @@ def sample_action(p, temperature: float, top_p: float, rng: np.random.Generator)
     if not 0.0 < top_p <= 1.0:
         raise InvalidInputError("top_p must lie in (0, 1]")
 
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         logp = np.where(p > 0.0, np.log(np.maximum(p, 1e-320)), -np.inf)
-    scaled = logp / temperature
+        scaled = logp / temperature
     finite = np.isfinite(scaled)
-    shifted = scaled - scaled[finite].max()
-    weights = np.where(finite, np.exp(shifted), 0.0)
+    finite_scaled = scaled[finite]
+    if finite_scaled.size:
+        weights = np.where(finite, np.exp(scaled - finite_scaled.max()), 0.0)
+    else:
+        # log p / T overflowed everywhere: take the T -> 0 limit, uniform over the argmax set
+        weights = (p == p.max()).astype(np.float64)
     q = weights / weights.sum()
 
     # stable argsort on -q keeps equal-probability ties in index order
     order = np.argsort(-q, kind="stable")
     cumulative = np.cumsum(q[order])
-    cutoff = int(np.searchsorted(cumulative, top_p, side="left"))
+    # rounding can leave the cumulative mass short of top_p; zero-mass actions stay out
+    cutoff = min(int(np.searchsorted(cumulative, top_p, side="left")), np.count_nonzero(q) - 1)
     kept = order[: cutoff + 1]
-    kept_probs = q[kept] / q[kept].sum()
+    mass = q[kept]
+    return kept, np.cumsum(mass / mass.sum())[:-1]
 
-    u = rng.random()
-    choice = int(np.searchsorted(np.cumsum(kept_probs), u, side="right"))
-    return int(kept[min(choice, kept.size - 1)])
+
+def sample_actions(p, temperature: float, top_p: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw ``size`` action indices with temperature and nucleus truncation.
+
+    The nucleus is built once (see ``_nucleus``) and each draw resolves one
+    uniform by inverse CDF.  ``rng.random(size)`` yields the same doubles
+    as ``size`` calls of ``rng.random()``, so the result equals ``size``
+    successive ``sample_action`` calls on the same generator and leaves it
+    in the same state.  Deterministic given the generator state.
+    """
+    if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
+        raise InvalidInputError(f"size must be an integer, got {size!r}")
+    if size < 1:
+        raise InvalidInputError(f"size must be at least 1, got {size}")
+    kept, bounds = _nucleus(p, temperature, top_p)
+    return kept[np.searchsorted(bounds, rng.random(size), side="right")]
+
+
+def sample_action(p, temperature: float, top_p: float, rng: np.random.Generator) -> int:
+    """Draw one action index: the ``size=1`` case of ``sample_actions``."""
+    return int(sample_actions(p, temperature, top_p, rng, 1)[0])

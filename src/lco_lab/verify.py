@@ -97,19 +97,18 @@ def suite_dist(seed: int = 101) -> SuiteResult:
         if abs(float(dist.normalize_advantages(a).values.mean())) > 1e-12:
             failures += 1
 
+    # the batched sampler must replay per-call draws on one generator exactly
     p = dist.softmax(np.array([0.3, -0.2, 0.8, 0.0]))
-    seq_a = [dist.sample_action(p, 0.7, 0.9, np.random.default_rng(7)) for _ in range(100)]
-    seq_b = [dist.sample_action(p, 0.7, 0.9, np.random.default_rng(7)) for _ in range(100)]
+    per_call = np.random.default_rng(7)
+    seq_a = [dist.sample_action(p, 0.7, 0.9, per_call) for _ in range(100)]
+    seq_b = dist.sample_actions(p, 0.7, 0.9, np.random.default_rng(7), 100).tolist()
     cases += 1
     if seq_a != seq_b:
         failures += 1
 
-    draws = np.zeros(4, dtype=np.int64)
-    sampler = np.random.default_rng(13)
     uniform = np.full(4, 0.25)
     n = 100_000
-    for _ in range(n):
-        draws[dist.sample_action(uniform, 1.0, 1.0, sampler)] += 1
+    draws = np.bincount(dist.sample_actions(uniform, 1.0, 1.0, np.random.default_rng(13), n), minlength=4)
     sigma = np.sqrt(n * 0.25 * 0.75)
     cases += 1
     if np.abs(draws - n * 0.25).max() > 3.0 * sigma:

@@ -35,6 +35,25 @@ def kl_hp(p, q):
     )
 
 
+def tempered_hp(p, temperature):
+    """Distribution proportional to exp(log p / T), exact from the float64 exponents.
+
+    An exponent that overflows to -inf carries no mass; when every one does,
+    the T -> 0 limit puts uniform mass on the most probable actions.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    with np.errstate(divide="ignore", over="ignore"):
+        exponents = np.log(p) / temperature
+    finite = [mpf(float(e)) for e in exponents if np.isfinite(e)]
+    if finite:
+        m = max(finite)
+        weights = [exp(mpf(float(e)) - m) if np.isfinite(e) else mpf(0) for e in exponents]
+    else:
+        weights = [mpf(1) if x == p.max() else mpf(0) for x in p]
+    total = sum(weights)
+    return [w / total for w in weights]
+
+
 def log_cosh_hp(x):
     from mpmath import cosh
 

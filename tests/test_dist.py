@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lco_lab.dist import (
     Advantages,
@@ -7,13 +11,15 @@ from lco_lab.dist import (
     kl_divergence,
     log_softmax,
     normalize_advantages,
+    PROB_ATOL,
     sample_action,
+    sample_actions,
     softmax,
     total_variation,
 )
 from lco_lab.errors import DivergenceUndefinedError, InvalidInputError
 
-from oracles import entropy_hp, kl_hp, log_softmax_hp, softmax_hp
+from oracles import entropy_hp, kl_hp, log_softmax_hp, softmax_hp, tempered_hp
 
 
 def test_softmax_symmetry():
@@ -195,3 +201,91 @@ def test_sample_rejects_bad_parameters():
         sample_action([0.5, 0.5], 0.0, 1.0, np.random.default_rng(0))
     with pytest.raises(InvalidInputError):
         sample_action([0.5, 0.5], 1.0, 0.0, np.random.default_rng(0))
+
+
+class _TopUniform:
+    """Generator stub whose every uniform is the largest double below 1."""
+
+    def random(self, size):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+
+def test_sample_never_draws_zero_probability_action():
+    # the cumulative mass of ten 0.1 entries rounds to 0.9999999999999999 < top_p
+    p = [0.1] * 10 + [0.0]
+    assert sample_action(p, 1.0, 1.0, _TopUniform()) == 9
+    assert sample_actions(p, 1.0, 1.0, _TopUniform(), 3).tolist() == [9, 9, 9]
+
+
+def test_sample_subnormal_temperature_takes_the_argmax_limit():
+    # log p / T overflows to -inf for every entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rng = np.random.default_rng(31)
+        assert set(sample_actions([0.25] * 4, 1e-310, 1.0, rng, 400).tolist()) == {0, 1, 2, 3}
+        assert set(sample_actions([0.4, 0.2, 0.4], 1e-310, 1.0, rng, 400).tolist()) == {0, 2}
+        assert sample_action([0.1, 0.6, 0.3], 1e-310, 0.5, rng) == 1
+
+
+def _vectors_with_zeros_and_ties(rng, v):
+    counts = rng.integers(0, 4, v).astype(np.float64)  # small integers: many ties and zeros
+    uniforms = rng.uniform(0.0, 1.0, v) * (rng.random(v) < 0.7)
+    for weights in (counts, uniforms):
+        if weights.sum() == 0.0:
+            weights[0] = 1.0
+        yield weights / weights.sum()
+
+
+@pytest.mark.parametrize("v", [2, 3, 16, 64])
+def test_sample_actions_replays_per_call_draws(v):
+    rng = np.random.default_rng(100 + v)
+    for p in _vectors_with_zeros_and_ties(rng, v):
+        for temperature in (0.1, 0.5, 1.0, 2.0):
+            for top_p in (0.3, 0.9, 1.0):
+                seed = int(rng.integers(1 << 31))
+                per_call, batched = np.random.default_rng(seed), np.random.default_rng(seed)
+                expected = [sample_action(p, temperature, top_p, per_call) for _ in range(100)]
+                got = sample_actions(p, temperature, top_p, batched, 100)
+                assert got.tolist() == expected
+                assert per_call.random() == batched.random()
+
+
+def test_sample_actions_rejects_bad_size():
+    rng = np.random.default_rng(0)
+    for size in (0, -3, 2.5, "4", None, True):
+        with pytest.raises(InvalidInputError):
+            sample_actions([0.5, 0.5], 1.0, 1.0, rng, size)
+    assert sample_actions([0.5, 0.5], 1.0, 1.0, rng, np.int64(5)).shape == (5,)
+
+
+_weights = st.lists(
+    st.one_of(st.integers(0, 20).map(float), st.floats(1e-300, 1.0)), min_size=2, max_size=64
+)
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(
+    weights=_weights,
+    # half the examples sit where log p / T overflows
+    temperature=st.one_of(st.floats(1e-320, 1e-300), st.floats(-300.0, 3.0).map(lambda k: 10.0**k)),
+    top_p=st.floats(0.0, 1.0, exclude_min=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sample_draws_lie_in_the_nucleus(weights, temperature, top_p, seed):
+    weights = np.array(weights)
+    if weights.sum() == 0.0:
+        weights[0] = 1.0
+    p = weights / weights.sum()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            draws = sample_actions(p, temperature, top_p, np.random.default_rng(seed), 64)
+        except InvalidInputError:
+            assert abs(float(p.sum()) - 1.0) > PROB_ATOL
+            return
+    q = tempered_hp(p, temperature)
+    for a in set(draws.tolist()):
+        assert p[a] > 0.0
+        # every action strictly more probable than a is kept ahead of it
+        ahead = sum(qb for qb in q if qb > q[a])
+        assert ahead < top_p + 1e-9
