@@ -5,6 +5,11 @@ is any finite real vector of length >= 2; a "probability vector" is
 nonnegative and sums to one within 1e-12.  Advantage vectors may carry a
 sparsity mask recording which actions hold real signal.
 
+Each public primitive validates its inputs and then calls a private kernel
+(``_softmax``, ``_log_softmax``, ``_entropy``, ``_draw``) that holds its only
+copy of the arithmetic; a caller that checked an array where it made it
+calls the kernel directly.
+
 Everything here is a pure function of its inputs; RNG state is caller-owned.
 """
 
@@ -80,7 +85,10 @@ def check_action(index: int, vocab_size: int) -> int:
 
 def softmax(z) -> np.ndarray:
     """Max-shifted softmax; invariant under adding a constant to all logits."""
-    z = as_logits(z)
+    return _softmax(as_logits(z))
+
+
+def _softmax(z: np.ndarray) -> np.ndarray:
     shifted = z - z.max()
     e = np.exp(shifted)
     return e / e.sum()
@@ -88,14 +96,20 @@ def softmax(z) -> np.ndarray:
 
 def log_softmax(z) -> np.ndarray:
     """z - max(z) - log(sum(exp(z - max(z)))); exp of this matches softmax(z)."""
-    z = as_logits(z)
+    return _log_softmax(as_logits(z))
+
+
+def _log_softmax(z: np.ndarray) -> np.ndarray:
     shifted = z - z.max()
     return shifted - np.log(np.exp(shifted).sum())
 
 
 def entropy(p) -> float:
     """Shannon entropy in nats with the 0*log(0) := 0 convention."""
-    p = as_probs(p)
+    return _entropy(as_probs(p))
+
+
+def _entropy(p: np.ndarray) -> float:
     nz = p > 0.0
     return float(-(p[nz] * np.log(p[nz])).sum())
 
@@ -167,22 +181,17 @@ def normalize_advantages(a: Advantages, unit_std: bool = False, std_floor: float
     return Advantages(centered)
 
 
-def _nucleus(p, temperature: float, top_p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Kept action indices and the inner bounds of their inverse CDF.
+def _draw(p: np.ndarray, temperature: float, top_p: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Sampler kernel: ``size`` draws from the tempered nucleus of ``p``.
 
     Temperature rescales log-probabilities (log p / T).  The support is then
     cut to the smallest descending-probability prefix whose mass reaches
     ``top_p`` (ties broken toward the lower index), never past the last
-    action with positive tempered mass, and renormalized.  The bounds are
-    the cumulative kept mass without its last entry, so a uniform at or
-    above a total that rounded below 1 still lands on the last kept action.
+    action with positive tempered mass, and renormalized.  Each uniform is
+    resolved against the cumulative kept mass without its last entry, so a
+    uniform at or above a total that rounded below 1 still lands on the
+    last kept action.
     """
-    p = as_probs(p)
-    if not temperature > 0.0:
-        raise InvalidInputError("temperature must be positive")
-    if not 0.0 < top_p <= 1.0:
-        raise InvalidInputError("top_p must lie in (0, 1]")
-
     with np.errstate(divide="ignore", over="ignore"):
         logp = np.where(p > 0.0, np.log(np.maximum(p, 1e-320)), -np.inf)
         scaled = logp / temperature
@@ -202,13 +211,14 @@ def _nucleus(p, temperature: float, top_p: float) -> tuple[np.ndarray, np.ndarra
     cutoff = min(int(np.searchsorted(cumulative, top_p, side="left")), np.count_nonzero(q) - 1)
     kept = order[: cutoff + 1]
     mass = q[kept]
-    return kept, np.cumsum(mass / mass.sum())[:-1]
+    bounds = np.cumsum(mass / mass.sum())[:-1]
+    return kept[np.searchsorted(bounds, rng.random(size), side="right")]
 
 
 def sample_actions(p, temperature: float, top_p: float, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw ``size`` action indices with temperature and nucleus truncation.
 
-    The nucleus is built once (see ``_nucleus``) and each draw resolves one
+    The nucleus is built once (see ``_draw``) and each draw resolves one
     uniform by inverse CDF.  ``rng.random(size)`` yields the same doubles
     as ``size`` calls of ``rng.random()``, so the result equals ``size``
     successive ``sample_action`` calls on the same generator and leaves it
@@ -218,8 +228,12 @@ def sample_actions(p, temperature: float, top_p: float, rng: np.random.Generator
         raise InvalidInputError(f"size must be an integer, got {size!r}")
     if size < 1:
         raise InvalidInputError(f"size must be at least 1, got {size}")
-    kept, bounds = _nucleus(p, temperature, top_p)
-    return kept[np.searchsorted(bounds, rng.random(size), side="right")]
+    p = as_probs(p)
+    if not temperature > 0.0:
+        raise InvalidInputError("temperature must be positive")
+    if not 0.0 < top_p <= 1.0:
+        raise InvalidInputError("top_p must lie in (0, 1]")
+    return _draw(p, temperature, top_p, rng, size)
 
 
 def sample_action(p, temperature: float, top_p: float, rng: np.random.Generator) -> int:

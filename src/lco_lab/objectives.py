@@ -13,6 +13,11 @@ gradient with respect to the logit vector.
   LCO_MSE    mean squared distance to target logits; grad = (2/V) (z - z*)
   LCO_LCH    mean log-cosh distance to target logits; grad = tanh(z - z*)/V
   LCO_KLD    forward KL from a target distribution; grad = softmax(z) - pi*
+
+Each public ``*_eval`` checks its inputs and calls a private kernel of the
+same name with a leading underscore, which holds the only copy of the
+objective's arithmetic and takes pi = softmax(z) from its caller, so a
+trainer that already holds both evaluates each state once.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dist import Advantages, as_logits, as_probs, check_action, kl_between, log_softmax, softmax
+from .dist import Advantages, _log_softmax, _softmax, as_logits, as_probs, check_action, kl_between
 from .errors import DegenerateRatioError, InvalidInputError
 
 MIN_BEHAVIORAL_PROB = 1e-300
@@ -62,7 +67,7 @@ class TimestepContext:
         object.__setattr__(self, "z_old", z_old)
         object.__setattr__(self, "pi_old", pi_old)
         object.__setattr__(self, "sampled_action", check_action(self.sampled_action, z_old.size))
-        if np.abs(pi_old - softmax(z_old)).max() > 1e-12:
+        if np.abs(pi_old - _softmax(z_old)).max() > 1e-12:
             raise InvalidInputError("pi_old is not the softmax of z_old")
         if self.advantages.vocab_size != z_old.size:
             raise InvalidInputError("advantage vector length mismatch")
@@ -76,7 +81,7 @@ class TimestepContext:
         z_old = as_logits(z_old)
         if not isinstance(advantages, Advantages):
             advantages = Advantages(np.asarray(advantages, dtype=np.float64))
-        return cls(z_old, softmax(z_old), sampled_action, advantages, beta, clip_epsilon)
+        return cls(z_old, _softmax(z_old), sampled_action, advantages, beta, clip_epsilon)
 
     @property
     def sampled_advantage(self) -> float:
@@ -93,17 +98,23 @@ def sft_eval(z, target: int) -> LossEval:
     """Negative log-likelihood of the target token and its logit gradient."""
     z = as_logits(z)
     target = check_action(target, z.size)
-    pi = softmax(z)
+    return _sft_eval(z, _softmax(z), target)
+
+
+def _sft_eval(z: np.ndarray, pi: np.ndarray, target: int) -> LossEval:
     grad = pi.copy()
     grad[target] -= 1.0
-    return LossEval(float(-log_softmax(z)[target]), grad)
+    return LossEval(float(-_log_softmax(z)[target]), grad)
 
 
-def _ratio(ctx: TimestepContext, pi: np.ndarray) -> float:
-    behavioral = float(ctx.pi_old[ctx.sampled_action])
+def _ratio(pi_sampled: float, behavioral: float) -> float:
     if behavioral < MIN_BEHAVIORAL_PROB:
         raise DegenerateRatioError("behavioral probability of the sampled action is ~0")
-    return float(pi[ctx.sampled_action]) / behavioral
+    return pi_sampled / behavioral
+
+
+def _ppo_gate(adv: float, r: float, eps: float) -> bool:
+    return (adv > 0.0 and r < 1.0 + eps) or (adv < 0.0 and r > 1.0 - eps)
 
 
 def ppo_active(ctx: TimestepContext, z) -> bool:
@@ -113,10 +124,9 @@ def ppo_active(ctx: TimestepContext, z) -> bool:
     advantage counts as inactive.
     """
     z = as_logits(z)
-    adv = ctx.sampled_advantage
-    r = _ratio(ctx, softmax(z))
-    eps = ctx.clip_epsilon
-    return (adv > 0.0 and r < 1.0 + eps) or (adv < 0.0 and r > 1.0 - eps)
+    a = ctx.sampled_action
+    r = _ratio(float(_softmax(z)[a]), float(ctx.pi_old[a]))
+    return _ppo_gate(ctx.sampled_advantage, r, ctx.clip_epsilon)
 
 
 def ppo_eval(ctx: TimestepContext, z) -> LossEval:
@@ -126,29 +136,31 @@ def ppo_eval(ctx: TimestepContext, z) -> LossEval:
     gradient is zero whenever the clip gate is closed.
     """
     z = as_logits(z)
-    pi = softmax(z)
-    adv = ctx.sampled_advantage
-    r = _ratio(ctx, pi)
-    eps = ctx.clip_epsilon
+    a = ctx.sampled_action
+    return _ppo_eval(_softmax(z), a, ctx.sampled_advantage, float(ctx.pi_old[a]), ctx.clip_epsilon)
+
+
+def _ppo_eval(pi: np.ndarray, a: int, adv: float, behavioral: float, eps: float) -> LossEval:
+    r = _ratio(float(pi[a]), behavioral)
     clipped = min(max(r, 1.0 - eps), 1.0 + eps)
     value = -min(r * adv, clipped * adv)
-    if not ppo_active(ctx, z):
-        return LossEval(value, np.zeros_like(z))
-    a = ctx.sampled_action
-    grad = (adv / float(ctx.pi_old[a])) * float(pi[a]) * pi
-    grad[a] -= (adv / float(ctx.pi_old[a])) * float(pi[a])
+    if not _ppo_gate(adv, r, eps):
+        return LossEval(value, np.zeros_like(pi))
+    grad = (adv / behavioral) * float(pi[a]) * pi
+    grad[a] -= (adv / behavioral) * float(pi[a])
     return LossEval(value, grad)
 
 
 def reinforce_eval(ctx: TimestepContext, z) -> LossEval:
     """Advantage-weighted log-likelihood loss -A * log pi(a)."""
     z = as_logits(z)
-    pi = softmax(z)
-    a = ctx.sampled_action
-    adv = ctx.sampled_advantage
+    return _reinforce_eval(z, _softmax(z), ctx.sampled_action, ctx.sampled_advantage)
+
+
+def _reinforce_eval(z: np.ndarray, pi: np.ndarray, a: int, adv: float) -> LossEval:
     grad = adv * pi
     grad[a] -= adv
-    return LossEval(float(-adv * log_softmax(z)[a]), grad)
+    return LossEval(float(-adv * _log_softmax(z)[a]), grad)
 
 
 def _log_cosh(x: np.ndarray) -> np.ndarray:
@@ -165,10 +177,10 @@ def _log_cosh(x: np.ndarray) -> np.ndarray:
 
 def lco_mse_eval(z, z_star) -> LossEval:
     """Mean squared logit residual (1/V) sum((z - z*)^2)."""
-    z = as_logits(z)
-    z_star = as_logits(z_star)
-    if z.size != z_star.size:
-        raise InvalidInputError("logit vectors must have equal length")
+    return _lco_mse_eval(*_residual_pair(z, z_star))
+
+
+def _lco_mse_eval(z: np.ndarray, z_star: np.ndarray) -> LossEval:
     residual = z - z_star
     v = z.size
     return LossEval(float((residual**2).sum() / v), (2.0 / v) * residual)
@@ -176,13 +188,21 @@ def lco_mse_eval(z, z_star) -> LossEval:
 
 def lco_lch_eval(z, z_star) -> LossEval:
     """Mean log-cosh logit residual; quadratic near zero, linear in the tails."""
+    return _lco_lch_eval(*_residual_pair(z, z_star))
+
+
+def _lco_lch_eval(z: np.ndarray, z_star: np.ndarray) -> LossEval:
+    residual = z - z_star
+    v = z.size
+    return LossEval(float(_log_cosh(residual).sum() / v), np.tanh(residual) / v)
+
+
+def _residual_pair(z, z_star) -> tuple[np.ndarray, np.ndarray]:
     z = as_logits(z)
     z_star = as_logits(z_star)
     if z.size != z_star.size:
         raise InvalidInputError("logit vectors must have equal length")
-    residual = z - z_star
-    v = z.size
-    return LossEval(float(_log_cosh(residual).sum() / v), np.tanh(residual) / v)
+    return z, z_star
 
 
 def lco_kld_eval(z, pi_star) -> LossEval:
@@ -191,8 +211,11 @@ def lco_kld_eval(z, pi_star) -> LossEval:
     pi_star = as_probs(pi_star)
     if z.size != pi_star.size:
         raise InvalidInputError("lengths must match")
-    pi = softmax(z)
-    return LossEval(kl_between(pi_star, pi, log_q=log_softmax(z)), pi - pi_star)
+    return _lco_kld_eval(z, _softmax(z), pi_star)
+
+
+def _lco_kld_eval(z: np.ndarray, pi: np.ndarray, pi_star: np.ndarray) -> LossEval:
+    return LossEval(kl_between(pi_star, pi, log_q=_log_softmax(z)), pi - pi_star)
 
 
 @dataclass(frozen=True)

@@ -131,29 +131,45 @@ def forward(model: PolicyModel, state: int) -> np.ndarray:
     return w2 @ hidden + b2
 
 
-def pullback(model: PolicyModel, state: int, grad_z) -> np.ndarray:
+def pullback(model: PolicyModel, state: int, grad_z, out: np.ndarray | None = None) -> np.ndarray:
     """Vector-Jacobian product J(state)^T grad_z in reverse mode.
 
     Never forms the V x n_params Jacobian: TABULAR scatters grad_z into the
     state's logit row, LINEAR is the outer product grad_z phi^T, and MLP1
-    backpropagates once through the tanh layer.
+    backpropagates once through the tanh layer.  With ``out`` (a float64
+    vector of n_params entries) the product is added into ``out`` in place
+    and ``out`` is returned, so an episode sums its timesteps in one buffer
+    and TABULAR touches only one row of it.
     """
     state = _check_state(model, state)
     grad_z = np.asarray(grad_z, dtype=np.float64)
     if grad_z.shape != (model.vocab_size,):
         raise InvalidInputError(f"grad_z must have shape ({model.vocab_size},), got {grad_z.shape}")
+    if out is not None and not (
+        isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == (model.n_params,)
+    ):
+        raise InvalidInputError(f"out must be a float64 array of shape ({model.n_params},)")
+    start, values = _vjp(model, state, grad_z)
+    span = slice(start, start + values.size)
+    if out is None:
+        out = np.zeros(model.n_params)
+        out[span] = values
+    else:
+        out[span] += values
+    return out
+
+
+def _vjp(model: PolicyModel, state: int, grad_z: np.ndarray) -> tuple[int, np.ndarray]:
+    """J(state)^T grad_z as (offset, values); zero outside theta[offset : offset + values.size]."""
     if model.family is Family.TABULAR:
-        v = model.vocab_size
-        grad = np.zeros(model.n_params)
-        grad[state * v : (state + 1) * v] = grad_z
-        return grad
+        return state * model.vocab_size, grad_z
     phi = model.features[state]
     if model.family is Family.LINEAR:
-        return np.outer(grad_z, phi).ravel()
+        return 0, np.outer(grad_z, phi).ravel()
     w1, b1, w2, _ = _mlp_unpack(model)
     h = np.tanh(w1 @ phi + b1)
     back = (grad_z @ w2) * (1.0 - h**2)  # through sech^2 of the pre-activation
-    return np.concatenate((np.outer(back, phi).ravel(), back, np.outer(grad_z, h).ravel(), grad_z))
+    return 0, np.concatenate((np.outer(back, phi).ravel(), back, np.outer(grad_z, h).ravel(), grad_z))
 
 
 def sigma_max(model: PolicyModel, state: int) -> float:

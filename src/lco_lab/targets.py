@@ -63,10 +63,11 @@ def optimal_policy(pi_old, a: Advantages | np.ndarray, beta: float) -> np.ndarra
     raises instead of returning NaN.
     """
     pi_old = as_probs(pi_old)
-    values = a.values if isinstance(a, Advantages) else np.asarray(a, dtype=np.float64)
-    if values.size != pi_old.size:
-        raise InvalidInputError("advantage length must match distribution length")
-    scaled = _scaled_advantages(values, beta)
+    return _optimal_policy(pi_old, _checked_advantages(a, beta, pi_old.size, "distribution"), beta)
+
+
+def _optimal_policy(pi_old: np.ndarray, values: np.ndarray, beta: float) -> np.ndarray:
+    scaled = _scaled(values, beta)
     with np.errstate(divide="ignore"):
         logits = np.where(pi_old > 0.0, np.log(np.maximum(pi_old, 5e-324)), -np.inf) + scaled
     shifted = logits - logits.max()
@@ -77,10 +78,11 @@ def optimal_policy(pi_old, a: Advantages | np.ndarray, beta: float) -> np.ndarra
 def optimal_logits(z_old, a: Advantages | np.ndarray, beta: float) -> np.ndarray:
     """Representative target logits z_old + A / beta."""
     z_old = as_logits(z_old)
-    values = a.values if isinstance(a, Advantages) else np.asarray(a, dtype=np.float64)
-    if values.size != z_old.size:
-        raise InvalidInputError("advantage length must match logit length")
-    scaled = _scaled_advantages(values, beta)
+    return _optimal_logits(z_old, _checked_advantages(a, beta, z_old.size, "logit"), beta)
+
+
+def _optimal_logits(z_old: np.ndarray, values: np.ndarray, beta: float) -> np.ndarray:
+    scaled = _scaled(values, beta)
     with np.errstate(over="ignore"):
         z_star = z_old + scaled
     if not np.all(np.isfinite(z_star)):
@@ -88,12 +90,20 @@ def optimal_logits(z_old, a: Advantages | np.ndarray, beta: float) -> np.ndarray
     return z_star
 
 
-def _scaled_advantages(values: np.ndarray, beta: float) -> np.ndarray:
-    """A / beta, checked finite so neither target can come out NaN or inf."""
+def _checked_advantages(a: Advantages | np.ndarray, beta: float, size: int, against: str) -> np.ndarray:
+    """Advantage values of the given length, finite, with a positive beta."""
+    values = a.values if isinstance(a, Advantages) else np.asarray(a, dtype=np.float64)
+    if values.size != size:
+        raise InvalidInputError(f"advantage length must match {against} length")
     if not np.all(np.isfinite(values)):
         raise InvalidInputError("advantages must be finite")
     if not beta > 0.0:
         raise InvalidInputError("beta must be positive")
+    return values
+
+
+def _scaled(values: np.ndarray, beta: float) -> np.ndarray:
+    """A / beta, checked finite so neither target can come out NaN or inf."""
     with np.errstate(over="ignore"):
         scaled = values / beta
     if not np.all(np.isfinite(scaled)):

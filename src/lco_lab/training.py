@@ -9,6 +9,16 @@ Jacobian is never formed), and applies one plain gradient-descent update:
     grad_theta = (1/T) * sum_t J(s_t)^T grad_z L_t
     theta     <- theta - lr * grad_theta
 
+Each visited state is evaluated once per parameter vector: the rollout
+runs one forward pass and one softmax at the snapshot, ``episode_eval``
+one of each at theta, and the logged statistics and the envelope reuse
+those results.  Arrays are checked where they are made (each forward
+output through ``as_logits``, config fields in ``TrainerConfig``), after
+which the step calls the private kernels of ``dist``, ``objectives`` and
+``targets``, which hold the same arithmetic as their public functions.
+The episode gradient is summed in one n_params buffer that
+``pullback(..., out=)`` adds into.
+
 The snapshot refreshes every ``snapshot_interval`` steps, so importance
 ratios and alignment targets stay anchored to one behavioral policy inside
 a window even as theta moves.
@@ -27,22 +37,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convexity import gradient_norm_bound
-from .dist import Advantages, entropy, normalize_advantages, sample_action, softmax
+from .dist import Advantages, _draw, _entropy, _softmax, as_logits, normalize_advantages
 from .envs import MatchReward, ToyEnvironment
 from .errors import InvalidInputError, NonFiniteGradientError, StepSizeError
 from .objectives import (
     LCO_KINDS,
     LossEval,
     ObjectiveKind,
-    TimestepContext,
+    _lco_kld_eval,
+    _lco_lch_eval,
+    _lco_mse_eval,
     _log_cosh,
-    lco_kld_eval,
-    lco_lch_eval,
-    lco_mse_eval,
+    _ppo_eval,
+    _reinforce_eval,
+    _sft_eval,
     pairwise_sum,
-    ppo_eval,
-    reinforce_eval,
-    sft_eval,
 )
 from .policy import (
     Family,
@@ -54,7 +63,7 @@ from .policy import (
     sigma_max,
     tabular_policy,
 )
-from .targets import AdvantageEstimator, EstimatorKind, estimate_advantages, optimal_logits, optimal_policy
+from .targets import AdvantageEstimator, EstimatorKind, _optimal_logits, _optimal_policy, estimate_advantages
 
 
 @dataclass(frozen=True)
@@ -75,14 +84,30 @@ class TrainerConfig:
     ref_table: np.ndarray | None = None
 
     def __post_init__(self):
-        if not self.learning_rate > 0.0:
-            raise InvalidInputError("learning_rate must be positive")
-        if self.steps < 1:
-            raise InvalidInputError("steps must be >= 1")
-        if self.snapshot_interval < 1:
-            raise InvalidInputError("snapshot_interval must be >= 1")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise InvalidInputError("learning_rate must be positive and finite")
+        for name in ("steps", "snapshot_interval"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise InvalidInputError(f"{name} must be >= 1")
         if not self.beta > 0.0:
             raise InvalidInputError("beta must be positive")
+        if not 0.0 < self.clip_epsilon < 1.0:
+            raise InvalidInputError("clip_epsilon must lie in (0, 1)")
+        if self.grad_clip_norm is not None and not 0.0 < self.grad_clip_norm < np.inf:
+            raise InvalidInputError("grad_clip_norm must be positive and finite")
+        if not 0.0 < self.temperature < np.inf:
+            raise InvalidInputError("temperature must be positive and finite")
+        if not 0.0 < self.top_p <= 1.0:
+            raise InvalidInputError("top_p must lie in (0, 1]")
+        for name in ("scorer_table", "ref_table"):
+            table = getattr(self, name)
+            if table is not None and np.ndim(table) != 2:
+                raise InvalidInputError(
+                    f"{name} must be a 2-D (horizon, V) array, got shape {np.shape(table)}"
+                )
 
 
 @dataclass(frozen=True)
@@ -141,12 +166,12 @@ def rollout_episode(
     states, actions, z_old, pi_old = [], [], [], []
     for t in range(env.horizon):
         state = env.state_index(prefix)
-        z = forward(snapshot, state)
-        p = softmax(z)
+        z = as_logits(forward(snapshot, state))
+        p = _softmax(z)
         if teacher_forced:
             action = env.reward.target[t]
         else:
-            action = sample_action(p, config.temperature, config.top_p, rng)
+            action = int(_draw(p, config.temperature, config.top_p, rng, 1)[0])
         states.append(state)
         actions.append(action)
         z_old.append(z)
@@ -165,14 +190,16 @@ def _step_advantages(
     elif kind is EstimatorKind.DENSE_LOGPROB:
         if config.scorer_table is None:
             raise InvalidInputError("DENSE_LOGPROB needs a scorer_table")
-        estimator = AdvantageEstimator(kind, scorer_log_probs=config.scorer_table[t])
+        estimator = AdvantageEstimator(
+            kind, scorer_log_probs=_table_row(config.scorer_table, "scorer_table", t, env.horizon)
+        )
     else:
         if config.scorer_table is None or config.ref_table is None:
             raise InvalidInputError("DENSE_DPO_RATIO needs scorer_table and ref_table")
         estimator = AdvantageEstimator(
             kind,
-            scorer_log_probs=config.scorer_table[t],
-            ref_log_probs=config.ref_table[t],
+            scorer_log_probs=_table_row(config.scorer_table, "scorer_table", t, env.horizon),
+            ref_log_probs=_table_row(config.ref_table, "ref_table", t, env.horizon),
         )
     adv = estimate_advantages(estimator, env.vocab_size)
     if config.normalize and adv.sparse_mask is None:
@@ -182,33 +209,45 @@ def _step_advantages(
     return adv
 
 
+def _table_row(table: np.ndarray, name: str, t: int, horizon: int) -> np.ndarray:
+    if len(table) < horizon:
+        raise InvalidInputError(
+            f"{name} has {len(table)} rows but the horizon is {horizon}: it needs one row per timestep"
+        )
+    return table[t]
+
+
 def _step_eval(
     model: PolicyModel,
     config: TrainerConfig,
     rollout: Rollout,
     adv: Advantages,
     t: int,
-) -> LossEval:
-    z = forward(model, rollout.states[t])
+) -> tuple[LossEval, np.ndarray]:
+    """The objective at one visited state, and pi = softmax(z) there at theta."""
     kind = config.objective
+    # the targets come from the snapshot alone, so an overflowing target is
+    # reported ahead of non-finite logits at theta
+    if kind in (ObjectiveKind.LCO_MSE, ObjectiveKind.LCO_LCH):
+        z_star = _optimal_logits(rollout.z_old[t], adv.values, config.beta)
+    elif kind is ObjectiveKind.LCO_KLD:
+        pi_star = _optimal_policy(rollout.pi_old[t], adv.values, config.beta)
+    z = as_logits(forward(model, rollout.states[t]))
+    pi = _softmax(z)
+    a = rollout.actions[t]
     if kind is ObjectiveKind.SFT:
-        return sft_eval(z, rollout.actions[t])
-    if kind in (ObjectiveKind.PPO, ObjectiveKind.REINFORCE):
-        ctx = TimestepContext(
-            rollout.z_old[t],
-            rollout.pi_old[t],
-            rollout.actions[t],
-            adv,
-            config.beta,
-            config.clip_epsilon,
-        )
-        return ppo_eval(ctx, z) if kind is ObjectiveKind.PPO else reinforce_eval(ctx, z)
+        return _sft_eval(z, pi, a), pi
+    if kind is ObjectiveKind.PPO:
+        behavioral = float(rollout.pi_old[t][a])
+        return _ppo_eval(pi, a, float(adv.values[a]), behavioral, config.clip_epsilon), pi
+    if kind is ObjectiveKind.REINFORCE:
+        return _reinforce_eval(z, pi, a, float(adv.values[a])), pi
     if kind is ObjectiveKind.LCO_MSE:
-        return lco_mse_eval(z, optimal_logits(rollout.z_old[t], adv, config.beta))
+        return _lco_mse_eval(z, z_star), pi
     if kind is ObjectiveKind.LCO_LCH:
-        return lco_lch_eval(z, optimal_logits(rollout.z_old[t], adv, config.beta))
+        return _lco_lch_eval(z, z_star), pi
     if kind is ObjectiveKind.LCO_KLD:
-        return lco_kld_eval(z, optimal_policy(rollout.pi_old[t], adv, config.beta))
+        return _lco_kld_eval(z, pi, pi_star), pi
     raise InvalidInputError(f"unknown objective {kind!r}")
 
 
@@ -218,6 +257,7 @@ class EpisodeEval:
     grad_theta: np.ndarray
     per_step: tuple[LossEval, ...]
     advantages: tuple[Advantages, ...]
+    policies: tuple[np.ndarray, ...]  # softmax of the logits at theta, per timestep
 
 
 def episode_eval(
@@ -227,40 +267,35 @@ def episode_eval(
     rollout: Rollout,
 ) -> EpisodeEval:
     """Mean loss and parameter gradient of one fixed episode."""
-    evals, advantages = [], []
+    evals, advantages, policies = [], [], []
     grad_theta = np.zeros(model.n_params)
     for t in range(env.horizon):
         adv = _step_advantages(env, config, rollout, t)
-        evaluation = _step_eval(model, config, rollout, adv, t)
-        grad_theta += pullback(model, rollout.states[t], evaluation.logit_gradient)
+        evaluation, pi = _step_eval(model, config, rollout, adv, t)
+        pullback(model, rollout.states[t], evaluation.logit_gradient, out=grad_theta)
         evals.append(evaluation)
         advantages.append(adv)
+        policies.append(pi)
     grad_theta /= env.horizon
     loss = pairwise_sum([e.value for e in evals]) / env.horizon
-    return EpisodeEval(loss, grad_theta, tuple(evals), tuple(advantages))
+    return EpisodeEval(loss, grad_theta, tuple(evals), tuple(advantages), tuple(policies))
 
 
 def episode_loss(model: PolicyModel, env: ToyEnvironment, config: TrainerConfig, rollout: Rollout) -> float:
     return episode_eval(model, env, config, rollout).loss
 
 
-def _envelope(config: TrainerConfig, model: PolicyModel, rollout: Rollout, evals, env) -> float:
-    """Loss-anchored gradient-norm envelope, averaged over the episode.
+def _envelope(kind: ObjectiveKind, loss: float, sigma: float, vocab_size: int) -> float:
+    """Loss-anchored gradient-norm envelope of one timestep.
 
     LCO objectives use their own bound formulas (so the averaged parameter
     gradient is provably below the averaged envelope); the baselines are
     reported against the distribution-form envelope sigma*sqrt(2 max(L, 0))
     for side-by-side dynamics comparisons.
     """
-    kind = config.objective
-    per_step = []
-    for t, evaluation in enumerate(evals):
-        sigma = sigma_max(model, rollout.states[t])
-        if kind in LCO_KINDS:
-            per_step.append(gradient_norm_bound(kind, max(evaluation.value, 0.0), sigma, env.vocab_size))
-        else:
-            per_step.append(sigma * float(np.sqrt(2.0 * max(evaluation.value, 0.0))))
-    return float(np.mean(per_step))
+    if kind in LCO_KINDS:
+        return gradient_norm_bound(kind, max(loss, 0.0), sigma, vocab_size)
+    return sigma * float(np.sqrt(2.0 * max(loss, 0.0)))
 
 
 def train_step(
@@ -284,31 +319,36 @@ def train_step(
 
     grad = episode.grad_theta
     raw_norm = float(np.linalg.norm(grad))
-    if config.grad_clip_norm is not None and raw_norm > config.grad_clip_norm > 0.0:
+    if config.grad_clip_norm is not None and raw_norm > config.grad_clip_norm:
         grad = grad * (config.grad_clip_norm / raw_norm)
 
-    sampled_mag, nonsampled_mag, entropies, sampled_probs, sampled_advs = [], [], [], [], []
-    for t, evaluation in enumerate(episode.per_step):
+    # one row per logged statistic, one column per timestep; a row mean is
+    # the same pairwise sum as np.mean over a list of the row's values
+    stats = np.empty((6, env.horizon))
+    for t, (evaluation, pi) in enumerate(zip(episode.per_step, episode.policies)):
         a = rollout.actions[t]
         g = evaluation.logit_gradient
-        sampled_mag.append(abs(float(g[a])))
-        others = np.abs(np.delete(g, a))
-        nonsampled_mag.append(float(others.mean()))
-        pi_now = softmax(forward(state.model, rollout.states[t]))
-        entropies.append(entropy(pi_now))
-        sampled_probs.append(float(pi_now[a]))
-        sampled_advs.append(float(episode.advantages[t].values[a]))
+        sigma = sigma_max(state.model, rollout.states[t])
+        stats[:, t] = (
+            abs(float(g[a])),
+            float(np.abs(np.delete(g, a)).mean()),
+            _entropy(pi),
+            float(pi[a]),
+            float(episode.advantages[t].values[a]),
+            _envelope(config.objective, evaluation.value, sigma, env.vocab_size),
+        )
+    sampled_mag, nonsampled_mag, entropy, sampled_prob, sampled_adv, bound = map(float, stats.mean(axis=1))
 
     record = DynamicsRecord(
         step=state.step,
         loss=episode.loss,
         grad_norm_param=raw_norm,
-        grad_sampled_logit=float(np.mean(sampled_mag)),
-        grad_nonsampled_logit=float(np.mean(nonsampled_mag)),
-        entropy=float(np.mean(entropies)),
-        sampled_prob=float(np.mean(sampled_probs)),
-        advantage_sign_bucket="positive" if np.mean(sampled_advs) >= 0.0 else "negative",
-        bound_value=_envelope(config, state.model, rollout, episode.per_step, env),
+        grad_sampled_logit=sampled_mag,
+        grad_nonsampled_logit=nonsampled_mag,
+        entropy=entropy,
+        sampled_prob=sampled_prob,
+        advantage_sign_bucket="positive" if sampled_adv >= 0.0 else "negative",
+        bound_value=bound,
     )
 
     updated = state.model.with_theta(state.model.theta - config.learning_rate * grad)

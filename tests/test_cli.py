@@ -86,6 +86,17 @@ def test_train_bad_config_exits_2(tmp_path, capsys):
     assert "vocab_size" in capsys.readouterr().err
 
 
+def test_train_scorer_table_shorter_than_horizon_exits_2(tmp_path, capsys):
+    (tmp_path / "scores.txt").write_text("-0.5 -1.0 -2.0\n")
+    cfg = write_cfg(
+        tmp_path,
+        "[environment]\nvocab_size = 3\nhorizon = 2\nreward = match\ntarget = 0 1\n"
+        "[training]\nobjective = LCO_KLD\nsteps = 2\nestimator = DENSE_LOGPROB\nscorer_table = scores.txt\n",
+    )
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "scorer_table has 1 rows but the horizon is 2" in capsys.readouterr().err
+
+
 def test_float_serialization_is_17_digits():
     assert format_float(1.0 / 3.0) == "0.33333333333333331"
 

@@ -161,3 +161,22 @@ def test_pullback_and_sigma_max_reject_bad_input(family):
     for bad in (np.ones(2), np.ones(4), np.ones((3, 1))):
         with pytest.raises(InvalidInputError):
             pullback(model, 0, bad)
+    n = model.n_params
+    bad_outs = (np.zeros(n - 1), np.zeros(n + 1), np.zeros((n, 1)), np.zeros(n, dtype=np.float32), [0.0] * n)
+    for bad_out in bad_outs:
+        with pytest.raises(InvalidInputError, match="out must be"):
+            pullback(model, 0, np.ones(3), out=bad_out)
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("v", [2, 64])
+def test_pullback_into_out_adds_in_place(family, v):
+    rng = np.random.default_rng(11 + v)
+    model = _random_model(family, v, rng)
+    for state in (0, 3):
+        g = rng.standard_normal(v)
+        buf = rng.standard_normal(model.n_params)
+        expected = buf + pullback(model, state, g)
+        returned = pullback(model, state, g, out=buf)
+        assert returned is buf
+        assert buf.tobytes() == expected.tobytes()

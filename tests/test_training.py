@@ -1,10 +1,11 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lco_lab import policy
-from lco_lab.config import build_trainer, parse_config
+from lco_lab.config import ConfigError, build_trainer, parse_config
 from lco_lab.dist import softmax, total_variation
 from lco_lab.envs import MatchReward, TableReward, ToyEnvironment
 from lco_lab.errors import InvalidInputError, NonFiniteGradientError, StepSizeError
@@ -113,6 +114,22 @@ def test_episode_gradient_matches_finite_differences(family, objective):
         lo = episode_loss(model.with_theta(model.theta - bump), env, config, rollout)
         numeric[i] = (hi - lo) / (2 * step)
     assert rel_close(episode.grad_theta, numeric, rel=1e-5, floor=1e-7)
+
+
+def test_episode_eval_sums_into_one_gradient_buffer():
+    env = ToyEnvironment(64, 3, MatchReward((1, 0, 2)))
+    model = tabular_policy(env.n_states, env.vocab_size)
+    config = TrainerConfig(objective=ObjectiveKind.LCO_KLD, learning_rate=0.1, steps=1, seed=5)
+    rollout = rollout_episode(model, env, config, np.random.default_rng(5))
+    episode_eval(model, env, config, rollout)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        episode = episode_eval(model, env, config, rollout)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert episode.grad_theta.nbytes == model.n_params * 8
+    assert peak < 1.5 * model.n_params * 8
 
 
 def test_snapshot_constant_within_window():
@@ -228,6 +245,76 @@ def test_grad_clip_norm_caps_the_update_and_logs_the_raw_norm(tmp_path):
     assert abs(np.linalg.norm(updates[1]) - 0.5 * 0.01) <= 1e-15
     # clipping rescales the step, it does not turn it
     assert np.allclose(updates[1] * raw_norms[0] / 0.01, updates[0], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "estimator, short",
+    [
+        (EstimatorKind.DENSE_LOGPROB, "scorer_table"),
+        (EstimatorKind.DENSE_DPO_RATIO, "scorer_table"),
+        (EstimatorKind.DENSE_DPO_RATIO, "ref_table"),
+    ],
+)
+def test_table_shorter_than_the_horizon_is_rejected(estimator, short):
+    env = ToyEnvironment(3, 2, MatchReward((1, 2)))
+    tables = {"scorer_table": np.full((2, 3), -1.1), "ref_table": np.full((2, 3), -1.0)}
+    tables[short] = tables[short][:1]
+    if estimator is EstimatorKind.DENSE_LOGPROB:
+        del tables["ref_table"]
+    config = TrainerConfig(
+        objective=ObjectiveKind.LCO_MSE, learning_rate=0.1, steps=1, estimator=estimator, **tables
+    )
+    model = tabular_policy(env.n_states, env.vocab_size)
+    with pytest.raises(InvalidInputError, match=rf"{short} has 1 rows but the horizon is 2"):
+        train_step(init_trainer(model), env, config, np.random.default_rng(0))
+
+
+VALID = dict(objective=ObjectiveKind.SFT, learning_rate=0.1, steps=3)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("learning_rate", 0.0),
+        ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")),
+        ("steps", 0),
+        ("steps", 2.5),
+        ("steps", "3"),
+        ("steps", True),
+        ("snapshot_interval", 0),
+        ("snapshot_interval", 2.0),
+        ("beta", 0.0),
+        ("beta", float("nan")),
+        ("clip_epsilon", 0.0),
+        ("clip_epsilon", 1.0),
+        ("clip_epsilon", float("nan")),
+        ("grad_clip_norm", 0.0),
+        ("grad_clip_norm", -1.0),
+        ("grad_clip_norm", float("nan")),
+        ("grad_clip_norm", float("inf")),
+        ("temperature", 0.0),
+        ("temperature", -1.0),
+        ("temperature", float("nan")),
+        ("temperature", float("inf")),
+        ("top_p", 0.0),
+        ("top_p", 1.5),
+        ("top_p", float("nan")),
+        ("scorer_table", np.zeros(3)),
+        ("ref_table", np.zeros((1, 2, 3))),
+    ],
+)
+def test_trainer_config_rejects_unusable_values(tmp_path, field, value):
+    # rejected for SFT too, which never samples or builds a clipped-surrogate context
+    with pytest.raises(InvalidInputError, match=field):
+        TrainerConfig(**{**VALID, field: value})
+    TrainerConfig(**VALID)
+    if isinstance(value, float):
+        # through a config file the error reaches the CLI as a ConfigError
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[training]\nobjective = SFT\n{field} = {value}\n")
+        with pytest.raises(ConfigError, match=field):
+            build_trainer(parse_config(cfg))
 
 
 def test_sft_requires_match_reward():
