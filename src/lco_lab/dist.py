@@ -38,15 +38,15 @@ class Advantages:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", values)
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise InvalidInputError("advantages must be finite")
         if self.sparse_mask is not None:
-            mask = frozenset(int(i) for i in self.sparse_mask)
+            mask = frozenset(map(int, self.sparse_mask))
             object.__setattr__(self, "sparse_mask", mask)
             if any(i < 0 or i >= values.size for i in mask):
                 raise InvalidInputError("sparse_mask index out of range")
-            unmasked = [i for i in range(values.size) if i not in mask]
-            if unmasked and np.any(values[unmasked] != 0.0):
+            # every nonzero entry lies in the mask: O(|mask|) Python work, not O(V)
+            if np.count_nonzero(values) > sum(values[i] != 0.0 for i in mask):
                 raise InvalidInputError("unmasked advantage entries must be 0")
 
     @property

@@ -149,27 +149,35 @@ def pullback(model: PolicyModel, state: int, grad_z, out: np.ndarray | None = No
         isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == (model.n_params,)
     ):
         raise InvalidInputError(f"out must be a float64 array of shape ({model.n_params},)")
-    start, values = _vjp(model, state, grad_z)
-    span = slice(start, start + values.size)
+    offset, size = _span(model, state)
+    span = slice(offset, offset + size)
     if out is None:
         out = np.zeros(model.n_params)
-        out[span] = values
+        out[span] = _vjp(model, state, grad_z)
     else:
-        out[span] += values
+        out[span] += _vjp(model, state, grad_z)
     return out
 
 
-def _vjp(model: PolicyModel, state: int, grad_z: np.ndarray) -> tuple[int, np.ndarray]:
-    """J(state)^T grad_z as (offset, values); zero outside theta[offset : offset + values.size]."""
+def _span(model: PolicyModel, state: int) -> tuple[int, int]:
+    """(offset, size) of the slice of theta that the logits at ``state`` depend on:
+    the state's row for TABULAR, all of theta for LINEAR and MLP1."""
     if model.family is Family.TABULAR:
-        return state * model.vocab_size, grad_z
+        return state * model.vocab_size, model.vocab_size
+    return 0, model.n_params
+
+
+def _vjp(model: PolicyModel, state: int, grad_z: np.ndarray) -> np.ndarray:
+    """J(state)^T grad_z restricted to ``_span(model, state)``; zero outside it."""
+    if model.family is Family.TABULAR:
+        return grad_z
     phi = model.features[state]
     if model.family is Family.LINEAR:
-        return 0, np.outer(grad_z, phi).ravel()
+        return np.outer(grad_z, phi).ravel()
     w1, b1, w2, _ = _mlp_unpack(model)
     h = np.tanh(w1 @ phi + b1)
     back = (grad_z @ w2) * (1.0 - h**2)  # through sech^2 of the pre-activation
-    return 0, np.concatenate((np.outer(back, phi).ravel(), back, np.outer(grad_z, h).ravel(), grad_z))
+    return np.concatenate((np.outer(back, phi).ravel(), back, np.outer(grad_z, h).ravel(), grad_z))
 
 
 def sigma_max(model: PolicyModel, state: int) -> float:

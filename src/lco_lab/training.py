@@ -16,8 +16,18 @@ those results.  Arrays are checked where they are made (each forward
 output through ``as_logits``, config fields in ``TrainerConfig``), after
 which the step calls the private kernels of ``dist``, ``objectives`` and
 ``targets``, which hold the same arithmetic as their public functions.
-The episode gradient is summed in one n_params buffer that
-``pullback(..., out=)`` adds into.
+
+A step works on the spans of theta its episode touches: one logit row
+per visited state for TABULAR, all of theta for LINEAR and MLP1.  The
+trainer state owns theta, the snapshot and one n_params gradient buffer,
+and ``train_step`` works on them in place: ``pullback(..., out=)`` sums
+the episode gradient into the buffer; the division by the horizon, the
+finiteness check, clipping and the update run on the touched spans alone;
+then those spans of the buffer are zeroed again.  Two passes still read
+all of theta: a snapshot refresh copies it, and the logged
+parameter-gradient norm is taken over the whole zero-padded buffer,
+because the touched rows alone are summed in a different order by BLAS
+and can differ in the last bit.
 
 The snapshot refreshes every ``snapshot_interval`` steps, so importance
 ratios and alignment targets stay anchored to one behavioral policy inside
@@ -56,6 +66,7 @@ from .objectives import (
 from .policy import (
     Family,
     PolicyModel,
+    _span,
     forward,
     jacobian,
     linear_policy,
@@ -137,9 +148,27 @@ class Rollout:
 
 @dataclass(frozen=True)
 class TrainerState:
+    """Parameters, behavioral snapshot and gradient buffer of one run.
+
+    The state owns three n_params float64 buffers, ``model.theta``,
+    ``snapshot_theta`` and ``grad``, which must not share memory, and
+    ``train_step`` advances them in place: it updates theta on the spans
+    an episode touched, copies theta into ``snapshot_theta`` when the
+    snapshot refreshes, and sums each episode's gradient in ``grad``,
+    which is all zero between steps.  The state ``train_step`` returns
+    shares these buffers with the one it was given, so an earlier iterate
+    is kept by copying it (``state.model.theta.copy()``).  ``init_trainer``
+    makes the buffers, so the caller's model is never written.
+    """
+
     model: PolicyModel
     snapshot_theta: np.ndarray
     step: int = 0
+    grad: np.ndarray | None = None  # allocated zero when not given
+
+    def __post_init__(self):
+        if self.grad is None:
+            object.__setattr__(self, "grad", np.zeros(self.model.n_params))
 
     @property
     def snapshot(self) -> PolicyModel:
@@ -147,7 +176,8 @@ class TrainerState:
 
 
 def init_trainer(model: PolicyModel) -> TrainerState:
-    return TrainerState(model, model.theta.copy(), 0)
+    """A step-0 state on copies of ``model.theta``; ``model`` itself is never written."""
+    return TrainerState(model.with_theta(model.theta.copy()), model.theta.copy(), 0)
 
 
 def rollout_episode(
@@ -258,6 +288,7 @@ class EpisodeEval:
     per_step: tuple[LossEval, ...]
     advantages: tuple[Advantages, ...]
     policies: tuple[np.ndarray, ...]  # softmax of the logits at theta, per timestep
+    spans: tuple[slice, ...]  # the disjoint slices of grad_theta the episode wrote
 
 
 def episode_eval(
@@ -265,20 +296,31 @@ def episode_eval(
     env: ToyEnvironment,
     config: TrainerConfig,
     rollout: Rollout,
+    out: np.ndarray | None = None,
 ) -> EpisodeEval:
-    """Mean loss and parameter gradient of one fixed episode."""
+    """Mean loss and parameter gradient of one fixed episode.
+
+    With ``out`` (an all-zero float64 vector of n_params entries, checked
+    by ``pullback``) the gradient is computed in place in ``out``, which
+    becomes ``grad_theta``; only its ``spans`` are written.
+    """
+    if out is None:
+        out = np.zeros(model.n_params)
     evals, advantages, policies = [], [], []
-    grad_theta = np.zeros(model.n_params)
     for t in range(env.horizon):
         adv = _step_advantages(env, config, rollout, t)
         evaluation, pi = _step_eval(model, config, rollout, adv, t)
-        pullback(model, rollout.states[t], evaluation.logit_gradient, out=grad_theta)
+        pullback(model, rollout.states[t], evaluation.logit_gradient, out=out)
         evals.append(evaluation)
         advantages.append(adv)
         policies.append(pi)
-    grad_theta /= env.horizon
+    # a family's spans are either equal or disjoint, so dropping repeats
+    # leaves each touched entry in exactly one span
+    spans = tuple(slice(o, o + n) for o, n in dict.fromkeys(_span(model, s) for s in rollout.states))
+    for span in spans:
+        out[span] /= env.horizon
     loss = pairwise_sum([e.value for e in evals]) / env.horizon
-    return EpisodeEval(loss, grad_theta, tuple(evals), tuple(advantages), tuple(policies))
+    return EpisodeEval(loss, out, tuple(evals), tuple(advantages), tuple(policies), spans)
 
 
 def episode_loss(model: PolicyModel, env: ToyEnvironment, config: TrainerConfig, rollout: Rollout) -> float:
@@ -304,24 +346,47 @@ def train_step(
     config: TrainerConfig,
     rng: np.random.Generator,
 ) -> tuple[TrainerState, DynamicsRecord]:
-    """One episode rollout, one gradient-descent update, one logged record."""
+    """One episode rollout, one gradient-descent update, one logged record.
+
+    Advances the buffers of ``state`` in place (see ``TrainerState``) and
+    returns the state for the next step, which shares them.  A step that
+    raises leaves theta as it was and the gradient buffer all zero.
+    """
     if state.step % config.snapshot_interval == 0:
-        state = TrainerState(state.model, state.model.theta.copy(), state.step)
+        np.copyto(state.snapshot_theta, state.model.theta)
 
     rollout = rollout_episode(state.snapshot, env, config, rng)
-    episode = episode_eval(state.model, env, config, rollout)
+    episode = None
+    try:
+        episode = episode_eval(state.model, env, config, rollout, out=state.grad)
+        grad = episode.grad_theta
+        if not all(np.isfinite(grad[span]).all() for span in episode.spans):
+            raise NonFiniteGradientError(
+                f"non-finite gradient at step {state.step} "
+                f"(objective {config.objective.value}, loss {episode.loss!r})"
+            )
+        raw_norm = float(np.linalg.norm(grad))
+        record = _record(state, env, config, rollout, episode, raw_norm)
+        scale = 1.0
+        if config.grad_clip_norm is not None and raw_norm > config.grad_clip_norm:
+            scale = config.grad_clip_norm / raw_norm
+        for span in episode.spans:
+            state.model.theta[span] -= config.learning_rate * (grad[span] * scale)
+    finally:
+        for span in episode.spans if episode is not None else (slice(None),):
+            state.grad[span] = 0.0
+    return TrainerState(state.model, state.snapshot_theta, state.step + 1, state.grad), record
 
-    if not np.all(np.isfinite(episode.grad_theta)):
-        raise NonFiniteGradientError(
-            f"non-finite gradient at step {state.step} "
-            f"(objective {config.objective.value}, loss {episode.loss!r})"
-        )
 
-    grad = episode.grad_theta
-    raw_norm = float(np.linalg.norm(grad))
-    if config.grad_clip_norm is not None and raw_norm > config.grad_clip_norm:
-        grad = grad * (config.grad_clip_norm / raw_norm)
-
+def _record(
+    state: TrainerState,
+    env: ToyEnvironment,
+    config: TrainerConfig,
+    rollout: Rollout,
+    episode: EpisodeEval,
+    raw_norm: float,
+) -> DynamicsRecord:
+    """The logged statistics of one step, at theta before its update."""
     # one row per logged statistic, one column per timestep; a row mean is
     # the same pairwise sum as np.mean over a list of the row's values
     stats = np.empty((6, env.horizon))
@@ -339,7 +404,7 @@ def train_step(
         )
     sampled_mag, nonsampled_mag, entropy, sampled_prob, sampled_adv, bound = map(float, stats.mean(axis=1))
 
-    record = DynamicsRecord(
+    return DynamicsRecord(
         step=state.step,
         loss=episode.loss,
         grad_norm_param=raw_norm,
@@ -350,9 +415,6 @@ def train_step(
         advantage_sign_bucket="positive" if sampled_adv >= 0.0 else "negative",
         bound_value=bound,
     )
-
-    updated = state.model.with_theta(state.model.theta - config.learning_rate * grad)
-    return TrainerState(updated, state.snapshot_theta, state.step + 1), record
 
 
 def run_training(
@@ -383,6 +445,23 @@ class ConvergeConfig:
     feature_dim: int = 4
     seed: int = 0
     z_old: np.ndarray | None = None
+
+    def __post_init__(self):
+        for name, low in (("vocab_size", 2), ("steps", 1), ("feature_dim", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise InvalidInputError(f"{name} must be >= {low}")
+        if not 0.0 < self.eta < np.inf:
+            raise InvalidInputError("eta must be positive and finite")
+        if not 0.0 < self.beta < np.inf:
+            raise InvalidInputError("beta must be positive and finite")
+        for name in ("advantages",) if self.z_old is None else ("advantages", "z_old"):
+            vector = np.asarray(getattr(self, name), dtype=np.float64)
+            if vector.shape != (self.vocab_size,) or not np.isfinite(vector).all():
+                raise InvalidInputError(f"{name} must be a finite vector of shape ({self.vocab_size},)")
+            object.__setattr__(self, name, vector)
 
 
 @dataclass(frozen=True)
@@ -429,16 +508,8 @@ def converge_experiment(
         raise InvalidInputError("convergence experiments cover TABULAR and LINEAR families")
 
     v = config.vocab_size
-    advantages = np.asarray(config.advantages, dtype=np.float64)
-    if advantages.shape != (v,):
-        raise InvalidInputError(f"advantages must have shape ({v},)")
-    z_old = (
-        np.zeros(v)
-        if config.z_old is None
-        else np.asarray(config.z_old, dtype=np.float64)
-    )
-    if z_old.shape != (v,):
-        raise InvalidInputError(f"z_old must have shape ({v},)")
+    advantages = config.advantages
+    z_old = np.zeros(v) if config.z_old is None else config.z_old
 
     if family is Family.TABULAR:
         model = tabular_policy(1, v, init_logits=z_old)
@@ -456,8 +527,11 @@ def converge_experiment(
     if rho >= 1.0:
         raise StepSizeError(rho)
 
-    z_star = z_old + advantages / config.beta
-    anchor = float(advantages @ advantages) / config.beta**2
+    z_star = _optimal_logits(z_old, advantages, config.beta)
+    with np.errstate(over="ignore", divide="ignore"):
+        anchor = np.float64(advantages @ advantages) / np.float64(config.beta) ** 2
+    if not np.isfinite(anchor):
+        raise InvalidInputError("the envelope anchor ||A||^2 / beta^2 overflows")
     prefactor = 1.0 / v if objective is ObjectiveKind.LCO_MSE else 1.0 / (2.0 * v)
 
     # iterate in residual coordinates: theta <- theta - eta*c*J^T r pushed

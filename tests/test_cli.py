@@ -165,6 +165,22 @@ def test_converge_divergent_step_exits_3(tmp_path, capsys):
     assert "spectral radius" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["beta = 0", "beta = 1e-170", "eta = nan", "eta = -0.1", "steps = -3", "steps = 2.5", "feature_dim = 0"],
+)
+def test_converge_unusable_value_exits_2(tmp_path, capsys, line):
+    cfg = write_cfg(
+        tmp_path,
+        "[converge]\nfamily = LINEAR\nobjective = LCO_MSE\nvocab_size = 4\n"
+        f"advantages = 1, -0.5, 0.25, 0\neta = 0.1\nsteps = 10\n{line}\n",
+    )
+    out = tmp_path / "o"
+    assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 2
+    assert line.split()[0] in capsys.readouterr().err
+    assert not (out / "converge.csv").exists()
+
+
 def test_converge_beta_scaling(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     base = (

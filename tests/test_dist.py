@@ -19,7 +19,7 @@ from lco_lab.dist import (
 )
 from lco_lab.errors import DivergenceUndefinedError, InvalidInputError
 
-from oracles import entropy_hp, kl_hp, log_softmax_hp, softmax_hp, tempered_hp
+from oracles import advantages_mask_error, entropy_hp, kl_hp, log_softmax_hp, softmax_hp, tempered_hp
 
 
 def test_softmax_symmetry():
@@ -157,6 +157,28 @@ def test_advantages_mask_invariant():
         Advantages(np.array([0.5, 2.0, 0.0]), sparse_mask=frozenset({1}))
     with pytest.raises(InvalidInputError):
         Advantages(np.array([np.inf, 0.0]))
+
+
+def test_advantages_mask_check_matches_the_index_by_index_rule():
+    rng = np.random.default_rng(11)
+    seen = set()
+    for _ in range(3000):
+        v = int(rng.integers(2, 65))
+        values = np.where(rng.random(v) < 0.7, rng.choice([0.0, -0.0], v), rng.normal(size=v))
+        mask = set(rng.choice(v, size=int(rng.integers(v + 1)), replace=False).tolist())
+        if rng.random() < 0.5:
+            mask |= set(np.flatnonzero(values).tolist())
+        if rng.random() < 0.2:
+            mask.add(int(rng.choice([-1, v, v + 7])))
+        expected = advantages_mask_error(values, mask)
+        try:
+            Advantages(values, sparse_mask=frozenset(mask))
+            got = None
+        except InvalidInputError as exc:
+            got = str(exc)
+        assert got == expected, (values, mask)
+        seen.add(expected)
+    assert seen == {None, "sparse_mask index out of range", "unmasked advantage entries must be 0"}
 
 
 def test_sample_one_hot_is_deterministic():

@@ -15,6 +15,7 @@ from lco_lab.targets import EstimatorKind, optimal_policy
 from lco_lab.training import (
     ConvergeConfig,
     TrainerConfig,
+    TrainerState,
     converge_experiment,
     converge_violations,
     episode_eval,
@@ -130,6 +131,111 @@ def test_episode_eval_sums_into_one_gradient_buffer():
         tracemalloc.stop()
     assert episode.grad_theta.nbytes == model.n_params * 8
     assert peak < 1.5 * model.n_params * 8
+
+
+def test_episode_eval_into_out_writes_only_its_spans():
+    env = ToyEnvironment(8, 3, MatchReward((1, 0, 2)))
+    config = TrainerConfig(objective=ObjectiveKind.PPO, learning_rate=0.1, steps=1, seed=5)
+    for model in (
+        tabular_policy(env.n_states, env.vocab_size),
+        linear_policy(env.n_states, env.vocab_size, 3, seed=2),
+        mlp1_policy(env.n_states, env.vocab_size, 3, hidden=6, seed=4),
+    ):
+        rollout = rollout_episode(model, env, config, np.random.default_rng(5))
+        fresh = episode_eval(model, env, config, rollout)
+        out = np.zeros(model.n_params)
+        episode = episode_eval(model, env, config, rollout, out=out)
+        assert episode.grad_theta is out and out.tobytes() == fresh.grad_theta.tobytes()
+        touched = np.zeros(model.n_params, dtype=bool)
+        for span in episode.spans:
+            assert not touched[span].any()  # disjoint
+            touched[span] = True
+        assert not out[~touched].any()
+        tabular = model.family is Family.TABULAR
+        assert touched.sum() == (env.horizon * env.vocab_size if tabular else model.n_params)
+        n = model.n_params
+        for bad in (np.zeros(n + 1), np.zeros(n, dtype=np.float32), [0.0] * n):
+            with pytest.raises(InvalidInputError, match="out must be"):
+                episode_eval(model, env, config, rollout, out=bad)
+
+
+def test_warm_train_step_allocates_no_parameter_sized_array():
+    env = ToyEnvironment(64, 3, MatchReward((1, 0, 2)))
+    model = tabular_policy(env.n_states, env.vocab_size)
+    config = TrainerConfig(objective=ObjectiveKind.LCO_KLD, learning_rate=0.1, steps=3, seed=5, snapshot_interval=2)
+    state = init_trainer(model)
+    rng = np.random.default_rng(5)
+    state, _ = train_step(state, env, config, rng)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        for _ in range(2):  # the second of these refreshes the snapshot
+            state, _ = train_step(state, env, config, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.step == 3
+    assert peak < model.n_params * 8
+
+
+def _overflowing_target_setup():
+    # t = 0 is pulled back into the buffer before the target at t = 1 overflows
+    env = ToyEnvironment(4, 2, TableReward(np.array([[0.5, -0.5, 0.25, 0.0], [1e300] * 4])))
+    config = TrainerConfig(objective=ObjectiveKind.LCO_MSE, learning_rate=0.1, steps=1, beta=1e-10, seed=3)
+    return env, config, InvalidInputError
+
+
+def _non_finite_gradient_setup():
+    # the setup of test_non_finite_gradient_aborts
+    env = ToyEnvironment(2, 1, TableReward(np.array([[0.0, -1e305]])))
+    config = TrainerConfig(objective=ObjectiveKind.PPO, learning_rate=0.1, steps=1, seed=1, temperature=1000.0)
+    return env, config, NonFiniteGradientError
+
+
+@pytest.mark.parametrize("setup", [_overflowing_target_setup, _non_finite_gradient_setup])
+def test_a_step_that_raises_leaves_theta_and_the_buffer_as_they_were(setup):
+    env, config, error = setup()
+    model = tabular_policy(env.n_states, env.vocab_size, init_logits=np.linspace(23.0, 0.0, env.vocab_size))
+    state = init_trainer(model)
+    rng = np.random.default_rng(config.seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(50):
+            before = state.model.theta.tobytes()
+            try:
+                state, _ = train_step(state, env, config, rng)
+            except error:
+                break
+        else:
+            pytest.fail("the step never raised")
+    assert state.model.theta.tobytes() == before
+    assert not state.grad.any()
+
+    # the next step matches one taken from fresh buffers holding the same values
+    fresh = TrainerState(state.model.with_theta(state.model.theta.copy()), state.snapshot_theta.copy(), state.step)
+    teacher = ToyEnvironment(env.vocab_size, env.horizon, MatchReward((0,) * env.horizon))
+    sft = TrainerConfig(objective=ObjectiveKind.SFT, learning_rate=0.1, steps=1)
+    after, record = train_step(state, teacher, sft, np.random.default_rng(0))
+    expected, expected_record = train_step(fresh, teacher, sft, np.random.default_rng(0))
+    assert record == expected_record
+    assert after.model.theta.tobytes() == expected.model.theta.tobytes()
+    assert after.snapshot_theta.tobytes() == expected.snapshot_theta.tobytes()
+    assert not after.grad.any()
+
+
+def test_training_never_writes_the_callers_model():
+    env = ToyEnvironment(3, 2, MatchReward((1, 2)))
+    config = TrainerConfig(objective=ObjectiveKind.REINFORCE, learning_rate=0.2, steps=5, seed=9, snapshot_interval=2)
+    for model in (
+        tabular_policy(env.n_states, env.vocab_size, init_logits=np.array([0.3, -0.2, 0.1])),
+        mlp1_policy(env.n_states, env.vocab_size, 3, hidden=4, seed=1),
+    ):
+        before = model.theta.tobytes()
+        state = init_trainer(model)
+        assert not np.shares_memory(state.model.theta, model.theta)
+        assert not np.shares_memory(state.snapshot_theta, model.theta)
+        train_step(state, env, config, np.random.default_rng(0))
+        final, _ = run_training(model, env, config)
+        assert model.theta.tobytes() == before
+        assert final.theta.tobytes() != before
 
 
 def test_snapshot_constant_within_window():
@@ -386,3 +492,44 @@ def test_converge_rejects_wrong_kinds():
         converge_experiment(Family.TABULAR, ObjectiveKind.PPO, config)
     with pytest.raises(InvalidInputError):
         converge_experiment(Family.MLP1, ObjectiveKind.LCO_MSE, config)
+
+
+CONVERGE_VALID = dict(vocab_size=4, advantages=np.array([1.0, -0.5, 0.25, 0.0]), eta=0.1, steps=5)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("beta", 0.0),
+        ("beta", -1.0),
+        ("beta", float("nan")),
+        ("beta", float("inf")),
+        ("eta", 0.0),
+        ("eta", -0.1),
+        ("eta", float("nan")),
+        ("eta", float("inf")),
+        ("steps", -3),
+        ("steps", 0),
+        ("steps", 2.5),
+        ("steps", True),
+        ("vocab_size", 1),
+        ("vocab_size", 4.0),
+        ("feature_dim", 0),
+        ("seed", -1),
+        ("advantages", np.ones(3)),
+        ("advantages", np.array([1.0, np.nan, 0.0, 0.0])),
+        ("z_old", np.zeros(5)),
+        ("z_old", np.array([np.inf, 0.0, 0.0, 0.0])),
+    ],
+)
+def test_converge_config_rejects_unusable_values(field, value):
+    with pytest.raises(InvalidInputError, match=field):
+        ConvergeConfig(**{**CONVERGE_VALID, field: value})
+    ConvergeConfig(**CONVERGE_VALID)
+
+
+def test_converge_rejects_an_overflowing_envelope_anchor():
+    # A / beta = 1e170 is finite, ||A||^2 / beta^2 is not
+    config = ConvergeConfig(**{**CONVERGE_VALID, "beta": 1e-170})
+    with pytest.raises(InvalidInputError, match="beta"):
+        converge_experiment(Family.TABULAR, ObjectiveKind.LCO_MSE, config)
