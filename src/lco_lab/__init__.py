@@ -19,12 +19,9 @@ from .dist import (
     total_variation,
 )
 from .objectives import (
-    BatchEval,
-    BatchItem,
     LossEval,
     ObjectiveKind,
     TimestepContext,
-    batch_eval,
     lco_kld_eval,
     lco_lch_eval,
     lco_mse_eval,
@@ -77,7 +74,6 @@ from .training import (
     converge_experiment,
     converge_violations,
     run_training,
-    spectral_radius,
     train_step,
 )
 

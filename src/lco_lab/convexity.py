@@ -5,17 +5,9 @@ is positive semi-definite.  This module builds those Hessians analytically
 for every objective, cross-checks them with second differences, certifies
 non-convexity of the clipped surrogate with explicit witness directions,
 and evaluates the loss-anchored gradient-norm bounds of the LCO objectives.
-
-Analytic forms (V = vocabulary size, pi = softmax(z), r = z - z*):
-
-  SFT       diag(pi) - pi pi^T
-  LCO_KLD   diag(pi) - pi pi^T
-  LCO_MSE   (2/V) I
-  LCO_LCH   diag(sech^2(r)) / V
-  PPO       (A / pi_old(a)) * pi(a) *
-            [diag(pi) - pi pi^T - (e_a - pi)(e_a - pi)^T]
-            assembled entrywise from the second derivative of the active
-            branch (note the pi(a) factor)
+The analytic Hessians, curvature constants and bounds are entries of
+``objectives.OBJECTIVES``, which documents their forms; this module looks
+them up.
 """
 
 from __future__ import annotations
@@ -25,17 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import as_logits, as_probs, check_action, softmax
-from .errors import InactiveRegionError, InvalidInputError, KinkError, WitnessSearchError
+from .errors import InvalidInputError, KinkError, WitnessSearchError
 from .linalg import require_symmetric
 from .objectives import (
-    LCO_KINDS,
+    OBJECTIVES,
     ObjectiveKind,
     TimestepContext,
-    lco_kld_eval,
-    lco_lch_eval,
-    lco_mse_eval,
     ppo_active,
     ppo_eval,
+    ppo_hessian_matrix,
     sft_eval,
 )
 
@@ -74,11 +64,6 @@ def _report(matrix: np.ndarray) -> HessianReport:
     return HessianReport(matrix, float(eigenvalues[0]), float(eigenvalues[-1]), witness)
 
 
-def softmax_curvature(pi: np.ndarray) -> np.ndarray:
-    """diag(pi) - pi pi^T, the curvature of log-sum-exp."""
-    return np.diag(pi) - np.outer(pi, pi)
-
-
 def hessian_analytic(
     kind: ObjectiveKind,
     *,
@@ -96,53 +81,13 @@ def hessian_analytic(
     for LCO_LCH; ``vocab_size`` for LCO_MSE; and ``pi``, ``pi_old_a``,
     ``advantage``, ``action`` for PPO, which must lie in the active region.
     """
-    if kind in (ObjectiveKind.SFT, ObjectiveKind.LCO_KLD):
-        pi = as_probs(pi)
-        return _report(softmax_curvature(pi))
-
-    if kind is ObjectiveKind.LCO_MSE:
-        if vocab_size is None or vocab_size < 2:
-            raise InvalidInputError("LCO_MSE needs vocab_size >= 2")
-        return _report((2.0 / vocab_size) * np.eye(vocab_size))
-
-    if kind is ObjectiveKind.LCO_LCH:
-        residual = np.asarray(residual, dtype=np.float64)
-        if residual.ndim != 1 or not np.all(np.isfinite(residual)):
-            raise InvalidInputError("LCO_LCH needs a finite residual vector")
-        sech2 = 1.0 / np.cosh(np.minimum(np.abs(residual), 350.0)) ** 2
-        return _report(np.diag(sech2 / residual.size))
-
-    if kind is ObjectiveKind.PPO:
-        pi = as_probs(pi)
-        if pi_old_a is None or advantage is None or action is None:
-            raise InvalidInputError("PPO needs pi_old_a, advantage and action")
-        action = check_action(action, pi.size)
-        if advantage == 0.0:
-            raise InactiveRegionError("zero advantage has no active region")
-        ratio = float(pi[action]) / float(pi_old_a)
-        active = (advantage > 0.0 and ratio < 1.0 + clip_epsilon) or (
-            advantage < 0.0 and ratio > 1.0 - clip_epsilon
-        )
-        if not active:
-            raise InactiveRegionError(
-                f"ratio {ratio:.6g} with advantage {advantage:+.6g} is clipped"
-            )
-        return _report(ppo_hessian_matrix(pi, action, advantage, pi_old_a))
-
-    raise InvalidInputError(f"no analytic Hessian for {kind!r}")
-
-
-def ppo_hessian_matrix(pi: np.ndarray, action: int, advantage: float, pi_old_a: float) -> np.ndarray:
-    """Active-branch curvature of the clipped surrogate, built entrywise.
-
-    H[a', a''] = -(A / pi_old(a)) * [ pi(a) (1[a=a''] - pi(a''))(1[a=a'] - pi(a'))
-                                     - pi(a) pi(a') (1[a'=a''] - pi(a'')) ]
-    """
-    e = np.zeros(pi.size)
-    e[action] = 1.0
-    d = e - pi
-    scale = advantage / pi_old_a * float(pi[action])
-    return scale * (softmax_curvature(pi) - np.outer(d, d))
+    hessian = OBJECTIVES[kind].hessian
+    if hessian is None:
+        raise InvalidInputError(f"no analytic Hessian for {kind!r}")
+    return _report(hessian(
+        pi=pi, residual=residual, vocab_size=vocab_size, pi_old_a=pi_old_a,
+        advantage=advantage, action=action, clip_epsilon=clip_epsilon,
+    ))
 
 
 def hessian_numeric(
@@ -165,21 +110,19 @@ def hessian_numeric(
     if not step > 0.0:
         raise InvalidInputError("step must be positive")
 
+    objective = OBJECTIVES[kind]
+    if objective.hessian is None:
+        raise InvalidInputError(f"no numeric Hessian for {kind!r}")
     if kind is ObjectiveKind.SFT:
         loss = lambda v: sft_eval(v, target).value
-    elif kind is ObjectiveKind.LCO_MSE:
-        loss = lambda v: lco_mse_eval(v, z_star).value
-    elif kind is ObjectiveKind.LCO_LCH:
-        loss = lambda v: lco_lch_eval(v, z_star).value
-    elif kind is ObjectiveKind.LCO_KLD:
-        loss = lambda v: lco_kld_eval(v, pi_star).value
     elif kind is ObjectiveKind.PPO:
         def loss(v):
             if not ppo_active(ctx, v):
                 raise KinkError("stencil point crossed the clip boundary")
             return ppo_eval(ctx, v).value
     else:
-        raise InvalidInputError(f"no numeric Hessian for {kind!r}")
+        aligned = z_star if objective.target == "logits" else pi_star
+        loss = lambda v: objective.align(v, aligned).value
 
     n = z.size
     h = step
@@ -262,18 +205,16 @@ def directionality(kind: ObjectiveKind, z, z_star, pi_star=None) -> float:
     a minimizer.  For LCO_KLD the representative target logits are used; any
     constant shift of them is invisible because that gradient sums to zero.
     """
+    objective = OBJECTIVES[kind]
+    if objective.align is None:
+        raise InvalidInputError(f"directionality is defined for LCO objectives, not {kind!r}")
     z = as_logits(z)
     z_star = as_logits(z_star)
-    if kind is ObjectiveKind.LCO_MSE:
-        grad = lco_mse_eval(z, z_star).logit_gradient
-    elif kind is ObjectiveKind.LCO_LCH:
-        grad = lco_lch_eval(z, z_star).logit_gradient
-    elif kind is ObjectiveKind.LCO_KLD:
-        target = as_probs(pi_star) if pi_star is not None else softmax(z_star)
-        grad = lco_kld_eval(z, target).logit_gradient
+    if objective.target == "policy" and pi_star is not None:
+        target = as_probs(pi_star)
     else:
-        raise InvalidInputError(f"directionality is defined for LCO objectives, not {kind!r}")
-    return float(grad @ (z - z_star))
+        target = objective.target_at(z_star)
+    return float(objective.align(z, target).logit_gradient @ (z - z_star))
 
 
 def gradient_norm_bound(kind: ObjectiveKind, loss_value: float, sigma_max: float, vocab_size: int) -> float:
@@ -283,21 +224,16 @@ def gradient_norm_bound(kind: ObjectiveKind, loss_value: float, sigma_max: float
     LCO_KLD: sigma sqrt(2 L).  Monotone increasing in the loss, so the bound
     dissipates as training closes in on the target.
     """
+    bound = OBJECTIVES[kind].bound
+    if bound is None:
+        raise InvalidInputError(f"no gradient-norm bound for {kind!r}")
     if not (np.isfinite(loss_value) and loss_value >= 0.0):
         raise InvalidInputError(f"loss must be finite and nonnegative, got {loss_value!r}")
     if not (np.isfinite(sigma_max) and sigma_max >= 0.0):
         raise InvalidInputError(f"sigma_max must be finite and nonnegative, got {sigma_max!r}")
-    if kind is ObjectiveKind.LCO_MSE:
-        if vocab_size < 2:
-            raise InvalidInputError("vocab_size must be >= 2")
-        return float(2.0 / vocab_size * sigma_max * np.sqrt(vocab_size * loss_value))
-    if kind is ObjectiveKind.LCO_LCH:
-        if vocab_size < 2:
-            raise InvalidInputError("vocab_size must be >= 2")
-        return float(sigma_max / vocab_size * np.sqrt(vocab_size * (-np.expm1(-2.0 * loss_value))))
-    if kind is ObjectiveKind.LCO_KLD:
-        return float(sigma_max * np.sqrt(2.0 * loss_value))
-    raise InvalidInputError(f"no gradient-norm bound for {kind!r}")
+    if vocab_size < 2:
+        raise InvalidInputError("vocab_size must be >= 2")
+    return float(bound(loss_value, sigma_max, vocab_size))
 
 
 def bound_check(
@@ -308,8 +244,6 @@ def bound_check(
     vocab_size: int,
     slack: float = 1e-9,
 ) -> BoundCheck:
-    if kind not in LCO_KINDS:
-        raise InvalidInputError("bound checks apply to LCO objectives")
     bound = gradient_norm_bound(kind, loss_value, sigma_max, vocab_size)
     return BoundCheck(
         actual_gradient_norm=float(actual_gradient_norm),

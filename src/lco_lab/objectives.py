@@ -1,4 +1,4 @@
-"""Per-timestep losses and analytic logit-space gradients.
+"""Per-timestep losses, their logit gradients and Hessians, and the objective table.
 
 Six objectives share one evaluation shape: a scalar loss value plus its
 gradient with respect to the logit vector.
@@ -18,18 +18,24 @@ Each public ``*_eval`` checks its inputs and calls a private kernel of the
 same name with a leading underscore, which holds the only copy of the
 objective's arithmetic and takes pi = softmax(z) from its caller, so a
 trainer that already holds both evaluates each state once.
+
+``OBJECTIVES`` holds one ``Objective`` record per kind: its trainer kernel,
+the closed-form target it aligns to, its analytic Hessian, its curvature
+constant and its gradient-norm bound.  The trainer, ``convexity`` and
+``verify`` look these facts up there, so a new objective is one entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .dist import Advantages, _log_softmax, _softmax, as_logits, as_probs, check_action, kl_between
-from .errors import DegenerateRatioError, InvalidInputError
+from .errors import DegenerateRatioError, InactiveRegionError, InvalidInputError
+from .targets import _optimal_logits, _optimal_policy
 
 MIN_BEHAVIORAL_PROB = 1e-300
 
@@ -41,9 +47,6 @@ class ObjectiveKind(Enum):
     LCO_MSE = "LCO_MSE"
     LCO_LCH = "LCO_LCH"
     LCO_KLD = "LCO_KLD"
-
-
-LCO_KINDS = (ObjectiveKind.LCO_MSE, ObjectiveKind.LCO_LCH, ObjectiveKind.LCO_KLD)
 
 
 @dataclass(frozen=True)
@@ -218,44 +221,6 @@ def _lco_kld_eval(z: np.ndarray, pi: np.ndarray, pi_star: np.ndarray) -> LossEva
     return LossEval(kl_between(pi_star, pi, log_q=_log_softmax(z)), pi - pi_star)
 
 
-@dataclass(frozen=True)
-class BatchItem:
-    """Arguments for one timestep of a batched evaluation.
-
-    Exactly the fields needed by the objective kind must be present:
-    ``target`` for SFT, ``ctx`` for PPO/REINFORCE, ``z_star`` for the
-    regression objectives, ``pi_star`` for the distribution objective.
-    """
-
-    z: np.ndarray
-    target: int | None = None
-    ctx: TimestepContext | None = None
-    z_star: np.ndarray | None = None
-    pi_star: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class BatchEval:
-    value: float
-    per_step: tuple[LossEval, ...] = field(default_factory=tuple)
-
-
-def _eval_item(kind: ObjectiveKind, item: BatchItem) -> LossEval:
-    if kind is ObjectiveKind.SFT:
-        return sft_eval(item.z, item.target)
-    if kind is ObjectiveKind.PPO:
-        return ppo_eval(item.ctx, item.z)
-    if kind is ObjectiveKind.REINFORCE:
-        return reinforce_eval(item.ctx, item.z)
-    if kind is ObjectiveKind.LCO_MSE:
-        return lco_mse_eval(item.z, item.z_star)
-    if kind is ObjectiveKind.LCO_LCH:
-        return lco_lch_eval(item.z, item.z_star)
-    if kind is ObjectiveKind.LCO_KLD:
-        return lco_kld_eval(item.z, item.pi_star)
-    raise InvalidInputError(f"unknown objective kind {kind!r}")
-
-
 def pairwise_sum(values: Sequence[float]) -> float:
     """Fixed-order pairwise reduction, independent of any work partitioning."""
     items = [float(v) for v in values]
@@ -269,14 +234,140 @@ def pairwise_sum(values: Sequence[float]) -> float:
     return items[0]
 
 
-def batch_eval(kind: ObjectiveKind, items: Sequence[BatchItem]) -> BatchEval:
-    """Mean loss over timesteps, keeping every per-timestep evaluation.
+# ---------------------------------------------------------------------------
+# logit-space Hessians (V = vocabulary size, pi = softmax(z), r = z - z*):
+#
+#   SFT, LCO_KLD  diag(pi) - pi pi^T
+#   LCO_MSE       (2/V) I
+#   LCO_LCH       diag(sech^2(r)) / V
+#   PPO           (A / pi_old(a)) * pi(a) * [diag(pi) - pi pi^T - (e_a - pi)(e_a - pi)^T]
+#                 in the active region, assembled entrywise (note the pi(a) factor)
+#
+# Each takes the keyword point of ``convexity.hessian_analytic`` and reads
+# only the inputs its objective needs.
+# ---------------------------------------------------------------------------
 
-    The value is a deterministic pairwise mean so batch results do not depend
-    on how timesteps might be partitioned across workers.
+
+def softmax_curvature(pi: np.ndarray) -> np.ndarray:
+    """diag(pi) - pi pi^T, the curvature of log-sum-exp."""
+    return np.diag(pi) - np.outer(pi, pi)
+
+
+def ppo_hessian_matrix(pi: np.ndarray, action: int, advantage: float, pi_old_a: float) -> np.ndarray:
+    """Active-branch curvature of the clipped surrogate, built entrywise.
+
+    H[a', a''] = -(A / pi_old(a)) * [ pi(a) (1[a=a''] - pi(a''))(1[a=a'] - pi(a'))
+                                     - pi(a) pi(a') (1[a'=a''] - pi(a'')) ]
     """
-    if len(items) == 0:
-        raise InvalidInputError("batch must contain at least one timestep")
-    evals = tuple(_eval_item(kind, item) for item in items)
-    value = pairwise_sum([e.value for e in evals]) / len(evals)
-    return BatchEval(value, evals)
+    e = np.zeros(pi.size)
+    e[action] = 1.0
+    d = e - pi
+    scale = advantage / pi_old_a * float(pi[action])
+    return scale * (softmax_curvature(pi) - np.outer(d, d))
+
+
+def _softmax_hessian(*, pi, **_) -> np.ndarray:
+    return softmax_curvature(as_probs(pi))
+
+
+def _lco_mse_hessian(*, vocab_size, **_) -> np.ndarray:
+    if vocab_size is None or vocab_size < 2:
+        raise InvalidInputError("LCO_MSE needs vocab_size >= 2")
+    return (2.0 / vocab_size) * np.eye(vocab_size)
+
+
+def _lco_lch_hessian(*, residual, **_) -> np.ndarray:
+    residual = np.asarray(residual, dtype=np.float64)
+    if residual.ndim != 1 or not np.all(np.isfinite(residual)):
+        raise InvalidInputError("LCO_LCH needs a finite residual vector")
+    sech2 = 1.0 / np.cosh(np.minimum(np.abs(residual), 350.0)) ** 2
+    return np.diag(sech2 / residual.size)
+
+
+def _ppo_hessian(*, pi, pi_old_a, advantage, action, clip_epsilon, **_) -> np.ndarray:
+    pi = as_probs(pi)
+    if pi_old_a is None or advantage is None or action is None:
+        raise InvalidInputError("PPO needs pi_old_a, advantage and action")
+    action = check_action(action, pi.size)
+    if advantage == 0.0:
+        raise InactiveRegionError("zero advantage has no active region")
+    ratio = float(pi[action]) / float(pi_old_a)
+    if not _ppo_gate(advantage, ratio, clip_epsilon):
+        raise InactiveRegionError(f"ratio {ratio:.6g} with advantage {advantage:+.6g} is clipped")
+    return ppo_hessian_matrix(pi, action, advantage, pi_old_a)
+
+
+# ---------------------------------------------------------------------------
+# the objective table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Objective:
+    """The facts that set one objective apart from the others.
+
+    ``kernel(z, pi, target, step)`` evaluates the objective at logits z with
+    pi = softmax(z), its closed-form target (None without one) and ``step`` =
+    (sampled action, its advantage, its behavioral probability, clip epsilon).
+    """
+
+    kernel: Callable[[np.ndarray, np.ndarray, np.ndarray | None, tuple], LossEval]
+    # "logits" aligns to z* = z_old + A/beta, "policy" to pi* ~ pi_old e^{A/beta}
+    target: str | None = None
+    align: Callable[..., LossEval] | None = None  # the public eval against that target
+    hessian: Callable[..., np.ndarray] | None = None
+    curvature: float | None = None  # the Hessian is (curvature / V) I at the target
+    bound: Callable[[float, float, int], float] | None = None  # (loss, sigma_max, V) -> envelope
+
+    def optimal_target(self, z_old: np.ndarray, pi_old: np.ndarray, values: np.ndarray, beta: float):
+        """The closed-form target of the advantages ``values``, None without one."""
+        if self.target == "logits":
+            return _optimal_logits(z_old, values, beta)
+        if self.target == "policy":
+            return _optimal_policy(pi_old, values, beta)
+        return None
+
+    def target_at(self, z_star: np.ndarray) -> np.ndarray:
+        """The target represented by the logits ``z_star``, in this objective's form."""
+        return z_star if self.target == "logits" else _softmax(z_star)
+
+
+OBJECTIVES: dict[ObjectiveKind, Objective] = {
+    ObjectiveKind.SFT: Objective(
+        kernel=lambda z, pi, target, step: _sft_eval(z, pi, step[0]),
+        hessian=_softmax_hessian,
+    ),
+    ObjectiveKind.PPO: Objective(
+        kernel=lambda z, pi, target, step: _ppo_eval(pi, *step),
+        hessian=_ppo_hessian,
+    ),
+    ObjectiveKind.REINFORCE: Objective(
+        kernel=lambda z, pi, target, step: _reinforce_eval(z, pi, *step[:2]),
+    ),
+    ObjectiveKind.LCO_MSE: Objective(
+        kernel=lambda z, pi, target, step: _lco_mse_eval(z, target),
+        target="logits",
+        align=lco_mse_eval,
+        hessian=_lco_mse_hessian,
+        curvature=2.0,
+        bound=lambda loss, sigma, v: 2.0 / v * sigma * np.sqrt(v * loss),
+    ),
+    ObjectiveKind.LCO_LCH: Objective(
+        kernel=lambda z, pi, target, step: _lco_lch_eval(z, target),
+        target="logits",
+        align=lco_lch_eval,
+        hessian=_lco_lch_hessian,
+        curvature=1.0,
+        bound=lambda loss, sigma, v: sigma / v * np.sqrt(v * (-np.expm1(-2.0 * loss))),
+    ),
+    ObjectiveKind.LCO_KLD: Objective(
+        kernel=lambda z, pi, target, step: _lco_kld_eval(z, pi, target),
+        target="policy",
+        align=lco_kld_eval,
+        hessian=_softmax_hessian,
+        bound=lambda loss, sigma, v: sigma * np.sqrt(2.0 * loss),
+    ),
+}
+
+# the logit-convex alignment members: the kinds that align to a target
+LCO_KINDS = tuple(kind for kind, objective in OBJECTIVES.items() if objective.target is not None)

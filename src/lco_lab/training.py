@@ -34,10 +34,13 @@ ratios and alignment targets stay anchored to one behavioral policy inside
 a window even as theta moves.
 
 ``converge_experiment`` runs the sampling-free single-state recursion whose
-per-step error contracts by I - eta*c*J J^T (c = 2/V for the squared loss,
-1/V for the log-cosh loss, which near its optimum reduces to the same
-linear update) and tabulates the loss against the geometric envelope
-(rho^{2k} / V or rho^{2k} / 2V) * ||A||^2 / beta^2.
+per-step error contracts by I - eta*c*J J^T, with c = curvature/V from the
+objective table (2/V for the squared loss, 1/V for the log-cosh loss, which
+near its optimum reduces to the same linear update), and tabulates the loss
+against the geometric envelope (curvature / 2V) * rho^{2k} * ||A||^2 / beta^2.
+A single state of a tabular or linear model has J J^T = lam I in closed
+form (lam = 1 for TABULAR, ||phi||^2 for LINEAR), so rho = |1 - eta*c*lam|
+and the Jacobian is never formed.
 """
 
 from __future__ import annotations
@@ -50,31 +53,19 @@ from .convexity import gradient_norm_bound
 from .dist import Advantages, _draw, _entropy, _softmax, as_logits, normalize_advantages
 from .envs import MatchReward, ToyEnvironment
 from .errors import InvalidInputError, NonFiniteGradientError, StepSizeError
-from .objectives import (
-    LCO_KINDS,
-    LossEval,
-    ObjectiveKind,
-    _lco_kld_eval,
-    _lco_lch_eval,
-    _lco_mse_eval,
-    _log_cosh,
-    _ppo_eval,
-    _reinforce_eval,
-    _sft_eval,
-    pairwise_sum,
-)
-from .policy import (
-    Family,
-    PolicyModel,
-    _span,
-    forward,
-    jacobian,
-    linear_policy,
-    pullback,
-    sigma_max,
-    tabular_policy,
-)
-from .targets import AdvantageEstimator, EstimatorKind, _optimal_logits, _optimal_policy, estimate_advantages
+from .objectives import OBJECTIVES, LossEval, ObjectiveKind, pairwise_sum
+from .policy import Family, PolicyModel, _span, forward, linear_policy, pullback, sigma_max, tabular_policy
+from .targets import AdvantageEstimator, EstimatorKind, _optimal_logits, estimate_advantages
+
+
+def _check_integers(config, fields: tuple[tuple[str, int], ...]) -> None:
+    """Each named field of ``config`` is an integer (not a bool) at or above its low end."""
+    for name, low in fields:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+        if value < low:
+            raise InvalidInputError(f"{name} must be >= {low}")
 
 
 @dataclass(frozen=True)
@@ -97,12 +88,7 @@ class TrainerConfig:
     def __post_init__(self):
         if not 0.0 < self.learning_rate < np.inf:
             raise InvalidInputError("learning_rate must be positive and finite")
-        for name in ("steps", "snapshot_interval"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise InvalidInputError(f"{name} must be >= 1")
+        _check_integers(self, (("steps", 1), ("snapshot_interval", 1), ("seed", 0)))
         if not self.beta > 0.0:
             raise InvalidInputError("beta must be positive")
         if not 0.0 < self.clip_epsilon < 1.0:
@@ -255,30 +241,15 @@ def _step_eval(
     t: int,
 ) -> tuple[LossEval, np.ndarray]:
     """The objective at one visited state, and pi = softmax(z) there at theta."""
-    kind = config.objective
-    # the targets come from the snapshot alone, so an overflowing target is
+    objective = OBJECTIVES[config.objective]
+    # the target comes from the snapshot alone, so an overflowing target is
     # reported ahead of non-finite logits at theta
-    if kind in (ObjectiveKind.LCO_MSE, ObjectiveKind.LCO_LCH):
-        z_star = _optimal_logits(rollout.z_old[t], adv.values, config.beta)
-    elif kind is ObjectiveKind.LCO_KLD:
-        pi_star = _optimal_policy(rollout.pi_old[t], adv.values, config.beta)
+    target = objective.optimal_target(rollout.z_old[t], rollout.pi_old[t], adv.values, config.beta)
     z = as_logits(forward(model, rollout.states[t]))
     pi = _softmax(z)
     a = rollout.actions[t]
-    if kind is ObjectiveKind.SFT:
-        return _sft_eval(z, pi, a), pi
-    if kind is ObjectiveKind.PPO:
-        behavioral = float(rollout.pi_old[t][a])
-        return _ppo_eval(pi, a, float(adv.values[a]), behavioral, config.clip_epsilon), pi
-    if kind is ObjectiveKind.REINFORCE:
-        return _reinforce_eval(z, pi, a, float(adv.values[a])), pi
-    if kind is ObjectiveKind.LCO_MSE:
-        return _lco_mse_eval(z, z_star), pi
-    if kind is ObjectiveKind.LCO_LCH:
-        return _lco_lch_eval(z, z_star), pi
-    if kind is ObjectiveKind.LCO_KLD:
-        return _lco_kld_eval(z, pi, pi_star), pi
-    raise InvalidInputError(f"unknown objective {kind!r}")
+    step = (a, float(adv.values[a]), float(rollout.pi_old[t][a]), config.clip_epsilon)
+    return objective.kernel(z, pi, target, step), pi
 
 
 @dataclass(frozen=True)
@@ -335,7 +306,7 @@ def _envelope(kind: ObjectiveKind, loss: float, sigma: float, vocab_size: int) -
     reported against the distribution-form envelope sigma*sqrt(2 max(L, 0))
     for side-by-side dynamics comparisons.
     """
-    if kind in LCO_KINDS:
+    if OBJECTIVES[kind].bound is not None:
         return gradient_norm_bound(kind, max(loss, 0.0), sigma, vocab_size)
     return sigma * float(np.sqrt(2.0 * max(loss, 0.0)))
 
@@ -447,12 +418,7 @@ class ConvergeConfig:
     z_old: np.ndarray | None = None
 
     def __post_init__(self):
-        for name, low in (("vocab_size", 2), ("steps", 1), ("feature_dim", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise InvalidInputError(f"{name} must be >= {low}")
+        _check_integers(self, (("vocab_size", 2), ("steps", 1), ("feature_dim", 1), ("seed", 0)))
         if not 0.0 < self.eta < np.inf:
             raise InvalidInputError("eta must be positive and finite")
         if not 0.0 < self.beta < np.inf:
@@ -480,16 +446,6 @@ class ConvergeResult:
     family: Family
 
 
-def spectral_radius(J, eta: float, c: float) -> float:
-    """max_i |1 - eta*c*lambda_i(J J^T)| of the error-contraction map."""
-    J = np.asarray(J, dtype=np.float64)
-    if J.ndim != 2 or not np.all(np.isfinite(J)):
-        raise InvalidInputError("J must be a finite matrix")
-    gram = J @ J.T
-    eigenvalues = np.linalg.eigvalsh(0.5 * (gram + gram.T))
-    return float(np.max(np.abs(1.0 - eta * c * eigenvalues)))
-
-
 def converge_experiment(
     family: Family, objective: ObjectiveKind, config: ConvergeConfig
 ) -> ConvergeResult:
@@ -497,12 +453,13 @@ def converge_experiment(
 
     The parameters start so the model reproduces the behavioral logits, the
     target is z_old + A/beta, and each step applies the error recursion
-    theta <- theta - eta*c*J^T (z - z*).  For the squared loss this is its
-    exact gradient; for the log-cosh loss it is the near-optimum update that
-    the linear convergence rate is stated for, while the reported loss is
-    the true log-cosh value at every iterate.
+    theta <- theta - eta*c*J^T (z - z*) with c = curvature / V.  For the
+    squared loss this is its exact gradient; for the log-cosh loss it is the
+    near-optimum update that the linear convergence rate is stated for, while
+    the reported loss is the true log-cosh value at every iterate.
     """
-    if objective not in (ObjectiveKind.LCO_MSE, ObjectiveKind.LCO_LCH):
+    spec = OBJECTIVES[objective]
+    if spec.curvature is None:
         raise InvalidInputError("convergence experiments cover LCO_MSE and LCO_LCH")
     if family not in (Family.TABULAR, Family.LINEAR):
         raise InvalidInputError("convergence experiments cover TABULAR and LINEAR families")
@@ -513,17 +470,18 @@ def converge_experiment(
 
     if family is Family.TABULAR:
         model = tabular_policy(1, v, init_logits=z_old)
+        lam = 1.0
     else:
         model = linear_policy(1, v, config.feature_dim, seed=config.seed)
         phi = model.features[0]
+        lam = float(phi @ phi)
         # least-squares start reproducing z_old: one feature row, so the
         # minimum-norm weights are the scaled outer product z_old phi^T
-        w0 = np.outer(z_old, phi) / float(phi @ phi)
-        model = model.with_theta(w0.ravel())
+        model = model.with_theta((np.outer(z_old, phi) / lam).ravel())
 
-    c = 2.0 / v if objective is ObjectiveKind.LCO_MSE else 1.0 / v
-    info = jacobian(model, 0)
-    rho = spectral_radius(info.J, config.eta, c)
+    # J J^T = lam I, so every eigenvalue of the contraction is 1 - eta*c*lam
+    c = spec.curvature / v
+    rho = abs(1.0 - config.eta * c * lam)
     if rho >= 1.0:
         raise StepSizeError(rho)
 
@@ -532,29 +490,25 @@ def converge_experiment(
         anchor = np.float64(advantages @ advantages) / np.float64(config.beta) ** 2
     if not np.isfinite(anchor):
         raise InvalidInputError("the envelope anchor ||A||^2 / beta^2 overflows")
-    prefactor = 1.0 / v if objective is ObjectiveKind.LCO_MSE else 1.0 / (2.0 * v)
+    prefactor = spec.curvature / (2.0 * v)
 
     # iterate in residual coordinates: theta <- theta - eta*c*J^T r pushed
-    # through these exactly linear models is r <- (I - eta*c*J J^T) r, and
+    # through these exactly linear models is r <- (1 - eta*c*lam) r, and
     # tracking r directly avoids the catastrophic z - z* cancellation that
     # stalls parameter iterates once r reaches machine epsilon of z*
-    gram = info.J @ info.J.T
+    zero = np.zeros(v)
     residual = forward(model, 0) - z_star
     rows = []
     for k in range(config.steps + 1):
-        if objective is ObjectiveKind.LCO_MSE:
-            loss = float((residual**2).mean())
-        else:
-            loss = float(_log_cosh(residual).mean())
         rows.append(
             ConvergeRow(
                 step=k,
-                loss=loss,
+                loss=spec.kernel(residual, None, zero, None).value,
                 bound=float(prefactor * rho ** (2 * k) * anchor),
                 residual_inf=float(np.abs(residual).max()),
             )
         )
-        residual = residual - (config.eta * c) * (gram @ residual)
+        residual = residual - (config.eta * c) * (lam * residual)
     return ConvergeResult(tuple(rows), rho, objective, family)
 
 

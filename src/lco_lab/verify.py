@@ -8,14 +8,16 @@ and the test harness cannot drift apart.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
+from . import config as cfg
 from . import convexity, dist, objectives, targets
-from .envs import MatchReward, TableReward, ToyEnvironment
+from .envs import TableReward, ToyEnvironment
 from .errors import LcoLabError
-from .objectives import LossEval, ObjectiveKind
+from .objectives import OBJECTIVES, LossEval, ObjectiveKind
 from .policy import Family, forward, linear_policy, mlp1_policy, pullback, sigma_max, tabular_policy
 from .targets import EstimatorKind
 from .training import (
@@ -31,6 +33,9 @@ from .training import (
 GRAD_STEP = 1e-5
 GRAD_REL_TOL = 1e-6
 GRAD_FLOOR = 1e-8
+
+# the checkout's shipped configs, three of which ``suite_dynamics`` runs
+CONFIGS = Path(__file__).resolve().parents[2] / "configs"
 
 
 @dataclass(frozen=True)
@@ -143,6 +148,20 @@ def _ppo_case(rng: np.random.Generator, v: int):
             return ctx, z, adv_scalar
 
 
+def _clipped_case(rng: np.random.Generator):
+    """A positive-advantage context and logits whose ratio is past 1 + eps by a margin."""
+    while True:
+        v = int(rng.integers(2, 6))
+        z_old = rng.uniform(-1.0, 1.0, v)
+        action = int(rng.integers(v))
+        ctx = objectives.TimestepContext.from_logits(z_old, action, _sparse(1.0, action, v))
+        z = z_old.copy()
+        z[action] += 2.0
+        # a large pi_old(a) leaves too little room for the ratio to pass 1 + eps
+        if dist.softmax(z)[action] / ctx.pi_old[action] > 1.0 + ctx.clip_epsilon + 0.01:
+            return ctx, z
+
+
 def _sparse(value: float, action: int, v: int) -> dist.Advantages:
     values = np.zeros(v)
     values[action] = value
@@ -224,12 +243,7 @@ def suite_gradients(
 
     # clipped region returns the exact zero vector
     for _ in range(50):
-        v = int(rng.integers(2, 6))
-        z_old = rng.uniform(-1.0, 1.0, v)
-        action = int(rng.integers(v))
-        ctx = objectives.TimestepContext.from_logits(z_old, action, _sparse(1.0, action, v))
-        z = z_old.copy()
-        z[action] += 2.0  # ratio far above 1 + eps
+        ctx, z = _clipped_case(rng)
         evaluation = objectives.ppo_eval(ctx, z)
         cases += 1
         if objectives.ppo_active(ctx, z) or np.any(evaluation.logit_gradient != 0.0):
@@ -347,19 +361,7 @@ def _numeric_agreement(rng: np.random.Generator) -> tuple[int, int]:
                 target = int(rng.integers(v))
                 analytic = convexity.hessian_analytic(kind, pi=dist.softmax(z))
                 numeric = convexity.hessian_numeric(kind, z=z, step=step, target=target)
-            elif kind is ObjectiveKind.LCO_MSE:
-                z_star = rng.uniform(-1.5, 1.5, v)
-                analytic = convexity.hessian_analytic(kind, vocab_size=v)
-                numeric = convexity.hessian_numeric(kind, z=z, step=step, z_star=z_star)
-            elif kind is ObjectiveKind.LCO_LCH:
-                z_star = rng.uniform(-1.5, 1.5, v)
-                analytic = convexity.hessian_analytic(kind, residual=z - z_star)
-                numeric = convexity.hessian_numeric(kind, z=z, step=step, z_star=z_star)
-            elif kind is ObjectiveKind.LCO_KLD:
-                pi_star = dist.softmax(rng.uniform(-1.5, 1.5, v))
-                analytic = convexity.hessian_analytic(kind, pi=dist.softmax(z))
-                numeric = convexity.hessian_numeric(kind, z=z, step=step, pi_star=pi_star)
-            else:
+            elif kind is ObjectiveKind.PPO:
                 ctx, z, adv_scalar = _ppo_case(rng, v)
                 pi = dist.softmax(z)
                 analytic = convexity.hessian_analytic(
@@ -371,6 +373,12 @@ def _numeric_agreement(rng: np.random.Generator) -> tuple[int, int]:
                     clip_epsilon=ctx.clip_epsilon,
                 )
                 numeric = convexity.hessian_numeric(kind, z=z, step=step, ctx=ctx)
+            else:  # an alignment objective; each Hessian reads the inputs its form needs
+                z_star = rng.uniform(-1.5, 1.5, v)
+                analytic = convexity.hessian_analytic(kind, pi=dist.softmax(z), residual=z - z_star, vocab_size=v)
+                numeric = convexity.hessian_numeric(
+                    kind, z=z, step=step, z_star=z_star, pi_star=dist.softmax(z_star)
+                )
             cases += 1
             if np.abs(analytic.matrix - numeric.matrix).max() > 1e-5:
                 failures += 1
@@ -421,7 +429,7 @@ def suite_targets(seed: int = 404) -> SuiteResult:
         advantages = rng.uniform(-3.0, 3.0, v)
         shift = targets.optimal_shift(advantages)
         cases += 1
-        if abs(shift - _grid_search_shift(advantages)) > 1e-6:
+        if abs(shift - _vertex_shift(advantages)) > 1e-6:
             failures += 1
         centered = dist.normalize_advantages(dist.Advantages(advantages))
         cases += 1
@@ -450,21 +458,10 @@ def _perturbations(rng: np.random.Generator, pi_star: np.ndarray, count: int) ->
     return perturbed[tv > 1e-9]
 
 
-def _grid_search_shift(advantages: np.ndarray) -> float:
-    span = float(np.abs(advantages).max()) + 1.0
-    grid = np.arange(-span, span, 1e-4)
-    norms = ((advantages[None, :] + grid[:, None]) ** 2).sum(axis=1)
-    i = int(np.argmin(norms))
-    lo, hi = max(i - 1, 0), min(i + 1, grid.size - 1)
-    # parabola vertex through the three bracketing samples
-    x0, x1, x2 = grid[lo], grid[i], grid[hi]
-    y0, y1, y2 = norms[lo], norms[i], norms[hi]
-    denominator = (x0 - x1) * (x0 - x2) * (x1 - x2)
-    if denominator == 0.0:
-        return float(x1)
-    a = (x2 * (y1 - y0) + x1 * (y0 - y2) + x0 * (y2 - y1)) / denominator
-    b = (x2**2 * (y0 - y1) + x1**2 * (y2 - y0) + x0**2 * (y1 - y2)) / denominator
-    return float(-b / (2.0 * a))
+def _vertex_shift(advantages: np.ndarray) -> float:
+    """Vertex of the exact parabola C -> ||A + C*1||^2 through its samples at C = -1, 0, 1."""
+    y_minus, y_zero, y_plus = (float(((advantages + c) ** 2).sum()) for c in (-1.0, 0.0, 1.0))
+    return (y_minus - y_plus) / (2.0 * (y_minus - 2.0 * y_zero + y_plus))
 
 
 # ---------------------------------------------------------------------------
@@ -492,17 +489,13 @@ def suite_bounds(seed: int = 505) -> SuiteResult:
     failures = 0
     cases = 0
     for kind in objectives.LCO_KINDS:
+        objective = OBJECTIVES[kind]
         for _ in range(500):
             v = int(rng.integers(2, 9))
             model = _random_model(rng, v)
             z = forward(model, 0)
             offset = rng.uniform(-2.0, 2.0, v)
-            if kind is ObjectiveKind.LCO_MSE:
-                evaluation = objectives.lco_mse_eval(z, z + offset)
-            elif kind is ObjectiveKind.LCO_LCH:
-                evaluation = objectives.lco_lch_eval(z, z + offset)
-            else:
-                evaluation = objectives.lco_kld_eval(z, dist.softmax(z + offset))
+            evaluation = objective.align(z, objective.target_at(z + offset))
             grad_theta = pullback(model, 0, evaluation.logit_gradient)
             check = convexity.bound_check(
                 kind, float(np.linalg.norm(grad_theta)), max(evaluation.value, 0.0), sigma_max(model, 0), v
@@ -564,13 +557,8 @@ def suite_directionality(seed: int = 606) -> SuiteResult:
         phi = model.features[0]
         w = model.theta.reshape(v, phi.size)
         w_star = w + np.outer(z_star - z, phi) / float(phi @ phi)
-        kind = (ObjectiveKind.LCO_MSE, ObjectiveKind.LCO_LCH, ObjectiveKind.LCO_KLD)[int(rng.integers(3))]
-        if kind is ObjectiveKind.LCO_MSE:
-            grad_z = objectives.lco_mse_eval(z, z_star).logit_gradient
-        elif kind is ObjectiveKind.LCO_LCH:
-            grad_z = objectives.lco_lch_eval(z, z_star).logit_gradient
-        else:
-            grad_z = objectives.lco_kld_eval(z, dist.softmax(z_star)).logit_gradient
+        objective = OBJECTIVES[objectives.LCO_KINDS[int(rng.integers(3))]]
+        grad_z = objective.align(z, objective.target_at(z_star)).logit_gradient
         grad_theta = pullback(model, 0, grad_z)
         cases += 1
         if float(grad_theta @ (model.theta - w_star.ravel())) < -1e-10:
@@ -604,7 +592,7 @@ def suite_convergence(seed: int = 707, seeds: int = 20, steps: int = 500) -> Sui
                 phi = probe.features[0]
                 lam = float(phi @ phi)
             for objective in (ObjectiveKind.LCO_MSE, ObjectiveKind.LCO_LCH):
-                c = 2.0 / v if objective is ObjectiveKind.LCO_MSE else 1.0 / v
+                c = OBJECTIVES[objective].curvature / v
                 config = ConvergeConfig(
                     vocab_size=v,
                     advantages=advantages,
@@ -675,46 +663,11 @@ def smoothed(series: list[float], window: int = 50) -> list[float]:
     return out
 
 
-def sft_decay_setup():
-    env = ToyEnvironment(4, 2, MatchReward((1, 2)))
-    model = tabular_policy(env.n_states, env.vocab_size)
-    config = TrainerConfig(
-        objective=ObjectiveKind.SFT, learning_rate=0.5, steps=600, seed=0, snapshot_interval=10**6
-    )
-    return model, env, config
-
-
-def ppo_spike_setup():
-    env = ToyEnvironment(2, 1, TableReward(np.array([[-1.0, 0.0]])))
-    model = tabular_policy(env.n_states, env.vocab_size, init_logits=np.array([np.log(19.0), 0.0]))
-    config = TrainerConfig(
-        objective=ObjectiveKind.PPO,
-        learning_rate=0.05,
-        steps=400,
-        clip_epsilon=0.2,
-        estimator=EstimatorKind.SPARSE_SAMPLED,
-        seed=0,
-        snapshot_interval=10**6,
-        temperature=0.6,
-        top_p=0.9,
-    )
-    return model, env, config
-
-
-def kld_decay_setup():
-    model, env, ppo_config = ppo_spike_setup()
-    config = TrainerConfig(
-        objective=ObjectiveKind.LCO_KLD,
-        learning_rate=0.5,
-        steps=400,
-        beta=1.0,
-        estimator=EstimatorKind.SPARSE_SAMPLED,
-        seed=0,
-        snapshot_interval=10**6,
-        temperature=ppo_config.temperature,
-        top_p=ppo_config.top_p,
-    )
-    return model, env, config
+def _shipped_run(name: str):
+    """The dynamics records of one shipped config, as ``lco-lab train`` runs it."""
+    raw = cfg.parse_config(CONFIGS / name)
+    env = cfg.build_environment(raw)
+    return run_training(cfg.build_model(raw, env), env, cfg.build_trainer(raw))[1]
 
 
 def suite_dynamics() -> SuiteResult:
@@ -722,8 +675,7 @@ def suite_dynamics() -> SuiteResult:
     cases = 0
 
     # supervised decay: smoothed gradient norm non-increasing late in training
-    model, env, config = sft_decay_setup()
-    _, records = run_training(model, env, config)
+    records = _shipped_run("sft_decay.cfg")
     grads = [r.grad_norm_param for r in records]
     smooth = smoothed(grads)
     start = max(50, int(0.2 * len(smooth)) + 1)
@@ -733,8 +685,7 @@ def suite_dynamics() -> SuiteResult:
 
     # clipped surrogate: the gradient swells well past its early level, then
     # the gate closes and updates stop dead
-    model, env, config = ppo_spike_setup()
-    _, records = run_training(model, env, config)
+    records = _shipped_run("ppo_clip_spike.cfg")
     grads = [r.grad_norm_param for r in records]
     initial = float(np.mean(grads[:50]))
     spike_steps = [i for i, g in enumerate(grads) if g > 2.0 * initial]
@@ -744,8 +695,7 @@ def suite_dynamics() -> SuiteResult:
 
     # the distribution-matching objective on the same task stays under its
     # loss-anchored envelope and decays to a small fraction of its peak
-    model, env, config = kld_decay_setup()
-    _, records = run_training(model, env, config)
+    records = _shipped_run("kld_negative.cfg")
     grads = [r.grad_norm_param for r in records]
     cases += 1
     if any(

@@ -86,6 +86,14 @@ def test_train_bad_config_exits_2(tmp_path, capsys):
     assert "vocab_size" in capsys.readouterr().err
 
 
+def test_train_negative_seed_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, TRAIN_CFG.replace("seed = 3", "seed = -1"))
+    out = tmp_path / "o"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not (out / "dynamics.csv").exists()
+
+
 def test_train_scorer_table_shorter_than_horizon_exits_2(tmp_path, capsys):
     (tmp_path / "scores.txt").write_text("-0.5 -1.0 -2.0\n")
     cfg = write_cfg(
@@ -261,6 +269,15 @@ def test_verify_unknown_suite_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", "--suite", "bogus"])
     assert excinfo.value.code == 2
+
+
+def test_verify_dynamics_without_the_config_directory_exits_2(tmp_path, monkeypatch, capsys):
+    from lco_lab import verify
+
+    missing = tmp_path / "no-configs"
+    monkeypatch.setattr(verify, "CONFIGS", missing)
+    assert main(["verify", "--suite", "dynamics"]) == 2
+    assert str(missing / "sft_decay.cfg") in capsys.readouterr().err
 
 
 def test_dist_suite_sweeps_pass():

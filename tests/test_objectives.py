@@ -3,11 +3,12 @@ import pytest
 
 from lco_lab.dist import Advantages, softmax
 from lco_lab.errors import DegenerateRatioError, InvalidInputError
+from lco_lab.convexity import hessian_analytic
 from lco_lab.objectives import (
-    BatchItem,
+    LCO_KINDS,
+    OBJECTIVES,
     ObjectiveKind,
     TimestepContext,
-    batch_eval,
     lco_kld_eval,
     lco_lch_eval,
     lco_mse_eval,
@@ -219,44 +220,6 @@ def test_lco_gradients_match_finite_differences():
     assert abs(e.logit_gradient.sum()) <= 1e-12
 
 
-# --- batching ---------------------------------------------------------------
-
-
-def test_batch_single_matches_per_step():
-    z = np.array([0.2, -0.7, 1.0])
-    single = batch_eval(ObjectiveKind.SFT, [BatchItem(z=z, target=1)])
-    direct = sft_eval(z, 1)
-    assert single.value == direct.value
-    assert np.array_equal(single.per_step[0].logit_gradient, direct.logit_gradient)
-
-
-def test_batch_mean_of_identical_items():
-    z = np.array([0.3, 0.9])
-    item = BatchItem(z=z, z_star=np.array([0.0, 0.0]))
-    one = batch_eval(ObjectiveKind.LCO_MSE, [item])
-    two = batch_eval(ObjectiveKind.LCO_MSE, [item, item])
-    assert abs(one.value - two.value) <= 1e-15
-
-
-def test_batch_matches_brute_force_mean():
-    rng = np.random.default_rng(23)
-    items = []
-    values = []
-    for _ in range(3):
-        z = rng.uniform(-2, 2, 4)
-        target = int(rng.integers(4))
-        items.append(BatchItem(z=z, target=target))
-        values.append(sft_eval(z, target).value)
-    batch = batch_eval(ObjectiveKind.SFT, items)
-    assert abs(batch.value - float(np.mean(values))) <= 1e-12
-    assert len(batch.per_step) == 3
-
-
-def test_batch_rejects_empty():
-    with pytest.raises(InvalidInputError):
-        batch_eval(ObjectiveKind.SFT, [])
-
-
 def test_context_validates_cached_distribution():
     with pytest.raises(InvalidInputError):
         TimestepContext(
@@ -264,3 +227,43 @@ def test_context_validates_cached_distribution():
         )
     with pytest.raises(InvalidInputError):
         make_ctx([0.0, 0.0], 0, 1.0, eps=1.5)
+
+
+# --- the objective table -----------------------------------------------------
+
+
+def test_objective_table_has_one_entry_per_kind():
+    assert list(OBJECTIVES) == list(ObjectiveKind)
+    assert LCO_KINDS == tuple(kind for kind, objective in OBJECTIVES.items() if objective.target is not None)
+    assert LCO_KINDS == (ObjectiveKind.LCO_MSE, ObjectiveKind.LCO_LCH, ObjectiveKind.LCO_KLD)
+    for kind, objective in OBJECTIVES.items():
+        assert objective.target in (None, "logits", "policy")
+        # an alignment objective has a public eval and a bound, the others neither
+        assert (objective.align is None) == (objective.bound is None) == (kind not in LCO_KINDS)
+
+
+@pytest.mark.parametrize("kind", [ObjectiveKind.LCO_MSE, ObjectiveKind.LCO_LCH])
+@pytest.mark.parametrize("v", [2, 5, 64])
+def test_curvature_constant_is_the_top_hessian_eigenvalue_at_the_target(kind, v):
+    report = hessian_analytic(kind, residual=np.zeros(v), vocab_size=v)
+    assert OBJECTIVES[kind].curvature / v == report.max_eigenvalue
+
+
+def test_only_the_logit_regressions_have_a_constant_curvature():
+    curved = [kind for kind, objective in OBJECTIVES.items() if objective.curvature is not None]
+    assert curved == [ObjectiveKind.LCO_MSE, ObjectiveKind.LCO_LCH]
+
+
+@pytest.mark.parametrize("kind", LCO_KINDS)
+def test_table_kernel_matches_the_public_eval_at_the_optimal_target(kind):
+    rng = np.random.default_rng(5)
+    objective = OBJECTIVES[kind]
+    z_old, z, advantages = rng.uniform(-2.0, 2.0, (3, 6))
+    target = objective.optimal_target(z_old, softmax(z_old), advantages, 0.7)
+    kernel = objective.kernel(z, softmax(z), target, (2, float(advantages[2]), 0.1, 0.2))
+    public = objective.align(z, target)
+    assert kernel.value == public.value
+    assert np.array_equal(kernel.logit_gradient, public.logit_gradient)
+    # the logits z* = z_old + A/beta represent the same target
+    assert np.abs(target - objective.target_at(z_old + advantages / 0.7)).max() <= 1e-12
+

@@ -9,7 +9,7 @@ from lco_lab.config import ConfigError, build_trainer, parse_config
 from lco_lab.dist import softmax, total_variation
 from lco_lab.envs import MatchReward, TableReward, ToyEnvironment
 from lco_lab.errors import InvalidInputError, NonFiniteGradientError, StepSizeError
-from lco_lab.objectives import ObjectiveKind
+from lco_lab.objectives import ObjectiveKind, lco_lch_eval, lco_mse_eval
 from lco_lab.policy import Family, forward, linear_policy, mlp1_policy, tabular_policy
 from lco_lab.targets import EstimatorKind, optimal_policy
 from lco_lab.training import (
@@ -23,7 +23,6 @@ from lco_lab.training import (
     init_trainer,
     rollout_episode,
     run_training,
-    spectral_radius,
     train_step,
 )
 
@@ -408,6 +407,9 @@ VALID = dict(objective=ObjectiveKind.SFT, learning_rate=0.1, steps=3)
         ("top_p", float("nan")),
         ("scorer_table", np.zeros(3)),
         ("ref_table", np.zeros((1, 2, 3))),
+        ("seed", -1),
+        ("seed", 2.0),
+        ("seed", True),
     ],
 )
 def test_trainer_config_rejects_unusable_values(tmp_path, field, value):
@@ -432,16 +434,6 @@ def test_sft_requires_match_reward():
 
 
 # --- convergence experiments -------------------------------------------------
-
-
-def test_spectral_radius_values():
-    assert abs(spectral_radius(np.eye(3), 0.1, 0.5) - 0.95) < 1e-15
-    assert spectral_radius(np.eye(3), 0.0, 0.5) == 1.0
-    rng = np.random.default_rng(29)
-    J = rng.standard_normal((5, 8))
-    eigenvalues = np.linalg.eigvalsh(J @ J.T)
-    expected = np.abs(1.0 - 0.05 * 0.4 * eigenvalues).max()
-    assert abs(spectral_radius(J, 0.05, 0.4) - expected) < 1e-9
 
 
 def test_converge_tabular_mse_geometric_decay():
@@ -526,6 +518,41 @@ def test_converge_config_rejects_unusable_values(field, value):
     with pytest.raises(InvalidInputError, match=field):
         ConvergeConfig(**{**CONVERGE_VALID, field: value})
     ConvergeConfig(**CONVERGE_VALID)
+
+
+@pytest.mark.parametrize("objective", [ObjectiveKind.LCO_MSE, ObjectiveKind.LCO_LCH])
+@pytest.mark.parametrize("feature_dim", range(1, 9))
+def test_converge_closed_form_matches_the_dense_jacobian_recursion(feature_dim, objective):
+    # reference: rho from the spectrum of the dense J J^T and the residual
+    # pushed through r <- r - eta*c*J J^T r, on the experiment's own model
+    rng = np.random.default_rng(40 + feature_dim)
+    v = int(rng.integers(2, 9))
+    z_old = rng.uniform(-1.0, 1.0, v)
+    advantages = rng.uniform(-2.0, 2.0, v)
+    beta = float(rng.uniform(0.5, 2.0))
+    seed = int(rng.integers(10_000))
+    model = linear_policy(1, v, feature_dim, seed=seed)
+    phi = model.features[0]
+    model = model.with_theta((np.outer(z_old, phi) / float(phi @ phi)).ravel())
+    J = policy.jacobian(model, 0).J
+    gram = J @ J.T
+    eigenvalues = np.linalg.eigvalsh(gram)
+    c = (2.0 if objective is ObjectiveKind.LCO_MSE else 1.0) / v
+    eta = float(rng.uniform(0.1, 1.9)) / (c * eigenvalues.max())
+    rho = float(np.abs(1.0 - eta * c * eigenvalues).max())
+
+    config = ConvergeConfig(
+        vocab_size=v, advantages=advantages, eta=eta, steps=80, beta=beta,
+        feature_dim=feature_dim, seed=seed, z_old=z_old,
+    )
+    result = converge_experiment(Family.LINEAR, objective, config)
+    assert abs(result.rho - rho) <= 1e-14
+    evaluate = lco_mse_eval if objective is ObjectiveKind.LCO_MSE else lco_lch_eval
+    residual = forward(model, 0) - (z_old + advantages / beta)
+    for row in result.rows:
+        assert rel_close(row.loss, evaluate(residual, np.zeros(v)).value, rel=1e-12, floor=1e-300)
+        assert rel_close(row.residual_inf, np.abs(residual).max(), rel=1e-12, floor=1e-300)
+        residual = residual - eta * c * (gram @ residual)
 
 
 def test_converge_rejects_an_overflowing_envelope_anchor():
