@@ -63,12 +63,16 @@ def read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
     return header, [line.split(",") for line in lines[1:] if line]
 
 
-def numeric_column(header: list[str], rows: list[list[str]], name: str) -> list[float]:
+def numeric_column(header: list[str], rows: list[list[str]], name: str, path: str | Path) -> list[float]:
+    """The named column of ``path``'s rows as floats; an empty or missing cell reads as NaN."""
     if name not in header:
-        raise InvalidInputError(f"missing column {name!r}")
+        raise InvalidInputError(f"{path}: missing column {name!r}")
     idx = header.index(name)
     out = []
-    for row in rows:
+    for number, row in enumerate(rows, start=1):
         cell = row[idx] if idx < len(row) else ""
-        out.append(float(cell) if cell else float("nan"))
+        try:
+            out.append(float(cell) if cell else float("nan"))
+        except ValueError:
+            raise InvalidInputError(f"{path}: data row {number}, column {name!r}: {cell!r} is not a number") from None
     return out

@@ -6,9 +6,11 @@ nonnegative and sums to one within 1e-12.  Advantage vectors may carry a
 sparsity mask recording which actions hold real signal.
 
 Each public primitive validates its inputs and then calls a private kernel
-(``_softmax``, ``_log_softmax``, ``_entropy``, ``_draw``) that holds its only
-copy of the arithmetic; a caller that checked an array where it made it
-calls the kernel directly.
+(``_softmax``, ``_log_softmax``, ``_entropy``, and ``_nucleus`` with
+``_pick`` for the sampler) that holds its only copy of the arithmetic; a
+caller that checked an array where it made it calls the kernel directly,
+and a caller that draws repeatedly from one distribution can keep the
+nucleus and call ``_pick`` alone.
 
 Everything here is a pure function of its inputs; RNG state is caller-owned.
 """
@@ -181,16 +183,15 @@ def normalize_advantages(a: Advantages, unit_std: bool = False, std_floor: float
     return Advantages(centered)
 
 
-def _draw(p: np.ndarray, temperature: float, top_p: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Sampler kernel: ``size`` draws from the tempered nucleus of ``p``.
+def _nucleus(p: np.ndarray, temperature: float, top_p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sampler kernel: the tempered nucleus of ``p`` as (kept actions, bounds).
 
     Temperature rescales log-probabilities (log p / T).  The support is then
     cut to the smallest descending-probability prefix whose mass reaches
     ``top_p`` (ties broken toward the lower index), never past the last
-    action with positive tempered mass, and renormalized.  Each uniform is
-    resolved against the cumulative kept mass without its last entry, so a
-    uniform at or above a total that rounded below 1 still lands on the
-    last kept action.
+    action with positive tempered mass, and renormalized.  ``bounds`` is the
+    cumulative kept mass without its last entry, so a uniform at or above a
+    total that rounded below 1 still lands on the last kept action.
     """
     with np.errstate(divide="ignore", over="ignore"):
         logp = np.where(p > 0.0, np.log(np.maximum(p, 1e-320)), -np.inf)
@@ -211,18 +212,25 @@ def _draw(p: np.ndarray, temperature: float, top_p: float, rng: np.random.Genera
     cutoff = min(int(np.searchsorted(cumulative, top_p, side="left")), np.count_nonzero(q) - 1)
     kept = order[: cutoff + 1]
     mass = q[kept]
-    bounds = np.cumsum(mass / mass.sum())[:-1]
+    return kept, np.cumsum(mass / mass.sum())[:-1]
+
+
+def _pick(kept: np.ndarray, bounds: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Sampler kernel: ``size`` draws over a nucleus made by ``_nucleus``.
+
+    Each uniform is resolved against ``bounds`` by inverse CDF.
+    """
     return kept[np.searchsorted(bounds, rng.random(size), side="right")]
 
 
 def sample_actions(p, temperature: float, top_p: float, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw ``size`` action indices with temperature and nucleus truncation.
 
-    The nucleus is built once (see ``_draw``) and each draw resolves one
-    uniform by inverse CDF.  ``rng.random(size)`` yields the same doubles
-    as ``size`` calls of ``rng.random()``, so the result equals ``size``
-    successive ``sample_action`` calls on the same generator and leaves it
-    in the same state.  Deterministic given the generator state.
+    The nucleus is built once (``_nucleus``) and each draw resolves one
+    uniform by inverse CDF (``_pick``).  ``rng.random(size)`` yields the
+    same doubles as ``size`` calls of ``rng.random()``, so the result equals
+    ``size`` successive ``sample_action`` calls on the same generator and
+    leaves it in the same state.  Deterministic given the generator state.
     """
     if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
         raise InvalidInputError(f"size must be an integer, got {size!r}")
@@ -233,7 +241,7 @@ def sample_actions(p, temperature: float, top_p: float, rng: np.random.Generator
         raise InvalidInputError("temperature must be positive")
     if not 0.0 < top_p <= 1.0:
         raise InvalidInputError("top_p must lie in (0, 1]")
-    return _draw(p, temperature, top_p, rng, size)
+    return _pick(*_nucleus(p, temperature, top_p), rng, size)
 
 
 def sample_action(p, temperature: float, top_p: float, rng: np.random.Generator) -> int:

@@ -2,18 +2,22 @@
 
 Fixed 800x500 canvas, linear axes auto-ranged to the data with 5% margins,
 legend from series names.  Output is a pure function of the input series,
-so identical data yields byte-identical files.
+so identical data yields byte-identical files.  Points with a non-finite
+coordinate are left out, and data spanning more than the float range (say
+-1e308 to 1e308) is ranged and scaled through halved values, so every
+number written is finite.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import math
+import sys
+from pathlib import Path
 
 WIDTH, HEIGHT = 800, 500
 PLOT = (70.0, 20.0, 770.0, 450.0)  # left, top, right, bottom
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
+FLOAT_MAX = sys.float_info.max
 
 
 def _axis_range(values: list[float]) -> tuple[float, float]:
@@ -22,9 +26,20 @@ def _axis_range(values: list[float]) -> tuple[float, float]:
         return 0.0, 1.0
     lo, hi = min(finite), max(finite)
     if lo == hi:
-        lo, hi = lo - 0.5, hi + 0.5
-    margin = 0.05 * (hi - lo)
-    return lo - margin, hi + margin
+        # past 2**52 a half is below the spacing of floats, so step by one spacing
+        pad = max(0.5, math.ulp(lo))
+        lo, hi = lo - pad, hi + pad
+    span = hi - lo
+    margin = 0.05 * span if math.isfinite(span) else 0.1 * (hi / 2 - lo / 2)
+    return max(lo - margin, -FLOAT_MAX), min(hi + margin, FLOAT_MAX)
+
+
+def _fraction(value: float, lo: float, hi: float) -> float:
+    """(value - lo) / (hi - lo), through halves where the span overflows."""
+    span = hi - lo
+    if math.isfinite(span):
+        return (value - lo) / span
+    return (value / 2 - lo / 2) / (hi / 2 - lo / 2)
 
 
 def _fmt(value: float) -> str:
@@ -40,10 +55,10 @@ def render_chart(series: dict[str, tuple[list[float], list[float]]], x_label: st
     y_lo, y_hi = _axis_range(all_y)
 
     def sx(x: float) -> float:
-        return left + (x - x_lo) / (x_hi - x_lo) * (right - left)
+        return left + _fraction(x, x_lo, x_hi) * (right - left)
 
     def sy(y: float) -> float:
-        return bottom - (y - y_lo) / (y_hi - y_lo) * (bottom - top)
+        return bottom - _fraction(y, y_lo, y_hi) * (bottom - top)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{WIDTH}" height="{HEIGHT}" '
@@ -63,7 +78,7 @@ def render_chart(series: dict[str, tuple[list[float], list[float]]], x_label: st
     for i, (name, (xs, ys)) in enumerate(series.items()):
         color = PALETTE[i % len(PALETTE)]
         points = " ".join(
-            f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys) if math.isfinite(y)
+            f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys) if math.isfinite(x) and math.isfinite(y)
         )
         if points:
             parts.append(

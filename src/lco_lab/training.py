@@ -31,7 +31,22 @@ and can differ in the last bit.
 
 The snapshot refreshes every ``snapshot_interval`` steps, so importance
 ratios and alignment targets stay anchored to one behavioral policy inside
-a window even as theta moves.
+a window even as theta moves.  Whatever depends on the snapshot alone is
+therefore computed once per window: the trainer state keeps a snapshot
+window, a dict of
+
+  state index                       -> (z_old, pi_old, sampler nucleus)
+  (state, target form, beta, A)     -> closed-form target
+
+where the nucleus is built the first time the state is sampled and rebuilt
+when the temperature or top_p changes, and A is the advantage vector's
+bytes.  A lookup that misses computes exactly what a step without the
+window computes, in the same order, so errors surface at the same point,
+and a computation that raises stores nothing (a rollout stores its new
+entries only once the whole episode is drawn).  The window is cleared when
+the snapshot refreshes and holds at most ``WINDOW_CAP`` entries; once full,
+misses compute without storing.  Its arrays are read-only, because the
+``Rollout`` of every step in the window shares them.
 
 ``converge_experiment`` runs the sampling-free single-state recursion whose
 per-step error contracts by I - eta*c*J J^T, with c = curvature/V from the
@@ -45,17 +60,22 @@ and the Jacobian is never formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .convexity import gradient_norm_bound
-from .dist import Advantages, _draw, _entropy, _softmax, as_logits, normalize_advantages
+from .dist import Advantages, _entropy, _nucleus, _pick, _softmax, as_logits, normalize_advantages
 from .envs import MatchReward, ToyEnvironment
 from .errors import InvalidInputError, NonFiniteGradientError, StepSizeError
-from .objectives import OBJECTIVES, LossEval, ObjectiveKind, pairwise_sum
+from .objectives import OBJECTIVES, LossEval, Objective, ObjectiveKind, pairwise_sum
 from .policy import Family, PolicyModel, _span, forward, linear_policy, pullback, sigma_max, tabular_policy
 from .targets import AdvantageEstimator, EstimatorKind, _optimal_logits, estimate_advantages
+
+# Entries a snapshot window holds at most.  A frozen run keeps one window for
+# the whole run, and a large vocabulary and horizon visit more states than it
+# revisits, so the window stops growing here instead of with the run.
+WINDOW_CAP = 1024
 
 
 def _check_integers(config, fields: tuple[tuple[str, int], ...]) -> None:
@@ -145,16 +165,27 @@ class TrainerState:
     shares these buffers with the one it was given, so an earlier iterate
     is kept by copying it (``state.model.theta.copy()``).  ``init_trainer``
     makes the buffers, so the caller's model is never written.
+
+    ``window`` is the snapshot window (see the module docstring): what
+    ``snapshot_theta`` yields at each visited state, and the closed-form
+    targets built from it.  ``train_step`` clears it whenever it refreshes
+    the snapshot and otherwise only adds to it, up to ``WINDOW_CAP``
+    entries, and the state it returns shares it.  Its arrays are read-only.
+    It is valid only for the ``snapshot_theta`` it was filled from, so a
+    caller that writes that buffer passes a new, empty window.
     """
 
     model: PolicyModel
     snapshot_theta: np.ndarray
     step: int = 0
     grad: np.ndarray | None = None  # allocated zero when not given
+    window: dict | None = field(default=None, repr=False)  # empty when not given
 
     def __post_init__(self):
         if self.grad is None:
             object.__setattr__(self, "grad", np.zeros(self.model.n_params))
+        if self.window is None:
+            object.__setattr__(self, "window", {})
 
     @property
     def snapshot(self) -> PolicyModel:
@@ -166,33 +197,65 @@ def init_trainer(model: PolicyModel) -> TrainerState:
     return TrainerState(model.with_theta(model.theta.copy()), model.theta.copy(), 0)
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _store(window: dict, key, value) -> None:
+    """Put an entry in a snapshot window, unless that would take it past the cap."""
+    if key in window or len(window) < WINDOW_CAP:
+        window[key] = value
+
+
 def rollout_episode(
-    snapshot: PolicyModel, env: ToyEnvironment, config: TrainerConfig, rng: np.random.Generator
+    snapshot: PolicyModel,
+    env: ToyEnvironment,
+    config: TrainerConfig,
+    rng: np.random.Generator,
+    window: dict | None = None,
 ) -> Rollout:
     """Generate one episode under the snapshot policy.
 
     The SFT objective is supervised: it walks the verifier target sequence
-    (teacher forcing) instead of sampling.
+    (teacher forcing) instead of sampling.  With ``window``, the snapshot
+    window of ``snapshot`` (see ``TrainerState``), a state evaluated before
+    reuses its logits, softmax and sampler nucleus; without it each state is
+    evaluated afresh.  The returned arrays are read-only.
     """
     teacher_forced = config.objective is ObjectiveKind.SFT
     if teacher_forced and not isinstance(env.reward, MatchReward):
         raise InvalidInputError("SFT training needs a match-reward environment with a target")
 
+    sampler = (config.temperature, config.top_p)
     prefix: tuple[int, ...] = ()
-    states, actions, z_old, pi_old = [], [], [], []
+    states, actions, z_old, pi_old, made = [], [], [], [], []
     for t in range(env.horizon):
         state = env.state_index(prefix)
-        z = as_logits(forward(snapshot, state))
-        p = _softmax(z)
+        cached = window.get(state) if window is not None else None
+        visit = cached
+        if visit is None:
+            z = _frozen(as_logits(forward(snapshot, state)))
+            visit = (z, _frozen(_softmax(z)), None)
+        z, p, nucleus = visit
         if teacher_forced:
             action = env.reward.target[t]
         else:
-            action = int(_draw(p, config.temperature, config.top_p, rng, 1)[0])
+            if nucleus is None or nucleus[0] != sampler:
+                nucleus = (sampler, *map(_frozen, _nucleus(p, *sampler)))
+                visit = (z, p, nucleus)
+            action = int(_pick(nucleus[1], nucleus[2], rng, 1)[0])
+        if visit is not cached:
+            made.append((state, visit))
         states.append(state)
         actions.append(action)
         z_old.append(z)
         pi_old.append(p)
         prefix = prefix + (action,)
+    # stored only now, so an episode that raises leaves the window as it was
+    if window is not None:
+        for state, visit in made:
+            _store(window, state, visit)
     return Rollout(tuple(states), tuple(actions), tuple(z_old), tuple(pi_old))
 
 
@@ -233,18 +296,34 @@ def _table_row(table: np.ndarray, name: str, t: int, horizon: int) -> np.ndarray
     return table[t]
 
 
+def _snapshot_target(
+    objective: Objective, beta: float, rollout: Rollout, values: np.ndarray, t: int, window: dict | None
+) -> np.ndarray | None:
+    """The objective's closed-form target at visited state t, None without one."""
+    if objective.target is None:
+        return None
+    key = (rollout.states[t], objective.target, beta, values.tobytes())
+    target = window.get(key) if window is not None else None
+    if target is None:
+        target = _frozen(objective.optimal_target(rollout.z_old[t], rollout.pi_old[t], values, beta))
+        if window is not None:
+            _store(window, key, target)
+    return target
+
+
 def _step_eval(
     model: PolicyModel,
     config: TrainerConfig,
     rollout: Rollout,
     adv: Advantages,
     t: int,
+    window: dict | None = None,
 ) -> tuple[LossEval, np.ndarray]:
     """The objective at one visited state, and pi = softmax(z) there at theta."""
     objective = OBJECTIVES[config.objective]
     # the target comes from the snapshot alone, so an overflowing target is
     # reported ahead of non-finite logits at theta
-    target = objective.optimal_target(rollout.z_old[t], rollout.pi_old[t], adv.values, config.beta)
+    target = _snapshot_target(objective, config.beta, rollout, adv.values, t, window)
     z = as_logits(forward(model, rollout.states[t]))
     pi = _softmax(z)
     a = rollout.actions[t]
@@ -268,19 +347,23 @@ def episode_eval(
     config: TrainerConfig,
     rollout: Rollout,
     out: np.ndarray | None = None,
+    window: dict | None = None,
 ) -> EpisodeEval:
     """Mean loss and parameter gradient of one fixed episode.
 
     With ``out`` (an all-zero float64 vector of n_params entries, checked
     by ``pullback``) the gradient is computed in place in ``out``, which
-    becomes ``grad_theta``; only its ``spans`` are written.
+    becomes ``grad_theta``; only its ``spans`` are written.  With
+    ``window``, the snapshot window the rollout was drawn under (see
+    ``TrainerState``), closed-form targets are looked up there and stored
+    there; without it they are computed afresh.
     """
     if out is None:
         out = np.zeros(model.n_params)
     evals, advantages, policies = [], [], []
     for t in range(env.horizon):
         adv = _step_advantages(env, config, rollout, t)
-        evaluation, pi = _step_eval(model, config, rollout, adv, t)
+        evaluation, pi = _step_eval(model, config, rollout, adv, t, window)
         pullback(model, rollout.states[t], evaluation.logit_gradient, out=out)
         evals.append(evaluation)
         advantages.append(adv)
@@ -319,17 +402,19 @@ def train_step(
 ) -> tuple[TrainerState, DynamicsRecord]:
     """One episode rollout, one gradient-descent update, one logged record.
 
-    Advances the buffers of ``state`` in place (see ``TrainerState``) and
-    returns the state for the next step, which shares them.  A step that
-    raises leaves theta as it was and the gradient buffer all zero.
+    Advances the buffers and the snapshot window of ``state`` in place (see
+    ``TrainerState``) and returns the state for the next step, which shares
+    them.  A step that raises leaves theta as it was and the gradient
+    buffer all zero.
     """
     if state.step % config.snapshot_interval == 0:
         np.copyto(state.snapshot_theta, state.model.theta)
+        state.window.clear()
 
-    rollout = rollout_episode(state.snapshot, env, config, rng)
+    rollout = rollout_episode(state.snapshot, env, config, rng, state.window)
     episode = None
     try:
-        episode = episode_eval(state.model, env, config, rollout, out=state.grad)
+        episode = episode_eval(state.model, env, config, rollout, out=state.grad, window=state.window)
         grad = episode.grad_theta
         if not all(np.isfinite(grad[span]).all() for span in episode.spans):
             raise NonFiniteGradientError(
@@ -346,7 +431,7 @@ def train_step(
     finally:
         for span in episode.spans if episode is not None else (slice(None),):
             state.grad[span] = 0.0
-    return TrainerState(state.model, state.snapshot_theta, state.step + 1, state.grad), record
+    return TrainerState(state.model, state.snapshot_theta, state.step + 1, state.grad, state.window), record
 
 
 def _record(

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -248,6 +250,55 @@ def test_plot_two_point_series_spans_plot_area(tmp_path):
     points = body.split('points="')[1].split('"')[0].split()
     (x0, y0), (x1, y1) = (tuple(map(float, p.split(","))) for p in points)
     assert x1 - x0 > 600 and y0 - y1 > 350  # covers most of the 800x500 canvas
+
+
+def test_plot_non_numeric_cell_exits_2(tmp_path, capsys):
+    csv = tmp_path / "bad.csv"
+    csv.write_text("step,loss\n0,0.5\n1,abc\n")
+    assert main(["plot", "--csv", str(csv), "--out", str(tmp_path / "bad.svg")]) == 2
+    err = capsys.readouterr().err
+    assert str(csv) in err and "data row 2" in err and "'loss'" in err and "'abc'" in err
+    assert not (tmp_path / "bad.svg").exists()
+
+
+def _svg_numbers(body):
+    """Every number in the chart: the polyline coordinates and the axis labels."""
+    points = [float(c) for p in re.findall(r'points="([^"]*)"', body) for xy in p.split() for c in xy.split(",")]
+    labels = [float(t) for t in re.findall(r'font-size="12">([^<]*)<', body) if t not in ("x", "y", "step")]
+    return points, labels
+
+
+def test_plot_data_spanning_the_float_range_stays_finite(tmp_path):
+    csv = tmp_path / "wide.csv"
+    csv.write_text("step,y\n0,1e308\n1,-1e308\n2,0\n")
+    svg = tmp_path / "wide.svg"
+    assert main(["plot", "--csv", str(csv), "--out", str(svg)]) == 0
+    points, labels = _svg_numbers(svg.read_text())
+    assert len(points) == 6 and all(np.isfinite(points)) and all(np.isfinite(labels))
+    ys = points[1::2]
+    # 1e308 at the top margin, -1e308 at the bottom margin, 0 in the middle
+    assert ys[0] < ys[2] < ys[1] and abs(ys[2] - 235.0) < 0.01
+
+
+def test_plot_constant_column_too_large_for_a_half_unit_pad(tmp_path):
+    # 1e20 +- 0.5 rounds back to 1e20, which left a zero-height axis
+    csv = tmp_path / "flat.csv"
+    csv.write_text("step,y\n0,1e20\n1,1e20\n")
+    svg = tmp_path / "flat.svg"
+    assert main(["plot", "--csv", str(csv), "--out", str(svg)]) == 0
+    points, labels = _svg_numbers(svg.read_text())
+    assert points[1] == points[3] == 235.0 and all(np.isfinite(labels))
+
+
+def test_plot_drops_points_with_a_non_finite_x(tmp_path):
+    csv = tmp_path / "gap.csv"
+    csv.write_text("step,y\n0,1\nnan,2\ninf,2.5\n2,3\n")
+    svg = tmp_path / "gap.svg"
+    assert main(["plot", "--csv", str(csv), "--out", str(svg)]) == 0
+    body = svg.read_text()
+    points, labels = _svg_numbers(body)
+    assert len(points) == 4 and all(np.isfinite(points)) and all(np.isfinite(labels))
+    assert "nan" not in body and "inf" not in body
 
 
 def test_render_chart_is_pure():

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from lco_lab.dist import (
     Advantages,
+    _nucleus,
+    _pick,
     entropy,
     kl_divergence,
     log_softmax,
@@ -270,6 +272,31 @@ def test_sample_actions_replays_per_call_draws(v):
                 got = sample_actions(p, temperature, top_p, batched, 100)
                 assert got.tolist() == expected
                 assert per_call.random() == batched.random()
+
+
+def test_draws_over_a_kept_nucleus_replay_sample_action():
+    # the trainer builds a state's nucleus once and draws over it at every
+    # later visit; that must be sample_action's draw, uniform for uniform
+    rng = np.random.default_rng(2024)
+    for case in range(3000):
+        v = int(rng.integers(2, 65))
+        weights = rng.uniform(0.0, 1.0, v) * (rng.random(v) < 0.7)  # about 30% zero mass
+        if case % 5 == 0:
+            weights = rng.integers(0, 3, v).astype(np.float64)  # ties
+        if weights.sum() == 0.0:
+            weights[int(rng.integers(v))] = 1.0
+        p = weights / weights.sum()
+        temperature = float(10.0 ** rng.uniform(-2.0, 1.0)) if case % 4 else float(rng.uniform(1e-320, 1e-308))
+        top_p = float(rng.uniform(0.05, 1.0)) if case % 3 else 1.0
+        seed = int(rng.integers(2**63))
+        per_call, kept = np.random.default_rng(seed), np.random.default_rng(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nucleus = _nucleus(p, temperature, top_p)
+            expected = [sample_action(p, temperature, top_p, per_call) for _ in range(3)]
+            got = [int(_pick(*nucleus, kept, 1)[0]) for _ in range(3)]
+        assert got == expected, (case, p, temperature, top_p)
+        assert kept.bit_generator.state == per_call.bit_generator.state
 
 
 def test_sample_actions_rejects_bad_size():
