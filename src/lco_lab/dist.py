@@ -1,16 +1,18 @@
 """Numerically stable probability primitives over finite action vocabularies.
 
-All functions operate on plain 1-D float64 numpy arrays.  A "logit vector"
-is any finite real vector of length >= 2; a "probability vector" is
+All public functions operate on plain 1-D float64 numpy arrays.  A "logit
+vector" is any finite real vector of length >= 2; a "probability vector" is
 nonnegative and sums to one within 1e-12.  Advantage vectors may carry a
 sparsity mask recording which actions hold real signal.
 
 Each public primitive validates its inputs and then calls a private kernel
-(``_softmax``, ``_log_softmax``, ``_entropy``, and ``_nucleus`` with
-``_pick`` for the sampler) that holds its only copy of the arithmetic; a
-caller that checked an array where it made it calls the kernel directly,
-and a caller that draws repeatedly from one distribution can keep the
-nucleus and call ``_pick`` alone.
+(``_softmax``, ``_log_softmax``, ``_entropy``, ``_total_variation``, and
+``_nucleus`` with ``_pick`` for the sampler) that holds its only copy of the
+arithmetic; a caller that checked an array where it made it calls the kernel
+directly, and a caller that draws repeatedly from one distribution can keep
+the nucleus and call ``_pick`` alone.  ``_softmax`` and ``_log_softmax``
+reduce over the last axis, so they also take an (n, V) stack of logit rows,
+and each row comes out bit for bit as the 1-D call on it would.
 
 Everything here is a pure function of its inputs; RNG state is caller-owned.
 """
@@ -91,9 +93,9 @@ def softmax(z) -> np.ndarray:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max()
+    shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def log_softmax(z) -> np.ndarray:
@@ -102,8 +104,8 @@ def log_softmax(z) -> np.ndarray:
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max()
-    return shifted - np.log(np.exp(shifted).sum())
+    shifted = z - z.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def entropy(p) -> float:
@@ -164,6 +166,10 @@ def total_variation(p, q) -> float:
     q = as_probs(q)
     if p.size != q.size:
         raise InvalidInputError("distributions must have equal length")
+    return _total_variation(p, q)
+
+
+def _total_variation(p: np.ndarray, q: np.ndarray) -> float:
     return float(0.5 * np.abs(p - q).sum())
 
 

@@ -20,9 +20,21 @@ objective's arithmetic and takes pi = softmax(z) from its caller, so a
 trainer that already holds both evaluates each state once.
 
 ``OBJECTIVES`` holds one ``Objective`` record per kind: its trainer kernel,
-the closed-form target it aligns to, its analytic Hessian, its curvature
-constant and its gradient-norm bound.  The trainer, ``convexity`` and
-``verify`` look these facts up there, so a new objective is one entry.
+its row-batched value, the closed-form target it aligns to, its analytic
+Hessian, its curvature constant and its gradient-norm bound.  The trainer,
+``convexity`` and ``verify`` look these facts up there, so a new objective
+is one entry.
+
+The row value is the loss at every row of an (n, V) stack of logits, as an
+(n,) array, so a finite-difference stencil or a whole convergence
+trajectory is one call.  Where numpy can take the stack at once (SFT,
+REINFORCE, LCO_MSE, LCO_LCH) a private ``_*_value`` function reducing over
+the last axis holds the only copy of the value arithmetic, and the 1-D
+kernel takes its ``value`` from the same function.  LCO_KLD and PPO go the
+other way: their row value applies the 1-D arithmetic row by row
+(``kl_between`` per row for LCO_KLD, the ``_ppo_eval`` kernel per row for
+PPO), because a numpy form of either is slower than the scalar loop at the
+small V the trainer runs, and a second copy would have to be kept equal.
 """
 
 from __future__ import annotations
@@ -107,7 +119,11 @@ def sft_eval(z, target: int) -> LossEval:
 def _sft_eval(z: np.ndarray, pi: np.ndarray, target: int) -> LossEval:
     grad = pi.copy()
     grad[target] -= 1.0
-    return LossEval(float(-_log_softmax(z)[target]), grad)
+    return LossEval(float(_sft_value(z, target)), grad)
+
+
+def _sft_value(z: np.ndarray, target: int) -> np.ndarray:
+    return -_log_softmax(z)[..., target]
 
 
 def _ratio(pi_sampled: float, behavioral: float) -> float:
@@ -163,7 +179,11 @@ def reinforce_eval(ctx: TimestepContext, z) -> LossEval:
 def _reinforce_eval(z: np.ndarray, pi: np.ndarray, a: int, adv: float) -> LossEval:
     grad = adv * pi
     grad[a] -= adv
-    return LossEval(float(-adv * _log_softmax(z)[a]), grad)
+    return LossEval(float(_reinforce_value(z, a, adv)), grad)
+
+
+def _reinforce_value(z: np.ndarray, a: int, adv: float) -> np.ndarray:
+    return -adv * _log_softmax(z)[..., a]
 
 
 def _log_cosh(x: np.ndarray) -> np.ndarray:
@@ -185,8 +205,11 @@ def lco_mse_eval(z, z_star) -> LossEval:
 
 def _lco_mse_eval(z: np.ndarray, z_star: np.ndarray) -> LossEval:
     residual = z - z_star
-    v = z.size
-    return LossEval(float((residual**2).sum() / v), (2.0 / v) * residual)
+    return LossEval(float(_lco_mse_value(residual)), (2.0 / z.size) * residual)
+
+
+def _lco_mse_value(residual: np.ndarray) -> np.ndarray:
+    return (residual**2).sum(axis=-1) / residual.shape[-1]
 
 
 def lco_lch_eval(z, z_star) -> LossEval:
@@ -196,8 +219,11 @@ def lco_lch_eval(z, z_star) -> LossEval:
 
 def _lco_lch_eval(z: np.ndarray, z_star: np.ndarray) -> LossEval:
     residual = z - z_star
-    v = z.size
-    return LossEval(float(_log_cosh(residual).sum() / v), np.tanh(residual) / v)
+    return LossEval(float(_lco_lch_value(residual)), np.tanh(residual) / z.size)
+
+
+def _lco_lch_value(residual: np.ndarray) -> np.ndarray:
+    return _log_cosh(residual).sum(axis=-1) / residual.shape[-1]
 
 
 def _residual_pair(z, z_star) -> tuple[np.ndarray, np.ndarray]:
@@ -219,6 +245,11 @@ def lco_kld_eval(z, pi_star) -> LossEval:
 
 def _lco_kld_eval(z: np.ndarray, pi: np.ndarray, pi_star: np.ndarray) -> LossEval:
     return LossEval(kl_between(pi_star, pi, log_q=_log_softmax(z)), pi - pi_star)
+
+
+def _lco_kld_rows(z: np.ndarray, pi_star: np.ndarray) -> np.ndarray:
+    rows = zip(_softmax(z), _log_softmax(z))
+    return np.array([kl_between(pi_star, pi, log_q=log_pi) for pi, log_pi in rows])
 
 
 def pairwise_sum(values: Sequence[float]) -> float:
@@ -308,10 +339,17 @@ class Objective:
 
     ``kernel(z, pi, target, step)`` evaluates the objective at logits z with
     pi = softmax(z), its closed-form target (None without one) and ``step`` =
-    (sampled action, its advantage, its behavioral probability, clip epsilon).
+    (sampled action, its advantage, its behavioral probability, clip epsilon);
+    SFT reads only ``step[0]``, its target token.  ``value(z, target, step)``
+    is the same loss at every row of an (n, V) stack z, as an (n,) array
+    equal row by row to the kernel's ``value``.  It makes no input checks
+    and does not test PPO's clip gate.  Its arithmetic is shared with the
+    kernel, never restated: LCO_KLD applies ``kl_between`` per row and PPO
+    its kernel per row (see the module docstring).
     """
 
     kernel: Callable[[np.ndarray, np.ndarray, np.ndarray | None, tuple], LossEval]
+    value: Callable[[np.ndarray, np.ndarray | None, tuple], np.ndarray]
     # "logits" aligns to z* = z_old + A/beta, "policy" to pi* ~ pi_old e^{A/beta}
     target: str | None = None
     align: Callable[..., LossEval] | None = None  # the public eval against that target
@@ -335,17 +373,21 @@ class Objective:
 OBJECTIVES: dict[ObjectiveKind, Objective] = {
     ObjectiveKind.SFT: Objective(
         kernel=lambda z, pi, target, step: _sft_eval(z, pi, step[0]),
+        value=lambda z, target, step: _sft_value(z, step[0]),
         hessian=_softmax_hessian,
     ),
     ObjectiveKind.PPO: Objective(
         kernel=lambda z, pi, target, step: _ppo_eval(pi, *step),
+        value=lambda z, target, step: np.array([_ppo_eval(pi, *step).value for pi in _softmax(z)]),
         hessian=_ppo_hessian,
     ),
     ObjectiveKind.REINFORCE: Objective(
         kernel=lambda z, pi, target, step: _reinforce_eval(z, pi, *step[:2]),
+        value=lambda z, target, step: _reinforce_value(z, *step[:2]),
     ),
     ObjectiveKind.LCO_MSE: Objective(
         kernel=lambda z, pi, target, step: _lco_mse_eval(z, target),
+        value=lambda z, target, step: _lco_mse_value(z - target),
         target="logits",
         align=lco_mse_eval,
         hessian=_lco_mse_hessian,
@@ -354,6 +396,7 @@ OBJECTIVES: dict[ObjectiveKind, Objective] = {
     ),
     ObjectiveKind.LCO_LCH: Objective(
         kernel=lambda z, pi, target, step: _lco_lch_eval(z, target),
+        value=lambda z, target, step: _lco_lch_value(z - target),
         target="logits",
         align=lco_lch_eval,
         hessian=_lco_lch_hessian,
@@ -362,6 +405,7 @@ OBJECTIVES: dict[ObjectiveKind, Objective] = {
     ),
     ObjectiveKind.LCO_KLD: Objective(
         kernel=lambda z, pi, target, step: _lco_kld_eval(z, pi, target),
+        value=lambda z, target, step: _lco_kld_rows(z, target),
         target="policy",
         align=lco_kld_eval,
         hessian=_softmax_hessian,

@@ -55,7 +55,10 @@ near its optimum reduces to the same linear update), and tabulates the loss
 against the geometric envelope (curvature / 2V) * rho^{2k} * ||A||^2 / beta^2.
 A single state of a tabular or linear model has J J^T = lam I in closed
 form (lam = 1 for TABULAR, ||phi||^2 for LINEAR), so rho = |1 - eta*c*lam|
-and the Jacobian is never formed.
+and the Jacobian is never formed.  The residual iterates fill one
+(steps + 1, V) array row by row; the losses then come from one call of the
+objective's row value (``Objective.value``) and the residual sup-norms from
+one reduction over that array.
 """
 
 from __future__ import annotations
@@ -173,6 +176,10 @@ class TrainerState:
     entries, and the state it returns shares it.  Its arrays are read-only.
     It is valid only for the ``snapshot_theta`` it was filled from, so a
     caller that writes that buffer passes a new, empty window.
+
+    ``snapshot`` is the behavioral model: ``model`` over ``snapshot_theta``.
+    It is built when not given, and ``train_step`` hands it on, so a run
+    builds it once; refreshing ``snapshot_theta`` in place keeps it valid.
     """
 
     model: PolicyModel
@@ -180,16 +187,17 @@ class TrainerState:
     step: int = 0
     grad: np.ndarray | None = None  # allocated zero when not given
     window: dict | None = field(default=None, repr=False)  # empty when not given
+    snapshot: PolicyModel | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.grad is None:
             object.__setattr__(self, "grad", np.zeros(self.model.n_params))
         if self.window is None:
             object.__setattr__(self, "window", {})
-
-    @property
-    def snapshot(self) -> PolicyModel:
-        return self.model.with_theta(self.snapshot_theta)
+        if self.snapshot is None:
+            object.__setattr__(self, "snapshot", self.model.with_theta(self.snapshot_theta))
+        elif self.snapshot.theta is not self.snapshot_theta:
+            raise InvalidInputError("the snapshot model must read the snapshot_theta buffer")
 
 
 def init_trainer(model: PolicyModel) -> TrainerState:
@@ -431,7 +439,9 @@ def train_step(
     finally:
         for span in episode.spans if episode is not None else (slice(None),):
             state.grad[span] = 0.0
-    return TrainerState(state.model, state.snapshot_theta, state.step + 1, state.grad, state.window), record
+    return TrainerState(
+        state.model, state.snapshot_theta, state.step + 1, state.grad, state.window, state.snapshot
+    ), record
 
 
 def _record(
@@ -581,20 +591,23 @@ def converge_experiment(
     # through these exactly linear models is r <- (1 - eta*c*lam) r, and
     # tracking r directly avoids the catastrophic z - z* cancellation that
     # stalls parameter iterates once r reaches machine epsilon of z*
-    zero = np.zeros(v)
-    residual = forward(model, 0) - z_star
-    rows = []
-    for k in range(config.steps + 1):
-        rows.append(
-            ConvergeRow(
-                step=k,
-                loss=spec.kernel(residual, None, zero, None).value,
-                bound=float(prefactor * rho ** (2 * k) * anchor),
-                residual_inf=float(np.abs(residual).max()),
-            )
+    residual = np.empty((config.steps + 1, v))
+    residual[0] = forward(model, 0) - z_star
+    for k in range(config.steps):
+        residual[k + 1] = residual[k] - (config.eta * c) * (lam * residual[k])
+    # the loss against a zero target, at every iterate in one row-value call
+    losses = spec.value(residual, np.zeros(v), None)
+    residual_inf = np.abs(residual).max(axis=1)
+    rows = tuple(
+        ConvergeRow(
+            step=k,
+            loss=float(losses[k]),
+            bound=float(prefactor * rho ** (2 * k) * anchor),
+            residual_inf=float(residual_inf[k]),
         )
-        residual = residual - (config.eta * c) * (lam * residual)
-    return ConvergeResult(tuple(rows), rho, objective, family)
+        for k in range(config.steps + 1)
+    )
+    return ConvergeResult(rows, rho, objective, family)
 
 
 UNDERFLOW_FLOOR = 1e-300

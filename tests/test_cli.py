@@ -3,10 +3,12 @@ import re
 import numpy as np
 import pytest
 
+from lco_lab import dist
 from lco_lab.cli import main
 from lco_lab.config import ConfigError, parse_config
 from lco_lab.csvio import DYNAMICS_HEADER, format_float
 from lco_lab.objectives import LossEval, ObjectiveKind, sft_eval
+from lco_lab.policy import forward, tabular_policy
 from lco_lab.svgplot import render_chart
 from lco_lab.verify import suite_gradients
 
@@ -348,3 +350,15 @@ def test_gradient_suite_catches_sign_flip():
 
     clean = suite_gradients(cases_per_objective=8)
     assert clean.failures == 0
+
+
+def test_recovery_stop_distance_equals_the_public_one():
+    # suite_recovery stops on dist kernels over the trainer's theta row; they
+    # must give the public total_variation(softmax(forward(...))) bit for bit
+    rng = np.random.default_rng(4)
+    for _ in range(300):
+        v = int(rng.integers(2, 7))
+        model = tabular_policy(1, v, init_logits=rng.uniform(-3.0, 3.0, v))
+        pi_star = dist.softmax(rng.uniform(-1.0, 1.0, v))
+        public = dist.total_variation(dist.softmax(forward(model, 0)), pi_star)
+        assert dist._total_variation(dist._softmax(model.theta[:v]), pi_star) == public

@@ -138,3 +138,21 @@ def test_the_window_clears_when_the_snapshot_refreshes():
     assert logits[0] is logits[1] is logits[2] and logits[3] is logits[4] is logits[5]
     assert logits[2] is not logits[3] and logits[5] is not logits[6]
     assert not np.array_equal(logits[2], logits[3])
+
+
+def test_a_run_builds_its_snapshot_model_once():
+    env = ToyEnvironment(3, 1, TableReward(np.array([[1.0, -1.0, 0.5]])))
+    config = TrainerConfig(objective=ObjectiveKind.LCO_KLD, learning_rate=0.3, steps=1, snapshot_interval=2)
+    state, rng = init_trainer(tabular_policy(env.n_states, env.vocab_size)), np.random.default_rng(0)
+    snapshot = state.snapshot
+    assert snapshot.theta is state.snapshot_theta
+    for _ in range(5):
+        theta = state.model.theta.copy()
+        refresh = state.step % config.snapshot_interval == 0
+        state, _ = train_step(state, env, config, rng)
+        # refreshed in place, so the one model still reads the live snapshot
+        assert state.snapshot is snapshot
+        if refresh:
+            assert np.array_equal(snapshot.theta, theta)
+    with pytest.raises(InvalidInputError, match="snapshot"):
+        TrainerState(state.model, state.snapshot_theta.copy(), snapshot=snapshot)
