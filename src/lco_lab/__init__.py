@@ -54,10 +54,8 @@ from .convexity import (
 )
 from .policy import (
     Family,
-    JacobianInfo,
     PolicyModel,
     forward,
-    jacobian,
     linear_policy,
     linearization_residual,
     mlp1_policy,

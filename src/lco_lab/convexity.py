@@ -7,7 +7,9 @@ non-convexity of the clipped surrogate with explicit witness directions,
 and evaluates the loss-anchored gradient-norm bounds of the LCO objectives.
 The analytic Hessians, curvature constants and bounds are entries of
 ``objectives.OBJECTIVES``, which documents their forms; this module looks
-them up.
+them up.  Both Hessians take the table's point (z, target, step), the
+input form of every objective's kernel and row value, and check it once
+with ``Objective.point``.
 """
 
 from __future__ import annotations
@@ -19,9 +21,11 @@ import numpy as np
 from .dist import _softmax, as_logits, as_probs, check_action
 from .errors import InvalidInputError, KinkError, WitnessSearchError
 from .linalg import require_symmetric
-from .objectives import OBJECTIVES, ObjectiveKind, TimestepContext, _ppo_gate, _ratio, ppo_hessian_matrix
+from .objectives import OBJECTIVES, Objective, ObjectiveKind, _ppo_gate, _ratio, ppo_hessian_matrix
 
 WITNESS_TOL = 1e-8
+WITNESS_SEED = 0  # the random search of ``ppo_witness`` is seeded, so a certificate is reproducible
+BOUND_SLACK = 1e-9  # absolute roundoff allowance of ``bound_check``
 
 
 @dataclass(frozen=True)
@@ -56,86 +60,48 @@ def _report(matrix: np.ndarray) -> HessianReport:
     return HessianReport(matrix, float(eigenvalues[0]), float(eigenvalues[-1]), witness)
 
 
-def hessian_analytic(
-    kind: ObjectiveKind,
-    *,
-    pi=None,
-    residual=None,
-    vocab_size: int | None = None,
-    pi_old_a: float | None = None,
-    advantage: float | None = None,
-    action: int | None = None,
-    clip_epsilon: float = 0.2,
-) -> HessianReport:
-    """Exact logit-space Hessian at a point.
+def hessian_analytic(kind: ObjectiveKind, z, target=None, step=()) -> HessianReport:
+    """Exact logit-space Hessian at the objective table's point (z, target, step).
 
-    Point inputs by kind: ``pi`` for SFT and LCO_KLD; ``residual`` (z - z*)
-    for LCO_LCH; ``vocab_size`` for LCO_MSE; and ``pi``, ``pi_old_a``,
-    ``advantage``, ``action`` for PPO, which must lie in the active region.
+    The point is checked by ``Objective.point``: SFT reads its target token
+    from ``step``, PPO the whole step tuple and must lie in its active
+    region, and the alignment objectives read their target.
     """
-    hessian = OBJECTIVES[kind].hessian
-    if hessian is None:
-        raise InvalidInputError(f"no analytic Hessian for {kind!r}")
-    return _report(hessian(
-        pi=pi, residual=residual, vocab_size=vocab_size, pi_old_a=pi_old_a,
-        advantage=advantage, action=action, clip_epsilon=clip_epsilon,
-    ))
+    objective = _with_hessian(kind)
+    z, target, step = objective.point(z, target, step)
+    return _report(objective.hessian(z, _softmax(z), target, step))
 
 
-def hessian_numeric(
-    kind: ObjectiveKind,
-    *,
-    z,
-    step: float,
-    target: int | None = None,
-    z_star=None,
-    pi_star=None,
-    ctx: TimestepContext | None = None,
-) -> HessianReport:
+def hessian_numeric(kind: ObjectiveKind, z, target=None, step=(), h: float = 1e-3) -> HessianReport:
     """Second central differences of the scalar loss, symmetrized.
 
-    With h = ``step``, H[i, i] comes from f(z +/- 2h e_i) and f(z), and
-    H[i, j] (i < j) from the four corners f(z +/- h e_i +/- h e_j).  The
-    whole stencil, 1 + 2V + 2V(V - 1) points, is evaluated in one call of
-    the objective's row value (``Objective.value``), so the cost in Python
-    does not grow with V^2.  Inputs by kind: ``target`` for SFT, ``ctx``
-    for PPO, ``z_star`` for the logit-target objectives and ``pi_star`` for
-    LCO_KLD.  For PPO every stencil point must stay strictly inside the
-    active region; a point across the clip boundary raises KinkError because
-    the loss is not twice differentiable there.
+    At the same point as ``hessian_analytic``, H[i, i] comes from
+    f(z +/- 2h e_i) and f(z), and H[i, j] (i < j) from the four corners
+    f(z +/- h e_i +/- h e_j).  The whole stencil, 1 + 2V + 2V(V - 1) points,
+    is evaluated in one call of the objective's row value
+    (``Objective.value``), so the cost in Python does not grow with V^2.
+    For PPO every stencil point must stay strictly inside the active
+    region; a point across the clip boundary raises KinkError because the
+    loss is not twice differentiable there.
     """
-    z = as_logits(z)
-    if not step > 0.0:
-        raise InvalidInputError("step must be positive")
+    objective = _with_hessian(kind)
+    z, target, step = objective.point(z, target, step)
+    if not h > 0.0:
+        raise InvalidInputError("h must be positive")
 
-    objective = OBJECTIVES[kind]
-    if objective.hessian is None:
-        raise InvalidInputError(f"no numeric Hessian for {kind!r}")
     n = z.size
-    aligned, args = None, ()
-    if kind is ObjectiveKind.SFT:
-        args = (check_action(target, n),)
-    elif kind is ObjectiveKind.PPO:
-        a = ctx.sampled_action
-        args = (a, ctx.sampled_advantage, float(ctx.pi_old[a]), ctx.clip_epsilon)
-    else:
-        aligned = as_logits(z_star) if objective.target == "logits" else as_probs(pi_star)
-        if aligned.size != n:
-            raise InvalidInputError("the target and the logits must have equal length")
-
-    h = step
     bump = h * np.eye(n)
     rows, cols = np.triu_indices(n, 1)
     bi, bj = bump[rows], bump[cols]
     points = z + np.concatenate([np.zeros((1, n)), 2 * bump, -2 * bump, bi + bj, bi - bj, bj - bi, -bi - bj])
     if not np.isfinite(points).all():
         raise InvalidInputError("logits must be finite at every stencil point")
-    if kind is ObjectiveKind.PPO:
-        adv, behavioral, eps = args[1:]
-        if not all(_ppo_gate(adv, _ratio(float(p), behavioral), eps) for p in _softmax(points)[:, args[0]]):
+    if kind is ObjectiveKind.PPO:  # the one objective with a clip boundary
+        a, adv, behavioral, eps = step
+        if not all(_ppo_gate(adv, _ratio(float(p), behavioral), eps) for p in _softmax(points)[:, a]):
             raise KinkError("stencil point crossed the clip boundary")
 
-    f = objective.value(points, aligned, args)
+    f = objective.value(points, target, step)
     center, plus, minus, corners = f[0], f[1 : n + 1], f[n + 1 : 2 * n + 1], f[2 * n + 1 :].reshape(4, -1)
     hess = np.empty((n, n))
     hess[np.diag_indices(n)] = (plus - 2 * center + minus) / (4 * h * h)
@@ -143,18 +109,19 @@ def hessian_numeric(
     return _report(0.5 * (hess + hess.T))
 
 
+def _with_hessian(kind: ObjectiveKind) -> Objective:
+    objective = OBJECTIVES[kind]
+    if objective.hessian is None:
+        raise InvalidInputError(f"no Hessian for {kind!r}")
+    return objective
+
+
 def min_eigenvalue(matrix) -> float:
     """Smallest eigenvalue of a symmetric matrix."""
     return float(np.linalg.eigvalsh(require_symmetric(matrix))[0])
 
 
-def ppo_witness(
-    pi,
-    action: int,
-    advantage_sign: int,
-    max_trials: int = 100_000,
-    seed: int = 0,
-) -> np.ndarray:
+def ppo_witness(pi, action: int, advantage_sign: int, max_trials: int = 100_000) -> np.ndarray:
     """Direction v with v^T H v < -1e-8 for the clipped-surrogate Hessian.
 
     Basis candidates are tried first: e_a itself (negative curvature for a
@@ -186,7 +153,7 @@ def ppo_witness(
         if form(v) < -WITNESS_TOL:
             return v
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(WITNESS_SEED)
     remaining = max_trials - len(candidates)
     for _ in range(max(remaining, 0)):
         v = rng.standard_normal(pi.size)
@@ -242,13 +209,12 @@ def bound_check(
     loss_value: float,
     sigma_max: float,
     vocab_size: int,
-    slack: float = 1e-9,
 ) -> BoundCheck:
     bound = gradient_norm_bound(kind, loss_value, sigma_max, vocab_size)
     return BoundCheck(
         actual_gradient_norm=float(actual_gradient_norm),
         bound_value=bound,
-        satisfied=bool(actual_gradient_norm <= bound + slack),
+        satisfied=bool(actual_gradient_norm <= bound + BOUND_SLACK),
         objective=kind,
         sigma_max=float(sigma_max),
     )

@@ -26,6 +26,7 @@ import numpy as np
 from .errors import DivergenceUndefinedError, InvalidInputError
 
 PROB_ATOL = 1e-12
+STD_FLOOR = 1e-8  # a spread at or below this is not divided out by normalize_advantages
 
 
 @dataclass(frozen=True)
@@ -173,10 +174,10 @@ def _total_variation(p: np.ndarray, q: np.ndarray) -> float:
     return float(0.5 * np.abs(p - q).sum())
 
 
-def normalize_advantages(a: Advantages, unit_std: bool = False, std_floor: float = 1e-8) -> Advantages:
+def normalize_advantages(a: Advantages, unit_std: bool = False) -> Advantages:
     """Center advantages to mean zero; optionally scale to unit variance.
 
-    The standard deviation is only divided out when it exceeds ``std_floor``,
+    The standard deviation is only divided out when it exceeds ``STD_FLOOR``,
     so a constant vector comes back as zeros rather than NaN.  The output
     carries no sparsity mask: centering spreads signal over every coordinate.
     """
@@ -184,7 +185,7 @@ def normalize_advantages(a: Advantages, unit_std: bool = False, std_floor: float
     centered = values - values.mean()
     if unit_std:
         std = float(centered.std())
-        if std > std_floor:
+        if std > STD_FLOOR:
             centered = centered / std
     return Advantages(centered)
 

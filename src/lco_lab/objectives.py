@@ -23,7 +23,8 @@ trainer that already holds both evaluates each state once.
 its row-batched value, the closed-form target it aligns to, its analytic
 Hessian, its curvature constant and its gradient-norm bound.  The trainer,
 ``convexity`` and ``verify`` look these facts up there, so a new objective
-is one entry.
+is one entry.  The kernel, the row value and the Hessian all read one point,
+``(z, target, step)``, which ``Objective.point`` checks.
 
 The row value is the loss at every row of an (n, V) stack of logits, as an
 (n,) array, so a finite-difference stencil or a whole convergence
@@ -102,6 +103,12 @@ class TimestepContext:
     def sampled_advantage(self) -> float:
         return float(self.advantages.values[self.sampled_action])
 
+    @property
+    def step(self) -> tuple[int, float, float, float]:
+        """The table's step tuple: (sampled action, its advantage, its behavioral probability, clip epsilon)."""
+        a = self.sampled_action
+        return a, self.sampled_advantage, float(self.pi_old[a]), self.clip_epsilon
+
 
 @dataclass(frozen=True)
 class LossEval:
@@ -142,10 +149,8 @@ def ppo_active(ctx: TimestepContext, z) -> bool:
     True iff (A > 0 and r < 1 + eps) or (A < 0 and r > 1 - eps); a zero
     advantage counts as inactive.
     """
-    z = as_logits(z)
-    a = ctx.sampled_action
-    r = _ratio(float(_softmax(z)[a]), float(ctx.pi_old[a]))
-    return _ppo_gate(ctx.sampled_advantage, r, ctx.clip_epsilon)
+    a, adv, behavioral, eps = ctx.step
+    return _ppo_gate(adv, _ratio(float(_softmax(as_logits(z))[a]), behavioral), eps)
 
 
 def ppo_eval(ctx: TimestepContext, z) -> LossEval:
@@ -154,9 +159,7 @@ def ppo_eval(ctx: TimestepContext, z) -> LossEval:
     The value is -min(r*A, clip(r, 1-eps, 1+eps)*A) on both branches; the
     gradient is zero whenever the clip gate is closed.
     """
-    z = as_logits(z)
-    a = ctx.sampled_action
-    return _ppo_eval(_softmax(z), a, ctx.sampled_advantage, float(ctx.pi_old[a]), ctx.clip_epsilon)
+    return _ppo_eval(_softmax(as_logits(z)), *ctx.step)
 
 
 def _ppo_eval(pi: np.ndarray, a: int, adv: float, behavioral: float, eps: float) -> LossEval:
@@ -173,7 +176,7 @@ def _ppo_eval(pi: np.ndarray, a: int, adv: float, behavioral: float, eps: float)
 def reinforce_eval(ctx: TimestepContext, z) -> LossEval:
     """Advantage-weighted log-likelihood loss -A * log pi(a)."""
     z = as_logits(z)
-    return _reinforce_eval(z, _softmax(z), ctx.sampled_action, ctx.sampled_advantage)
+    return _reinforce_eval(z, _softmax(z), *ctx.step[:2])
 
 
 def _reinforce_eval(z: np.ndarray, pi: np.ndarray, a: int, adv: float) -> LossEval:
@@ -274,8 +277,8 @@ def pairwise_sum(values: Sequence[float]) -> float:
 #   PPO           (A / pi_old(a)) * pi(a) * [diag(pi) - pi pi^T - (e_a - pi)(e_a - pi)^T]
 #                 in the active region, assembled entrywise (note the pi(a) factor)
 #
-# Each takes the keyword point of ``convexity.hessian_analytic`` and reads
-# only the inputs its objective needs.
+# Each takes the kernel's point (z, pi, target, step) and reads only what
+# its objective needs.
 # ---------------------------------------------------------------------------
 
 
@@ -297,40 +300,29 @@ def ppo_hessian_matrix(pi: np.ndarray, action: int, advantage: float, pi_old_a: 
     return scale * (softmax_curvature(pi) - np.outer(d, d))
 
 
-def _softmax_hessian(*, pi, **_) -> np.ndarray:
-    return softmax_curvature(as_probs(pi))
+def _lco_lch_hessian(z: np.ndarray, target: np.ndarray) -> np.ndarray:
+    sech2 = 1.0 / np.cosh(np.minimum(np.abs(z - target), 350.0)) ** 2
+    return np.diag(sech2 / z.size)
 
 
-def _lco_mse_hessian(*, vocab_size, **_) -> np.ndarray:
-    if vocab_size is None or vocab_size < 2:
-        raise InvalidInputError("LCO_MSE needs vocab_size >= 2")
-    return (2.0 / vocab_size) * np.eye(vocab_size)
-
-
-def _lco_lch_hessian(*, residual, **_) -> np.ndarray:
-    residual = np.asarray(residual, dtype=np.float64)
-    if residual.ndim != 1 or not np.all(np.isfinite(residual)):
-        raise InvalidInputError("LCO_LCH needs a finite residual vector")
-    sech2 = 1.0 / np.cosh(np.minimum(np.abs(residual), 350.0)) ** 2
-    return np.diag(sech2 / residual.size)
-
-
-def _ppo_hessian(*, pi, pi_old_a, advantage, action, clip_epsilon, **_) -> np.ndarray:
-    pi = as_probs(pi)
-    if pi_old_a is None or advantage is None or action is None:
-        raise InvalidInputError("PPO needs pi_old_a, advantage and action")
-    action = check_action(action, pi.size)
-    if advantage == 0.0:
-        raise InactiveRegionError("zero advantage has no active region")
-    ratio = float(pi[action]) / float(pi_old_a)
-    if not _ppo_gate(advantage, ratio, clip_epsilon):
-        raise InactiveRegionError(f"ratio {ratio:.6g} with advantage {advantage:+.6g} is clipped")
-    return ppo_hessian_matrix(pi, action, advantage, pi_old_a)
+def _ppo_hessian(pi: np.ndarray, action: int, advantage: float, behavioral: float, eps: float) -> np.ndarray:
+    ratio = _ratio(float(pi[action]), behavioral)
+    if not _ppo_gate(advantage, ratio, eps):
+        raise InactiveRegionError(f"ratio {ratio:.6g} with advantage {advantage:+.6g} is not in the active region")
+    return ppo_hessian_matrix(pi, action, advantage, behavioral)
 
 
 # ---------------------------------------------------------------------------
 # the objective table
 # ---------------------------------------------------------------------------
+
+
+# what each step value after the action (which must index z) satisfies, in order
+_STEP_RULES = (
+    ("the advantage must be finite", np.isfinite),
+    ("the behavioral probability must lie in (0, 1]", lambda x: 0.0 < x <= 1.0),
+    ("clip_epsilon must lie in (0, 1)", lambda x: 0.0 < x < 1.0),
+)
 
 
 @dataclass(frozen=True)
@@ -339,23 +331,56 @@ class Objective:
 
     ``kernel(z, pi, target, step)`` evaluates the objective at logits z with
     pi = softmax(z), its closed-form target (None without one) and ``step`` =
-    (sampled action, its advantage, its behavioral probability, clip epsilon);
-    SFT reads only ``step[0]``, its target token.  ``value(z, target, step)``
-    is the same loss at every row of an (n, V) stack z, as an (n,) array
-    equal row by row to the kernel's ``value``.  It makes no input checks
-    and does not test PPO's clip gate.  Its arithmetic is shared with the
-    kernel, never restated: LCO_KLD applies ``kl_between`` per row and PPO
-    its kernel per row (see the module docstring).
+    (sampled action, its advantage, its behavioral probability, clip epsilon),
+    of which it reads the first ``reads`` values: SFT only its target token.
+    ``value(z, target, step)`` is the same loss at every row of an (n, V)
+    stack z, as an (n,) array equal row by row to the kernel's ``value``.  It
+    makes no input checks and does not test PPO's clip gate.  Its arithmetic
+    is shared with the kernel, never restated: LCO_KLD applies ``kl_between``
+    per row and PPO its kernel per row (see the module docstring).
+    ``hessian(z, pi, target, step)`` is the analytic logit Hessian at the
+    kernel's point; PPO's raises ``InactiveRegionError`` where the clip gate
+    is closed.
     """
 
     kernel: Callable[[np.ndarray, np.ndarray, np.ndarray | None, tuple], LossEval]
     value: Callable[[np.ndarray, np.ndarray | None, tuple], np.ndarray]
+    reads: int = 0  # how many values of ``step`` the objective reads
     # "logits" aligns to z* = z_old + A/beta, "policy" to pi* ~ pi_old e^{A/beta}
     target: str | None = None
     align: Callable[..., LossEval] | None = None  # the public eval against that target
-    hessian: Callable[..., np.ndarray] | None = None
+    hessian: Callable[[np.ndarray, np.ndarray, np.ndarray | None, tuple], np.ndarray] | None = None
     curvature: float | None = None  # the Hessian is (curvature / V) I at the target
     bound: Callable[[float, float, int], float] | None = None  # (loss, sigma_max, V) -> envelope
+
+    def point(self, z, target=None, step=()) -> tuple[np.ndarray, np.ndarray | None, tuple]:
+        """Check a (z, target, step) point and return it as the kernel reads it.
+
+        The target is checked in this objective's form, of z's length (None
+        without a form); ``step`` is a tuple or list of at least ``reads``
+        values, checked by ``_STEP_RULES`` and returned as its first
+        ``reads``.  Every violation raises ``InvalidInputError``.
+        """
+        z = as_logits(z)
+        if self.target is None:
+            target = None
+        else:
+            target = as_logits(target) if self.target == "logits" else as_probs(target)
+            if target.size != z.size:
+                raise InvalidInputError("the target and the logits must have equal length")
+        if not isinstance(step, (tuple, list)) or len(step) < self.reads:
+            raise InvalidInputError(f"step must be a tuple of at least {self.reads} values, got {step!r}")
+        if not self.reads:
+            return z, target, ()
+        try:
+            values = (int(step[0]), *map(float, step[1 : self.reads]))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidInputError(f"step values must be numbers, got {step!r}") from exc
+        check_action(values[0], z.size)
+        for value, (rule, holds) in zip(values[1:], _STEP_RULES):
+            if not holds(value):
+                raise InvalidInputError(f"{rule}, got {value!r}")
+        return z, target, values
 
     def optimal_target(self, z_old: np.ndarray, pi_old: np.ndarray, values: np.ndarray, beta: float):
         """The closed-form target of the advantages ``values``, None without one."""
@@ -374,23 +399,26 @@ OBJECTIVES: dict[ObjectiveKind, Objective] = {
     ObjectiveKind.SFT: Objective(
         kernel=lambda z, pi, target, step: _sft_eval(z, pi, step[0]),
         value=lambda z, target, step: _sft_value(z, step[0]),
-        hessian=_softmax_hessian,
+        reads=1,
+        hessian=lambda z, pi, target, step: softmax_curvature(pi),
     ),
     ObjectiveKind.PPO: Objective(
         kernel=lambda z, pi, target, step: _ppo_eval(pi, *step),
         value=lambda z, target, step: np.array([_ppo_eval(pi, *step).value for pi in _softmax(z)]),
-        hessian=_ppo_hessian,
+        reads=4,
+        hessian=lambda z, pi, target, step: _ppo_hessian(pi, *step),
     ),
     ObjectiveKind.REINFORCE: Objective(
         kernel=lambda z, pi, target, step: _reinforce_eval(z, pi, *step[:2]),
         value=lambda z, target, step: _reinforce_value(z, *step[:2]),
+        reads=2,
     ),
     ObjectiveKind.LCO_MSE: Objective(
         kernel=lambda z, pi, target, step: _lco_mse_eval(z, target),
         value=lambda z, target, step: _lco_mse_value(z - target),
         target="logits",
         align=lco_mse_eval,
-        hessian=_lco_mse_hessian,
+        hessian=lambda z, pi, target, step: (2.0 / z.size) * np.eye(z.size),
         curvature=2.0,
         bound=lambda loss, sigma, v: 2.0 / v * sigma * np.sqrt(v * loss),
     ),
@@ -399,7 +427,7 @@ OBJECTIVES: dict[ObjectiveKind, Objective] = {
         value=lambda z, target, step: _lco_lch_value(z - target),
         target="logits",
         align=lco_lch_eval,
-        hessian=_lco_lch_hessian,
+        hessian=lambda z, pi, target, step: _lco_lch_hessian(z, target),
         curvature=1.0,
         bound=lambda loss, sigma, v: sigma / v * np.sqrt(v * (-np.expm1(-2.0 * loss))),
     ),
@@ -408,7 +436,7 @@ OBJECTIVES: dict[ObjectiveKind, Objective] = {
         value=lambda z, target, step: _lco_kld_rows(z, target),
         target="policy",
         align=lco_kld_eval,
-        hessian=_softmax_hessian,
+        hessian=lambda z, pi, target, step: softmax_curvature(pi),
         bound=lambda loss, sigma, v: sigma * np.sqrt(2.0 * loss),
     ),
 }

@@ -11,6 +11,10 @@ Three families map a flat parameter vector theta to per-state logits:
 
 States are integer indices into the model's state space.  Feature tables
 for LINEAR and MLP1 are drawn once from a seed and stored with the model.
+
+The one derivative here is ``pullback``, J^T g without forming J;
+``sigma_max`` is closed form, and ``linearization_residual`` reads row a of
+J as the pullback of e_a.
 """
 
 from __future__ import annotations
@@ -47,14 +51,6 @@ class PolicyModel:
         if theta.shape != self.theta.shape:
             raise InvalidInputError("parameter shape mismatch")
         return replace(self, theta=theta)
-
-
-@dataclass(frozen=True)
-class JacobianInfo:
-    """Per-state logit Jacobian (V x n_params) and its largest singular value."""
-
-    J: np.ndarray
-    sigma_max: float
 
 
 def tabular_policy(n_states: int, vocab_size: int, init_logits=None) -> PolicyModel:
@@ -199,38 +195,6 @@ def sigma_max(model: PolicyModel, state: int) -> float:
     return float(np.sqrt((h @ h + 1.0) + (phi @ phi + 1.0) * top_b**2))
 
 
-def jacobian(model: PolicyModel, state: int) -> JacobianInfo:
-    """Dense analytic Jacobian d z / d theta at one state, with sigma_max.
-
-    The reference that ``pullback`` and ``sigma_max`` are tested against;
-    training and the verify suites use those two instead.
-    """
-    state = _check_state(model, state)
-    v, p = model.vocab_size, model.n_params
-
-    if model.family is Family.TABULAR:
-        jac = np.zeros((v, p))
-        for a in range(v):
-            jac[a, state * v + a] = 1.0
-    elif model.family is Family.LINEAR:
-        phi = model.features[state]
-        jac = np.kron(np.eye(v), phi)
-    else:
-        w1, b1, w2, _ = _mlp_unpack(model)
-        phi = model.features[state]
-        h = np.tanh(w1 @ phi + b1)
-        gate = 1.0 - h**2  # sech^2 of the pre-activation
-        jac = np.zeros((v, p))
-        for a in range(v):
-            back = w2[a] * gate
-            jac[a, : w1.size] = np.outer(back, phi).ravel()
-            jac[a, w1.size : w1.size + b1.size] = back
-            jac[a, w1.size + b1.size + a * h.size : w1.size + b1.size + (a + 1) * h.size] = h
-            jac[a, w1.size + b1.size + v * h.size + a] = 1.0
-
-    return JacobianInfo(jac, sigma_max(model, state))
-
-
 def linearization_residual(model: PolicyModel, theta, theta_star, state: int) -> float:
     """Relative remainder of the first-order logit expansion between theta
     and theta_star; exactly zero for the TABULAR and LINEAR families."""
@@ -241,6 +205,8 @@ def linearization_residual(model: PolicyModel, theta, theta_star, state: int) ->
     at_theta = model.with_theta(theta)
     z = forward(at_theta, state)
     z_star = forward(model.with_theta(theta_star), state)
-    predicted = z + jacobian(at_theta, state).J @ (theta_star - theta)
+    # row a of the logit Jacobian is J^T e_a, one pullback per logit
+    jac = np.array([pullback(at_theta, state, e) for e in np.eye(model.vocab_size)])
+    predicted = z + jac @ (theta_star - theta)
     gap = float(np.linalg.norm(z_star - z))
     return float(np.linalg.norm(z_star - predicted)) / max(gap, 1e-12)

@@ -40,8 +40,8 @@ window, a dict of
 
 where the nucleus is built the first time the state is sampled and rebuilt
 when the temperature or top_p changes, and A is the advantage vector's
-bytes.  A lookup that misses computes exactly what a step without the
-window computes, in the same order, so errors surface at the same point,
+bytes.  A lookup that misses computes exactly what it computes in an
+empty window, in the same order, so errors surface at the same point,
 and a computation that raises stores nothing (a rollout stores its new
 entries only once the whole episode is drawn).  The window is cleared when
 the snapshot refreshes and holds at most ``WINDOW_CAP`` entries; once full,
@@ -217,19 +217,16 @@ def _store(window: dict, key, value) -> None:
 
 
 def rollout_episode(
-    snapshot: PolicyModel,
-    env: ToyEnvironment,
-    config: TrainerConfig,
-    rng: np.random.Generator,
-    window: dict | None = None,
+    snapshot: PolicyModel, env: ToyEnvironment, config: TrainerConfig, rng: np.random.Generator, window: dict
 ) -> Rollout:
     """Generate one episode under the snapshot policy.
 
     The SFT objective is supervised: it walks the verifier target sequence
-    (teacher forcing) instead of sampling.  With ``window``, the snapshot
-    window of ``snapshot`` (see ``TrainerState``), a state evaluated before
-    reuses its logits, softmax and sampler nucleus; without it each state is
-    evaluated afresh.  The returned arrays are read-only.
+    (teacher forcing) instead of sampling.  ``window`` is the snapshot
+    window of ``snapshot`` (see ``TrainerState``): a state evaluated before
+    reuses its logits, softmax and sampler nucleus, and a new one is stored
+    there.  A caller without a window passes ``{}``.  The returned arrays
+    are read-only.
     """
     teacher_forced = config.objective is ObjectiveKind.SFT
     if teacher_forced and not isinstance(env.reward, MatchReward):
@@ -240,8 +237,7 @@ def rollout_episode(
     states, actions, z_old, pi_old, made = [], [], [], [], []
     for t in range(env.horizon):
         state = env.state_index(prefix)
-        cached = window.get(state) if window is not None else None
-        visit = cached
+        cached = visit = window.get(state)
         if visit is None:
             z = _frozen(as_logits(forward(snapshot, state)))
             visit = (z, _frozen(_softmax(z)), None)
@@ -261,9 +257,8 @@ def rollout_episode(
         pi_old.append(p)
         prefix = prefix + (action,)
     # stored only now, so an episode that raises leaves the window as it was
-    if window is not None:
-        for state, visit in made:
-            _store(window, state, visit)
+    for state, visit in made:
+        _store(window, state, visit)
     return Rollout(tuple(states), tuple(actions), tuple(z_old), tuple(pi_old))
 
 
@@ -305,17 +300,16 @@ def _table_row(table: np.ndarray, name: str, t: int, horizon: int) -> np.ndarray
 
 
 def _snapshot_target(
-    objective: Objective, beta: float, rollout: Rollout, values: np.ndarray, t: int, window: dict | None
+    objective: Objective, beta: float, rollout: Rollout, values: np.ndarray, t: int, window: dict
 ) -> np.ndarray | None:
     """The objective's closed-form target at visited state t, None without one."""
     if objective.target is None:
         return None
     key = (rollout.states[t], objective.target, beta, values.tobytes())
-    target = window.get(key) if window is not None else None
+    target = window.get(key)
     if target is None:
         target = _frozen(objective.optimal_target(rollout.z_old[t], rollout.pi_old[t], values, beta))
-        if window is not None:
-            _store(window, key, target)
+        _store(window, key, target)
     return target
 
 
@@ -325,7 +319,7 @@ def _step_eval(
     rollout: Rollout,
     adv: Advantages,
     t: int,
-    window: dict | None = None,
+    window: dict,
 ) -> tuple[LossEval, np.ndarray]:
     """The objective at one visited state, and pi = softmax(z) there at theta."""
     objective = OBJECTIVES[config.objective]
@@ -354,17 +348,17 @@ def episode_eval(
     env: ToyEnvironment,
     config: TrainerConfig,
     rollout: Rollout,
+    window: dict,
     out: np.ndarray | None = None,
-    window: dict | None = None,
 ) -> EpisodeEval:
     """Mean loss and parameter gradient of one fixed episode.
 
-    With ``out`` (an all-zero float64 vector of n_params entries, checked
-    by ``pullback``) the gradient is computed in place in ``out``, which
-    becomes ``grad_theta``; only its ``spans`` are written.  With
-    ``window``, the snapshot window the rollout was drawn under (see
-    ``TrainerState``), closed-form targets are looked up there and stored
-    there; without it they are computed afresh.
+    ``window`` is the snapshot window the rollout was drawn under (see
+    ``TrainerState``): closed-form targets are looked up there and stored
+    there.  A caller without a window passes ``{}``.  With ``out`` (an
+    all-zero float64 vector of n_params entries, checked by ``pullback``)
+    the gradient is computed in place in ``out``, which becomes
+    ``grad_theta``; only its ``spans`` are written.
     """
     if out is None:
         out = np.zeros(model.n_params)
@@ -383,10 +377,6 @@ def episode_eval(
         out[span] /= env.horizon
     loss = pairwise_sum([e.value for e in evals]) / env.horizon
     return EpisodeEval(loss, out, tuple(evals), tuple(advantages), tuple(policies), spans)
-
-
-def episode_loss(model: PolicyModel, env: ToyEnvironment, config: TrainerConfig, rollout: Rollout) -> float:
-    return episode_eval(model, env, config, rollout).loss
 
 
 def _envelope(kind: ObjectiveKind, loss: float, sigma: float, vocab_size: int) -> float:
@@ -422,7 +412,7 @@ def train_step(
     rollout = rollout_episode(state.snapshot, env, config, rng, state.window)
     episode = None
     try:
-        episode = episode_eval(state.model, env, config, rollout, out=state.grad, window=state.window)
+        episode = episode_eval(state.model, env, config, rollout, state.window, out=state.grad)
         grad = episode.grad_theta
         if not all(np.isfinite(grad[span]).all() for span in episode.spans):
             raise NonFiniteGradientError(
@@ -611,25 +601,25 @@ def converge_experiment(
 
 
 UNDERFLOW_FLOOR = 1e-300
+LCH_NEIGHBORHOOD = 0.5  # residual sup-norm inside which the log-cosh envelope is asserted
+ENVELOPE_SLACK = 1e-6  # relative roundoff allowance of the envelope
 
 
-def converge_violations(
-    result: ConvergeResult, neighborhood: float = 0.5, slack: float = 1e-6
-) -> int:
-    """Rows whose loss exceeds bound*(1+slack).
+def converge_violations(result: ConvergeResult) -> int:
+    """Rows whose loss exceeds bound * (1 + ENVELOPE_SLACK).
 
     The log-cosh envelope is only asserted once the residual sits inside the
-    small-residual neighborhood where its quadratic behavior applies.  Rows
-    whose loss has sunk below the double-precision underflow floor carry no
-    information (loss and bound are both denormal quantization noise) and
-    are not counted.
+    small-residual neighborhood (``LCH_NEIGHBORHOOD``) where its quadratic
+    behavior applies.  Rows whose loss has sunk below the double-precision
+    underflow floor carry no information (loss and bound are both denormal
+    quantization noise) and are not counted.
     """
     count = 0
     for row in result.rows:
-        if result.objective is ObjectiveKind.LCO_LCH and row.residual_inf > neighborhood:
+        if result.objective is ObjectiveKind.LCO_LCH and row.residual_inf > LCH_NEIGHBORHOOD:
             continue
         if row.loss < UNDERFLOW_FLOOR:
             continue
-        if row.loss > row.bound * (1.0 + slack):
+        if row.loss > row.bound * (1.0 + ENVELOPE_SLACK):
             count += 1
     return count

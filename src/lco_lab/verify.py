@@ -34,6 +34,12 @@ GRAD_STEP = 1e-3
 GRAD_REL_TOL = 1e-6
 GRAD_FLOOR = 1e-8
 
+CONVERGENCE_RUNS = 20  # drawn layouts, each run for 2 families x 2 objectives
+CONVERGENCE_STEPS = 500
+RECOVERY_RUNS = 20
+RECOVERY_MAX_STEPS = 10_000
+SMOOTHING_WINDOW = 50  # trailing steps ``suite_dynamics`` averages gradient norms over
+
 # the checkout's shipped configs, three of which ``suite_dynamics`` runs
 CONFIGS = Path(__file__).resolve().parents[2] / "configs"
 
@@ -305,15 +311,16 @@ def suite_hessian(seed: int = 303) -> SuiteResult:
     for kind in (ObjectiveKind.SFT, ObjectiveKind.LCO_KLD):
         for _ in range(1000):
             v = int(rng.integers(2, 17))
-            pi = dist.softmax(rng.uniform(-3.0, 3.0, v))
-            report = convexity.hessian_analytic(kind, pi=pi)
+            z = rng.uniform(-3.0, 3.0, v)
+            # both curvatures read pi = softmax(z) alone: any token, any target
+            report = convexity.hessian_analytic(kind, z, dist.softmax(z), (0,))
             cases += 1
             if report.min_eigenvalue < -1e-9:
                 failures += 1
 
     for _ in range(200):
         v = int(rng.integers(2, 17))
-        report = convexity.hessian_analytic(ObjectiveKind.LCO_MSE, vocab_size=v)
+        report = convexity.hessian_analytic(ObjectiveKind.LCO_MSE, np.zeros(v), np.zeros(v))
         cases += 1
         if np.abs(report.matrix - (2.0 / v) * np.eye(v)).max() > 1e-12 or (
             abs(report.min_eigenvalue - 2.0 / v) > 1e-12 or abs(report.max_eigenvalue - 2.0 / v) > 1e-12
@@ -323,7 +330,7 @@ def suite_hessian(seed: int = 303) -> SuiteResult:
     for _ in range(200):
         v = int(rng.integers(2, 17))
         residual = rng.uniform(-3.0, 3.0, v)
-        report = convexity.hessian_analytic(ObjectiveKind.LCO_LCH, residual=residual)
+        report = convexity.hessian_analytic(ObjectiveKind.LCO_LCH, residual, np.zeros(v))
         radius = float(np.abs(residual).max())
         floor = 1.0 / (v * np.cosh(radius) ** 2)
         cases += 1
@@ -369,9 +376,9 @@ def _witness_config(rng: np.random.Generator, sign: int):
 
 
 def _numeric_agreement(rng: np.random.Generator) -> tuple[int, int]:
+    """The analytic and the numeric Hessian at one drawn (z, target, step) point per case."""
     cases = 0
     failures = 0
-    step = 1e-3
     for kind in (
         ObjectiveKind.SFT,
         ObjectiveKind.LCO_MSE,
@@ -382,28 +389,16 @@ def _numeric_agreement(rng: np.random.Generator) -> tuple[int, int]:
         for _ in range(100):
             v = int(rng.choice([2, 3, 5]))
             z = rng.uniform(-1.5, 1.5, v)
+            target, step = None, ()
             if kind is ObjectiveKind.SFT:
-                target = int(rng.integers(v))
-                analytic = convexity.hessian_analytic(kind, pi=dist.softmax(z))
-                numeric = convexity.hessian_numeric(kind, z=z, step=step, target=target)
+                step = (int(rng.integers(v)),)
             elif kind is ObjectiveKind.PPO:
-                ctx, z, adv_scalar = _ppo_case(rng, v)
-                pi = dist.softmax(z)
-                analytic = convexity.hessian_analytic(
-                    kind,
-                    pi=pi,
-                    pi_old_a=float(ctx.pi_old[ctx.sampled_action]),
-                    advantage=adv_scalar,
-                    action=ctx.sampled_action,
-                    clip_epsilon=ctx.clip_epsilon,
-                )
-                numeric = convexity.hessian_numeric(kind, z=z, step=step, ctx=ctx)
-            else:  # an alignment objective; each Hessian reads the inputs its form needs
-                z_star = rng.uniform(-1.5, 1.5, v)
-                analytic = convexity.hessian_analytic(kind, pi=dist.softmax(z), residual=z - z_star, vocab_size=v)
-                numeric = convexity.hessian_numeric(
-                    kind, z=z, step=step, z_star=z_star, pi_star=dist.softmax(z_star)
-                )
+                ctx, z, _ = _ppo_case(rng, v)
+                step = ctx.step
+            else:  # an alignment objective: a target in its form
+                target = OBJECTIVES[kind].target_at(rng.uniform(-1.5, 1.5, v))
+            analytic = convexity.hessian_analytic(kind, z, target, step)
+            numeric = convexity.hessian_numeric(kind, z, target, step)
             cases += 1
             if np.abs(analytic.matrix - numeric.matrix).max() > 1e-5:
                 failures += 1
@@ -437,16 +432,9 @@ def suite_targets(seed: int = 404) -> SuiteResult:
         advantages = rng.uniform(-2.0, 2.0, v)
         beta = float(rng.uniform(0.3, 3.0))
         pi_star = targets.optimal_policy(pi_old, advantages, beta)
-
-        def objective_at(p: np.ndarray) -> np.ndarray:
-            terms = np.where(p > 0.0, p * (np.log(np.maximum(p, 5e-324)) - np.log(pi_old)), 0.0)
-            return p @ advantages - beta * terms.sum(axis=-1)
-
-        best = float(objective_at(pi_star[None, :])[0])
-        perturbed = _perturbations(rng, pi_star, 10_000)
-        scores = objective_at(perturbed)
+        gaps = _objective_gaps(_perturbations(rng, pi_star, 10_000), pi_star, pi_old, advantages, beta)
         cases += 1
-        if not np.all(scores < best):
+        if not np.all(gaps < 0.0):
             failures += 1
 
     for _ in range(200):
@@ -468,6 +456,24 @@ def suite_targets(seed: int = 404) -> SuiteResult:
             failures += 1
 
     return SuiteResult("targets", cases, failures)
+
+
+def _objective_gaps(
+    p: np.ndarray, q: np.ndarray, pi_old: np.ndarray, advantages: np.ndarray, beta: float
+) -> np.ndarray:
+    """J(p) - J(q) for each row p, where J(p) = p.A - beta KL(p || pi_old).
+
+    Taken as delta.(g - q.g) - beta KL(p || q), with delta = p - q and
+    g = A - beta log(q / pi_old), which holds for any q, and so keeps the
+    O(TV^2) gap near the optimum that a difference of two O(1) values
+    loses to roundoff.  KL(p || q) = sum(p log1p(delta / q) - delta), with
+    p log(p / q) = 0 where p = 0.
+    """
+    g = advantages - beta * np.log(q / pi_old)
+    delta = p - q
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kl = np.where(p > 0.0, p * np.log1p(delta / q), 0.0) - delta
+    return delta @ (g - q @ g) - beta * kl.sum(axis=1)
 
 
 def _perturbations(rng: np.random.Generator, pi_star: np.ndarray, count: int) -> np.ndarray:
@@ -597,11 +603,11 @@ def suite_directionality(seed: int = 606) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def suite_convergence(seed: int = 707, seeds: int = 20, steps: int = 500) -> SuiteResult:
+def suite_convergence(seed: int = 707) -> SuiteResult:
     rng = np.random.default_rng(seed)
     failures = 0
     cases = 0
-    for _ in range(seeds):
+    for _ in range(CONVERGENCE_RUNS):
         v = int(rng.choice([2, 3, 4, 8]))
         advantages = rng.uniform(-1.0, 1.0, v) * 2.0
         beta = float(rng.uniform(0.5, 2.0))
@@ -622,7 +628,7 @@ def suite_convergence(seed: int = 707, seeds: int = 20, steps: int = 500) -> Sui
                     vocab_size=v,
                     advantages=advantages,
                     eta=u / (c * lam),
-                    steps=steps,
+                    steps=CONVERGENCE_STEPS,
                     beta=beta,
                     feature_dim=feature_dim,
                     seed=model_seed,
@@ -639,11 +645,11 @@ def suite_convergence(seed: int = 707, seeds: int = 20, steps: int = 500) -> Sui
     return SuiteResult("convergence", cases, failures)
 
 
-def suite_recovery(seed: int = 808, seeds: int = 20, max_steps: int = 10_000) -> SuiteResult:
+def suite_recovery(seed: int = 808) -> SuiteResult:
     rng = np.random.default_rng(seed)
     failures = 0
     cases = 0
-    for _ in range(seeds):
+    for _ in range(RECOVERY_RUNS):
         v = int(rng.integers(2, 7))
         z_old = rng.uniform(-1.0, 1.0, v)
         advantages = rng.uniform(-1.0, 1.0, v)
@@ -653,18 +659,18 @@ def suite_recovery(seed: int = 808, seeds: int = 20, max_steps: int = 10_000) ->
         config = TrainerConfig(
             objective=ObjectiveKind.LCO_KLD,
             learning_rate=0.5,
-            steps=max_steps,
+            steps=RECOVERY_MAX_STEPS,
             beta=1.0,
             estimator=EstimatorKind.DENSE_LOGPROB,
             seed=int(rng.integers(100_000)),
-            snapshot_interval=max_steps + 1,
+            snapshot_interval=RECOVERY_MAX_STEPS + 1,
             scorer_table=advantages[None, :],
         )
         model = tabular_policy(env.n_states, v, init_logits=z_old)
         state = init_trainer(model)
         sampler = np.random.default_rng(config.seed)
         reached = False
-        for _ in range(max_steps):
+        for _ in range(RECOVERY_MAX_STEPS):
             state, _ = train_step(state, env, config, sampler)
             # the arithmetic of total_variation(softmax(forward(model, 0)), pi*) on the
             # trainer's own theta row, without re-checking arrays the trainer made
@@ -682,10 +688,11 @@ def suite_recovery(seed: int = 808, seeds: int = 20, max_steps: int = 10_000) ->
 # ---------------------------------------------------------------------------
 
 
-def smoothed(series: list[float], window: int = 50) -> list[float]:
+def smoothed(series: list[float]) -> list[float]:
+    """Trailing mean of each entry over the last ``SMOOTHING_WINDOW`` entries."""
     out = []
     for i in range(len(series)):
-        lo = max(0, i - window + 1)
+        lo = max(0, i - SMOOTHING_WINDOW + 1)
         out.append(float(np.mean(series[lo : i + 1])))
     return out
 

@@ -1,11 +1,19 @@
 """Independent oracles used by the tests: extended-precision evaluation,
-finite differences, and a Cholesky-bisection eigenvalue bracket.
+finite differences, a Cholesky-bisection eigenvalue bracket, and the dense
+policy Jacobian.
 
-These deliberately avoid the library's own code paths.
+These deliberately avoid the library's own code paths.  The dense Jacobian
+reads the model's parameter layout through ``policy._mlp_unpack`` and
+builds J entry by entry, the reference that ``pullback`` and ``sigma_max``
+are checked against.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 from mpmath import mp, mpf, exp, log
+
+from lco_lab.policy import Family, PolicyModel, _check_state, _mlp_unpack, sigma_max
 
 mp.dps = 50
 
@@ -109,3 +117,43 @@ def advantages_mask_error(values, mask):
     if any(float(values[i]) != 0.0 for i in range(len(values)) if i not in indices):
         return "unmasked advantage entries must be 0"
     return None
+
+
+@dataclass(frozen=True)
+class JacobianInfo:
+    """Per-state logit Jacobian (V x n_params) and its largest singular value."""
+
+    J: np.ndarray
+    sigma_max: float
+
+
+def jacobian(model: PolicyModel, state: int) -> JacobianInfo:
+    """Dense analytic Jacobian d z / d theta at one state, with sigma_max.
+
+    The reference that ``pullback`` and ``sigma_max`` are tested against;
+    training and the verify suites use those two instead.
+    """
+    state = _check_state(model, state)
+    v, p = model.vocab_size, model.n_params
+
+    if model.family is Family.TABULAR:
+        jac = np.zeros((v, p))
+        for a in range(v):
+            jac[a, state * v + a] = 1.0
+    elif model.family is Family.LINEAR:
+        phi = model.features[state]
+        jac = np.kron(np.eye(v), phi)
+    else:
+        w1, b1, w2, _ = _mlp_unpack(model)
+        phi = model.features[state]
+        h = np.tanh(w1 @ phi + b1)
+        gate = 1.0 - h**2  # sech^2 of the pre-activation
+        jac = np.zeros((v, p))
+        for a in range(v):
+            back = w2[a] * gate
+            jac[a, : w1.size] = np.outer(back, phi).ravel()
+            jac[a, w1.size : w1.size + b1.size] = back
+            jac[a, w1.size + b1.size + a * h.size : w1.size + b1.size + (a + 1) * h.size] = h
+            jac[a, w1.size + b1.size + v * h.size + a] = 1.0
+
+    return JacobianInfo(jac, sigma_max(model, state))

@@ -18,64 +18,62 @@ from lco_lab.errors import (
     KinkError,
     WitnessSearchError,
 )
-from lco_lab.objectives import ObjectiveKind, TimestepContext
+from lco_lab.objectives import OBJECTIVES, ObjectiveKind, TimestepContext
 from lco_lab.dist import Advantages
 
 from oracles import min_eigenvalue_bisect
 
 
 def test_sft_hessian_at_uniform():
-    report = hessian_analytic(ObjectiveKind.SFT, pi=[0.5, 0.5])
+    report = hessian_analytic(ObjectiveKind.SFT, [0.0, 0.0], step=(0,))
     assert np.allclose(report.matrix, [[0.25, -0.25], [-0.25, 0.25]], atol=1e-15)
     assert report.min_eigenvalue >= -1e-12
     assert report.witness is None
 
 
 def test_mse_hessian_is_scaled_identity():
-    report = hessian_analytic(ObjectiveKind.LCO_MSE, vocab_size=4)
+    report = hessian_analytic(ObjectiveKind.LCO_MSE, np.zeros(4), np.zeros(4))
     assert np.array_equal(report.matrix, 0.5 * np.eye(4))
     assert abs(report.min_eigenvalue - 0.5) < 1e-15
     assert abs(report.max_eigenvalue - 0.5) < 1e-15
 
 
 def test_lch_hessian_at_zero_residual():
-    report = hessian_analytic(ObjectiveKind.LCO_LCH, residual=np.zeros(5))
+    report = hessian_analytic(ObjectiveKind.LCO_LCH, np.zeros(5), np.zeros(5))
     assert np.allclose(report.matrix, np.eye(5) / 5.0, atol=1e-15)
 
 
 def test_lch_hessian_eigenvalue_floor():
     residual = np.array([0.5, -1.5, 0.1])
-    report = hessian_analytic(ObjectiveKind.LCO_LCH, residual=residual)
+    report = hessian_analytic(ObjectiveKind.LCO_LCH, residual, np.zeros(3))
     radius = np.abs(residual).max()
     assert report.min_eigenvalue >= 1.0 / (3.0 * np.cosh(radius) ** 2) - 1e-14
     assert report.max_eigenvalue <= 1.0 / 3.0 + 1e-15
 
 
 def test_ppo_hessian_inactive_point_rejected():
-    pi = softmax(np.array([2.0, 0.0]))
+    z = np.array([2.0, 0.0])  # pi(0) ~ 0.88
     with pytest.raises(InactiveRegionError):
-        hessian_analytic(
-            ObjectiveKind.PPO, pi=pi, pi_old_a=0.5, advantage=1.0, action=0, clip_epsilon=0.2
-        )
+        hessian_analytic(ObjectiveKind.PPO, z, step=(0, 1.0, 0.5, 0.2))
     with pytest.raises(InactiveRegionError):
-        hessian_analytic(ObjectiveKind.PPO, pi=pi, pi_old_a=0.9, advantage=0.0, action=0)
+        hessian_analytic(ObjectiveKind.PPO, z, step=(0, 0.0, 0.9, 0.2))
 
 
 def test_numeric_hessian_matches_analytic():
     rng = np.random.default_rng(3)
     z = rng.uniform(-1, 1, 3)
-    analytic = hessian_analytic(ObjectiveKind.SFT, pi=softmax(z))
-    numeric = hessian_numeric(ObjectiveKind.SFT, z=z, step=1e-3, target=1)
+    analytic = hessian_analytic(ObjectiveKind.SFT, z, step=(1,))
+    numeric = hessian_numeric(ObjectiveKind.SFT, z, step=(1,))
     assert np.abs(analytic.matrix - numeric.matrix).max() < 1e-5
 
     z_star = rng.uniform(-1, 1, 4)
     z = rng.uniform(-1, 1, 4)
-    numeric = hessian_numeric(ObjectiveKind.LCO_MSE, z=z, step=1e-3, z_star=z_star)
+    numeric = hessian_numeric(ObjectiveKind.LCO_MSE, z, z_star)
     assert np.abs(numeric.matrix - 0.5 * np.eye(4)).max() < 1e-5
 
     pi_star = softmax(rng.uniform(-1, 1, 3))
-    numeric = hessian_numeric(ObjectiveKind.LCO_KLD, z=z[:3], step=1e-3, pi_star=pi_star)
-    analytic = hessian_analytic(ObjectiveKind.LCO_KLD, pi=softmax(z[:3]))
+    numeric = hessian_numeric(ObjectiveKind.LCO_KLD, z[:3], pi_star)
+    analytic = hessian_analytic(ObjectiveKind.LCO_KLD, z[:3], pi_star)
     assert np.abs(analytic.matrix - numeric.matrix).max() < 1e-5
 
 
@@ -86,7 +84,64 @@ def test_numeric_hessian_detects_clip_kink():
     # place the ratio just inside the active boundary so a 2*step stencil crosses it
     z = np.array([0.40, 0.0])  # ratio ~1.1974, boundary at gap ln(0.6/0.4) ~ 0.4055
     with pytest.raises(KinkError):
-        hessian_numeric(ObjectiveKind.PPO, z=z, step=5e-3, ctx=ctx)
+        hessian_numeric(ObjectiveKind.PPO, z, step=ctx.step, h=5e-3)
+
+
+Z3 = np.array([0.3, -0.2, 0.1])
+# (kind, target, step) points that break one rule of ``Objective.point`` each, at z = Z3
+MALFORMED_POINTS = [
+    (ObjectiveKind.SFT, None, ()),  # no target token
+    (ObjectiveKind.SFT, None, (3,)),  # token out of range
+    (ObjectiveKind.SFT, None, (None,)),
+    (ObjectiveKind.SFT, None, ("a",)),
+    (ObjectiveKind.SFT, None, 1),  # not a sequence
+    (ObjectiveKind.SFT, None, np.array([1])),
+    (ObjectiveKind.PPO, None, ()),  # no step at all
+    (ObjectiveKind.PPO, None, (0, 1.0, 0.5)),  # short
+    (ObjectiveKind.PPO, None, (-1, 1.0, 0.5, 0.2)),
+    (ObjectiveKind.PPO, None, (0, np.nan, 0.5, 0.2)),
+    (ObjectiveKind.PPO, None, (0, 1.0, 0.0, 0.2)),  # behavioral probability 0
+    (ObjectiveKind.PPO, None, (0, 1.0, 1.5, 0.2)),
+    (ObjectiveKind.PPO, None, (0, 1.0, 0.5, 1.0)),  # clip epsilon outside (0, 1)
+    (ObjectiveKind.PPO, None, (0, 1.0, 0.5, np.inf)),
+    (ObjectiveKind.LCO_MSE, None, ()),  # no target
+    (ObjectiveKind.LCO_MSE, np.zeros(4), ()),  # target of the wrong size
+    (ObjectiveKind.LCO_LCH, [0.0, np.inf, 0.0], ()),
+    (ObjectiveKind.LCO_KLD, [0.5, 0.5], ()),
+    (ObjectiveKind.LCO_KLD, [0.5, 0.6, -0.1], ()),  # not a distribution
+    (ObjectiveKind.REINFORCE, None, (0, 1.0)),  # no Hessian
+]
+
+
+@pytest.mark.parametrize("hessian", [hessian_analytic, hessian_numeric])
+@pytest.mark.parametrize("kind, target, step", MALFORMED_POINTS)
+def test_hessians_reject_a_malformed_point(hessian, kind, target, step):
+    with pytest.raises(InvalidInputError):
+        hessian(kind, Z3, target, step)
+
+
+@pytest.mark.parametrize("hessian", [hessian_analytic, hessian_numeric])
+def test_hessians_reject_malformed_logits(hessian):
+    for z in ([0.0], [0.0, np.nan], np.zeros((2, 2))):
+        with pytest.raises(InvalidInputError):
+            hessian(ObjectiveKind.SFT, z, None, (0,))
+
+
+def test_numeric_hessian_rejects_a_non_positive_h():
+    for h in (0.0, -1e-3, np.nan):
+        with pytest.raises(InvalidInputError):
+            hessian_numeric(ObjectiveKind.LCO_MSE, Z3, Z3, h=h)
+
+
+def test_point_returns_the_values_the_kernel_reads():
+    ppo = OBJECTIVES[ObjectiveKind.PPO]
+    z, target, step = ppo.point([0, 1], [9.0], [np.int64(1), 2, 0.5, 0.25, "unread"])
+    assert z.dtype == np.float64 and target is None
+    assert step == (1, 2.0, 0.5, 0.25) and type(step[0]) is int
+    mse = OBJECTIVES[ObjectiveKind.LCO_MSE]
+    _, target, step = mse.point(Z3, [1, 2, 3], ("unread",))
+    assert np.array_equal(target, [1.0, 2.0, 3.0]) and step == ()
+    assert [objective.reads for objective in OBJECTIVES.values()] == [1, 4, 2, 0, 0, 0]
 
 
 def test_min_eigenvalue_identity_and_zero_row_sums():

@@ -245,7 +245,7 @@ def test_objective_table_has_one_entry_per_kind():
 @pytest.mark.parametrize("kind", [ObjectiveKind.LCO_MSE, ObjectiveKind.LCO_LCH])
 @pytest.mark.parametrize("v", [2, 5, 64])
 def test_curvature_constant_is_the_top_hessian_eigenvalue_at_the_target(kind, v):
-    report = hessian_analytic(kind, residual=np.zeros(v), vocab_size=v)
+    report = hessian_analytic(kind, np.zeros(v), np.zeros(v))
     assert OBJECTIVES[kind].curvature / v == report.max_eigenvalue
 
 

@@ -5,7 +5,6 @@ from lco_lab.errors import InvalidInputError, InvalidStateError
 from lco_lab.policy import (
     Family,
     forward,
-    jacobian,
     linear_policy,
     linearization_residual,
     mlp1_policy,
@@ -14,7 +13,7 @@ from lco_lab.policy import (
     tabular_policy,
 )
 
-from oracles import rel_close
+from oracles import jacobian, rel_close
 
 
 def test_tabular_forward_returns_stored_row():
@@ -123,6 +122,8 @@ def test_unknown_state_rejected():
         forward(model, 5)
     with pytest.raises(InvalidStateError):
         jacobian(model, -1)
+    with pytest.raises(InvalidStateError):
+        linearization_residual(model, model.theta, model.theta, -1)
 
 
 def _random_model(family: Family, v: int, rng: np.random.Generator):
@@ -180,3 +181,20 @@ def test_pullback_into_out_adds_in_place(family, v):
         returned = pullback(model, state, g, out=buf)
         assert returned is buf
         assert buf.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_linearization_residual_equals_the_dense_oracle_expression(family):
+    # J delta from one pullback per logit equals the dense oracle's J @ delta bit for bit
+    rng = np.random.default_rng(31)
+    for v in (2, 5, 17):
+        model = _random_model(family, v, rng)
+        for state in (0, 4):
+            theta = rng.uniform(-1.0, 1.0, model.n_params)
+            theta_star = theta + rng.uniform(-1.0, 1.0, model.n_params) * 10.0 ** rng.uniform(-4.0, 0.0)
+            at_theta = model.with_theta(theta)
+            z = forward(at_theta, state)
+            z_star = forward(model.with_theta(theta_star), state)
+            predicted = z + jacobian(at_theta, state).J @ (theta_star - theta)
+            expected = float(np.linalg.norm(z_star - predicted)) / max(float(np.linalg.norm(z_star - z)), 1e-12)
+            assert linearization_residual(model, theta, theta_star, state) == expected

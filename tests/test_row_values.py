@@ -49,20 +49,15 @@ def test_row_value_equals_the_kernel_value_row_by_row(kind, v):
             assert value == objective.kernel(row, softmax(row), target, step).value
 
 
-def _analytic_and_numeric(rng, kind, v, step=1e-3):
+def _analytic_and_numeric(rng, kind, v):
+    """Both Hessians at one drawn (z, target, step) point."""
     z = rng.uniform(-1.5, 1.5, v)
-    if kind is ObjectiveKind.SFT:
-        return hessian_analytic(kind, pi=softmax(z)), hessian_numeric(kind, z=z, step=step, target=v - 1)
+    target, step = _inputs(rng, kind, v, 1.5)
     if kind is ObjectiveKind.PPO:
-        ctx, z, adv = _ppo_case(rng, v)
-        analytic = hessian_analytic(
-            kind, pi=softmax(z), pi_old_a=float(ctx.pi_old[ctx.sampled_action]), advantage=adv,
-            action=ctx.sampled_action, clip_epsilon=ctx.clip_epsilon,
-        )
-        return analytic, hessian_numeric(kind, z=z, step=step, ctx=ctx)
-    z_star = rng.uniform(-1.5, 1.5, v)
-    analytic = hessian_analytic(kind, pi=softmax(z), residual=z - z_star, vocab_size=v)
-    return analytic, hessian_numeric(kind, z=z, step=step, z_star=z_star, pi_star=softmax(z_star))
+        ctx, z, _ = _ppo_case(rng, v)
+        step = ctx.step
+    point = (kind, z, target, step)
+    return hessian_analytic(*point), hessian_numeric(*point)
 
 
 @pytest.mark.parametrize("kind", HESSIAN_KINDS)

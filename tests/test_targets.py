@@ -1,5 +1,8 @@
+import inspect
+
 import numpy as np
 import pytest
+from mpmath import log, mpf, workdps
 
 from lco_lab.dist import Advantages, normalize_advantages, softmax, total_variation
 from lco_lab.errors import EstimatorDomainError, InvalidInputError
@@ -14,6 +17,7 @@ from lco_lab.targets import (
     optimal_shift,
     optimal_target,
 )
+from lco_lab.verify import _objective_gaps, suite_targets
 
 
 def test_optimal_policy_zero_advantage_is_identity():
@@ -159,3 +163,47 @@ def test_load_logprob_table(tmp_path):
     empty.write_text("# nothing\n")
     with pytest.raises(InvalidInputError):
         load_logprob_table(empty)
+
+
+def _objective_hp(p, pi_old, advantages, beta):
+    """J(p) = p.A - beta KL(p || pi_old) in 50-digit arithmetic, at the exact
+    distribution p / sum(p) that the float64 vector p stands for."""
+    with workdps(50):
+        mass = sum(mpf(float(x)) for x in p)
+        total = mpf(0)
+        for x, q, a in zip(p, pi_old, advantages):
+            x = mpf(float(x)) / mass
+            total += x * mpf(float(a))
+            if x > 0:
+                total -= mpf(float(beta)) * x * log(x / mpf(float(q)))
+        return total
+
+
+def test_objective_gaps_equal_the_extended_precision_difference():
+    # near the optimum J(p) - J(q) is O(TV^2), far below one ulp of J itself
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        v = int(rng.integers(2, 7))
+        pi_old = softmax(rng.uniform(-2.0, 2.0, v))
+        advantages = rng.uniform(-2.0, 2.0, v)
+        beta = float(rng.uniform(0.3, 3.0))
+        q = optimal_policy(pi_old, advantages, beta)
+        for scale in (1e-7, 1e-4, 0.3):
+            noisy = q * np.exp(scale * rng.standard_normal(v))
+            p = noisy / noisy.sum()
+            gap = _objective_gaps(p[None, :], q, pi_old, advantages, beta)[0]
+            with workdps(50):
+                exact = _objective_hp(p, pi_old, advantages, beta) - _objective_hp(q, pi_old, advantages, beta)
+            exact = float(exact)
+            assert gap < 0.0 and abs(gap - exact) <= 1e-6 * abs(exact) + 1e-30
+    # a zero entry of p contributes no p log(p / q) term
+    q = np.array([0.25, 0.75])
+    gap = _objective_gaps(np.array([[0.0, 1.0]]), q, q, np.zeros(2), 1.0)[0]
+    assert gap == pytest.approx(-np.log(1.0 / 0.75), rel=1e-15)
+
+
+def test_target_suite_passes_at_seed_offsets_0_to_9():
+    default = inspect.signature(suite_targets).parameters["seed"].default
+    for offset in range(10):
+        result = suite_targets(seed=default + offset)
+        assert (result.cases, result.failures) == (1300, 0), offset

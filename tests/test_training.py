@@ -4,7 +4,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lco_lab import policy
 from lco_lab.config import ConfigError, build_trainer, parse_config
 from lco_lab.dist import softmax, total_variation
 from lco_lab.envs import MatchReward, TableReward, ToyEnvironment
@@ -19,14 +18,13 @@ from lco_lab.training import (
     converge_experiment,
     converge_violations,
     episode_eval,
-    episode_loss,
     init_trainer,
     rollout_episode,
     run_training,
     train_step,
 )
 
-from oracles import rel_close
+from oracles import jacobian, rel_close
 
 
 def test_environment_state_indexing():
@@ -102,16 +100,16 @@ def test_episode_gradient_matches_finite_differences(family, objective):
     else:
         model = mlp1_policy(env.n_states, env.vocab_size, 3, hidden=6, seed=4)
 
-    rollout = rollout_episode(model, env, config, np.random.default_rng(config.seed))
-    episode = episode_eval(model, env, config, rollout)
+    rollout = rollout_episode(model, env, config, np.random.default_rng(config.seed), {})
+    episode = episode_eval(model, env, config, rollout, {})
 
     step = 1e-5
     numeric = np.zeros(model.n_params)
     for i in range(model.n_params):
         bump = np.zeros(model.n_params)
         bump[i] = step
-        hi = episode_loss(model.with_theta(model.theta + bump), env, config, rollout)
-        lo = episode_loss(model.with_theta(model.theta - bump), env, config, rollout)
+        hi = episode_eval(model.with_theta(model.theta + bump), env, config, rollout, {}).loss
+        lo = episode_eval(model.with_theta(model.theta - bump), env, config, rollout, {}).loss
         numeric[i] = (hi - lo) / (2 * step)
     assert rel_close(episode.grad_theta, numeric, rel=1e-5, floor=1e-7)
 
@@ -120,11 +118,11 @@ def test_episode_eval_sums_into_one_gradient_buffer():
     env = ToyEnvironment(64, 3, MatchReward((1, 0, 2)))
     model = tabular_policy(env.n_states, env.vocab_size)
     config = TrainerConfig(objective=ObjectiveKind.LCO_KLD, learning_rate=0.1, steps=1, seed=5)
-    rollout = rollout_episode(model, env, config, np.random.default_rng(5))
-    episode_eval(model, env, config, rollout)  # warm caches outside the trace
+    rollout = rollout_episode(model, env, config, np.random.default_rng(5), {})
+    episode_eval(model, env, config, rollout, {})  # warm caches outside the trace
     tracemalloc.start()
     try:
-        episode = episode_eval(model, env, config, rollout)
+        episode = episode_eval(model, env, config, rollout, {})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -140,10 +138,10 @@ def test_episode_eval_into_out_writes_only_its_spans():
         linear_policy(env.n_states, env.vocab_size, 3, seed=2),
         mlp1_policy(env.n_states, env.vocab_size, 3, hidden=6, seed=4),
     ):
-        rollout = rollout_episode(model, env, config, np.random.default_rng(5))
-        fresh = episode_eval(model, env, config, rollout)
+        rollout = rollout_episode(model, env, config, np.random.default_rng(5), {})
+        fresh = episode_eval(model, env, config, rollout, {})
         out = np.zeros(model.n_params)
-        episode = episode_eval(model, env, config, rollout, out=out)
+        episode = episode_eval(model, env, config, rollout, {}, out=out)
         assert episode.grad_theta is out and out.tobytes() == fresh.grad_theta.tobytes()
         touched = np.zeros(model.n_params, dtype=bool)
         for span in episode.spans:
@@ -155,7 +153,7 @@ def test_episode_eval_into_out_writes_only_its_spans():
         n = model.n_params
         for bad in (np.zeros(n + 1), np.zeros(n, dtype=np.float32), [0.0] * n):
             with pytest.raises(InvalidInputError, match="out must be"):
-                episode_eval(model, env, config, rollout, out=bad)
+                episode_eval(model, env, config, rollout, {}, out=bad)
 
 
 def test_warm_train_step_allocates_no_parameter_sized_array():
@@ -272,13 +270,13 @@ def test_kld_fixed_point_with_frozen_target():
     at_target = tabular_policy(env.n_states, env.vocab_size, init_logits=z_old + advantages)
     rollout = rollout_episode(
         tabular_policy(env.n_states, env.vocab_size, init_logits=z_old), env, config,
-        np.random.default_rng(0),
+        np.random.default_rng(0), {},
     )
-    grad = episode_eval(at_target, env, config, rollout).grad_theta
+    grad = episode_eval(at_target, env, config, rollout, {}).grad_theta
     assert np.abs(grad).max() < 1e-10
     # away from it the gradient does not
     away = tabular_policy(env.n_states, env.vocab_size, init_logits=z_old)
-    grad = episode_eval(away, env, config, rollout).grad_theta
+    grad = episode_eval(away, env, config, rollout, {}).grad_theta
     assert np.abs(grad).max() > 1e-3
     assert total_variation(softmax(forward(at_target, 0)), pi_star) < 1e-12
 
@@ -308,14 +306,11 @@ def test_non_finite_gradient_aborts():
     "family, vocab_size, objective",
     [(Family.TABULAR, 64, ObjectiveKind.LCO_KLD), (Family.MLP1, 8, ObjectiveKind.PPO)],
 )
-def test_training_never_builds_the_dense_jacobian(monkeypatch, family, vocab_size, objective):
-    def refuse(*args, **kwargs):
-        raise AssertionError("training must pull gradients back without the dense Jacobian")
-
-    dense = policy.jacobian
+def test_training_never_builds_the_dense_jacobian(family, vocab_size, objective):
+    # the dense builder is a test oracle: no library module binds it
     for name, module in list(sys.modules.items()):
-        if name.startswith("lco_lab") and getattr(module, "jacobian", None) is dense:
-            monkeypatch.setattr(module, "jacobian", refuse)
+        if name.startswith("lco_lab"):
+            assert not hasattr(module, "jacobian") and not hasattr(module, "JacobianInfo"), name
 
     env = ToyEnvironment(vocab_size, 3, MatchReward((1, 0, 2)))
     if family is Family.TABULAR:
@@ -430,7 +425,7 @@ def test_sft_requires_match_reward():
     config = TrainerConfig(objective=ObjectiveKind.SFT, learning_rate=0.1, steps=1)
     model = tabular_policy(env.n_states, env.vocab_size)
     with pytest.raises(InvalidInputError):
-        rollout_episode(model, env, config, np.random.default_rng(0))
+        rollout_episode(model, env, config, np.random.default_rng(0), {})
 
 
 # --- convergence experiments -------------------------------------------------
@@ -534,7 +529,7 @@ def test_converge_closed_form_matches_the_dense_jacobian_recursion(feature_dim, 
     model = linear_policy(1, v, feature_dim, seed=seed)
     phi = model.features[0]
     model = model.with_theta((np.outer(z_old, phi) / float(phi @ phi)).ravel())
-    J = policy.jacobian(model, 0).J
+    J = jacobian(model, 0).J
     gram = J @ J.T
     eigenvalues = np.linalg.eigvalsh(gram)
     c = (2.0 if objective is ObjectiveKind.LCO_MSE else 1.0) / v

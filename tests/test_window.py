@@ -69,7 +69,7 @@ def test_changing_the_config_between_steps_matches_a_fresh_state():
         seed = int(rng.integers(2**31))
         fresh = _copy(state)
         cached = rollout_episode(state.snapshot, env, config, np.random.default_rng(seed), state.window)
-        afresh = rollout_episode(fresh.snapshot, env, config, np.random.default_rng(seed))
+        afresh = rollout_episode(fresh.snapshot, env, config, np.random.default_rng(seed), {})
         assert cached.actions == afresh.actions
         for _ in range(5):
             state, record = train_step(state, env, config, np.random.default_rng(seed))
