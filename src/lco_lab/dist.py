@@ -12,7 +12,9 @@ arithmetic; a caller that checked an array where it made it calls the kernel
 directly, and a caller that draws repeatedly from one distribution can keep
 the nucleus and call ``_pick`` alone.  ``_softmax`` and ``_log_softmax``
 reduce over the last axis, so they also take an (n, V) stack of logit rows,
-and each row comes out bit for bit as the 1-D call on it would.
+and each row comes out bit for bit as the 1-D call on it would.  They call
+the reductions ``np.maximum.reduce`` and ``np.add.reduce`` directly, which
+is what ``ndarray.max`` and ``ndarray.sum`` call behind a Python wrapper.
 
 Everything here is a pure function of its inputs; RNG state is caller-owned.
 """
@@ -64,7 +66,7 @@ def as_logits(z) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 1 or z.size < 2:
         raise InvalidInputError(f"logits must be a 1-D vector of length >= 2, got shape {z.shape}")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise InvalidInputError("logits must be finite")
     return z
 
@@ -74,7 +76,7 @@ def as_probs(p) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1 or p.size < 2:
         raise InvalidInputError(f"probabilities must be a 1-D vector of length >= 2, got shape {p.shape}")
-    if not np.all(np.isfinite(p)) or np.any(p < 0.0):
+    if not np.isfinite(p).all() or (p < 0.0).any():
         raise InvalidInputError("probabilities must be finite and nonnegative")
     if abs(float(p.sum()) - 1.0) > PROB_ATOL:
         raise InvalidInputError(f"probabilities sum to {p.sum()!r}, not 1")
@@ -82,6 +84,9 @@ def as_probs(p) -> np.ndarray:
 
 
 def check_action(index: int, vocab_size: int) -> int:
+    """An action index as an int: an integer (not a bool) in [0, vocab_size)."""
+    if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
+        raise InvalidInputError(f"action must be an integer, got {index!r}")
     index = int(index)
     if not 0 <= index < vocab_size:
         raise InvalidInputError(f"action {index} outside vocabulary of size {vocab_size}")
@@ -94,9 +99,9 @@ def softmax(z) -> np.ndarray:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
+    shifted = z - np.maximum.reduce(z, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def log_softmax(z) -> np.ndarray:
@@ -105,8 +110,8 @@ def log_softmax(z) -> np.ndarray:
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
 
 def entropy(p) -> float:

@@ -358,8 +358,9 @@ class Objective:
 
         The target is checked in this objective's form, of z's length (None
         without a form); ``step`` is a tuple or list of at least ``reads``
-        values, checked by ``_STEP_RULES`` and returned as its first
-        ``reads``.  Every violation raises ``InvalidInputError``.
+        values, its action checked by ``check_action`` and the rest by
+        ``_STEP_RULES``, and returned as its first ``reads``.  Every
+        violation raises ``InvalidInputError``.
         """
         z = as_logits(z)
         if self.target is None:
@@ -372,15 +373,15 @@ class Objective:
             raise InvalidInputError(f"step must be a tuple of at least {self.reads} values, got {step!r}")
         if not self.reads:
             return z, target, ()
+        action = check_action(step[0], z.size)
         try:
-            values = (int(step[0]), *map(float, step[1 : self.reads]))
+            values = tuple(map(float, step[1 : self.reads]))
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidInputError(f"step values must be numbers, got {step!r}") from exc
-        check_action(values[0], z.size)
-        for value, (rule, holds) in zip(values[1:], _STEP_RULES):
+        for value, (rule, holds) in zip(values, _STEP_RULES):
             if not holds(value):
                 raise InvalidInputError(f"{rule}, got {value!r}")
-        return z, target, values
+        return z, target, (action, *values)
 
     def optimal_target(self, z_old: np.ndarray, pi_old: np.ndarray, values: np.ndarray, beta: float):
         """The closed-form target of the advantages ``values``, None without one."""

@@ -141,10 +141,8 @@ def pullback(model: PolicyModel, state: int, grad_z, out: np.ndarray | None = No
     grad_z = np.asarray(grad_z, dtype=np.float64)
     if grad_z.shape != (model.vocab_size,):
         raise InvalidInputError(f"grad_z must have shape ({model.vocab_size},), got {grad_z.shape}")
-    if out is not None and not (
-        isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == (model.n_params,)
-    ):
-        raise InvalidInputError(f"out must be a float64 array of shape ({model.n_params},)")
+    if out is not None:
+        _check_out(model, out)
     offset, size = _span(model, state)
     span = slice(offset, offset + size)
     if out is None:
@@ -153,6 +151,12 @@ def pullback(model: PolicyModel, state: int, grad_z, out: np.ndarray | None = No
     else:
         out[span] += _vjp(model, state, grad_z)
     return out
+
+
+def _check_out(model: PolicyModel, out) -> None:
+    """``out`` is a float64 vector of n_params entries, as ``pullback(..., out=)`` adds into."""
+    if not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == (model.n_params,)):
+        raise InvalidInputError(f"out must be a float64 array of shape ({model.n_params},)")
 
 
 def _span(model: PolicyModel, state: int) -> tuple[int, int]:
@@ -183,7 +187,10 @@ def sigma_max(model: PolicyModel, state: int) -> float:
     ||phi||.  MLP1: J J^T = (||h||^2 + 1) I + (||phi||^2 + 1) B B^T with
     B = w2 diag(1 - h^2), so the top eigenvalue is read off sigma_max(B).
     """
-    state = _check_state(model, state)
+    return _sigma_max(model, _check_state(model, state))
+
+
+def _sigma_max(model: PolicyModel, state: int) -> float:
     if model.family is Family.TABULAR:
         return 1.0
     phi = model.features[state]

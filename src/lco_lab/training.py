@@ -3,8 +3,9 @@
 One training step rolls out a single episode under a frozen behavioral
 snapshot, estimates per-timestep advantages, evaluates the configured
 objective at every visited state, pulls the logit gradients back through
-the model with a vector-Jacobian product (``policy.pullback``; the dense
-Jacobian is never formed), and applies one plain gradient-descent update:
+the model with a vector-Jacobian product (the kernel behind
+``policy.pullback``; the dense Jacobian is never formed), and applies one
+plain gradient-descent update:
 
     grad_theta = (1/T) * sum_t J(s_t)^T grad_z L_t
     theta     <- theta - lr * grad_theta
@@ -12,17 +13,22 @@ Jacobian is never formed), and applies one plain gradient-descent update:
 Each visited state is evaluated once per parameter vector: the rollout
 runs one forward pass and one softmax at the snapshot, ``episode_eval``
 one of each at theta, and the logged statistics and the envelope reuse
-those results.  Arrays are checked where they are made (each forward
-output through ``as_logits``, config fields in ``TrainerConfig``), after
-which the step calls the private kernels of ``dist``, ``objectives`` and
-``targets``, which hold the same arithmetic as their public functions.
+those results.  Each check runs once, where its data is made: config
+fields in ``TrainerConfig``, each forward output through ``as_logits``,
+the gradient buffer once per episode, each sampled advantage for
+finiteness as its vector is built (the dense estimators go through
+``estimate_advantages``), and the LCO envelope's loss and sigma_max
+through the scalar checks of ``gradient_norm_bound``.  Everything else
+calls the private kernels of ``dist``, ``objectives``, ``targets`` and
+``policy``, which hold the same arithmetic as their public functions, so
+a step's results are bit for bit those of the public path.
 
 A step works on the spans of theta its episode touches: one logit row
 per visited state for TABULAR, all of theta for LINEAR and MLP1.  The
 trainer state owns theta, the snapshot and one n_params gradient buffer,
-and ``train_step`` works on them in place: ``pullback(..., out=)`` sums
-the episode gradient into the buffer; the division by the horizon, the
-finiteness check, clipping and the update run on the touched spans alone;
+and ``train_step`` works on them in place: the episode gradient is summed
+into the buffer span by span; the division by the horizon, the finiteness
+scan, clipping and the update run on the touched spans alone;
 then those spans of the buffer are zeroed again.  Two passes still read
 all of theta: a snapshot refresh copies it, and the logged
 parameter-gradient norm is taken over the whole zero-padded buffer,
@@ -63,16 +69,17 @@ one reduction over that array.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .convexity import gradient_norm_bound
-from .dist import Advantages, _entropy, _nucleus, _pick, _softmax, as_logits, normalize_advantages
+from .dist import _entropy, _nucleus, _pick, _softmax, as_logits, normalize_advantages
 from .envs import MatchReward, ToyEnvironment
 from .errors import InvalidInputError, NonFiniteGradientError, StepSizeError
 from .objectives import OBJECTIVES, LossEval, Objective, ObjectiveKind, pairwise_sum
-from .policy import Family, PolicyModel, _span, forward, linear_policy, pullback, sigma_max, tabular_policy
+from .policy import Family, PolicyModel, _check_out, _sigma_max, _span, _vjp, forward, linear_policy, tabular_policy
 from .targets import AdvantageEstimator, EstimatorKind, _optimal_logits, estimate_advantages
 
 # Entries a snapshot window holds at most.  A frozen run keeps one window for
@@ -262,14 +269,25 @@ def rollout_episode(
     return Rollout(tuple(states), tuple(actions), tuple(z_old), tuple(pi_old))
 
 
-def _step_advantages(
-    env: ToyEnvironment, config: TrainerConfig, rollout: Rollout, t: int
-) -> Advantages:
+def _step_advantages(env: ToyEnvironment, config: TrainerConfig, rollout: Rollout, t: int) -> np.ndarray:
+    """The advantage values of timestep t.
+
+    SPARSE_SAMPLED puts the sampled action's scalar advantage in an
+    otherwise zero vector; that action is valid, since it came from the
+    sampler or the environment's target.  The dense estimators go through
+    ``estimate_advantages``, and ``normalize`` centers them; centering a
+    sparse vector would smear signal onto unobserved actions, so only dense
+    advantages are normalized.
+    """
     kind = config.estimator
     if kind is EstimatorKind.SPARSE_SAMPLED:
         scalar = env.sampled_advantage(rollout.actions, t)
-        estimator = AdvantageEstimator(kind, advantage=scalar, action=rollout.actions[t])
-    elif kind is EstimatorKind.DENSE_LOGPROB:
+        if not math.isfinite(scalar):
+            raise InvalidInputError("advantage must be finite")
+        values = np.zeros(env.vocab_size)
+        values[rollout.actions[t]] = scalar
+        return values
+    if kind is EstimatorKind.DENSE_LOGPROB:
         if config.scorer_table is None:
             raise InvalidInputError("DENSE_LOGPROB needs a scorer_table")
         estimator = AdvantageEstimator(
@@ -284,11 +302,9 @@ def _step_advantages(
             ref_log_probs=_table_row(config.ref_table, "ref_table", t, env.horizon),
         )
     adv = estimate_advantages(estimator, env.vocab_size)
-    if config.normalize and adv.sparse_mask is None:
-        # centering a sparse vector would smear signal onto unobserved
-        # actions, so only dense advantages are normalized per timestep
+    if config.normalize:
         adv = normalize_advantages(adv)
-    return adv
+    return adv.values
 
 
 def _table_row(table: np.ndarray, name: str, t: int, horizon: int) -> np.ndarray:
@@ -317,7 +333,7 @@ def _step_eval(
     model: PolicyModel,
     config: TrainerConfig,
     rollout: Rollout,
-    adv: Advantages,
+    values: np.ndarray,
     t: int,
     window: dict,
 ) -> tuple[LossEval, np.ndarray]:
@@ -325,11 +341,11 @@ def _step_eval(
     objective = OBJECTIVES[config.objective]
     # the target comes from the snapshot alone, so an overflowing target is
     # reported ahead of non-finite logits at theta
-    target = _snapshot_target(objective, config.beta, rollout, adv.values, t, window)
+    target = _snapshot_target(objective, config.beta, rollout, values, t, window)
     z = as_logits(forward(model, rollout.states[t]))
     pi = _softmax(z)
     a = rollout.actions[t]
-    step = (a, float(adv.values[a]), float(rollout.pi_old[t][a]), config.clip_epsilon)
+    step = (a, float(values[a]), float(rollout.pi_old[t][a]), config.clip_epsilon)
     return objective.kernel(z, pi, target, step), pi
 
 
@@ -338,7 +354,7 @@ class EpisodeEval:
     loss: float
     grad_theta: np.ndarray
     per_step: tuple[LossEval, ...]
-    advantages: tuple[Advantages, ...]
+    advantages: tuple[np.ndarray, ...]  # the advantage values, per timestep
     policies: tuple[np.ndarray, ...]  # softmax of the logits at theta, per timestep
     spans: tuple[slice, ...]  # the disjoint slices of grad_theta the episode wrote
 
@@ -356,19 +372,26 @@ def episode_eval(
     ``window`` is the snapshot window the rollout was drawn under (see
     ``TrainerState``): closed-form targets are looked up there and stored
     there.  A caller without a window passes ``{}``.  With ``out`` (an
-    all-zero float64 vector of n_params entries, checked by ``pullback``)
-    the gradient is computed in place in ``out``, which becomes
-    ``grad_theta``; only its ``spans`` are written.
+    all-zero float64 vector of n_params entries, checked once here as
+    ``pullback`` checks it) the gradient is computed in place in ``out``,
+    which becomes ``grad_theta``; only its ``spans`` are written.  Each
+    timestep adds its vector-Jacobian product into its span of ``out``
+    directly: the state was checked by the forward pass, and the logit
+    gradient has the logits' shape.
     """
     if out is None:
         out = np.zeros(model.n_params)
+    else:
+        _check_out(model, out)
     evals, advantages, policies = [], [], []
     for t in range(env.horizon):
-        adv = _step_advantages(env, config, rollout, t)
-        evaluation, pi = _step_eval(model, config, rollout, adv, t, window)
-        pullback(model, rollout.states[t], evaluation.logit_gradient, out=out)
+        state = rollout.states[t]
+        values = _step_advantages(env, config, rollout, t)
+        evaluation, pi = _step_eval(model, config, rollout, values, t, window)
+        offset, size = _span(model, state)
+        out[offset : offset + size] += _vjp(model, state, evaluation.logit_gradient)
         evals.append(evaluation)
-        advantages.append(adv)
+        advantages.append(values)
         policies.append(pi)
     # a family's spans are either equal or disjoint, so dropping repeats
     # leaves each touched entry in exactly one span
@@ -383,13 +406,14 @@ def _envelope(kind: ObjectiveKind, loss: float, sigma: float, vocab_size: int) -
     """Loss-anchored gradient-norm envelope of one timestep.
 
     LCO objectives use their own bound formulas (so the averaged parameter
-    gradient is provably below the averaged envelope); the baselines are
-    reported against the distribution-form envelope sigma*sqrt(2 max(L, 0))
-    for side-by-side dynamics comparisons.
+    gradient is provably below the averaged envelope), through
+    ``gradient_norm_bound``, whose scalar checks reject a loss that is not
+    finite; the baselines are reported against the distribution-form
+    envelope sigma*sqrt(2 max(L, 0)) for side-by-side dynamics comparisons.
     """
     if OBJECTIVES[kind].bound is not None:
         return gradient_norm_bound(kind, max(loss, 0.0), sigma, vocab_size)
-    return sigma * float(np.sqrt(2.0 * max(loss, 0.0)))
+    return sigma * math.sqrt(2.0 * max(loss, 0.0))
 
 
 def train_step(
@@ -414,12 +438,15 @@ def train_step(
     try:
         episode = episode_eval(state.model, env, config, rollout, state.window, out=state.grad)
         grad = episode.grad_theta
-        if not all(np.isfinite(grad[span]).all() for span in episode.spans):
+        raw_norm = float(np.linalg.norm(grad))
+        # a finite norm has finite entries; a norm that is not finite may
+        # still have overflowed from finite entries, so only then are the
+        # touched spans scanned
+        if not math.isfinite(raw_norm) and not all(np.isfinite(grad[span]).all() for span in episode.spans):
             raise NonFiniteGradientError(
                 f"non-finite gradient at step {state.step} "
                 f"(objective {config.objective.value}, loss {episode.loss!r})"
             )
-        raw_norm = float(np.linalg.norm(grad))
         record = _record(state, env, config, rollout, episode, raw_norm)
         scale = 1.0
         if config.grad_clip_norm is not None and raw_norm > config.grad_clip_norm:
@@ -442,23 +469,32 @@ def _record(
     episode: EpisodeEval,
     raw_norm: float,
 ) -> DynamicsRecord:
-    """The logged statistics of one step, at theta before its update."""
-    # one row per logged statistic, one column per timestep; a row mean is
-    # the same pairwise sum as np.mean over a list of the row's values
-    stats = np.empty((6, env.horizon))
-    for t, (evaluation, pi) in enumerate(zip(episode.per_step, episode.policies)):
+    """The logged statistics of one step, at theta before its update.
+
+    Every input was checked where it was made, so this reads kernels only.
+    A mean is ``np.add.reduce(x) / n``, the sum and division ``ndarray.mean``
+    makes, and the non-sampled entries of a logit gradient are the slices
+    on either side of the sampled action, in ``np.delete``'s order.
+    """
+    columns = []
+    for t, (evaluation, pi, values) in enumerate(zip(episode.per_step, episode.policies, episode.advantages)):
         a = rollout.actions[t]
-        g = evaluation.logit_gradient
-        sigma = sigma_max(state.model, rollout.states[t])
-        stats[:, t] = (
-            abs(float(g[a])),
-            float(np.abs(np.delete(g, a)).mean()),
+        g = np.abs(evaluation.logit_gradient)
+        sigma = _sigma_max(state.model, rollout.states[t])
+        columns.append((
+            g[a],
+            np.add.reduce(np.concatenate((g[:a], g[a + 1 :]))) / (g.size - 1),
             _entropy(pi),
-            float(pi[a]),
-            float(episode.advantages[t].values[a]),
+            pi[a],
+            values[a],
             _envelope(config.objective, evaluation.value, sigma, env.vocab_size),
-        )
-    sampled_mag, nonsampled_mag, entropy, sampled_prob, sampled_adv, bound = map(float, stats.mean(axis=1))
+        ))
+    # one contiguous row per logged statistic, one column per timestep, so a
+    # row mean is the pairwise sum np.mean makes over a list of its values
+    stats = np.array(list(zip(*columns)))
+    sampled_mag, nonsampled_mag, entropy, sampled_prob, sampled_adv, bound = (
+        np.add.reduce(stats, axis=1) / env.horizon
+    ).tolist()
 
     return DynamicsRecord(
         step=state.step,

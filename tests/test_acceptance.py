@@ -5,12 +5,16 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines, or `lco-lab verify` for the same suites from the CLI.
 """
 
+import inspect
 import time
+
+import pytest
 
 from lco_lab.verify import (
     suite_bounds,
     suite_convergence,
     suite_directionality,
+    suite_dist,
     suite_dynamics,
     suite_gradients,
     suite_hessian,
@@ -77,3 +81,25 @@ def test_criterion_8_no_llm_scale_claims():
     # benchmark-scale results are explicitly out of scope at desk scale;
     # nothing here depends on them
     print("criterion 8 llm-scale-results: NOT APPLICABLE (desk-scale artifact by design)")
+
+
+# The gate above runs each suite at its default seed.  These run the seeded
+# suites at the next ten seeds too, so a pass is not an accident of one
+# seed; gradients and targets have theirs in test_row_values and test_targets.
+@pytest.mark.parametrize(
+    "suite, cases",
+    [
+        (suite_dist, 2402),
+        (suite_hessian, 3100),
+        (suite_bounds, 1500),
+        (suite_directionality, 1300),
+        (suite_convergence, 160),
+        (suite_recovery, 20),
+    ],
+    ids=lambda x: x.__name__ if callable(x) else None,
+)
+def test_suite_passes_at_seed_offsets_0_to_9(suite, cases):
+    default = inspect.signature(suite).parameters["seed"].default
+    for offset in range(10):
+        result = suite(seed=default + offset)
+        assert (result.cases, result.failures) == (cases, 0), offset

@@ -3,7 +3,7 @@ import pytest
 
 from lco_lab.dist import Advantages, softmax
 from lco_lab.errors import DegenerateRatioError, InvalidInputError
-from lco_lab.convexity import hessian_analytic
+from lco_lab.convexity import hessian_analytic, hessian_numeric, ppo_witness
 from lco_lab.objectives import (
     LCO_KINDS,
     OBJECTIVES,
@@ -227,6 +227,55 @@ def test_context_validates_cached_distribution():
         )
     with pytest.raises(InvalidInputError):
         make_ctx([0.0, 0.0], 0, 1.0, eps=1.5)
+
+
+# --- action indices ------------------------------------------------------------
+
+
+def _action_entry_points(action):
+    """Every public way an action index reaches ``check_action``, at V = 3."""
+    z = np.array([0.1, 0.5, -0.3])
+    ppo_step = (action, 1.0, float(softmax(z)[1]), 0.2)
+    return {
+        "sft_eval": lambda: sft_eval(z, action),
+        "TimestepContext": lambda: TimestepContext.from_logits(z, action, np.zeros(3)),
+        "ppo_witness": lambda: ppo_witness(softmax(z), action, 1),
+        "hessian_analytic SFT": lambda: hessian_analytic(ObjectiveKind.SFT, z, step=(action,)),
+        "hessian_numeric SFT": lambda: hessian_numeric(ObjectiveKind.SFT, z, step=(action,)),
+        "hessian_analytic PPO": lambda: hessian_analytic(ObjectiveKind.PPO, z, step=ppo_step),
+        "hessian_numeric PPO": lambda: hessian_numeric(ObjectiveKind.PPO, z, step=ppo_step),
+    }
+
+
+@pytest.mark.parametrize("action", [1.7, 1.0, np.float64(1.0), True, np.True_, "1", None, 1 + 0j])
+def test_an_action_that_is_not_an_integer_is_rejected(action):
+    # int() would truncate 1.7 and True to token 1
+    for name, call in _action_entry_points(action).items():
+        with pytest.raises(InvalidInputError, match="action must be an integer"):
+            call()
+            pytest.fail(name)
+
+
+@pytest.mark.parametrize("action", [np.int64(1), np.int32(1), np.uint8(1), np.intp(1)])
+def test_a_numpy_integer_action_reads_as_the_int(action):
+    as_int = {name: call() for name, call in _action_entry_points(1).items()}
+    for name, call in _action_entry_points(action).items():
+        got = call()
+        if name == "sft_eval":
+            assert got.value == as_int[name].value and np.array_equal(got.logit_gradient, as_int[name].logit_gradient)
+        elif name == "TimestepContext":
+            assert got.sampled_action == 1 and type(got.sampled_action) is int
+        elif name == "ppo_witness":
+            assert np.array_equal(got, as_int[name])
+        else:
+            assert np.array_equal(got.matrix, as_int[name].matrix), name
+
+
+@pytest.mark.parametrize("action", [-1, 3, np.int64(3)])
+def test_an_action_outside_the_vocabulary_is_rejected(action):
+    for call in _action_entry_points(action).values():
+        with pytest.raises(InvalidInputError, match="outside vocabulary of size 3"):
+            call()
 
 
 # --- the objective table -----------------------------------------------------

@@ -1,9 +1,11 @@
 import sys
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from lco_lab import policy, targets
 from lco_lab.config import ConfigError, build_trainer, parse_config
 from lco_lab.dist import softmax, total_variation
 from lco_lab.envs import MatchReward, TableReward, ToyEnvironment
@@ -172,6 +174,52 @@ def test_warm_train_step_allocates_no_parameter_sized_array():
         tracemalloc.stop()
     assert state.step == 3
     assert peak < model.n_params * 8
+
+
+def _count_calls(monkeypatch, functions) -> Counter:
+    """Count the calls of each (module, name) function from now on, wherever ``lco_lab`` or numpy binds it."""
+    calls = Counter()
+    for module, name in functions:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        holders = [m for key, m in list(sys.modules.items()) if key.split(".")[0] == "lco_lab"] + [module]
+        for holder in holders:
+            for attr, value in list(vars(holder).items()):
+                if value is original:
+                    monkeypatch.setattr(holder, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", list(ObjectiveKind))
+@pytest.mark.parametrize("family", [Family.TABULAR, Family.LINEAR, Family.MLP1])
+def test_warm_sparse_train_step_calls_no_checked_public_function(monkeypatch, kind, family):
+    # the sparse advantages, the pullback into the buffer and the logged
+    # record read kernels: a step checks each array once, where it is made
+    env = ToyEnvironment(4, 3, MatchReward((1, 0, 2)))
+    if family is Family.TABULAR:
+        model = tabular_policy(env.n_states, env.vocab_size)
+    elif family is Family.LINEAR:
+        model = linear_policy(env.n_states, env.vocab_size, 3, seed=2)
+    else:
+        model = mlp1_policy(env.n_states, env.vocab_size, 3, hidden=4, seed=2)
+    config = TrainerConfig(objective=kind, learning_rate=0.1, steps=3, estimator=EstimatorKind.SPARSE_SAMPLED)
+    state = init_trainer(model)
+    rng = np.random.default_rng(5)
+    state, _ = train_step(state, env, config, rng)  # warm
+    calls = _count_calls(monkeypatch, [(targets, "estimate_advantages"), (policy, "pullback"), (np, "delete")])
+    for _ in range(2):
+        state, _ = train_step(state, env, config, rng)
+    assert state.step == 3
+    assert calls == Counter()
+    # the counters do count: each function once through its module
+    targets.estimate_advantages(targets.AdvantageEstimator(EstimatorKind.SPARSE_SAMPLED, 1.0, 0), 2)
+    policy.pullback(model, 0, np.zeros(env.vocab_size))
+    np.delete(np.zeros(2), 0)
+    assert calls == Counter(estimate_advantages=1, pullback=1, delete=1)
 
 
 def _overflowing_target_setup():
