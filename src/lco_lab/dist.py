@@ -158,8 +158,9 @@ def kl_between(p: np.ndarray, q: np.ndarray, log_q: np.ndarray | None = None) ->
         d = pi - qi
         if qi > 0.0 and abs(d) < 0.5 * qi:
             t = d / qi
+            log1p_t = np.log1p(t)
             # p log1p(t) - q t with the linear parts cancelled analytically
-            total += qi * (np.log1p(t) - t) + d * np.log1p(t)
+            total += qi * (log1p_t - t) + d * log1p_t
         else:
             lq = float(log_q[i]) if log_q is not None else float(np.log(qi))
             total += pi * (np.log(pi) - lq) - d

@@ -198,7 +198,8 @@ def _sigma_max(model: PolicyModel, state: int) -> float:
         return float(np.linalg.norm(phi))
     w1, b1, w2, _ = _mlp_unpack(model)
     h = np.tanh(w1 @ phi + b1)
-    top_b = float(np.linalg.norm(w2 * (1.0 - h**2), 2))
+    # the largest singular value, as norm(B, 2) takes it, without its wrapper
+    top_b = float(np.linalg.svd(w2 * (1.0 - h**2), compute_uv=False)[0])
     return float(np.sqrt((h @ h + 1.0) + (phi @ phi + 1.0) * top_b**2))
 
 

@@ -14,11 +14,12 @@ Each visited state is evaluated once per parameter vector: the rollout
 runs one forward pass and one softmax at the snapshot, ``episode_eval``
 one of each at theta, and the logged statistics and the envelope reuse
 those results.  Each check runs once, where its data is made: config
-fields in ``TrainerConfig``, each forward output through ``as_logits``,
-the gradient buffer once per episode, each sampled advantage for
-finiteness as its vector is built (the dense estimators go through
-``estimate_advantages``), and the LCO envelope's loss and sigma_max
-through the scalar checks of ``gradient_norm_bound``.  Everything else
+fields and the dense estimators' tables in ``TrainerConfig``, which also
+builds each table row's advantage vector there, once per run; each
+forward output through ``as_logits``, the gradient buffer once per
+episode, each sampled advantage for finiteness as its vector is built,
+and the LCO envelope's loss and sigma_max through the scalar checks of
+``gradient_norm_bound``.  Everything else
 calls the private kernels of ``dist``, ``objectives``, ``targets`` and
 ``policy``, which hold the same arithmetic as their public functions, so
 a step's results are bit for bit those of the public path.
@@ -82,6 +83,12 @@ from .objectives import OBJECTIVES, LossEval, Objective, ObjectiveKind, pairwise
 from .policy import Family, PolicyModel, _check_out, _sigma_max, _span, _vjp, forward, linear_policy, tabular_policy
 from .targets import AdvantageEstimator, EstimatorKind, _optimal_logits, estimate_advantages
 
+# the tables each dense estimator reads, in the order their rows are checked
+DENSE_TABLES = {
+    EstimatorKind.DENSE_LOGPROB: ("scorer_table",),
+    EstimatorKind.DENSE_DPO_RATIO: ("scorer_table", "ref_table"),
+}
+
 # Entries a snapshot window holds at most.  A frozen run keeps one window for
 # the whole run, and a large vocabulary and horizon visit more states than it
 # revisits, so the window stops growing here instead of with the run.
@@ -114,6 +121,8 @@ class TrainerConfig:
     top_p: float = 1.0
     scorer_table: np.ndarray | None = None  # (horizon, V) rows for dense estimators
     ref_table: np.ndarray | None = None
+    # derived, not an option: a dense estimator's read-only advantage values per table row
+    _advantage_rows: tuple[np.ndarray, ...] | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.learning_rate < np.inf:
@@ -135,6 +144,31 @@ class TrainerConfig:
                 raise InvalidInputError(
                     f"{name} must be a 2-D (horizon, V) array, got shape {np.shape(table)}"
                 )
+        if self.estimator in DENSE_TABLES:
+            object.__setattr__(self, "_advantage_rows", _dense_advantages(self))
+
+
+def _dense_advantages(config: TrainerConfig) -> tuple[np.ndarray, ...]:
+    """Each table row's advantage vector, centered when ``normalize`` is set.
+
+    Every row is checked and built by ``estimate_advantages``, as a step
+    would build it, so this runs once per run instead of once per step.
+    The vectors are as wide as the scorer table; ``_step_advantages``
+    checks that width and the row count against the environment.
+    """
+    names = DENSE_TABLES[config.estimator]
+    tables = [getattr(config, name) for name in names]
+    if any(table is None for table in tables):
+        needs = "a scorer_table" if len(names) == 1 else "scorer_table and ref_table"
+        raise InvalidInputError(f"{config.estimator.value} needs {needs}")
+    width = np.shape(tables[0])[1]
+    rows = []
+    for logp in zip(*tables):
+        log_probs = dict(zip(("scorer_log_probs", "ref_log_probs"), logp))
+        estimator = AdvantageEstimator(config.estimator, **log_probs)
+        adv = estimate_advantages(estimator, width)
+        rows.append(_frozen((normalize_advantages(adv) if config.normalize else adv).values))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -274,45 +308,30 @@ def _step_advantages(env: ToyEnvironment, config: TrainerConfig, rollout: Rollou
 
     SPARSE_SAMPLED puts the sampled action's scalar advantage in an
     otherwise zero vector; that action is valid, since it came from the
-    sampler or the environment's target.  The dense estimators go through
-    ``estimate_advantages``, and ``normalize`` centers them; centering a
-    sparse vector would smear signal onto unobserved actions, so only dense
-    advantages are normalized.
+    sampler or the environment's target.  A dense estimator reads row t of
+    the vectors ``TrainerConfig`` built, centered there when ``normalize``
+    is set; centering a sparse vector would smear signal onto unobserved
+    actions, so only dense advantages are normalized.
     """
-    kind = config.estimator
-    if kind is EstimatorKind.SPARSE_SAMPLED:
+    if config.estimator is EstimatorKind.SPARSE_SAMPLED:
         scalar = env.sampled_advantage(rollout.actions, t)
         if not math.isfinite(scalar):
             raise InvalidInputError("advantage must be finite")
         values = np.zeros(env.vocab_size)
         values[rollout.actions[t]] = scalar
         return values
-    if kind is EstimatorKind.DENSE_LOGPROB:
-        if config.scorer_table is None:
-            raise InvalidInputError("DENSE_LOGPROB needs a scorer_table")
-        estimator = AdvantageEstimator(
-            kind, scorer_log_probs=_table_row(config.scorer_table, "scorer_table", t, env.horizon)
-        )
-    else:
-        if config.scorer_table is None or config.ref_table is None:
-            raise InvalidInputError("DENSE_DPO_RATIO needs scorer_table and ref_table")
-        estimator = AdvantageEstimator(
-            kind,
-            scorer_log_probs=_table_row(config.scorer_table, "scorer_table", t, env.horizon),
-            ref_log_probs=_table_row(config.ref_table, "ref_table", t, env.horizon),
-        )
-    adv = estimate_advantages(estimator, env.vocab_size)
-    if config.normalize:
-        adv = normalize_advantages(adv)
-    return adv.values
-
-
-def _table_row(table: np.ndarray, name: str, t: int, horizon: int) -> np.ndarray:
-    if len(table) < horizon:
+    rows = config._advantage_rows
+    # there is one row for each timestep that every table has a row for
+    if len(rows) < env.horizon:
+        name = next(n for n in DENSE_TABLES[config.estimator] if len(getattr(config, n)) < env.horizon)
         raise InvalidInputError(
-            f"{name} has {len(table)} rows but the horizon is {horizon}: it needs one row per timestep"
+            f"{name} has {len(getattr(config, name))} rows but the horizon is {env.horizon}: "
+            "it needs one row per timestep"
         )
-    return table[t]
+    values = rows[t]
+    if values.size != env.vocab_size:
+        raise InvalidInputError(f"scorer_log_probs must have shape ({env.vocab_size},), got {values.shape}")
+    return values
 
 
 def _snapshot_target(
@@ -336,17 +355,22 @@ def _step_eval(
     values: np.ndarray,
     t: int,
     window: dict,
-) -> tuple[LossEval, np.ndarray]:
-    """The objective at one visited state, and pi = softmax(z) there at theta."""
+) -> tuple[LossEval, np.ndarray, np.ndarray | None]:
+    """The objective at one visited state, with z there at theta and pi = softmax(z).
+
+    A logit-target loss reads z and its target alone, so its pi is None
+    here and ``_record`` takes it, where the public path takes it; a
+    floating-point event of that softmax then comes after the loss's own.
+    """
     objective = OBJECTIVES[config.objective]
     # the target comes from the snapshot alone, so an overflowing target is
     # reported ahead of non-finite logits at theta
     target = _snapshot_target(objective, config.beta, rollout, values, t, window)
     z = as_logits(forward(model, rollout.states[t]))
-    pi = _softmax(z)
+    pi = None if objective.target == "logits" else _softmax(z)
     a = rollout.actions[t]
     step = (a, float(values[a]), float(rollout.pi_old[t][a]), config.clip_epsilon)
-    return objective.kernel(z, pi, target, step), pi
+    return objective.kernel(z, pi, target, step), z, pi
 
 
 @dataclass(frozen=True)
@@ -355,7 +379,8 @@ class EpisodeEval:
     grad_theta: np.ndarray
     per_step: tuple[LossEval, ...]
     advantages: tuple[np.ndarray, ...]  # the advantage values, per timestep
-    policies: tuple[np.ndarray, ...]  # softmax of the logits at theta, per timestep
+    logits: tuple[np.ndarray, ...]  # the logits at theta, per timestep
+    policies: tuple[np.ndarray | None, ...]  # their softmax, None for a logit-target loss
     spans: tuple[slice, ...]  # the disjoint slices of grad_theta the episode wrote
 
 
@@ -383,15 +408,16 @@ def episode_eval(
         out = np.zeros(model.n_params)
     else:
         _check_out(model, out)
-    evals, advantages, policies = [], [], []
+    evals, advantages, logits, policies = [], [], [], []
     for t in range(env.horizon):
         state = rollout.states[t]
         values = _step_advantages(env, config, rollout, t)
-        evaluation, pi = _step_eval(model, config, rollout, values, t, window)
+        evaluation, z, pi = _step_eval(model, config, rollout, values, t, window)
         offset, size = _span(model, state)
         out[offset : offset + size] += _vjp(model, state, evaluation.logit_gradient)
         evals.append(evaluation)
         advantages.append(values)
+        logits.append(z)
         policies.append(pi)
     # a family's spans are either equal or disjoint, so dropping repeats
     # leaves each touched entry in exactly one span
@@ -399,7 +425,7 @@ def episode_eval(
     for span in spans:
         out[span] /= env.horizon
     loss = pairwise_sum([e.value for e in evals]) / env.horizon
-    return EpisodeEval(loss, out, tuple(evals), tuple(advantages), tuple(policies), spans)
+    return EpisodeEval(loss, out, tuple(evals), tuple(advantages), tuple(logits), tuple(policies), spans)
 
 
 def _envelope(kind: ObjectiveKind, loss: float, sigma: float, vocab_size: int) -> float:
@@ -438,21 +464,30 @@ def train_step(
     try:
         episode = episode_eval(state.model, env, config, rollout, state.window, out=state.grad)
         grad = episode.grad_theta
-        raw_norm = float(np.linalg.norm(grad))
+        # the 2-norm as np.linalg.norm takes it, without its wrapper
+        raw_norm = math.sqrt(grad.dot(grad))
         # a finite norm has finite entries; a norm that is not finite may
         # still have overflowed from finite entries, so only then are the
         # touched spans scanned
-        if not math.isfinite(raw_norm) and not all(np.isfinite(grad[span]).all() for span in episode.spans):
-            raise NonFiniteGradientError(
-                f"non-finite gradient at step {state.step} "
-                f"(objective {config.objective.value}, loss {episode.loss!r})"
-            )
-        record = _record(state, env, config, rollout, episode, raw_norm)
-        scale = 1.0
+        if not math.isfinite(raw_norm):
+            if not all(np.isfinite(grad[span]).all() for span in episode.spans):
+                raise NonFiniteGradientError(
+                    f"non-finite gradient at step {state.step} "
+                    f"(objective {config.objective.value}, loss {episode.loss!r})"
+                )
+            # finite entries whose squares overflow: the norm of g / max|g|,
+            # scaled back, so clipping shortens the step instead of zeroing it
+            peak = float(np.abs(grad).max())
+            scaled = grad / peak
+            raw_norm = peak * math.sqrt(scaled.dot(scaled))
+        # clipped ahead of the record, as the public path clips it
         if config.grad_clip_norm is not None and raw_norm > config.grad_clip_norm:
             scale = config.grad_clip_norm / raw_norm
+            for span in episode.spans:
+                grad[span] *= scale
+        record = _record(state, env, config, rollout, episode, raw_norm)
         for span in episode.spans:
-            state.model.theta[span] -= config.learning_rate * (grad[span] * scale)
+            state.model.theta[span] -= config.learning_rate * grad[span]
     finally:
         for span in episode.spans if episode is not None else (slice(None),):
             state.grad[span] = 0.0
@@ -477,13 +512,18 @@ def _record(
     on either side of the sampled action, in ``np.delete``'s order.
     """
     columns = []
-    for t, (evaluation, pi, values) in enumerate(zip(episode.per_step, episode.policies, episode.advantages)):
+    for t, (evaluation, values, z, pi) in enumerate(
+        zip(episode.per_step, episode.advantages, episode.logits, episode.policies)
+    ):
         a = rollout.actions[t]
         g = np.abs(evaluation.logit_gradient)
         sigma = _sigma_max(state.model, rollout.states[t])
+        nonsampled = np.add.reduce(np.concatenate((g[:a], g[a + 1 :]))) / (g.size - 1)
+        if pi is None:  # a logit-target loss: pi at theta is taken here, as the public path takes it
+            pi = _softmax(z)
         columns.append((
             g[a],
-            np.add.reduce(np.concatenate((g[:a], g[a + 1 :]))) / (g.size - 1),
+            nonsampled,
             _entropy(pi),
             pi[a],
             values[a],

@@ -1,15 +1,20 @@
 """Randomized property suites behind the ``verify`` subcommand.
 
-Each suite draws seeded cases, checks one family of contracts, and reports
-a pass/fail count.  The same suites back the acceptance tests, so the CLI
-and the test harness cannot drift apart.
+Each suite draws seeded cases and checks one family of contracts.  It is
+written as a generator that yields one verdict per case, truthy when that
+case failed; ``_suite`` turns it into the public function that counts the
+verdicts into a ``SuiteResult`` and registers it in ``SUITES`` under the
+name after ``suite_``.  A suite therefore states only what it checks, and
+cases are counted in one place.  The same suites back the acceptance
+tests, so the CLI and the test harness cannot drift apart.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -17,7 +22,7 @@ from . import config as cfg
 from . import convexity, dist, objectives, targets
 from .envs import TableReward, ToyEnvironment
 from .errors import LcoLabError
-from .objectives import OBJECTIVES, LossEval, ObjectiveKind
+from .objectives import OBJECTIVES, ObjectiveKind
 from .policy import Family, forward, linear_policy, mlp1_policy, pullback, sigma_max, tabular_policy
 from .targets import EstimatorKind
 from .training import (
@@ -49,11 +54,32 @@ class SuiteResult:
     name: str
     cases: int
     failures: int
-    detail: str = ""
 
     @property
     def passed(self) -> bool:
         return self.failures == 0
+
+
+# every suite, by name, in definition order
+SUITES: dict[str, Callable[..., SuiteResult]] = {}
+
+
+def _suite(verdicts: Callable[..., Iterator[object]]) -> Callable[..., SuiteResult]:
+    """The public suite behind a generator of per-case verdicts, registered in ``SUITES``.
+
+    Each yielded verdict is one case, and a truthy one is a failure, read
+    as the ``if`` test it replaces would read it.  The suite keeps the
+    generator's name, docstring and signature.
+    """
+    name = verdicts.__name__.removeprefix("suite_")
+
+    @functools.wraps(verdicts)
+    def suite(*args, **kwargs) -> SuiteResult:
+        failed = [bool(verdict) for verdict in verdicts(*args, **kwargs)]
+        return SuiteResult(name, len(failed), sum(failed))
+
+    SUITES[name] = suite
+    return suite
 
 
 def central_gradient(
@@ -94,56 +120,41 @@ def gradient_mismatch(analytic: np.ndarray, numeric: np.ndarray) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def suite_dist(seed: int = 101) -> SuiteResult:
+@_suite
+def suite_dist(seed: int = 101):
     rng = np.random.default_rng(seed)
-    failures = 0
-    cases = 0
 
     for _ in range(200):
         v = int(rng.integers(2, 17))
         z = rng.uniform(-4.0, 4.0, v)
         c = float(rng.uniform(-100.0, 100.0))
-        cases += 1
-        if np.abs(dist.softmax(z + c) - dist.softmax(z)).max() > 1e-12:
-            failures += 1
-        cases += 1
-        if np.abs(np.exp(dist.log_softmax(z)) - dist.softmax(z)).max() > 1e-12:
-            failures += 1
+        yield np.abs(dist.softmax(z + c) - dist.softmax(z)).max() > 1e-12
+        yield np.abs(np.exp(dist.log_softmax(z)) - dist.softmax(z)).max() > 1e-12
 
     for _ in range(1000):
         v = int(rng.integers(2, 17))
         p = dist.softmax(rng.uniform(-3.0, 3.0, v))
         q = dist.softmax(rng.uniform(-3.0, 3.0, v))
         kl = dist.kl_divergence(p, q)
-        cases += 1
-        if kl < 0.0 or (kl < 1e-15 and dist.total_variation(p, q) >= 1e-14):
-            failures += 1
+        yield kl < 0.0 or (kl < 1e-15 and dist.total_variation(p, q) >= 1e-14)
 
     for _ in range(1000):
         v = int(rng.integers(2, 17))
         a = dist.Advantages(rng.uniform(-5.0, 5.0, v))
-        cases += 1
-        if abs(float(dist.normalize_advantages(a).values.mean())) > 1e-12:
-            failures += 1
+        yield abs(float(dist.normalize_advantages(a).values.mean())) > 1e-12
 
     # the batched sampler must replay per-call draws on one generator exactly
     p = dist.softmax(np.array([0.3, -0.2, 0.8, 0.0]))
     per_call = np.random.default_rng(7)
     seq_a = [dist.sample_action(p, 0.7, 0.9, per_call) for _ in range(100)]
     seq_b = dist.sample_actions(p, 0.7, 0.9, np.random.default_rng(7), 100).tolist()
-    cases += 1
-    if seq_a != seq_b:
-        failures += 1
+    yield seq_a != seq_b
 
     uniform = np.full(4, 0.25)
     n = 100_000
     draws = np.bincount(dist.sample_actions(uniform, 1.0, 1.0, np.random.default_rng(13), n), minlength=4)
     sigma = np.sqrt(n * 0.25 * 0.75)
-    cases += 1
-    if np.abs(draws - n * 0.25).max() > 3.0 * sigma:
-        failures += 1
-
-    return SuiteResult("dist", cases, failures)
+    yield np.abs(draws - n * 0.25).max() > 3.0 * sigma
 
 
 # ---------------------------------------------------------------------------
@@ -192,93 +203,67 @@ def _sparse(value: float, action: int, v: int) -> dist.Advantages:
     return dist.Advantages(values, sparse_mask=frozenset({action}))
 
 
-def suite_gradients(
-    seed: int = 202,
-    cases_per_objective: int = 200,
-    overrides: dict[ObjectiveKind, Callable[..., LossEval]] | None = None,
-) -> SuiteResult:
+@_suite
+def suite_gradients(seed: int = 202):
     """Analytic logit gradients against the five-point finite-difference oracle.
 
-    An ``overrides`` entry replaces the public eval of its kind and so
-    supplies the gradient under test; the oracle is always the objective
-    table's row value (PPO's the unclipped surrogate), one call per case.
+    The gradient under test is the public eval of each kind, looked up in
+    ``objectives`` at call time; the oracle is always the objective table's
+    row value (PPO's the unclipped surrogate), one call per case.
     """
     rng = np.random.default_rng(seed)
     sizes = (2, 3, 5, 16)
-    overrides = overrides or {}
-    failures = 0
-    cases = 0
 
-    sft = overrides.get(ObjectiveKind.SFT, objectives.sft_eval)
-    ppo = overrides.get(ObjectiveKind.PPO, objectives.ppo_eval)
-    reinforce = overrides.get(ObjectiveKind.REINFORCE, objectives.reinforce_eval)
-    mse = overrides.get(ObjectiveKind.LCO_MSE, objectives.lco_mse_eval)
-    lch = overrides.get(ObjectiveKind.LCO_LCH, objectives.lco_lch_eval)
-    kld = overrides.get(ObjectiveKind.LCO_KLD, objectives.lco_kld_eval)
-
-    for i in range(cases_per_objective):
+    for i in range(200):
         v = sizes[i % len(sizes)]
 
         z = rng.uniform(-2.0, 2.0, v)
         target = int(rng.integers(v))
-        evaluation = sft(z, target)
-        cases += 1
-        if gradient_mismatch(
+        evaluation = objectives.sft_eval(z, target)
+        yield gradient_mismatch(
             evaluation.logit_gradient, central_gradient(_row_value(ObjectiveKind.SFT, step=(target,)), z)
-        ) or abs(evaluation.logit_gradient.sum()) > 1e-12:
-            failures += 1
+        ) or abs(evaluation.logit_gradient.sum()) > 1e-12
 
         ctx, z, adv_scalar = _ppo_case(rng, v)
-        evaluation = ppo(ctx, z)
+        evaluation = objectives.ppo_eval(ctx, z)
         # the unclipped surrogate -r A: the active-region loss, without the clip logic under test
         a = ctx.sampled_action
         unclipped = lambda q: -(dist._softmax(q)[:, a] / ctx.pi_old[a]) * adv_scalar
-        cases += 1
-        if gradient_mismatch(evaluation.logit_gradient, central_gradient(unclipped, z)) or abs(
+        yield gradient_mismatch(evaluation.logit_gradient, central_gradient(unclipped, z)) or abs(
             evaluation.logit_gradient.sum()
-        ) > 1e-12:
-            failures += 1
+        ) > 1e-12
 
         z = rng.uniform(-2.0, 2.0, v)
         action = int(rng.integers(v))
         ctx = objectives.TimestepContext.from_logits(
             rng.uniform(-2.0, 2.0, v), action, _sparse(float(rng.uniform(-2, 2)), action, v)
         )
-        evaluation = reinforce(ctx, z)
-        cases += 1
+        evaluation = objectives.reinforce_eval(ctx, z)
         oracle = _row_value(ObjectiveKind.REINFORCE, step=(action, ctx.sampled_advantage))
-        if gradient_mismatch(evaluation.logit_gradient, central_gradient(oracle, z)):
-            failures += 1
+        yield gradient_mismatch(evaluation.logit_gradient, central_gradient(oracle, z))
 
         z = rng.uniform(-3.0, 3.0, v)
         z_star = rng.uniform(-3.0, 3.0, v)
-        cases += 1
-        if gradient_mismatch(
-            mse(z, z_star).logit_gradient, central_gradient(_row_value(ObjectiveKind.LCO_MSE, z_star), z)
-        ):
-            failures += 1
-
-        cases += 1
-        if gradient_mismatch(
-            lch(z, z_star).logit_gradient, central_gradient(_row_value(ObjectiveKind.LCO_LCH, z_star), z)
-        ):
-            failures += 1
+        yield gradient_mismatch(
+            objectives.lco_mse_eval(z, z_star).logit_gradient,
+            central_gradient(_row_value(ObjectiveKind.LCO_MSE, z_star), z),
+        )
+        yield gradient_mismatch(
+            objectives.lco_lch_eval(z, z_star).logit_gradient,
+            central_gradient(_row_value(ObjectiveKind.LCO_LCH, z_star), z),
+        )
 
         pi_star = dist.softmax(rng.uniform(-2.0, 2.0, v))
-        evaluation = kld(z, pi_star)
-        cases += 1
-        if gradient_mismatch(
+        evaluation = objectives.lco_kld_eval(z, pi_star)
+        yield gradient_mismatch(
             evaluation.logit_gradient, central_gradient(_row_value(ObjectiveKind.LCO_KLD, pi_star), z)
-        ) or abs(evaluation.logit_gradient.sum()) > 1e-12:
-            failures += 1
+        ) or abs(evaluation.logit_gradient.sum()) > 1e-12
 
     # clipped region returns the exact zero vector
     for _ in range(50):
         ctx, z = _clipped_case(rng)
         evaluation = objectives.ppo_eval(ctx, z)
-        cases += 1
-        if objectives.ppo_active(ctx, z) or np.any(evaluation.logit_gradient != 0.0):
-            failures += 1
+        yield objectives.ppo_active(ctx, z) or np.any(evaluation.logit_gradient != 0.0)
 
     # unit advantage reduces the score-function gradient to the SFT one
     for _ in range(50):
@@ -288,14 +273,10 @@ def suite_gradients(
         ctx = objectives.TimestepContext.from_logits(rng.uniform(-1, 1, v), action, _sparse(1.0, action, v))
         a_eval = objectives.reinforce_eval(ctx, z)
         b_eval = objectives.sft_eval(z, action)
-        cases += 1
-        if (
+        yield (
             abs(a_eval.value - b_eval.value) > 1e-12
             or np.abs(a_eval.logit_gradient - b_eval.logit_gradient).max() > 1e-12
-        ):
-            failures += 1
-
-    return SuiteResult("gradients", cases, failures)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +284,9 @@ def suite_gradients(
 # ---------------------------------------------------------------------------
 
 
-def suite_hessian(seed: int = 303) -> SuiteResult:
+@_suite
+def suite_hessian(seed: int = 303):
     rng = np.random.default_rng(seed)
-    failures = 0
-    cases = 0
 
     for kind in (ObjectiveKind.SFT, ObjectiveKind.LCO_KLD):
         for _ in range(1000):
@@ -314,18 +294,14 @@ def suite_hessian(seed: int = 303) -> SuiteResult:
             z = rng.uniform(-3.0, 3.0, v)
             # both curvatures read pi = softmax(z) alone: any token, any target
             report = convexity.hessian_analytic(kind, z, dist.softmax(z), (0,))
-            cases += 1
-            if report.min_eigenvalue < -1e-9:
-                failures += 1
+            yield report.min_eigenvalue < -1e-9
 
     for _ in range(200):
         v = int(rng.integers(2, 17))
         report = convexity.hessian_analytic(ObjectiveKind.LCO_MSE, np.zeros(v), np.zeros(v))
-        cases += 1
-        if np.abs(report.matrix - (2.0 / v) * np.eye(v)).max() > 1e-12 or (
+        yield np.abs(report.matrix - (2.0 / v) * np.eye(v)).max() > 1e-12 or (
             abs(report.min_eigenvalue - 2.0 / v) > 1e-12 or abs(report.max_eigenvalue - 2.0 / v) > 1e-12
-        ):
-            failures += 1
+        )
 
     for _ in range(200):
         v = int(rng.integers(2, 17))
@@ -333,31 +309,24 @@ def suite_hessian(seed: int = 303) -> SuiteResult:
         report = convexity.hessian_analytic(ObjectiveKind.LCO_LCH, residual, np.zeros(v))
         radius = float(np.abs(residual).max())
         floor = 1.0 / (v * np.cosh(radius) ** 2)
-        cases += 1
-        if (
+        yield (
             report.min_eigenvalue <= 0.0
             or report.max_eigenvalue > 1.0 / v + 1e-15
             or report.min_eigenvalue < floor - 1e-12
-        ):
-            failures += 1
+        )
 
     for sign in (1, -1):
         for _ in range(100):
             pi, action = _witness_config(rng, sign)
-            cases += 1
             try:
                 witness = convexity.ppo_witness(pi, action, sign)
             except LcoLabError:
-                failures += 1
+                yield True
                 continue
             hess = convexity.ppo_hessian_matrix(pi, action, float(sign), float(pi[action]))
-            if float(witness @ hess @ witness) >= -1e-8:
-                failures += 1
+            yield float(witness @ hess @ witness) >= -1e-8
 
-    cases_numeric, fail_numeric = _numeric_agreement(rng)
-    cases += cases_numeric
-    failures += fail_numeric
-    return SuiteResult("hessian", cases, failures)
+    yield from _numeric_agreement(rng)
 
 
 def _witness_config(rng: np.random.Generator, sign: int):
@@ -375,10 +344,8 @@ def _witness_config(rng: np.random.Generator, sign: int):
         return pi, action
 
 
-def _numeric_agreement(rng: np.random.Generator) -> tuple[int, int]:
+def _numeric_agreement(rng: np.random.Generator) -> Iterator[bool]:
     """The analytic and the numeric Hessian at one drawn (z, target, step) point per case."""
-    cases = 0
-    failures = 0
     for kind in (
         ObjectiveKind.SFT,
         ObjectiveKind.LCO_MSE,
@@ -399,10 +366,7 @@ def _numeric_agreement(rng: np.random.Generator) -> tuple[int, int]:
                 target = OBJECTIVES[kind].target_at(rng.uniform(-1.5, 1.5, v))
             analytic = convexity.hessian_analytic(kind, z, target, step)
             numeric = convexity.hessian_numeric(kind, z, target, step)
-            cases += 1
-            if np.abs(analytic.matrix - numeric.matrix).max() > 1e-5:
-                failures += 1
-    return cases, failures
+            yield np.abs(analytic.matrix - numeric.matrix).max() > 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +374,9 @@ def _numeric_agreement(rng: np.random.Generator) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def suite_targets(seed: int = 404) -> SuiteResult:
+@_suite
+def suite_targets(seed: int = 404):
     rng = np.random.default_rng(seed)
-    failures = 0
-    cases = 0
 
     for _ in range(500):
         v = int(rng.integers(2, 9))
@@ -422,9 +385,7 @@ def suite_targets(seed: int = 404) -> SuiteResult:
         beta = float(rng.uniform(0.3, 3.0))
         z_star = targets.optimal_logits(z_old, advantages, beta)
         pi_star = targets.optimal_policy(dist.softmax(z_old), advantages, beta)
-        cases += 1
-        if np.abs(dist.softmax(z_star) - pi_star).max() > 1e-10:
-            failures += 1
+        yield np.abs(dist.softmax(z_star) - pi_star).max() > 1e-10
 
     for _ in range(200):
         v = int(rng.integers(2, 7))
@@ -433,29 +394,19 @@ def suite_targets(seed: int = 404) -> SuiteResult:
         beta = float(rng.uniform(0.3, 3.0))
         pi_star = targets.optimal_policy(pi_old, advantages, beta)
         gaps = _objective_gaps(_perturbations(rng, pi_star, 10_000), pi_star, pi_old, advantages, beta)
-        cases += 1
-        if not np.all(gaps < 0.0):
-            failures += 1
+        yield not np.all(gaps < 0.0)
 
     for _ in range(200):
         v = int(rng.integers(2, 10))
         advantages = rng.uniform(-3.0, 3.0, v)
         shift = targets.optimal_shift(advantages)
-        cases += 1
-        if abs(shift - _vertex_shift(advantages)) > 1e-6:
-            failures += 1
+        yield abs(shift - _vertex_shift(advantages)) > 1e-6
         centered = dist.normalize_advantages(dist.Advantages(advantages))
-        cases += 1
-        if abs(targets.optimal_shift(centered)) > 1e-12:
-            failures += 1
+        yield abs(targets.optimal_shift(centered)) > 1e-12
         # the optimal shift beats 100 random competitors
         best_norm = float(((advantages + shift) ** 2).sum())
         competitors = rng.uniform(-5.0, 5.0, 100)
-        cases += 1
-        if np.any(((advantages[None, :] + competitors[:, None]) ** 2).sum(axis=1) < best_norm - 1e-12):
-            failures += 1
-
-    return SuiteResult("targets", cases, failures)
+        yield np.any(((advantages[None, :] + competitors[:, None]) ** 2).sum(axis=1) < best_norm - 1e-12)
 
 
 def _objective_gaps(
@@ -515,10 +466,9 @@ def _random_model(rng: np.random.Generator, v: int):
     return model
 
 
-def suite_bounds(seed: int = 505) -> SuiteResult:
+@_suite
+def suite_bounds(seed: int = 505):
     rng = np.random.default_rng(seed)
-    failures = 0
-    cases = 0
     for kind in objectives.LCO_KINDS:
         objective = OBJECTIVES[kind]
         for _ in range(500):
@@ -531,24 +481,18 @@ def suite_bounds(seed: int = 505) -> SuiteResult:
             check = convexity.bound_check(
                 kind, float(np.linalg.norm(grad_theta)), max(evaluation.value, 0.0), sigma_max(model, 0), v
             )
-            cases += 1
-            if not check.satisfied:
-                failures += 1
-    return SuiteResult("bounds", cases, failures)
+            yield not check.satisfied
 
 
-def suite_directionality(seed: int = 606) -> SuiteResult:
+@_suite
+def suite_directionality(seed: int = 606):
     rng = np.random.default_rng(seed)
-    failures = 0
-    cases = 0
 
     for _ in range(500):
         v = int(rng.integers(2, 9))
         z = rng.uniform(-3.0, 3.0, v)
         z_star = rng.uniform(-3.0, 3.0, v)
-        cases += 1
-        if convexity.directionality(ObjectiveKind.LCO_KLD, z, z_star) < -1e-12:
-            failures += 1
+        yield convexity.directionality(ObjectiveKind.LCO_KLD, z, z_star) < -1e-12
 
     for _ in range(200):
         v = int(rng.integers(2, 9))
@@ -556,13 +500,9 @@ def suite_directionality(seed: int = 606) -> SuiteResult:
         z_star = rng.uniform(-3.0, 3.0, v)
         value = convexity.directionality(ObjectiveKind.LCO_MSE, z, z_star)
         identity = 2.0 / v * float(((z - z_star) ** 2).sum())
-        cases += 1
-        if value < -1e-12 or abs(value - identity) > 1e-10 * max(identity, 1.0):
-            failures += 1
+        yield value < -1e-12 or abs(value - identity) > 1e-10 * max(identity, 1.0)
         value = convexity.directionality(ObjectiveKind.LCO_LCH, z, z_star)
-        cases += 1
-        if value < -1e-12:
-            failures += 1
+        yield value < -1e-12
 
     # any constant shift of the representative target logits is invisible
     for _ in range(200):
@@ -573,9 +513,7 @@ def suite_directionality(seed: int = 606) -> SuiteResult:
         pi_star = dist.softmax(z_star)
         base = convexity.directionality(ObjectiveKind.LCO_KLD, z, z_star, pi_star=pi_star)
         shifted = convexity.directionality(ObjectiveKind.LCO_KLD, z, z_star + c, pi_star=pi_star)
-        cases += 1
-        if abs(base - shifted) > 1e-9:
-            failures += 1
+        yield abs(base - shifted) > 1e-9
 
     # on an exactly linear model the parameter-space inner product inherits
     # the sign with zero linearization residual
@@ -591,11 +529,7 @@ def suite_directionality(seed: int = 606) -> SuiteResult:
         objective = OBJECTIVES[objectives.LCO_KINDS[int(rng.integers(3))]]
         grad_z = objective.align(z, objective.target_at(z_star)).logit_gradient
         grad_theta = pullback(model, 0, grad_z)
-        cases += 1
-        if float(grad_theta @ (model.theta - w_star.ravel())) < -1e-10:
-            failures += 1
-
-    return SuiteResult("directionality", cases, failures)
+        yield float(grad_theta @ (model.theta - w_star.ravel())) < -1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -603,10 +537,9 @@ def suite_directionality(seed: int = 606) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def suite_convergence(seed: int = 707) -> SuiteResult:
+@_suite
+def suite_convergence(seed: int = 707):
     rng = np.random.default_rng(seed)
-    failures = 0
-    cases = 0
     for _ in range(CONVERGENCE_RUNS):
         v = int(rng.choice([2, 3, 4, 8]))
         advantages = rng.uniform(-1.0, 1.0, v) * 2.0
@@ -635,20 +568,14 @@ def suite_convergence(seed: int = 707) -> SuiteResult:
                     z_old=z_old,
                 )
                 result = converge_experiment(family, objective, config)
-                cases += 1
-                if converge_violations(result) > 0:
-                    failures += 1
-                cases += 1
+                yield converge_violations(result) > 0
                 losses = [row.loss for row in result.rows]
-                if any(b > a * (1.0 + 1e-12) + 5e-324 for a, b in zip(losses, losses[1:])):
-                    failures += 1
-    return SuiteResult("convergence", cases, failures)
+                yield any(b > a * (1.0 + 1e-12) + 5e-324 for a, b in zip(losses, losses[1:]))
 
 
-def suite_recovery(seed: int = 808) -> SuiteResult:
+@_suite
+def suite_recovery(seed: int = 808):
     rng = np.random.default_rng(seed)
-    failures = 0
-    cases = 0
     for _ in range(RECOVERY_RUNS):
         v = int(rng.integers(2, 7))
         z_old = rng.uniform(-1.0, 1.0, v)
@@ -677,10 +604,7 @@ def suite_recovery(seed: int = 808) -> SuiteResult:
             if dist._total_variation(dist._softmax(state.model.theta[:v]), pi_star) < 1e-6:
                 reached = True
                 break
-        cases += 1
-        if not reached:
-            failures += 1
-    return SuiteResult("recovery", cases, failures)
+        yield not reached
 
 
 # ---------------------------------------------------------------------------
@@ -704,18 +628,14 @@ def _shipped_run(name: str):
     return run_training(cfg.build_model(raw, env), env, cfg.build_trainer(raw))[1]
 
 
-def suite_dynamics() -> SuiteResult:
-    failures = 0
-    cases = 0
-
+@_suite
+def suite_dynamics():
     # supervised decay: smoothed gradient norm non-increasing late in training
     records = _shipped_run("sft_decay.cfg")
     grads = [r.grad_norm_param for r in records]
     smooth = smoothed(grads)
     start = max(50, int(0.2 * len(smooth)) + 1)
-    cases += 1
-    if any(smooth[i] > smooth[i - 1] + 1e-12 for i in range(start, len(smooth))):
-        failures += 1
+    yield any(smooth[i] > smooth[i - 1] + 1e-12 for i in range(start, len(smooth)))
 
     # clipped surrogate: the gradient swells well past its early level, then
     # the gate closes and updates stop dead
@@ -723,39 +643,16 @@ def suite_dynamics() -> SuiteResult:
     grads = [r.grad_norm_param for r in records]
     initial = float(np.mean(grads[:50]))
     spike_steps = [i for i, g in enumerate(grads) if g > 2.0 * initial]
-    cases += 1
-    if not spike_steps or not any(g <= 1e-15 for g in grads[spike_steps[0] + 1 :]):
-        failures += 1
+    yield not spike_steps or not any(g <= 1e-15 for g in grads[spike_steps[0] + 1 :])
 
     # the distribution-matching objective on the same task stays under its
     # loss-anchored envelope and decays to a small fraction of its peak
     records = _shipped_run("kld_negative.cfg")
     grads = [r.grad_norm_param for r in records]
-    cases += 1
-    if any(
-        r.bound_value is not None and r.grad_norm_param > r.bound_value + 1e-9 for r in records
-    ):
-        failures += 1
+    yield any(r.bound_value is not None and r.grad_norm_param > r.bound_value + 1e-9 for r in records)
     smooth = smoothed(grads)
     tail = smooth[-max(1, len(smooth) // 10) :]
-    cases += 1
-    if max(tail) >= 0.2 * max(smooth):
-        failures += 1
-
-    return SuiteResult("dynamics", cases, failures)
-
-
-SUITES: dict[str, Callable[[], SuiteResult]] = {
-    "dist": suite_dist,
-    "gradients": suite_gradients,
-    "hessian": suite_hessian,
-    "targets": suite_targets,
-    "bounds": suite_bounds,
-    "directionality": suite_directionality,
-    "convergence": suite_convergence,
-    "recovery": suite_recovery,
-    "dynamics": suite_dynamics,
-}
+    yield max(tail) >= 0.2 * max(smooth)
 
 
 def run_suites(names: list[str] | None = None) -> list[SuiteResult]:

@@ -1,13 +1,14 @@
+import inspect
 import re
 
 import numpy as np
 import pytest
 
-from lco_lab import dist
+from lco_lab import dist, objectives
 from lco_lab.cli import main
 from lco_lab.config import ConfigError, parse_config
 from lco_lab.csvio import DYNAMICS_HEADER, format_float
-from lco_lab.objectives import LossEval, ObjectiveKind, sft_eval
+from lco_lab.objectives import LossEval, sft_eval
 from lco_lab.policy import forward, tabular_policy
 from lco_lab.svgplot import render_chart
 from lco_lab.verify import suite_gradients
@@ -107,6 +108,19 @@ def test_train_scorer_table_shorter_than_horizon_exits_2(tmp_path, capsys):
     )
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "scorer_table has 1 rows but the horizon is 2" in capsys.readouterr().err
+
+
+def test_train_scorer_table_with_a_non_finite_entry_exits_2(tmp_path, capsys):
+    # every row is checked when the config is read, before any step
+    (tmp_path / "scores.txt").write_text("-0.5 -1.0 -2.0\n-0.5 nan -2.0\n")
+    cfg = write_cfg(
+        tmp_path,
+        "[environment]\nvocab_size = 3\nhorizon = 2\nreward = match\ntarget = 0 1\n"
+        "[training]\nobjective = LCO_KLD\nsteps = 2\nestimator = DENSE_LOGPROB\nscorer_table = scores.txt\n",
+    )
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "non-finite entry" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "dynamics.csv").exists()
 
 
 def test_float_serialization_is_17_digits():
@@ -311,6 +325,35 @@ def test_render_chart_is_pure():
 # --- verify ------------------------------------------------------------------
 
 
+# the suites as the benchmark harness reads them: registry order, function
+# names, default seeds (through inspect.signature) and the lines of a full run
+VERIFY_SUITES = {
+    "dist": (101, 2402),
+    "gradients": (202, 1300),
+    "hessian": (303, 3100),
+    "targets": (404, 1300),
+    "bounds": (505, 1500),
+    "directionality": (606, 1300),
+    "convergence": (707, 160),
+    "recovery": (808, 20),
+    "dynamics": (None, 4),
+}
+
+
+def test_verify_keeps_its_suite_names_seeds_and_output(capsys):
+    from lco_lab import verify
+
+    assert list(verify.SUITES) == list(VERIFY_SUITES)
+    for name, (seed, _) in VERIFY_SUITES.items():
+        suite = verify.SUITES[name]
+        assert suite is getattr(verify, f"suite_{name}") and suite.__name__ == f"suite_{name}"
+        parameter = inspect.signature(suite).parameters.get("seed")
+        assert (None if parameter is None else parameter.default) == seed
+    assert main(["verify"]) == 0
+    expected = [f"suite {name}: PASS ({cases} cases)" for name, (_, cases) in VERIFY_SUITES.items()]
+    assert capsys.readouterr().out.splitlines() == expected
+
+
 def test_verify_single_suite(capsys):
     assert main(["verify", "--suite", "directionality"]) == 0
     out = capsys.readouterr().out
@@ -340,16 +383,17 @@ def test_dist_suite_sweeps_pass():
     assert result.failures == 0, f"{result.failures}/{result.cases} dist sweeps failed"
 
 
-def test_gradient_suite_catches_sign_flip():
+def test_gradient_suite_catches_sign_flip(monkeypatch):
+    clean = suite_gradients()
+    assert (clean.cases, clean.failures) == (1300, 0)
+
     def flipped(z, target) -> LossEval:
         good = sft_eval(z, target)
         return LossEval(good.value, -good.logit_gradient)
 
-    result = suite_gradients(cases_per_objective=8, overrides={ObjectiveKind.SFT: flipped})
-    assert result.failures > 0
-
-    clean = suite_gradients(cases_per_objective=8)
-    assert clean.failures == 0
+    monkeypatch.setattr(objectives, "sft_eval", flipped)
+    result = suite_gradients()
+    assert result.cases == 1300 and result.failures > 0
 
 
 def test_recovery_stop_distance_equals_the_public_one():

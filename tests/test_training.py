@@ -1,3 +1,4 @@
+import math
 import sys
 import tracemalloc
 from collections import Counter
@@ -5,12 +6,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from lco_lab import policy, targets
+from lco_lab import dist, policy, targets
 from lco_lab.config import ConfigError, build_trainer, parse_config
-from lco_lab.dist import softmax, total_variation
+from lco_lab.dist import Advantages, softmax, total_variation
 from lco_lab.envs import MatchReward, TableReward, ToyEnvironment
 from lco_lab.errors import InvalidInputError, NonFiniteGradientError, StepSizeError
-from lco_lab.objectives import ObjectiveKind, lco_lch_eval, lco_mse_eval
+from lco_lab.objectives import ObjectiveKind, TimestepContext, lco_lch_eval, lco_mse_eval, reinforce_eval
 from lco_lab.policy import Family, forward, linear_policy, mlp1_policy, tabular_policy
 from lco_lab.targets import EstimatorKind, optimal_policy
 from lco_lab.training import (
@@ -220,6 +221,59 @@ def test_warm_sparse_train_step_calls_no_checked_public_function(monkeypatch, ki
     policy.pullback(model, 0, np.zeros(env.vocab_size))
     np.delete(np.zeros(2), 0)
     assert calls == Counter(estimate_advantages=1, pullback=1, delete=1)
+
+
+@pytest.mark.parametrize("estimator", [EstimatorKind.DENSE_LOGPROB, EstimatorKind.DENSE_DPO_RATIO])
+@pytest.mark.parametrize("normalize", [False, True])
+def test_dense_train_steps_build_no_advantages(monkeypatch, estimator, normalize):
+    # the config checks each table row and builds its advantage vector once
+    env = ToyEnvironment(4, 3, MatchReward((1, 0, 2)))
+    rng = np.random.default_rng(3)
+    tables = {"scorer_table": rng.normal(-1.5, 1.0, (3, 4))}
+    if estimator is EstimatorKind.DENSE_DPO_RATIO:
+        tables["ref_table"] = rng.normal(-1.5, 1.0, (3, 4))
+    config = TrainerConfig(
+        objective=ObjectiveKind.LCO_KLD,
+        learning_rate=0.1,
+        steps=3,
+        estimator=estimator,
+        normalize=normalize,
+        **tables,
+    )
+    state = init_trainer(tabular_policy(env.n_states, env.vocab_size))
+    calls = _count_calls(monkeypatch, [(targets, "estimate_advantages"), (dist, "normalize_advantages")])
+    for _ in range(3):
+        state, _ = train_step(state, env, config, rng)
+    assert state.step == 3
+    assert calls == Counter()
+    # the counters do count
+    logp = np.zeros(2)
+    targets.estimate_advantages(targets.AdvantageEstimator(estimator, scorer_log_probs=logp, ref_log_probs=logp), 2)
+    dist.normalize_advantages(Advantages(np.zeros(2)))
+    assert calls == Counter(estimate_advantages=1, normalize_advantages=1)
+
+
+def test_an_overflowing_gradient_norm_is_taken_scaled_and_the_clipped_step_moves():
+    # both actions score 1e300, so at zero logits the gradient -A (e_a - pi)
+    # has entries +/-5e299: finite, but their squares overflow
+    env = ToyEnvironment(2, 1, TableReward(np.array([[1e300, 1e300]])))
+    config = TrainerConfig(
+        objective=ObjectiveKind.REINFORCE, learning_rate=0.1, steps=1, seed=0, grad_clip_norm=1.0
+    )
+    model = tabular_policy(env.n_states, env.vocab_size)
+    action = rollout_episode(model, env, config, np.random.default_rng(0), {}).actions[0]
+    z = forward(model, 0)
+    ctx = TimestepContext.from_logits(z, action, Advantages(np.full(2, 1e300)))
+    gradient = policy.pullback(model, 0, reinforce_eval(ctx, z).logit_gradient)
+    expected = math.hypot(*gradient)
+
+    with np.errstate(over="ignore"):
+        state, record = train_step(init_trainer(model), env, config, np.random.default_rng(0))
+    assert abs(record.grad_norm_param - expected) <= 1e-15 * expected
+    # clipped to unit norm, so the step is the learning rate long
+    step = state.model.theta - model.theta
+    assert abs(np.linalg.norm(step) - 0.1) <= 1e-15
+    assert np.allclose(step, -0.1 * gradient / expected, rtol=1e-15, atol=0.0)
 
 
 def _overflowing_target_setup():
