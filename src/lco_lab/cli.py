@@ -115,16 +115,15 @@ def cmd_converge(config_path: str, out: str | None) -> int:
     except StepSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    rho = format_float(result.rho)
     lines = ["step,loss,bound,rho"]
-    for row in result.rows:
-        lines.append(
-            f"{row.step},{format_float(row.loss)},{format_float(row.bound)},{format_float(result.rho)}"
-        )
+    for step, (loss, bound) in enumerate(zip(result.loss.tolist(), result.bound.tolist())):
+        lines.append(f"{step},{format_float(loss)},{format_float(bound)},{rho}")
     (out_dir / "converge.csv").write_text("\n".join(lines) + "\n")
     violations = converge_violations(result)
     print(
         f"{family.value}/{objective.value}: rho={result.rho:.6g} "
-        f"steps={len(result.rows) - 1} violations={violations}"
+        f"steps={result.loss.size - 1} violations={violations}"
     )
     return 0 if violations == 0 else 1
 

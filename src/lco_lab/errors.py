@@ -51,3 +51,7 @@ class StepSizeError(LcoLabError, ValueError):
 
 class NonFiniteGradientError(LcoLabError, FloatingPointError):
     """Training produced a NaN or infinite gradient."""
+
+
+class NonFiniteLossError(LcoLabError, FloatingPointError):
+    """Training produced a NaN episode loss."""

@@ -31,11 +31,16 @@ The row value is the loss at every row of an (n, V) stack of logits, as an
 trajectory is one call.  Where numpy can take the stack at once (SFT,
 REINFORCE, LCO_MSE, LCO_LCH) a private ``_*_value`` function reducing over
 the last axis holds the only copy of the value arithmetic, and the 1-D
-kernel takes its ``value`` from the same function.  LCO_KLD and PPO go the
-other way: their row value applies the 1-D arithmetic row by row
-(``kl_between`` per row for LCO_KLD, the ``_ppo_eval`` kernel per row for
-PPO), because a numpy form of either is slower than the scalar loop at the
-small V the trainer runs, and a second copy would have to be kept equal.
+kernel takes its ``value`` from the same function.  PPO's value is scalar
+arithmetic on pi(a) alone: ``_ppo_value`` holds it, and the kernel and the
+row value (once per row) both call it.  LCO_KLD keeps two forms of one
+sum.  The kernel calls ``kl_between``, whose per-element loop is faster at
+the small V the trainer runs; the row value, ``_lco_kld_rows``, takes the
+whole stack in one pass, with each of the loop's three branches on exactly
+the entries the loop sends to it and each row summed left to right, so it
+equals ``kl_between`` row by row (``tests/test_row_values.py`` holds the
+two equal).  A numeric Hessian at V = 64 evaluates 8193 rows, where the
+loop per row costs about 0.7 s.
 """
 
 from __future__ import annotations
@@ -164,13 +169,21 @@ def ppo_eval(ctx: TimestepContext, z) -> LossEval:
 
 def _ppo_eval(pi: np.ndarray, a: int, adv: float, behavioral: float, eps: float) -> LossEval:
     r = _ratio(float(pi[a]), behavioral)
-    clipped = min(max(r, 1.0 - eps), 1.0 + eps)
-    value = -min(r * adv, clipped * adv)
+    value = _ppo_value(r, adv, eps)
     if not _ppo_gate(adv, r, eps):
         return LossEval(value, np.zeros_like(pi))
     grad = (adv / behavioral) * float(pi[a]) * pi
     grad[a] -= (adv / behavioral) * float(pi[a])
     return LossEval(value, grad)
+
+
+def _ppo_value(r: float, adv: float, eps: float) -> float:
+    clipped = min(max(r, 1.0 - eps), 1.0 + eps)
+    return -min(r * adv, clipped * adv)
+
+
+def _ppo_rows(z: np.ndarray, a: int, adv: float, behavioral: float, eps: float) -> np.ndarray:
+    return np.array([_ppo_value(_ratio(pi_a, behavioral), adv, eps) for pi_a in _softmax(z)[:, a].tolist()])
 
 
 def reinforce_eval(ctx: TimestepContext, z) -> LossEval:
@@ -251,8 +264,26 @@ def _lco_kld_eval(z: np.ndarray, pi: np.ndarray, pi_star: np.ndarray) -> LossEva
 
 
 def _lco_kld_rows(z: np.ndarray, pi_star: np.ndarray) -> np.ndarray:
-    rows = zip(_softmax(z), _log_softmax(z))
-    return np.array([kl_between(pi_star, pi, log_q=log_pi) for pi, log_pi in rows])
+    """``kl_between(pi_star, softmax(row), log_q=log_softmax(row))`` for every row of z, in one pass.
+
+    Each entry takes the loop's branch: q where the target has no mass, the
+    Bregman form where q > 0 and |p - q| < q / 2, and p (log p - log q) - (p - q)
+    with log q from ``_log_softmax`` elsewhere.  Each branch runs on its
+    entries alone, so no operation warns that the loop would not, and each
+    row is summed left to right, as the loop sums it, then clipped at 0.
+    """
+    q = _softmax(z)
+    d = pi_star - q
+    mass = pi_star != 0.0
+    terms = np.where(mass, 0.0, q)
+    near = mass & (q > 0.0) & (np.abs(d) < 0.5 * q)
+    far = mass & ~near
+    t = d[near] / q[near]
+    log1p_t = np.log1p(t)
+    terms[near] = q[near] * (log1p_t - t) + d[near] * log1p_t
+    p_far = np.broadcast_to(pi_star, q.shape)[far]
+    terms[far] = p_far * (np.log(p_far) - _log_softmax(z)[far]) - d[far]
+    return np.maximum(np.add.accumulate(terms, axis=1)[:, -1], 0.0)
 
 
 def pairwise_sum(values: Sequence[float]) -> float:
@@ -336,8 +367,9 @@ class Objective:
     ``value(z, target, step)`` is the same loss at every row of an (n, V)
     stack z, as an (n,) array equal row by row to the kernel's ``value``.  It
     makes no input checks and does not test PPO's clip gate.  Its arithmetic
-    is shared with the kernel, never restated: LCO_KLD applies ``kl_between``
-    per row and PPO its kernel per row (see the module docstring).
+    is shared with the kernel, never restated, except LCO_KLD's: the kernel
+    calls ``kl_between`` and the row value is its one-pass form over the
+    stack, held equal to it row by row (see the module docstring).
     ``hessian(z, pi, target, step)`` is the analytic logit Hessian at the
     kernel's point; PPO's raises ``InactiveRegionError`` where the clip gate
     is closed.
@@ -405,7 +437,7 @@ OBJECTIVES: dict[ObjectiveKind, Objective] = {
     ),
     ObjectiveKind.PPO: Objective(
         kernel=lambda z, pi, target, step: _ppo_eval(pi, *step),
-        value=lambda z, target, step: np.array([_ppo_eval(pi, *step).value for pi in _softmax(z)]),
+        value=lambda z, target, step: _ppo_rows(z, *step),
         reads=4,
         hessian=lambda z, pi, target, step: _ppo_hessian(pi, *step),
     ),

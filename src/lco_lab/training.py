@@ -62,10 +62,13 @@ near its optimum reduces to the same linear update), and tabulates the loss
 against the geometric envelope (curvature / 2V) * rho^{2k} * ||A||^2 / beta^2.
 A single state of a tabular or linear model has J J^T = lam I in closed
 form (lam = 1 for TABULAR, ||phi||^2 for LINEAR), so rho = |1 - eta*c*lam|
-and the Jacobian is never formed.  The residual iterates fill one
-(steps + 1, V) array row by row; the losses then come from one call of the
-objective's row value (``Objective.value``) and the residual sup-norms from
-one reduction over that array.
+and the Jacobian is never formed.  Each residual component is stepped on
+Python floats, one component at a time, with the operations of the vector
+update in their order, so every iterate is bit for bit the numpy row
+update's.  The result holds columns, one entry per iterate: the losses come
+from one call of the objective's row value (``Objective.value``) on the
+(steps + 1, V) array of iterates, the residual sup-norms from one reduction
+over it, and ``converge_violations`` counts over the columns at once.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ import numpy as np
 from .convexity import gradient_norm_bound
 from .dist import _entropy, _nucleus, _pick, _softmax, as_logits, normalize_advantages
 from .envs import MatchReward, ToyEnvironment
-from .errors import InvalidInputError, NonFiniteGradientError, StepSizeError
+from .errors import InvalidInputError, NonFiniteGradientError, NonFiniteLossError, StepSizeError
 from .objectives import OBJECTIVES, LossEval, Objective, ObjectiveKind, pairwise_sum
 from .policy import Family, PolicyModel, _check_out, _sigma_max, _span, _vjp, forward, linear_policy, tabular_policy
 from .targets import AdvantageEstimator, EstimatorKind, _optimal_logits, estimate_advantages
@@ -453,7 +456,8 @@ def train_step(
     Advances the buffers and the snapshot window of ``state`` in place (see
     ``TrainerState``) and returns the state for the next step, which shares
     them.  A step that raises leaves theta as it was and the gradient
-    buffer all zero.
+    buffer all zero.  After the gradient checks, an episode loss that is
+    NaN (timestep losses of +inf and -inf) raises ``NonFiniteLossError``.
     """
     if state.step % config.snapshot_interval == 0:
         np.copyto(state.snapshot_theta, state.model.theta)
@@ -480,6 +484,11 @@ def train_step(
             peak = float(np.abs(grad).max())
             scaled = grad / peak
             raw_norm = peak * math.sqrt(scaled.dot(scaled))
+        # timestep losses of +inf and -inf sum to NaN, which no record may log
+        if math.isnan(episode.loss):
+            raise NonFiniteLossError(
+                f"NaN episode loss at step {state.step} (objective {config.objective.value})"
+            )
         # clipped ahead of the record, as the public path clips it
         if config.grad_clip_norm is not None and raw_norm > config.grad_clip_norm:
             scale = config.grad_clip_norm / raw_norm
@@ -592,16 +601,12 @@ class ConvergeConfig:
 
 
 @dataclass(frozen=True)
-class ConvergeRow:
-    step: int
-    loss: float
-    bound: float
-    residual_inf: float
-
-
-@dataclass(frozen=True)
 class ConvergeResult:
-    rows: tuple[ConvergeRow, ...]
+    """One convergence run as columns, with entry k for iterate k = 0, ..., steps."""
+
+    loss: np.ndarray  # the loss at iterate k
+    bound: np.ndarray  # its envelope (curvature / 2V) * rho^{2k} * ||A||^2 / beta^2
+    residual_inf: np.ndarray  # the sup-norm of the logit residual z_k - z*
     rho: float
     objective: ObjectiveKind
     family: Family
@@ -648,32 +653,36 @@ def converge_experiment(
 
     z_star = _optimal_logits(z_old, advantages, config.beta)
     with np.errstate(over="ignore", divide="ignore"):
-        anchor = np.float64(advantages @ advantages) / np.float64(config.beta) ** 2
-    if not np.isfinite(anchor):
+        anchor = float(np.float64(advantages @ advantages) / np.float64(config.beta) ** 2)
+    if not math.isfinite(anchor):
         raise InvalidInputError("the envelope anchor ||A||^2 / beta^2 overflows")
     prefactor = spec.curvature / (2.0 * v)
 
     # iterate in residual coordinates: theta <- theta - eta*c*J^T r pushed
     # through these exactly linear models is r <- (1 - eta*c*lam) r, and
     # tracking r directly avoids the catastrophic z - z* cancellation that
-    # stalls parameter iterates once r reaches machine epsilon of z*
-    residual = np.empty((config.steps + 1, v))
-    residual[0] = forward(model, 0) - z_star
-    for k in range(config.steps):
-        residual[k + 1] = residual[k] - (config.eta * c) * (lam * residual[k])
-    # the loss against a zero target, at every iterate in one row-value call
-    losses = spec.value(residual, np.zeros(v), None)
-    residual_inf = np.abs(residual).max(axis=1)
-    rows = tuple(
-        ConvergeRow(
-            step=k,
-            loss=float(losses[k]),
-            bound=float(prefactor * rho ** (2 * k) * anchor),
-            residual_inf=float(residual_inf[k]),
-        )
-        for k in range(config.steps + 1)
+    # stalls parameter iterates once r reaches machine epsilon of z*.  Each
+    # component is stepped on Python floats, with the operations of the
+    # vector update r - (eta*c) * (lam * r) in their order.
+    step_size = config.eta * c
+    columns = []
+    for r in (forward(model, 0) - z_star).tolist():
+        column = [r]
+        for _ in range(config.steps):
+            r = r - step_size * (lam * r)
+            column.append(r)
+        columns.append(column)
+    # one C-contiguous row per iterate, so each row reduces as a 1-D vector does
+    residual = np.array(columns).T.copy()
+    return ConvergeResult(
+        # the loss against a zero target, at every iterate in one row-value call
+        loss=spec.value(residual, np.zeros(v), None),
+        bound=np.array([prefactor * rho ** (2 * k) * anchor for k in range(config.steps + 1)]),
+        residual_inf=np.abs(residual).max(axis=1),
+        rho=rho,
+        objective=objective,
+        family=family,
     )
-    return ConvergeResult(rows, rho, objective, family)
 
 
 UNDERFLOW_FLOOR = 1e-300
@@ -682,20 +691,15 @@ ENVELOPE_SLACK = 1e-6  # relative roundoff allowance of the envelope
 
 
 def converge_violations(result: ConvergeResult) -> int:
-    """Rows whose loss exceeds bound * (1 + ENVELOPE_SLACK).
+    """Iterates whose loss exceeds bound * (1 + ENVELOPE_SLACK).
 
     The log-cosh envelope is only asserted once the residual sits inside the
     small-residual neighborhood (``LCH_NEIGHBORHOOD``) where its quadratic
-    behavior applies.  Rows whose loss has sunk below the double-precision
+    behavior applies.  Iterates whose loss has sunk below the double-precision
     underflow floor carry no information (loss and bound are both denormal
     quantization noise) and are not counted.
     """
-    count = 0
-    for row in result.rows:
-        if result.objective is ObjectiveKind.LCO_LCH and row.residual_inf > LCH_NEIGHBORHOOD:
-            continue
-        if row.loss < UNDERFLOW_FLOOR:
-            continue
-        if row.loss > row.bound * (1.0 + ENVELOPE_SLACK):
-            count += 1
-    return count
+    counted = (result.loss >= UNDERFLOW_FLOOR) & (result.loss > result.bound * (1.0 + ENVELOPE_SLACK))
+    if result.objective is ObjectiveKind.LCO_LCH:
+        counted &= ~(result.residual_inf > LCH_NEIGHBORHOOD)
+    return int(np.count_nonzero(counted))

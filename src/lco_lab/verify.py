@@ -412,32 +412,40 @@ def suite_targets(seed: int = 404):
 def _objective_gaps(
     p: np.ndarray, q: np.ndarray, pi_old: np.ndarray, advantages: np.ndarray, beta: float
 ) -> np.ndarray:
-    """J(p) - J(q) for each row p, where J(p) = p.A - beta KL(p || pi_old).
+    """J(p) - J(q) for each column p of a (V, n) stack, where J(p) = p.A - beta KL(p || pi_old).
 
     Taken as delta.(g - q.g) - beta KL(p || q), with delta = p - q and
     g = A - beta log(q / pi_old), which holds for any q, and so keeps the
     O(TV^2) gap near the optimum that a difference of two O(1) values
     loses to roundoff.  KL(p || q) = sum(p log1p(delta / q) - delta), with
-    p log(p / q) = 0 where p = 0.
+    p log(p / q) = 0 where p = 0.  Each sum over the V actions runs down
+    axis 0, across n-long rows.
     """
     g = advantages - beta * np.log(q / pi_old)
-    delta = p - q
+    delta = p - q[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        kl = np.where(p > 0.0, p * np.log1p(delta / q), 0.0) - delta
-    return delta @ (g - q @ g) - beta * kl.sum(axis=1)
+        kl = np.where(p > 0.0, p * np.log1p(delta / q[:, None]), 0.0) - delta
+    return (g - q @ g) @ delta - beta * kl.sum(axis=0)
 
 
 def _perturbations(rng: np.random.Generator, pi_star: np.ndarray, count: int) -> np.ndarray:
+    """Up to ``count`` distributions near and far from pi*, as the columns of a C-contiguous (V, n) stack.
+
+    A quarter are Dirichlet(1) draws; the rest are pi* under multiplicative
+    noise at three scales, renormalized.  Columns within 1e-9 of pi* in
+    total variation are dropped.
+    """
     v = pi_star.size
     quarters = count // 4
-    blocks = [rng.dirichlet(np.ones(v), size=count - 3 * quarters)]
+    blocks = [rng.dirichlet(np.ones(v), size=count - 3 * quarters).T]
     for scale in (1e-3, 1e-2, 0.3):
-        noisy = pi_star[None, :] * np.exp(scale * rng.standard_normal((quarters, v)))
-        blocks.append(noisy / noisy.sum(axis=1, keepdims=True))
-    perturbed = np.vstack(blocks)
+        noise = np.ascontiguousarray(rng.standard_normal((quarters, v)).T)
+        noisy = pi_star[:, None] * np.exp(scale * noise)
+        blocks.append(noisy / noisy.sum(axis=0))
+    perturbed = np.hstack(blocks)
     # keep only genuine perturbations; strict optimality needs a gap
-    tv = 0.5 * np.abs(perturbed - pi_star[None, :]).sum(axis=1)
-    return perturbed[tv > 1e-9]
+    tv = 0.5 * np.abs(perturbed - pi_star[:, None]).sum(axis=0)
+    return perturbed.compress(tv > 1e-9, axis=1)
 
 
 def _vertex_shift(advantages: np.ndarray) -> float:
@@ -569,8 +577,7 @@ def suite_convergence(seed: int = 707):
                 )
                 result = converge_experiment(family, objective, config)
                 yield converge_violations(result) > 0
-                losses = [row.loss for row in result.rows]
-                yield any(b > a * (1.0 + 1e-12) + 5e-324 for a, b in zip(losses, losses[1:]))
+                yield np.any(result.loss[1:] > result.loss[:-1] * (1.0 + 1e-12) + 5e-324)
 
 
 @_suite

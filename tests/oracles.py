@@ -1,6 +1,7 @@
 """Independent oracles used by the tests: extended-precision evaluation,
-finite differences, a Cholesky-bisection eigenvalue bracket, and the dense
-policy Jacobian.
+finite differences, a Cholesky-bisection eigenvalue bracket, the dense
+policy Jacobian, and the row-major forms of the optimality suite's
+perturbations and objective gaps.
 
 These deliberately avoid the library's own code paths.  The dense Jacobian
 reads the model's parameter layout through ``policy._mlp_unpack`` and
@@ -157,3 +158,33 @@ def jacobian(model: PolicyModel, state: int) -> JacobianInfo:
             jac[a, w1.size + b1.size + v * h.size + a] = 1.0
 
     return JacobianInfo(jac, sigma_max(model, state))
+
+
+def perturbations_rows(rng, pi_star, count):
+    """The optimality suite's perturbations as an (n, V) stack, one distribution per row.
+
+    ``verify._perturbations`` draws the same numbers from ``rng`` in the
+    same order and returns their transpose.
+    """
+    v = pi_star.size
+    quarters = count // 4
+    blocks = [rng.dirichlet(np.ones(v), size=count - 3 * quarters)]
+    for scale in (1e-3, 1e-2, 0.3):
+        noisy = pi_star[None, :] * np.exp(scale * rng.standard_normal((quarters, v)))
+        blocks.append(noisy / noisy.sum(axis=1, keepdims=True))
+    perturbed = np.vstack(blocks)
+    tv = 0.5 * np.abs(perturbed - pi_star[None, :]).sum(axis=1)
+    return perturbed[tv > 1e-9]
+
+
+def objective_gaps_rows(p, q, pi_old, advantages, beta):
+    """J(p) - J(q) for each row p of an (n, V) stack, J(p) = p.A - beta KL(p || pi_old).
+
+    The row-major form of ``verify._objective_gaps``: delta.(g - q.g) -
+    beta KL(p || q) with delta = p - q and g = A - beta log(q / pi_old).
+    """
+    g = advantages - beta * np.log(q / pi_old)
+    delta = p - q
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kl = np.where(p > 0.0, p * np.log1p(delta / q), 0.0) - delta
+    return delta @ (g - q @ g) - beta * kl.sum(axis=1)

@@ -1,23 +1,34 @@
 """Row-batched objective values and the oracles that evaluate through them.
 
 Each table entry's row value must equal its 1-D kernel's value row by row,
-and the finite-difference gradient, the numeric Hessian and the convergence
+LCO-KLD's one-pass row value must equal ``kl_between`` row by row, and the
+finite-difference gradient, the numeric Hessian and the convergence
 experiment must each evaluate their points in one row-value call.
 """
 
 import dataclasses
 import inspect
+import math
+import warnings
 
 import numpy as np
 import pytest
 
+from lco_lab import dist, objectives
 from lco_lab.config import build_converge, parse_config
 from lco_lab.convexity import hessian_analytic, hessian_numeric
-from lco_lab.dist import softmax
+from lco_lab.dist import _log_softmax, _softmax, kl_between, softmax
 from lco_lab.objectives import OBJECTIVES, ObjectiveKind, lco_lch_eval, lco_mse_eval, ppo_active
 from lco_lab.policy import Family, forward, linear_policy, tabular_policy
 from lco_lab.targets import optimal_logits
-from lco_lab.training import ConvergeConfig, converge_experiment
+from lco_lab.training import (
+    ENVELOPE_SLACK,
+    LCH_NEIGHBORHOOD,
+    UNDERFLOW_FLOOR,
+    ConvergeConfig,
+    converge_experiment,
+    converge_violations,
+)
 from lco_lab.verify import CONFIGS, GRAD_STEP, _ppo_case, central_gradient, suite_gradients
 
 HESSIAN_KINDS = [kind for kind, objective in OBJECTIVES.items() if objective.hessian is not None]
@@ -47,6 +58,90 @@ def test_row_value_equals_the_kernel_value_row_by_row(kind, v):
         assert rows.shape == (25,)
         for row, value in zip(z, rows):
             assert value == objective.kernel(row, softmax(row), target, step).value
+
+
+def _kld_loop_rows(z, pi_star):
+    """LCO-KLD's row value as ``kl_between`` per row, with the loop's warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        values = [kl_between(pi_star, q, log_q=log_q) for q, log_q in zip(_softmax(z), _log_softmax(z))]
+    return values, {str(w.message) for w in caught}
+
+
+def _kld_stacks(rng, v):
+    """(z, pi*) pairs that reach every branch of ``kl_between``."""
+    target = softmax(rng.uniform(-2.0, 2.0, v))
+    sparse = target.copy()
+    sparse[rng.permutation(v)[: max(1, v // 3)]] = 0.0  # zero-mass target entries
+    sparse /= sparse.sum()
+    near = np.log(target) + rng.uniform(-0.3, 0.3, (20, v))  # |p - q| < q / 2
+    far = rng.uniform(-8.0, 8.0, (20, v))
+    underflow = rng.uniform(-1000.0, 1000.0, (20, v))  # q = 0 where p > 0: log q is read
+    yield np.vstack([near, far, underflow]), target
+    yield np.vstack([near, far, underflow]), sparse
+    # row 0 is the target's own logits: q == p bit for bit, every term is +0.0, and so is the total
+    own = rng.uniform(-2.0, 2.0, (3, v))
+    yield own, softmax(own[0])
+
+
+@pytest.mark.parametrize("v", list(range(2, 17)) + [24, 32, 48, 64])
+def test_kld_rows_equal_kl_between_row_by_row(v):
+    rng = np.random.default_rng(100 + v)
+    value = OBJECTIVES[ObjectiveKind.LCO_KLD].value
+    for z, pi_star in _kld_stacks(rng, v):
+        loop, loop_warnings = _kld_loop_rows(z, pi_star)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = value(z, pi_star, ())
+        assert {str(w.message) for w in caught} <= loop_warnings
+        assert rows.shape == (z.shape[0],)
+        assert rows.tolist() == loop
+        assert [math.copysign(1.0, x) for x in rows.tolist()] == [math.copysign(1.0, x) for x in loop]
+
+
+def test_kld_rows_reach_every_branch():
+    # the stacks above hit the zero-mass, near and far branches and read an underflowed q
+    rng = np.random.default_rng(116)
+    hits = {"zero": 0, "near": 0, "far": 0, "underflow": 0, "zero total": 0}
+    for z, pi_star in _kld_stacks(rng, 16):
+        q = _softmax(z)
+        d = np.abs(pi_star - q)
+        hits["zero"] += int(np.count_nonzero((pi_star == 0.0) & (q > 0.0)))
+        hits["near"] += int(np.count_nonzero((pi_star > 0.0) & (q > 0.0) & (d < 0.5 * q)))
+        hits["far"] += int(np.count_nonzero((pi_star > 0.0) & ~((q > 0.0) & (d < 0.5 * q))))
+        hits["underflow"] += int(np.count_nonzero((pi_star > 0.0) & (q == 0.0)))
+        hits["zero total"] += int(np.count_nonzero(OBJECTIVES[ObjectiveKind.LCO_KLD].value(z, pi_star, ()) == 0.0))
+    assert all(hits.values()), hits
+
+
+def test_row_values_build_no_loss_eval_and_call_no_kl_between(monkeypatch):
+    # the row values share the kernels' value arithmetic without building a
+    # LossEval per row, and LCO-KLD's takes no per-row kl_between loop
+    rng = np.random.default_rng(5)
+    built, looped = [0], [0]
+
+    class CountedLossEval(objectives.LossEval):
+        def __init__(self, *args):
+            built[0] += 1
+            super().__init__(*args)
+
+    def counted_kl_between(*args, **kwargs):
+        looped[0] += 1
+        return kl_between(*args, **kwargs)
+
+    monkeypatch.setattr(objectives, "LossEval", CountedLossEval)
+    monkeypatch.setattr(objectives, "kl_between", counted_kl_between)
+    monkeypatch.setattr(dist, "kl_between", counted_kl_between)
+    for kind in ObjectiveKind:
+        for v in (2, 8, 64):
+            z = rng.uniform(-1.0, 1.0, (30, v))
+            target, step = _inputs(rng, kind, v, 1.0)
+            OBJECTIVES[kind].value(z, target, step)
+    assert (built[0], looped[0]) == (0, 0)
+    # the 1-D kernel keeps its loop, so the counters do count
+    z = rng.uniform(-1.0, 1.0, 4)
+    OBJECTIVES[ObjectiveKind.LCO_KLD].kernel(z, softmax(z), softmax(z[::-1]), ())
+    assert (built[0], looped[0]) == (1, 1)
 
 
 def _analytic_and_numeric(rng, kind, v):
@@ -118,7 +213,48 @@ def test_converge_matches_a_per_row_reference():
         result = converge_experiment(family, objective, config)
         rho, rows = _reference_converge(family, objective, config)
         assert result.rho == rho
-        assert [(r.step, r.loss, r.bound, r.residual_inf) for r in result.rows] == rows
+        columns = (result.loss, result.bound, result.residual_inf)
+        assert all(column.shape == (config.steps + 1,) for column in columns)
+        assert list(zip(range(config.steps + 1), *(column.tolist() for column in columns))) == rows
+
+
+def _violations_per_row(result):
+    """``converge_violations`` one iterate at a time."""
+    count = 0
+    for loss, bound, residual_inf in zip(result.loss, result.bound, result.residual_inf):
+        if result.objective is ObjectiveKind.LCO_LCH and residual_inf > LCH_NEIGHBORHOOD:
+            continue
+        if loss < UNDERFLOW_FLOOR:
+            continue
+        if loss > bound * (1.0 + ENVELOPE_SLACK):
+            count += 1
+    return count
+
+
+def test_converge_violations_equal_a_per_row_count():
+    rng = np.random.default_rng(21)
+    counts = []
+    for family in (Family.TABULAR, Family.LINEAR):
+        for objective in (ObjectiveKind.LCO_MSE, ObjectiveKind.LCO_LCH):
+            for _ in range(10):
+                result = converge_experiment(family, objective, _random_converge(rng, family, objective))
+                n = result.loss.size
+                # columns at the edges of every test: the slack, the floor, the
+                # neighborhood, NaN, and losses that leave the envelope
+                edges = np.array([1.0, 1.0 + ENVELOPE_SLACK, 1.0 + 2.0 * ENVELOPE_SLACK, 10.0, np.nan])
+                bound = np.where(rng.random(n) < 0.5, result.bound, rng.choice([1e-310, 1e-300, 1.0], n))
+                edited = dataclasses.replace(
+                    result,
+                    loss=np.where(rng.random(n) < 0.5, result.loss, bound * rng.choice(edges, n)),
+                    bound=bound,
+                    residual_inf=np.where(
+                        rng.random(n) < 0.5, result.residual_inf, rng.choice([0.1, LCH_NEIGHBORHOOD, 0.6, np.nan], n)
+                    ),
+                )
+                for case in (result, edited):
+                    counts.append(converge_violations(case))
+                    assert counts[-1] == _violations_per_row(case)
+    assert max(counts) > 0
 
 
 def _count_calls(monkeypatch, kinds):

@@ -4,7 +4,9 @@ The reference below is the step as it was written before the trainer moved
 to the private kernels: every forward pass, softmax and input check is
 repeated where the public functions repeat it.  The arithmetic is the
 same, so records must compare ``==``, parameters must match byte for byte,
-and any exception must have the same type and message.
+and any exception must have the same type and message.  Both steps raise
+``NonFiniteLossError`` for a NaN episode loss, after the gradient norm and
+before clipping.
 """
 
 import itertools
@@ -15,7 +17,7 @@ import pytest
 from lco_lab.convexity import gradient_norm_bound
 from lco_lab.dist import entropy, normalize_advantages, sample_action, softmax
 from lco_lab.envs import MatchReward, TableReward, ToyEnvironment
-from lco_lab.errors import InvalidInputError, NonFiniteGradientError
+from lco_lab.errors import InvalidInputError, NonFiniteGradientError, NonFiniteLossError
 from lco_lab.objectives import (
     LCO_KINDS,
     ObjectiveKind,
@@ -113,6 +115,8 @@ def _ref_train_step(state, env, config, rng):
             f"non-finite gradient at step {state.step} (objective {config.objective.value}, loss {loss!r})"
         )
     raw_norm = float(np.linalg.norm(grad))
+    if np.isnan(loss):
+        raise NonFiniteLossError(f"NaN episode loss at step {state.step} (objective {config.objective.value})")
     if config.grad_clip_norm is not None and raw_norm > config.grad_clip_norm > 0.0:
         grad = grad * (config.grad_clip_norm / raw_norm)
 
@@ -250,3 +254,20 @@ def test_non_finite_gradient_raises_after_the_episode():
         error = assert_steps_identical(model, env, config, steps=50)
     assert error is not None and error[0] is NonFiniteGradientError
     assert error[1].startswith("non-finite gradient at step ")
+
+
+def test_nan_episode_loss_raises_instead_of_logging_nan():
+    # timestep losses of +inf and -inf: the pairwise sum is NaN while the
+    # gradient stays finite, so the step used to log loss = nan, bound = inf
+    env = ToyEnvironment(8, 2, TableReward(np.array([[1e308] * 8, [-1e308] * 8])))
+    config = TrainerConfig(objective=ObjectiveKind.REINFORCE, learning_rate=1e-300, steps=1, seed=0)
+    model = tabular_policy(env.n_states, env.vocab_size)
+    with np.errstate(all="ignore"):
+        error = assert_steps_identical(model, env, config, steps=1)
+        assert error == (NonFiniteLossError, "NaN episode loss at step 0 (objective REINFORCE)")
+        state = init_trainer(model)
+        theta = state.model.theta.copy()
+        with pytest.raises(NonFiniteLossError):
+            train_step(state, env, config, np.random.default_rng(0))
+    assert state.model.theta.tobytes() == theta.tobytes()
+    assert not state.grad.any()

@@ -17,7 +17,9 @@ from lco_lab.targets import (
     optimal_shift,
     optimal_target,
 )
-from lco_lab.verify import _objective_gaps, suite_targets
+from lco_lab.verify import _objective_gaps, _perturbations, suite_targets
+
+from oracles import objective_gaps_rows, perturbations_rows
 
 
 def test_optimal_policy_zero_advantage_is_identity():
@@ -191,15 +193,35 @@ def test_objective_gaps_equal_the_extended_precision_difference():
         for scale in (1e-7, 1e-4, 0.3):
             noisy = q * np.exp(scale * rng.standard_normal(v))
             p = noisy / noisy.sum()
-            gap = _objective_gaps(p[None, :], q, pi_old, advantages, beta)[0]
+            gap = _objective_gaps(p[:, None], q, pi_old, advantages, beta)[0]
             with workdps(50):
                 exact = _objective_hp(p, pi_old, advantages, beta) - _objective_hp(q, pi_old, advantages, beta)
             exact = float(exact)
             assert gap < 0.0 and abs(gap - exact) <= 1e-6 * abs(exact) + 1e-30
     # a zero entry of p contributes no p log(p / q) term
     q = np.array([0.25, 0.75])
-    gap = _objective_gaps(np.array([[0.0, 1.0]]), q, q, np.zeros(2), 1.0)[0]
+    gap = _objective_gaps(np.array([[0.0], [1.0]]), q, q, np.zeros(2), 1.0)[0]
     assert gap == pytest.approx(-np.log(1.0 / 0.75), rel=1e-15)
+
+
+def test_column_perturbations_and_gaps_equal_the_row_major_oracle():
+    # the suite's draws at V 2-6: the (V, n) stack is the transpose of the
+    # row-major one, and each gap is the row-major gap bit for bit (below
+    # V = 8 numpy sums a row left to right, as the column sum runs)
+    rng = np.random.default_rng(404)
+    for _ in range(60):
+        v = int(rng.integers(2, 7))
+        pi_old = softmax(rng.uniform(-2.0, 2.0, v))
+        advantages = rng.uniform(-2.0, 2.0, v)
+        beta = float(rng.uniform(0.3, 3.0))
+        pi_star = optimal_policy(pi_old, advantages, beta)
+        seed = int(rng.integers(2**31))
+        columns = _perturbations(np.random.default_rng(seed), pi_star, 10_000)
+        rows = perturbations_rows(np.random.default_rng(seed), pi_star, 10_000)
+        assert columns.flags.c_contiguous and columns.shape == rows.T.shape
+        assert np.array_equal(columns, rows.T)
+        gaps = _objective_gaps(columns, pi_star, pi_old, advantages, beta)
+        assert gaps.tolist() == objective_gaps_rows(rows, pi_star, pi_old, advantages, beta).tolist()
 
 
 def test_target_suite_passes_at_seed_offsets_0_to_9():

@@ -538,7 +538,7 @@ def test_converge_tabular_mse_geometric_decay():
     result = converge_experiment(Family.TABULAR, ObjectiveKind.LCO_MSE, config)
     assert abs(result.rho - 0.95) < 1e-15
     assert converge_violations(result) == 0
-    losses = [row.loss for row in result.rows]
+    losses = result.loss.tolist()
     # per-step decay factor is exactly rho^2; the loss halves every ~6.76 steps
     for a, b in zip(losses, losses[1:]):
         assert abs(b / a - 0.95**2) < 1e-12
@@ -548,7 +548,7 @@ def test_converge_tabular_mse_geometric_decay():
 def test_converge_zero_advantage_stays_zero():
     config = ConvergeConfig(vocab_size=3, advantages=np.zeros(3), eta=0.2, steps=20)
     result = converge_experiment(Family.TABULAR, ObjectiveKind.LCO_MSE, config)
-    assert all(row.loss == 0.0 for row in result.rows)
+    assert np.all(result.loss == 0.0)
 
 
 def test_converge_linear_bound_holds_over_500_steps():
@@ -565,7 +565,7 @@ def test_converge_lch_bound_inside_neighborhood():
     config = ConvergeConfig(vocab_size=4, advantages=np.array([0.4, -0.3, 0.2, -0.1]), eta=1.0, steps=300)
     result = converge_experiment(Family.TABULAR, ObjectiveKind.LCO_LCH, config)
     assert converge_violations(result) == 0
-    assert all(row.residual_inf <= 0.5 for row in result.rows)
+    assert np.all(result.residual_inf <= 0.5)
 
 
 def test_converge_rejects_divergent_step_size():
@@ -646,9 +646,9 @@ def test_converge_closed_form_matches_the_dense_jacobian_recursion(feature_dim, 
     assert abs(result.rho - rho) <= 1e-14
     evaluate = lco_mse_eval if objective is ObjectiveKind.LCO_MSE else lco_lch_eval
     residual = forward(model, 0) - (z_old + advantages / beta)
-    for row in result.rows:
-        assert rel_close(row.loss, evaluate(residual, np.zeros(v)).value, rel=1e-12, floor=1e-300)
-        assert rel_close(row.residual_inf, np.abs(residual).max(), rel=1e-12, floor=1e-300)
+    for loss, residual_inf in zip(result.loss, result.residual_inf):
+        assert rel_close(loss, evaluate(residual, np.zeros(v)).value, rel=1e-12, floor=1e-300)
+        assert rel_close(residual_inf, np.abs(residual).max(), rel=1e-12, floor=1e-300)
         residual = residual - eta * c * (gram @ residual)
 
 
