@@ -21,14 +21,8 @@ from .dist import (
 from .objectives import (
     LossEval,
     ObjectiveKind,
-    TimestepContext,
-    lco_kld_eval,
-    lco_lch_eval,
-    lco_mse_eval,
+    evaluate,
     ppo_active,
-    ppo_eval,
-    reinforce_eval,
-    sft_eval,
 )
 from .targets import (
     AdvantageEstimator,

@@ -2,19 +2,10 @@
 
 No nesting, no quoting: a line is blank, a comment (#), a [section]
 header, or ``key = value``.  Paths are resolved relative to the config
-file.  Parse failures carry the offending line number so the CLI can exit
-with a usable diagnostic.
-
-Sections:
-  [environment]  vocab_size, horizon, reward = match|table, target, table
-  [model]        family, feature_dim, hidden, init_seed, init_logits
-  [training]     objective, learning_rate, steps, beta, clip_epsilon,
-                 estimator, scorer_table, ref_table, normalize,
-                 grad_clip_norm, seed, snapshot_interval, temperature, top_p
-  [dynamics]     objectives = KIND_A, KIND_B        (cmd dynamics only)
-  [converge]     family, objective, vocab_size, eta, steps, beta,
-                 advantages, feature_dim, seed, z_old (cmd converge only)
-  [output]       directory, plot_columns
+file.  The sections and the keys each may hold are ``SECTIONS``; an
+unknown section or key is an error, so a typo cannot fall back to a
+default.  Parse failures carry the offending line number so the CLI can
+exit with a usable diagnostic.
 """
 
 from __future__ import annotations
@@ -34,6 +25,22 @@ from .training import ConvergeConfig, TrainerConfig
 
 class ConfigError(LcoLabError, ValueError):
     """Config file cannot be parsed or is missing required fields."""
+
+
+# every section a config may hold, with the keys it may hold
+SECTIONS = {
+    "environment": ("vocab_size", "horizon", "reward", "target", "table"),  # reward = match|table
+    "model": ("family", "feature_dim", "hidden", "init_seed", "init_logits"),
+    "training": (
+        "objective", "learning_rate", "steps", "beta", "clip_epsilon", "estimator", "scorer_table",
+        "ref_table", "normalize", "grad_clip_norm", "seed", "snapshot_interval", "temperature", "top_p",
+    ),
+    "dynamics": ("objectives",),  # objectives = KIND_A, KIND_B (cmd dynamics only)
+    "converge": (  # cmd converge only
+        "family", "objective", "vocab_size", "eta", "steps", "beta", "advantages", "feature_dim", "seed", "z_old",
+    ),
+    "output": ("directory", "plot_columns"),
+}
 
 
 @dataclass(frozen=True)
@@ -69,6 +76,8 @@ def parse_config(path: str | Path) -> RawConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip().lower()
+            if current not in SECTIONS:
+                raise ConfigError(f"{path}:{lineno}: unknown section [{current}]; known: {', '.join(SECTIONS)}")
             sections.setdefault(current, {})
             continue
         if "=" not in line:
@@ -76,7 +85,12 @@ def parse_config(path: str | Path) -> RawConfig:
         if current is None:
             raise ConfigError(f"{path}:{lineno}: key outside any [section]")
         key, _, value = line.partition("=")
-        sections[current][key.strip().lower()] = (value.strip(), lineno)
+        key = key.strip().lower()
+        if key not in SECTIONS[current]:
+            raise ConfigError(
+                f"{path}:{lineno}: unknown key {key!r} in [{current}]; known: {', '.join(SECTIONS[current])}"
+            )
+        sections[current][key] = (value.strip(), lineno)
     return RawConfig(path, sections)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .dist import _softmax, as_logits, as_probs, check_action
 from .errors import InvalidInputError, KinkError, WitnessSearchError
 from .linalg import require_symmetric
-from .objectives import OBJECTIVES, Objective, ObjectiveKind, _ppo_gate, _ratio, ppo_hessian_matrix
+from .objectives import OBJECTIVES, Objective, ObjectiveKind, _ppo_gate, _ratio, evaluate, ppo_hessian_matrix
 
 WITNESS_TOL = 1e-8
 WITNESS_SEED = 0  # the random search of ``ppo_witness`` is seeded, so a certificate is reproducible
@@ -173,15 +173,12 @@ def directionality(kind: ObjectiveKind, z, z_star, pi_star=None) -> float:
     constant shift of them is invisible because that gradient sums to zero.
     """
     objective = OBJECTIVES[kind]
-    if objective.align is None:
+    if objective.target is None:
         raise InvalidInputError(f"directionality is defined for LCO objectives, not {kind!r}")
     z = as_logits(z)
     z_star = as_logits(z_star)
-    if objective.target == "policy" and pi_star is not None:
-        target = as_probs(pi_star)
-    else:
-        target = objective.target_at(z_star)
-    return float(objective.align(z, target).logit_gradient @ (z - z_star))
+    target = pi_star if objective.target == "policy" and pi_star is not None else objective.target_at(z_star)
+    return float(evaluate(kind, z, target).logit_gradient @ (z - z_star))
 
 
 def gradient_norm_bound(kind: ObjectiveKind, loss_value: float, sigma_max: float, vocab_size: int) -> float:

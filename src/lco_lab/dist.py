@@ -83,11 +83,19 @@ def as_probs(p) -> np.ndarray:
     return p
 
 
+def check_integer(value, name: str, low: int | None = None) -> int:
+    """``value`` as an int: an integer (not a bool, nor a float ``int()`` would truncate) at or above ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if low is not None and value < low:
+        raise InvalidInputError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
 def check_action(index: int, vocab_size: int) -> int:
     """An action index as an int: an integer (not a bool) in [0, vocab_size)."""
-    if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
-        raise InvalidInputError(f"action must be an integer, got {index!r}")
-    index = int(index)
+    index = check_integer(index, "action")
     if not 0 <= index < vocab_size:
         raise InvalidInputError(f"action {index} outside vocabulary of size {vocab_size}")
     return index
@@ -245,10 +253,7 @@ def sample_actions(p, temperature: float, top_p: float, rng: np.random.Generator
     ``size`` successive ``sample_action`` calls on the same generator and
     leaves it in the same state.  Deterministic given the generator state.
     """
-    if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
-        raise InvalidInputError(f"size must be an integer, got {size!r}")
-    if size < 1:
-        raise InvalidInputError(f"size must be at least 1, got {size}")
+    size = check_integer(size, "size", 1)
     p = as_probs(p)
     if not temperature > 0.0:
         raise InvalidInputError("temperature must be positive")

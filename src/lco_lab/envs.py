@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dist import check_action, check_integer
 from .errors import InvalidInputError
 
 MAX_STATES = 100_000
@@ -39,6 +40,8 @@ class ToyEnvironment:
     reward: MatchReward | TableReward
 
     def __post_init__(self):
+        for name in ("vocab_size", "horizon"):
+            object.__setattr__(self, name, check_integer(getattr(self, name), name))
         if not 2 <= self.vocab_size <= 64:
             raise InvalidInputError("vocab_size must lie in [2, 64]")
         if not 1 <= self.horizon <= 16:
@@ -48,11 +51,9 @@ class ToyEnvironment:
                 f"prefix state space has {self.n_states} states; keep vocab^horizon desk-sized"
             )
         if isinstance(self.reward, MatchReward):
-            target = tuple(int(t) for t in self.reward.target)
-            if len(target) != self.horizon:
+            if len(self.reward.target) != self.horizon:
                 raise InvalidInputError("target length must equal the horizon")
-            if any(not 0 <= t < self.vocab_size for t in target):
-                raise InvalidInputError("target tokens outside the vocabulary")
+            target = tuple(check_action(t, self.vocab_size) for t in self.reward.target)
             object.__setattr__(self, "reward", MatchReward(target))
         elif isinstance(self.reward, TableReward):
             table = np.asarray(self.reward.table, dtype=np.float64)
@@ -79,9 +80,7 @@ class ToyEnvironment:
         offset = (v ** len(prefix) - 1) // (v - 1)
         rank = 0
         for token in prefix:
-            if not 0 <= token < v:
-                raise InvalidInputError(f"token {token} outside the vocabulary")
-            rank = rank * v + int(token)
+            rank = rank * v + check_action(token, v)
         return offset + rank
 
     def step_reward(self, t: int, action: int) -> float:

@@ -5,7 +5,8 @@ gradient with respect to the logit vector.
 
   SFT        negative log-likelihood of a target token;
              grad[a'] = pi(a') - 1[a' = target]
-  PPO        clipped importance-ratio surrogate on the sampled action;
+  PPO        clipped importance-ratio surrogate on the sampled action,
+             -min(r A, clip(r, 1 - eps, 1 + eps) A) with r = pi(a) / pi_old(a);
              in the active region
              grad[a'] = (A / pi_old(a)) * pi(a) * (pi(a') - 1[a' = a]),
              outside it the gradient is exactly zero
@@ -14,17 +15,17 @@ gradient with respect to the logit vector.
   LCO_LCH    mean log-cosh distance to target logits; grad = tanh(z - z*)/V
   LCO_KLD    forward KL from a target distribution; grad = softmax(z) - pi*
 
-Each public ``*_eval`` checks its inputs and calls a private kernel of the
-same name with a leading underscore, which holds the only copy of the
-objective's arithmetic and takes pi = softmax(z) from its caller, so a
-trainer that already holds both evaluates each state once.
-
-``OBJECTIVES`` holds one ``Objective`` record per kind: its trainer kernel,
-its row-batched value, the closed-form target it aligns to, its analytic
+``OBJECTIVES`` holds one ``Objective`` record per kind: its kernel, its
+row-batched value, the closed-form target it aligns to, its analytic
 Hessian, its curvature constant and its gradient-norm bound.  The trainer,
 ``convexity`` and ``verify`` look these facts up there, so a new objective
 is one entry.  The kernel, the row value and the Hessian all read one point,
-``(z, target, step)``, which ``Objective.point`` checks.
+``(z, target, step)``, which ``Objective.point`` checks.  The kernel holds
+the only copy of the objective's arithmetic and takes pi = softmax(z) from
+its caller, so a trainer that already holds both evaluates each state once.
+``evaluate(kind, z, target, step)`` is the public form: it checks the
+point and calls the kernel, as ``convexity.hessian_analytic`` checks the
+same point and calls the Hessian.
 
 The row value is the loss at every row of an (n, V) stack of logits, as an
 (n,) array, so a finite-difference stencil or a whole convergence
@@ -51,7 +52,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dist import Advantages, _log_softmax, _softmax, as_logits, as_probs, check_action, kl_between
+from .dist import _log_softmax, _softmax, as_logits, as_probs, check_action, kl_between
 from .errors import DegenerateRatioError, InactiveRegionError, InvalidInputError
 from .targets import _optimal_logits, _optimal_policy
 
@@ -68,64 +69,9 @@ class ObjectiveKind(Enum):
 
 
 @dataclass(frozen=True)
-class TimestepContext:
-    """Behavioral snapshot plus the signals a per-timestep loss needs.
-
-    ``pi_old`` is cached alongside ``z_old`` and must be its softmax image;
-    the constructor checks the pair to 1e-12.
-    """
-
-    z_old: np.ndarray
-    pi_old: np.ndarray
-    sampled_action: int
-    advantages: Advantages
-    beta: float = 1.0
-    clip_epsilon: float = 0.2
-
-    def __post_init__(self):
-        z_old = as_logits(self.z_old)
-        pi_old = as_probs(self.pi_old)
-        object.__setattr__(self, "z_old", z_old)
-        object.__setattr__(self, "pi_old", pi_old)
-        object.__setattr__(self, "sampled_action", check_action(self.sampled_action, z_old.size))
-        if np.abs(pi_old - _softmax(z_old)).max() > 1e-12:
-            raise InvalidInputError("pi_old is not the softmax of z_old")
-        if self.advantages.vocab_size != z_old.size:
-            raise InvalidInputError("advantage vector length mismatch")
-        if not self.beta > 0.0:
-            raise InvalidInputError("beta must be positive")
-        if not 0.0 < self.clip_epsilon < 1.0:
-            raise InvalidInputError("clip_epsilon must lie in (0, 1)")
-
-    @classmethod
-    def from_logits(cls, z_old, sampled_action, advantages, beta=1.0, clip_epsilon=0.2):
-        z_old = as_logits(z_old)
-        if not isinstance(advantages, Advantages):
-            advantages = Advantages(np.asarray(advantages, dtype=np.float64))
-        return cls(z_old, _softmax(z_old), sampled_action, advantages, beta, clip_epsilon)
-
-    @property
-    def sampled_advantage(self) -> float:
-        return float(self.advantages.values[self.sampled_action])
-
-    @property
-    def step(self) -> tuple[int, float, float, float]:
-        """The table's step tuple: (sampled action, its advantage, its behavioral probability, clip epsilon)."""
-        a = self.sampled_action
-        return a, self.sampled_advantage, float(self.pi_old[a]), self.clip_epsilon
-
-
-@dataclass(frozen=True)
 class LossEval:
     value: float
     logit_gradient: np.ndarray
-
-
-def sft_eval(z, target: int) -> LossEval:
-    """Negative log-likelihood of the target token and its logit gradient."""
-    z = as_logits(z)
-    target = check_action(target, z.size)
-    return _sft_eval(z, _softmax(z), target)
 
 
 def _sft_eval(z: np.ndarray, pi: np.ndarray, target: int) -> LossEval:
@@ -148,25 +94,6 @@ def _ppo_gate(adv: float, r: float, eps: float) -> bool:
     return (adv > 0.0 and r < 1.0 + eps) or (adv < 0.0 and r > 1.0 - eps)
 
 
-def ppo_active(ctx: TimestepContext, z) -> bool:
-    """Whether the clipped surrogate has a nonzero gradient at z.
-
-    True iff (A > 0 and r < 1 + eps) or (A < 0 and r > 1 - eps); a zero
-    advantage counts as inactive.
-    """
-    a, adv, behavioral, eps = ctx.step
-    return _ppo_gate(adv, _ratio(float(_softmax(as_logits(z))[a]), behavioral), eps)
-
-
-def ppo_eval(ctx: TimestepContext, z) -> LossEval:
-    """Clipped surrogate loss for the sampled action.
-
-    The value is -min(r*A, clip(r, 1-eps, 1+eps)*A) on both branches; the
-    gradient is zero whenever the clip gate is closed.
-    """
-    return _ppo_eval(_softmax(as_logits(z)), *ctx.step)
-
-
 def _ppo_eval(pi: np.ndarray, a: int, adv: float, behavioral: float, eps: float) -> LossEval:
     r = _ratio(float(pi[a]), behavioral)
     value = _ppo_value(r, adv, eps)
@@ -184,12 +111,6 @@ def _ppo_value(r: float, adv: float, eps: float) -> float:
 
 def _ppo_rows(z: np.ndarray, a: int, adv: float, behavioral: float, eps: float) -> np.ndarray:
     return np.array([_ppo_value(_ratio(pi_a, behavioral), adv, eps) for pi_a in _softmax(z)[:, a].tolist()])
-
-
-def reinforce_eval(ctx: TimestepContext, z) -> LossEval:
-    """Advantage-weighted log-likelihood loss -A * log pi(a)."""
-    z = as_logits(z)
-    return _reinforce_eval(z, _softmax(z), *ctx.step[:2])
 
 
 def _reinforce_eval(z: np.ndarray, pi: np.ndarray, a: int, adv: float) -> LossEval:
@@ -214,11 +135,6 @@ def _log_cosh(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def lco_mse_eval(z, z_star) -> LossEval:
-    """Mean squared logit residual (1/V) sum((z - z*)^2)."""
-    return _lco_mse_eval(*_residual_pair(z, z_star))
-
-
 def _lco_mse_eval(z: np.ndarray, z_star: np.ndarray) -> LossEval:
     residual = z - z_star
     return LossEval(float(_lco_mse_value(residual)), (2.0 / z.size) * residual)
@@ -228,11 +144,6 @@ def _lco_mse_value(residual: np.ndarray) -> np.ndarray:
     return (residual**2).sum(axis=-1) / residual.shape[-1]
 
 
-def lco_lch_eval(z, z_star) -> LossEval:
-    """Mean log-cosh logit residual; quadratic near zero, linear in the tails."""
-    return _lco_lch_eval(*_residual_pair(z, z_star))
-
-
 def _lco_lch_eval(z: np.ndarray, z_star: np.ndarray) -> LossEval:
     residual = z - z_star
     return LossEval(float(_lco_lch_value(residual)), np.tanh(residual) / z.size)
@@ -240,23 +151,6 @@ def _lco_lch_eval(z: np.ndarray, z_star: np.ndarray) -> LossEval:
 
 def _lco_lch_value(residual: np.ndarray) -> np.ndarray:
     return _log_cosh(residual).sum(axis=-1) / residual.shape[-1]
-
-
-def _residual_pair(z, z_star) -> tuple[np.ndarray, np.ndarray]:
-    z = as_logits(z)
-    z_star = as_logits(z_star)
-    if z.size != z_star.size:
-        raise InvalidInputError("logit vectors must have equal length")
-    return z, z_star
-
-
-def lco_kld_eval(z, pi_star) -> LossEval:
-    """Forward KL from the target distribution to softmax(z)."""
-    z = as_logits(z)
-    pi_star = as_probs(pi_star)
-    if z.size != pi_star.size:
-        raise InvalidInputError("lengths must match")
-    return _lco_kld_eval(z, _softmax(z), pi_star)
 
 
 def _lco_kld_eval(z: np.ndarray, pi: np.ndarray, pi_star: np.ndarray) -> LossEval:
@@ -361,9 +255,11 @@ class Objective:
     """The facts that set one objective apart from the others.
 
     ``kernel(z, pi, target, step)`` evaluates the objective at logits z with
-    pi = softmax(z), its closed-form target (None without one) and ``step`` =
-    (sampled action, its advantage, its behavioral probability, clip epsilon),
-    of which it reads the first ``reads`` values: SFT only its target token.
+    pi = softmax(z) (None for a logit-target loss, which never reads it), its
+    closed-form target (None without one) and ``step`` = (sampled action,
+    its advantage, its behavioral probability, clip epsilon), of which it
+    reads the first ``reads`` values: SFT only its target token.  It makes no
+    input checks; ``evaluate`` checks the point with ``point`` and calls it.
     ``value(z, target, step)`` is the same loss at every row of an (n, V)
     stack z, as an (n,) array equal row by row to the kernel's ``value``.  It
     makes no input checks and does not test PPO's clip gate.  Its arithmetic
@@ -380,7 +276,6 @@ class Objective:
     reads: int = 0  # how many values of ``step`` the objective reads
     # "logits" aligns to z* = z_old + A/beta, "policy" to pi* ~ pi_old e^{A/beta}
     target: str | None = None
-    align: Callable[..., LossEval] | None = None  # the public eval against that target
     hessian: Callable[[np.ndarray, np.ndarray, np.ndarray | None, tuple], np.ndarray] | None = None
     curvature: float | None = None  # the Hessian is (curvature / V) I at the target
     bound: Callable[[float, float, int], float] | None = None  # (loss, sigma_max, V) -> envelope
@@ -450,7 +345,6 @@ OBJECTIVES: dict[ObjectiveKind, Objective] = {
         kernel=lambda z, pi, target, step: _lco_mse_eval(z, target),
         value=lambda z, target, step: _lco_mse_value(z - target),
         target="logits",
-        align=lco_mse_eval,
         hessian=lambda z, pi, target, step: (2.0 / z.size) * np.eye(z.size),
         curvature=2.0,
         bound=lambda loss, sigma, v: 2.0 / v * sigma * np.sqrt(v * loss),
@@ -459,7 +353,6 @@ OBJECTIVES: dict[ObjectiveKind, Objective] = {
         kernel=lambda z, pi, target, step: _lco_lch_eval(z, target),
         value=lambda z, target, step: _lco_lch_value(z - target),
         target="logits",
-        align=lco_lch_eval,
         hessian=lambda z, pi, target, step: _lco_lch_hessian(z, target),
         curvature=1.0,
         bound=lambda loss, sigma, v: sigma / v * np.sqrt(v * (-np.expm1(-2.0 * loss))),
@@ -468,7 +361,6 @@ OBJECTIVES: dict[ObjectiveKind, Objective] = {
         kernel=lambda z, pi, target, step: _lco_kld_eval(z, pi, target),
         value=lambda z, target, step: _lco_kld_rows(z, target),
         target="policy",
-        align=lco_kld_eval,
         hessian=lambda z, pi, target, step: softmax_curvature(pi),
         bound=lambda loss, sigma, v: sigma * np.sqrt(2.0 * loss),
     ),
@@ -476,3 +368,27 @@ OBJECTIVES: dict[ObjectiveKind, Objective] = {
 
 # the logit-convex alignment members: the kinds that align to a target
 LCO_KINDS = tuple(kind for kind, objective in OBJECTIVES.items() if objective.target is not None)
+
+
+def evaluate(kind: ObjectiveKind, z, target=None, step=()) -> LossEval:
+    """The loss of ``kind`` and its logit gradient at the table's point (z, target, step).
+
+    The point is checked by ``Objective.point``, as ``hessian_analytic``
+    checks it: SFT reads its target token from ``step``, PPO the whole step
+    tuple, REINFORCE its action and advantage, and the alignment objectives
+    their target, z* for LCO_MSE and LCO_LCH and pi* for LCO_KLD.  A
+    logit-target loss never takes the softmax, as in the trainer.
+    """
+    objective = OBJECTIVES[kind]
+    z, target, step = objective.point(z, target, step)
+    return objective.kernel(z, None if objective.target == "logits" else _softmax(z), target, step)
+
+
+def ppo_active(z, step) -> bool:
+    """Whether the clipped surrogate has a nonzero gradient at PPO's point (z, step).
+
+    True iff (A > 0 and r < 1 + eps) or (A < 0 and r > 1 - eps); a zero
+    advantage counts as inactive.
+    """
+    z, _, (a, adv, behavioral, eps) = OBJECTIVES[ObjectiveKind.PPO].point(z, None, step)
+    return _ppo_gate(adv, _ratio(float(_softmax(z)[a]), behavioral), eps)

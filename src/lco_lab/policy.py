@@ -24,6 +24,7 @@ from enum import Enum
 
 import numpy as np
 
+from .dist import check_integer
 from .errors import InvalidInputError, InvalidStateError
 
 
@@ -95,7 +96,7 @@ def _check_shape(n_states: int, vocab_size: int):
 
 
 def _check_state(model: PolicyModel, state: int) -> int:
-    state = int(state)
+    state = check_integer(state, "state")
     if not 0 <= state < model.n_states:
         raise InvalidStateError(f"state {state} outside state space of size {model.n_states}")
     return state

@@ -79,7 +79,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .convexity import gradient_norm_bound
-from .dist import _entropy, _nucleus, _pick, _softmax, as_logits, normalize_advantages
+from .dist import _entropy, _nucleus, _pick, _softmax, as_logits, check_integer, normalize_advantages
 from .envs import MatchReward, ToyEnvironment
 from .errors import InvalidInputError, NonFiniteGradientError, NonFiniteLossError, StepSizeError
 from .objectives import OBJECTIVES, LossEval, Objective, ObjectiveKind, pairwise_sum
@@ -96,16 +96,6 @@ DENSE_TABLES = {
 # the whole run, and a large vocabulary and horizon visit more states than it
 # revisits, so the window stops growing here instead of with the run.
 WINDOW_CAP = 1024
-
-
-def _check_integers(config, fields: tuple[tuple[str, int], ...]) -> None:
-    """Each named field of ``config`` is an integer (not a bool) at or above its low end."""
-    for name, low in fields:
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-        if value < low:
-            raise InvalidInputError(f"{name} must be >= {low}")
 
 
 @dataclass(frozen=True)
@@ -130,7 +120,8 @@ class TrainerConfig:
     def __post_init__(self):
         if not 0.0 < self.learning_rate < np.inf:
             raise InvalidInputError("learning_rate must be positive and finite")
-        _check_integers(self, (("steps", 1), ("snapshot_interval", 1), ("seed", 0)))
+        for name, low in (("steps", 1), ("snapshot_interval", 1), ("seed", 0)):
+            check_integer(getattr(self, name), name, low)
         if not self.beta > 0.0:
             raise InvalidInputError("beta must be positive")
         if not 0.0 < self.clip_epsilon < 1.0:
@@ -588,7 +579,8 @@ class ConvergeConfig:
     z_old: np.ndarray | None = None
 
     def __post_init__(self):
-        _check_integers(self, (("vocab_size", 2), ("steps", 1), ("feature_dim", 1), ("seed", 0)))
+        for name, low in (("vocab_size", 2), ("steps", 1), ("feature_dim", 1), ("seed", 0)):
+            check_integer(getattr(self, name), name, low)
         if not 0.0 < self.eta < np.inf:
             raise InvalidInputError("eta must be positive and finite")
         if not 0.0 < self.beta < np.inf:

@@ -163,53 +163,43 @@ def suite_dist(seed: int = 101):
 
 
 def _ppo_case(rng: np.random.Generator, v: int):
+    """A PPO step tuple and logits near its behavioral ones, inside the active region by a margin."""
     while True:
         z_old = rng.uniform(-2.0, 2.0, v)
         action = int(rng.integers(v))
         sign = 1.0 if rng.random() < 0.5 else -1.0
         adv_scalar = sign * float(rng.uniform(0.1, 2.0))
-        ctx = objectives.TimestepContext.from_logits(
-            z_old,
-            action,
-            _sparse(adv_scalar, action, v),
-            beta=1.0,
-            clip_epsilon=0.2,
-        )
+        behavioral = float(dist.softmax(z_old)[action])
         z = z_old + rng.uniform(-0.05, 0.05, v)
-        ratio = dist.softmax(z)[action] / ctx.pi_old[action]
+        ratio = dist.softmax(z)[action] / behavioral
         margin = 0.01
         active = (adv_scalar > 0 and ratio < 1.2 - margin) or (adv_scalar < 0 and ratio > 0.8 + margin)
         if active:
-            return ctx, z, adv_scalar
+            return (action, adv_scalar, behavioral, 0.2), z
 
 
 def _clipped_case(rng: np.random.Generator):
-    """A positive-advantage context and logits whose ratio is past 1 + eps by a margin."""
+    """A positive-advantage PPO step and logits whose ratio is past 1 + eps by a margin."""
     while True:
         v = int(rng.integers(2, 6))
         z_old = rng.uniform(-1.0, 1.0, v)
         action = int(rng.integers(v))
-        ctx = objectives.TimestepContext.from_logits(z_old, action, _sparse(1.0, action, v))
+        behavioral = float(dist.softmax(z_old)[action])
         z = z_old.copy()
         z[action] += 2.0
         # a large pi_old(a) leaves too little room for the ratio to pass 1 + eps
-        if dist.softmax(z)[action] / ctx.pi_old[action] > 1.0 + ctx.clip_epsilon + 0.01:
-            return ctx, z
-
-
-def _sparse(value: float, action: int, v: int) -> dist.Advantages:
-    values = np.zeros(v)
-    values[action] = value
-    return dist.Advantages(values, sparse_mask=frozenset({action}))
+        if dist.softmax(z)[action] / behavioral > 1.0 + 0.2 + 0.01:
+            return (action, 1.0, behavioral, 0.2), z
 
 
 @_suite
 def suite_gradients(seed: int = 202):
     """Analytic logit gradients against the five-point finite-difference oracle.
 
-    The gradient under test is the public eval of each kind, looked up in
-    ``objectives`` at call time; the oracle is always the objective table's
-    row value (PPO's the unclipped surrogate), one call per case.
+    The gradient under test is ``objectives.evaluate`` of each kind, whose
+    table kernel looks up its arithmetic in ``objectives`` at call time; the
+    oracle is always the objective table's row value (PPO's the unclipped
+    surrogate), one call per case.
     """
     rng = np.random.default_rng(seed)
     sizes = (2, 3, 5, 16)
@@ -219,60 +209,55 @@ def suite_gradients(seed: int = 202):
 
         z = rng.uniform(-2.0, 2.0, v)
         target = int(rng.integers(v))
-        evaluation = objectives.sft_eval(z, target)
+        evaluation = objectives.evaluate(ObjectiveKind.SFT, z, step=(target,))
         yield gradient_mismatch(
             evaluation.logit_gradient, central_gradient(_row_value(ObjectiveKind.SFT, step=(target,)), z)
         ) or abs(evaluation.logit_gradient.sum()) > 1e-12
 
-        ctx, z, adv_scalar = _ppo_case(rng, v)
-        evaluation = objectives.ppo_eval(ctx, z)
+        step, z = _ppo_case(rng, v)
+        evaluation = objectives.evaluate(ObjectiveKind.PPO, z, step=step)
         # the unclipped surrogate -r A: the active-region loss, without the clip logic under test
-        a = ctx.sampled_action
-        unclipped = lambda q: -(dist._softmax(q)[:, a] / ctx.pi_old[a]) * adv_scalar
+        a, adv_scalar, behavioral, _ = step
+        unclipped = lambda q: -(dist._softmax(q)[:, a] / behavioral) * adv_scalar
         yield gradient_mismatch(evaluation.logit_gradient, central_gradient(unclipped, z)) or abs(
             evaluation.logit_gradient.sum()
         ) > 1e-12
 
         z = rng.uniform(-2.0, 2.0, v)
         action = int(rng.integers(v))
-        ctx = objectives.TimestepContext.from_logits(
-            rng.uniform(-2.0, 2.0, v), action, _sparse(float(rng.uniform(-2, 2)), action, v)
-        )
-        evaluation = objectives.reinforce_eval(ctx, z)
-        oracle = _row_value(ObjectiveKind.REINFORCE, step=(action, ctx.sampled_advantage))
+        rng.uniform(-2.0, 2.0, v)  # behavioral logits, which REINFORCE never reads: kept for the case stream
+        step = (action, float(rng.uniform(-2, 2)))
+        evaluation = objectives.evaluate(ObjectiveKind.REINFORCE, z, step=step)
+        oracle = _row_value(ObjectiveKind.REINFORCE, step=step)
         yield gradient_mismatch(evaluation.logit_gradient, central_gradient(oracle, z))
 
         z = rng.uniform(-3.0, 3.0, v)
         z_star = rng.uniform(-3.0, 3.0, v)
-        yield gradient_mismatch(
-            objectives.lco_mse_eval(z, z_star).logit_gradient,
-            central_gradient(_row_value(ObjectiveKind.LCO_MSE, z_star), z),
-        )
-        yield gradient_mismatch(
-            objectives.lco_lch_eval(z, z_star).logit_gradient,
-            central_gradient(_row_value(ObjectiveKind.LCO_LCH, z_star), z),
-        )
+        for kind in (ObjectiveKind.LCO_MSE, ObjectiveKind.LCO_LCH):
+            yield gradient_mismatch(
+                objectives.evaluate(kind, z, z_star).logit_gradient, central_gradient(_row_value(kind, z_star), z)
+            )
 
         pi_star = dist.softmax(rng.uniform(-2.0, 2.0, v))
-        evaluation = objectives.lco_kld_eval(z, pi_star)
+        evaluation = objectives.evaluate(ObjectiveKind.LCO_KLD, z, pi_star)
         yield gradient_mismatch(
             evaluation.logit_gradient, central_gradient(_row_value(ObjectiveKind.LCO_KLD, pi_star), z)
         ) or abs(evaluation.logit_gradient.sum()) > 1e-12
 
     # clipped region returns the exact zero vector
     for _ in range(50):
-        ctx, z = _clipped_case(rng)
-        evaluation = objectives.ppo_eval(ctx, z)
-        yield objectives.ppo_active(ctx, z) or np.any(evaluation.logit_gradient != 0.0)
+        step, z = _clipped_case(rng)
+        evaluation = objectives.evaluate(ObjectiveKind.PPO, z, step=step)
+        yield objectives.ppo_active(z, step) or np.any(evaluation.logit_gradient != 0.0)
 
     # unit advantage reduces the score-function gradient to the SFT one
     for _ in range(50):
         v = int(rng.integers(2, 9))
         z = rng.uniform(-2.0, 2.0, v)
         action = int(rng.integers(v))
-        ctx = objectives.TimestepContext.from_logits(rng.uniform(-1, 1, v), action, _sparse(1.0, action, v))
-        a_eval = objectives.reinforce_eval(ctx, z)
-        b_eval = objectives.sft_eval(z, action)
+        rng.uniform(-1, 1, v)  # behavioral logits, kept for the case stream
+        a_eval = objectives.evaluate(ObjectiveKind.REINFORCE, z, step=(action, 1.0))
+        b_eval = objectives.evaluate(ObjectiveKind.SFT, z, step=(action,))
         yield (
             abs(a_eval.value - b_eval.value) > 1e-12
             or np.abs(a_eval.logit_gradient - b_eval.logit_gradient).max() > 1e-12
@@ -360,8 +345,7 @@ def _numeric_agreement(rng: np.random.Generator) -> Iterator[bool]:
             if kind is ObjectiveKind.SFT:
                 step = (int(rng.integers(v)),)
             elif kind is ObjectiveKind.PPO:
-                ctx, z, _ = _ppo_case(rng, v)
-                step = ctx.step
+                step, z = _ppo_case(rng, v)
             else:  # an alignment objective: a target in its form
                 target = OBJECTIVES[kind].target_at(rng.uniform(-1.5, 1.5, v))
             analytic = convexity.hessian_analytic(kind, z, target, step)
@@ -478,13 +462,13 @@ def _random_model(rng: np.random.Generator, v: int):
 def suite_bounds(seed: int = 505):
     rng = np.random.default_rng(seed)
     for kind in objectives.LCO_KINDS:
-        objective = OBJECTIVES[kind]
+        target_at = OBJECTIVES[kind].target_at
         for _ in range(500):
             v = int(rng.integers(2, 9))
             model = _random_model(rng, v)
             z = forward(model, 0)
             offset = rng.uniform(-2.0, 2.0, v)
-            evaluation = objective.align(z, objective.target_at(z + offset))
+            evaluation = objectives.evaluate(kind, z, target_at(z + offset))
             grad_theta = pullback(model, 0, evaluation.logit_gradient)
             check = convexity.bound_check(
                 kind, float(np.linalg.norm(grad_theta)), max(evaluation.value, 0.0), sigma_max(model, 0), v
@@ -534,8 +518,8 @@ def suite_directionality(seed: int = 606):
         phi = model.features[0]
         w = model.theta.reshape(v, phi.size)
         w_star = w + np.outer(z_star - z, phi) / float(phi @ phi)
-        objective = OBJECTIVES[objectives.LCO_KINDS[int(rng.integers(3))]]
-        grad_z = objective.align(z, objective.target_at(z_star)).logit_gradient
+        kind = objectives.LCO_KINDS[int(rng.integers(3))]
+        grad_z = objectives.evaluate(kind, z, OBJECTIVES[kind].target_at(z_star)).logit_gradient
         grad_theta = pullback(model, 0, grad_z)
         yield float(grad_theta @ (model.theta - w_star.ravel())) < -1e-10
 

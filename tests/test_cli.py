@@ -1,5 +1,6 @@
 import inspect
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from lco_lab import dist, objectives
 from lco_lab.cli import main
 from lco_lab.config import ConfigError, parse_config
 from lco_lab.csvio import DYNAMICS_HEADER, format_float
-from lco_lab.objectives import LossEval, sft_eval
+from lco_lab.objectives import LossEval, _sft_eval
 from lco_lab.policy import forward, tabular_policy
 from lco_lab.svgplot import render_chart
 from lco_lab.verify import suite_gradients
@@ -58,6 +59,24 @@ def test_parse_config_diagnostics(tmp_path):
     path = write_cfg(tmp_path, "orphan = 1\n")
     with pytest.raises(ConfigError, match="outside any"):
         parse_config(path)
+
+
+@pytest.mark.parametrize(
+    "line, typo, lineno, message",
+    [
+        ("learning_rate = 0.5", "learning_rat = 0.5", 14, "unknown key 'learning_rat' in [training]"),
+        ("[output]", "[ouput]", 19, "unknown section [ouput]"),
+    ],
+)
+def test_a_misspelled_config_name_exits_2_at_its_line(tmp_path, capsys, line, typo, lineno, message):
+    # each typo once fell back silently: to the default learning rate 0.1, or to no [output] section
+    shipped = (Path(CONFIG_DIR) / "sft_decay.cfg").read_text()
+    assert shipped.splitlines()[lineno - 1] == line
+    cfg = write_cfg(tmp_path, shipped.replace(line, typo))
+    out = tmp_path / "o"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"{cfg}:{lineno}: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- train -------------------------------------------------------------------
@@ -387,13 +406,13 @@ def test_gradient_suite_catches_sign_flip(monkeypatch):
     clean = suite_gradients()
     assert (clean.cases, clean.failures) == (1300, 0)
 
-    def flipped(z, target) -> LossEval:
-        good = sft_eval(z, target)
+    def flipped(z, pi, target) -> LossEval:
+        good = _sft_eval(z, pi, target)
         return LossEval(good.value, -good.logit_gradient)
 
-    monkeypatch.setattr(objectives, "sft_eval", flipped)
+    monkeypatch.setattr(objectives, "_sft_eval", flipped)
     result = suite_gradients()
-    assert result.cases == 1300 and result.failures > 0
+    assert (result.cases, result.failures) == (1300, 250)
 
 
 def test_recovery_stop_distance_equals_the_public_one():

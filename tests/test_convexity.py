@@ -18,8 +18,7 @@ from lco_lab.errors import (
     KinkError,
     WitnessSearchError,
 )
-from lco_lab.objectives import OBJECTIVES, ObjectiveKind, TimestepContext
-from lco_lab.dist import Advantages
+from lco_lab.objectives import OBJECTIVES, ObjectiveKind
 
 from oracles import min_eigenvalue_bisect
 
@@ -78,13 +77,11 @@ def test_numeric_hessian_matches_analytic():
 
 
 def test_numeric_hessian_detects_clip_kink():
-    z_old = np.array([0.0, 0.0])
-    adv = Advantages(np.array([1.0, 0.0]), sparse_mask=frozenset({0}))
-    ctx = TimestepContext.from_logits(z_old, 0, adv, 1.0, 0.2)
+    step = (0, 1.0, 0.5, 0.2)  # behavioral logits (0, 0), positive unit advantage
     # place the ratio just inside the active boundary so a 2*step stencil crosses it
     z = np.array([0.40, 0.0])  # ratio ~1.1974, boundary at gap ln(0.6/0.4) ~ 0.4055
     with pytest.raises(KinkError):
-        hessian_numeric(ObjectiveKind.PPO, z, step=ctx.step, h=5e-3)
+        hessian_numeric(ObjectiveKind.PPO, z, step=step, h=5e-3)
 
 
 Z3 = np.array([0.3, -0.2, 0.1])

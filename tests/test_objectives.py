@@ -1,48 +1,39 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from lco_lab.dist import Advantages, softmax
+import lco_lab
+from lco_lab.dist import softmax
+from lco_lab.envs import MatchReward, ToyEnvironment
 from lco_lab.errors import DegenerateRatioError, InvalidInputError
 from lco_lab.convexity import hessian_analytic, hessian_numeric, ppo_witness
-from lco_lab.objectives import (
-    LCO_KINDS,
-    OBJECTIVES,
-    ObjectiveKind,
-    TimestepContext,
-    lco_kld_eval,
-    lco_lch_eval,
-    lco_mse_eval,
-    ppo_active,
-    ppo_eval,
-    reinforce_eval,
-    sft_eval,
-)
+from lco_lab.objectives import LCO_KINDS, OBJECTIVES, ObjectiveKind, evaluate, ppo_active
 
 from oracles import central_diff, log_cosh_hp, rel_close
 
-
-def sparse(value, action, v):
-    values = np.zeros(v)
-    values[action] = value
-    return Advantages(values, sparse_mask=frozenset({action}))
+SFT, PPO, REINFORCE = ObjectiveKind.SFT, ObjectiveKind.PPO, ObjectiveKind.REINFORCE
+LCO_MSE, LCO_LCH, LCO_KLD = LCO_KINDS
 
 
-def make_ctx(z_old, action, adv, eps=0.2, beta=1.0):
-    return TimestepContext.from_logits(z_old, action, sparse(adv, action, len(z_old)), beta, eps)
+def ppo_step(z_old, action, adv, eps=0.2):
+    """PPO's step tuple for behavioral logits z_old."""
+    return action, adv, float(softmax(z_old)[action]), eps
 
 
 # --- SFT -------------------------------------------------------------------
 
 
 def test_sft_symmetric_point():
-    e = sft_eval([0.0, 0.0], 0)
+    e = evaluate(SFT, [0.0, 0.0], step=(0,))
     assert abs(e.value - np.log(2)) < 1e-15
     assert np.allclose(e.logit_gradient, [-0.5, 0.5], atol=1e-15)
 
 
 def test_sft_near_optimum():
     z = np.array([40.0, 0.0, 0.0])
-    e = sft_eval(z, 0)
+    e = evaluate(SFT, z, step=(0,))
     assert e.value < 1e-12
     assert np.abs(e.logit_gradient).max() < 1e-12
 
@@ -52,8 +43,8 @@ def test_sft_gradient_matches_finite_differences():
     for _ in range(20):
         z = rng.uniform(-2, 2, int(rng.integers(2, 8)))
         target = int(rng.integers(z.size))
-        e = sft_eval(z, target)
-        assert rel_close(e.logit_gradient, central_diff(lambda q: sft_eval(q, target).value, z))
+        e = evaluate(SFT, z, step=(target,))
+        assert rel_close(e.logit_gradient, central_diff(lambda q: evaluate(SFT, q, step=(target,)).value, z))
         assert abs(e.logit_gradient.sum()) <= 1e-12
 
 
@@ -61,38 +52,36 @@ def test_sft_gradient_matches_finite_differences():
 
 
 def test_ppo_gating():
-    ctx = make_ctx([0.0, 0.0], 0, 1.0)
-    assert ppo_active(ctx, [0.0, 0.0])  # on-policy, positive advantage
+    step = ppo_step([0.0, 0.0], 0, 1.0)
+    assert ppo_active([0.0, 0.0], step)  # on-policy, positive advantage
 
     # push the ratio past 1 + eps: positive advantage clips
     z_hi = np.array([2.0, 0.0])
-    assert not ppo_active(ctx, z_hi)
+    assert not ppo_active(z_hi, step)
 
-    ctx_neg = make_ctx([0.0, 0.0], 0, -1.0)
+    step_neg = ppo_step([0.0, 0.0], 0, -1.0)
     z_lo = np.array([-2.0, 0.0])
-    assert not ppo_active(ctx_neg, z_lo)
+    assert not ppo_active(z_lo, step_neg)
 
-    assert not ppo_active(make_ctx([0.0, 0.0], 0, 0.0), [0.0, 0.0])  # zero advantage
+    assert not ppo_active([0.0, 0.0], ppo_step([0.0, 0.0], 0, 0.0))  # zero advantage
 
 
 def test_ppo_hand_worked_gradient():
     # two actions, behavioral probability one half, negative unit advantage
-    ctx = make_ctx([0.0, 0.0], 0, -1.0)
-    e = ppo_eval(ctx, [0.0, 0.0])
+    e = evaluate(PPO, [0.0, 0.0], step=ppo_step([0.0, 0.0], 0, -1.0))
     assert np.allclose(e.logit_gradient, [0.5, -0.5], atol=1e-15)
     assert abs(e.value - 1.0) < 1e-15  # -min(r*A, clip*A) = -A at r = 1
 
 
 def test_ppo_zero_advantage():
-    e = ppo_eval(make_ctx([0.3, -0.3], 0, 0.0), [0.3, -0.3])
+    e = evaluate(PPO, [0.3, -0.3], step=ppo_step([0.3, -0.3], 0, 0.0))
     assert e.value == 0.0
     assert np.array_equal(e.logit_gradient, [0.0, 0.0])
 
 
 def test_ppo_clipped_region_zero_gradient_and_clipped_value():
-    ctx = make_ctx([0.0, 0.0], 0, 1.0, eps=0.2)
     z = np.array([2.0, 0.0])  # ratio ~1.76 > 1.2
-    e = ppo_eval(ctx, z)
+    e = evaluate(PPO, z, step=ppo_step([0.0, 0.0], 0, 1.0, eps=0.2))
     assert np.array_equal(e.logit_gradient, [0.0, 0.0])
     assert abs(e.value - (-1.2)) < 1e-15  # clipped branch -(1+eps)*A
 
@@ -105,29 +94,38 @@ def test_ppo_gradient_matches_unclipped_surrogate():
         z_old = rng.uniform(-2, 2, v)
         action = int(rng.integers(v))
         adv = float(rng.uniform(0.1, 2.0)) * (1 if rng.random() < 0.5 else -1)
-        ctx = make_ctx(z_old, action, adv)
+        step = ppo_step(z_old, action, adv)
         z = z_old + rng.uniform(-0.05, 0.05, v)
-        if not ppo_active(ctx, z):
+        if not ppo_active(z, step):
             continue
-        surrogate = lambda q: -(softmax(q)[action] / ctx.pi_old[action]) * adv
-        e = ppo_eval(ctx, z)
+        surrogate = lambda q: -(softmax(q)[action] / step[2]) * adv
+        e = evaluate(PPO, z, step=step)
         assert rel_close(e.logit_gradient, central_diff(surrogate, z))
         assert abs(e.logit_gradient.sum()) <= 1e-12
         checked += 1
 
 
 def test_ppo_degenerate_ratio():
-    z_old = np.array([800.0, 0.0])  # behavioral probability of action 1 underflows
-    ctx = TimestepContext.from_logits(z_old, 1, sparse(1.0, 1, 2))
+    # a behavioral probability below MIN_BEHAVIORAL_PROB, yet positive, cannot form a ratio
     with pytest.raises(DegenerateRatioError):
-        ppo_eval(ctx, z_old)
+        evaluate(PPO, [0.0, 0.0], step=(1, 1.0, 1e-310, 0.2))
+    with pytest.raises(DegenerateRatioError):
+        ppo_active([0.0, 0.0], (1, 1.0, 1e-310, 0.2))
+
+
+def test_ppo_zero_behavioral_probability_is_not_a_point():
+    # softmax([800, 0])[1] underflows to exactly 0, outside the step rule's (0, 1]
+    step = ppo_step([800.0, 0.0], 1, 1.0)
+    assert step[2] == 0.0
+    with pytest.raises(InvalidInputError, match="behavioral probability"):
+        evaluate(PPO, [800.0, 0.0], step=step)
 
 
 # --- REINFORCE -------------------------------------------------------------
 
 
 def test_reinforce_zero_advantage():
-    e = reinforce_eval(make_ctx([0.1, -0.2], 1, 0.0), [0.1, -0.2])
+    e = evaluate(REINFORCE, [0.1, -0.2], step=(1, 0.0))
     assert e.value == 0.0
     assert np.array_equal(e.logit_gradient, [0.0, 0.0])
 
@@ -138,8 +136,9 @@ def test_reinforce_unit_advantage_equals_sft():
         v = int(rng.integers(2, 9))
         z = rng.uniform(-2, 2, v)
         action = int(rng.integers(v))
-        a_eval = reinforce_eval(make_ctx(rng.uniform(-1, 1, v), action, 1.0), z)
-        b_eval = sft_eval(z, action)
+        rng.uniform(-1, 1, v)  # behavioral logits, which REINFORCE never reads
+        a_eval = evaluate(REINFORCE, z, step=(action, 1.0))
+        b_eval = evaluate(SFT, z, step=(action,))
         assert abs(a_eval.value - b_eval.value) <= 1e-12
         assert np.abs(a_eval.logit_gradient - b_eval.logit_gradient).max() <= 1e-12
 
@@ -149,9 +148,10 @@ def test_reinforce_gradient_matches_finite_differences():
     for _ in range(20):
         v = int(rng.integers(2, 8))
         z = rng.uniform(-2, 2, v)
-        ctx = make_ctx(rng.uniform(-1, 1, v), int(rng.integers(v)), float(rng.uniform(-2, 2)))
-        e = reinforce_eval(ctx, z)
-        assert rel_close(e.logit_gradient, central_diff(lambda q: reinforce_eval(ctx, q).value, z))
+        rng.uniform(-1, 1, v)  # behavioral logits, which REINFORCE never reads
+        step = (int(rng.integers(v)), float(rng.uniform(-2, 2)))
+        e = evaluate(REINFORCE, z, step=step)
+        assert rel_close(e.logit_gradient, central_diff(lambda q: evaluate(REINFORCE, q, step=step).value, z))
 
 
 # --- LCO objectives --------------------------------------------------------
@@ -159,36 +159,36 @@ def test_reinforce_gradient_matches_finite_differences():
 
 def test_lco_mse_values():
     z = np.array([1.0, -2.0, 0.5, 3.0])
-    e = lco_mse_eval(z, z)
+    e = evaluate(LCO_MSE, z, z)
     assert e.value == 0.0 and np.array_equal(e.logit_gradient, np.zeros(4))
 
-    e = lco_mse_eval(np.array([1.0, 0, 0, 0]), np.zeros(4))
+    e = evaluate(LCO_MSE, np.array([1.0, 0, 0, 0]), np.zeros(4))
     assert abs(e.value - 0.25) < 1e-15
     assert np.allclose(e.logit_gradient, [0.5, 0, 0, 0], atol=1e-15)
 
 
 def test_lco_lch_overflow_safe():
-    e = lco_lch_eval(np.array([50.0, 0.0]), np.zeros(2))
+    e = evaluate(LCO_LCH, np.array([50.0, 0.0]), np.zeros(2))
     assert abs(e.value - (50.0 - np.log(2.0)) / 2.0) < 1e-12
     assert abs(e.value - log_cosh_hp(50.0) / 2.0) < 1e-12
-    huge = lco_lch_eval(np.array([2000.0, 0.0]), np.zeros(2))
+    huge = evaluate(LCO_LCH, np.array([2000.0, 0.0]), np.zeros(2))
     assert np.isfinite(huge.value)
     assert abs(huge.value - (2000.0 - np.log(2.0)) / 2.0) < 1e-9
 
 
 def test_lco_lch_small_residual_accuracy():
-    e = lco_lch_eval(np.array([1e-8, 0.0]), np.zeros(2))
+    e = evaluate(LCO_LCH, np.array([1e-8, 0.0]), np.zeros(2))
     # logcosh(x) ~ x^2/2 must keep relative accuracy at tiny residuals
     assert abs(e.value - 0.25e-16) < 1e-20
 
 
 def test_lco_kld_values():
     z = np.array([0.4, -1.0, 2.0])
-    e = lco_kld_eval(z, softmax(z))
+    e = evaluate(LCO_KLD, z, softmax(z))
     assert e.value == 0.0
     assert np.abs(e.logit_gradient).max() < 1e-15
 
-    e = lco_kld_eval(np.array([np.log(3.0), 0.0]), np.array([0.5, 0.5]))
+    e = evaluate(LCO_KLD, np.array([np.log(3.0), 0.0]), np.array([0.5, 0.5]))
     assert np.allclose(e.logit_gradient, [0.25, -0.25], atol=1e-12)
 
 
@@ -197,7 +197,7 @@ def test_lco_kld_value_stays_nonnegative_near_convergence():
     pi = softmax(z)
     shifted = pi + np.array([1e-13, -1e-13, 0.0])
     shifted /= shifted.sum()
-    e = lco_kld_eval(z, shifted)
+    e = evaluate(LCO_KLD, z, shifted)
     assert e.value >= 0.0
     assert e.value < 1e-20
 
@@ -209,24 +209,48 @@ def test_lco_gradients_match_finite_differences():
         z = rng.uniform(-3, 3, v)
         z_star = rng.uniform(-3, 3, v)
         pi_star = softmax(rng.uniform(-2, 2, v))
-        for evaluate, f in (
-            (lambda q: lco_mse_eval(q, z_star), lambda q: lco_mse_eval(q, z_star).value),
-            (lambda q: lco_lch_eval(q, z_star), lambda q: lco_lch_eval(q, z_star).value),
-            (lambda q: lco_kld_eval(q, pi_star), lambda q: lco_kld_eval(q, pi_star).value),
-        ):
-            e = evaluate(z)
-            assert rel_close(e.logit_gradient, central_diff(f, z))
-    e = lco_kld_eval(z, pi_star)
+        for kind, target in ((LCO_MSE, z_star), (LCO_LCH, z_star), (LCO_KLD, pi_star)):
+            e = evaluate(kind, z, target)
+            assert rel_close(e.logit_gradient, central_diff(lambda q: evaluate(kind, q, target).value, z))
+    e = evaluate(LCO_KLD, z, pi_star)
     assert abs(e.logit_gradient.sum()) <= 1e-12
 
 
-def test_context_validates_cached_distribution():
-    with pytest.raises(InvalidInputError):
-        TimestepContext(
-            np.array([0.0, 1.0]), np.array([0.5, 0.5]), 0, Advantages(np.zeros(2)), 1.0, 0.2
-        )
-    with pytest.raises(InvalidInputError):
-        make_ctx([0.0, 0.0], 0, 1.0, eps=1.5)
+# --- the point evaluate checks -------------------------------------------------
+
+Z = np.array([0.1, 0.5, -0.3])
+# a (target, step) pair of each kind at Z, and malformed ones
+GOOD_POINTS = {
+    SFT: (None, (2,)),
+    PPO: (None, (1, 0.7, 0.4, 0.2)),
+    REINFORCE: (None, [1, -0.7]),
+    LCO_MSE: ([0.3, 0.1, -0.2], ()),
+    LCO_LCH: ([0.3, 0.1, -0.2], ()),
+    LCO_KLD: ([0.2, 0.5, 0.3], ()),
+}
+BAD_POINTS = {
+    SFT: [(None, ()), (None, (3,)), (None, np.array([2]))],
+    PPO: [(None, (1, 0.7, 0.4)), (None, (1, 0.7, 0.0, 0.2)), (None, (1, 0.7, 1.5, 0.2)), (None, (1, 0.7, 0.4, 1.5))],
+    REINFORCE: [(None, (1, np.inf)), (None, (1, "a")), (None, (1,))],
+    LCO_MSE: [([0.3, 0.1], ()), ([0.3, np.nan, 0.1], ()), ([0.3, 0.1, -0.2], None)],
+    LCO_LCH: [([0.3, 0.1, -0.2, 0.0], ()), (None, ())],
+    LCO_KLD: [([0.2, 0.5, 0.4], ()), ([0.5, 0.5], ()), ([1.2, -0.2, 0.0], ())],
+}
+
+
+@pytest.mark.parametrize("kind", list(ObjectiveKind))
+def test_evaluate_is_the_kernel_at_the_checked_point(kind):
+    objective = OBJECTIVES[kind]
+    got = evaluate(kind, Z, *GOOD_POINTS[kind])
+    z, target, step = objective.point(Z, *GOOD_POINTS[kind])
+    want = objective.kernel(z, softmax(z), target, step)
+    assert got.value == want.value
+    assert np.array_equal(got.logit_gradient, want.logit_gradient)
+    for target, step in BAD_POINTS[kind]:
+        with pytest.raises(InvalidInputError):
+            evaluate(kind, Z, target, step)
+    with pytest.raises(InvalidInputError, match="logits must be finite"):
+        evaluate(kind, [0.1, np.inf, 0.0], *GOOD_POINTS[kind])
 
 
 # --- action indices ------------------------------------------------------------
@@ -235,15 +259,20 @@ def test_context_validates_cached_distribution():
 def _action_entry_points(action):
     """Every public way an action index reaches ``check_action``, at V = 3."""
     z = np.array([0.1, 0.5, -0.3])
-    ppo_step = (action, 1.0, float(softmax(z)[1]), 0.2)
+    step = (action, 1.0, float(softmax(z)[1]), 0.2)
+    env = ToyEnvironment(3, 2, MatchReward((1, 2)))
     return {
-        "sft_eval": lambda: sft_eval(z, action),
-        "TimestepContext": lambda: TimestepContext.from_logits(z, action, np.zeros(3)),
+        "target token": lambda: ToyEnvironment(3, 2, MatchReward((action, 2))).reward.target,
+        "state_index token": lambda: env.state_index((action,)),
+        "evaluate SFT": lambda: evaluate(SFT, z, step=step[:1]),
+        "evaluate PPO": lambda: evaluate(PPO, z, step=step),
+        "evaluate REINFORCE": lambda: evaluate(REINFORCE, z, step=step[:2]),
+        "ppo_active": lambda: ppo_active(z, step),
         "ppo_witness": lambda: ppo_witness(softmax(z), action, 1),
-        "hessian_analytic SFT": lambda: hessian_analytic(ObjectiveKind.SFT, z, step=(action,)),
-        "hessian_numeric SFT": lambda: hessian_numeric(ObjectiveKind.SFT, z, step=(action,)),
-        "hessian_analytic PPO": lambda: hessian_analytic(ObjectiveKind.PPO, z, step=ppo_step),
-        "hessian_numeric PPO": lambda: hessian_numeric(ObjectiveKind.PPO, z, step=ppo_step),
+        "hessian_analytic SFT": lambda: hessian_analytic(SFT, z, step=step[:1]),
+        "hessian_numeric SFT": lambda: hessian_numeric(SFT, z, step=step[:1]),
+        "hessian_analytic PPO": lambda: hessian_analytic(PPO, z, step=step),
+        "hessian_numeric PPO": lambda: hessian_numeric(PPO, z, step=step),
     }
 
 
@@ -261,10 +290,10 @@ def test_a_numpy_integer_action_reads_as_the_int(action):
     as_int = {name: call() for name, call in _action_entry_points(1).items()}
     for name, call in _action_entry_points(action).items():
         got = call()
-        if name == "sft_eval":
+        if name.startswith("evaluate"):
             assert got.value == as_int[name].value and np.array_equal(got.logit_gradient, as_int[name].logit_gradient)
-        elif name == "TimestepContext":
-            assert got.sampled_action == 1 and type(got.sampled_action) is int
+        elif name in ("ppo_active", "target token", "state_index token"):
+            assert got == as_int[name] and repr(got) == repr(as_int[name]), name
         elif name == "ppo_witness":
             assert np.array_equal(got, as_int[name])
         else:
@@ -287,8 +316,20 @@ def test_objective_table_has_one_entry_per_kind():
     assert LCO_KINDS == (ObjectiveKind.LCO_MSE, ObjectiveKind.LCO_LCH, ObjectiveKind.LCO_KLD)
     for kind, objective in OBJECTIVES.items():
         assert objective.target in (None, "logits", "policy")
-        # an alignment objective has a public eval and a bound, the others neither
-        assert (objective.align is None) == (objective.bound is None) == (kind not in LCO_KINDS)
+        # an alignment objective has a target and a bound, the others neither
+        assert (objective.target is None) == (objective.bound is None) == (kind not in LCO_KINDS)
+
+
+def test_the_library_branches_on_an_objective_kind_in_at_most_four_places():
+    # an objective's behaviour is its OBJECTIVES entry, not an if/elif ladder over kinds
+    branch = re.compile(r"(\bif\b|\belif\b).*(ObjectiveKind\.|LCO_KINDS)")
+    hits = [
+        f"{path.name}:{lineno}: {line.strip()}"
+        for path in sorted(Path(lco_lab.__file__).parent.glob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if branch.search(line)
+    ]
+    assert len(hits) <= 4, "\n".join(hits)
 
 
 @pytest.mark.parametrize("kind", [ObjectiveKind.LCO_MSE, ObjectiveKind.LCO_LCH])
@@ -304,13 +345,13 @@ def test_only_the_logit_regressions_have_a_constant_curvature():
 
 
 @pytest.mark.parametrize("kind", LCO_KINDS)
-def test_table_kernel_matches_the_public_eval_at_the_optimal_target(kind):
+def test_table_kernel_matches_evaluate_at_the_optimal_target(kind):
     rng = np.random.default_rng(5)
     objective = OBJECTIVES[kind]
     z_old, z, advantages = rng.uniform(-2.0, 2.0, (3, 6))
     target = objective.optimal_target(z_old, softmax(z_old), advantages, 0.7)
     kernel = objective.kernel(z, softmax(z), target, (2, float(advantages[2]), 0.1, 0.2))
-    public = objective.align(z, target)
+    public = evaluate(kind, z, target)
     assert kernel.value == public.value
     assert np.array_equal(kernel.logit_gradient, public.logit_gradient)
     # the logits z* = z_old + A/beta represent the same target

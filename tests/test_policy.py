@@ -126,6 +126,22 @@ def test_unknown_state_rejected():
         linearization_residual(model, model.theta, model.theta, -1)
 
 
+@pytest.mark.parametrize("state", [1.7, 1.0, np.float64(1.0), True, np.True_, "1", float("nan"), None])
+def test_a_state_that_is_not_an_integer_is_rejected(state):
+    # int() would read 1.7, True and "1" as state 1, and raise a bare ValueError on NaN
+    model = tabular_policy(3, 2)
+    for call in (forward, sigma_max, lambda m, s: pullback(m, s, np.zeros(2))):
+        with pytest.raises(InvalidInputError, match="state must be an integer"):
+            call(model, state)
+
+
+@pytest.mark.parametrize("state", [np.int64(1), np.int32(1), np.uint8(1)])
+def test_a_numpy_integer_state_reads_as_the_int(state):
+    model = mlp1_policy(3, 4, 2, hidden=3, seed=1)
+    assert np.array_equal(forward(model, state), forward(model, 1))
+    assert sigma_max(model, state) == sigma_max(model, 1)
+
+
 def _random_model(family: Family, v: int, rng: np.random.Generator):
     if family is Family.TABULAR:
         model = tabular_policy(5, v)

@@ -18,7 +18,7 @@ from lco_lab import dist, objectives
 from lco_lab.config import build_converge, parse_config
 from lco_lab.convexity import hessian_analytic, hessian_numeric
 from lco_lab.dist import _log_softmax, _softmax, kl_between, softmax
-from lco_lab.objectives import OBJECTIVES, ObjectiveKind, lco_lch_eval, lco_mse_eval, ppo_active
+from lco_lab.objectives import OBJECTIVES, ObjectiveKind, evaluate, ppo_active
 from lco_lab.policy import Family, forward, linear_policy, tabular_policy
 from lco_lab.targets import optimal_logits
 from lco_lab.training import (
@@ -149,8 +149,7 @@ def _analytic_and_numeric(rng, kind, v):
     z = rng.uniform(-1.5, 1.5, v)
     target, step = _inputs(rng, kind, v, 1.5)
     if kind is ObjectiveKind.PPO:
-        ctx, z, _ = _ppo_case(rng, v)
-        step = ctx.step
+        step, z = _ppo_case(rng, v)
     point = (kind, z, target, step)
     return hessian_analytic(*point), hessian_numeric(*point)
 
@@ -177,12 +176,11 @@ def _reference_converge(family, objective, config):
     c = curvature / v
     rho = abs(1.0 - config.eta * c * lam)
     anchor = np.float64(config.advantages @ config.advantages) / np.float64(config.beta) ** 2
-    evaluate = lco_mse_eval if objective is ObjectiveKind.LCO_MSE else lco_lch_eval
     residual = forward(model, 0) - optimal_logits(z_old, config.advantages, config.beta)
     rows = []
     for k in range(config.steps + 1):
         bound = float(curvature / (2.0 * v) * rho ** (2 * k) * anchor)
-        rows.append((k, evaluate(residual, np.zeros(v)).value, bound, float(np.abs(residual).max())))
+        rows.append((k, evaluate(objective, residual, np.zeros(v)).value, bound, float(np.abs(residual).max())))
         residual = residual - (config.eta * c) * (lam * residual)
     return rho, rows
 
@@ -315,8 +313,8 @@ def test_ppo_gradient_stencil_stays_in_the_active_region():
     rng = np.random.default_rng(3)
     for i in range(400):
         v = (2, 3, 5, 16)[i % 4]
-        ctx, z, _ = _ppo_case(rng, v)
+        step, z = _ppo_case(rng, v)
         for offset in (-2.0, -1.0, 1.0, 2.0):
             for bump in offset * GRAD_STEP * np.eye(v):
-                assert ppo_active(ctx, z + bump)
+                assert ppo_active(z + bump, step)
 

@@ -18,18 +18,7 @@ from lco_lab.convexity import gradient_norm_bound
 from lco_lab.dist import entropy, normalize_advantages, sample_action, softmax
 from lco_lab.envs import MatchReward, TableReward, ToyEnvironment
 from lco_lab.errors import InvalidInputError, NonFiniteGradientError, NonFiniteLossError
-from lco_lab.objectives import (
-    LCO_KINDS,
-    ObjectiveKind,
-    TimestepContext,
-    lco_kld_eval,
-    lco_lch_eval,
-    lco_mse_eval,
-    pairwise_sum,
-    ppo_eval,
-    reinforce_eval,
-    sft_eval,
-)
+from lco_lab.objectives import LCO_KINDS, ObjectiveKind, evaluate, pairwise_sum
 from lco_lab.policy import Family, forward, linear_policy, mlp1_policy, pullback, sigma_max, tabular_policy
 from lco_lab.targets import AdvantageEstimator, EstimatorKind, estimate_advantages, optimal_logits, optimal_policy
 from lco_lab.training import DynamicsRecord, Rollout, TrainerConfig, TrainerState, init_trainer, train_step
@@ -80,17 +69,15 @@ def _ref_eval(model, config, rollout, adv, t):
     z = forward(model, rollout.states[t])
     kind = config.objective
     if kind is ObjectiveKind.SFT:
-        return sft_eval(z, rollout.actions[t])
+        return evaluate(kind, z, step=(rollout.actions[t],))
     if kind in (ObjectiveKind.PPO, ObjectiveKind.REINFORCE):
-        ctx = TimestepContext(
-            rollout.z_old[t], rollout.pi_old[t], rollout.actions[t], adv, config.beta, config.clip_epsilon
-        )
-        return ppo_eval(ctx, z) if kind is ObjectiveKind.PPO else reinforce_eval(ctx, z)
+        a = rollout.actions[t]
+        return evaluate(kind, z, step=(a, float(adv.values[a]), float(rollout.pi_old[t][a]), config.clip_epsilon))
     if kind is ObjectiveKind.LCO_MSE:
-        return lco_mse_eval(z, optimal_logits(rollout.z_old[t], adv, config.beta))
+        return evaluate(kind, z, optimal_logits(rollout.z_old[t], adv, config.beta))
     if kind is ObjectiveKind.LCO_LCH:
-        return lco_lch_eval(z, optimal_logits(rollout.z_old[t], adv, config.beta))
-    return lco_kld_eval(z, optimal_policy(rollout.pi_old[t], adv, config.beta))
+        return evaluate(kind, z, optimal_logits(rollout.z_old[t], adv, config.beta))
+    return evaluate(kind, z, optimal_policy(rollout.pi_old[t], adv, config.beta))
 
 
 def _ref_train_step(state, env, config, rng):

@@ -11,7 +11,7 @@ from lco_lab.config import ConfigError, build_trainer, parse_config
 from lco_lab.dist import Advantages, softmax, total_variation
 from lco_lab.envs import MatchReward, TableReward, ToyEnvironment
 from lco_lab.errors import InvalidInputError, NonFiniteGradientError, StepSizeError
-from lco_lab.objectives import ObjectiveKind, TimestepContext, lco_lch_eval, lco_mse_eval, reinforce_eval
+from lco_lab.objectives import ObjectiveKind, evaluate
 from lco_lab.policy import Family, forward, linear_policy, mlp1_policy, tabular_policy
 from lco_lab.targets import EstimatorKind, optimal_policy
 from lco_lab.training import (
@@ -39,6 +39,19 @@ def test_environment_state_indexing():
     assert env.state_index((1, 2)) == 4 + 1 * 3 + 2
     with pytest.raises(InvalidInputError):
         env.state_index((0, 1, 2))  # terminal sequences are not states
+
+
+@pytest.mark.parametrize("vocab_size, horizon", [(2.5, 1), (3, 1.0), (True, 1), (3, "2"), (np.float64(3.0), 2)])
+def test_environment_sizes_must_be_integers(vocab_size, horizon):
+    # 2.5 once passed the range check and gave n_states == 1.0
+    with pytest.raises(InvalidInputError, match="must be an integer"):
+        ToyEnvironment(vocab_size, horizon, MatchReward((0,)))
+
+
+def test_environment_sizes_and_target_read_as_ints():
+    env = ToyEnvironment(np.int64(3), np.int32(2), MatchReward((np.int64(1), 2)))
+    assert (env.vocab_size, env.horizon, env.n_states, env.reward.target) == (3, 2, 4, (1, 2))
+    assert all(type(x) is int for x in (env.vocab_size, env.horizon, env.n_states, *env.reward.target))
 
 
 def test_environment_rewards():
@@ -263,8 +276,7 @@ def test_an_overflowing_gradient_norm_is_taken_scaled_and_the_clipped_step_moves
     model = tabular_policy(env.n_states, env.vocab_size)
     action = rollout_episode(model, env, config, np.random.default_rng(0), {}).actions[0]
     z = forward(model, 0)
-    ctx = TimestepContext.from_logits(z, action, Advantages(np.full(2, 1e300)))
-    gradient = policy.pullback(model, 0, reinforce_eval(ctx, z).logit_gradient)
+    gradient = policy.pullback(model, 0, evaluate(ObjectiveKind.REINFORCE, z, step=(action, 1e300)).logit_gradient)
     expected = math.hypot(*gradient)
 
     with np.errstate(over="ignore"):
@@ -644,10 +656,9 @@ def test_converge_closed_form_matches_the_dense_jacobian_recursion(feature_dim, 
     )
     result = converge_experiment(Family.LINEAR, objective, config)
     assert abs(result.rho - rho) <= 1e-14
-    evaluate = lco_mse_eval if objective is ObjectiveKind.LCO_MSE else lco_lch_eval
     residual = forward(model, 0) - (z_old + advantages / beta)
     for loss, residual_inf in zip(result.loss, result.residual_inf):
-        assert rel_close(loss, evaluate(residual, np.zeros(v)).value, rel=1e-12, floor=1e-300)
+        assert rel_close(loss, evaluate(objective, residual, np.zeros(v)).value, rel=1e-12, floor=1e-300)
         assert rel_close(residual_inf, np.abs(residual).max(), rel=1e-12, floor=1e-300)
         residual = residual - eta * c * (gram @ residual)
 
