@@ -8,7 +8,6 @@ target-alignment training.
 """
 
 from .dist import (
-    Advantages,
     entropy,
     kl_divergence,
     log_softmax,
@@ -25,10 +24,8 @@ from .objectives import (
     ppo_active,
 )
 from .targets import (
-    AdvantageEstimator,
     EstimatorKind,
     OptimalTarget,
-    estimate_advantages,
     load_logprob_table,
     optimal_logits,
     optimal_policy,

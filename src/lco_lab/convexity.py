@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import _softmax, as_logits, as_probs, check_action
+from .dist import _softmax, as_logits, as_probs, check_action, check_integer
 from .errors import InvalidInputError, KinkError, WitnessSearchError
 from .linalg import require_symmetric
 from .objectives import OBJECTIVES, Objective, ObjectiveKind, _ppo_gate, _ratio, evaluate, ppo_hessian_matrix
@@ -195,9 +195,7 @@ def gradient_norm_bound(kind: ObjectiveKind, loss_value: float, sigma_max: float
         raise InvalidInputError(f"loss must be finite and nonnegative, got {loss_value!r}")
     if not (np.isfinite(sigma_max) and sigma_max >= 0.0):
         raise InvalidInputError(f"sigma_max must be finite and nonnegative, got {sigma_max!r}")
-    if vocab_size < 2:
-        raise InvalidInputError("vocab_size must be >= 2")
-    return float(bound(loss_value, sigma_max, vocab_size))
+    return float(bound(loss_value, sigma_max, check_integer(vocab_size, "vocab_size", 2)))
 
 
 def bound_check(

@@ -2,8 +2,9 @@
 
 All public functions operate on plain 1-D float64 numpy arrays.  A "logit
 vector" is any finite real vector of length >= 2; a "probability vector" is
-nonnegative and sums to one within 1e-12.  Advantage vectors may carry a
-sparsity mask recording which actions hold real signal.
+nonnegative and sums to one within 1e-12; an "advantage vector" is any finite
+real vector of length >= 1.  ``as_logits``, ``as_probs`` and ``as_advantages``
+are the one check of each.
 
 Each public primitive validates its inputs and then calls a private kernel
 (``_softmax``, ``_log_softmax``, ``_entropy``, ``_total_variation``, and
@@ -21,44 +22,11 @@ Everything here is a pure function of its inputs; RNG state is caller-owned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DivergenceUndefinedError, InvalidInputError
 
 PROB_ATOL = 1e-12
-STD_FLOOR = 1e-8  # a spread at or below this is not divided out by normalize_advantages
-
-
-@dataclass(frozen=True)
-class Advantages:
-    """Per-action advantage signal, optionally sparse.
-
-    When ``sparse_mask`` is present, every unmasked entry must be exactly
-    zero: the mask records which coordinates carry real feedback.
-    """
-
-    values: np.ndarray
-    sparse_mask: frozenset[int] | None = None
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", values)
-        if not np.isfinite(values).all():
-            raise InvalidInputError("advantages must be finite")
-        if self.sparse_mask is not None:
-            mask = frozenset(map(int, self.sparse_mask))
-            object.__setattr__(self, "sparse_mask", mask)
-            if any(i < 0 or i >= values.size for i in mask):
-                raise InvalidInputError("sparse_mask index out of range")
-            # every nonzero entry lies in the mask: O(|mask|) Python work, not O(V)
-            if np.count_nonzero(values) > sum(values[i] != 0.0 for i in mask):
-                raise InvalidInputError("unmasked advantage entries must be 0")
-
-    @property
-    def vocab_size(self) -> int:
-        return self.values.size
 
 
 def as_logits(z) -> np.ndarray:
@@ -81,6 +49,17 @@ def as_probs(p) -> np.ndarray:
     if abs(float(p.sum()) - 1.0) > PROB_ATOL:
         raise InvalidInputError(f"probabilities sum to {p.sum()!r}, not 1")
     return p
+
+
+def as_advantages(a, size: int | None = None) -> np.ndarray:
+    """Validate and return an advantage vector as a float64 array, of length ``size`` when given."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 1 or a.size < 1 or (size is not None and a.size != size):
+        length = "length >= 1" if size is None else f"length {size}"
+        raise InvalidInputError(f"advantages must be a 1-D vector of {length}, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise InvalidInputError("advantages must be finite")
+    return a
 
 
 def check_integer(value, name: str, low: int | None = None) -> int:
@@ -188,20 +167,14 @@ def _total_variation(p: np.ndarray, q: np.ndarray) -> float:
     return float(0.5 * np.abs(p - q).sum())
 
 
-def normalize_advantages(a: Advantages, unit_std: bool = False) -> Advantages:
-    """Center advantages to mean zero; optionally scale to unit variance.
-
-    The standard deviation is only divided out when it exceeds ``STD_FLOOR``,
-    so a constant vector comes back as zeros rather than NaN.  The output
-    carries no sparsity mask: centering spreads signal over every coordinate.
-    """
-    values = a.values
-    centered = values - values.mean()
-    if unit_std:
-        std = float(centered.std())
-        if std > STD_FLOOR:
-            centered = centered / std
-    return Advantages(centered)
+def normalize_advantages(a) -> np.ndarray:
+    """Advantages centered to mean zero; a mean or difference that overflows raises."""
+    a = as_advantages(a)
+    with np.errstate(over="ignore"):
+        centered = a - a.mean()
+    if not np.isfinite(centered).all():
+        raise InvalidInputError("advantages overflow when centered")
+    return centered
 
 
 def _nucleus(p: np.ndarray, temperature: float, top_p: float) -> tuple[np.ndarray, np.ndarray]:

@@ -55,7 +55,7 @@ class PolicyModel:
 
 
 def tabular_policy(n_states: int, vocab_size: int, init_logits=None) -> PolicyModel:
-    _check_shape(n_states, vocab_size)
+    n_states, vocab_size = _check_shape(n_states, vocab_size)
     theta = np.zeros(n_states * vocab_size)
     if init_logits is not None:
         row = np.asarray(init_logits, dtype=np.float64)
@@ -66,9 +66,8 @@ def tabular_policy(n_states: int, vocab_size: int, init_logits=None) -> PolicyMo
 
 
 def linear_policy(n_states: int, vocab_size: int, feature_dim: int, seed: int = 0) -> PolicyModel:
-    _check_shape(n_states, vocab_size)
-    if feature_dim < 1:
-        raise InvalidInputError("feature_dim must be >= 1")
+    n_states, vocab_size = _check_shape(n_states, vocab_size)
+    feature_dim = check_integer(feature_dim, "feature_dim", 1)
     rng = np.random.default_rng(seed)
     features = rng.standard_normal((n_states, feature_dim))
     theta = np.zeros(vocab_size * feature_dim)
@@ -78,9 +77,9 @@ def linear_policy(n_states: int, vocab_size: int, feature_dim: int, seed: int = 
 def mlp1_policy(
     n_states: int, vocab_size: int, feature_dim: int, hidden: int = 16, seed: int = 0
 ) -> PolicyModel:
-    _check_shape(n_states, vocab_size)
-    if feature_dim < 1 or hidden < 1:
-        raise InvalidInputError("feature_dim and hidden must be >= 1")
+    n_states, vocab_size = _check_shape(n_states, vocab_size)
+    feature_dim = check_integer(feature_dim, "feature_dim", 1)
+    hidden = check_integer(hidden, "hidden", 1)
     rng = np.random.default_rng(seed)
     features = rng.standard_normal((n_states, feature_dim))
     n_params = hidden * feature_dim + hidden + vocab_size * hidden + vocab_size
@@ -88,11 +87,8 @@ def mlp1_policy(
     return PolicyModel(Family.MLP1, theta, n_states, vocab_size, features=features, hidden=hidden)
 
 
-def _check_shape(n_states: int, vocab_size: int):
-    if n_states < 1:
-        raise InvalidInputError("n_states must be >= 1")
-    if vocab_size < 2:
-        raise InvalidInputError("vocab_size must be >= 2")
+def _check_shape(n_states: int, vocab_size: int) -> tuple[int, int]:
+    return check_integer(n_states, "n_states", 1), check_integer(vocab_size, "vocab_size", 2)
 
 
 def _check_state(model: PolicyModel, state: int) -> int:

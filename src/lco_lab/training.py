@@ -1,11 +1,13 @@
 """Training loop, episode gradients, and convergence-rate experiments.
 
 One training step rolls out a single episode under a frozen behavioral
-snapshot, estimates per-timestep advantages, evaluates the configured
-objective at every visited state, pulls the logit gradients back through
-the model with a vector-Jacobian product (the kernel behind
-``policy.pullback``; the dense Jacobian is never formed), and applies one
-plain gradient-descent update:
+snapshot, takes per-timestep advantages (a plain float vector: the sampled
+action's scalar reward in an otherwise zero vector, or a row the config
+built from its scorer tables), evaluates the configured objective at
+every visited state, pulls the logit gradients back through the model
+with a vector-Jacobian product (the kernel behind ``policy.pullback``;
+the dense Jacobian is never formed), and applies one plain
+gradient-descent update:
 
     grad_theta = (1/T) * sum_t J(s_t)^T grad_z L_t
     theta     <- theta - lr * grad_theta
@@ -15,14 +17,15 @@ runs one forward pass and one softmax at the snapshot, ``episode_eval``
 one of each at theta, and the logged statistics and the envelope reuse
 those results.  Each check runs once, where its data is made: config
 fields and the dense estimators' tables in ``TrainerConfig``, which also
-builds each table row's advantage vector there, once per run; each
-forward output through ``as_logits``, the gradient buffer once per
-episode, each sampled advantage for finiteness as its vector is built,
-and the LCO envelope's loss and sigma_max through the scalar checks of
-``gradient_norm_bound``.  Everything else
-calls the private kernels of ``dist``, ``objectives``, ``targets`` and
-``policy``, which hold the same arithmetic as their public functions, so
-a step's results are bit for bit those of the public path.
+builds each table row's advantage vector there, once per run, and rejects
+a table its estimator never reads; each forward output through
+``as_logits``, the gradient buffer once per episode, each sampled
+advantage for finiteness as its vector is built, and the LCO envelope's
+loss and sigma_max through the scalar checks of ``gradient_norm_bound``.
+Everything else calls the private kernels of ``dist``, ``objectives``,
+``targets`` and ``policy``, which hold the same arithmetic as their
+public functions, so a step's results are bit for bit those of the
+public path.
 
 A step works on the spans of theta its episode touches: one logit row
 per visited state for TABULAR, all of theta for LINEAR and MLP1.  The
@@ -79,12 +82,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .convexity import gradient_norm_bound
-from .dist import _entropy, _nucleus, _pick, _softmax, as_logits, check_integer, normalize_advantages
+from .dist import _entropy, _nucleus, _pick, _softmax, as_advantages, as_logits, check_integer, normalize_advantages
 from .envs import MatchReward, ToyEnvironment
-from .errors import InvalidInputError, NonFiniteGradientError, NonFiniteLossError, StepSizeError
+from .errors import EstimatorDomainError, InvalidInputError, NonFiniteGradientError, NonFiniteLossError, StepSizeError
 from .objectives import OBJECTIVES, LossEval, Objective, ObjectiveKind, pairwise_sum
 from .policy import Family, PolicyModel, _check_out, _sigma_max, _span, _vjp, forward, linear_policy, tabular_policy
-from .targets import AdvantageEstimator, EstimatorKind, _optimal_logits, estimate_advantages
+from .targets import EstimatorKind, _optimal_logits
 
 # the tables each dense estimator reads, in the order their rows are checked
 DENSE_TABLES = {
@@ -134,10 +137,15 @@ class TrainerConfig:
             raise InvalidInputError("top_p must lie in (0, 1]")
         for name in ("scorer_table", "ref_table"):
             table = getattr(self, name)
-            if table is not None and np.ndim(table) != 2:
+            if table is None:
+                continue
+            if np.ndim(table) != 2:
                 raise InvalidInputError(
                     f"{name} must be a 2-D (horizon, V) array, got shape {np.shape(table)}"
                 )
+            # a table the run never reads is a mistake, as a misspelled config key is
+            if name not in DENSE_TABLES.get(self.estimator, ()):
+                raise InvalidInputError(f"{name} is given but the {self.estimator.value} estimator does not read it")
         if self.estimator in DENSE_TABLES:
             object.__setattr__(self, "_advantage_rows", _dense_advantages(self))
 
@@ -145,23 +153,29 @@ class TrainerConfig:
 def _dense_advantages(config: TrainerConfig) -> tuple[np.ndarray, ...]:
     """Each table row's advantage vector, centered when ``normalize`` is set.
 
-    Every row is checked and built by ``estimate_advantages``, as a step
-    would build it, so this runs once per run instead of once per step.
-    The vectors are as wide as the scorer table; ``_step_advantages``
-    checks that width and the row count against the environment.
+    DENSE_LOGPROB's row t is the scorer's row t; DENSE_DPO_RATIO's is the
+    scorer's row minus the reference's, DPO's implicit reward.  Each row
+    read is checked here, once per run instead of once per step.  The
+    vectors are as wide as the scorer table; ``_step_advantages`` checks
+    that width and the row count against the environment.
     """
     names = DENSE_TABLES[config.estimator]
     tables = [getattr(config, name) for name in names]
     if any(table is None for table in tables):
         needs = "a scorer_table" if len(names) == 1 else "scorer_table and ref_table"
         raise InvalidInputError(f"{config.estimator.value} needs {needs}")
-    width = np.shape(tables[0])[1]
+    tables = [np.asarray(table, dtype=np.float64) for table in tables]
+    width = tables[0].shape[1]
     rows = []
-    for logp in zip(*tables):
-        log_probs = dict(zip(("scorer_log_probs", "ref_log_probs"), logp))
-        estimator = AdvantageEstimator(config.estimator, **log_probs)
-        adv = estimate_advantages(estimator, width)
-        rows.append(_frozen((normalize_advantages(adv) if config.normalize else adv).values))
+    for row in zip(*tables):
+        for values, name in zip(row, ("scorer_log_probs", "ref_log_probs")):
+            if values.shape != (width,):
+                raise InvalidInputError(f"{name} must have shape ({width},), got {values.shape}")
+            if not np.isfinite(values).all():
+                raise EstimatorDomainError(f"{name} contains a non-finite entry (log of zero probability?)")
+        with np.errstate(over="ignore"):
+            values = row[0] - row[1] if len(row) == 2 else row[0].copy()
+        rows.append(_frozen(normalize_advantages(values) if config.normalize else as_advantages(values)))
     return tuple(rows)
 
 
@@ -585,11 +599,12 @@ class ConvergeConfig:
             raise InvalidInputError("eta must be positive and finite")
         if not 0.0 < self.beta < np.inf:
             raise InvalidInputError("beta must be positive and finite")
-        for name in ("advantages",) if self.z_old is None else ("advantages", "z_old"):
-            vector = np.asarray(getattr(self, name), dtype=np.float64)
-            if vector.shape != (self.vocab_size,) or not np.isfinite(vector).all():
-                raise InvalidInputError(f"{name} must be a finite vector of shape ({self.vocab_size},)")
-            object.__setattr__(self, name, vector)
+        object.__setattr__(self, "advantages", as_advantages(self.advantages, self.vocab_size))
+        if self.z_old is not None:
+            z_old = np.asarray(self.z_old, dtype=np.float64)
+            if z_old.shape != (self.vocab_size,) or not np.isfinite(z_old).all():
+                raise InvalidInputError(f"z_old must be a finite vector of shape ({self.vocab_size},)")
+            object.__setattr__(self, "z_old", z_old)
 
 
 @dataclass(frozen=True)

@@ -110,16 +110,6 @@ def min_eigenvalue_bisect(matrix, tol=1e-10):
     return 0.5 * (lo + hi)
 
 
-def advantages_mask_error(values, mask):
-    """The error a sparse-mask check must raise, or None, decided index by index."""
-    indices = {int(i) for i in mask}
-    if any(i < 0 or i >= len(values) for i in indices):
-        return "sparse_mask index out of range"
-    if any(float(values[i]) != 0.0 for i in range(len(values)) if i not in indices):
-        return "unmasked advantage entries must be 0"
-    return None
-
-
 @dataclass(frozen=True)
 class JacobianInfo:
     """Per-state logit Jacobian (V x n_params) and its largest singular value."""

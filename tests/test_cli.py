@@ -142,6 +142,27 @@ def test_train_scorer_table_with_a_non_finite_entry_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o" / "dynamics.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "estimator, table, scores",
+    [
+        ("SPARSE_SAMPLED", "scorer_table", "-0.5 nan -2.0\n"),
+        ("DENSE_LOGPROB", "ref_table", "-0.5 inf -2.0\n"),
+    ],
+)
+def test_train_with_a_table_its_estimator_never_reads_exits_2(tmp_path, capsys, estimator, table, scores):
+    (tmp_path / "scores.txt").write_text("-0.5 -1.0 -2.0\n")
+    (tmp_path / "unread.txt").write_text(scores)
+    read = "scorer_table = scores.txt\n" if estimator == "DENSE_LOGPROB" else ""
+    cfg = write_cfg(
+        tmp_path,
+        "[environment]\nvocab_size = 3\nhorizon = 1\nreward = match\ntarget = 0\n"
+        f"[training]\nobjective = LCO_KLD\nsteps = 2\nestimator = {estimator}\n{read}{table} = unread.txt\n",
+    )
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"{table} is given but the {estimator} estimator does not read it" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "dynamics.csv").exists()
+
+
 def test_float_serialization_is_17_digits():
     assert format_float(1.0 / 3.0) == "0.33333333333333331"
 

@@ -226,6 +226,13 @@ def test_gradient_norm_bounds():
         assert all(b2 >= b1 for b1, b2 in zip(bounds, bounds[1:]))
     with pytest.raises(InvalidInputError):
         gradient_norm_bound(ObjectiveKind.LCO_MSE, -0.1, 1.0, 4)
+    # a vocabulary size is an integer of at least 2
+    for vocab_size in (2.5, 4.0, True, 1, "4"):
+        with pytest.raises(InvalidInputError, match="vocab_size"):
+            gradient_norm_bound(ObjectiveKind.LCO_MSE, 1.0, 1.0, vocab_size)
+    assert gradient_norm_bound(ObjectiveKind.LCO_MSE, 1.0, 2.0, np.int64(4)) == gradient_norm_bound(
+        ObjectiveKind.LCO_MSE, 1.0, 2.0, 4
+    )
 
 
 @pytest.mark.parametrize("kind", [ObjectiveKind.LCO_MSE, ObjectiveKind.LCO_LCH, ObjectiveKind.LCO_KLD])

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lco_lab.dist import (
-    Advantages,
     _nucleus,
     _pick,
+    as_advantages,
     entropy,
     kl_divergence,
     log_softmax,
@@ -21,7 +21,7 @@ from lco_lab.dist import (
 )
 from lco_lab.errors import DivergenceUndefinedError, InvalidInputError
 
-from oracles import advantages_mask_error, entropy_hp, kl_hp, log_softmax_hp, softmax_hp, tempered_hp
+from oracles import entropy_hp, kl_hp, log_softmax_hp, softmax_hp, tempered_hp
 
 
 def test_softmax_symmetry():
@@ -132,55 +132,32 @@ def test_total_variation():
 
 
 def test_normalize_advantages():
-    assert np.array_equal(normalize_advantages(Advantages([1.0, -1.0])).values, [1.0, -1.0])
-    assert np.array_equal(normalize_advantages(Advantages([2.0, 2.0, 2.0])).values, [0.0, 0.0, 0.0])
-    assert np.array_equal(
-        normalize_advantages(Advantages([3.0, 1.0, -1.0, 1.0])).values, [2.0, 0.0, -2.0, 0.0]
-    )
+    assert np.array_equal(normalize_advantages([1.0, -1.0]), [1.0, -1.0])
+    assert np.array_equal(normalize_advantages([2.0, 2.0, 2.0]), [0.0, 0.0, 0.0])
+    assert np.array_equal(normalize_advantages(np.array([3.0, 1.0, -1.0, 1.0])), [2.0, 0.0, -2.0, 0.0])
 
 
-def test_normalize_unit_std_and_floor():
-    a = Advantages(np.array([3.0, -1.0, 1.0, 1.0]))
-    scaled = normalize_advantages(a, unit_std=True)
-    assert abs(float(scaled.values.mean())) <= 1e-12
-    assert abs(float(scaled.values.std()) - 1.0) <= 1e-12
-    # zero variance comes back centered, not rescaled
-    flat = normalize_advantages(Advantages([5.0, 5.0]), unit_std=True)
-    assert np.array_equal(flat.values, [0.0, 0.0])
+def test_normalize_advantages_rejects_an_overflow():
+    with pytest.raises(InvalidInputError, match="overflow when centered"):  # the sum overflows
+        normalize_advantages([1.7e308, 1.7e308, -1e308])
+    with pytest.raises(InvalidInputError, match="overflow when centered"):  # a - mean overflows
+        normalize_advantages([1.7e308, -1e308, -1e308])
+    with pytest.raises(InvalidInputError, match="finite"):
+        normalize_advantages([np.inf, 0.0])
 
 
-def test_normalize_drops_sparse_mask():
-    a = Advantages(np.array([0.0, 2.0, 0.0]), sparse_mask=frozenset({1}))
-    assert normalize_advantages(a).sparse_mask is None
-
-
-def test_advantages_mask_invariant():
-    with pytest.raises(InvalidInputError):
-        Advantages(np.array([0.5, 2.0, 0.0]), sparse_mask=frozenset({1}))
-    with pytest.raises(InvalidInputError):
-        Advantages(np.array([np.inf, 0.0]))
-
-
-def test_advantages_mask_check_matches_the_index_by_index_rule():
-    rng = np.random.default_rng(11)
-    seen = set()
-    for _ in range(3000):
-        v = int(rng.integers(2, 65))
-        values = np.where(rng.random(v) < 0.7, rng.choice([0.0, -0.0], v), rng.normal(size=v))
-        mask = set(rng.choice(v, size=int(rng.integers(v + 1)), replace=False).tolist())
-        if rng.random() < 0.5:
-            mask |= set(np.flatnonzero(values).tolist())
-        if rng.random() < 0.2:
-            mask.add(int(rng.choice([-1, v, v + 7])))
-        expected = advantages_mask_error(values, mask)
-        try:
-            Advantages(values, sparse_mask=frozenset(mask))
-            got = None
-        except InvalidInputError as exc:
-            got = str(exc)
-        assert got == expected, (values, mask)
-        seen.add(expected)
-    assert seen == {None, "sparse_mask index out of range", "unmasked advantage entries must be 0"}
+def test_as_advantages_takes_a_finite_vector():
+    a = np.array([0.5, -2.0])
+    assert as_advantages(a) is a
+    assert as_advantages([1], size=1).dtype == np.float64
+    for bad in ([], 1.0, np.zeros((1, 2)), np.zeros((2, 1))):
+        with pytest.raises(InvalidInputError, match="1-D vector"):
+            as_advantages(bad)
+    with pytest.raises(InvalidInputError, match=r"length 3, got shape \(2,\)"):
+        as_advantages(a, size=3)
+    for bad in ([np.inf, 0.0], [0.0, np.nan]):
+        with pytest.raises(InvalidInputError, match="advantages must be finite"):
+            as_advantages(bad)
 
 
 def test_sample_one_hot_is_deterministic():

@@ -142,6 +142,35 @@ def test_a_numpy_integer_state_reads_as_the_int(state):
     assert sigma_max(model, state) == sigma_max(model, 1)
 
 
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda x: tabular_policy(x, 3), "n_states"),
+        (lambda x: tabular_policy(2, x), "vocab_size"),
+        (lambda x: linear_policy(x, 3, 2), "n_states"),
+        (lambda x: linear_policy(2, x, 2), "vocab_size"),
+        (lambda x: linear_policy(2, 3, x), "feature_dim"),
+        (lambda x: mlp1_policy(x, 3, 2), "n_states"),
+        (lambda x: mlp1_policy(2, x, 2), "vocab_size"),
+        (lambda x: mlp1_policy(2, 3, x), "feature_dim"),
+        (lambda x: mlp1_policy(2, 3, 2, hidden=x), "hidden"),
+    ],
+)
+@pytest.mark.parametrize("value", [True, np.True_, 2.5, 2.0, "2", None])
+def test_a_model_size_that_is_not_a_positive_integer_is_rejected(build, name, value):
+    # unchecked, a bool would read as 1 and a float would reach numpy as a bare TypeError
+    with pytest.raises(InvalidInputError, match=name):
+        build(value)
+
+
+def test_model_sizes_are_stored_as_ints():
+    model = mlp1_policy(np.int64(2), np.int32(3), np.uint8(2), hidden=np.int64(4))
+    assert (type(model.n_states), type(model.vocab_size), type(model.hidden)) == (int, int, int)
+    assert model.n_params == 4 * 2 + 4 + 3 * 4 + 3
+    with pytest.raises(InvalidInputError, match="vocab_size must be >= 2"):
+        tabular_policy(2, 1)
+
+
 def _random_model(family: Family, v: int, rng: np.random.Generator):
     if family is Family.TABULAR:
         model = tabular_policy(5, v)

@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 
 from lco_lab.convexity import gradient_norm_bound
-from lco_lab.dist import entropy, normalize_advantages, sample_action, softmax
+from lco_lab.dist import entropy, sample_action, softmax
 from lco_lab.envs import MatchReward, TableReward, ToyEnvironment
 from lco_lab.errors import InvalidInputError, NonFiniteGradientError, NonFiniteLossError
 from lco_lab.objectives import LCO_KINDS, ObjectiveKind, evaluate, pairwise_sum
 from lco_lab.policy import Family, forward, linear_policy, mlp1_policy, pullback, sigma_max, tabular_policy
-from lco_lab.targets import AdvantageEstimator, EstimatorKind, estimate_advantages, optimal_logits, optimal_policy
+from lco_lab.targets import EstimatorKind, optimal_logits, optimal_policy
 from lco_lab.training import DynamicsRecord, Rollout, TrainerConfig, TrainerState, init_trainer, train_step
 
 # --- reference step ----------------------------------------------------------
@@ -49,20 +49,17 @@ def _ref_rollout(snapshot, env, config, rng):
 
 
 def _ref_advantages(env, config, rollout, t):
-    kind = config.estimator
-    if kind is EstimatorKind.SPARSE_SAMPLED:
+    if config.estimator is EstimatorKind.SPARSE_SAMPLED:
         scalar = env.sampled_advantage(rollout.actions, t)
-        estimator = AdvantageEstimator(kind, advantage=scalar, action=rollout.actions[t])
-    elif kind is EstimatorKind.DENSE_LOGPROB:
-        estimator = AdvantageEstimator(kind, scorer_log_probs=config.scorer_table[t])
-    else:
-        estimator = AdvantageEstimator(
-            kind, scorer_log_probs=config.scorer_table[t], ref_log_probs=config.ref_table[t]
-        )
-    adv = estimate_advantages(estimator, env.vocab_size)
-    if config.normalize and adv.sparse_mask is None:
-        adv = normalize_advantages(adv)
-    return adv
+        if not np.isfinite(scalar):
+            raise InvalidInputError("advantage must be finite")
+        values = np.zeros(env.vocab_size)
+        values[rollout.actions[t]] = scalar
+        return values  # never centered: that would smear signal onto unobserved actions
+    values = np.array(config.scorer_table[t], dtype=np.float64)
+    if config.estimator is EstimatorKind.DENSE_DPO_RATIO:
+        values = values - config.ref_table[t]
+    return values - values.mean() if config.normalize else values
 
 
 def _ref_eval(model, config, rollout, adv, t):
@@ -72,7 +69,7 @@ def _ref_eval(model, config, rollout, adv, t):
         return evaluate(kind, z, step=(rollout.actions[t],))
     if kind in (ObjectiveKind.PPO, ObjectiveKind.REINFORCE):
         a = rollout.actions[t]
-        return evaluate(kind, z, step=(a, float(adv.values[a]), float(rollout.pi_old[t][a]), config.clip_epsilon))
+        return evaluate(kind, z, step=(a, float(adv[a]), float(rollout.pi_old[t][a]), config.clip_epsilon))
     if kind is ObjectiveKind.LCO_MSE:
         return evaluate(kind, z, optimal_logits(rollout.z_old[t], adv, config.beta))
     if kind is ObjectiveKind.LCO_LCH:
@@ -116,7 +113,7 @@ def _ref_train_step(state, env, config, rng):
         pi_now = softmax(forward(model, rollout.states[t]))
         entropies.append(entropy(pi_now))
         sampled_probs.append(float(pi_now[a]))
-        sampled_advs.append(float(advantages[t].values[a]))
+        sampled_advs.append(float(advantages[t][a]))
     envelope = []
     for t, evaluation in enumerate(evals):
         sigma = sigma_max(model, rollout.states[t])

@@ -4,19 +4,20 @@ import numpy as np
 import pytest
 from mpmath import log, mpf, workdps
 
-from lco_lab.dist import Advantages, normalize_advantages, softmax, total_variation
+from lco_lab.dist import normalize_advantages, softmax, total_variation
+from lco_lab.envs import TableReward, ToyEnvironment
 from lco_lab.errors import EstimatorDomainError, InvalidInputError
+from lco_lab.objectives import ObjectiveKind
 from lco_lab.targets import (
-    AdvantageEstimator,
     EstimatorKind,
     OptimalTarget,
-    estimate_advantages,
     load_logprob_table,
     optimal_logits,
     optimal_policy,
     optimal_shift,
     optimal_target,
 )
+from lco_lab.training import Rollout, TrainerConfig, _step_advantages
 from lco_lab.verify import _objective_gaps, _perturbations, suite_targets
 
 from oracles import objective_gaps_rows, perturbations_rows
@@ -80,48 +81,72 @@ def test_optimal_target_pair_validation():
         OptimalTarget(np.array([0.9, 0.1]), np.array([0.0, 0.0]))
 
 
+def _dense_rows(estimator, normalize=False, **tables):
+    config = TrainerConfig(ObjectiveKind.LCO_KLD, 0.1, 1, estimator=estimator, normalize=normalize, **tables)
+    return config._advantage_rows
+
+
 def test_sparse_estimator():
-    adv = estimate_advantages(
-        AdvantageEstimator(EstimatorKind.SPARSE_SAMPLED, advantage=2.0, action=3), 5
-    )
-    assert np.array_equal(adv.values, [0, 0, 0, 2.0, 0])
-    assert adv.sparse_mask == frozenset({3})
+    env = ToyEnvironment(5, 1, TableReward(np.array([[0.5, 0.5, 0.5, 2.0, 0.5]])))
+    config = TrainerConfig(ObjectiveKind.LCO_KLD, 0.1, 1, estimator=EstimatorKind.SPARSE_SAMPLED, normalize=True)
+    rollout = Rollout((0,), (3,), (np.zeros(5),), (np.full(5, 0.2),))
+    # the sampled action's scalar alone, never centered
+    assert np.array_equal(_step_advantages(env, config, rollout, 0), [0, 0, 0, 2.0, 0])
 
 
 def test_dpo_estimator_identical_models_is_zero():
-    logp = np.log(softmax(np.array([0.2, -0.5, 1.0])))
-    adv = estimate_advantages(
-        AdvantageEstimator(EstimatorKind.DENSE_DPO_RATIO, scorer_log_probs=logp, ref_log_probs=logp),
-        3,
-    )
-    assert np.array_equal(adv.values, np.zeros(3))
-    assert adv.sparse_mask is None
+    logp = np.log(softmax(np.array([0.2, -0.5, 1.0])))[None, :]
+    (row,) = _dense_rows(EstimatorKind.DENSE_DPO_RATIO, scorer_table=logp, ref_table=logp)
+    assert np.array_equal(row, np.zeros(3))
 
 
 def test_logprob_estimator_uniform_centers_to_zero():
-    logp = np.full(4, -np.log(4.0))
-    adv = estimate_advantages(AdvantageEstimator(EstimatorKind.DENSE_LOGPROB, scorer_log_probs=logp), 4)
-    assert np.allclose(adv.values, -np.log(4.0))
-    centered = normalize_advantages(adv)
-    assert np.abs(centered.values).max() <= 1e-15
+    logp = np.full((1, 4), -np.log(4.0))
+    (row,) = _dense_rows(EstimatorKind.DENSE_LOGPROB, scorer_table=logp)
+    assert np.allclose(row, -np.log(4.0))
+    (centered,) = _dense_rows(EstimatorKind.DENSE_LOGPROB, normalize=True, scorer_table=logp)
+    assert np.abs(centered).max() <= 1e-15
 
 
 def test_estimator_domain_errors():
-    with pytest.raises(EstimatorDomainError):
-        estimate_advantages(
-            AdvantageEstimator(
-                EstimatorKind.DENSE_LOGPROB, scorer_log_probs=np.array([-np.inf, -1.0])
-            ),
-            2,
-        )
-    with pytest.raises(InvalidInputError):
-        estimate_advantages(AdvantageEstimator(EstimatorKind.SPARSE_SAMPLED, advantage=1.0), 4)
+    with pytest.raises(EstimatorDomainError, match="scorer_log_probs contains a non-finite entry"):
+        _dense_rows(EstimatorKind.DENSE_LOGPROB, scorer_table=np.array([[-np.inf, -1.0]]))
+    with pytest.raises(EstimatorDomainError, match="ref_log_probs contains a non-finite entry"):
+        _dense_rows(EstimatorKind.DENSE_DPO_RATIO, scorer_table=np.zeros((1, 2)), ref_table=np.array([[np.nan, 0]]))
+    with pytest.raises(InvalidInputError, match=r"ref_log_probs must have shape \(2,\), got \(3,\)"):
+        _dense_rows(EstimatorKind.DENSE_DPO_RATIO, scorer_table=np.zeros((1, 2)), ref_table=np.zeros((1, 3)))
+    with pytest.raises(InvalidInputError, match="DENSE_LOGPROB needs a scorer_table"):
+        _dense_rows(EstimatorKind.DENSE_LOGPROB)
+    huge = np.array([[1e308, 0.0]])
+    with pytest.raises(InvalidInputError, match="advantages must be finite"):  # the DPO difference overflows
+        _dense_rows(EstimatorKind.DENSE_DPO_RATIO, scorer_table=huge, ref_table=-huge)
+
+
+def test_targets_reject_an_advantage_vector_of_the_wrong_shape():
+    # a (1, 2) array has the size of a length-2 vector, but not its shape
+    with pytest.raises(InvalidInputError, match=r"length 2, got shape \(1, 2\)"):
+        optimal_policy([0.5, 0.5], np.zeros((1, 2)), 1.0)
+    with pytest.raises(InvalidInputError, match=r"length 2, got shape \(1, 2\)"):
+        optimal_logits([0.0, 0.0], np.zeros((1, 2)), 1.0)
+    with pytest.raises(InvalidInputError, match=r"length 3, got shape \(2,\)"):
+        optimal_target([0.0, 0.0, 0.0], np.zeros(2), 1.0)
+
+
+@pytest.mark.parametrize("bad", [[], np.zeros((2, 2)), 1.0, [np.nan, 0.0]])
+def test_optimal_shift_rejects_what_is_not_an_advantage_vector(bad):
+    with pytest.raises(InvalidInputError, match="advantages must be"):
+        optimal_shift(bad)
+
+
+def test_optimal_shift_rejects_an_overflowing_mean():
+    with pytest.raises(InvalidInputError, match="mean of the advantages overflows"):
+        optimal_shift([1e308, 1e308])
 
 
 def test_optimal_shift_values():
     assert optimal_shift(np.array([1.0, -1.0])) == 0.0
     assert optimal_shift(np.array([2.0, 2.0, 2.0])) == -2.0
-    centered = normalize_advantages(Advantages(np.random.default_rng(5).uniform(-3, 3, 9)))
+    centered = normalize_advantages(np.random.default_rng(5).uniform(-3, 3, 9))
     assert abs(optimal_shift(centered)) <= 1e-12
 
 

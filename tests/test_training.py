@@ -6,9 +6,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from lco_lab import dist, policy, targets
+from lco_lab import dist, policy
 from lco_lab.config import ConfigError, build_trainer, parse_config
-from lco_lab.dist import Advantages, softmax, total_variation
+from lco_lab.dist import softmax, total_variation
 from lco_lab.envs import MatchReward, TableReward, ToyEnvironment
 from lco_lab.errors import InvalidInputError, NonFiniteGradientError, StepSizeError
 from lco_lab.objectives import ObjectiveKind, evaluate
@@ -224,16 +224,16 @@ def test_warm_sparse_train_step_calls_no_checked_public_function(monkeypatch, ki
     state = init_trainer(model)
     rng = np.random.default_rng(5)
     state, _ = train_step(state, env, config, rng)  # warm
-    calls = _count_calls(monkeypatch, [(targets, "estimate_advantages"), (policy, "pullback"), (np, "delete")])
+    calls = _count_calls(monkeypatch, [(dist, "as_advantages"), (policy, "pullback"), (np, "delete")])
     for _ in range(2):
         state, _ = train_step(state, env, config, rng)
     assert state.step == 3
     assert calls == Counter()
     # the counters do count: each function once through its module
-    targets.estimate_advantages(targets.AdvantageEstimator(EstimatorKind.SPARSE_SAMPLED, 1.0, 0), 2)
+    dist.as_advantages(np.zeros(2))
     policy.pullback(model, 0, np.zeros(env.vocab_size))
     np.delete(np.zeros(2), 0)
-    assert calls == Counter(estimate_advantages=1, pullback=1, delete=1)
+    assert calls == Counter(as_advantages=1, pullback=1, delete=1)
 
 
 @pytest.mark.parametrize("estimator", [EstimatorKind.DENSE_LOGPROB, EstimatorKind.DENSE_DPO_RATIO])
@@ -254,16 +254,14 @@ def test_dense_train_steps_build_no_advantages(monkeypatch, estimator, normalize
         **tables,
     )
     state = init_trainer(tabular_policy(env.n_states, env.vocab_size))
-    calls = _count_calls(monkeypatch, [(targets, "estimate_advantages"), (dist, "normalize_advantages")])
+    calls = _count_calls(monkeypatch, [(dist, "as_advantages"), (dist, "normalize_advantages")])
     for _ in range(3):
         state, _ = train_step(state, env, config, rng)
     assert state.step == 3
     assert calls == Counter()
-    # the counters do count
-    logp = np.zeros(2)
-    targets.estimate_advantages(targets.AdvantageEstimator(estimator, scorer_log_probs=logp, ref_log_probs=logp), 2)
-    dist.normalize_advantages(Advantages(np.zeros(2)))
-    assert calls == Counter(estimate_advantages=1, normalize_advantages=1)
+    # the counters do count: normalize_advantages checks its input with as_advantages
+    dist.normalize_advantages(np.zeros(2))
+    assert calls == Counter(as_advantages=1, normalize_advantages=1)
 
 
 def test_an_overflowing_gradient_norm_is_taken_scaled_and_the_clipped_step_moves():
@@ -532,6 +530,21 @@ def test_trainer_config_rejects_unusable_values(tmp_path, field, value):
         cfg.write_text(f"[training]\nobjective = SFT\n{field} = {value}\n")
         with pytest.raises(ConfigError, match=field):
             build_trainer(parse_config(cfg))
+
+
+@pytest.mark.parametrize(
+    "estimator, name, table",
+    [
+        (EstimatorKind.SPARSE_SAMPLED, "scorer_table", np.full((1, 3), np.nan)),
+        (EstimatorKind.SPARSE_SAMPLED, "ref_table", np.zeros((1, 3))),
+        (EstimatorKind.DENSE_LOGPROB, "ref_table", np.full((1, 3), np.inf)),
+    ],
+)
+def test_a_table_the_estimator_never_reads_is_rejected(estimator, name, table):
+    # ignoring it would let a table with no effect, even a NaN one, pass unseen
+    tables = {"scorer_table": np.zeros((1, 3))} if estimator is EstimatorKind.DENSE_LOGPROB else {}
+    with pytest.raises(InvalidInputError, match=f"{name} is given but the {estimator.value} estimator does not read"):
+        TrainerConfig(**VALID, estimator=estimator, **tables, **{name: table})
 
 
 def test_sft_requires_match_reward():
