@@ -14,6 +14,7 @@ with ``Objective.point``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,11 +192,16 @@ def gradient_norm_bound(kind: ObjectiveKind, loss_value: float, sigma_max: float
     bound = OBJECTIVES[kind].bound
     if bound is None:
         raise InvalidInputError(f"no gradient-norm bound for {kind!r}")
-    if not (np.isfinite(loss_value) and loss_value >= 0.0):
-        raise InvalidInputError(f"loss must be finite and nonnegative, got {loss_value!r}")
-    if not (np.isfinite(sigma_max) and sigma_max >= 0.0):
-        raise InvalidInputError(f"sigma_max must be finite and nonnegative, got {sigma_max!r}")
+    _check_bound_inputs(loss_value, sigma_max)
     return float(bound(loss_value, sigma_max, check_integer(vocab_size, "vocab_size", 2)))
+
+
+def _check_bound_inputs(loss_value: float, sigma_max: float) -> None:
+    """The scalar checks of ``gradient_norm_bound``: a finite, nonnegative loss and sigma_max."""
+    if not (math.isfinite(loss_value) and loss_value >= 0.0):
+        raise InvalidInputError(f"loss must be finite and nonnegative, got {loss_value!r}")
+    if not (math.isfinite(sigma_max) and sigma_max >= 0.0):
+        raise InvalidInputError(f"sigma_max must be finite and nonnegative, got {sigma_max!r}")
 
 
 def bound_check(

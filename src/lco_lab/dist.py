@@ -34,6 +34,11 @@ def as_logits(z) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 1 or z.size < 2:
         raise InvalidInputError(f"logits must be a 1-D vector of length >= 2, got shape {z.shape}")
+    return _finite_logits(z)
+
+
+def _finite_logits(z: np.ndarray) -> np.ndarray:
+    """The one check of ``as_logits`` that a model's own (V,) output can fail: finiteness."""
     if not np.isfinite(z).all():
         raise InvalidInputError("logits must be finite")
     return z
@@ -107,8 +112,8 @@ def entropy(p) -> float:
 
 
 def _entropy(p: np.ndarray) -> float:
-    nz = p > 0.0
-    return float(-(p[nz] * np.log(p[nz])).sum())
+    support = p[p > 0.0]
+    return float(-np.add.reduce(support * np.log(support)))
 
 
 def kl_divergence(p, q) -> float:
@@ -214,7 +219,7 @@ def _pick(kept: np.ndarray, bounds: np.ndarray, rng: np.random.Generator, size: 
 
     Each uniform is resolved against ``bounds`` by inverse CDF.
     """
-    return kept[np.searchsorted(bounds, rng.random(size), side="right")]
+    return kept[bounds.searchsorted(rng.random(size), side="right")]
 
 
 def sample_actions(p, temperature: float, top_p: float, rng: np.random.Generator, size: int) -> np.ndarray:

@@ -83,6 +83,17 @@ class ToyEnvironment:
             rank = rank * v + check_action(token, v)
         return offset + rank
 
+    def _child(self, state: int, action: int) -> int:
+        """``state_index(prefix + (action,))`` from ``state = state_index(prefix)``.
+
+        Prefixes are ranked length-major, so the child of state s is
+        v * s + 1 + action.  The state is taken as given; an action outside
+        the vocabulary raises as ``state_index`` raises it.
+        """
+        if not 0 <= action < self.vocab_size:
+            check_action(action, self.vocab_size)
+        return self.vocab_size * state + 1 + action
+
     def step_reward(self, t: int, action: int) -> float:
         """Immediate score of the table rule; zero under the verifier rule."""
         if isinstance(self.reward, TableReward):

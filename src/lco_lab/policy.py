@@ -19,6 +19,7 @@ J as the pullback of e_a.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -92,7 +93,11 @@ def _check_shape(n_states: int, vocab_size: int) -> tuple[int, int]:
 
 
 def _check_state(model: PolicyModel, state: int) -> int:
-    state = check_integer(state, "state")
+    return _check_range(model, check_integer(state, "state"))
+
+
+def _check_range(model: PolicyModel, state: int) -> int:
+    """An int ``state`` inside the model's state space, as ``_check_state`` accepts it."""
     if not 0 <= state < model.n_states:
         raise InvalidStateError(f"state {state} outside state space of size {model.n_states}")
     return state
@@ -111,6 +116,23 @@ def _mlp_unpack(model: PolicyModel):
 def forward(model: PolicyModel, state: int) -> np.ndarray:
     """Logits of the model at one state."""
     state = _check_state(model, state)
+    return _forward(model, state, _hidden(model, state))
+
+
+def _hidden(model: PolicyModel, state: int) -> np.ndarray | None:
+    """MLP1's tanh layer at a checked state; None for the families without one.
+
+    ``_forward``, ``_vjp`` and ``_sigma_max`` read it, so a caller that
+    needs more than one of them at a state evaluates the layer once.
+    """
+    if model.family is not Family.MLP1:
+        return None
+    w1, b1, _, _ = _mlp_unpack(model)
+    return np.tanh(w1 @ model.features[state] + b1)
+
+
+def _forward(model: PolicyModel, state: int, hidden: np.ndarray | None) -> np.ndarray:
+    """Logits at a checked state, with ``hidden = _hidden(model, state)``."""
     if model.family is Family.TABULAR:
         v = model.vocab_size
         return model.theta[state * v : (state + 1) * v].copy()
@@ -119,8 +141,7 @@ def forward(model: PolicyModel, state: int) -> np.ndarray:
         d = phi.size
         w = model.theta.reshape(model.vocab_size, d)
         return w @ phi
-    w1, b1, w2, b2 = _mlp_unpack(model)
-    hidden = np.tanh(w1 @ model.features[state] + b1)
+    _, _, w2, b2 = _mlp_unpack(model)
     return w2 @ hidden + b2
 
 
@@ -144,9 +165,9 @@ def pullback(model: PolicyModel, state: int, grad_z, out: np.ndarray | None = No
     span = slice(offset, offset + size)
     if out is None:
         out = np.zeros(model.n_params)
-        out[span] = _vjp(model, state, grad_z)
+        out[span] = _vjp(model, state, grad_z, _hidden(model, state))
     else:
-        out[span] += _vjp(model, state, grad_z)
+        out[span] += _vjp(model, state, grad_z, _hidden(model, state))
     return out
 
 
@@ -164,17 +185,19 @@ def _span(model: PolicyModel, state: int) -> tuple[int, int]:
     return 0, model.n_params
 
 
-def _vjp(model: PolicyModel, state: int, grad_z: np.ndarray) -> np.ndarray:
-    """J(state)^T grad_z restricted to ``_span(model, state)``; zero outside it."""
+def _vjp(model: PolicyModel, state: int, grad_z: np.ndarray, hidden: np.ndarray | None) -> np.ndarray:
+    """J(state)^T grad_z restricted to ``_span(model, state)``; zero outside it.
+
+    ``hidden`` is ``_hidden(model, state)``.
+    """
     if model.family is Family.TABULAR:
         return grad_z
     phi = model.features[state]
     if model.family is Family.LINEAR:
         return np.outer(grad_z, phi).ravel()
-    w1, b1, w2, _ = _mlp_unpack(model)
-    h = np.tanh(w1 @ phi + b1)
-    back = (grad_z @ w2) * (1.0 - h**2)  # through sech^2 of the pre-activation
-    return np.concatenate((np.outer(back, phi).ravel(), back, np.outer(grad_z, h).ravel(), grad_z))
+    _, _, w2, _ = _mlp_unpack(model)
+    back = (grad_z @ w2) * (1.0 - hidden**2)  # through sech^2 of the pre-activation
+    return np.concatenate((np.outer(back, phi).ravel(), back, np.outer(grad_z, hidden).ravel(), grad_z))
 
 
 def sigma_max(model: PolicyModel, state: int) -> float:
@@ -184,20 +207,22 @@ def sigma_max(model: PolicyModel, state: int) -> float:
     ||phi||.  MLP1: J J^T = (||h||^2 + 1) I + (||phi||^2 + 1) B B^T with
     B = w2 diag(1 - h^2), so the top eigenvalue is read off sigma_max(B).
     """
-    return _sigma_max(model, _check_state(model, state))
+    state = _check_state(model, state)
+    return _sigma_max(model, state, _hidden(model, state))
 
 
-def _sigma_max(model: PolicyModel, state: int) -> float:
+def _sigma_max(model: PolicyModel, state: int, hidden: np.ndarray | None) -> float:
+    """``sigma_max`` at a checked state, with ``hidden = _hidden(model, state)``."""
     if model.family is Family.TABULAR:
         return 1.0
     phi = model.features[state]
     if model.family is Family.LINEAR:
-        return float(np.linalg.norm(phi))
-    w1, b1, w2, _ = _mlp_unpack(model)
-    h = np.tanh(w1 @ phi + b1)
+        # the 2-norm as np.linalg.norm takes it, without its wrapper
+        return math.sqrt(phi.dot(phi))
+    _, _, w2, _ = _mlp_unpack(model)
     # the largest singular value, as norm(B, 2) takes it, without its wrapper
-    top_b = float(np.linalg.svd(w2 * (1.0 - h**2), compute_uv=False)[0])
-    return float(np.sqrt((h @ h + 1.0) + (phi @ phi + 1.0) * top_b**2))
+    top_b = float(np.linalg.svd(w2 * (1.0 - hidden**2), compute_uv=False)[0])
+    return float(np.sqrt((hidden @ hidden + 1.0) + (phi @ phi + 1.0) * top_b**2))
 
 
 def linearization_residual(model: PolicyModel, theta, theta_star, state: int) -> float:

@@ -15,17 +15,25 @@ gradient-descent update:
 Each visited state is evaluated once per parameter vector: the rollout
 runs one forward pass and one softmax at the snapshot, ``episode_eval``
 one of each at theta, and the logged statistics and the envelope reuse
-those results.  Each check runs once, where its data is made: config
-fields and the dense estimators' tables in ``TrainerConfig``, which also
-builds each table row's advantage vector there, once per run, and rejects
-a table its estimator never reads; each forward output through
-``as_logits``, the gradient buffer once per episode, each sampled
-advantage for finiteness as its vector is built, and the LCO envelope's
-loss and sigma_max through the scalar checks of ``gradient_norm_bound``.
-Everything else calls the private kernels of ``dist``, ``objectives``,
-``targets`` and ``policy``, which hold the same arithmetic as their
-public functions, so a step's results are bit for bit those of the
-public path.
+those results.  MLP1's tanh layer is part of that one evaluation: it is
+taken once per state and parameter vector and shared by the forward pass,
+the pullback and sigma_max.  Each check runs once, where its data is made:
+config fields and the dense estimators' tables in ``TrainerConfig``, which
+also builds each table row's advantage vector there, once per run, and
+rejects a table its estimator never reads; each visited state against the
+model's state space and each forward output for finiteness, as
+``forward`` and ``as_logits`` check them (the state index is the
+environment's own, built from checked actions); the gradient buffer once
+per episode; each sampled advantage for finiteness as its vector is built;
+and the LCO envelope's loss and sigma_max through the scalar checks of
+``gradient_norm_bound``.  Everything else calls the private kernels of
+``dist``, ``objectives``, ``targets``, ``policy`` and ``envs``, which hold
+the same arithmetic as their public functions, so a step's results are bit
+for bit those of the public path.  A step looks up its objective's table
+entry and bound once, not once per timestep, and a one-timestep episode
+takes its means without summing: the mean of one value x is x (the loss)
+or x + 0.0 (the logged statistics, as ``np.add.reduce`` starts its sum at
++0.0).
 
 A step works on the spans of theta its episode touches: one logit row
 per visited state for TABULAR, all of theta for LINEAR and MLP1.  The
@@ -81,12 +89,34 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convexity import gradient_norm_bound
-from .dist import _entropy, _nucleus, _pick, _softmax, as_advantages, as_logits, check_integer, normalize_advantages
+from .convexity import _check_bound_inputs
+from .dist import (
+    _entropy,
+    _finite_logits,
+    _nucleus,
+    _pick,
+    _softmax,
+    as_advantages,
+    check_integer,
+    normalize_advantages,
+)
 from .envs import MatchReward, ToyEnvironment
 from .errors import EstimatorDomainError, InvalidInputError, NonFiniteGradientError, NonFiniteLossError, StepSizeError
 from .objectives import OBJECTIVES, LossEval, Objective, ObjectiveKind, pairwise_sum
-from .policy import Family, PolicyModel, _check_out, _sigma_max, _span, _vjp, forward, linear_policy, tabular_policy
+from .policy import (
+    Family,
+    PolicyModel,
+    _check_out,
+    _check_range,
+    _forward,
+    _hidden,
+    _sigma_max,
+    _span,
+    _vjp,
+    forward,
+    linear_policy,
+    tabular_policy,
+)
 from .targets import EstimatorKind, _optimal_logits
 
 # the tables each dense estimator reads, in the order their rows are checked
@@ -282,13 +312,15 @@ def rollout_episode(
         raise InvalidInputError("SFT training needs a match-reward environment with a target")
 
     sampler = (config.temperature, config.top_p)
-    prefix: tuple[int, ...] = ()
+    state = 0  # the empty prefix
     states, actions, z_old, pi_old, made = [], [], [], [], []
     for t in range(env.horizon):
-        state = env.state_index(prefix)
+        if t:
+            state = env._child(state, action)
         cached = visit = window.get(state)
         if visit is None:
-            z = _frozen(as_logits(forward(snapshot, state)))
+            _check_range(snapshot, state)
+            z = _frozen(_finite_logits(_forward(snapshot, state, _hidden(snapshot, state))))
             visit = (z, _frozen(_softmax(z)), None)
         z, p, nucleus = visit
         if teacher_forced:
@@ -304,7 +336,6 @@ def rollout_episode(
         actions.append(action)
         z_old.append(z)
         pi_old.append(p)
-        prefix = prefix + (action,)
     # stored only now, so an episode that raises leaves the window as it was
     for state, visit in made:
         _store(window, state, visit)
@@ -356,31 +387,6 @@ def _snapshot_target(
     return target
 
 
-def _step_eval(
-    model: PolicyModel,
-    config: TrainerConfig,
-    rollout: Rollout,
-    values: np.ndarray,
-    t: int,
-    window: dict,
-) -> tuple[LossEval, np.ndarray, np.ndarray | None]:
-    """The objective at one visited state, with z there at theta and pi = softmax(z).
-
-    A logit-target loss reads z and its target alone, so its pi is None
-    here and ``_record`` takes it, where the public path takes it; a
-    floating-point event of that softmax then comes after the loss's own.
-    """
-    objective = OBJECTIVES[config.objective]
-    # the target comes from the snapshot alone, so an overflowing target is
-    # reported ahead of non-finite logits at theta
-    target = _snapshot_target(objective, config.beta, rollout, values, t, window)
-    z = as_logits(forward(model, rollout.states[t]))
-    pi = None if objective.target == "logits" else _softmax(z)
-    a = rollout.actions[t]
-    step = (a, float(values[a]), float(rollout.pi_old[t][a]), config.clip_epsilon)
-    return objective.kernel(z, pi, target, step), z, pi
-
-
 @dataclass(frozen=True)
 class EpisodeEval:
     loss: float
@@ -390,6 +396,7 @@ class EpisodeEval:
     logits: tuple[np.ndarray, ...]  # the logits at theta, per timestep
     policies: tuple[np.ndarray | None, ...]  # their softmax, None for a logit-target loss
     spans: tuple[slice, ...]  # the disjoint slices of grad_theta the episode wrote
+    hidden: tuple[np.ndarray | None, ...]  # MLP1's tanh layer at theta, per timestep; None for other families
 
 
 def episode_eval(
@@ -409,44 +416,72 @@ def episode_eval(
     ``pullback`` checks it) the gradient is computed in place in ``out``,
     which becomes ``grad_theta``; only its ``spans`` are written.  Each
     timestep adds its vector-Jacobian product into its span of ``out``
-    directly: the state was checked by the forward pass, and the logit
-    gradient has the logits' shape.
+    directly: the state was checked against the model's state space, and
+    the logit gradient has the logits' shape.  The objective's table entry
+    is looked up once per call, and each visited state is evaluated once
+    at theta: one forward pass (MLP1's hidden layer once, shared by the
+    forward pass, the pullback and the logged sigma_max) and one softmax.
     """
     if out is None:
         out = np.zeros(model.n_params)
     else:
         _check_out(model, out)
-    evals, advantages, logits, policies = [], [], [], []
+    objective = OBJECTIVES[config.objective]
+    logit_target = objective.target == "logits"
+    evals, advantages, logits, policies, hidden_layers, spans = [], [], [], [], [], {}
     for t in range(env.horizon):
-        state = rollout.states[t]
+        state, a = rollout.states[t], rollout.actions[t]
         values = _step_advantages(env, config, rollout, t)
-        evaluation, z, pi = _step_eval(model, config, rollout, values, t, window)
-        offset, size = _span(model, state)
-        out[offset : offset + size] += _vjp(model, state, evaluation.logit_gradient)
+        # the target comes from the snapshot alone, so an overflowing target is
+        # reported ahead of non-finite logits at theta
+        target = _snapshot_target(objective, config.beta, rollout, values, t, window)
+        # the rollout's snapshot forward pass checked the state: the range is
+        # what a state of another model's rollout can miss
+        hidden = _hidden(model, _check_range(model, state))
+        z = _finite_logits(_forward(model, state, hidden))
+        # a logit-target loss reads z and its target alone, so its pi is None
+        # here and ``_record`` takes it, where the public path takes it; a
+        # floating-point event of that softmax then comes after the loss's own
+        pi = None if logit_target else _softmax(z)
+        step = (a, float(values[a]), float(rollout.pi_old[t][a]), config.clip_epsilon)
+        evaluation = objective.kernel(z, pi, target, step)
+        offset, size = span = _span(model, state)
+        out[offset : offset + size] += _vjp(model, state, evaluation.logit_gradient, hidden)
+        # a family's spans are either equal or disjoint, so dropping repeats
+        # leaves each touched entry in exactly one span
+        spans[span] = None
         evals.append(evaluation)
         advantages.append(values)
         logits.append(z)
         policies.append(pi)
-    # a family's spans are either equal or disjoint, so dropping repeats
-    # leaves each touched entry in exactly one span
-    spans = tuple(slice(o, o + n) for o, n in dict.fromkeys(_span(model, s) for s in rollout.states))
-    for span in spans:
-        out[span] /= env.horizon
-    loss = pairwise_sum([e.value for e in evals]) / env.horizon
-    return EpisodeEval(loss, out, tuple(evals), tuple(advantages), tuple(logits), tuple(policies), spans)
+        hidden_layers.append(hidden)
+    spans = tuple(slice(o, o + n) for o, n in spans)
+    if env.horizon == 1:
+        # the mean of one timestep is that timestep: x / 1 is x
+        loss = float(evals[0].value)
+    else:
+        for span in spans:
+            out[span] /= env.horizon
+        loss = pairwise_sum([e.value for e in evals]) / env.horizon
+    return EpisodeEval(
+        loss, out, tuple(evals), tuple(advantages), tuple(logits), tuple(policies), spans, tuple(hidden_layers)
+    )
 
 
-def _envelope(kind: ObjectiveKind, loss: float, sigma: float, vocab_size: int) -> float:
+def _envelope(bound, loss: float, sigma: float, vocab_size: int) -> float:
     """Loss-anchored gradient-norm envelope of one timestep.
 
-    LCO objectives use their own bound formulas (so the averaged parameter
-    gradient is provably below the averaged envelope), through
-    ``gradient_norm_bound``, whose scalar checks reject a loss that is not
-    finite; the baselines are reported against the distribution-form
-    envelope sigma*sqrt(2 max(L, 0)) for side-by-side dynamics comparisons.
+    LCO objectives use their own bound formulas, the table's ``bound`` (so
+    the averaged parameter gradient is provably below the averaged
+    envelope), as ``gradient_norm_bound`` evaluates them, whose scalar
+    checks reject a loss that is not finite; the baselines (no ``bound``)
+    are reported against the distribution-form envelope
+    sigma*sqrt(2 max(L, 0)) for side-by-side dynamics comparisons.
     """
-    if OBJECTIVES[kind].bound is not None:
-        return gradient_norm_bound(kind, max(loss, 0.0), sigma, vocab_size)
+    if bound is not None:
+        loss = max(loss, 0.0)
+        _check_bound_inputs(loss, sigma)
+        return float(bound(loss, sigma, vocab_size))
     return sigma * math.sqrt(2.0 * max(loss, 0.0))
 
 
@@ -525,13 +560,13 @@ def _record(
     makes, and the non-sampled entries of a logit gradient are the slices
     on either side of the sampled action, in ``np.delete``'s order.
     """
+    bound = OBJECTIVES[config.objective].bound
     columns = []
-    for t, (evaluation, values, z, pi) in enumerate(
-        zip(episode.per_step, episode.advantages, episode.logits, episode.policies)
-    ):
+    for t in range(env.horizon):
+        evaluation, values, z, pi = episode.per_step[t], episode.advantages[t], episode.logits[t], episode.policies[t]
         a = rollout.actions[t]
         g = np.abs(evaluation.logit_gradient)
-        sigma = _sigma_max(state.model, rollout.states[t])
+        sigma = _sigma_max(state.model, rollout.states[t], episode.hidden[t])
         nonsampled = np.add.reduce(np.concatenate((g[:a], g[a + 1 :]))) / (g.size - 1)
         if pi is None:  # a logit-target loss: pi at theta is taken here, as the public path takes it
             pi = _softmax(z)
@@ -541,14 +576,16 @@ def _record(
             _entropy(pi),
             pi[a],
             values[a],
-            _envelope(config.objective, evaluation.value, sigma, env.vocab_size),
+            _envelope(bound, evaluation.value, sigma, env.vocab_size),
         ))
-    # one contiguous row per logged statistic, one column per timestep, so a
-    # row mean is the pairwise sum np.mean makes over a list of its values
-    stats = np.array(list(zip(*columns)))
-    sampled_mag, nonsampled_mag, entropy, sampled_prob, sampled_adv, bound = (
-        np.add.reduce(stats, axis=1) / env.horizon
-    ).tolist()
+    if env.horizon == 1:
+        # np.add.reduce starts its sum at +0.0, so the mean of one value x is x + 0.0
+        means = [float(x) + 0.0 for x in columns[0]]
+    else:
+        # one contiguous row per logged statistic, one column per timestep, so a
+        # row mean is the pairwise sum np.mean makes over a list of its values
+        means = (np.add.reduce(np.array(list(zip(*columns))), axis=1) / env.horizon).tolist()
+    sampled_mag, nonsampled_mag, entropy, sampled_prob, sampled_adv, bound = means
 
     return DynamicsRecord(
         step=state.step,

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import tracemalloc
@@ -39,6 +40,28 @@ def test_environment_state_indexing():
     assert env.state_index((1, 2)) == 4 + 1 * 3 + 2
     with pytest.raises(InvalidInputError):
         env.state_index((0, 1, 2))  # terminal sequences are not states
+
+
+def test_environment_child_state_is_the_state_index_of_the_longer_prefix():
+    env = ToyEnvironment(3, 4, MatchReward((0, 1, 2, 0)))
+    for length in range(env.horizon - 1):  # every prefix with a child that is a state
+        for prefix, action in itertools.product(itertools.product(range(3), repeat=length), range(3)):
+            assert env._child(env.state_index(prefix), action) == env.state_index(prefix + (action,))
+    for action in (-1, 3):
+        with pytest.raises(InvalidInputError, match=f"action {action} outside vocabulary of size 3"):
+            env._child(0, action)
+
+
+def test_a_model_wider_than_the_environment_raises_at_the_next_state():
+    # the rollout samples action 2 of a 3-wide model in a 2-wide environment;
+    # the next state's index rejects it, as state_index does
+    env = ToyEnvironment(2, 2, MatchReward((0, 1)))
+    model = tabular_policy(env.n_states, 3, init_logits=[-50.0, -50.0, 50.0])
+    config = TrainerConfig(objective=ObjectiveKind.REINFORCE, learning_rate=0.1, steps=1)
+    with pytest.raises(InvalidInputError, match="action 2 outside vocabulary of size 2"):
+        env.state_index((2,))
+    with pytest.raises(InvalidInputError, match="action 2 outside vocabulary of size 2"):
+        train_step(init_trainer(model), env, config, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("vocab_size, horizon", [(2.5, 1), (3, 1.0), (True, 1), (3, "2"), (np.float64(3.0), 2)])
@@ -211,8 +234,10 @@ def _count_calls(monkeypatch, functions) -> Counter:
 @pytest.mark.parametrize("kind", list(ObjectiveKind))
 @pytest.mark.parametrize("family", [Family.TABULAR, Family.LINEAR, Family.MLP1])
 def test_warm_sparse_train_step_calls_no_checked_public_function(monkeypatch, kind, family):
-    # the sparse advantages, the pullback into the buffer and the logged
-    # record read kernels: a step checks each array once, where it is made
+    # the sparse advantages, the forward passes, the pullback into the buffer
+    # and the logged record read kernels: a step checks each array once,
+    # where it is made, and evaluates each visited state once per parameter
+    # vector, MLP1's hidden layer included
     env = ToyEnvironment(4, 3, MatchReward((1, 0, 2)))
     if family is Family.TABULAR:
         model = tabular_policy(env.n_states, env.vocab_size)
@@ -224,16 +249,28 @@ def test_warm_sparse_train_step_calls_no_checked_public_function(monkeypatch, ki
     state = init_trainer(model)
     rng = np.random.default_rng(5)
     state, _ = train_step(state, env, config, rng)  # warm
-    calls = _count_calls(monkeypatch, [(dist, "as_advantages"), (policy, "pullback"), (np, "delete")])
+    checked = [(dist, "as_advantages"), (dist, "as_logits"), (dist, "check_integer"), (policy, "pullback")]
+    calls = _count_calls(monkeypatch, checked + [(np, "delete"), (np.linalg, "norm"), (np, "tanh")])
     for _ in range(2):
         state, _ = train_step(state, env, config, rng)
     assert state.step == 3
-    assert calls == Counter()
-    # the counters do count: each function once through its module
+    # each step refreshes the snapshot, so each of its 3 states is evaluated
+    # at the snapshot and at theta: MLP1's tanh layer twice, and the log-cosh
+    # loss takes one tanh of its own per timestep
+    per_state = 2 * (family is Family.MLP1) + (kind is ObjectiveKind.LCO_LCH)
+    assert calls == Counter(tanh=2 * 3 * per_state)
+    # the counters do count: each function through its module
+    calls.clear()
     dist.as_advantages(np.zeros(2))
+    dist.as_logits(np.zeros(2))
+    dist.check_integer(1, "n")
     policy.pullback(model, 0, np.zeros(env.vocab_size))
     np.delete(np.zeros(2), 0)
-    assert calls == Counter(as_advantages=1, pullback=1, delete=1)
+    np.linalg.norm(np.zeros(2))
+    np.tanh(0.0)
+    # pullback checks its state with check_integer and evaluates MLP1's hidden layer
+    mlp1 = family is Family.MLP1
+    assert calls == Counter(as_advantages=1, as_logits=1, check_integer=2, pullback=1, delete=1, norm=1, tanh=1 + mlp1)
 
 
 @pytest.mark.parametrize("estimator", [EstimatorKind.DENSE_LOGPROB, EstimatorKind.DENSE_DPO_RATIO])
