@@ -496,8 +496,10 @@ def train_step(
     Advances the buffers and the snapshot window of ``state`` in place (see
     ``TrainerState``) and returns the state for the next step, which shares
     them.  A step that raises leaves theta as it was and the gradient
-    buffer all zero.  After the gradient checks, an episode loss that is
-    NaN (timestep losses of +inf and -inf) raises ``NonFiniteLossError``.
+    buffer all zero.  A gradient with a non-finite entry, or whose 2-norm
+    lies beyond the float range, raises ``NonFiniteGradientError``.  After
+    these gradient checks, an episode loss that is NaN (timestep losses of
+    +inf and -inf) raises ``NonFiniteLossError``.
     """
     if state.step % config.snapshot_interval == 0:
         np.copyto(state.snapshot_theta, state.model.theta)
@@ -524,6 +526,13 @@ def train_step(
             peak = float(np.abs(grad).max())
             scaled = grad / peak
             raw_norm = peak * math.sqrt(scaled.dot(scaled))
+            # a norm beyond the float range even so: no record can log it, and
+            # clipping by it would scale the step to zero
+            if not math.isfinite(raw_norm):
+                raise NonFiniteGradientError(
+                    f"gradient norm beyond the float range at step {state.step} "
+                    f"(objective {config.objective.value}, loss {episode.loss!r})"
+                )
         # timestep losses of +inf and -inf sum to NaN, which no record may log
         if math.isnan(episode.loss):
             raise NonFiniteLossError(

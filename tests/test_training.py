@@ -323,6 +323,24 @@ def test_an_overflowing_gradient_norm_is_taken_scaled_and_the_clipped_step_moves
     assert np.allclose(step, -0.1 * gradient / expected, rtol=1e-15, atol=0.0)
 
 
+def test_a_gradient_norm_beyond_the_float_range_raises():
+    # seed 4 samples action 1 (pi = 0.12), so the gradient 1.7e308 (pi - e_1)
+    # has entries +/-1.497e308: finite, but even taken of g / max|g| and
+    # scaled back, its 2-norm sqrt(2) * 1.497e308 is beyond the float range.
+    # The step used to log that norm as inf and clip the update to zero.
+    env = ToyEnvironment(2, 1, TableReward(np.array([[1.7e308, 1.7e308]])))
+    config = TrainerConfig(
+        objective=ObjectiveKind.REINFORCE, learning_rate=0.1, steps=1, seed=4, grad_clip_norm=1.0
+    )
+    model = tabular_policy(env.n_states, env.vocab_size, init_logits=[2.0, 0.0])
+    state = init_trainer(model)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteGradientError) as raised:
+        train_step(state, env, config, np.random.default_rng(config.seed))
+    assert str(raised.value) == "gradient norm beyond the float range at step 0 (objective REINFORCE, loss inf)"
+    assert state.model.theta.tobytes() == model.theta.tobytes()
+    assert not state.grad.any()
+
+
 def _overflowing_target_setup():
     # t = 0 is pulled back into the buffer before the target at t = 1 overflows
     env = ToyEnvironment(4, 2, TableReward(np.array([[0.5, -0.5, 0.25, 0.0], [1e300] * 4])))
