@@ -44,6 +44,50 @@ def kl_hp(p, q):
     )
 
 
+def bregman_kl_hp(p, q):
+    """sum(p log(p/q) - (p - q)) of two float vectors, exact; KL(p || q) when both sum to one.
+
+    A coordinate where p is zero contributes q.  ``q`` must be positive
+    wherever p is.
+    """
+    qs = [mpf(float(b)) for b in q]
+    return _bregman_hp(p, qs, [log(b) if b > 0 else None for b in qs])
+
+
+def kl_to_logits_hp(p, z):
+    """The Bregman form of KL(p || softmax(z)), exact for the float vectors p and z.
+
+    The target of ``kl_between(p, softmax(z), log_q=log_softmax(z))``: q and
+    log q are the exact softmax and log-softmax of z, so a q that underflows
+    in float64 still counts.
+    """
+    zs = [mpf(float(x)) for x in z]
+    m = max(zs)
+    lse = m + log(sum(exp(x - m) for x in zs))
+    log_q = [x - lse for x in zs]
+    return _bregman_hp(p, [exp(x) for x in log_q], log_q)
+
+
+def _bregman_hp(p, q, log_q):
+    total = mpf(0)
+    for a, b, log_b in zip(p, q, log_q):
+        a = mpf(float(a))
+        total += (a * (log(a) - log_b) if a > 0 else 0) - (a - b)
+    return float(total)
+
+
+def optimal_logits_hp(z_old, advantages, beta):
+    """z_old + A / beta, exact for the float inputs, rounded once."""
+    return np.array([float(mpf(float(z)) + mpf(float(a)) / mpf(beta)) for z, a in zip(z_old, advantages)])
+
+
+def optimal_policy_hp(pi_old, advantages, beta):
+    """pi_old(i) exp(A_i / beta), normalized, exact for the float inputs."""
+    weights = [mpf(float(p)) * exp(mpf(float(a)) / mpf(beta)) for p, a in zip(pi_old, advantages)]
+    total = sum(weights)
+    return np.array([float(w / total) for w in weights])
+
+
 def tempered_hp(p, temperature):
     """Distribution proportional to exp(log p / T), exact from the float64 exponents.
 
