@@ -12,10 +12,12 @@ Each public primitive validates its inputs and then calls a private kernel
 arithmetic; a caller that checked an array where it made it calls the kernel
 directly, and a caller that draws repeatedly from one distribution can keep
 the nucleus and call ``_pick`` alone.  ``_softmax`` and ``_log_softmax``
-reduce over the last axis, so they also take an (n, V) stack of logit rows,
-and each row comes out bit for bit as the 1-D call on it would.  They call
-the reductions ``np.maximum.reduce`` and ``np.add.reduce`` directly, which
-is what ``ndarray.max`` and ``ndarray.sum`` call behind a Python wrapper.
+share one shift, exponential and sum (``_shifted_exp``), and a caller that
+needs both takes them from one pass with ``_softmax_and_log``.  They reduce
+over the last axis, so they also take an (n, V) stack of logit rows, and
+each row comes out bit for bit as the 1-D call on it would.  They call the
+reductions ``np.maximum.reduce`` and ``np.add.reduce`` directly, which is
+what ``ndarray.max`` and ``ndarray.sum`` call behind a Python wrapper.
 
 Everything here is a pure function of its inputs; RNG state is caller-owned.
 """
@@ -39,7 +41,8 @@ def as_logits(z) -> np.ndarray:
 
 def _finite_logits(z: np.ndarray) -> np.ndarray:
     """The one check of ``as_logits`` that a model's own (V,) output can fail: finiteness."""
-    if not np.isfinite(z).all():
+    # the reduction ndarray.all calls, without its wrapper
+    if not np.logical_and.reduce(np.isfinite(z)):
         raise InvalidInputError("logits must be finite")
     return z
 
@@ -91,9 +94,8 @@ def softmax(z) -> np.ndarray:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - np.maximum.reduce(z, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.add.reduce(e, axis=-1, keepdims=True)
+    _, e, total = _shifted_exp(z)
+    return e / total
 
 
 def log_softmax(z) -> np.ndarray:
@@ -102,8 +104,21 @@ def log_softmax(z) -> np.ndarray:
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
+    shifted, _, total = _shifted_exp(z)
+    return shifted - np.log(total)
+
+
+def _softmax_and_log(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(_softmax(z), _log_softmax(z))`` from one shift, exponential and sum."""
+    shifted, e, total = _shifted_exp(z)
+    return e / total, shifted - np.log(total)
+
+
+def _shifted_exp(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """z - max(z), its exponential and that exponential's sum, over the last axis."""
     shifted = z - np.maximum.reduce(z, axis=-1, keepdims=True)
-    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+    e = np.exp(shifted)
+    return shifted, e, np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def entropy(p) -> float:
@@ -217,7 +232,9 @@ def _nucleus(p: np.ndarray, temperature: float, top_p: float) -> tuple[np.ndarra
 def _pick(kept: np.ndarray, bounds: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
     """Sampler kernel: ``size`` draws over a nucleus made by ``_nucleus``.
 
-    Each uniform is resolved against ``bounds`` by inverse CDF.
+    Each uniform is resolved against ``bounds`` by inverse CDF.  With
+    ``size=None`` the one draw is a scalar: ``rng.random()`` yields the
+    double that ``rng.random(1)`` holds.
     """
     return kept[bounds.searchsorted(rng.random(size), side="right")]
 

@@ -21,8 +21,10 @@ Hessian, its curvature constant and its gradient-norm bound.  The trainer,
 ``convexity`` and ``verify`` look these facts up there, so a new objective
 is one entry.  The kernel, the row value and the Hessian all read one point,
 ``(z, target, step)``, which ``Objective.point`` checks.  The kernel holds
-the only copy of the objective's arithmetic and takes pi = softmax(z) from
-its caller, so a trainer that already holds both evaluates each state once.
+the only copy of the objective's arithmetic and takes pi = softmax(z), and
+log pi where it reads it, from its caller (``Objective.policy`` makes both
+from one shift, exponential and sum), so a trainer that already holds them
+evaluates each state once.
 ``evaluate(kind, z, target, step)`` is the public form: it checks the
 point and calls the kernel, as ``convexity.hessian_analytic`` checks the
 same point and calls the Hessian.
@@ -55,7 +57,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dist import _log_softmax, _softmax, as_logits, as_probs, check_action, kl_between
+from .dist import _log_softmax, _softmax, _softmax_and_log, as_logits, as_probs, check_action, kl_between
 from .errors import DegenerateRatioError, InactiveRegionError, InvalidInputError
 from .targets import _optimal_logits, _optimal_policy
 
@@ -77,14 +79,14 @@ class LossEval:
     logit_gradient: np.ndarray
 
 
-def _sft_eval(z: np.ndarray, pi: np.ndarray, target: int) -> LossEval:
+def _sft_eval(pi: np.ndarray, log_pi: np.ndarray, target: int) -> LossEval:
     grad = pi.copy()
     grad[target] -= 1.0
-    return LossEval(float(_sft_value(z, target)), grad)
+    return LossEval(float(_sft_value(log_pi, target)), grad)
 
 
-def _sft_value(z: np.ndarray, target: int) -> np.ndarray:
-    return -_log_softmax(z)[..., target]
+def _sft_value(log_pi: np.ndarray, target: int) -> np.ndarray:
+    return -log_pi[..., target]
 
 
 def _ratio(pi_sampled: float, behavioral: float) -> float:
@@ -98,12 +100,13 @@ def _ppo_gate(adv: float, r: float, eps: float) -> bool:
 
 
 def _ppo_eval(pi: np.ndarray, a: int, adv: float, behavioral: float, eps: float) -> LossEval:
-    r = _ratio(float(pi[a]), behavioral)
+    pi_a = float(pi[a])
+    r = _ratio(pi_a, behavioral)
     value = _ppo_value(r, adv, eps)
     if not _ppo_gate(adv, r, eps):
-        return LossEval(value, np.zeros_like(pi))
-    grad = (adv / behavioral) * float(pi[a]) * pi
-    grad[a] -= (adv / behavioral) * float(pi[a])
+        return LossEval(value, np.zeros(pi.size))
+    grad = (adv / behavioral) * pi_a * pi
+    grad[a] -= (adv / behavioral) * pi_a
     return LossEval(value, grad)
 
 
@@ -116,14 +119,14 @@ def _ppo_rows(z: np.ndarray, a: int, adv: float, behavioral: float, eps: float) 
     return np.array([_ppo_value(_ratio(pi_a, behavioral), adv, eps) for pi_a in _softmax(z)[:, a].tolist()])
 
 
-def _reinforce_eval(z: np.ndarray, pi: np.ndarray, a: int, adv: float) -> LossEval:
+def _reinforce_eval(pi: np.ndarray, log_pi: np.ndarray, a: int, adv: float) -> LossEval:
     grad = adv * pi
     grad[a] -= adv
-    return LossEval(float(_reinforce_value(z, a, adv)), grad)
+    return LossEval(float(_reinforce_value(log_pi, a, adv)), grad)
 
 
-def _reinforce_value(z: np.ndarray, a: int, adv: float) -> np.ndarray:
-    return -adv * _log_softmax(z)[..., a]
+def _reinforce_value(log_pi: np.ndarray, a: int, adv: float) -> np.ndarray:
+    return -adv * log_pi[..., a]
 
 
 def _log_cosh(x: np.ndarray) -> np.ndarray:
@@ -156,8 +159,8 @@ def _lco_lch_value(residual: np.ndarray) -> np.ndarray:
     return _log_cosh(residual).sum(axis=-1) / residual.shape[-1]
 
 
-def _lco_kld_eval(z: np.ndarray, pi: np.ndarray, pi_star: np.ndarray) -> LossEval:
-    return LossEval(kl_between(pi_star, pi, log_q=_log_softmax(z)), pi - pi_star)
+def _lco_kld_eval(pi: np.ndarray, log_pi: np.ndarray, pi_star: np.ndarray) -> LossEval:
+    return LossEval(kl_between(pi_star, pi, log_q=log_pi), pi - pi_star)
 
 
 def _lco_kld_rows(z: np.ndarray, pi_star: np.ndarray) -> np.ndarray:
@@ -257,11 +260,14 @@ _STEP_RULES = (
 class Objective:
     """The facts that set one objective apart from the others.
 
-    ``kernel(z, pi, target, step)`` evaluates the objective at logits z with
-    pi = softmax(z) (None for a logit-target loss, which never reads it), its
-    closed-form target (None without one) and ``step`` = (sampled action,
-    its advantage, its behavioral probability, clip epsilon), of which it
-    reads the first ``reads`` values: SFT only its target token.  It makes no
+    ``kernel(z, pi, log_pi, target, step)`` evaluates the objective at
+    logits z with pi = softmax(z) and log_pi = log_softmax(z), as ``policy``
+    makes them (pi is None for a logit-target loss, which never reads it,
+    and log_pi is None unless ``log_policy``: SFT, REINFORCE and LCO_KLD
+    read it), its closed-form target (None without one) and ``step`` =
+    (sampled action, its advantage, its behavioral probability, clip
+    epsilon), of which it reads the first ``reads`` values: SFT only its
+    target token.  It makes no
     input checks; ``evaluate`` checks the point with ``point`` and calls it.
     ``value(z, target, step)`` is the same loss at every row of an (n, V)
     stack z, as an (n,) array equal row by row to the kernel's ``value``.  It
@@ -274,11 +280,12 @@ class Objective:
     is closed.
     """
 
-    kernel: Callable[[np.ndarray, np.ndarray, np.ndarray | None, tuple], LossEval]
+    kernel: Callable[[np.ndarray, np.ndarray | None, np.ndarray | None, np.ndarray | None, tuple], LossEval]
     value: Callable[[np.ndarray, np.ndarray | None, tuple], np.ndarray]
     reads: int = 0  # how many values of ``step`` the objective reads
     # "logits" aligns to z* = z_old + A/beta, "policy" to pi* ~ pi_old e^{A/beta}
     target: str | None = None
+    log_policy: bool = False  # the kernel reads log softmax(z)
     hessian: Callable[[np.ndarray, np.ndarray, np.ndarray | None, tuple], np.ndarray] | None = None
     curvature: float | None = None  # the Hessian is (curvature / V) I at the target
     bound: Callable[[float, float, int], float] | None = None  # (loss, sigma_max, V) -> envelope
@@ -313,6 +320,16 @@ class Objective:
                 raise InvalidInputError(f"{rule}, got {value!r}")
         return z, target, (action, *values)
 
+    def policy(self, z: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """``(softmax(z), log_softmax(z))`` as the kernel reads them, None for what it does not.
+
+        A logit-target loss reads neither; a kernel that reads log pi takes
+        both from one pass (``dist._softmax_and_log``).
+        """
+        if self.log_policy:
+            return _softmax_and_log(z)
+        return (None if self.target == "logits" else _softmax(z)), None
+
     def optimal_target(self, z_old: np.ndarray, pi_old: np.ndarray, values: np.ndarray, beta: float):
         """The closed-form target of the advantages ``values``, None without one."""
         if self.target == "logits":
@@ -328,24 +345,26 @@ class Objective:
 
 OBJECTIVES: dict[ObjectiveKind, Objective] = {
     ObjectiveKind.SFT: Objective(
-        kernel=lambda z, pi, target, step: _sft_eval(z, pi, step[0]),
-        value=lambda z, target, step: _sft_value(z, step[0]),
+        kernel=lambda z, pi, log_pi, target, step: _sft_eval(pi, log_pi, step[0]),
+        value=lambda z, target, step: _sft_value(_log_softmax(z), step[0]),
         reads=1,
+        log_policy=True,
         hessian=lambda z, pi, target, step: softmax_curvature(pi),
     ),
     ObjectiveKind.PPO: Objective(
-        kernel=lambda z, pi, target, step: _ppo_eval(pi, *step),
+        kernel=lambda z, pi, log_pi, target, step: _ppo_eval(pi, *step),
         value=lambda z, target, step: _ppo_rows(z, *step),
         reads=4,
         hessian=lambda z, pi, target, step: _ppo_hessian(pi, *step),
     ),
     ObjectiveKind.REINFORCE: Objective(
-        kernel=lambda z, pi, target, step: _reinforce_eval(z, pi, *step[:2]),
-        value=lambda z, target, step: _reinforce_value(z, *step[:2]),
+        kernel=lambda z, pi, log_pi, target, step: _reinforce_eval(pi, log_pi, *step[:2]),
+        value=lambda z, target, step: _reinforce_value(_log_softmax(z), *step[:2]),
         reads=2,
+        log_policy=True,
     ),
     ObjectiveKind.LCO_MSE: Objective(
-        kernel=lambda z, pi, target, step: _lco_mse_eval(z, target),
+        kernel=lambda z, pi, log_pi, target, step: _lco_mse_eval(z, target),
         value=lambda z, target, step: _lco_mse_value(z - target),
         target="logits",
         hessian=lambda z, pi, target, step: (2.0 / z.size) * np.eye(z.size),
@@ -353,7 +372,7 @@ OBJECTIVES: dict[ObjectiveKind, Objective] = {
         bound=lambda loss, sigma, v: 2.0 / v * sigma * np.sqrt(v * loss),
     ),
     ObjectiveKind.LCO_LCH: Objective(
-        kernel=lambda z, pi, target, step: _lco_lch_eval(z, target),
+        kernel=lambda z, pi, log_pi, target, step: _lco_lch_eval(z, target),
         value=lambda z, target, step: _lco_lch_value(z - target),
         target="logits",
         hessian=lambda z, pi, target, step: _lco_lch_hessian(z, target),
@@ -361,9 +380,10 @@ OBJECTIVES: dict[ObjectiveKind, Objective] = {
         bound=lambda loss, sigma, v: sigma / v * np.sqrt(v * (-np.expm1(-2.0 * loss))),
     ),
     ObjectiveKind.LCO_KLD: Objective(
-        kernel=lambda z, pi, target, step: _lco_kld_eval(z, pi, target),
+        kernel=lambda z, pi, log_pi, target, step: _lco_kld_eval(pi, log_pi, target),
         value=lambda z, target, step: _lco_kld_rows(z, target),
         target="policy",
+        log_policy=True,
         hessian=lambda z, pi, target, step: softmax_curvature(pi),
         bound=lambda loss, sigma, v: sigma * np.sqrt(2.0 * loss),
     ),
@@ -384,7 +404,7 @@ def evaluate(kind: ObjectiveKind, z, target=None, step=()) -> LossEval:
     """
     objective = OBJECTIVES[kind]
     z, target, step = objective.point(z, target, step)
-    return objective.kernel(z, None if objective.target == "logits" else _softmax(z), target, step)
+    return objective.kernel(z, *objective.policy(z), target, step)
 
 
 def ppo_active(z, step) -> bool:

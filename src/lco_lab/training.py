@@ -329,7 +329,7 @@ def rollout_episode(
             if nucleus is None or nucleus[0] != sampler:
                 nucleus = (sampler, *map(_frozen, _nucleus(p, *sampler)))
                 visit = (z, p, nucleus)
-            action = int(_pick(nucleus[1], nucleus[2], rng, 1)[0])
+            action = int(_pick(nucleus[1], nucleus[2], rng, None))
         if visit is not cached:
             made.append((state, visit))
         states.append(state)
@@ -427,8 +427,7 @@ def episode_eval(
     else:
         _check_out(model, out)
     objective = OBJECTIVES[config.objective]
-    logit_target = objective.target == "logits"
-    evals, advantages, logits, policies, hidden_layers, spans = [], [], [], [], [], {}
+    timesteps, spans = [], {}
     for t in range(env.horizon):
         state, a = rollout.states[t], rollout.actions[t]
         values = _step_advantages(env, config, rollout, t)
@@ -442,19 +441,16 @@ def episode_eval(
         # a logit-target loss reads z and its target alone, so its pi is None
         # here and ``_record`` takes it, where the public path takes it; a
         # floating-point event of that softmax then comes after the loss's own
-        pi = None if logit_target else _softmax(z)
+        pi, log_pi = objective.policy(z)
         step = (a, float(values[a]), float(rollout.pi_old[t][a]), config.clip_epsilon)
-        evaluation = objective.kernel(z, pi, target, step)
+        evaluation = objective.kernel(z, pi, log_pi, target, step)
         offset, size = span = _span(model, state)
         out[offset : offset + size] += _vjp(model, state, evaluation.logit_gradient, hidden)
         # a family's spans are either equal or disjoint, so dropping repeats
         # leaves each touched entry in exactly one span
         spans[span] = None
-        evals.append(evaluation)
-        advantages.append(values)
-        logits.append(z)
-        policies.append(pi)
-        hidden_layers.append(hidden)
+        timesteps.append((evaluation, values, z, pi, hidden))
+    evals, advantages, logits, policies, hidden_layers = zip(*timesteps)
     spans = tuple(slice(o, o + n) for o, n in spans)
     if env.horizon == 1:
         # the mean of one timestep is that timestep: x / 1 is x
@@ -463,9 +459,7 @@ def episode_eval(
         for span in spans:
             out[span] /= env.horizon
         loss = pairwise_sum([e.value for e in evals]) / env.horizon
-    return EpisodeEval(
-        loss, out, tuple(evals), tuple(advantages), tuple(logits), tuple(policies), spans, tuple(hidden_layers)
-    )
+    return EpisodeEval(loss, out, evals, advantages, logits, policies, spans, hidden_layers)
 
 
 def _envelope(bound, loss: float, sigma: float, vocab_size: int) -> float:
@@ -569,13 +563,14 @@ def _record(
     makes, and the non-sampled entries of a logit gradient are the slices
     on either side of the sampled action, in ``np.delete``'s order.
     """
-    bound = OBJECTIVES[config.objective].bound
+    table_bound = OBJECTIVES[config.objective].bound
     columns = []
-    for t in range(env.horizon):
-        evaluation, values, z, pi = episode.per_step[t], episode.advantages[t], episode.logits[t], episode.policies[t]
+    for t, (evaluation, values, z, pi, hidden) in enumerate(
+        zip(episode.per_step, episode.advantages, episode.logits, episode.policies, episode.hidden)
+    ):
         a = rollout.actions[t]
         g = np.abs(evaluation.logit_gradient)
-        sigma = _sigma_max(state.model, rollout.states[t], episode.hidden[t])
+        sigma = _sigma_max(state.model, rollout.states[t], hidden)
         nonsampled = np.add.reduce(np.concatenate((g[:a], g[a + 1 :]))) / (g.size - 1)
         if pi is None:  # a logit-target loss: pi at theta is taken here, as the public path takes it
             pi = _softmax(z)
@@ -585,7 +580,7 @@ def _record(
             _entropy(pi),
             pi[a],
             values[a],
-            _envelope(bound, evaluation.value, sigma, env.vocab_size),
+            _envelope(table_bound, evaluation.value, sigma, env.vocab_size),
         ))
     if env.horizon == 1:
         # np.add.reduce starts its sum at +0.0, so the mean of one value x is x + 0.0

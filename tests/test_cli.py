@@ -427,8 +427,8 @@ def test_gradient_suite_catches_sign_flip(monkeypatch):
     clean = suite_gradients()
     assert (clean.cases, clean.failures) == (1300, 0)
 
-    def flipped(z, pi, target) -> LossEval:
-        good = _sft_eval(z, pi, target)
+    def flipped(pi, log_pi, target) -> LossEval:
+        good = _sft_eval(pi, log_pi, target)
         return LossEval(good.value, -good.logit_gradient)
 
     monkeypatch.setattr(objectives, "_sft_eval", flipped)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import lco_lab
-from lco_lab.dist import softmax
+from lco_lab.dist import log_softmax, softmax
 from lco_lab.envs import MatchReward, ToyEnvironment
 from lco_lab.errors import DegenerateRatioError, InvalidInputError
 from lco_lab.convexity import hessian_analytic, hessian_numeric, ppo_witness
@@ -243,7 +243,7 @@ def test_evaluate_is_the_kernel_at_the_checked_point(kind):
     objective = OBJECTIVES[kind]
     got = evaluate(kind, Z, *GOOD_POINTS[kind])
     z, target, step = objective.point(Z, *GOOD_POINTS[kind])
-    want = objective.kernel(z, softmax(z), target, step)
+    want = objective.kernel(z, softmax(z), log_softmax(z), target, step)
     assert got.value == want.value
     assert np.array_equal(got.logit_gradient, want.logit_gradient)
     for target, step in BAD_POINTS[kind]:
@@ -350,7 +350,7 @@ def test_table_kernel_matches_evaluate_at_the_optimal_target(kind):
     objective = OBJECTIVES[kind]
     z_old, z, advantages = rng.uniform(-2.0, 2.0, (3, 6))
     target = objective.optimal_target(z_old, softmax(z_old), advantages, 0.7)
-    kernel = objective.kernel(z, softmax(z), target, (2, float(advantages[2]), 0.1, 0.2))
+    kernel = objective.kernel(z, softmax(z), log_softmax(z), target, (2, float(advantages[2]), 0.1, 0.2))
     public = evaluate(kind, z, target)
     assert kernel.value == public.value
     assert np.array_equal(kernel.logit_gradient, public.logit_gradient)

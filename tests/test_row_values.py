@@ -17,7 +17,7 @@ import pytest
 from lco_lab import dist, objectives
 from lco_lab.config import build_converge, parse_config
 from lco_lab.convexity import hessian_analytic, hessian_numeric
-from lco_lab.dist import _log_softmax, _softmax, kl_between, softmax
+from lco_lab.dist import _log_softmax, _softmax, kl_between, log_softmax, softmax
 from lco_lab.objectives import OBJECTIVES, ObjectiveKind, evaluate, ppo_active
 from lco_lab.policy import Family, forward, linear_policy, tabular_policy
 from lco_lab.targets import optimal_logits
@@ -57,7 +57,7 @@ def test_row_value_equals_the_kernel_value_row_by_row(kind, v):
         rows = objective.value(z, target, step)
         assert rows.shape == (25,)
         for row, value in zip(z, rows):
-            assert value == objective.kernel(row, softmax(row), target, step).value
+            assert value == objective.kernel(row, softmax(row), log_softmax(row), target, step).value
 
 
 def _kld_loop_rows(z, pi_star):
@@ -140,7 +140,7 @@ def test_row_values_build_no_loss_eval_and_call_no_kl_between(monkeypatch):
     assert (built[0], looped[0]) == (0, 0)
     # the 1-D kernel keeps its loop, so the counters do count
     z = rng.uniform(-1.0, 1.0, 4)
-    OBJECTIVES[ObjectiveKind.LCO_KLD].kernel(z, softmax(z), softmax(z[::-1]), ())
+    OBJECTIVES[ObjectiveKind.LCO_KLD].kernel(z, softmax(z), log_softmax(z), softmax(z[::-1]), ())
     assert (built[0], looped[0]) == (1, 1)
 
 
