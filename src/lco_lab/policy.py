@@ -163,11 +163,12 @@ def pullback(model: PolicyModel, state: int, grad_z, out: np.ndarray | None = No
         _check_out(model, out)
     offset, size = _span(model, state)
     span = slice(offset, offset + size)
+    product = _vjp(model, state, grad_z, _hidden(model, state))
     if out is None:
         out = np.zeros(model.n_params)
-        out[span] = _vjp(model, state, grad_z, _hidden(model, state))
+        out[span] = product
     else:
-        out[span] += _vjp(model, state, grad_z, _hidden(model, state))
+        out[span] += product
     return out
 
 

@@ -14,8 +14,9 @@ gradient-descent update:
 
 Each visited state is evaluated once per parameter vector: the rollout
 runs one forward pass and one softmax at the snapshot, ``episode_eval``
-one of each at theta, and the logged statistics and the envelope reuse
-those results.  MLP1's tanh layer is part of that one evaluation: it is
+one of each at theta (the softmax pass also gives the log-softmax to the
+objectives that read it, ``Objective.policy``), and the logged statistics
+and the envelope reuse those results.  MLP1's tanh layer is part of that one evaluation: it is
 taken once per state and parameter vector and shared by the forward pass,
 the pullback and sigma_max.  Each check runs once, where its data is made:
 config fields and the dense estimators' tables in ``TrainerConfig``, which
@@ -313,7 +314,7 @@ def rollout_episode(
 
     sampler = (config.temperature, config.top_p)
     state = 0  # the empty prefix
-    states, actions, z_old, pi_old, made = [], [], [], [], []
+    timesteps, made = [], []
     for t in range(env.horizon):
         if t:
             state = env._child(state, action)
@@ -332,14 +333,11 @@ def rollout_episode(
             action = int(_pick(nucleus[1], nucleus[2], rng, None))
         if visit is not cached:
             made.append((state, visit))
-        states.append(state)
-        actions.append(action)
-        z_old.append(z)
-        pi_old.append(p)
+        timesteps.append((state, action, z, p))
     # stored only now, so an episode that raises leaves the window as it was
     for state, visit in made:
         _store(window, state, visit)
-    return Rollout(tuple(states), tuple(actions), tuple(z_old), tuple(pi_old))
+    return Rollout(*zip(*timesteps))
 
 
 def _step_advantages(env: ToyEnvironment, config: TrainerConfig, rollout: Rollout, t: int) -> np.ndarray:
@@ -445,7 +443,8 @@ def episode_eval(
         step = (a, float(values[a]), float(rollout.pi_old[t][a]), config.clip_epsilon)
         evaluation = objective.kernel(z, pi, log_pi, target, step)
         offset, size = span = _span(model, state)
-        out[offset : offset + size] += _vjp(model, state, evaluation.logit_gradient, hidden)
+        touched = out[offset : offset + size]  # added into in place, without a write-back
+        touched += _vjp(model, state, evaluation.logit_gradient, hidden)
         # a family's spans are either equal or disjoint, so dropping repeats
         # leaves each touched entry in exactly one span
         spans[span] = None
@@ -539,7 +538,8 @@ def train_step(
                 grad[span] *= scale
         record = _record(state, env, config, rollout, episode, raw_norm)
         for span in episode.spans:
-            state.model.theta[span] -= config.learning_rate * grad[span]
+            updated = state.model.theta[span]  # updated in place, without a write-back
+            updated -= config.learning_rate * grad[span]
     finally:
         for span in episode.spans if episode is not None else (slice(None),):
             state.grad[span] = 0.0
