@@ -16,9 +16,9 @@ Each visited state is evaluated once per parameter vector: the rollout
 runs one forward pass and one softmax at the snapshot, ``episode_eval``
 one of each at theta (the softmax pass also gives the log-softmax to the
 objectives that read it, ``Objective.policy``), and the logged statistics
-and the envelope reuse those results.  MLP1's tanh layer is part of that one evaluation: it is
-taken once per state and parameter vector and shared by the forward pass,
-the pullback and sigma_max.  Each check runs once, where its data is made:
+and the envelope reuse those results.  MLP1's tanh layer is part of that
+one evaluation, shared by the forward pass, the pullback and sigma_max.
+Each check runs once, where its data is made:
 config fields and the dense estimators' tables in ``TrainerConfig``, which
 also builds each table row's advantage vector there, once per run, and
 rejects a table its estimator never reads; each visited state against the
@@ -87,6 +87,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -461,7 +462,7 @@ def episode_eval(
     return EpisodeEval(loss, out, evals, advantages, logits, policies, spans, hidden_layers)
 
 
-def _envelope(bound, loss: float, sigma: float, vocab_size: int) -> float:
+def _envelope(bound: Callable[[float, float, int], float] | None, loss: float, sigma: float, vocab_size: int) -> float:
     """Loss-anchored gradient-norm envelope of one timestep.
 
     LCO objectives use their own bound formulas, the table's ``bound`` (so
