@@ -267,8 +267,8 @@ class Objective:
     read it), its closed-form target (None without one) and ``step`` =
     (sampled action, its advantage, its behavioral probability, clip
     epsilon), of which it reads the first ``reads`` values: SFT only its
-    target token.  It makes no
-    input checks; ``evaluate`` checks the point with ``point`` and calls it.
+    target token.  It makes no input checks; ``evaluate`` checks the point
+    with ``point`` and calls it.
     ``value(z, target, step)`` is the same loss at every row of an (n, V)
     stack z, as an (n,) array equal row by row to the kernel's ``value``.  It
     makes no input checks and does not test PPO's clip gate.  Its arithmetic

@@ -93,11 +93,8 @@ def _check_shape(n_states: int, vocab_size: int) -> tuple[int, int]:
 
 
 def _check_state(model: PolicyModel, state: int) -> int:
-    return _check_range(model, check_integer(state, "state"))
-
-
-def _check_range(model: PolicyModel, state: int) -> int:
-    """An int ``state`` inside the model's state space, as ``_check_state`` accepts it."""
+    if type(state) is not int:  # a plain int is already what check_integer returns
+        state = check_integer(state, "state")
     if not 0 <= state < model.n_states:
         raise InvalidStateError(f"state {state} outside state space of size {model.n_states}")
     return state

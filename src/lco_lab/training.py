@@ -109,7 +109,7 @@ from .policy import (
     Family,
     PolicyModel,
     _check_out,
-    _check_range,
+    _check_state,
     _forward,
     _hidden,
     _sigma_max,
@@ -321,7 +321,7 @@ def rollout_episode(
             state = env._child(state, action)
         cached = visit = window.get(state)
         if visit is None:
-            _check_range(snapshot, state)
+            _check_state(snapshot, state)
             z = _frozen(_finite_logits(_forward(snapshot, state, _hidden(snapshot, state))))
             visit = (z, _frozen(_softmax(z)), None)
         z, p, nucleus = visit
@@ -433,9 +433,8 @@ def episode_eval(
         # the target comes from the snapshot alone, so an overflowing target is
         # reported ahead of non-finite logits at theta
         target = _snapshot_target(objective, config.beta, rollout, values, t, window)
-        # the rollout's snapshot forward pass checked the state: the range is
-        # what a state of another model's rollout can miss
-        hidden = _hidden(model, _check_range(model, state))
+        # checked as forward checks it, since a caller may pass another model's rollout
+        hidden = _hidden(model, _check_state(model, state))
         z = _finite_logits(_forward(model, state, hidden))
         # a logit-target loss reads z and its target alone, so its pi is None
         # here and ``_record`` takes it, where the public path takes it; a

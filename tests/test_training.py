@@ -268,9 +268,9 @@ def test_warm_sparse_train_step_calls_no_checked_public_function(monkeypatch, ki
     np.delete(np.zeros(2), 0)
     np.linalg.norm(np.zeros(2))
     np.tanh(0.0)
-    # pullback checks its state with check_integer and evaluates MLP1's hidden layer
+    # pullback evaluates MLP1's hidden layer
     mlp1 = family is Family.MLP1
-    assert calls == Counter(as_advantages=1, as_logits=1, check_integer=2, pullback=1, delete=1, norm=1, tanh=1 + mlp1)
+    assert calls == Counter(as_advantages=1, as_logits=1, check_integer=1, pullback=1, delete=1, norm=1, tanh=1 + mlp1)
 
 
 @pytest.mark.parametrize("estimator", [EstimatorKind.DENSE_LOGPROB, EstimatorKind.DENSE_DPO_RATIO])
