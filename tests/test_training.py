@@ -326,8 +326,8 @@ def test_an_overflowing_gradient_norm_is_taken_scaled_and_the_clipped_step_moves
 def test_a_gradient_norm_beyond_the_float_range_raises():
     # seed 4 samples action 1 (pi = 0.12), so the gradient 1.7e308 (pi - e_1)
     # has entries +/-1.497e308: finite, but even taken of g / max|g| and
-    # scaled back, its 2-norm sqrt(2) * 1.497e308 is beyond the float range.
-    # The step used to log that norm as inf and clip the update to zero.
+    # scaled back, its 2-norm sqrt(2) * 1.497e308 is beyond the float range:
+    # logged as inf, it would also clip the update to zero
     env = ToyEnvironment(2, 1, TableReward(np.array([[1.7e308, 1.7e308]])))
     config = TrainerConfig(
         objective=ObjectiveKind.REINFORCE, learning_rate=0.1, steps=1, seed=4, grad_clip_norm=1.0
