@@ -3,8 +3,9 @@
 A loss is "logits convex" when its Hessian with respect to the logit vector
 is positive semi-definite.  This module builds those Hessians analytically
 for every objective, cross-checks them with second differences, certifies
-non-convexity of the clipped surrogate with explicit witness directions,
-and evaluates the loss-anchored gradient-norm bounds of the LCO objectives.
+non-convexity of the clipped surrogate with a witness direction, the
+eigenvector of its Hessian's least eigenvalue, and evaluates the
+loss-anchored gradient-norm bounds of the LCO objectives.
 The analytic Hessians, curvature constants and bounds are entries of
 ``objectives.OBJECTIVES``, which documents their forms; this module looks
 them up.  Both Hessians take the table's point (z, target, step), the
@@ -22,10 +23,9 @@ import numpy as np
 from .dist import _softmax, as_logits, as_probs, check_action, check_integer
 from .errors import InvalidInputError, KinkError, WitnessSearchError
 from .linalg import require_symmetric
-from .objectives import OBJECTIVES, Objective, ObjectiveKind, _ppo_gate, _ratio, evaluate, ppo_hessian_matrix
+from .objectives import OBJECTIVES, Objective, ObjectiveKind, evaluate, ppo_hessian_matrix
 
 WITNESS_TOL = 1e-8
-WITNESS_SEED = 0  # the random search of ``ppo_witness`` is seeded, so a certificate is reproducible
 BOUND_SLACK = 1e-9  # absolute roundoff allowance of ``bound_check``
 
 
@@ -81,9 +81,10 @@ def hessian_numeric(kind: ObjectiveKind, z, target=None, step=(), h: float = 1e-
     f(z +/- h e_i +/- h e_j).  The whole stencil, 1 + 2V + 2V(V - 1) points,
     is evaluated in one call of the objective's row value
     (``Objective.value``), so the cost in Python does not grow with V^2.
-    For PPO every stencil point must stay strictly inside the active
-    region; a point across the clip boundary raises KinkError because the
-    loss is not twice differentiable there.
+    Every stencil point must lie where the objective's ``Objective.smooth``
+    holds (for PPO, strictly inside the active region); a point across
+    PPO's clip boundary raises KinkError because the loss is not twice
+    differentiable there.
     """
     objective = _with_hessian(kind)
     z, target, step = objective.point(z, target, step)
@@ -97,10 +98,8 @@ def hessian_numeric(kind: ObjectiveKind, z, target=None, step=(), h: float = 1e-
     points = z + np.concatenate([np.zeros((1, n)), 2 * bump, -2 * bump, bi + bj, bi - bj, bj - bi, -bi - bj])
     if not np.isfinite(points).all():
         raise InvalidInputError("logits must be finite at every stencil point")
-    if kind is ObjectiveKind.PPO:  # the one objective with a clip boundary
-        a, adv, behavioral, eps = step
-        if not all(_ppo_gate(adv, _ratio(float(p), behavioral), eps) for p in _softmax(points)[:, a]):
-            raise KinkError("stencil point crossed the clip boundary")
+    if objective.smooth is not None and not objective.smooth(points, step):
+        raise KinkError("stencil point crossed the clip boundary")
 
     f = objective.value(points, target, step)
     center, plus, minus, corners = f[0], f[1 : n + 1], f[n + 1 : 2 * n + 1], f[2 * n + 1 :].reshape(4, -1)
@@ -122,15 +121,15 @@ def min_eigenvalue(matrix) -> float:
     return float(np.linalg.eigvalsh(require_symmetric(matrix))[0])
 
 
-def ppo_witness(pi, action: int, advantage_sign: int, max_trials: int = 100_000) -> np.ndarray:
+def ppo_witness(pi, action: int, advantage_sign: int) -> np.ndarray:
     """Direction v with v^T H v < -1e-8 for the clipped-surrogate Hessian.
 
-    Basis candidates are tried first: e_a itself (negative curvature for a
-    positive advantage whenever pi(a) < 1/2) and the non-sampled basis
-    vectors (negative curvature for a negative advantage whenever some
-    pi(j) < 1/2).  A seeded random search covers the rest of the budget.
-    The on-policy Hessian (pi_old(a) = pi(a), |A| = 1) is used; positive
-    scale factors cannot change the certified sign.
+    The witness is the unit eigenvector of the least eigenvalue of the
+    on-policy Hessian (pi_old(a) = pi(a), |A| = 1), as ``HessianReport``
+    holds it; positive scale factors cannot change the certified sign.
+    That Hessian is indefinite for A > 0 iff pi(a) < 1/2, and for A < 0 iff
+    V >= 3 or pi(a) > 1/2.  Where the least eigenvalue is not below -1e-8,
+    WitnessSearchError is raised with it.
     """
     pi = as_probs(pi)
     action = check_action(action, pi.size)
@@ -139,31 +138,13 @@ def ppo_witness(pi, action: int, advantage_sign: int, max_trials: int = 100_000)
     if advantage_sign not in (1, -1):
         raise InvalidInputError("advantage_sign must be +1 or -1")
 
-    hess = ppo_hessian_matrix(pi, action, float(advantage_sign), float(pi[action]))
-
-    def form(v: np.ndarray) -> float:
-        return float(v @ hess @ v)
-
-    candidates = [np.eye(pi.size)[action]]
-    for j in np.argsort(pi, kind="stable"):
-        if int(j) != action:
-            basis = np.zeros(pi.size)
-            basis[int(j)] = 1.0
-            candidates.append(basis)
-    for v in candidates:
-        if form(v) < -WITNESS_TOL:
-            return v
-
-    rng = np.random.default_rng(WITNESS_SEED)
-    remaining = max_trials - len(candidates)
-    for _ in range(max(remaining, 0)):
-        v = rng.standard_normal(pi.size)
-        if form(v) < -WITNESS_TOL:
-            return v
-    raise WitnessSearchError(
-        f"no curvature below {-WITNESS_TOL} in {max_trials} trials "
-        f"(pi(a) = {pi[action]:.6g}, sign {advantage_sign:+d})"
-    )
+    report = _report(ppo_hessian_matrix(pi, action, float(advantage_sign), float(pi[action])))
+    if report.witness is None:
+        raise WitnessSearchError(
+            f"least eigenvalue {report.min_eigenvalue:.6g} is not below {-WITNESS_TOL} "
+            f"(pi(a) = {pi[action]:.6g}, sign {advantage_sign:+d})"
+        )
+    return report.witness
 
 
 def directionality(kind: ObjectiveKind, z, z_star, pi_star=None) -> float:

@@ -30,11 +30,11 @@ class InactiveRegionError(LcoLabError, ValueError):
 
 
 class KinkError(LcoLabError, ValueError):
-    """Numeric differentiation stencil crosses a clip boundary."""
+    """Numeric differentiation stencil leaves where ``Objective.smooth`` holds: a clip boundary."""
 
 
 class WitnessSearchError(LcoLabError, RuntimeError):
-    """No negative-curvature direction found within the trial budget."""
+    """The Hessian's least eigenvalue is not negative enough to witness non-convexity."""
 
 
 class InvalidStateError(LcoLabError, KeyError):

@@ -3,8 +3,8 @@
 Six objectives share one evaluation shape: a scalar loss value plus its
 gradient with respect to the logit vector.
 
-  SFT        negative log-likelihood of a target token;
-             grad[a'] = pi(a') - 1[a' = target]
+  SFT        negative log-likelihood of a target token, REINFORCE's kernel
+             at A = 1; grad[a'] = pi(a') - 1[a' = target]
   PPO        clipped importance-ratio surrogate on the sampled action,
              -min(r A, clip(r, 1 - eps, 1 + eps) A) with r = pi(a) / pi_old(a);
              in the active region
@@ -17,9 +17,11 @@ gradient with respect to the logit vector.
 
 ``OBJECTIVES`` holds one ``Objective`` record per kind: its kernel, its
 row-batched value, the closed-form target it aligns to, its analytic
-Hessian, its curvature constant and its gradient-norm bound.  The trainer,
-``convexity`` and ``verify`` look these facts up there, so a new objective
-is one entry.  The kernel, the row value and the Hessian all read one point,
+Hessian and where the loss is smooth enough for it, its curvature
+constant, its gradient-norm bound and the residual radius within which
+the convergence envelope is asserted.  The trainer, ``convexity`` and
+``verify`` look these facts up there, so a new objective is one entry.
+The kernel, the row value and the Hessian all read one point,
 ``(z, target, step)``, which ``Objective.point`` checks.  The kernel holds
 the only copy of the objective's arithmetic and takes pi = softmax(z), and
 log pi where it reads it, from its caller (``Objective.policy`` makes both
@@ -31,10 +33,12 @@ same point and calls the Hessian.
 
 The row value is the loss at every row of an (n, V) stack of logits, as an
 (n,) array, so a finite-difference stencil or a whole convergence
-trajectory is one call.  Where numpy can take the stack at once (SFT,
-REINFORCE, LCO_MSE, LCO_LCH) a private ``_*_value`` function reducing over
+trajectory is one call.  Where numpy can take the stack at once
+(REINFORCE, LCO_MSE, LCO_LCH) a private ``_*_value`` function reducing over
 the last axis holds the only copy of the value arithmetic, and the 1-D
-kernel takes its ``value`` from the same function.  PPO's value is scalar
+kernel takes its ``value`` from the same function.  SFT calls REINFORCE's
+kernel and row value at A = 1: 1.0 * pi is pi and -1.0 * x is -x exactly,
+so it has no arithmetic of its own.  PPO's value is scalar
 arithmetic on pi(a) alone: ``_ppo_value`` holds it, and the kernel and the
 row value (once per row) both call it.  LCO_KLD keeps two forms of one
 sum.  The kernel calls ``kl_between``, a per-element Python loop whose
@@ -51,6 +55,7 @@ loop per row costs about 0.7 s.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -62,6 +67,7 @@ from .errors import DegenerateRatioError, InactiveRegionError, InvalidInputError
 from .targets import _optimal_logits, _optimal_policy
 
 MIN_BEHAVIORAL_PROB = 1e-300
+LCH_NEIGHBORHOOD = 0.5  # residual sup-norm inside which the log-cosh envelope is asserted
 
 
 class ObjectiveKind(Enum):
@@ -77,16 +83,6 @@ class ObjectiveKind(Enum):
 class LossEval:
     value: float
     logit_gradient: np.ndarray
-
-
-def _sft_eval(pi: np.ndarray, log_pi: np.ndarray, target: int) -> LossEval:
-    grad = pi.copy()
-    grad[target] -= 1.0
-    return LossEval(float(_sft_value(log_pi, target)), grad)
-
-
-def _sft_value(log_pi: np.ndarray, target: int) -> np.ndarray:
-    return -log_pi[..., target]
 
 
 def _ratio(pi_sampled: float, behavioral: float) -> float:
@@ -117,6 +113,11 @@ def _ppo_value(r: float, adv: float, eps: float) -> float:
 
 def _ppo_rows(z: np.ndarray, a: int, adv: float, behavioral: float, eps: float) -> np.ndarray:
     return np.array([_ppo_value(_ratio(pi_a, behavioral), adv, eps) for pi_a in _softmax(z)[:, a].tolist()])
+
+
+def _ppo_open(z: np.ndarray, a: int, adv: float, behavioral: float, eps: float) -> bool:
+    """Whether the clip gate is open at every row of an (n, V) stack of logits."""
+    return all(_ppo_gate(adv, _ratio(pi_a, behavioral), eps) for pi_a in _softmax(z)[:, a].tolist())
 
 
 def _reinforce_eval(pi: np.ndarray, log_pi: np.ndarray, a: int, adv: float) -> LossEval:
@@ -267,8 +268,8 @@ class Objective:
     read it), its closed-form target (None without one) and ``step`` =
     (sampled action, its advantage, its behavioral probability, clip
     epsilon), of which it reads the first ``reads`` values: SFT only its
-    target token.  It makes no input checks; ``evaluate`` checks the point
-    with ``point`` and calls it.
+    target token, as REINFORCE's kernel at A = 1.  It makes no input
+    checks; ``evaluate`` checks the point with ``point`` and calls it.
     ``value(z, target, step)`` is the same loss at every row of an (n, V)
     stack z, as an (n,) array equal row by row to the kernel's ``value``.  It
     makes no input checks and does not test PPO's clip gate.  Its arithmetic
@@ -277,7 +278,9 @@ class Objective:
     stack, held equal to it row by row (see the module docstring).
     ``hessian(z, pi, target, step)`` is the analytic logit Hessian at the
     kernel's point; PPO's raises ``InactiveRegionError`` where the clip gate
-    is closed.
+    is closed.  ``smooth(z, step)`` says whether the loss is twice
+    differentiable at every row of an (n, V) stack z; PPO's is its clip
+    gate, open at every row.
     """
 
     kernel: Callable[[np.ndarray, np.ndarray | None, np.ndarray | None, np.ndarray | None, tuple], LossEval]
@@ -289,6 +292,8 @@ class Objective:
     hessian: Callable[[np.ndarray, np.ndarray, np.ndarray | None, tuple], np.ndarray] | None = None
     curvature: float | None = None  # the Hessian is (curvature / V) I at the target
     bound: Callable[[float, float, int], float] | None = None  # (loss, sigma_max, V) -> envelope
+    smooth: Callable[[np.ndarray, tuple], bool] | None = None  # None: twice differentiable everywhere
+    envelope_radius: float = math.inf  # residual sup-norm within which the converge envelope is asserted
 
     def point(self, z, target=None, step=()) -> tuple[np.ndarray, np.ndarray | None, tuple]:
         """Check a (z, target, step) point and return it as the kernel reads it.
@@ -345,8 +350,8 @@ class Objective:
 
 OBJECTIVES: dict[ObjectiveKind, Objective] = {
     ObjectiveKind.SFT: Objective(
-        kernel=lambda z, pi, log_pi, target, step: _sft_eval(pi, log_pi, step[0]),
-        value=lambda z, target, step: _sft_value(_log_softmax(z), step[0]),
+        kernel=lambda z, pi, log_pi, target, step: _reinforce_eval(pi, log_pi, step[0], 1.0),
+        value=lambda z, target, step: _reinforce_value(_log_softmax(z), step[0], 1.0),
         reads=1,
         log_policy=True,
         hessian=lambda z, pi, target, step: softmax_curvature(pi),
@@ -356,6 +361,7 @@ OBJECTIVES: dict[ObjectiveKind, Objective] = {
         value=lambda z, target, step: _ppo_rows(z, *step),
         reads=4,
         hessian=lambda z, pi, target, step: _ppo_hessian(pi, *step),
+        smooth=lambda z, step: _ppo_open(z, *step),
     ),
     ObjectiveKind.REINFORCE: Objective(
         kernel=lambda z, pi, log_pi, target, step: _reinforce_eval(pi, log_pi, *step[:2]),
@@ -378,6 +384,7 @@ OBJECTIVES: dict[ObjectiveKind, Objective] = {
         hessian=lambda z, pi, target, step: _lco_lch_hessian(z, target),
         curvature=1.0,
         bound=lambda loss, sigma, v: sigma / v * np.sqrt(v * (-np.expm1(-2.0 * loss))),
+        envelope_radius=LCH_NEIGHBORHOOD,
     ),
     ObjectiveKind.LCO_KLD: Objective(
         kernel=lambda z, pi, log_pi, target, step: _lco_kld_eval(pi, log_pi, target),

@@ -220,7 +220,11 @@ def _sigma_max(model: PolicyModel, state: int, hidden: np.ndarray | None) -> flo
     _, _, w2, _ = _mlp_unpack(model)
     # the largest singular value, as norm(B, 2) takes it, without its wrapper
     top_b = float(np.linalg.svd(w2 * (1.0 - hidden**2), compute_uv=False)[0])
-    return float(np.sqrt((hidden @ hidden + 1.0) + (phi @ phi + 1.0) * top_b**2))
+    try:
+        top_b2 = top_b**2
+    except OverflowError:
+        raise InvalidInputError(f"sigma_max overflows: sigma_max(w2 diag(1 - h^2)) = {top_b:.6g} squared") from None
+    return float(np.sqrt((hidden @ hidden + 1.0) + (phi @ phi + 1.0) * top_b2))
 
 
 def linearization_residual(model: PolicyModel, theta, theta_star, state: int) -> float:

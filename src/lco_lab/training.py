@@ -734,20 +734,18 @@ def converge_experiment(
 
 
 UNDERFLOW_FLOOR = 1e-300
-LCH_NEIGHBORHOOD = 0.5  # residual sup-norm inside which the log-cosh envelope is asserted
 ENVELOPE_SLACK = 1e-6  # relative roundoff allowance of the envelope
 
 
 def converge_violations(result: ConvergeResult) -> int:
     """Iterates whose loss exceeds bound * (1 + ENVELOPE_SLACK).
 
-    The log-cosh envelope is only asserted once the residual sits inside the
-    small-residual neighborhood (``LCH_NEIGHBORHOOD``) where its quadratic
-    behavior applies.  Iterates whose loss has sunk below the double-precision
+    An iterate counts only within the objective's ``envelope_radius`` of
+    the target: the log-cosh envelope holds where its quadratic behavior
+    applies.  Iterates whose loss has sunk below the double-precision
     underflow floor carry no information (loss and bound are both denormal
     quantization noise) and are not counted.
     """
     counted = (result.loss >= UNDERFLOW_FLOOR) & (result.loss > result.bound * (1.0 + ENVELOPE_SLACK))
-    if result.objective is ObjectiveKind.LCO_LCH:
-        counted &= ~(result.residual_inf > LCH_NEIGHBORHOOD)
+    counted &= ~(result.residual_inf > OBJECTIVES[result.objective].envelope_radius)
     return int(np.count_nonzero(counted))

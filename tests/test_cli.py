@@ -9,7 +9,7 @@ from lco_lab import dist, objectives
 from lco_lab.cli import main
 from lco_lab.config import ConfigError, parse_config
 from lco_lab.csvio import DYNAMICS_HEADER, format_float
-from lco_lab.objectives import LossEval, _sft_eval
+from lco_lab.objectives import LossEval, _reinforce_eval
 from lco_lab.policy import forward, tabular_policy
 from lco_lab.svgplot import render_chart
 from lco_lab.verify import suite_gradients
@@ -427,13 +427,15 @@ def test_gradient_suite_catches_sign_flip(monkeypatch):
     clean = suite_gradients()
     assert (clean.cases, clean.failures) == (1300, 0)
 
-    def flipped(pi, log_pi, target) -> LossEval:
-        good = _sft_eval(pi, log_pi, target)
+    def flipped(pi, log_pi, a, adv) -> LossEval:
+        good = _reinforce_eval(pi, log_pi, a, adv)
         return LossEval(good.value, -good.logit_gradient)
 
-    monkeypatch.setattr(objectives, "_sft_eval", flipped)
+    # SFT is REINFORCE's kernel at A = 1, so the flip fails the 200 SFT and the
+    # 200 REINFORCE cases; the 50 unit-advantage cases compare it with itself
+    monkeypatch.setattr(objectives, "_reinforce_eval", flipped)
     result = suite_gradients()
-    assert (result.cases, result.failures) == (1300, 250)
+    assert (result.cases, result.failures) == (1300, 400)
 
 
 def test_recovery_stop_distance_equals_the_public_one():

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -176,18 +178,18 @@ def test_witness_boundary_case_symmetric_two_actions():
     v = np.array([1.0, 0.0])
     assert v @ hess @ v == 0.0  # exactly on the boundary of the sign condition
     with pytest.raises(WitnessSearchError):
-        ppo_witness(pi, 0, 1, max_trials=2000)
+        ppo_witness(pi, 0, 1)
 
 
 def test_witness_low_probability_positive_advantage():
     pi = np.array([0.1, 0.9])
     witness = ppo_witness(pi, 0, 1)
-    assert np.array_equal(witness, [1.0, 0.0])  # basis direction already works
     hess = ppo_hessian_matrix(pi, 0, 1.0, 0.1)
     form = witness @ hess @ witness
-    # D(e_0) = 0.09 and (v_0 - E)^2 = 0.81, scaled by pi(a)/pi_old(a) = 1
-    assert abs(form - (0.09 - 0.81)) < 1e-12
-    assert form < -1e-8
+    # at V = 2, Sigma - d d^T = (pi_a pi_b - pi_b^2) [[1, -1], [-1, 1]], so the
+    # least eigenvalue is 2 pi_b (pi_a - pi_b) = -1.44 along (1, -1) / sqrt(2)
+    assert abs(form - 2 * 0.9 * (0.1 - 0.9)) < 1e-12
+    assert np.allclose(witness * np.sign(witness[0]), np.array([1.0, -1.0]) / np.sqrt(2.0), rtol=0.0, atol=1e-15)
 
 
 def test_witness_high_probability_negative_advantage():
@@ -247,3 +249,44 @@ def test_bound_check_flag():
     assert check.satisfied and check.bound_value == pytest.approx(1.0)
     check = bound_check(ObjectiveKind.LCO_KLD, 1.1, 0.5, 1.0, 2)
     assert not check.satisfied
+
+
+MAP_SIZES = (*range(2, 17), 24, 32, 48, 64)
+
+
+def _ppo_indefinite(pi_a: float, sign: int, v: int) -> bool:
+    """PPO's on-policy Hessian sign(A) (Sigma - d d^T) is indefinite: the closed form.
+
+    Sigma = diag(pi) - pi pi^T and d = e_a - pi.  Since Sigma e_a = pi(a) d,
+    Cauchy-Schwarz in the Sigma inner product makes Sigma - d d^T PSD iff
+    pi(a) >= 1/2; its negation is indefinite unless the rank-one d d^T
+    covers Sigma's whole range, which happens only at V = 2.
+    """
+    return pi_a < 0.5 if sign > 0 else (v >= 3 or pi_a > 0.5)
+
+
+def test_ppo_witness_follows_the_closed_form_convexity_map():
+    outcomes = Counter()
+    for i in range(2000):
+        rng = np.random.default_rng(i)
+        v = int(rng.choice(MAP_SIZES))
+        pi = softmax(rng.uniform(-4.0, 4.0, v))
+        # half the draws take the likeliest action, so pi(a) > 1/2 is common
+        action = int(np.argmax(pi)) if rng.random() < 0.5 else int(rng.integers(v))
+        pi_a = float(pi[action])
+        if abs(pi_a - 0.5) < 1e-3:
+            continue
+        for sign in (1, -1):
+            indefinite = _ppo_indefinite(pi_a, sign, v)
+            outcomes[sign, indefinite] += 1
+            if not indefinite:
+                with pytest.raises(WitnessSearchError, match="least eigenvalue"):
+                    ppo_witness(pi, action, sign)
+                continue
+            witness = ppo_witness(pi, action, sign)
+            hess = ppo_hessian_matrix(pi, action, float(sign), pi_a)
+            least = np.linalg.eigvalsh(hess)[0]
+            assert least < -1e-8
+            assert abs(np.linalg.norm(witness) - 1.0) <= 1e-14
+            assert abs(witness @ hess @ witness - least) <= 1e-13, (i, v, action, sign)
+    assert len(outcomes) == 4, outcomes  # both verdicts at both signs

@@ -18,12 +18,11 @@ from lco_lab import dist, objectives
 from lco_lab.config import build_converge, parse_config
 from lco_lab.convexity import hessian_analytic, hessian_numeric
 from lco_lab.dist import _log_softmax, _softmax, kl_between, log_softmax, softmax
-from lco_lab.objectives import OBJECTIVES, ObjectiveKind, evaluate, ppo_active
+from lco_lab.objectives import LCH_NEIGHBORHOOD, OBJECTIVES, ObjectiveKind, evaluate, ppo_active
 from lco_lab.policy import Family, forward, linear_policy, tabular_policy
 from lco_lab.targets import optimal_logits
 from lco_lab.training import (
     ENVELOPE_SLACK,
-    LCH_NEIGHBORHOOD,
     UNDERFLOW_FLOOR,
     ConvergeConfig,
     converge_experiment,

@@ -341,6 +341,26 @@ def test_a_gradient_norm_beyond_the_float_range_raises():
     assert not state.grad.any()
 
 
+def test_a_sigma_max_beyond_the_float_range_raises():
+    # w2 entries of +/-1e160 give w2 diag(1 - h^2) a top singular value of
+    # ~2.8e160, whose square is beyond the float range
+    model = mlp1_policy(1, 2, 3, hidden=4, seed=0)
+    theta = model.theta.copy()
+    w2 = theta[4 * 3 + 4 : 4 * 3 + 4 + 2 * 4]
+    w2[:] = np.where(np.arange(w2.size) % 2 == 0, 1e160, -1e160)
+    model = model.with_theta(theta)
+    with pytest.raises(InvalidInputError, match="sigma_max overflows"):
+        policy.sigma_max(model, 0)
+
+    env = ToyEnvironment(2, 1, TableReward(np.array([[0.5, -0.5]])))
+    config = TrainerConfig(objective=ObjectiveKind.LCO_MSE, learning_rate=0.1, steps=1, seed=0)
+    state = init_trainer(model)
+    with pytest.raises(InvalidInputError, match="sigma_max overflows"):
+        train_step(state, env, config, np.random.default_rng(config.seed))
+    assert state.model.theta.tobytes() == theta.tobytes()
+    assert not state.grad.any()
+
+
 def _overflowing_target_setup():
     # t = 0 is pulled back into the buffer before the target at t = 1 overflows
     env = ToyEnvironment(4, 2, TableReward(np.array([[0.5, -0.5, 0.25, 0.0], [1e300] * 4])))
