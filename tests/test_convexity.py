@@ -259,8 +259,9 @@ def _ppo_indefinite(pi_a: float, sign: int, v: int) -> bool:
 
     Sigma = diag(pi) - pi pi^T and d = e_a - pi.  Since Sigma e_a = pi(a) d,
     Cauchy-Schwarz in the Sigma inner product makes Sigma - d d^T PSD iff
-    pi(a) >= 1/2; its negation is indefinite unless the rank-one d d^T
-    covers Sigma's whole range, which happens only at V = 2.
+    pi(a) >= 1/2.  For A < 0, d d^T - Sigma is negative along Sigma's
+    range orthogonal to d, which is not empty once V >= 3; at V = 2 it is
+    pi_b (pi_b - pi_a) [[1, -1], [-1, 1]], negative iff pi(a) > 1/2.
     """
     return pi_a < 0.5 if sign > 0 else (v >= 3 or pi_a > 0.5)
 
