@@ -16,7 +16,7 @@ from . import config as cfg
 from .csvio import format_float, numeric_column, read_csv, write_dynamics_csv
 from .errors import InvalidInputError, LcoLabError, StepSizeError
 from .svgplot import write_chart
-from .training import converge_experiment, converge_violations, run_training
+from .training import converge_experiment, converge_violations, envelope_violations
 from .verify import SUITES, run_suites
 
 
@@ -68,10 +68,7 @@ def _dump_model(path: Path, model) -> None:
 
 def cmd_train(config_path: str, out: str | None) -> int:
     raw, out_dir = _prepare(config_path, out)
-    env = cfg.build_environment(raw)
-    model = cfg.build_model(raw, env)
-    trainer = cfg.build_trainer(raw)
-    final_model, records = run_training(model, env, trainer)
+    final_model, records = cfg.train(raw)
     write_dynamics_csv(out_dir / "dynamics.csv", records)
     _dump_model(out_dir / "model.txt", final_model)
     columns = cfg.plot_columns(raw)
@@ -83,24 +80,15 @@ def cmd_train(config_path: str, out: str | None) -> int:
 
 def cmd_dynamics(config_path: str, out: str | None) -> int:
     raw, out_dir = _prepare(config_path, out)
-    env = cfg.build_environment(raw)
-    kinds = cfg.dynamics_objectives(raw)
     summary_lines = []
-    for kind in kinds:
-        model = cfg.build_model(raw, env)
-        trainer = cfg.build_trainer(raw, objective=kind)
-        _, records = run_training(model, env, trainer)
+    for kind in cfg.dynamics_objectives(raw):
+        _, records = cfg.train(raw, kind)
         write_dynamics_csv(out_dir / f"dynamics_{kind.value}.csv", records)
-        violations = sum(
-            1
-            for r in records
-            if r.bound_value is not None and r.grad_norm_param > r.bound_value + 1e-9
-        )
         summary_lines.append(
             f"{kind.value}: max_grad_norm={format_float(max(r.grad_norm_param for r in records))} "
             f"final_entropy={format_float(records[-1].entropy)} "
             f"final_sampled_prob={format_float(records[-1].sampled_prob)} "
-            f"envelope_violations={violations}"
+            f"envelope_violations={envelope_violations(records)}"
         )
     (out_dir / "summary.txt").write_text("\n".join(summary_lines) + "\n")
     print("\n".join(summary_lines))

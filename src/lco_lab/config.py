@@ -20,7 +20,7 @@ from .errors import LcoLabError
 from .objectives import ObjectiveKind
 from .policy import Family, PolicyModel, linear_policy, mlp1_policy, tabular_policy
 from .targets import EstimatorKind, load_logprob_table
-from .training import ConvergeConfig, TrainerConfig
+from .training import ConvergeConfig, DynamicsRecord, TrainerConfig, run_training
 
 
 class ConfigError(LcoLabError, ValueError):
@@ -202,6 +202,17 @@ def build_trainer(raw: RawConfig, objective: ObjectiveKind | None = None) -> Tra
         )
     except LcoLabError as exc:
         raise ConfigError(f"{raw.path}: [training] invalid: {exc}") from exc
+
+
+def train(raw: RawConfig, objective: ObjectiveKind | None = None) -> tuple[PolicyModel, list[DynamicsRecord]]:
+    """The final model and the records of the training run the config describes.
+
+    Builds the environment, the model and the trainer (``objective`` in
+    place of the config's own, as ``build_trainer`` takes it) and runs them
+    with ``run_training``.
+    """
+    env = build_environment(raw)
+    return run_training(build_model(raw, env), env, build_trainer(raw, objective))
 
 
 def dynamics_objectives(raw: RawConfig) -> tuple[ObjectiveKind, ObjectiveKind]:

@@ -54,4 +54,4 @@ class NonFiniteGradientError(LcoLabError, FloatingPointError):
 
 
 class NonFiniteLossError(LcoLabError, FloatingPointError):
-    """Training produced a NaN episode loss."""
+    """Training produced a NaN or infinite episode loss."""

@@ -91,7 +91,7 @@ from typing import Callable
 
 import numpy as np
 
-from .convexity import _check_bound_inputs
+from .convexity import BOUND_SLACK, _check_bound_inputs
 from .dist import (
     _entropy,
     _finite_logits,
@@ -491,8 +491,9 @@ def train_step(
     them.  A step that raises leaves theta as it was and the gradient
     buffer all zero.  A gradient with a non-finite entry, or whose 2-norm
     lies beyond the float range, raises ``NonFiniteGradientError``.  After
-    these gradient checks, an episode loss that is NaN (timestep losses of
-    +inf and -inf) raises ``NonFiniteLossError``.
+    these gradient checks, an episode loss that is not finite (a timestep
+    loss that overflows, or timestep losses of +inf and -inf) raises
+    ``NonFiniteLossError``.
     """
     if state.step % config.snapshot_interval == 0:
         np.copyto(state.snapshot_theta, state.model.theta)
@@ -526,10 +527,12 @@ def train_step(
                     f"gradient norm beyond the float range at step {state.step} "
                     f"(objective {config.objective.value}, loss {episode.loss!r})"
                 )
-        # timestep losses of +inf and -inf sum to NaN, which no record may log
-        if math.isnan(episode.loss):
+        # a timestep loss that overflows, or losses of +inf and -inf that sum
+        # to NaN: no record may log either
+        if not math.isfinite(episode.loss):
             raise NonFiniteLossError(
-                f"NaN episode loss at step {state.step} (objective {config.objective.value})"
+                f"{'NaN' if math.isnan(episode.loss) else episode.loss} episode loss at step {state.step} "
+                f"(objective {config.objective.value})"
             )
         # clipped ahead of the record, as the public path clips it
         if config.grad_clip_norm is not None and raw_norm > config.grad_clip_norm:
@@ -615,6 +618,11 @@ def run_training(
         state, record = train_step(state, env, config, rng)
         records.append(record)
     return state.model, records
+
+
+def envelope_violations(records: list[DynamicsRecord]) -> int:
+    """Steps whose parameter-gradient norm exceeds their envelope by more than ``BOUND_SLACK``."""
+    return sum(r.bound_value is not None and r.grad_norm_param > r.bound_value + BOUND_SLACK for r in records)
 
 
 # ---------------------------------------------------------------------------

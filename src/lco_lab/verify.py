@@ -7,6 +7,14 @@ verdicts into a ``SuiteResult`` and registers it in ``SUITES`` under the
 name after ``suite_``.  A suite therefore states only what it checks, and
 cases are counted in one place.  The same suites back the acceptance
 tests, so the CLI and the test harness cannot drift apart.
+
+A suite that sweeps the objectives reads each one from its
+``OBJECTIVES`` entry: ``_point`` draws a case's (z, target, step) from
+the entry's facts alone, and the oracle is the entry's row value, so no
+suite restates an objective.  ``suite_dynamics`` runs the shipped
+configs through ``config.train``, as ``lco-lab train`` runs them, and
+counts envelope violations with ``training.envelope_violations``, as
+``lco-lab dynamics`` counts them.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ import numpy as np
 from . import config as cfg
 from . import convexity, dist, objectives, targets
 from .envs import TableReward, ToyEnvironment
-from .errors import LcoLabError
+from .errors import WitnessSearchError
 from .objectives import OBJECTIVES, ObjectiveKind
 from .policy import Family, forward, linear_policy, mlp1_policy, pullback, sigma_max, tabular_policy
 from .targets import EstimatorKind
@@ -30,8 +38,8 @@ from .training import (
     TrainerConfig,
     converge_experiment,
     converge_violations,
+    envelope_violations,
     init_trainer,
-    run_training,
     train_step,
 )
 
@@ -103,12 +111,6 @@ def central_gradient(
     return (values[0] - 8.0 * values[1] + 8.0 * values[2] - values[3]) / (12.0 * step)
 
 
-def _row_value(kind: ObjectiveKind, target=None, step: tuple = ()) -> Callable[[np.ndarray], np.ndarray]:
-    """The table's row value of ``kind`` at fixed target and step inputs, as a function of the points."""
-    value = OBJECTIVES[kind].value
-    return lambda points: value(points, target, step)
-
-
 def gradient_mismatch(analytic: np.ndarray, numeric: np.ndarray) -> bool:
     scale = np.maximum(np.abs(analytic), np.abs(numeric))
     bad = np.abs(analytic - numeric) > GRAD_REL_TOL * scale
@@ -177,6 +179,36 @@ def _ppo_case(rng: np.random.Generator, v: int):
             return (action, adv_scalar, behavioral, 0.2), z
 
 
+def _point(rng: np.random.Generator, kind: ObjectiveKind, v: int, scale: float):
+    """A drawn point (z, target, step) of ``kind`` at vocabulary size v, from its table facts alone.
+
+    An objective with a kink (``Objective.smooth`` set: PPO's clip gate)
+    takes ``_ppo_case``'s point, inside its smooth region by a margin.  Any
+    other draws logits and target logits in U(-scale, scale), the target
+    in the entry's form (``target_at``; none without one), and reads the
+    first ``reads`` values of (action, advantage in U(-2, 2)).
+    """
+    objective = OBJECTIVES[kind]
+    if objective.smooth is not None:
+        step, z = _ppo_case(rng, v)
+        return z, None, step
+    z = rng.uniform(-scale, scale, v)
+    target = objective.target_at(rng.uniform(-scale, scale, v)) if objective.target else None
+    return z, target, (int(rng.integers(v)), float(rng.uniform(-2.0, 2.0)))[: objective.reads]
+
+
+def _gradient_fails(kind: ObjectiveKind, z: np.ndarray, target, step: tuple) -> bool:
+    """Whether ``evaluate``'s logit gradient misses the row value's five-point one at the point.
+
+    A gradient through the softmax must also sum to zero, as every gradient
+    of a loss without a logit target does.
+    """
+    objective = OBJECTIVES[kind]
+    gradient = objectives.evaluate(kind, z, target, step).logit_gradient
+    oracle = central_gradient(lambda points: objective.value(points, target, step), z)
+    return gradient_mismatch(gradient, oracle) or (objective.target != "logits" and abs(gradient.sum()) > 1e-12)
+
+
 def _clipped_case(rng: np.random.Generator):
     """A positive-advantage PPO step and logits whose ratio is past 1 + eps by a margin."""
     while True:
@@ -197,51 +229,16 @@ def suite_gradients(seed: int = 202):
 
     The gradient under test is ``objectives.evaluate`` of each kind, whose
     table kernel looks up its arithmetic in ``objectives`` at call time; the
-    oracle is always the objective table's row value (PPO's the unclipped
-    surrogate), one call per case.
+    oracle is always the objective table's row value, one call per case.
+    Each case draws its point with ``_point``, so PPO's lies inside the clip
+    gate by a margin, where its row value is the unclipped surrogate -r A.
     """
     rng = np.random.default_rng(seed)
     sizes = (2, 3, 5, 16)
 
     for i in range(200):
-        v = sizes[i % len(sizes)]
-
-        z = rng.uniform(-2.0, 2.0, v)
-        target = int(rng.integers(v))
-        evaluation = objectives.evaluate(ObjectiveKind.SFT, z, step=(target,))
-        yield gradient_mismatch(
-            evaluation.logit_gradient, central_gradient(_row_value(ObjectiveKind.SFT, step=(target,)), z)
-        ) or abs(evaluation.logit_gradient.sum()) > 1e-12
-
-        step, z = _ppo_case(rng, v)
-        evaluation = objectives.evaluate(ObjectiveKind.PPO, z, step=step)
-        # the unclipped surrogate -r A: the active-region loss, without the clip logic under test
-        a, adv_scalar, behavioral, _ = step
-        unclipped = lambda q: -(dist._softmax(q)[:, a] / behavioral) * adv_scalar
-        yield gradient_mismatch(evaluation.logit_gradient, central_gradient(unclipped, z)) or abs(
-            evaluation.logit_gradient.sum()
-        ) > 1e-12
-
-        z = rng.uniform(-2.0, 2.0, v)
-        action = int(rng.integers(v))
-        rng.uniform(-2.0, 2.0, v)  # behavioral logits, which REINFORCE never reads: kept for the case stream
-        step = (action, float(rng.uniform(-2, 2)))
-        evaluation = objectives.evaluate(ObjectiveKind.REINFORCE, z, step=step)
-        oracle = _row_value(ObjectiveKind.REINFORCE, step=step)
-        yield gradient_mismatch(evaluation.logit_gradient, central_gradient(oracle, z))
-
-        z = rng.uniform(-3.0, 3.0, v)
-        z_star = rng.uniform(-3.0, 3.0, v)
-        for kind in (ObjectiveKind.LCO_MSE, ObjectiveKind.LCO_LCH):
-            yield gradient_mismatch(
-                objectives.evaluate(kind, z, z_star).logit_gradient, central_gradient(_row_value(kind, z_star), z)
-            )
-
-        pi_star = dist.softmax(rng.uniform(-2.0, 2.0, v))
-        evaluation = objectives.evaluate(ObjectiveKind.LCO_KLD, z, pi_star)
-        yield gradient_mismatch(
-            evaluation.logit_gradient, central_gradient(_row_value(ObjectiveKind.LCO_KLD, pi_star), z)
-        ) or abs(evaluation.logit_gradient.sum()) > 1e-12
+        for kind in OBJECTIVES:
+            yield _gradient_fails(kind, *_point(rng, kind, sizes[i % len(sizes)], 2.0))
 
     # clipped region returns the exact zero vector
     for _ in range(50):
@@ -249,18 +246,9 @@ def suite_gradients(seed: int = 202):
         evaluation = objectives.evaluate(ObjectiveKind.PPO, z, step=step)
         yield objectives.ppo_active(z, step) or np.any(evaluation.logit_gradient != 0.0)
 
-    # unit advantage reduces the score-function gradient to the SFT one
+    # the supervised loss at the vocabulary sizes the sweep above does not reach
     for _ in range(50):
-        v = int(rng.integers(2, 9))
-        z = rng.uniform(-2.0, 2.0, v)
-        action = int(rng.integers(v))
-        rng.uniform(-1, 1, v)  # behavioral logits, kept for the case stream
-        a_eval = objectives.evaluate(ObjectiveKind.REINFORCE, z, step=(action, 1.0))
-        b_eval = objectives.evaluate(ObjectiveKind.SFT, z, step=(action,))
-        yield (
-            abs(a_eval.value - b_eval.value) > 1e-12
-            or np.abs(a_eval.logit_gradient - b_eval.logit_gradient).max() > 1e-12
-        )
+        yield _gradient_fails(ObjectiveKind.SFT, *_point(rng, ObjectiveKind.SFT, int(rng.integers(17, 65)), 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -299,56 +287,30 @@ def suite_hessian(seed: int = 303):
             or report.min_eigenvalue < floor - 1e-12
         )
 
+    # the clipped surrogate's convexity map: on-policy, its Hessian is
+    # indefinite for A > 0 iff pi(a) < 1/2, and for A < 0 iff V >= 3 or
+    # pi(a) > 1/2; a witness must exist exactly there and certify it
     for sign in (1, -1):
         for _ in range(100):
-            pi, action = _witness_config(rng, sign)
+            v = int(rng.integers(2, 65))
+            pi = dist.softmax(rng.uniform(-4.0, 4.0, v))
+            # half the draws take the likeliest action, the one whose pi(a) can pass 1/2
+            action = int(np.argmax(pi)) if rng.random() < 0.5 else int(rng.integers(v))
+            pi_a = float(pi[action])
+            indefinite = pi_a < 0.5 if sign > 0 else (v >= 3 or pi_a > 0.5)
             try:
                 witness = convexity.ppo_witness(pi, action, sign)
-            except LcoLabError:
-                yield True
+            except WitnessSearchError:
+                yield indefinite
                 continue
-            hess = convexity.ppo_hessian_matrix(pi, action, float(sign), float(pi[action]))
-            yield float(witness @ hess @ witness) >= -1e-8
+            hess = convexity.ppo_hessian_matrix(pi, action, float(sign), pi_a)
+            yield not indefinite or float(witness @ hess @ witness) >= -1e-8
 
-    yield from _numeric_agreement(rng)
-
-
-def _witness_config(rng: np.random.Generator, sign: int):
-    while True:
-        v = int(rng.integers(2, 17))
-        pi = dist.softmax(rng.uniform(-2.0, 2.0, v))
-        if pi.min() < 0.02:
-            continue
-        action = int(np.argmin(pi)) if sign > 0 else int(np.argmax(pi))
-        if abs(float(pi[action]) - 0.5) < 0.02:
-            continue
-        others = np.delete(pi, action)
-        if sign < 0 and abs(float(others.min()) - 0.5) < 0.02:
-            continue
-        return pi, action
-
-
-def _numeric_agreement(rng: np.random.Generator) -> Iterator[bool]:
-    """The analytic and the numeric Hessian at one drawn (z, target, step) point per case."""
-    for kind in (
-        ObjectiveKind.SFT,
-        ObjectiveKind.LCO_MSE,
-        ObjectiveKind.LCO_LCH,
-        ObjectiveKind.LCO_KLD,
-        ObjectiveKind.PPO,
-    ):
+    # the analytic and the numeric Hessian at one drawn point per case
+    for kind in [kind for kind, objective in OBJECTIVES.items() if objective.hessian is not None]:
         for _ in range(100):
-            v = int(rng.choice([2, 3, 5]))
-            z = rng.uniform(-1.5, 1.5, v)
-            target, step = None, ()
-            if kind is ObjectiveKind.SFT:
-                step = (int(rng.integers(v)),)
-            elif kind is ObjectiveKind.PPO:
-                step, z = _ppo_case(rng, v)
-            else:  # an alignment objective: a target in its form
-                target = OBJECTIVES[kind].target_at(rng.uniform(-1.5, 1.5, v))
-            analytic = convexity.hessian_analytic(kind, z, target, step)
-            numeric = convexity.hessian_numeric(kind, z, target, step)
+            point = (kind, *_point(rng, kind, int(rng.choice([2, 3, 5])), 1.5))
+            analytic, numeric = convexity.hessian_analytic(*point), convexity.hessian_numeric(*point)
             yield np.abs(analytic.matrix - numeric.matrix).max() > 1e-5
 
 
@@ -612,9 +574,7 @@ def smoothed(series: list[float]) -> list[float]:
 
 def _shipped_run(name: str):
     """The dynamics records of one shipped config, as ``lco-lab train`` runs it."""
-    raw = cfg.parse_config(CONFIGS / name)
-    env = cfg.build_environment(raw)
-    return run_training(cfg.build_model(raw, env), env, cfg.build_trainer(raw))[1]
+    return cfg.train(cfg.parse_config(CONFIGS / name))[1]
 
 
 @_suite
@@ -638,7 +598,7 @@ def suite_dynamics():
     # loss-anchored envelope and decays to a small fraction of its peak
     records = _shipped_run("kld_negative.cfg")
     grads = [r.grad_norm_param for r in records]
-    yield any(r.bound_value is not None and r.grad_norm_param > r.bound_value + 1e-9 for r in records)
+    yield envelope_violations(records)
     smooth = smoothed(grads)
     tail = smooth[-max(1, len(smooth) // 10) :]
     yield max(tail) >= 0.2 * max(smooth)

@@ -432,10 +432,10 @@ def test_gradient_suite_catches_sign_flip(monkeypatch):
         return LossEval(good.value, -good.logit_gradient)
 
     # SFT is REINFORCE's kernel at A = 1, so the flip fails the 200 SFT and the
-    # 200 REINFORCE cases; the 50 unit-advantage cases compare it with itself
+    # 200 REINFORCE cases of the sweep and the 50 SFT cases at V 17-64
     monkeypatch.setattr(objectives, "_reinforce_eval", flipped)
     result = suite_gradients()
-    assert (result.cases, result.failures) == (1300, 400)
+    assert (result.cases, result.failures) == (1300, 450)
 
 
 def test_recovery_stop_distance_equals_the_public_one():

@@ -331,10 +331,20 @@ def _library_lines(pattern: str) -> list[str]:
     ]
 
 
-def test_the_library_branches_on_an_objective_kind_in_at_most_two_places():
+def test_the_library_never_branches_on_an_objective_kind():
     # an objective's behaviour is its OBJECTIVES entry, not an if/elif ladder over kinds
     hits = _library_lines(r"(\bif\b|\belif\b).*(ObjectiveKind\.|LCO_KINDS)")
-    assert len(hits) <= 2, "\n".join(hits)
+    assert not hits, "\n".join(hits)
+
+
+def test_only_config_builds_a_run_from_a_config():
+    # train, dynamics and the dynamics suite all run a config through config.train
+    hits = [
+        hit
+        for hit in _library_lines(r"\bbuild_(environment|model|trainer)\(")
+        if not hit.startswith("config.py:")
+    ]
+    assert not hits, "\n".join(hits)
 
 
 def test_only_objectives_knows_the_clip_boundary():

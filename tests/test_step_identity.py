@@ -5,8 +5,8 @@ to the private kernels: every forward pass, softmax and input check is
 repeated where the public functions repeat it.  The arithmetic is the
 same, so records must compare ``==``, parameters must match byte for byte,
 and any exception must have the same type and message.  Both steps raise
-``NonFiniteLossError`` for a NaN episode loss, after the gradient norm and
-before clipping.
+``NonFiniteLossError`` for a non-finite episode loss, after the gradient
+norm and before clipping.
 """
 
 import itertools
@@ -99,8 +99,9 @@ def _ref_train_step(state, env, config, rng):
             f"non-finite gradient at step {state.step} (objective {config.objective.value}, loss {loss!r})"
         )
     raw_norm = float(np.linalg.norm(grad))
-    if np.isnan(loss):
-        raise NonFiniteLossError(f"NaN episode loss at step {state.step} (objective {config.objective.value})")
+    if not np.isfinite(loss):
+        label = "NaN" if np.isnan(loss) else loss
+        raise NonFiniteLossError(f"{label} episode loss at step {state.step} (objective {config.objective.value})")
     if config.grad_clip_norm is not None and raw_norm > config.grad_clip_norm > 0.0:
         grad = grad * (config.grad_clip_norm / raw_norm)
 
@@ -253,5 +254,23 @@ def test_nan_episode_loss_raises_instead_of_logging_nan():
         theta = state.model.theta.copy()
         with pytest.raises(NonFiniteLossError):
             train_step(state, env, config, np.random.default_rng(0))
+    assert state.model.theta.tobytes() == theta.tobytes()
+    assert not state.grad.any()
+
+
+def test_infinite_episode_loss_raises_instead_of_logging_inf():
+    # temperature 1000 samples the action whose probability is ~1e-304, so
+    # -A log pi(a) overflows while the gradient stays finite; the step used
+    # to log loss = inf, bound = inf
+    env = ToyEnvironment(2, 1, TableReward(np.array([[1e307, 1e307]])))
+    config = TrainerConfig(objective=ObjectiveKind.REINFORCE, learning_rate=0.1, steps=1, seed=4, temperature=1000.0)
+    model = tabular_policy(env.n_states, env.vocab_size, init_logits=np.array([0.0, 700.0]))
+    with np.errstate(all="ignore"):
+        error = assert_steps_identical(model, env, config, steps=1)
+        assert error == (NonFiniteLossError, "inf episode loss at step 0 (objective REINFORCE)")
+        state = init_trainer(model)
+        theta = state.model.theta.copy()
+        with pytest.raises(NonFiniteLossError):
+            train_step(state, env, config, np.random.default_rng(4))
     assert state.model.theta.tobytes() == theta.tobytes()
     assert not state.grad.any()

@@ -9,6 +9,7 @@ import pytest
 
 from lco_lab import dist, policy
 from lco_lab.config import ConfigError, build_trainer, parse_config
+from lco_lab.convexity import BOUND_SLACK
 from lco_lab.dist import softmax, total_variation
 from lco_lab.envs import MatchReward, TableReward, ToyEnvironment
 from lco_lab.errors import InvalidInputError, NonFiniteGradientError, StepSizeError
@@ -17,10 +18,12 @@ from lco_lab.policy import Family, forward, linear_policy, mlp1_policy, tabular_
 from lco_lab.targets import EstimatorKind, optimal_policy
 from lco_lab.training import (
     ConvergeConfig,
+    DynamicsRecord,
     TrainerConfig,
     TrainerState,
     converge_experiment,
     converge_violations,
+    envelope_violations,
     episode_eval,
     init_trainer,
     rollout_episode,
@@ -756,3 +759,14 @@ def test_converge_rejects_an_overflowing_envelope_anchor():
     config = ConvergeConfig(**{**CONVERGE_VALID, "beta": 1e-170})
     with pytest.raises(InvalidInputError, match="beta"):
         converge_experiment(Family.TABULAR, ObjectiveKind.LCO_MSE, config)
+
+
+def test_envelope_violations_count_only_steps_beyond_the_slack():
+    def record(grad_norm, bound):
+        return DynamicsRecord(0, 1.0, grad_norm, 0.0, 0.0, 0.5, 0.5, "positive", bound)
+
+    at_slack = 2.0 + BOUND_SLACK
+    assert envelope_violations([record(at_slack, 2.0)]) == 0
+    assert envelope_violations([record(np.nextafter(at_slack, np.inf), 2.0)]) == 1
+    # a record without an envelope is never a violation
+    assert envelope_violations([record(1e300, None), record(at_slack, 2.0), record(3.0, 2.0)]) == 1
