@@ -40,11 +40,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def cmd_verify(suites: list[str] | None) -> int:
-    try:
-        results = run_suites(suites)
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    results = run_suites(suites)
     for result in results:
         if result.passed:
             print(f"suite {result.name}: PASS ({result.cases} cases)")
@@ -124,14 +120,12 @@ def _plot_csvs(paths: list[Path], out_path: Path, columns: list[str] | None) -> 
         if not header or not header[0]:
             raise InvalidInputError(f"{path}: missing header row")
         x_label = header[0]
-        xs = numeric_column(header, rows, header[0], path) if rows else []
+        xs = numeric_column(header, rows, header[0], path)
         wanted = columns or [
             name for name in header[1:] if name not in ("adv_bucket",) and name
         ]
         for name in wanted:
-            if name not in header:
-                raise InvalidInputError(f"{path}: missing column {name!r}")
-            ys = numeric_column(header, rows, name, path) if rows else []
+            ys = numeric_column(header, rows, name, path)
             label = name if len(paths) == 1 else f"{path.stem}:{name}"
             series[label] = (xs, ys)
     write_chart(out_path, series, x_label=x_label)

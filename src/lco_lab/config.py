@@ -1,15 +1,27 @@
 """Flat key = value experiment configs with bracketed section headers.
 
 No nesting, no quoting: a line is blank, a comment (#), a [section]
-header, or ``key = value``.  Paths are resolved relative to the config
-file.  The sections and the keys each may hold are ``SECTIONS``; an
-unknown section or key is an error, so a typo cannot fall back to a
-default.  Parse failures carry the offending line number so the CLI can
-exit with a usable diagnostic.
+header, or ``key = value``.  ``SECTIONS`` holds every section, the keys
+each may hold and the reader of each key's text; an unknown section or key
+is an error, so a typo cannot fall back to a default, and a value its
+reader rejects exits at its line.  Paths are resolved relative to the
+config file.
+
+Each section is passed straight to the constructor it configures, with
+only the keys the config sets: ``[environment]`` to the reward rule and
+``ToyEnvironment``, ``[model]`` to the family's policy constructor
+(``init_seed`` is its ``seed``), ``[training]`` to ``TrainerConfig`` and
+``[converge]`` to ``ConvergeConfig``.  An absent key therefore takes the
+constructor's default, which is stated there and nowhere here.  A key the
+chosen family or reward rule has no parameter for is an error at its
+line, as a misspelled key is; a key a required parameter needs and the
+config leaves out is an error too.  Parse failures carry the offending
+line number so the CLI can exit with a usable diagnostic.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,20 +39,59 @@ class ConfigError(LcoLabError, ValueError):
     """Config file cannot be parsed or is missing required fields."""
 
 
-# every section a config may hold, with the keys it may hold
+def _bool(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("true", "yes", "on", "1"):
+        return True
+    if lowered in ("false", "no", "off", "0"):
+        return False
+    raise ValueError(text)
+
+
+def _floats(text: str) -> np.ndarray:
+    return np.asarray([float(tok) for tok in text.replace(",", " ").split()], dtype=np.float64)
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in text.replace(",", " ").split())
+
+
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
+
+
+def _member(enum):
+    """The reader of one ``enum`` member, by its name in any case."""
+    return lambda text: enum[text.upper()]
+
+
+_objective = _member(ObjectiveKind)
+
+# every section a config may hold, with the keys it may hold and the reader
+# of each key's text; a reader that returns a Path is resolved against the
+# config's directory
 SECTIONS = {
-    "environment": ("vocab_size", "horizon", "reward", "target", "table"),  # reward = match|table
-    "model": ("family", "feature_dim", "hidden", "init_seed", "init_logits"),
-    "training": (
-        "objective", "learning_rate", "steps", "beta", "clip_epsilon", "estimator", "scorer_table",
-        "ref_table", "normalize", "grad_clip_norm", "seed", "snapshot_interval", "temperature", "top_p",
-    ),
-    "dynamics": ("objectives",),  # objectives = KIND_A, KIND_B (cmd dynamics only)
-    "converge": (  # cmd converge only
-        "family", "objective", "vocab_size", "eta", "steps", "beta", "advantages", "feature_dim", "seed", "z_old",
-    ),
-    "output": ("directory", "plot_columns"),
+    "environment": {"vocab_size": int, "horizon": int, "reward": str.lower, "target": _ints, "table": Path},
+    "model": {"family": _member(Family), "feature_dim": int, "hidden": int, "init_seed": int, "init_logits": _floats},
+    "training": {
+        "objective": _objective, "learning_rate": float, "steps": int, "beta": float, "clip_epsilon": float,
+        "estimator": _member(EstimatorKind), "scorer_table": Path, "ref_table": Path, "normalize": _bool,
+        "grad_clip_norm": float, "seed": int, "snapshot_interval": int, "temperature": float, "top_p": float,
+    },
+    # cmd dynamics only: the two objectives it trains side by side
+    "dynamics": {"objectives": lambda text: tuple(map(_objective, _names(text)))},
+    "converge": {  # cmd converge only
+        "family": _member(Family), "objective": _objective, "vocab_size": int, "eta": float, "steps": int,
+        "beta": float, "advantages": _floats, "feature_dim": int, "seed": int, "z_old": _floats,
+    },
+    "output": {"directory": Path, "plot_columns": _names},
 }
+
+# the reward rule each [environment] reward names; its fields are the keys it reads
+REWARDS = {"match": MatchReward, "table": TableReward}
+FAMILIES = {Family.TABULAR: tabular_policy, Family.LINEAR: linear_policy, Family.MLP1: mlp1_policy}
+# the constructor parameter a config key sets, where the two names differ
+_PARAMETER = {"init_seed": "seed"}
 
 
 @dataclass(frozen=True)
@@ -52,14 +103,25 @@ class RawConfig:
         entry = self.sections.get(section, {}).get(key)
         return entry[0] if entry is not None else default
 
-    def require(self, section: str, key: str) -> str:
-        value = self.get(section, key)
-        if value is None:
-            raise ConfigError(f"{self.path}: missing [{section}] {key}")
-        return value
-
     def line(self, section: str, key: str) -> int:
         return self.sections.get(section, {}).get(key, ("", 0))[1]
+
+    def value(self, section: str, key: str, default=None):
+        """The key's text read by its ``SECTIONS`` reader; ``default`` where it is absent or empty."""
+        text = self.get(section, key)
+        if not text:
+            return default
+        try:
+            value = SECTIONS[section][key](text)
+        except (ValueError, KeyError) as exc:
+            raise ConfigError(
+                f"{self.path}:{self.line(section, key)}: bad value for [{section}] {key}: {text!r}"
+            ) from exc
+        return self.path.parent / value if isinstance(value, Path) else value
+
+    def values(self, section: str) -> dict:
+        """Every key the section sets to a non-empty text, read as ``value`` reads it."""
+        return {key: self.value(section, key) for key, (text, _) in self.sections.get(section, {}).items() if text}
 
 
 def parse_config(path: str | Path) -> RawConfig:
@@ -94,114 +156,61 @@ def parse_config(path: str | Path) -> RawConfig:
     return RawConfig(path, sections)
 
 
-def _typed(raw: RawConfig, section: str, key: str, caster, default=None):
-    text = raw.get(section, key)
-    if text is None or text == "":
-        return default
+def _construct(raw: RawConfig, section: str, constructor, given: dict, who: str, *args):
+    """``constructor(*args, **given)``, with ``given`` checked against its signature first.
+
+    A key with no parameter of ``constructor`` exits at its line; a
+    parameter with no default that neither ``args`` nor ``given`` sets is a
+    missing key.  A path value names a log-prob table, which is loaded
+    here: the constructors take the table.  A library error is the
+    section's ConfigError.
+    """
+    parameters = inspect.signature(constructor).parameters
+    kwargs = {}
+    for key, value in given.items():
+        name = _PARAMETER.get(key, key)
+        if name not in parameters:
+            raise ConfigError(
+                f"{raw.path}:{raw.line(section, key)}: [{section}] {key} is given but {who} does not read it"
+            )
+        kwargs[name] = value
+    missing = [
+        name
+        for name, parameter in list(parameters.items())[len(args):]
+        if parameter.default is parameter.empty and name not in kwargs
+    ]
+    if missing:
+        raise ConfigError(f"{raw.path}: {who} needs [{section}] {', '.join(missing)}")
     try:
-        return caster(text)
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(
-            f"{raw.path}:{raw.line(section, key)}: bad value for [{section}] {key}: {text!r}"
-        ) from exc
-
-
-def _bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(text)
-
-
-def _floats(text: str) -> np.ndarray:
-    return np.asarray([float(tok) for tok in text.replace(",", " ").split()], dtype=np.float64)
-
-
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.replace(",", " ").split())
-
-
-def _resolve(raw: RawConfig, text: str) -> Path:
-    candidate = Path(text)
-    return candidate if candidate.is_absolute() else raw.path.parent / candidate
+        kwargs = {name: load_logprob_table(v) if isinstance(v, Path) else v for name, v in kwargs.items()}
+        return constructor(*args, **kwargs)
+    except LcoLabError as exc:
+        raise ConfigError(f"{raw.path}: [{section}] invalid: {exc}") from exc
 
 
 def build_environment(raw: RawConfig) -> ToyEnvironment:
-    vocab = _typed(raw, "environment", "vocab_size", int)
-    horizon = _typed(raw, "environment", "horizon", int)
-    if vocab is None or horizon is None:
-        raise ConfigError(f"{raw.path}: [environment] needs vocab_size and horizon")
-    rule = (raw.get("environment", "reward") or "match").lower()
-    if rule == "match":
-        target = _typed(raw, "environment", "target", _ints)
-        if target is None:
-            raise ConfigError(f"{raw.path}: reward = match needs [environment] target")
-        reward = MatchReward(target)
-    elif rule == "table":
-        table_path = raw.require("environment", "table")
-        reward = TableReward(load_logprob_table(_resolve(raw, table_path)))
-    else:
-        raise ConfigError(
-            f"{raw.path}:{raw.line('environment', 'reward')}: reward must be match or table"
-        )
-    try:
-        return ToyEnvironment(vocab, horizon, reward)
-    except LcoLabError as exc:
-        raise ConfigError(f"{raw.path}: [environment] invalid: {exc}") from exc
+    given = raw.values("environment")
+    rule = given.pop("reward", "match")
+    if rule not in REWARDS:
+        raise ConfigError(f"{raw.path}:{raw.line('environment', 'reward')}: reward must be match or table")
+    fields = {key: given.pop(key) for key in ("target", "table") if key in given}
+    reward = _construct(raw, "environment", REWARDS[rule], fields, f"the {rule} reward")
+    return _construct(raw, "environment", ToyEnvironment, {**given, "reward": reward}, "the environment")
 
 
 def build_model(raw: RawConfig, env: ToyEnvironment) -> PolicyModel:
-    family = _typed(raw, "model", "family", lambda s: Family[s.strip().upper()], Family.TABULAR)
-    feature_dim = _typed(raw, "model", "feature_dim", int, 4)
-    hidden = _typed(raw, "model", "hidden", int, 16)
-    init_seed = _typed(raw, "model", "init_seed", int, 0)
-    init_logits = _typed(raw, "model", "init_logits", _floats, None)
-    try:
-        if family is Family.TABULAR:
-            return tabular_policy(env.n_states, env.vocab_size, init_logits=init_logits)
-        if family is Family.LINEAR:
-            return linear_policy(env.n_states, env.vocab_size, feature_dim, seed=init_seed)
-        return mlp1_policy(env.n_states, env.vocab_size, feature_dim, hidden=hidden, seed=init_seed)
-    except LcoLabError as exc:
-        raise ConfigError(f"{raw.path}: [model] invalid: {exc}") from exc
+    given = raw.values("model")
+    family = given.pop("family", Family.TABULAR)
+    return _construct(
+        raw, "model", FAMILIES[family], given, f"the {family.value} family", env.n_states, env.vocab_size
+    )
 
 
 def build_trainer(raw: RawConfig, objective: ObjectiveKind | None = None) -> TrainerConfig:
-    kind = objective or _typed(
-        raw, "training", "objective", lambda s: ObjectiveKind[s.strip().upper()]
-    )
-    if kind is None:
-        raise ConfigError(f"{raw.path}: [training] needs objective")
-    estimator = _typed(
-        raw,
-        "training",
-        "estimator",
-        lambda s: EstimatorKind[s.strip().upper()],
-        EstimatorKind.SPARSE_SAMPLED,
-    )
-    scorer = raw.get("training", "scorer_table")
-    ref = raw.get("training", "ref_table")
-    try:
-        return TrainerConfig(
-            objective=kind,
-            learning_rate=_typed(raw, "training", "learning_rate", float, 0.1),
-            steps=_typed(raw, "training", "steps", int, 100),
-            beta=_typed(raw, "training", "beta", float, 1.0),
-            clip_epsilon=_typed(raw, "training", "clip_epsilon", float, 0.2),
-            estimator=estimator,
-            normalize=_typed(raw, "training", "normalize", _bool, False),
-            grad_clip_norm=_typed(raw, "training", "grad_clip_norm", float, None),
-            seed=_typed(raw, "training", "seed", int, 0),
-            snapshot_interval=_typed(raw, "training", "snapshot_interval", int, 1),
-            temperature=_typed(raw, "training", "temperature", float, 1.0),
-            top_p=_typed(raw, "training", "top_p", float, 1.0),
-            scorer_table=load_logprob_table(_resolve(raw, scorer)) if scorer else None,
-            ref_table=load_logprob_table(_resolve(raw, ref)) if ref else None,
-        )
-    except LcoLabError as exc:
-        raise ConfigError(f"{raw.path}: [training] invalid: {exc}") from exc
+    given = raw.values("training")
+    if objective is not None:
+        given["objective"] = objective
+    return _construct(raw, "training", TrainerConfig, given, "the trainer")
 
 
 def train(raw: RawConfig, objective: ObjectiveKind | None = None) -> tuple[PolicyModel, list[DynamicsRecord]]:
@@ -216,55 +225,30 @@ def train(raw: RawConfig, objective: ObjectiveKind | None = None) -> tuple[Polic
 
 
 def dynamics_objectives(raw: RawConfig) -> tuple[ObjectiveKind, ObjectiveKind]:
-    text = raw.require("dynamics", "objectives")
-    names = [tok.strip().upper() for tok in text.split(",") if tok.strip()]
-    if len(names) != 2:
-        raise ConfigError(
-            f"{raw.path}:{raw.line('dynamics', 'objectives')}: need exactly two objectives"
-        )
-    try:
-        return ObjectiveKind[names[0]], ObjectiveKind[names[1]]
-    except KeyError as exc:
-        raise ConfigError(
-            f"{raw.path}:{raw.line('dynamics', 'objectives')}: unknown objective {exc}"
-        ) from exc
+    kinds = raw.value("dynamics", "objectives")
+    if kinds is None:
+        raise ConfigError(f"{raw.path}: missing [dynamics] objectives")
+    if len(kinds) != 2:
+        raise ConfigError(f"{raw.path}:{raw.line('dynamics', 'objectives')}: need exactly two objectives")
+    return kinds
 
 
 def build_converge(raw: RawConfig) -> tuple[Family, ObjectiveKind, ConvergeConfig]:
-    family = _typed(raw, "converge", "family", lambda s: Family[s.strip().upper()])
-    objective = _typed(raw, "converge", "objective", lambda s: ObjectiveKind[s.strip().upper()])
-    vocab = _typed(raw, "converge", "vocab_size", int)
-    advantages = _typed(raw, "converge", "advantages", _floats)
-    eta = _typed(raw, "converge", "eta", float)
-    if family is None or objective is None or vocab is None or advantages is None or eta is None:
-        raise ConfigError(
-            f"{raw.path}: [converge] needs family, objective, vocab_size, advantages, eta"
-        )
-    try:
-        config = ConvergeConfig(
-            vocab_size=vocab,
-            advantages=advantages,
-            eta=eta,
-            steps=_typed(raw, "converge", "steps", int, 500),
-            beta=_typed(raw, "converge", "beta", float, 1.0),
-            feature_dim=_typed(raw, "converge", "feature_dim", int, 4),
-            seed=_typed(raw, "converge", "seed", int, 0),
-            z_old=_typed(raw, "converge", "z_old", _floats, None),
-        )
-    except LcoLabError as exc:
-        raise ConfigError(f"{raw.path}: [converge] invalid: {exc}") from exc
-    return family, objective, config
+    given = raw.values("converge")
+    family, objective = given.pop("family", None), given.pop("objective", None)
+    if family is None or objective is None:
+        raise ConfigError(f"{raw.path}: the convergence run needs [converge] family and objective")
+    return family, objective, _construct(raw, "converge", ConvergeConfig, given, "the convergence run")
 
 
 def output_directory(raw: RawConfig, override: str | None) -> Path:
     if override:
         return Path(override)
-    configured = raw.get("output", "directory")
-    if configured:
-        return _resolve(raw, configured)
-    raise ConfigError(f"{raw.path}: no output directory (pass --out or set [output] directory)")
+    directory = raw.value("output", "directory")
+    if directory is None:
+        raise ConfigError(f"{raw.path}: no output directory (pass --out or set [output] directory)")
+    return directory
 
 
 def plot_columns(raw: RawConfig) -> tuple[str, ...]:
-    text = raw.get("output", "plot_columns", "")
-    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
+    return raw.value("output", "plot_columns", ())

@@ -66,7 +66,7 @@ def tabular_policy(n_states: int, vocab_size: int, init_logits=None) -> PolicyMo
     return PolicyModel(Family.TABULAR, theta, n_states, vocab_size)
 
 
-def linear_policy(n_states: int, vocab_size: int, feature_dim: int, seed: int = 0) -> PolicyModel:
+def linear_policy(n_states: int, vocab_size: int, feature_dim: int = 4, seed: int = 0) -> PolicyModel:
     n_states, vocab_size = _check_shape(n_states, vocab_size)
     feature_dim = check_integer(feature_dim, "feature_dim", 1)
     rng = np.random.default_rng(seed)
@@ -76,7 +76,7 @@ def linear_policy(n_states: int, vocab_size: int, feature_dim: int, seed: int = 
 
 
 def mlp1_policy(
-    n_states: int, vocab_size: int, feature_dim: int, hidden: int = 16, seed: int = 0
+    n_states: int, vocab_size: int, feature_dim: int = 4, hidden: int = 16, seed: int = 0
 ) -> PolicyModel:
     n_states, vocab_size = _check_shape(n_states, vocab_size)
     feature_dim = check_integer(feature_dim, "feature_dim", 1)

@@ -136,8 +136,8 @@ WINDOW_CAP = 1024
 @dataclass(frozen=True)
 class TrainerConfig:
     objective: ObjectiveKind
-    learning_rate: float
-    steps: int
+    learning_rate: float = 0.1
+    steps: int = 100
     beta: float = 1.0
     clip_epsilon: float = 0.2
     estimator: EstimatorKind = EstimatorKind.SPARSE_SAMPLED
@@ -635,7 +635,7 @@ class ConvergeConfig:
     vocab_size: int
     advantages: np.ndarray
     eta: float
-    steps: int
+    steps: int = 500
     beta: float = 1.0
     feature_dim: int = 4
     seed: int = 0

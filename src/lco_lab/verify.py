@@ -289,10 +289,11 @@ def suite_hessian(seed: int = 303):
 
     # the clipped surrogate's convexity map: on-policy, its Hessian is
     # indefinite for A > 0 iff pi(a) < 1/2, and for A < 0 iff V >= 3 or
-    # pi(a) > 1/2; a witness must exist exactly there and certify it
+    # pi(a) > 1/2; a witness must exist exactly there and certify it.  Half
+    # the draws take V = 2, the only size with a PSD side for A < 0
     for sign in (1, -1):
         for _ in range(100):
-            v = int(rng.integers(2, 65))
+            v = 2 if rng.random() < 0.5 else int(rng.integers(3, 65))
             pi = dist.softmax(rng.uniform(-4.0, 4.0, v))
             # half the draws take the likeliest action, the one whose pi(a) can pass 1/2
             action = int(np.argmax(pi)) if rng.random() < 0.5 else int(rng.integers(v))

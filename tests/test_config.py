@@ -1,0 +1,258 @@
+"""Config sections read into the constructors they configure.
+
+Every key of ``SECTIONS`` has a reader; a value it cannot read exits 2 at
+its line.  A section passes only the keys it sets, so an absent key takes
+its constructor's default, and a key the chosen family or reward rule
+never reads exits 2 at its line.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from lco_lab.cli import main
+from lco_lab.config import SECTIONS, build_converge, build_environment, build_model, build_trainer, parse_config
+from lco_lab.csvio import format_float
+from lco_lab.envs import MatchReward, ToyEnvironment
+from lco_lab.objectives import ObjectiveKind
+from lco_lab.policy import Family, linear_policy, mlp1_policy, tabular_policy
+from lco_lab.training import ConvergeConfig, TrainerConfig, run_training
+
+# a runnable config per command, as {section: {key: text}}
+TRAIN = {
+    "environment": {"vocab_size": "3", "horizon": "2", "reward": "match", "target": "1, 2"},
+    "model": {"family": "TABULAR"},
+    "training": {"objective": "LCO_KLD", "learning_rate": "0.3", "steps": "4", "seed": "1"},
+}
+DYNAMICS = {**TRAIN, "dynamics": {"objectives": "PPO, LCO_KLD"}}
+CONVERGE = {
+    "converge": {
+        "family": "TABULAR", "objective": "LCO_MSE", "vocab_size": "2", "advantages": "1, -1", "eta": "0.1",
+        "steps": "2",
+    },
+}
+
+# keys whose reader takes any text: a path, or a list of column names
+ANY_TEXT = {
+    ("environment", "table"),
+    ("training", "scorer_table"),
+    ("training", "ref_table"),
+    ("output", "directory"),
+    ("output", "plot_columns"),
+}
+
+
+def write(tmp_path, sections, name="run.cfg"):
+    """The config file of ``sections``, and the line of each key in it."""
+    lines, at = [], {}
+    for section, keys in sections.items():
+        lines.append(f"[{section}]")
+        for key, text in keys.items():
+            lines.append(f"{key} = {text}")
+            at[section, key] = len(lines)
+    path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n")
+    return path, at
+
+
+def with_key(sections, section, key, text):
+    return {**sections, section: {**sections.get(section, {}), key: text}}
+
+
+def without(sections, section, key):
+    return {**sections, section: {k: v for k, v in sections[section].items() if k != key}}
+
+
+def run(command, cfg, out):
+    return main([command, "--config", str(cfg), "--out", str(out)])
+
+
+# --- every key has a reader ----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [(section, key) for section, keys in SECTIONS.items() for key in keys if (section, key) not in ANY_TEXT],
+)
+def test_an_unreadable_value_exits_2_at_its_line(tmp_path, capsys, section, key):
+    command = {"dynamics": "dynamics", "converge": "converge"}.get(section, "train")
+    base = {"dynamics": DYNAMICS, "converge": CONVERGE}.get(section, TRAIN)
+    cfg, at = write(tmp_path, with_key(base, section, key, "banana"))
+    assert run(command, cfg, tmp_path / "o") == 2
+    assert f"{cfg}:{at[section, key]}: " in capsys.readouterr().err
+    assert not list((tmp_path / "o").glob("*.csv"))
+
+
+@pytest.mark.parametrize("section, key", sorted(ANY_TEXT))
+def test_the_keys_left_out_above_read_any_text(section, key):
+    SECTIONS[section][key]("banana")
+
+
+def test_every_section_runs_through_a_command():
+    assert set(TRAIN) | set(DYNAMICS) | set(CONVERGE) | {"output"} == set(SECTIONS)
+
+
+# --- defaults live in the constructors -----------------------------------------
+
+
+def assert_same(built, direct):
+    """Two config dataclasses field by field, arrays by value."""
+    assert type(built) is type(direct)
+    for field in dataclasses.fields(direct):
+        a, b = getattr(built, field.name), getattr(direct, field.name)
+        assert np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b, field.name
+
+
+def test_required_keys_alone_build_what_the_constructors_build(tmp_path):
+    cfg, _ = write(
+        tmp_path,
+        {
+            "environment": {"vocab_size": "3", "horizon": "2", "target": "1, 2"},
+            "training": {"objective": "SFT"},
+            "converge": {
+                "family": "LINEAR", "objective": "LCO_MSE", "vocab_size": "3", "advantages": "1, 0, -1",
+                "eta": "0.1",
+            },
+        },
+    )
+    raw = parse_config(cfg)
+    env = build_environment(raw)
+    assert env == ToyEnvironment(3, 2, MatchReward((1, 2)))
+    # no [model] section: TABULAR
+    assert np.array_equal(build_model(raw, env).theta, tabular_policy(env.n_states, 3).theta)
+    assert build_trainer(raw) == TrainerConfig(ObjectiveKind.SFT)
+    family, objective, config = build_converge(raw)
+    assert (family, objective) == (Family.LINEAR, ObjectiveKind.LCO_MSE)
+    assert_same(config, ConvergeConfig(3, np.array([1.0, 0.0, -1.0]), 0.1))
+
+
+@pytest.mark.parametrize(
+    "family, constructor", [("TABULAR", tabular_policy), ("LINEAR", linear_policy), ("MLP1", mlp1_policy)]
+)
+def test_a_family_alone_builds_its_constructor_s_default_model(tmp_path, family, constructor):
+    cfg, _ = write(tmp_path, {**TRAIN, "model": {"family": family}})
+    raw = parse_config(cfg)
+    env = build_environment(raw)
+    built, direct = build_model(raw, env), constructor(env.n_states, env.vocab_size)
+    assert built.family is direct.family and built.hidden == direct.hidden
+    assert np.array_equal(built.theta, direct.theta)
+    assert (built.features is None and direct.features is None) or np.array_equal(built.features, direct.features)
+
+
+@pytest.mark.parametrize(
+    "family, keys, direct",
+    [
+        ("LINEAR", {"feature_dim": "3", "init_seed": "7"}, lambda n, v: linear_policy(n, v, 3, seed=7)),
+        (
+            "MLP1",
+            {"feature_dim": "2", "hidden": "5", "init_seed": "9"},
+            lambda n, v: mlp1_policy(n, v, 2, hidden=5, seed=9),
+        ),
+    ],
+)
+def test_train_runs_the_model_its_constructor_builds(tmp_path, family, keys, direct):
+    cfg, _ = write(tmp_path, {**TRAIN, "model": {"family": family, **keys}})
+    out = tmp_path / "o"
+    assert run("train", cfg, out) == 0
+    raw = parse_config(cfg)
+    env = build_environment(raw)
+    model = direct(env.n_states, env.vocab_size)
+    built = build_model(raw, env)
+    assert np.array_equal(built.theta, model.theta) and np.array_equal(built.features, model.features)
+    assert built.hidden == model.hidden
+    final, _ = run_training(model, env, TrainerConfig(ObjectiveKind.LCO_KLD, learning_rate=0.3, steps=4, seed=1))
+    assert (out / "model.txt").read_text().splitlines()[1:] == [format_float(x) for x in final.theta]
+
+
+@pytest.mark.parametrize("text, value", [("yes", True), ("off", False)])
+def test_normalize_is_read_as_a_bool(tmp_path, text, value):
+    (tmp_path / "scores.txt").write_text("-0.5 -1.0 -2.0\n-1.0 -1.5 -0.5\n")
+    training = {"objective": "LCO_KLD", "estimator": "DENSE_LOGPROB", "scorer_table": "scores.txt", "normalize": text}
+    cfg, _ = write(tmp_path, {**TRAIN, "training": training})
+    config = build_trainer(parse_config(cfg))
+    assert config.normalize is value
+    assert [bool(abs(row.sum()) < 1e-12) for row in config._advantage_rows] == [value, value]
+
+
+# --- a key the run never reads ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "family, key, text",
+    [
+        ("LINEAR", "init_logits", "5, 0, 0"),
+        ("LINEAR", "hidden", "99"),
+        ("TABULAR", "feature_dim", "0"),
+        ("TABULAR", "init_seed", "-5"),
+        ("TABULAR", "hidden", "16"),
+        ("MLP1", "init_logits", "1, 0, 0"),
+    ],
+)
+def test_a_model_key_the_family_never_reads_exits_2_at_its_line(tmp_path, capsys, family, key, text):
+    # each was dropped unseen, invalid values included
+    cfg, at = write(tmp_path, {**TRAIN, "model": {"family": family, key: text}})
+    out = tmp_path / "o"
+    assert run("train", cfg, out) == 2
+    message = f"{cfg}:{at['model', key]}: [model] {key} is given but the {family} family does not read it"
+    assert message in capsys.readouterr().err
+    assert not (out / "dynamics.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "reward, unread, keys",
+    [("table", "target", {"table": "scores.txt", "target": "7"}), ("match", "table", {"target": "1, 2", "table": "x"})],
+)
+def test_an_environment_key_the_reward_rule_never_reads_exits_2_at_its_line(tmp_path, capsys, reward, unread, keys):
+    (tmp_path / "scores.txt").write_text("-0.5 -1.0 -2.0\n-1.0 -1.5 -0.5\n")
+    environment = {"vocab_size": "3", "horizon": "2", "reward": reward, **keys}
+    cfg, at = write(tmp_path, {**TRAIN, "environment": environment, "training": {"objective": "LCO_KLD"}})
+    assert run("train", cfg, tmp_path / "o") == 2
+    message = f"[environment] {unread} is given but the {reward} reward does not read it"
+    assert f"{cfg}:{at['environment', unread]}: {message}" in capsys.readouterr().err
+
+
+# --- a key the run needs ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command, sections, message",
+    [
+        ("train", without(TRAIN, "training", "objective"), "the trainer needs [training] objective"),
+        ("train", without(TRAIN, "environment", "vocab_size"), "the environment needs [environment] vocab_size"),
+        ("train", without(TRAIN, "environment", "target"), "the match reward needs [environment] target"),
+        ("dynamics", TRAIN, "missing [dynamics] objectives"),
+        (
+            "converge",
+            without(CONVERGE, "converge", "family"),
+            "the convergence run needs [converge] family and objective",
+        ),
+        ("converge", without(CONVERGE, "converge", "eta"), "the convergence run needs [converge] eta"),
+    ],
+)
+def test_a_missing_key_exits_2(tmp_path, capsys, command, sections, message):
+    cfg, _ = write(tmp_path, sections)
+    assert run(command, cfg, tmp_path / "o") == 2
+    assert f"{cfg}: {message}" in capsys.readouterr().err
+
+
+def test_dynamics_needs_exactly_two_objectives(tmp_path, capsys):
+    cfg, at = write(tmp_path, {**TRAIN, "dynamics": {"objectives": "PPO"}})
+    assert run("dynamics", cfg, tmp_path / "o") == 2
+    assert f"{cfg}:{at['dynamics', 'objectives']}: need exactly two objectives" in capsys.readouterr().err
+
+
+# --- [output] --------------------------------------------------------------------
+
+
+def test_the_output_directory_is_resolved_against_the_config(tmp_path, monkeypatch):
+    cfg, _ = write(tmp_path, {**TRAIN, "output": {"directory": "runs/a"}})
+    monkeypatch.chdir(tmp_path.parent)
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert (tmp_path / "runs" / "a" / "dynamics.csv").exists()
+
+
+def test_no_output_directory_exits_2(tmp_path, capsys):
+    cfg, _ = write(tmp_path, TRAIN)
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert "no output directory" in capsys.readouterr().err

@@ -28,35 +28,41 @@ from lco_lab.training import (
     converge_experiment,
     converge_violations,
 )
-from lco_lab.verify import CONFIGS, GRAD_STEP, _ppo_case, central_gradient, suite_gradients
+from lco_lab.verify import CONFIGS, GRAD_STEP, _point, _ppo_case, central_gradient, suite_gradients
 
 HESSIAN_KINDS = [kind for kind, objective in OBJECTIVES.items() if objective.hessian is not None]
 
 
-def _inputs(rng, kind, v, scale):
-    """A (target, step) pair for ``kind`` at vocabulary size v."""
-    a = int(rng.integers(v))
-    step = (a, float(rng.uniform(-2.0, 2.0)), float(softmax(rng.uniform(-1.0, 1.0, v))[a]), 0.2)
-    form = OBJECTIVES[kind].target
-    if form == "logits":
-        return rng.uniform(-scale, scale, v), step
-    if form == "policy":
-        return softmax(rng.uniform(-scale, scale, v)), step
-    return None, step
+def _stack(rng, kind, v, scale, n):
+    """``n`` rows of logits and the (target, step) of one ``verify._point`` draw, whose z is row 0."""
+    z, target, step = _point(rng, kind, v, scale)
+    return np.vstack([z, rng.uniform(-scale, scale, (n - 1, v))]), target, step
+
+
+def _assert_rows_equal_the_kernel(kind, z, target, step):
+    objective = OBJECTIVES[kind]
+    rows = objective.value(z, target, step)
+    assert rows.shape == (z.shape[0],)
+    for row, value in zip(z, rows):
+        assert value == objective.kernel(row, softmax(row), log_softmax(row), target, step).value
 
 
 @pytest.mark.parametrize("v", [2, 8, 64])
 @pytest.mark.parametrize("kind", list(ObjectiveKind))
 def test_row_value_equals_the_kernel_value_row_by_row(kind, v):
     rng = np.random.default_rng(v)
-    objective = OBJECTIVES[kind]
     for scale in (1.0, 10.0, 100.0):
-        z = rng.uniform(-scale, scale, (25, v))
-        target, step = _inputs(rng, kind, v, scale)
-        rows = objective.value(z, target, step)
-        assert rows.shape == (25,)
-        for row, value in zip(z, rows):
-            assert value == objective.kernel(row, softmax(row), log_softmax(row), target, step).value
+        _assert_rows_equal_the_kernel(kind, *_stack(rng, kind, v, scale, 25))
+
+
+@pytest.mark.parametrize("i", range(100))
+def test_row_value_equals_the_kernel_value_at_seeded_sizes(i):
+    # every entry at one V in 2-64 and one scale per seeded draw
+    rng = np.random.default_rng(i)
+    v = int(rng.integers(2, 65))
+    scale = float(rng.choice([1.0, 10.0, 100.0]))
+    for kind in ObjectiveKind:
+        _assert_rows_equal_the_kernel(kind, *_stack(rng, kind, v, scale, 8))
 
 
 def _kld_loop_rows(z, pi_star):
@@ -133,9 +139,7 @@ def test_row_values_build_no_loss_eval_and_call_no_kl_between(monkeypatch):
     monkeypatch.setattr(dist, "kl_between", counted_kl_between)
     for kind in ObjectiveKind:
         for v in (2, 8, 64):
-            z = rng.uniform(-1.0, 1.0, (30, v))
-            target, step = _inputs(rng, kind, v, 1.0)
-            OBJECTIVES[kind].value(z, target, step)
+            OBJECTIVES[kind].value(*_stack(rng, kind, v, 1.0, 30))
     assert (built[0], looped[0]) == (0, 0)
     # the 1-D kernel keeps its loop, so the counters do count
     z = rng.uniform(-1.0, 1.0, 4)
@@ -145,11 +149,7 @@ def test_row_values_build_no_loss_eval_and_call_no_kl_between(monkeypatch):
 
 def _analytic_and_numeric(rng, kind, v):
     """Both Hessians at one drawn (z, target, step) point."""
-    z = rng.uniform(-1.5, 1.5, v)
-    target, step = _inputs(rng, kind, v, 1.5)
-    if kind is ObjectiveKind.PPO:
-        step, z = _ppo_case(rng, v)
-    point = (kind, z, target, step)
+    point = (kind, *_point(rng, kind, v, 1.5))
     return hessian_analytic(*point), hessian_numeric(*point)
 
 
