@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import config as cfg
-from .csvio import format_float, numeric_column, read_csv, write_dynamics_csv
+from .csvio import TEXT_COLUMNS, format_float, numeric_column, read_csv, write_dynamics_csv
 from .errors import InvalidInputError, LcoLabError, StepSizeError
 from .svgplot import write_chart
 from .training import converge_experiment, converge_violations, envelope_violations
@@ -49,11 +49,10 @@ def cmd_verify(suites: list[str] | None) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _prepare(config_path: str, out: str | None):
-    raw = cfg.parse_config(config_path)
+def _out_dir(raw: cfg.RawConfig, out: str | None) -> Path:
     out_dir = cfg.output_directory(raw, out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return raw, out_dir
+    return out_dir
 
 
 def _dump_model(path: Path, model) -> None:
@@ -63,11 +62,12 @@ def _dump_model(path: Path, model) -> None:
 
 
 def cmd_train(config_path: str, out: str | None) -> int:
-    raw, out_dir = _prepare(config_path, out)
+    raw = cfg.parse_config(config_path)
+    columns = cfg.plot_columns(raw)  # read against the dynamics CSV before anything runs
+    out_dir = _out_dir(raw, out)
     final_model, records = cfg.train(raw)
     write_dynamics_csv(out_dir / "dynamics.csv", records)
     _dump_model(out_dir / "model.txt", final_model)
-    columns = cfg.plot_columns(raw)
     if columns:
         _plot_csvs([out_dir / "dynamics.csv"], out_dir / "dynamics.svg", list(columns))
     print(f"wrote {out_dir / 'dynamics.csv'} ({len(records)} steps)")
@@ -75,7 +75,8 @@ def cmd_train(config_path: str, out: str | None) -> int:
 
 
 def cmd_dynamics(config_path: str, out: str | None) -> int:
-    raw, out_dir = _prepare(config_path, out)
+    raw = cfg.parse_config(config_path)
+    out_dir = _out_dir(raw, out)
     summary_lines = []
     for kind in cfg.dynamics_objectives(raw):
         _, records = cfg.train(raw, kind)
@@ -92,10 +93,11 @@ def cmd_dynamics(config_path: str, out: str | None) -> int:
 
 
 def cmd_converge(config_path: str, out: str | None) -> int:
-    raw, out_dir = _prepare(config_path, out)
-    family, objective, converge_config = cfg.build_converge(raw)
+    raw = cfg.parse_config(config_path)
+    out_dir = _out_dir(raw, out)
+    model, converge_config = cfg.build_converge(raw)
     try:
-        result = converge_experiment(family, objective, converge_config)
+        result = converge_experiment(model, converge_config)
     except StepSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -106,7 +108,7 @@ def cmd_converge(config_path: str, out: str | None) -> int:
     (out_dir / "converge.csv").write_text("\n".join(lines) + "\n")
     violations = converge_violations(result)
     print(
-        f"{family.value}/{objective.value}: rho={result.rho:.6g} "
+        f"{result.family.value}/{result.objective.value}: rho={result.rho:.6g} "
         f"steps={result.loss.size - 1} violations={violations}"
     )
     return 0 if violations == 0 else 1
@@ -121,9 +123,7 @@ def _plot_csvs(paths: list[Path], out_path: Path, columns: list[str] | None) -> 
             raise InvalidInputError(f"{path}: missing header row")
         x_label = header[0]
         xs = numeric_column(header, rows, header[0], path)
-        wanted = columns or [
-            name for name in header[1:] if name not in ("adv_bucket",) and name
-        ]
+        wanted = columns or [name for name in header[1:] if name not in TEXT_COLUMNS and name]
         for name in wanted:
             ys = numeric_column(header, rows, name, path)
             label = name if len(paths) == 1 else f"{path.stem}:{name}"

@@ -10,8 +10,10 @@ config file.
 Each section is passed straight to the constructor it configures, with
 only the keys the config sets: ``[environment]`` to the reward rule and
 ``ToyEnvironment``, ``[model]`` to the family's policy constructor
-(``init_seed`` is its ``seed``), ``[training]`` to ``TrainerConfig`` and
-``[converge]`` to ``ConvergeConfig``.  An absent key therefore takes the
+(``init_seed`` is its ``seed``), ``[training]`` to ``TrainerConfig``, and
+``[converge]`` to the family's constructor for a one-state model
+(``vocab_size``, and LINEAR's ``feature_dim`` and ``seed``) and the rest
+to ``ConvergeConfig``.  An absent key therefore takes the
 constructor's default, which is stated there and nowhere here.  A key the
 chosen family or reward rule has no parameter for is an error at its
 line, as a misspelled key is; a key a required parameter needs and the
@@ -27,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .csvio import NUMERIC_COLUMNS
 from .envs import MatchReward, TableReward, ToyEnvironment
 from .errors import LcoLabError
 from .objectives import ObjectiveKind
@@ -60,6 +63,14 @@ def _names(text: str) -> tuple[str, ...]:
     return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
+def _columns(text: str) -> tuple[str, ...]:
+    """Column names, each one of the dynamics CSV's numeric columns."""
+    names = _names(text)
+    if not set(names) <= set(NUMERIC_COLUMNS):
+        raise ValueError(text)
+    return names
+
+
 def _member(enum):
     """The reader of one ``enum`` member, by its name in any case."""
     return lambda text: enum[text.upper()]
@@ -84,7 +95,7 @@ SECTIONS = {
         "family": _member(Family), "objective": _objective, "vocab_size": int, "eta": float, "steps": int,
         "beta": float, "advantages": _floats, "feature_dim": int, "seed": int, "z_old": _floats,
     },
-    "output": {"directory": Path, "plot_columns": _names},
+    "output": {"directory": Path, "plot_columns": _columns},
 }
 
 # the reward rule each [environment] reward names; its fields are the keys it reads
@@ -163,7 +174,8 @@ def _construct(raw: RawConfig, section: str, constructor, given: dict, who: str,
     parameter with no default that neither ``args`` nor ``given`` sets is a
     missing key.  A path value names a log-prob table, which is loaded
     here: the constructors take the table.  A library error is the
-    section's ConfigError.
+    section's ConfigError, at the line of the key whose parameter its
+    message opens with ("seed must be >= 0, ..."), where there is one.
     """
     parameters = inspect.signature(constructor).parameters
     kwargs = {}
@@ -185,7 +197,10 @@ def _construct(raw: RawConfig, section: str, constructor, given: dict, who: str,
         kwargs = {name: load_logprob_table(v) if isinstance(v, Path) else v for name, v in kwargs.items()}
         return constructor(*args, **kwargs)
     except LcoLabError as exc:
-        raise ConfigError(f"{raw.path}: [{section}] invalid: {exc}") from exc
+        # a library error opens with the parameter it rejects, where it rejects one
+        named = (raw.line(section, key) for key in given if str(exc).startswith(f"{_PARAMETER.get(key, key)} "))
+        line = next(named, 0)
+        raise ConfigError(f"{raw.path}{f':{line}' if line else ''}: [{section}] invalid: {exc}") from exc
 
 
 def build_environment(raw: RawConfig) -> ToyEnvironment:
@@ -233,12 +248,20 @@ def dynamics_objectives(raw: RawConfig) -> tuple[ObjectiveKind, ObjectiveKind]:
     return kinds
 
 
-def build_converge(raw: RawConfig) -> tuple[Family, ObjectiveKind, ConvergeConfig]:
+def build_converge(raw: RawConfig) -> tuple[PolicyModel, ConvergeConfig]:
+    """The single-state model and the config of the convergence run ``[converge]`` describes.
+
+    The keys the family's constructor has a parameter for build the model,
+    as ``[model]`` builds it; the rest configure the run.
+    """
     given = raw.values("converge")
-    family, objective = given.pop("family", None), given.pop("objective", None)
-    if family is None or objective is None:
-        raise ConfigError(f"{raw.path}: the convergence run needs [converge] family and objective")
-    return family, objective, _construct(raw, "converge", ConvergeConfig, given, "the convergence run")
+    family = given.pop("family", None)
+    if family is None:
+        raise ConfigError(f"{raw.path}: the convergence run needs [converge] family")
+    parameters = inspect.signature(FAMILIES[family]).parameters
+    fields = {key: given.pop(key) for key in list(given) if key in parameters}
+    model = _construct(raw, "converge", FAMILIES[family], fields, f"the {family.value} family", 1)
+    return model, _construct(raw, "converge", ConvergeConfig, given, f"the {family.value} convergence run")
 
 
 def output_directory(raw: RawConfig, override: str | None) -> Path:

@@ -23,6 +23,9 @@ DYNAMICS_HEADER = (
     "adv_bucket",
     "bound",
 )
+# the one column written as text, the advantage sign bucket; the rest are numbers
+TEXT_COLUMNS = ("adv_bucket",)
+NUMERIC_COLUMNS = tuple(name for name in DYNAMICS_HEADER if name not in TEXT_COLUMNS)
 
 
 def format_float(value: float) -> str:

@@ -15,6 +15,13 @@ for LINEAR and MLP1 are drawn once from a seed and stored with the model.
 The one derivative here is ``pullback``, J^T g without forming J;
 ``sigma_max`` is closed form, and ``linearization_residual`` reads row a of
 J as the pullback of e_a.
+
+At one state of a TABULAR or LINEAR model the logit kernel J J^T is a
+multiple lam I of the identity, and ``_kernel_scale`` is the one place that
+says so (lam = 1 and ||phi||^2; None for MLP1, whose kernel is not).  Two
+facts follow from it and are read from it: sigma_max = sqrt(lam), and the
+least-norm parameters whose logits at the state are z are J^T z / lam,
+``pullback(model, state, z) / lam``.
 """
 
 from __future__ import annotations
@@ -69,7 +76,7 @@ def tabular_policy(n_states: int, vocab_size: int, init_logits=None) -> PolicyMo
 def linear_policy(n_states: int, vocab_size: int, feature_dim: int = 4, seed: int = 0) -> PolicyModel:
     n_states, vocab_size = _check_shape(n_states, vocab_size)
     feature_dim = check_integer(feature_dim, "feature_dim", 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_integer(seed, "seed", 0))
     features = rng.standard_normal((n_states, feature_dim))
     theta = np.zeros(vocab_size * feature_dim)
     return PolicyModel(Family.LINEAR, theta, n_states, vocab_size, features=features)
@@ -81,7 +88,7 @@ def mlp1_policy(
     n_states, vocab_size = _check_shape(n_states, vocab_size)
     feature_dim = check_integer(feature_dim, "feature_dim", 1)
     hidden = check_integer(hidden, "hidden", 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_integer(seed, "seed", 0))
     features = rng.standard_normal((n_states, feature_dim))
     n_params = hidden * feature_dim + hidden + vocab_size * hidden + vocab_size
     theta = rng.uniform(-0.1, 0.1, size=n_params)
@@ -201,22 +208,34 @@ def _vjp(model: PolicyModel, state: int, grad_z: np.ndarray, hidden: np.ndarray 
 def sigma_max(model: PolicyModel, state: int) -> float:
     """Largest singular value of the logit Jacobian at one state, in closed form.
 
-    TABULAR: J is a 0/1 selection, so 1.  LINEAR: J = I kron phi^T, so
-    ||phi||.  MLP1: J J^T = (||h||^2 + 1) I + (||phi||^2 + 1) B B^T with
+    TABULAR and LINEAR: sqrt(lam) of J J^T = lam I (``_kernel_scale``), so
+    1 and ||phi||.  MLP1: J J^T = (||h||^2 + 1) I + (||phi||^2 + 1) B B^T with
     B = w2 diag(1 - h^2), so the top eigenvalue is read off sigma_max(B).
     """
     state = _check_state(model, state)
     return _sigma_max(model, state, _hidden(model, state))
 
 
-def _sigma_max(model: PolicyModel, state: int, hidden: np.ndarray | None) -> float:
-    """``sigma_max`` at a checked state, with ``hidden = _hidden(model, state)``."""
+def _kernel_scale(model: PolicyModel, state: int) -> float | None:
+    """lam with J(state) J(state)^T = lam I at a checked state; None where J J^T is no multiple of I.
+
+    TABULAR: J selects the state's logit row, so 1.  LINEAR: J = I kron
+    phi^T, so ||phi||^2, taken as np.linalg.norm takes it.  MLP1: None.
+    """
     if model.family is Family.TABULAR:
         return 1.0
-    phi = model.features[state]
     if model.family is Family.LINEAR:
-        # the 2-norm as np.linalg.norm takes it, without its wrapper
-        return math.sqrt(phi.dot(phi))
+        phi = model.features[state]
+        return float(phi.dot(phi))
+    return None
+
+
+def _sigma_max(model: PolicyModel, state: int, hidden: np.ndarray | None) -> float:
+    """``sigma_max`` at a checked state, with ``hidden = _hidden(model, state)``."""
+    lam = _kernel_scale(model, state)
+    if lam is not None:
+        return math.sqrt(lam)
+    phi = model.features[state]
     _, _, w2, _ = _mlp_unpack(model)
     # the largest singular value, as norm(B, 2) takes it, without its wrapper
     top_b = float(np.linalg.svd(w2 * (1.0 - hidden**2), compute_uv=False)[0])

@@ -57,7 +57,10 @@ def _optimal_policy(pi_old: np.ndarray, values: np.ndarray, beta: float) -> np.n
     scaled = _scaled(values, beta)
     with np.errstate(divide="ignore"):
         logits = np.where(pi_old > 0.0, np.log(np.maximum(pi_old, 5e-324)), -np.inf) + scaled
-    shifted = logits - logits.max()
+    # logits of both signs near the float range shift past it: -inf, whose
+    # weight is the 0 the exact shift's weight rounds to
+    with np.errstate(over="ignore"):
+        shifted = logits - logits.max()
     weights = np.exp(shifted)
     return weights / weights.sum()
 

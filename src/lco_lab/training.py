@@ -72,9 +72,11 @@ per-step error contracts by I - eta*c*J J^T, with c = curvature/V from the
 objective table (2/V for the squared loss, 1/V for the log-cosh loss, which
 near its optimum reduces to the same linear update), and tabulates the loss
 against the geometric envelope (curvature / 2V) * rho^{2k} * ||A||^2 / beta^2.
-A single state of a tabular or linear model has J J^T = lam I in closed
-form (lam = 1 for TABULAR, ||phi||^2 for LINEAR), so rho = |1 - eta*c*lam|
-and the Jacobian is never formed.  Each residual component is stepped on
+It takes its single-state model from the family constructors and reads lam
+of J J^T = lam I from it (``policy._kernel_scale``; a family without that
+form is refused), so rho = |1 - eta*c*lam| and the Jacobian is never
+formed; the start is the least-norm theta with logits z_old, the pullback
+of z_old over lam.  Each residual component is stepped on
 Python floats, one component at a time, with the operations of the vector
 update in their order, so every iterate is bit for bit the numpy row
 update's.  The result holds columns, one entry per iterate: the losses come
@@ -112,12 +114,12 @@ from .policy import (
     _check_state,
     _forward,
     _hidden,
+    _kernel_scale,
     _sigma_max,
     _span,
     _vjp,
     forward,
-    linear_policy,
-    tabular_policy,
+    pullback,
 )
 from .targets import EstimatorKind, _optimal_logits
 
@@ -632,27 +634,27 @@ def envelope_violations(records: list[DynamicsRecord]) -> int:
 
 @dataclass(frozen=True)
 class ConvergeConfig:
-    vocab_size: int
+    objective: ObjectiveKind
     advantages: np.ndarray
     eta: float
     steps: int = 500
     beta: float = 1.0
-    feature_dim: int = 4
-    seed: int = 0
-    z_old: np.ndarray | None = None
+    z_old: np.ndarray | None = None  # one entry per advantage; zero when not given
 
     def __post_init__(self):
-        for name, low in (("vocab_size", 2), ("steps", 1), ("feature_dim", 1), ("seed", 0)):
-            check_integer(getattr(self, name), name, low)
+        if OBJECTIVES[self.objective].curvature is None:
+            raise InvalidInputError("convergence experiments cover LCO_MSE and LCO_LCH")
+        check_integer(self.steps, "steps", 1)
         if not 0.0 < self.eta < np.inf:
             raise InvalidInputError("eta must be positive and finite")
         if not 0.0 < self.beta < np.inf:
             raise InvalidInputError("beta must be positive and finite")
-        object.__setattr__(self, "advantages", as_advantages(self.advantages, self.vocab_size))
+        advantages = as_advantages(self.advantages)
+        object.__setattr__(self, "advantages", advantages)
         if self.z_old is not None:
             z_old = np.asarray(self.z_old, dtype=np.float64)
-            if z_old.shape != (self.vocab_size,) or not np.isfinite(z_old).all():
-                raise InvalidInputError(f"z_old must be a finite vector of shape ({self.vocab_size},)")
+            if z_old.shape != advantages.shape or not np.isfinite(z_old).all():
+                raise InvalidInputError(f"z_old must be a finite vector of shape {advantages.shape}")
             object.__setattr__(self, "z_old", z_old)
 
 
@@ -668,38 +670,29 @@ class ConvergeResult:
     family: Family
 
 
-def converge_experiment(
-    family: Family, objective: ObjectiveKind, config: ConvergeConfig
-) -> ConvergeResult:
+def converge_experiment(model: PolicyModel, config: ConvergeConfig) -> ConvergeResult:
     """Sampling-free single-state descent against its geometric loss envelope.
 
-    The parameters start so the model reproduces the behavioral logits, the
-    target is z_old + A/beta, and each step applies the error recursion
-    theta <- theta - eta*c*J^T (z - z*) with c = curvature / V.  For the
-    squared loss this is its exact gradient; for the log-cosh loss it is the
-    near-optimum update that the linear convergence rate is stated for, while
-    the reported loss is the true log-cosh value at every iterate.
+    ``model`` is a single-state model whose kernel J J^T is lam I (a TABULAR
+    or LINEAR one, as their constructors build it); its theta is not read.
+    The parameters start at J^T z_old / lam, the least-norm ones whose
+    logits are z_old, the target is z_old + A/beta, and each step applies
+    the error recursion theta <- theta - eta*c*J^T (z - z*) with
+    c = curvature / V.  For the squared loss this is its exact gradient; for
+    the log-cosh loss it is the near-optimum update that the linear
+    convergence rate is stated for, while the reported loss is the true
+    log-cosh value at every iterate.
     """
-    spec = OBJECTIVES[objective]
-    if spec.curvature is None:
-        raise InvalidInputError("convergence experiments cover LCO_MSE and LCO_LCH")
-    if family not in (Family.TABULAR, Family.LINEAR):
-        raise InvalidInputError("convergence experiments cover TABULAR and LINEAR families")
-
-    v = config.vocab_size
-    advantages = config.advantages
+    if model.n_states != 1:
+        raise InvalidInputError("a convergence run takes a single-state model")
+    lam = _kernel_scale(model, 0)
+    if lam is None:
+        raise InvalidInputError(f"convergence runs need J J^T = lam I, which the {model.family.value} family lacks")
+    spec = OBJECTIVES[config.objective]
+    v = model.vocab_size
+    advantages = as_advantages(config.advantages, v)
     z_old = np.zeros(v) if config.z_old is None else config.z_old
-
-    if family is Family.TABULAR:
-        model = tabular_policy(1, v, init_logits=z_old)
-        lam = 1.0
-    else:
-        model = linear_policy(1, v, config.feature_dim, seed=config.seed)
-        phi = model.features[0]
-        lam = float(phi @ phi)
-        # least-squares start reproducing z_old: one feature row, so the
-        # minimum-norm weights are the scaled outer product z_old phi^T
-        model = model.with_theta((np.outer(z_old, phi) / lam).ravel())
+    model = model.with_theta(pullback(model, 0, z_old) / lam)
 
     # J J^T = lam I, so every eigenvalue of the contraction is 1 - eta*c*lam
     c = spec.curvature / v
@@ -736,8 +729,8 @@ def converge_experiment(
         bound=np.array([prefactor * rho ** (2 * k) * anchor for k in range(config.steps + 1)]),
         residual_inf=np.abs(residual).max(axis=1),
         rho=rho,
-        objective=objective,
-        family=family,
+        objective=config.objective,
+        family=model.family,
     )
 
 

@@ -31,7 +31,7 @@ from . import convexity, dist, objectives, targets
 from .envs import TableReward, ToyEnvironment
 from .errors import WitnessSearchError
 from .objectives import OBJECTIVES, ObjectiveKind
-from .policy import Family, forward, linear_policy, mlp1_policy, pullback, sigma_max, tabular_policy
+from .policy import _kernel_scale, forward, linear_policy, mlp1_policy, pullback, sigma_max, tabular_policy
 from .targets import EstimatorKind
 from .training import (
     ConvergeConfig,
@@ -476,13 +476,12 @@ def suite_directionality(seed: int = 606):
         model = model.with_theta(rng.uniform(-1.0, 1.0, model.n_params))
         z = forward(model, 0)
         z_star = z + rng.uniform(-2.0, 2.0, v)
-        phi = model.features[0]
-        w = model.theta.reshape(v, phi.size)
-        w_star = w + np.outer(z_star - z, phi) / float(phi @ phi)
+        # the least-norm step to logits z*: J^T (z* - z) over lam of J J^T = lam I
+        theta_star = model.theta + pullback(model, 0, z_star - z) / _kernel_scale(model, 0)
         kind = objectives.LCO_KINDS[int(rng.integers(3))]
         grad_z = objectives.evaluate(kind, z, OBJECTIVES[kind].target_at(z_star)).logit_gradient
         grad_theta = pullback(model, 0, grad_z)
-        yield float(grad_theta @ (model.theta - w_star.ravel())) < -1e-10
+        yield float(grad_theta @ (model.theta - theta_star)) < -1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -501,26 +500,14 @@ def suite_convergence(seed: int = 707):
         u = float(rng.choice([rng.uniform(0.1, 0.9), rng.uniform(1.1, 1.9)]))
         model_seed = int(rng.integers(100_000))
         feature_dim = int(rng.integers(2, 6))
-        for family in (Family.TABULAR, Family.LINEAR):
-            if family is Family.TABULAR:
-                lam = 1.0
-            else:
-                probe = linear_policy(1, v, feature_dim, seed=model_seed)
-                phi = probe.features[0]
-                lam = float(phi @ phi)
+        for model in (tabular_policy(1, v), linear_policy(1, v, feature_dim, seed=model_seed)):
+            lam = _kernel_scale(model, 0)
             for objective in (ObjectiveKind.LCO_MSE, ObjectiveKind.LCO_LCH):
                 c = OBJECTIVES[objective].curvature / v
                 config = ConvergeConfig(
-                    vocab_size=v,
-                    advantages=advantages,
-                    eta=u / (c * lam),
-                    steps=CONVERGENCE_STEPS,
-                    beta=beta,
-                    feature_dim=feature_dim,
-                    seed=model_seed,
-                    z_old=z_old,
+                    objective, advantages, eta=u / (c * lam), steps=CONVERGENCE_STEPS, beta=beta, z_old=z_old
                 )
-                result = converge_experiment(family, objective, config)
+                result = converge_experiment(model, config)
                 yield converge_violations(result) > 0
                 yield np.any(result.loss[1:] > result.loss[:-1] * (1.0 + 1e-12) + 5e-324)
 

@@ -13,7 +13,7 @@ import pytest
 
 from lco_lab.cli import main
 from lco_lab.config import SECTIONS, build_converge, build_environment, build_model, build_trainer, parse_config
-from lco_lab.csvio import format_float
+from lco_lab.csvio import DYNAMICS_HEADER, NUMERIC_COLUMNS, format_float
 from lco_lab.envs import MatchReward, ToyEnvironment
 from lco_lab.objectives import ObjectiveKind
 from lco_lab.policy import Family, linear_policy, mlp1_policy, tabular_policy
@@ -33,13 +33,12 @@ CONVERGE = {
     },
 }
 
-# keys whose reader takes any text: a path, or a list of column names
+# keys whose reader takes any text: a path
 ANY_TEXT = {
     ("environment", "table"),
     ("training", "scorer_table"),
     ("training", "ref_table"),
     ("output", "directory"),
-    ("output", "plot_columns"),
 }
 
 
@@ -122,9 +121,11 @@ def test_required_keys_alone_build_what_the_constructors_build(tmp_path):
     # no [model] section: TABULAR
     assert np.array_equal(build_model(raw, env).theta, tabular_policy(env.n_states, 3).theta)
     assert build_trainer(raw) == TrainerConfig(ObjectiveKind.SFT)
-    family, objective, config = build_converge(raw)
-    assert (family, objective) == (Family.LINEAR, ObjectiveKind.LCO_MSE)
-    assert_same(config, ConvergeConfig(3, np.array([1.0, 0.0, -1.0]), 0.1))
+    model, config = build_converge(raw)
+    direct = linear_policy(1, 3)
+    assert model.family is Family.LINEAR and np.array_equal(model.features, direct.features)
+    assert np.array_equal(model.theta, direct.theta)
+    assert_same(config, ConvergeConfig(ObjectiveKind.LCO_MSE, np.array([1.0, 0.0, -1.0]), 0.1))
 
 
 @pytest.mark.parametrize(
@@ -199,6 +200,49 @@ def test_a_model_key_the_family_never_reads_exits_2_at_its_line(tmp_path, capsys
     assert not (out / "dynamics.csv").exists()
 
 
+@pytest.mark.parametrize("key, text", [("feature_dim", "7"), ("seed", "5")])
+def test_a_converge_key_the_tabular_family_never_reads_exits_2_at_its_line(tmp_path, capsys, key, text):
+    cfg, at = write(tmp_path, with_key(CONVERGE, "converge", key, text))
+    out = tmp_path / "o"
+    assert run("converge", cfg, out) == 2
+    message = f"{cfg}:{at['converge', key]}: [converge] {key} is given but the TABULAR convergence run does not read it"
+    assert message in capsys.readouterr().err
+    assert not (out / "converge.csv").exists()
+
+
+def test_a_converge_family_without_a_scaled_identity_kernel_exits_2(tmp_path, capsys):
+    cfg, _ = write(tmp_path, with_key(CONVERGE, "converge", "family", "MLP1"))
+    out = tmp_path / "o"
+    assert run("converge", cfg, out) == 2
+    assert "convergence runs need J J^T = lam I, which the MLP1 family lacks" in capsys.readouterr().err
+    assert not (out / "converge.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, sections, at_key, message",
+    [
+        (
+            "converge",
+            with_key(with_key(CONVERGE, "converge", "family", "LINEAR"), "converge", "seed", "-5"),
+            ("converge", "seed"),
+            "seed must be >= 0",
+        ),
+        ("train", {**TRAIN, "model": {"family": "LINEAR", "init_seed": "-5"}}, ("model", "init_seed"), "seed must be"),
+        ("train", {**TRAIN, "model": {"family": "MLP1", "init_seed": "-1"}}, ("model", "init_seed"), "seed must be"),
+        ("converge", with_key(CONVERGE, "converge", "eta", "-0.1"), ("converge", "eta"), "eta must be positive"),
+        ("train", with_key(TRAIN, "training", "clip_epsilon", "1.5"), ("training", "clip_epsilon"), "clip_epsilon"),
+    ],
+)
+def test_a_value_its_constructor_rejects_exits_2_at_its_line(tmp_path, capsys, command, sections, at_key, message):
+    # a negative LINEAR or MLP1 seed was numpy's ValueError, a traceback and exit 1
+    cfg, at = write(tmp_path, sections)
+    out = tmp_path / "o"
+    assert run(command, cfg, out) == 2
+    section, _ = at_key
+    assert f"{cfg}:{at[at_key]}: [{section}] invalid: {message}" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
 @pytest.mark.parametrize(
     "reward, unread, keys",
     [("table", "target", {"table": "scores.txt", "target": "7"}), ("match", "table", {"target": "1, 2", "table": "x"})],
@@ -222,12 +266,14 @@ def test_an_environment_key_the_reward_rule_never_reads_exits_2_at_its_line(tmp_
         ("train", without(TRAIN, "environment", "vocab_size"), "the environment needs [environment] vocab_size"),
         ("train", without(TRAIN, "environment", "target"), "the match reward needs [environment] target"),
         ("dynamics", TRAIN, "missing [dynamics] objectives"),
+        ("converge", without(CONVERGE, "converge", "family"), "the convergence run needs [converge] family"),
+        ("converge", without(CONVERGE, "converge", "vocab_size"), "the TABULAR family needs [converge] vocab_size"),
         (
             "converge",
-            without(CONVERGE, "converge", "family"),
-            "the convergence run needs [converge] family and objective",
+            without(CONVERGE, "converge", "objective"),
+            "the TABULAR convergence run needs [converge] objective",
         ),
-        ("converge", without(CONVERGE, "converge", "eta"), "the convergence run needs [converge] eta"),
+        ("converge", without(CONVERGE, "converge", "eta"), "the TABULAR convergence run needs [converge] eta"),
     ],
 )
 def test_a_missing_key_exits_2(tmp_path, capsys, command, sections, message):
@@ -250,6 +296,23 @@ def test_the_output_directory_is_resolved_against_the_config(tmp_path, monkeypat
     monkeypatch.chdir(tmp_path.parent)
     assert main(["train", "--config", str(cfg)]) == 0
     assert (tmp_path / "runs" / "a" / "dynamics.csv").exists()
+
+
+@pytest.mark.parametrize("columns", ["loss, nope", "adv_bucket", "grad_norm_param, rho"])
+def test_plot_columns_are_read_against_the_dynamics_schema_before_training(tmp_path, capsys, columns):
+    cfg, at = write(tmp_path, {**TRAIN, "output": {"plot_columns": columns}})
+    out = tmp_path / "o"
+    assert run("train", cfg, out) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:{at['output', 'plot_columns']}: bad value for [output] plot_columns: {columns!r}" in err
+    assert not out.exists()
+
+
+def test_every_numeric_dynamics_column_can_be_plotted(tmp_path):
+    cfg, _ = write(tmp_path, {**TRAIN, "output": {"plot_columns": ", ".join(NUMERIC_COLUMNS)}})
+    assert run("train", cfg, tmp_path / "o") == 0
+    assert (tmp_path / "o" / "dynamics.svg").exists()
+    assert set(NUMERIC_COLUMNS) == set(DYNAMICS_HEADER) - {"adv_bucket"}
 
 
 def test_no_output_directory_exits_2(tmp_path, capsys):

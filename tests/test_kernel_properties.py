@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from lco_lab.dist import _entropy, _log_softmax, _softmax, kl_between
+from lco_lab.errors import InvalidInputError
 from lco_lab.targets import _optimal_logits, _optimal_policy
 
 from oracles import (
@@ -125,3 +126,50 @@ def test_targets_match_the_oracle(index):
             log_pi_old = np.where(pi_old > 0.0, np.log(np.maximum(pi_old, 5e-324)), 0.0)
         size = np.abs(log_pi_old) + np.abs(scaled) + np.abs(log_pi_old + scaled).max()
         assert (np.abs(pi_star - exact) <= EPS * (size + v + 4.0) * exact + SUBNORMAL).all()
+
+
+def _extreme_advantages(index):
+    """Case ``index`` at |A / beta| from 1e4 to past the float range: (z_old, A, beta).
+
+    log10 |A / beta| is drawn up to 309, half the time from 307.5, so some
+    cases overflow; beta runs from 1e-300 to 0.1, so A itself stays finite.
+    """
+    rng, v, stack = _case(index)
+    log_ratio = rng.uniform(4.0, 309.0) if rng.random() < 0.5 else rng.uniform(307.5, 309.0)
+    log_beta = -rng.uniform(1.0, 300.0)
+    advantages = rng.uniform(-1.0, 1.0, v) * 10.0 ** (log_ratio + log_beta)
+    return stack[0], advantages, 10.0**log_beta
+
+
+@pytest.mark.parametrize("index", range(RUNS))
+def test_kl_between_stays_finite_out_to_the_largest_advantage_scale(index):
+    # KL(pi* || pi) with pi* = pi exp(A / beta) normalized, in the trainer's
+    # form, at the scales where pi* is one-hot to the last bit; where A / beta
+    # overflows, the target refuses it
+    z_old, advantages, beta = _extreme_advantages(index)
+    v = z_old.size
+    pi, log_pi = _softmax(z_old), _log_softmax(z_old)
+    with np.errstate(over="ignore"):
+        overflows = not np.isfinite(advantages / beta).all()
+    if overflows:
+        with pytest.raises(InvalidInputError, match="A/beta overflows"):
+            _optimal_policy(pi, advantages, beta)
+        return
+    pi_star = _optimal_policy(pi, advantages, beta)
+    got = kl_between(pi_star, pi, log_q=log_pi)
+    assert np.isfinite(got) and got >= 0.0
+    scale = np.abs(pi_star - pi).sum() + (
+        pi_star * (np.abs(np.log(np.maximum(pi_star, 1e-320))) + np.abs(log_pi))
+    ).sum()
+    exact = kl_to_logits_hp(pi_star, z_old)
+    assert abs(got - exact) <= (v + 8.0) * EPS * (exact + scale) + v * SUBNORMAL
+
+
+def test_the_extreme_advantage_cases_reach_both_sides_of_the_float_range():
+    ratios = []
+    for index in range(RUNS):
+        _, advantages, beta = _extreme_advantages(index)
+        with np.errstate(over="ignore"):
+            ratios.append(np.abs(advantages / beta).max())
+    ratios = np.array(ratios)
+    assert ratios.min() < 1e6 and np.isinf(ratios).sum() >= 5 and (ratios[np.isfinite(ratios)] > 1e307).sum() >= 5

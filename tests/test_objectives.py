@@ -337,6 +337,12 @@ def test_the_library_never_branches_on_an_objective_kind():
     assert not hits, "\n".join(hits)
 
 
+def test_only_policy_branches_on_a_model_family():
+    # a family's behaviour is stated in policy (J J^T = lam I in _kernel_scale), not restated by its callers
+    hits = [hit for hit in _library_lines(r"(\bif\b|\belif\b).*Family\.") if not hit.startswith("policy.py:")]
+    assert not hits, "\n".join(hits)
+
+
 def test_only_config_builds_a_run_from_a_config():
     # train, dynamics and the dynamics suite all run a config through config.train
     hits = [

@@ -4,6 +4,7 @@ import pytest
 from lco_lab.errors import InvalidInputError, InvalidStateError
 from lco_lab.policy import (
     Family,
+    _kernel_scale,
     forward,
     linear_policy,
     linearization_residual,
@@ -171,6 +172,18 @@ def test_model_sizes_are_stored_as_ints():
         tabular_policy(2, 1)
 
 
+@pytest.mark.parametrize("build", [lambda s: linear_policy(2, 3, 2, seed=s), lambda s: mlp1_policy(2, 3, 2, seed=s)])
+@pytest.mark.parametrize(
+    "seed, message",
+    [(-1, "seed must be >= 0"), (2.5, "seed must be an integer"), (True, "seed must be an integer"), ("7", "seed")],
+)
+def test_a_seed_that_is_not_a_nonnegative_integer_is_rejected(build, seed, message):
+    # unchecked, -1 was numpy's ValueError, 2.5 its TypeError, and True read as 1
+    with pytest.raises(InvalidInputError, match=message):
+        build(seed)
+    assert np.array_equal(build(np.int64(7)).features, build(7).features)
+
+
 def _random_model(family: Family, v: int, rng: np.random.Generator):
     if family is Family.TABULAR:
         model = tabular_policy(5, v)
@@ -180,6 +193,26 @@ def _random_model(family: Family, v: int, rng: np.random.Generator):
         return model.with_theta(rng.uniform(-1.0, 1.0, model.n_params))
     model = mlp1_policy(5, v, 4, hidden=12, seed=int(rng.integers(10_000)))
     return model.with_theta(rng.uniform(-1.0, 1.0, model.n_params))
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("v", [2, 8, 64])
+def test_the_kernel_scale_is_lam_of_j_j_transpose_equal_lam_i(family, v):
+    rng = np.random.default_rng(v)
+    model = _random_model(family, v, rng)
+    for state in (0, 2, 4):
+        lam = _kernel_scale(model, state)
+        J = jacobian(model, state).J
+        if family is Family.MLP1:
+            assert lam is None
+            continue
+        assert np.abs(J @ J.T - lam * np.eye(v)).max() <= 1e-12 * lam
+        assert sigma_max(model, state) == np.sqrt(lam)
+        # J^T z / lam is the least-norm theta with logits z at the state
+        z = rng.uniform(-2.0, 2.0, v)
+        theta = pullback(model, state, z) / lam
+        assert np.abs(J @ theta - z).max() <= 1e-12 * np.abs(z).max()
+        assert np.abs(theta - np.linalg.lstsq(J, z, rcond=None)[0]).max() <= 1e-12 * np.abs(theta).max()
 
 
 @pytest.mark.parametrize("family", list(Family))

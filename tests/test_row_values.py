@@ -160,18 +160,17 @@ def test_numeric_hessian_matches_the_analytic_one_at_v64(kind):
     assert np.abs(analytic.matrix - numeric.matrix).max() <= 1e-5
 
 
-def _reference_converge(family, objective, config):
+def _reference_converge(model, config):
     """The convergence rows computed one step at a time through the public evals."""
-    v = config.vocab_size
+    v = model.vocab_size
     z_old = np.zeros(v) if config.z_old is None else config.z_old
-    if family is Family.TABULAR:
+    if model.family is Family.TABULAR:
         model, lam = tabular_policy(1, v, init_logits=z_old), 1.0
     else:
-        model = linear_policy(1, v, config.feature_dim, seed=config.seed)
         phi = model.features[0]
         lam = float(phi @ phi)
         model = model.with_theta((np.outer(z_old, phi) / lam).ravel())
-    curvature = OBJECTIVES[objective].curvature
+    curvature = OBJECTIVES[config.objective].curvature
     c = curvature / v
     rho = abs(1.0 - config.eta * c * lam)
     anchor = np.float64(config.advantages @ config.advantages) / np.float64(config.beta) ** 2
@@ -179,24 +178,26 @@ def _reference_converge(family, objective, config):
     rows = []
     for k in range(config.steps + 1):
         bound = float(curvature / (2.0 * v) * rho ** (2 * k) * anchor)
-        rows.append((k, evaluate(objective, residual, np.zeros(v)).value, bound, float(np.abs(residual).max())))
+        rows.append((k, evaluate(config.objective, residual, np.zeros(v)).value, bound, float(np.abs(residual).max())))
         residual = residual - (config.eta * c) * (lam * residual)
     return rho, rows
 
 
 def _random_converge(rng, family, objective):
+    """A drawn single-state model of ``family`` and a convergence config that contracts on it."""
     v = int(rng.choice([2, 5, 16, 64]))
     feature_dim = int(rng.integers(1, 7))
     seed = int(rng.integers(10_000))
     lam = 1.0
+    model = tabular_policy(1, v)
     if family is Family.LINEAR:
-        phi = linear_policy(1, v, feature_dim, seed=seed).features[0]
+        model = linear_policy(1, v, feature_dim, seed=seed)
+        phi = model.features[0]
         lam = float(phi @ phi)
     c = OBJECTIVES[objective].curvature / v
-    return ConvergeConfig(
-        vocab_size=v, advantages=rng.uniform(-3.0, 3.0, v), eta=float(rng.uniform(0.1, 1.9)) / (c * lam),
-        steps=int(rng.integers(1, 400)), beta=float(rng.uniform(0.3, 3.0)), feature_dim=feature_dim,
-        seed=seed, z_old=rng.uniform(-2.0, 2.0, v),
+    return model, ConvergeConfig(
+        objective, advantages=rng.uniform(-3.0, 3.0, v), eta=float(rng.uniform(0.1, 1.9)) / (c * lam),
+        steps=int(rng.integers(1, 400)), beta=float(rng.uniform(0.3, 3.0)), z_old=rng.uniform(-2.0, 2.0, v),
     )
 
 
@@ -205,10 +206,10 @@ def test_converge_matches_a_per_row_reference():
     runs = [build_converge(parse_config(CONFIGS / "converge_tabular_mse.cfg"))]
     for family in (Family.TABULAR, Family.LINEAR):
         for objective in (ObjectiveKind.LCO_MSE, ObjectiveKind.LCO_LCH):
-            runs += [(family, objective, _random_converge(rng, family, objective)) for _ in range(8)]
-    for family, objective, config in runs:
-        result = converge_experiment(family, objective, config)
-        rho, rows = _reference_converge(family, objective, config)
+            runs += [_random_converge(rng, family, objective) for _ in range(8)]
+    for model, config in runs:
+        result = converge_experiment(model, config)
+        rho, rows = _reference_converge(model, config)
         assert result.rho == rho
         columns = (result.loss, result.bound, result.residual_inf)
         assert all(column.shape == (config.steps + 1,) for column in columns)
@@ -234,7 +235,7 @@ def test_converge_violations_equal_a_per_row_count():
     for family in (Family.TABULAR, Family.LINEAR):
         for objective in (ObjectiveKind.LCO_MSE, ObjectiveKind.LCO_LCH):
             for _ in range(10):
-                result = converge_experiment(family, objective, _random_converge(rng, family, objective))
+                result = converge_experiment(*_random_converge(rng, family, objective))
                 n = result.loss.size
                 # columns at the edges of every test: the slack, the floor, the
                 # neighborhood, NaN, and losses that leave the envelope
@@ -286,7 +287,7 @@ def test_each_oracle_makes_one_value_call(monkeypatch, v):
     for family in (Family.TABULAR, Family.LINEAR):
         for objective in (ObjectiveKind.LCO_MSE, ObjectiveKind.LCO_LCH):
             calls[0] = 0
-            converge_experiment(family, objective, _random_converge(rng, family, objective))
+            converge_experiment(*_random_converge(rng, family, objective))
             assert calls[0] == 1
 
 

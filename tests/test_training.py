@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import sys
@@ -13,7 +14,7 @@ from lco_lab.convexity import BOUND_SLACK
 from lco_lab.dist import softmax, total_variation
 from lco_lab.envs import MatchReward, TableReward, ToyEnvironment
 from lco_lab.errors import InvalidInputError, NonFiniteGradientError, StepSizeError
-from lco_lab.objectives import ObjectiveKind, evaluate
+from lco_lab.objectives import OBJECTIVES, ObjectiveKind, evaluate
 from lco_lab.policy import Family, forward, linear_policy, mlp1_policy, tabular_policy
 from lco_lab.targets import EstimatorKind, optimal_policy
 from lco_lab.training import (
@@ -637,8 +638,8 @@ def test_sft_requires_match_reward():
 
 
 def test_converge_tabular_mse_geometric_decay():
-    config = ConvergeConfig(vocab_size=4, advantages=np.array([1.0, -0.5, 0.25, 0.0]), eta=0.1, steps=50)
-    result = converge_experiment(Family.TABULAR, ObjectiveKind.LCO_MSE, config)
+    config = ConvergeConfig(ObjectiveKind.LCO_MSE, advantages=np.array([1.0, -0.5, 0.25, 0.0]), eta=0.1, steps=50)
+    result = converge_experiment(tabular_policy(1, 4), config)
     assert abs(result.rho - 0.95) < 1e-15
     assert converge_violations(result) == 0
     losses = result.loss.tolist()
@@ -649,44 +650,58 @@ def test_converge_tabular_mse_geometric_decay():
 
 
 def test_converge_zero_advantage_stays_zero():
-    config = ConvergeConfig(vocab_size=3, advantages=np.zeros(3), eta=0.2, steps=20)
-    result = converge_experiment(Family.TABULAR, ObjectiveKind.LCO_MSE, config)
+    config = ConvergeConfig(ObjectiveKind.LCO_MSE, advantages=np.zeros(3), eta=0.2, steps=20)
+    result = converge_experiment(tabular_policy(1, 3), config)
     assert np.all(result.loss == 0.0)
 
 
 def test_converge_linear_bound_holds_over_500_steps():
     rng = np.random.default_rng(31)
-    config = ConvergeConfig(
-        vocab_size=3, advantages=rng.uniform(-1, 1, 3), eta=0.05, steps=500, feature_dim=4, seed=8
-    )
-    result = converge_experiment(Family.LINEAR, ObjectiveKind.LCO_MSE, config)
+    config = ConvergeConfig(ObjectiveKind.LCO_MSE, advantages=rng.uniform(-1, 1, 3), eta=0.05, steps=500)
+    result = converge_experiment(linear_policy(1, 3, 4, seed=8), config)
     assert result.rho < 1.0
     assert converge_violations(result) == 0
 
 
 def test_converge_lch_bound_inside_neighborhood():
-    config = ConvergeConfig(vocab_size=4, advantages=np.array([0.4, -0.3, 0.2, -0.1]), eta=1.0, steps=300)
-    result = converge_experiment(Family.TABULAR, ObjectiveKind.LCO_LCH, config)
+    config = ConvergeConfig(ObjectiveKind.LCO_LCH, advantages=np.array([0.4, -0.3, 0.2, -0.1]), eta=1.0, steps=300)
+    result = converge_experiment(tabular_policy(1, 4), config)
     assert converge_violations(result) == 0
     assert np.all(result.residual_inf <= 0.5)
 
 
 def test_converge_rejects_divergent_step_size():
-    config = ConvergeConfig(vocab_size=4, advantages=np.ones(4), eta=4.1, steps=10)
+    config = ConvergeConfig(ObjectiveKind.LCO_MSE, advantages=np.ones(4), eta=4.1, steps=10)
     with pytest.raises(StepSizeError) as excinfo:
-        converge_experiment(Family.TABULAR, ObjectiveKind.LCO_MSE, config)
+        converge_experiment(tabular_policy(1, 4), config)
     assert excinfo.value.rho >= 1.0
 
 
 def test_converge_rejects_wrong_kinds():
-    config = ConvergeConfig(vocab_size=2, advantages=np.ones(2), eta=0.1, steps=5)
-    with pytest.raises(InvalidInputError):
-        converge_experiment(Family.TABULAR, ObjectiveKind.PPO, config)
-    with pytest.raises(InvalidInputError):
-        converge_experiment(Family.MLP1, ObjectiveKind.LCO_MSE, config)
+    with pytest.raises(InvalidInputError, match="LCO_MSE and LCO_LCH"):
+        ConvergeConfig(ObjectiveKind.PPO, advantages=np.ones(2), eta=0.1, steps=5)
+    config = ConvergeConfig(ObjectiveKind.LCO_MSE, advantages=np.ones(2), eta=0.1, steps=5)
+    with pytest.raises(InvalidInputError, match="J J\\^T = lam I"):
+        converge_experiment(mlp1_policy(1, 2), config)
 
 
-CONVERGE_VALID = dict(vocab_size=4, advantages=np.array([1.0, -0.5, 0.25, 0.0]), eta=0.1, steps=5)
+CONVERGE_VALID = dict(
+    objective=ObjectiveKind.LCO_MSE, advantages=np.array([1.0, -0.5, 0.25, 0.0]), eta=0.1, steps=5
+)
+
+
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        (tabular_policy(1, 3), "advantages must be a 1-D vector of length 3"),
+        (linear_policy(1, 5), "advantages must be a 1-D vector of length 5"),
+        (tabular_policy(2, 4), "single-state model"),
+    ],
+)
+def test_converge_rejects_a_model_the_config_does_not_fit(model, message):
+    config = ConvergeConfig(**CONVERGE_VALID)
+    with pytest.raises(InvalidInputError, match=message):
+        converge_experiment(model, config)
 
 
 @pytest.mark.parametrize(
@@ -704,11 +719,7 @@ CONVERGE_VALID = dict(vocab_size=4, advantages=np.array([1.0, -0.5, 0.25, 0.0]),
         ("steps", 0),
         ("steps", 2.5),
         ("steps", True),
-        ("vocab_size", 1),
-        ("vocab_size", 4.0),
-        ("feature_dim", 0),
-        ("seed", -1),
-        ("advantages", np.ones(3)),
+        ("advantages", np.ones((2, 2))),
         ("advantages", np.array([1.0, np.nan, 0.0, 0.0])),
         ("z_old", np.zeros(5)),
         ("z_old", np.array([np.inf, 0.0, 0.0, 0.0])),
@@ -723,8 +734,9 @@ def test_converge_config_rejects_unusable_values(field, value):
 @pytest.mark.parametrize("objective", [ObjectiveKind.LCO_MSE, ObjectiveKind.LCO_LCH])
 @pytest.mark.parametrize("feature_dim", range(1, 9))
 def test_converge_closed_form_matches_the_dense_jacobian_recursion(feature_dim, objective):
-    # reference: rho from the spectrum of the dense J J^T and the residual
-    # pushed through r <- r - eta*c*J J^T r, on the experiment's own model
+    # reference: rho from the spectrum of the dense J J^T, the start as the
+    # least-squares solution of J theta = z_old, and the residual pushed
+    # through r <- r - eta*c*J J^T r
     rng = np.random.default_rng(40 + feature_dim)
     v = int(rng.integers(2, 9))
     z_old = rng.uniform(-1.0, 1.0, v)
@@ -732,8 +744,6 @@ def test_converge_closed_form_matches_the_dense_jacobian_recursion(feature_dim, 
     beta = float(rng.uniform(0.5, 2.0))
     seed = int(rng.integers(10_000))
     model = linear_policy(1, v, feature_dim, seed=seed)
-    phi = model.features[0]
-    model = model.with_theta((np.outer(z_old, phi) / float(phi @ phi)).ravel())
     J = jacobian(model, 0).J
     gram = J @ J.T
     eigenvalues = np.linalg.eigvalsh(gram)
@@ -741,13 +751,11 @@ def test_converge_closed_form_matches_the_dense_jacobian_recursion(feature_dim, 
     eta = float(rng.uniform(0.1, 1.9)) / (c * eigenvalues.max())
     rho = float(np.abs(1.0 - eta * c * eigenvalues).max())
 
-    config = ConvergeConfig(
-        vocab_size=v, advantages=advantages, eta=eta, steps=80, beta=beta,
-        feature_dim=feature_dim, seed=seed, z_old=z_old,
-    )
-    result = converge_experiment(Family.LINEAR, objective, config)
+    config = ConvergeConfig(objective, advantages, eta, steps=80, beta=beta, z_old=z_old)
+    result = converge_experiment(model, config)
     assert abs(result.rho - rho) <= 1e-14
-    residual = forward(model, 0) - (z_old + advantages / beta)
+    theta_0 = np.linalg.lstsq(J, z_old, rcond=None)[0]
+    residual = J @ theta_0 - (z_old + advantages / beta)
     for loss, residual_inf in zip(result.loss, result.residual_inf):
         assert rel_close(loss, evaluate(objective, residual, np.zeros(v)).value, rel=1e-12, floor=1e-300)
         assert rel_close(residual_inf, np.abs(residual).max(), rel=1e-12, floor=1e-300)
@@ -758,7 +766,61 @@ def test_converge_rejects_an_overflowing_envelope_anchor():
     # A / beta = 1e170 is finite, ||A||^2 / beta^2 is not
     config = ConvergeConfig(**{**CONVERGE_VALID, "beta": 1e-170})
     with pytest.raises(InvalidInputError, match="beta"):
-        converge_experiment(Family.TABULAR, ObjectiveKind.LCO_MSE, config)
+        converge_experiment(tabular_policy(1, 4), config)
+
+
+# sha256 of the loss, bound, residual_inf and rho columns of the four runs
+# (TABULAR and LINEAR x LCO_MSE and LCO_LCH) of each ``_pinned_draw``,
+# recorded before the run took its model from the family constructors
+PINNED_CONVERGENCE = (
+    "c64203481518065ef4a54fc449ed0001a8b30d37093c55fc48a0d36661f07289",
+    "46bfc3b9013e4ce947397caa82001908b40a16c48c939360bcd7b5bcf33a5722",
+    "be4d947d2d7706dc8387ab92344a8c42550249df70d7acc5fc3016b890d8d7a7",
+    "366c8229ed5667f1759cbee6060af8caf20d93b639531ce0e7123e78831c3851",
+    "48083df50e0d5ff315215406c7cafd89918cd92ae78d3bf1f0975f3b68d0bbb8",
+    "d4765af51f3daa0ddc1eb2d3c594d5f7d6ab87a40a870a53817ce51f0ef92f8a",
+    "2846693269890538ddeeee8bd75597418adf533d6e07eb57261c9ed170bd5279",
+    "521e6139b6c1a0adc7355c5d82a65993b22e370abeec208030328e3b1b7ec528",
+    "185dfe08a47ac72c1418c152b55dd5c8bdab58e1c5e9bb01fca936b640e86ad3",
+    "be6fc49b71329d9ca5295fbe650f8075d6747a9d04a738b7a39fabe3c398d357",
+    "b21a2b075471d620c5f14b5b37ce7f87b3155ac3790193cd031665a741579958",
+    "607c3af92853ed19bbcb61c76f5c63051c749952d5796aa0668ebcf7bcf522aa",
+    "a1cca82428701a178cbb9483b811a71aa2f2bccace98cd0df2414801a1fee52e",
+    "5a93c318888402afb05be234e9e76da637f14cd95eb4a2e9bff85014a1caaf42",
+    "32e834540cefcd22e3545e17737077ddf9b66e3279c62663190eb148079b911b",
+    "cf2128f8e64fb21cd660fb3ab592ee6fb94a3a88ac3e28bdcbe3920544dd130c",
+    "f79dc2be8ff0ad0c6b593833d9234cc4f581b43cc1ce885af716b3cf6c86032a",
+    "b4bbd5d141839a86c584187bccc73565e07cc94294b9f947a79bcbaa8fbdaa94",
+    "b39024493aaf2203e9b2a336bc56573006f73be0fb6cf8c6a2e6e2f197e3aca6",
+    "5e1df140115ae9fb81a4c11395488479d3b89b4a8db1d56d533da0942853a62b",
+)
+
+
+def _pinned_draw(index):
+    rng = np.random.default_rng(index)
+    v = round(2.0 ** rng.uniform(1.0, 6.0))  # 2 to 64, log-uniform
+    feature_dim = int(rng.integers(1, 9))
+    seed = int(rng.integers(10_000))
+    advantages = rng.uniform(-2.0, 2.0, v)
+    z_old = rng.uniform(-1.0, 1.0, v) if rng.random() < 0.8 else None
+    beta = float(rng.uniform(0.5, 2.0))
+    u = float(rng.uniform(0.1, 1.9))
+    steps = int(rng.integers(1, 300))
+    return v, feature_dim, seed, advantages, z_old, beta, u, steps
+
+
+@pytest.mark.parametrize("index", range(len(PINNED_CONVERGENCE)))
+def test_converge_reproduces_its_pinned_digests(index):
+    v, feature_dim, seed, advantages, z_old, beta, u, steps = _pinned_draw(index)
+    digest = hashlib.sha256()
+    for model in (tabular_policy(1, v), linear_policy(1, v, feature_dim, seed=seed)):
+        for objective in (ObjectiveKind.LCO_MSE, ObjectiveKind.LCO_LCH):
+            # sigma_max^2 is the kernel scale lam up to its last bit, the same at either commit
+            eta = u / (OBJECTIVES[objective].curvature / v * policy.sigma_max(model, 0) ** 2)
+            result = converge_experiment(model, ConvergeConfig(objective, advantages, eta, steps, beta, z_old))
+            for column in (result.loss, result.bound, result.residual_inf, np.float64(result.rho)):
+                digest.update(np.asarray(column).tobytes())
+    assert digest.hexdigest() == PINNED_CONVERGENCE[index]
 
 
 def test_envelope_violations_count_only_steps_beyond_the_slack():
