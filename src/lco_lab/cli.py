@@ -49,8 +49,8 @@ def cmd_verify(suites: list[str] | None) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _out_dir(raw: cfg.RawConfig, out: str | None) -> Path:
-    out_dir = cfg.output_directory(raw, out)
+def _made(out_dir: Path) -> Path:
+    """``out_dir``, created if missing; called only once there is something to write."""
     out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir
 
@@ -64,9 +64,9 @@ def _dump_model(path: Path, model) -> None:
 def cmd_train(config_path: str, out: str | None) -> int:
     raw = cfg.parse_config(config_path)
     columns = cfg.plot_columns(raw)  # read against the dynamics CSV before anything runs
-    out_dir = _out_dir(raw, out)
+    out_dir = cfg.output_directory(raw, out)
     final_model, records = cfg.train(raw)
-    write_dynamics_csv(out_dir / "dynamics.csv", records)
+    write_dynamics_csv(_made(out_dir) / "dynamics.csv", records)
     _dump_model(out_dir / "model.txt", final_model)
     if columns:
         _plot_csvs([out_dir / "dynamics.csv"], out_dir / "dynamics.svg", list(columns))
@@ -76,11 +76,11 @@ def cmd_train(config_path: str, out: str | None) -> int:
 
 def cmd_dynamics(config_path: str, out: str | None) -> int:
     raw = cfg.parse_config(config_path)
-    out_dir = _out_dir(raw, out)
+    out_dir = cfg.output_directory(raw, out)
     summary_lines = []
     for kind in cfg.dynamics_objectives(raw):
         _, records = cfg.train(raw, kind)
-        write_dynamics_csv(out_dir / f"dynamics_{kind.value}.csv", records)
+        write_dynamics_csv(_made(out_dir) / f"dynamics_{kind.value}.csv", records)
         summary_lines.append(
             f"{kind.value}: max_grad_norm={format_float(max(r.grad_norm_param for r in records))} "
             f"final_entropy={format_float(records[-1].entropy)} "
@@ -94,7 +94,7 @@ def cmd_dynamics(config_path: str, out: str | None) -> int:
 
 def cmd_converge(config_path: str, out: str | None) -> int:
     raw = cfg.parse_config(config_path)
-    out_dir = _out_dir(raw, out)
+    out_dir = cfg.output_directory(raw, out)
     model, converge_config = cfg.build_converge(raw)
     try:
         result = converge_experiment(model, converge_config)
@@ -105,7 +105,7 @@ def cmd_converge(config_path: str, out: str | None) -> int:
     lines = ["step,loss,bound,rho"]
     for step, (loss, bound) in enumerate(zip(result.loss.tolist(), result.bound.tolist())):
         lines.append(f"{step},{format_float(loss)},{format_float(bound)},{rho}")
-    (out_dir / "converge.csv").write_text("\n".join(lines) + "\n")
+    (_made(out_dir) / "converge.csv").write_text("\n".join(lines) + "\n")
     violations = converge_violations(result)
     print(
         f"{result.family.value}/{result.objective.value}: rho={result.rho:.6g} "

@@ -24,6 +24,8 @@ Everything here is a pure function of its inputs; RNG state is caller-owned.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DivergenceUndefinedError, InvalidInputError
@@ -210,12 +212,15 @@ def _nucleus(p: np.ndarray, temperature: float, top_p: float) -> tuple[np.ndarra
     with np.errstate(divide="ignore", over="ignore"):
         logp = np.where(p > 0.0, np.log(np.maximum(p, 1e-320)), -np.inf)
         scaled = logp / temperature
-    finite = np.isfinite(scaled)
-    finite_scaled = scaled[finite]
-    if finite_scaled.size:
-        weights = np.where(finite, np.exp(scaled - finite_scaled.max()), 0.0)
+    # scaled holds no NaN.  Under a finite top its other entries are finite or
+    # -inf, and exp(-inf - top) is exactly 0, the weight of an action left out
+    top = np.maximum.reduce(scaled)
+    if math.isfinite(top):
+        weights = np.exp(scaled - top)
     else:
-        # log p / T overflowed everywhere: take the T -> 0 limit, uniform over the argmax set
+        # log p / T overflowed to -inf everywhere, or to +inf at an entry of p
+        # just above 1 (every other entry then at -inf): take the T -> 0
+        # limit, uniform over the argmax set
         weights = (p == p.max()).astype(np.float64)
     q = weights / weights.sum()
 

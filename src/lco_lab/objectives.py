@@ -40,17 +40,21 @@ kernel takes its ``value`` from the same function.  SFT calls REINFORCE's
 kernel and row value at A = 1: 1.0 * pi is pi and -1.0 * x is -x exactly,
 so it has no arithmetic of its own.  PPO's value is scalar
 arithmetic on pi(a) alone: ``_ppo_value`` holds it, and the kernel and the
-row value (once per row) both call it.  LCO_KLD keeps two forms of one
-sum.  The kernel calls ``kl_between``, a per-element Python loop whose
-cost grows with V: at V = 2 it beats a one-pass numpy form of the same
-branches (about 5 us against 15-20 us on a 2-vCPU guest), but at V = 32
-it takes about 35-40 us and at V = 64 about 77 us, where the one-pass
-form takes 17-26 us.  The row value, ``_lco_kld_rows``, takes the
-whole stack in one pass, with each of the loop's three branches on exactly
-the entries the loop sends to it and each row summed left to right, so it
-equals ``kl_between`` row by row (``tests/test_row_values.py`` holds the
-two equal).  A numeric Hessian at V = 64 evaluates 8193 rows, where the
-loop per row costs about 0.7 s.
+row value (once per row) both call it.  LCO_KLD's value is one sum in
+two forms.  ``kl_between`` is a per-element Python loop whose cost grows
+with V; ``_lco_kld_rows`` is its one-pass numpy form over the last axis,
+with each of the loop's three branches on exactly the entries the loop
+sends to it and each row summed left to right, so it equals the loop bit
+for bit (``tests/test_row_values.py`` holds the two equal, row by row and
+through ``evaluate``).  The row value calls the one-pass form on the whole
+stack: a numeric Hessian at V = 64 evaluates 8193 rows, where the loop
+per row costs about 0.7 s.  The 1-D kernel picks the faster form by size:
+below ``KLD_ONE_PASS_FROM`` = 16 the loop, from it the one-pass form.  On
+a 2-vCPU guest the loop took 2.7 us at V = 2, 11 us at V = 12, 15 us at
+V = 16, 29 us at V = 32 and 55 us at V = 64, and the one-pass form 12-19
+us at every size, so they cross between V = 12 and 16; the shipped
+configs (V <= 4) keep the loop and the training ladder's V = 32 and 64
+rungs take the one-pass form.
 """
 
 from __future__ import annotations
@@ -67,6 +71,9 @@ from .errors import DegenerateRatioError, InactiveRegionError, InvalidInputError
 from .targets import _optimal_logits, _optimal_policy
 
 MIN_BEHAVIORAL_PROB = 1e-300
+# the vocabulary size from which the LCO-KLD kernel sums in one numpy pass
+# instead of the ``kl_between`` loop (see the module docstring)
+KLD_ONE_PASS_FROM = 16
 LCH_NEIGHBORHOOD = 0.5  # residual sup-norm inside which the log-cosh envelope is asserted
 
 
@@ -161,30 +168,37 @@ def _lco_lch_value(residual: np.ndarray) -> np.ndarray:
 
 
 def _lco_kld_eval(pi: np.ndarray, log_pi: np.ndarray, pi_star: np.ndarray) -> LossEval:
-    return LossEval(kl_between(pi_star, pi, log_q=log_pi), pi - pi_star)
+    if pi.size < KLD_ONE_PASS_FROM:
+        value = kl_between(pi_star, pi, log_q=log_pi)
+    else:
+        value = float(_lco_kld_rows(pi_star, pi, log_pi))
+    return LossEval(value, pi - pi_star)
 
 
-def _lco_kld_rows(z: np.ndarray, pi_star: np.ndarray) -> np.ndarray:
-    """``kl_between(pi_star, softmax(row), log_q=log_softmax(row))`` for every row of z, in one pass.
+def _lco_kld_rows(pi_star: np.ndarray, q: np.ndarray, log_q: np.ndarray) -> np.ndarray:
+    """``kl_between(pi_star, q, log_q=log_q)`` over the last axis of q and log_q, in one pass.
 
     Each entry takes the loop's branch: q where the target has no mass, the
     Bregman form where q > 0 and |p - q| < q / 2, and p (log p - log q) - (p - q)
-    with log q from ``_log_softmax`` elsewhere.  Each branch runs on its
-    entries alone, so no operation warns that the loop would not, and each
-    row is summed left to right, as the loop sums it, then clipped at 0.
+    elsewhere.  Each operation that can set a floating-point flag runs on
+    the entries the loop runs it on alone (p - q, which the loop skips
+    where p = 0, is exact there), so it sets no flag that the loop would
+    not, and each row is summed left to right, as the loop sums it, then
+    clipped at 0.
     """
-    q = _softmax(z)
     d = pi_star - q
     mass = pi_star != 0.0
-    terms = np.where(mass, 0.0, q)
-    near = mass & (q > 0.0) & (np.abs(d) < 0.5 * q)
-    far = mass & ~near
-    t = d[near] / q[near]
+    near = mass & (q > 0.0)
+    near[near] = np.abs(d[near]) < 0.5 * q[near]
+    far = mass ^ near  # near lies inside mass
+    terms = q.copy()  # the zero-mass terms; the two branches fill the rest
+    q_near, d_near = q[near], d[near]
+    t = d_near / q_near
     log1p_t = np.log1p(t)
-    terms[near] = q[near] * (log1p_t - t) + d[near] * log1p_t
-    p_far = np.broadcast_to(pi_star, q.shape)[far]
-    terms[far] = p_far * (np.log(p_far) - _log_softmax(z)[far]) - d[far]
-    return np.maximum(np.add.accumulate(terms, axis=1)[:, -1], 0.0)
+    terms[near] = q_near * (log1p_t - t) + d_near * log1p_t
+    p_far = pi_star[far.nonzero()[-1]]  # the target's entry in each far entry's column
+    terms[far] = p_far * (np.log(p_far) - log_q[far]) - d[far]
+    return np.maximum(np.add.accumulate(terms, axis=-1)[..., -1], 0.0)
 
 
 def pairwise_sum(values: Sequence[float]) -> float:
@@ -273,9 +287,9 @@ class Objective:
     ``value(z, target, step)`` is the same loss at every row of an (n, V)
     stack z, as an (n,) array equal row by row to the kernel's ``value``.  It
     makes no input checks and does not test PPO's clip gate.  Its arithmetic
-    is shared with the kernel, never restated, except LCO_KLD's: the kernel
-    calls ``kl_between`` and the row value is its one-pass form over the
-    stack, held equal to it row by row (see the module docstring).
+    is shared with the kernel, never restated.  LCO_KLD's row value is the
+    one-pass form the kernel calls from V = 16 up; below that the kernel
+    calls ``kl_between``, held equal to it (see the module docstring).
     ``hessian(z, pi, target, step)`` is the analytic logit Hessian at the
     kernel's point; PPO's raises ``InactiveRegionError`` where the clip gate
     is closed.  ``smooth(z, step)`` says whether the loss is twice
@@ -388,7 +402,7 @@ OBJECTIVES: dict[ObjectiveKind, Objective] = {
     ),
     ObjectiveKind.LCO_KLD: Objective(
         kernel=lambda z, pi, log_pi, target, step: _lco_kld_eval(pi, log_pi, target),
-        value=lambda z, target, step: _lco_kld_rows(z, target),
+        value=lambda z, target, step: _lco_kld_rows(target, *_softmax_and_log(z)),
         target="policy",
         log_policy=True,
         hessian=lambda z, pi, target, step: softmax_curvature(pi),

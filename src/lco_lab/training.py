@@ -42,11 +42,14 @@ trainer state owns theta, the snapshot and one n_params gradient buffer,
 and ``train_step`` works on them in place: the episode gradient is summed
 into the buffer span by span; the division by the horizon, the finiteness
 scan, clipping and the update run on the touched spans alone;
-then those spans of the buffer are zeroed again.  Two passes still read
-all of theta: a snapshot refresh copies it, and the logged
-parameter-gradient norm is taken over the whole zero-padded buffer,
-because the touched rows alone are summed in a different order by BLAS
-and can differ in the last bit.
+then those spans of the buffer are zeroed again.  A snapshot refresh
+copies only the spans of theta written since the last refresh, where
+theta and the snapshot can differ (the trainer state keeps them; a state
+whose spans are unknown, or more than ``WINDOW_CAP`` of them, is copied
+whole).  One pass still reads all of theta: the logged parameter-gradient
+norm is taken over the whole zero-padded buffer, because the touched rows
+alone are summed in a different order by BLAS and can differ in the last
+bit.
 
 The snapshot refreshes every ``snapshot_interval`` steps, so importance
 ratios and alignment targets stay anchored to one behavioral policy inside
@@ -129,9 +132,11 @@ DENSE_TABLES = {
     EstimatorKind.DENSE_DPO_RATIO: ("scorer_table", "ref_table"),
 }
 
-# Entries a snapshot window holds at most.  A frozen run keeps one window for
-# the whole run, and a large vocabulary and horizon visit more states than it
-# revisits, so the window stops growing here instead of with the run.
+# Entries a snapshot window holds at most, and the written spans of theta a
+# trainer state tracks at most.  A frozen run keeps one window for the whole
+# run, and a large vocabulary and horizon visit more states than it revisits,
+# so the window stops growing here instead of with the run; past this many
+# spans the next refresh copies all of theta.
 WINDOW_CAP = 1024
 
 
@@ -246,7 +251,8 @@ class TrainerState:
     ``snapshot_theta`` and ``grad``, which must not share memory, and
     ``train_step`` advances them in place: it updates theta on the spans
     an episode touched, copies theta into ``snapshot_theta`` when the
-    snapshot refreshes, and sums each episode's gradient in ``grad``,
+    snapshot refreshes (only the spans in ``written``), and sums each
+    episode's gradient in ``grad``,
     which is all zero between steps.  The state ``train_step`` returns
     shares these buffers with the one it was given, so an earlier iterate
     is kept by copying it (``state.model.theta.copy()``).  ``init_trainer``
@@ -263,6 +269,15 @@ class TrainerState:
     ``snapshot`` is the behavioral model: ``model`` over ``snapshot_theta``.
     It is built when not given, and ``train_step`` hands it on, so a run
     builds it once; refreshing ``snapshot_theta`` in place keeps it valid.
+
+    ``written`` is the set of (start, stop) spans of theta that
+    ``train_step`` updated since the last refresh, outside which theta and
+    ``snapshot_theta`` are equal, so a refresh copies these spans alone and
+    clears the set; the state it returns shares the set.  None means
+    unknown: a state built without it (``init_trainer`` passes an empty
+    set) or one that tracked more than ``WINDOW_CAP`` spans, and then the
+    next refresh copies all of theta and starts a new set.  A caller that
+    writes theta itself passes None.
     """
 
     model: PolicyModel
@@ -271,6 +286,7 @@ class TrainerState:
     grad: np.ndarray | None = None  # allocated zero when not given
     window: dict | None = field(default=None, repr=False)  # empty when not given
     snapshot: PolicyModel | None = field(default=None, repr=False, compare=False)
+    written: set | None = field(default=None, repr=False, compare=False)  # None: unknown
 
     def __post_init__(self):
         if self.grad is None:
@@ -284,8 +300,12 @@ class TrainerState:
 
 
 def init_trainer(model: PolicyModel) -> TrainerState:
-    """A step-0 state on copies of ``model.theta``; ``model`` itself is never written."""
-    return TrainerState(model.with_theta(model.theta.copy()), model.theta.copy(), 0)
+    """A step-0 state on copies of ``model.theta``; ``model`` itself is never written.
+
+    Theta and the snapshot start equal, so no span is written yet and the
+    refresh at step 0 copies nothing.
+    """
+    return TrainerState(model.with_theta(model.theta.copy()), model.theta.copy(), 0, written=set())
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -497,8 +517,15 @@ def train_step(
     loss that overflows, or timestep losses of +inf and -inf) raises
     ``NonFiniteLossError``.
     """
+    written = state.written
     if state.step % config.snapshot_interval == 0:
-        np.copyto(state.snapshot_theta, state.model.theta)
+        if written is None:
+            np.copyto(state.snapshot_theta, state.model.theta)
+            written = set()
+        else:
+            for start, stop in written:
+                state.snapshot_theta[start:stop] = state.model.theta[start:stop]
+            written.clear()
         state.window.clear()
 
     rollout = rollout_episode(state.snapshot, env, config, rng, state.window)
@@ -545,11 +572,16 @@ def train_step(
         for span in episode.spans:
             updated = state.model.theta[span]  # updated in place, without a write-back
             updated -= config.learning_rate * grad[span]
+        if written is not None:
+            for span in episode.spans:
+                written.add((span.start, span.stop))
+            if len(written) > WINDOW_CAP:
+                written = None
     finally:
         for span in episode.spans if episode is not None else (slice(None),):
             state.grad[span] = 0.0
     return TrainerState(
-        state.model, state.snapshot_theta, state.step + 1, state.grad, state.window, state.snapshot
+        state.model, state.snapshot_theta, state.step + 1, state.grad, state.window, state.snapshot, written
     ), record
 
 

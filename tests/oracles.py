@@ -4,7 +4,7 @@ policy Jacobian, and the row-major forms of the optimality suite's
 perturbations and objective gaps.
 
 These deliberately avoid the library's own code paths.  The dense Jacobian
-reads the model's parameter layout through ``policy._mlp_unpack`` and
+reads the model's parameter layout through ``PolicyModel.mlp_views`` and
 builds J entry by entry, the reference that ``pullback`` and ``sigma_max``
 are checked against.
 """
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp, mpf, exp, log
 
-from lco_lab.policy import Family, PolicyModel, _check_state, _mlp_unpack, sigma_max
+from lco_lab.policy import Family, PolicyModel, _check_state, sigma_max
 
 mp.dps = 50
 
@@ -179,7 +179,7 @@ def jacobian(model: PolicyModel, state: int) -> JacobianInfo:
         phi = model.features[state]
         jac = np.kron(np.eye(v), phi)
     else:
-        w1, b1, w2, _ = _mlp_unpack(model)
+        w1, b1, w2, _ = model.mlp_views
         phi = model.features[state]
         h = np.tanh(w1 @ phi + b1)
         gate = 1.0 - h**2  # sech^2 of the pre-activation
@@ -222,3 +222,28 @@ def objective_gaps_rows(p, q, pi_old, advantages, beta):
     with np.errstate(divide="ignore", invalid="ignore"):
         kl = np.where(p > 0.0, p * np.log1p(delta / q), 0.0) - delta
     return delta @ (g - q @ g) - beta * kl.sum(axis=1)
+
+
+def nucleus_reference(p, temperature, top_p):
+    """The sampler's nucleus as it was built before the finite-mask gather went.
+
+    The finite entries of log p / T are gathered to take their top, and a
+    second ``np.where`` zeroes the weight of every entry that is not finite.
+    ``dist._nucleus`` must return its (kept actions, bounds) bit for bit.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        logp = np.where(p > 0.0, np.log(np.maximum(p, 1e-320)), -np.inf)
+        scaled = logp / temperature
+    finite = np.isfinite(scaled)
+    finite_scaled = scaled[finite]
+    if finite_scaled.size:
+        weights = np.where(finite, np.exp(scaled - finite_scaled.max()), 0.0)
+    else:
+        weights = (p == p.max()).astype(np.float64)
+    q = weights / weights.sum()
+    order = np.argsort(-q, kind="stable")
+    cumulative = np.cumsum(q[order])
+    cutoff = min(int(np.searchsorted(cumulative, top_p, side="left")), np.count_nonzero(q) - 1)
+    kept = order[: cutoff + 1]
+    mass = q[kept]
+    return kept, np.cumsum(mass / mass.sum())[:-1]

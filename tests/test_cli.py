@@ -79,6 +79,26 @@ def test_a_misspelled_config_name_exits_2_at_its_line(tmp_path, capsys, line, ty
     assert not out.exists()
 
 
+REJECTED_KEY_CFG = {
+    "train": TRAIN_CFG.replace("family = TABULAR", "family = TABULAR\nhidden = 4"),
+    "dynamics": TRAIN_CFG.replace("objective = LCO_KLD", "").replace("family = TABULAR", "family = TABULAR\nhidden = 4")
+    + "\n[dynamics]\nobjectives = PPO, LCO_KLD\n",
+    "converge": "[converge]\nfamily = TABULAR\nobjective = LCO_MSE\nvocab_size = 4\n"
+    "advantages = 1, -0.5, 0.25, 0\neta = 0.1\nsteps = 10\nfeature_dim = 7\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(REJECTED_KEY_CFG))
+def test_a_rejected_key_exits_2_and_leaves_no_output_path(tmp_path, capsys, command):
+    # each command once made --out before building its config, and left it behind empty
+    cfg = write_cfg(tmp_path, REJECTED_KEY_CFG[command])
+    out = tmp_path / "nested" / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    rejected = "feature_dim is given but the TABULAR convergence run" if command == "converge" else "hidden is given"
+    assert f"{rejected} " in capsys.readouterr().err
+    assert not (tmp_path / "nested").exists()
+
+
 # --- train -------------------------------------------------------------------
 
 

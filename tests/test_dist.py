@@ -21,7 +21,7 @@ from lco_lab.dist import (
 )
 from lco_lab.errors import DivergenceUndefinedError, InvalidInputError
 
-from oracles import entropy_hp, kl_hp, log_softmax_hp, softmax_hp, tempered_hp
+from oracles import entropy_hp, kl_hp, log_softmax_hp, nucleus_reference, softmax_hp, tempered_hp
 
 
 def test_softmax_symmetry():
@@ -274,6 +274,42 @@ def test_draws_over_a_kept_nucleus_replay_sample_action():
             got = [int(_pick(*nucleus, kept, 1)[0]) for _ in range(3)]
         assert got == expected, (case, p, temperature, top_p)
         assert kept.bit_generator.state == per_call.bit_generator.state
+
+
+def _nucleus_probabilities(rng, v):
+    """Probability vectors of length v: zero-mass actions, ties, one action
+    holding nearly all the mass, and one just above 1 (``as_probs`` admits a
+    sum within 1e-12 of 1)."""
+    weights = rng.uniform(0.0, 1.0, v) * (rng.random(v) < 0.6)
+    weights[int(rng.integers(v))] += 0.5  # at least one action has mass
+    yield weights / weights.sum()
+    ties = rng.integers(0, 3, v).astype(np.float64)
+    ties[0] = 1.0
+    yield ties / ties.sum()
+    peaked = np.zeros(v)
+    peaked[int(rng.integers(v))] = 1.0
+    peaked[int(rng.integers(v))] += 1e-300
+    yield peaked / peaked.sum()
+    above = np.zeros(v)
+    above[int(rng.integers(v))] = 1.0 + 5e-13
+    yield above
+
+
+@pytest.mark.parametrize("v", [2, 3, 8, 64])
+def test_the_nucleus_matches_its_reference_form_bit_for_bit(v):
+    # the nucleus takes its top over all of log p / T and weighs -inf entries
+    # exp(-inf - top) = 0, where its reference gathered the finite entries and
+    # zeroed the rest with a second np.where
+    rng = np.random.default_rng(900 + v)
+    for p in _nucleus_probabilities(rng, v):
+        for temperature in (5e-324, 1e-310, 1e-3, 1.0, 1e300):
+            for top_p in (1e-9, 0.9, 1.0):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    kept, bounds = _nucleus(p, temperature, top_p)
+                    want_kept, want_bounds = nucleus_reference(p, temperature, top_p)
+                assert kept.tobytes() == want_kept.tobytes(), (p, temperature, top_p)
+                assert bounds.tobytes() == want_bounds.tobytes(), (p, temperature, top_p)
 
 
 def test_sample_actions_rejects_bad_size():

@@ -215,11 +215,20 @@ def test_the_kernel_scale_is_lam_of_j_j_transpose_equal_lam_i(family, v):
         assert np.abs(theta - np.linalg.lstsq(J, z, rcond=None)[0]).max() <= 1e-12 * np.abs(theta).max()
 
 
-@pytest.mark.parametrize("family", list(Family))
-@pytest.mark.parametrize("v", [2, 8, 32, 64])
-def test_pullback_and_sigma_max_match_dense_jacobian(family, v):
+@pytest.mark.parametrize(
+    "family, hidden",
+    [(Family.TABULAR, None), (Family.LINEAR, None), (Family.MLP1, 3), (Family.MLP1, 12), (Family.MLP1, 80)],
+)
+@pytest.mark.parametrize("v", [2, 8, 12, 32, 64])
+def test_pullback_and_sigma_max_match_dense_jacobian(family, hidden, v):
+    # MLP1's sigma_max reads the Gram matrix of B = w2 diag(1 - h^2) on its
+    # smaller side: B B^T where V <= hidden, B^T B where hidden < V
     rng = np.random.default_rng(v)
-    model = _random_model(family, v, rng)
+    if hidden is None:
+        model = _random_model(family, v, rng)
+    else:
+        model = mlp1_policy(5, v, 4, hidden=hidden, seed=int(rng.integers(10_000)))
+        model = model.with_theta(rng.uniform(-1.0, 1.0, model.n_params))
     for state in (0, 2, 4):
         J = jacobian(model, state).J
         for _ in range(3):
@@ -228,6 +237,15 @@ def test_pullback_and_sigma_max_match_dense_jacobian(family, v):
             assert np.linalg.norm(pullback(model, state, g) - dense) <= 1e-12 * np.linalg.norm(dense)
         top = float(np.linalg.svd(J, compute_uv=False)[0])
         assert abs(sigma_max(model, state) - top) <= 1e-12 * top
+
+
+def test_mlp1_sigma_max_with_a_nan_parameter_raises_a_typed_error():
+    # an SVD of w2 diag(1 - h^2) raised numpy's untyped LinAlgError here
+    model = mlp1_policy(1, 4, 3, hidden=5, seed=0)
+    theta = model.theta.copy()
+    theta[-6] = np.nan  # an entry of w2
+    with pytest.raises(InvalidInputError, match="sigma_max is undefined"):
+        sigma_max(model.with_theta(theta), 0)
 
 
 @pytest.mark.parametrize("family", list(Family))

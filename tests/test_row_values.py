@@ -147,6 +147,58 @@ def test_row_values_build_no_loss_eval_and_call_no_kl_between(monkeypatch):
     assert (built[0], looped[0]) == (1, 1)
 
 
+def _kld_kernel_cases(rng, v):
+    """(z, pi*) pairs for the 1-D LCO-KLD kernel: every branch of ``kl_between``,
+    pi* within rounding of pi, and probabilities so small that the Bregman
+    branch's products underflow while the softmax does not."""
+    for z, pi_star in _kld_stacks(rng, v):
+        yield from ((row, pi_star) for row in z)
+    for row in rng.uniform(-2.0, 2.0, (10, v)):
+        # each entry one ulp off pi, toward 0 or 1, so |p - q| < q / 2 everywhere
+        yield row, np.nextafter(softmax(row), np.where(rng.random(v) < 0.5, 0.0, 1.0))
+    for row in rng.uniform(-700.0, 0.0, (10, v)):
+        row[rng.integers(v)] = 0.0
+        yield row, softmax(row + rng.uniform(-0.3, 0.3, v))
+
+
+def _kld_loop_kernel(z, pi_star):
+    """The kernel's work with the loop for its value: the softmax pass, ``kl_between`` and pi - pi*."""
+    q, log_q = dist._softmax_and_log(z)
+    return kl_between(pi_star, q, log_q=log_q), q - pi_star
+
+
+def _raises_floating_point_error(compute) -> bool:
+    try:
+        compute()
+    except FloatingPointError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("v", [2, 3, 8, 14, 15, 16, 17, 20, 32, 47, 64])
+def test_the_kld_kernel_equals_kl_between_bit_for_bit_on_both_sides_of_the_one_pass_size(v):
+    # below KLD_ONE_PASS_FROM the kernel runs the loop, from it the one-pass
+    # row form; either way evaluate's value is the loop's, sign bit included,
+    # and under raised floating-point errors both forms raise or neither does
+    rng = np.random.default_rng(200 + v)
+    raised = []
+    for z, pi_star in _kld_kernel_cases(rng, v):
+        q, log_q = _softmax(z), _log_softmax(z)
+        loop = kl_between(pi_star, q, log_q=log_q)
+        got = evaluate(ObjectiveKind.LCO_KLD, z, pi_star)
+        assert got.value == loop and math.copysign(1.0, got.value) == math.copysign(1.0, loop)
+        assert got.logit_gradient.tobytes() == (q - pi_star).tobytes()
+        with np.errstate(all="raise"):
+            both = (
+                _raises_floating_point_error(lambda: _kld_loop_kernel(z, pi_star)),
+                _raises_floating_point_error(lambda: evaluate(ObjectiveKind.LCO_KLD, z, pi_star)),
+            )
+        assert both[0] == both[1]
+        raised.append(both[0])
+    # the draws reach both outcomes
+    assert any(raised) and not all(raised)
+
+
 def _analytic_and_numeric(rng, kind, v):
     """Both Hessians at one drawn (z, target, step) point."""
     point = (kind, *_point(rng, kind, v, 1.5))

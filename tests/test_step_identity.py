@@ -14,6 +14,7 @@ import itertools
 import numpy as np
 import pytest
 
+from lco_lab import training
 from lco_lab.convexity import gradient_norm_bound
 from lco_lab.dist import entropy, sample_action, softmax
 from lco_lab.envs import MatchReward, TableReward, ToyEnvironment
@@ -148,8 +149,10 @@ def _outcome(step_fn, state, env, config, rng):
         return None, (type(exc), str(exc))
 
 
-def assert_steps_identical(model, env, config, steps):
-    states = [init_trainer(model), init_trainer(model)]
+def assert_steps_identical(model, env, config, steps, start=init_trainer):
+    """Run both steps ``steps`` times from ``start(model)`` each, comparing every
+    record, theta and the snapshot; return the first (type, message) raised."""
+    states = [start(model), start(model)]
     rngs = [np.random.default_rng(config.seed), np.random.default_rng(config.seed)]
     for _ in range(steps):
         ref, ref_error = _outcome(_ref_train_step, states[0], env, config, rngs[0])
@@ -214,6 +217,54 @@ def test_train_step_matches_public_reference(case):
         ref_table=_log_prob_table(rng, h, v) if estimator is EstimatorKind.DENSE_DPO_RATIO else None,
     )
     assert_steps_identical(_model(family, env, rng), env, config, steps=5)
+
+
+def _tabular_run(kind, interval, seed, vocab=64, horizon=3):
+    """A TABULAR model over every prefix of a V = ``vocab`` / H = ``horizon``
+    environment (266,304 parameters at 64 / 3) and a config refreshing every ``interval`` steps."""
+    rng = np.random.default_rng(seed)
+    env = ToyEnvironment(vocab, horizon, TableReward(rng.uniform(-1.0, 1.0, (horizon, vocab))))
+    model = tabular_policy(env.n_states, vocab, init_logits=rng.uniform(-1.0, 1.0, vocab))
+    config = TrainerConfig(objective=kind, learning_rate=1.0, steps=1, seed=seed, snapshot_interval=interval)
+    return model, env, config
+
+
+@pytest.mark.parametrize("interval", [2, 3])
+@pytest.mark.parametrize("kind", [ObjectiveKind.PPO, ObjectiveKind.REINFORCE, ObjectiveKind.LCO_KLD])
+def test_a_refresh_copies_only_the_written_spans_and_matches_a_full_copy(kind, interval):
+    model, env, config = _tabular_run(kind, interval, seed=interval)
+    assert model.n_params == 266_304
+    assert assert_steps_identical(model, env, config, steps=3 * interval + 1) is None
+    # the partial path is the one taken: a step writes at most H spans, one row per visited state
+    state, rng = init_trainer(model), np.random.default_rng(config.seed)
+    for step in range(3 * interval):
+        state, _ = train_step(state, env, config, rng)
+        assert state.written is not None and len(state.written) <= env.horizon * (step % interval + 1)
+
+
+def test_a_state_built_by_its_caller_has_all_of_theta_copied_at_its_first_refresh():
+    # the caller's snapshot is stale everywhere; with its written spans unknown,
+    # the refresh at step 0 must copy all of theta, not nothing
+    model, env, config = _tabular_run(ObjectiveKind.REINFORCE, 2, seed=7, vocab=8)
+
+    def stale(m):
+        return TrainerState(m.with_theta(m.theta.copy()), np.zeros(m.n_params))
+
+    assert stale(model).written is None
+    assert assert_steps_identical(model, env, config, steps=5, start=stale) is None
+
+
+@pytest.mark.parametrize("interval", [6, 10**6])
+def test_a_run_past_the_span_bound_copies_all_of_theta_at_its_next_refresh(monkeypatch, interval):
+    # with the bound at 4 spans, six steps of three visited states go past it
+    # between refreshes; a frozen run (10**6) stops tracking instead of growing
+    monkeypatch.setattr(training, "WINDOW_CAP", 4)
+    model, env, config = _tabular_run(ObjectiveKind.LCO_KLD, interval, seed=11, vocab=8)
+    assert assert_steps_identical(model, env, config, steps=14) is None
+    state, rng = init_trainer(model), np.random.default_rng(config.seed)
+    for _ in range(6):
+        state, _ = train_step(state, env, config, rng)
+    assert state.written is None
 
 
 @pytest.mark.parametrize("family", list(Family))
