@@ -222,16 +222,18 @@ def _nucleus(p: np.ndarray, temperature: float, top_p: float) -> tuple[np.ndarra
         # just above 1 (every other entry then at -inf): take the T -> 0
         # limit, uniform over the argmax set
         weights = (p == p.max()).astype(np.float64)
-    q = weights / weights.sum()
+    q = weights / np.add.reduce(weights)
 
-    # stable argsort on -q keeps equal-probability ties in index order
-    order = np.argsort(-q, kind="stable")
-    cumulative = np.cumsum(q[order])
+    # stable argsort on -q keeps equal-probability ties in index order; the
+    # sums, cumulative sums and search are the ufunc and array methods that
+    # np.sum, np.cumsum and np.searchsorted call behind their wrappers
+    order = (-q).argsort(kind="stable")
+    cumulative = np.add.accumulate(q[order])
     # rounding can leave the cumulative mass short of top_p; zero-mass actions stay out
-    cutoff = min(int(np.searchsorted(cumulative, top_p, side="left")), np.count_nonzero(q) - 1)
+    cutoff = min(int(cumulative.searchsorted(top_p, side="left")), np.count_nonzero(q) - 1)
     kept = order[: cutoff + 1]
     mass = q[kept]
-    return kept, np.cumsum(mass / mass.sum())[:-1]
+    return kept, np.add.accumulate(mass / np.add.reduce(mass))[:-1]
 
 
 def _pick(kept: np.ndarray, bounds: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
