@@ -32,25 +32,15 @@ def format_float(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    return value if isinstance(value, str) else format_float(value)
+
+
 def dynamics_rows(records) -> list[str]:
-    lines = [",".join(DYNAMICS_HEADER)]
-    for r in records:
-        lines.append(
-            ",".join(
-                (
-                    str(r.step),
-                    format_float(r.loss),
-                    format_float(r.grad_norm_param),
-                    format_float(r.grad_sampled_logit),
-                    format_float(r.grad_nonsampled_logit),
-                    format_float(r.entropy),
-                    format_float(r.sampled_prob),
-                    r.advantage_sign_bucket,
-                    "" if r.bound_value is None else format_float(r.bound_value),
-                )
-            )
-        )
-    return lines
+    # a DynamicsRecord's fields come in DYNAMICS_HEADER's column order
+    return [",".join(DYNAMICS_HEADER)] + [",".join(map(_cell, vars(r).values())) for r in records]
 
 
 def write_dynamics_csv(path: str | Path, records: list[DynamicsRecord]) -> None:

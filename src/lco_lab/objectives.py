@@ -308,6 +308,7 @@ class Objective:
     bound: Callable[[float, float, int], float] | None = None  # (loss, sigma_max, V) -> envelope
     smooth: Callable[[np.ndarray, tuple], bool] | None = None  # None: twice differentiable everywhere
     envelope_radius: float = math.inf  # residual sup-norm within which the converge envelope is asserted
+    teacher_forced: bool = False  # training walks the environment's target sequence instead of sampling
 
     def point(self, z, target=None, step=()) -> tuple[np.ndarray, np.ndarray | None, tuple]:
         """Check a (z, target, step) point and return it as the kernel reads it.
@@ -369,6 +370,7 @@ OBJECTIVES: dict[ObjectiveKind, Objective] = {
         reads=1,
         log_policy=True,
         hessian=lambda z, pi, target, step: softmax_curvature(pi),
+        teacher_forced=True,
     ),
     ObjectiveKind.PPO: Objective(
         kernel=lambda z, pi, log_pi, target, step: _ppo_eval(pi, *step),

@@ -39,9 +39,9 @@ or x + 0.0 (the logged statistics, as ``np.add.reduce`` starts its sum at
 A step works on the spans of theta its episode touches: one logit row
 per visited state for TABULAR, all of theta for LINEAR and MLP1.  The
 trainer state owns theta, the snapshot and one n_params gradient buffer,
-and ``train_step`` works on them in place: the episode gradient is summed
-into the buffer span by span; the division by the horizon, the finiteness
-scan, clipping and the update run on the touched spans alone;
+and ``train_step`` advances the state in place: the episode gradient is
+summed into the buffer span by span; the division by the horizon, the
+finiteness scan, clipping and the update run on the touched spans alone;
 then those spans of the buffer are zeroed again.  A snapshot refresh
 copies only the spans of theta written since the last refresh, where
 theta and the snapshot can differ (the trainer state keeps them; a state
@@ -243,69 +243,54 @@ class Rollout:
     pi_old: tuple[np.ndarray, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)  # a state advanced in place is compared by identity
 class TrainerState:
     """Parameters, behavioral snapshot and gradient buffer of one run.
 
-    The state owns three n_params float64 buffers, ``model.theta``,
-    ``snapshot_theta`` and ``grad``, which must not share memory, and
-    ``train_step`` advances them in place: it updates theta on the spans
-    an episode touched, copies theta into ``snapshot_theta`` when the
-    snapshot refreshes (only the spans in ``written``), and sums each
-    episode's gradient in ``grad``,
-    which is all zero between steps.  The state ``train_step`` returns
-    shares these buffers with the one it was given, so an earlier iterate
-    is kept by copying it (``state.model.theta.copy()``).  ``init_trainer``
-    makes the buffers, so the caller's model is never written.
+    ``train_step`` advances the state in place, and adds 1 to ``step`` once
+    a step has completed.  The state owns three n_params float64 buffers,
+    ``model.theta``, ``snapshot_theta`` and ``grad``, which must not share
+    memory: a step updates theta on the spans its episode touched, copies
+    theta into ``snapshot_theta`` when the snapshot refreshes, and sums its
+    episode's gradient in ``grad``, which is all zero between steps.  An
+    earlier iterate is kept by copying it (``state.model.theta.copy()``).
 
-    ``window`` is the snapshot window (see the module docstring): what
-    ``snapshot_theta`` yields at each visited state, and the closed-form
-    targets built from it.  ``train_step`` clears it whenever it refreshes
-    the snapshot and otherwise only adds to it, up to ``WINDOW_CAP``
-    entries, and the state it returns shares it.  Its arrays are read-only.
-    It is valid only for the ``snapshot_theta`` it was filled from, so a
-    caller that writes that buffer passes a new, empty window.
-
-    ``snapshot`` is the behavioral model: ``model`` over ``snapshot_theta``.
-    It is built when not given, and ``train_step`` hands it on, so a run
-    builds it once; refreshing ``snapshot_theta`` in place keeps it valid.
-
-    ``written`` is the set of (start, stop) spans of theta that
-    ``train_step`` updated since the last refresh, outside which theta and
-    ``snapshot_theta`` are equal, so a refresh copies these spans alone and
-    clears the set; the state it returns shares the set.  None means
-    unknown: a state built without it (``init_trainer`` passes an empty
-    set) or one that tracked more than ``WINDOW_CAP`` spans, and then the
-    next refresh copies all of theta and starts a new set.  A caller that
-    writes theta itself passes None.
+    The constructor builds the rest: ``grad``; the empty snapshot
+    ``window`` (see the module docstring), which a refresh clears and a
+    step otherwise only adds to, up to ``WINDOW_CAP`` entries, and whose
+    arrays are read-only; the behavioral model ``snapshot``, ``model`` over
+    ``snapshot_theta``; and ``written``, the (start, stop) spans of theta
+    updated since the last refresh, outside which theta and the snapshot
+    are equal, so a refresh copies those spans alone.  ``written`` is None
+    while unknown, in a new state or past ``WINDOW_CAP`` spans, and the
+    next refresh then copies all of theta; ``init_trainer`` sets it empty.
+    A caller that writes either buffer itself builds a new state on them.
     """
 
     model: PolicyModel
     snapshot_theta: np.ndarray
     step: int = 0
-    grad: np.ndarray | None = None  # allocated zero when not given
-    window: dict | None = field(default=None, repr=False)  # empty when not given
-    snapshot: PolicyModel | None = field(default=None, repr=False, compare=False)
-    written: set | None = field(default=None, repr=False, compare=False)  # None: unknown
+    grad: np.ndarray = field(init=False, repr=False)
+    window: dict = field(init=False, repr=False)
+    snapshot: PolicyModel = field(init=False, repr=False)
+    written: set | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.grad is None:
-            object.__setattr__(self, "grad", np.zeros(self.model.n_params))
-        if self.window is None:
-            object.__setattr__(self, "window", {})
-        if self.snapshot is None:
-            object.__setattr__(self, "snapshot", self.model.with_theta(self.snapshot_theta))
-        elif self.snapshot.theta is not self.snapshot_theta:
-            raise InvalidInputError("the snapshot model must read the snapshot_theta buffer")
+        self.grad = np.zeros(self.model.n_params)
+        self.window = {}
+        self.snapshot = self.model.with_theta(self.snapshot_theta)
+        self.written = None
 
 
 def init_trainer(model: PolicyModel) -> TrainerState:
     """A step-0 state on copies of ``model.theta``; ``model`` itself is never written.
 
-    Theta and the snapshot start equal, so no span is written yet and the
+    Both buffers come from one theta, so no span is written yet and the
     refresh at step 0 copies nothing.
     """
-    return TrainerState(model.with_theta(model.theta.copy()), model.theta.copy(), 0, written=set())
+    state = TrainerState(model.with_theta(model.theta.copy()), model.theta.copy())
+    state.written = set()
+    return state
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -324,14 +309,14 @@ def rollout_episode(
 ) -> Rollout:
     """Generate one episode under the snapshot policy.
 
-    The SFT objective is supervised: it walks the verifier target sequence
-    (teacher forcing) instead of sampling.  ``window`` is the snapshot
+    A ``teacher_forced`` objective (SFT, which is supervised) walks the
+    verifier target sequence instead of sampling.  ``window`` is the snapshot
     window of ``snapshot`` (see ``TrainerState``): a state evaluated before
     reuses its logits, softmax and sampler nucleus, and a new one is stored
     there.  A caller without a window passes ``{}``.  The returned arrays
     are read-only.
     """
-    teacher_forced = config.objective is ObjectiveKind.SFT
+    teacher_forced = OBJECTIVES[config.objective].teacher_forced
     if teacher_forced and not isinstance(env.reward, MatchReward):
         raise InvalidInputError("SFT training needs a match-reward environment with a target")
 
@@ -412,12 +397,11 @@ def _snapshot_target(
 class EpisodeEval:
     loss: float
     grad_theta: np.ndarray
-    per_step: tuple[LossEval, ...]
-    advantages: tuple[np.ndarray, ...]  # the advantage values, per timestep
-    logits: tuple[np.ndarray, ...]  # the logits at theta, per timestep
-    policies: tuple[np.ndarray | None, ...]  # their softmax, None for a logit-target loss
     spans: tuple[slice, ...]  # the disjoint slices of grad_theta the episode wrote
-    hidden: tuple[np.ndarray | None, ...]  # MLP1's tanh layer at theta, per timestep; None for other families
+    # per timestep: (its LossEval, the advantage values, the logits at theta,
+    # their softmax or None for a logit-target loss, MLP1's tanh layer at theta
+    # or None for other families)
+    timesteps: tuple[tuple[LossEval, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None], ...]
 
 
 def episode_eval(
@@ -471,16 +455,15 @@ def episode_eval(
         # leaves each touched entry in exactly one span
         spans[span] = None
         timesteps.append((evaluation, values, z, pi, hidden))
-    evals, advantages, logits, policies, hidden_layers = zip(*timesteps)
     spans = tuple(slice(o, o + n) for o, n in spans)
     if env.horizon == 1:
         # the mean of one timestep is that timestep: x / 1 is x
-        loss = float(evals[0].value)
+        loss = float(timesteps[0][0].value)
     else:
         for span in spans:
             out[span] /= env.horizon
-        loss = pairwise_sum([e.value for e in evals]) / env.horizon
-    return EpisodeEval(loss, out, evals, advantages, logits, policies, spans, hidden_layers)
+        loss = pairwise_sum([evaluation.value for evaluation, *_ in timesteps]) / env.horizon
+    return EpisodeEval(loss, out, spans, tuple(timesteps))
 
 
 def _envelope(bound: Callable[[float, float, int], float] | None, loss: float, sigma: float, vocab_size: int) -> float:
@@ -508,24 +491,22 @@ def train_step(
 ) -> tuple[TrainerState, DynamicsRecord]:
     """One episode rollout, one gradient-descent update, one logged record.
 
-    Advances the buffers and the snapshot window of ``state`` in place (see
-    ``TrainerState``) and returns the state for the next step, which shares
-    them.  A step that raises leaves theta as it was and the gradient
-    buffer all zero.  A gradient with a non-finite entry, or whose 2-norm
-    lies beyond the float range, raises ``NonFiniteGradientError``.  After
-    these gradient checks, an episode loss that is not finite (a timestep
-    loss that overflows, or timestep losses of +inf and -inf) raises
-    ``NonFiniteLossError``.
+    Advances ``state`` in place (see ``TrainerState``) and returns it with
+    the step's record.  A step that raises leaves theta and ``step`` as
+    they were and the gradient buffer all zero.  A gradient with a
+    non-finite entry, or whose 2-norm lies beyond the float range, raises
+    ``NonFiniteGradientError``.  After these gradient checks, an episode
+    loss that is not finite (a timestep loss that overflows, or timestep
+    losses of +inf and -inf) raises ``NonFiniteLossError``.
     """
-    written = state.written
     if state.step % config.snapshot_interval == 0:
-        if written is None:
+        if state.written is None:
             np.copyto(state.snapshot_theta, state.model.theta)
-            written = set()
+            state.written = set()
         else:
-            for start, stop in written:
+            for start, stop in state.written:
                 state.snapshot_theta[start:stop] = state.model.theta[start:stop]
-            written.clear()
+            state.written.clear()
         state.window.clear()
 
     rollout = rollout_episode(state.snapshot, env, config, rng, state.window)
@@ -572,17 +553,16 @@ def train_step(
         for span in episode.spans:
             updated = state.model.theta[span]  # updated in place, without a write-back
             updated -= config.learning_rate * grad[span]
-        if written is not None:
+        if state.written is not None:
             for span in episode.spans:
-                written.add((span.start, span.stop))
-            if len(written) > WINDOW_CAP:
-                written = None
+                state.written.add((span.start, span.stop))
+            if len(state.written) > WINDOW_CAP:
+                state.written = None
     finally:
         for span in episode.spans if episode is not None else (slice(None),):
             state.grad[span] = 0.0
-    return TrainerState(
-        state.model, state.snapshot_theta, state.step + 1, state.grad, state.window, state.snapshot, written
-    ), record
+    state.step += 1
+    return state, record
 
 
 def _record(
@@ -602,9 +582,7 @@ def _record(
     """
     table_bound = OBJECTIVES[config.objective].bound
     columns = []
-    for t, (evaluation, values, z, pi, hidden) in enumerate(
-        zip(episode.per_step, episode.advantages, episode.logits, episode.policies, episode.hidden)
-    ):
+    for t, (evaluation, values, z, pi, hidden) in enumerate(episode.timesteps):
         a = rollout.actions[t]
         g = np.abs(evaluation.logit_gradient)
         sigma = _sigma_max(state.model, rollout.states[t], hidden)

@@ -5,14 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lco_lab import dist, objectives
+from lco_lab import dist
 from lco_lab.cli import main
 from lco_lab.config import ConfigError, parse_config
 from lco_lab.csvio import DYNAMICS_HEADER, format_float
-from lco_lab.objectives import LossEval, _reinforce_eval
 from lco_lab.policy import forward, tabular_policy
 from lco_lab.svgplot import render_chart
-from lco_lab.verify import suite_gradients
 
 CONFIG_DIR = "configs"
 
@@ -441,21 +439,6 @@ def test_dist_suite_sweeps_pass():
 
     result = suite_dist()
     assert result.failures == 0, f"{result.failures}/{result.cases} dist sweeps failed"
-
-
-def test_gradient_suite_catches_sign_flip(monkeypatch):
-    clean = suite_gradients()
-    assert (clean.cases, clean.failures) == (1300, 0)
-
-    def flipped(pi, log_pi, a, adv) -> LossEval:
-        good = _reinforce_eval(pi, log_pi, a, adv)
-        return LossEval(good.value, -good.logit_gradient)
-
-    # SFT is REINFORCE's kernel at A = 1, so the flip fails the 200 SFT and the
-    # 200 REINFORCE cases of the sweep and the 50 SFT cases at V 17-64
-    monkeypatch.setattr(objectives, "_reinforce_eval", flipped)
-    result = suite_gradients()
-    assert (result.cases, result.failures) == (1300, 450)
 
 
 def test_recovery_stop_distance_equals_the_public_one():

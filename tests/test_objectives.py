@@ -314,6 +314,8 @@ def test_objective_table_has_one_entry_per_kind():
     assert list(OBJECTIVES) == list(ObjectiveKind)
     assert LCO_KINDS == tuple(kind for kind, objective in OBJECTIVES.items() if objective.target is not None)
     assert LCO_KINDS == (ObjectiveKind.LCO_MSE, ObjectiveKind.LCO_LCH, ObjectiveKind.LCO_KLD)
+    # only supervised fine-tuning walks the environment's target sequence
+    assert [kind for kind, objective in OBJECTIVES.items() if objective.teacher_forced] == [ObjectiveKind.SFT]
     for kind, objective in OBJECTIVES.items():
         assert objective.target in (None, "logits", "policy")
         # an alignment objective has a target and a bound, the others neither
@@ -332,8 +334,8 @@ def _library_lines(pattern: str) -> list[str]:
 
 
 def test_the_library_never_branches_on_an_objective_kind():
-    # an objective's behaviour is its OBJECTIVES entry, not an if/elif ladder over kinds
-    hits = _library_lines(r"(\bif\b|\belif\b).*(ObjectiveKind\.|LCO_KINDS)")
+    # an objective's behaviour is its OBJECTIVES entry, not an if/elif ladder or a comparison of kinds
+    hits = _library_lines(r"(\bif\b|\belif\b|\bis\b|==|!=).*(ObjectiveKind\.|LCO_KINDS)")
     assert not hits, "\n".join(hits)
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import itertools
 import math
 import sys
@@ -387,7 +388,7 @@ def test_a_step_that_raises_leaves_theta_and_the_buffer_as_they_were(setup):
     rng = np.random.default_rng(config.seed)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(50):
-            before = state.model.theta.tobytes()
+            before, step = state.model.theta.tobytes(), state.step
             try:
                 state, _ = train_step(state, env, config, rng)
             except error:
@@ -395,6 +396,7 @@ def test_a_step_that_raises_leaves_theta_and_the_buffer_as_they_were(setup):
         else:
             pytest.fail("the step never raised")
     assert state.model.theta.tobytes() == before
+    assert state.step == step
     assert not state.grad.any()
 
     # the next step matches one taken from fresh buffers holding the same values
@@ -407,6 +409,23 @@ def test_a_step_that_raises_leaves_theta_and_the_buffer_as_they_were(setup):
     assert after.model.theta.tobytes() == expected.model.theta.tobytes()
     assert after.snapshot_theta.tobytes() == expected.snapshot_theta.tobytes()
     assert not after.grad.any()
+
+
+def test_a_step_advances_the_state_it_is_given():
+    assert list(inspect.signature(TrainerState).parameters) == ["model", "snapshot_theta", "step"]
+    env = ToyEnvironment(3, 2, MatchReward((1, 2)))
+    config = TrainerConfig(objective=ObjectiveKind.REINFORCE, learning_rate=0.2, steps=1, seed=9, snapshot_interval=2)
+    state = init_trainer(tabular_policy(env.n_states, env.vocab_size))
+
+    def owned():
+        return state.model.theta, state.snapshot_theta, state.grad, state.window, state.snapshot
+
+    buffers, rng = owned(), np.random.default_rng(0)
+    for step in range(1, 6):
+        after, record = train_step(state, env, config, rng)
+        assert after is state
+        assert (state.step, record.step) == (step, step - 1)
+        assert all(now is before for now, before in zip(owned(), buffers))
 
 
 def test_training_never_writes_the_callers_model():

@@ -154,5 +154,3 @@ def test_a_run_builds_its_snapshot_model_once():
         assert state.snapshot is snapshot
         if refresh:
             assert np.array_equal(snapshot.theta, theta)
-    with pytest.raises(InvalidInputError, match="snapshot"):
-        TrainerState(state.model, state.snapshot_theta.copy(), snapshot=snapshot)
