@@ -27,6 +27,7 @@ least-norm parameters whose logits at the state are z are J^T z / lam,
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -132,7 +133,7 @@ def forward(model: PolicyModel, state: int) -> np.ndarray:
 def _hidden(model: PolicyModel, state: int) -> np.ndarray | None:
     """MLP1's tanh layer at a checked state; None for the families without one.
 
-    ``_forward``, ``_vjp`` and ``_sigma_max`` read it, so a caller that
+    ``_forward``, ``_vjp`` and ``_sigma_maxes`` read it, so a caller that
     needs more than one of them at a state evaluates the layer once.
     """
     if model.family is not Family.MLP1:
@@ -171,14 +172,13 @@ def pullback(model: PolicyModel, state: int, grad_z, out: np.ndarray | None = No
         raise InvalidInputError(f"grad_z must have shape ({model.vocab_size},), got {grad_z.shape}")
     if out is not None:
         _check_out(model, out)
-    offset, size = _span(model, state)
-    span = slice(offset, offset + size)
+    start, stop = _span(model, state)
     product = _vjp(model, state, grad_z, _hidden(model, state))
     if out is None:
         out = np.zeros(model.n_params)
-        out[span] = product
+        out[start:stop] = product
     else:
-        out[span] += product
+        out[start:stop] += product
     return out
 
 
@@ -189,10 +189,10 @@ def _check_out(model: PolicyModel, out) -> None:
 
 
 def _span(model: PolicyModel, state: int) -> tuple[int, int]:
-    """(offset, size) of the slice of theta that the logits at ``state`` depend on:
+    """(start, stop) of the slice of theta that the logits at ``state`` depend on:
     the state's row for TABULAR, all of theta for LINEAR and MLP1."""
     if model.family is Family.TABULAR:
-        return state * model.vocab_size, model.vocab_size
+        return state * model.vocab_size, (state + 1) * model.vocab_size
     return 0, model.n_params
 
 
@@ -217,14 +217,18 @@ def sigma_max(model: PolicyModel, state: int) -> float:
     TABULAR and LINEAR: sqrt(lam) of J J^T = lam I (``_kernel_scale``), so
     1 and ||phi||.  MLP1: J J^T = (||h||^2 + 1) I + (||phi||^2 + 1) B B^T with
     B = w2 diag(1 - h^2), so the top eigenvalue is read off sigma_max(B)^2,
-    the top ``eigvalsh`` eigenvalue of the smaller of B B^T and B^T B.  It
-    matches the square of B's top singular value to a few ulps and costs
-    less: with hidden 16 on a 2-vCPU guest, 18, 29 and 28 us at V = 8, 32
-    and 64, where the SVD took 21, 35 and 39 us.  A square beyond the float
-    range, or a NaN in B, raises ``InvalidInputError``.
+    the top ``eigvalsh`` eigenvalue of the smaller of B B^T and B^T B, which
+    matches the square of B's top singular value to a few ulps.  A square
+    beyond the float range, or a NaN in B, raises ``InvalidInputError``.
+
+    This is the one-state case of ``_sigma_maxes``, which a training step
+    calls once per episode.  With hidden 16 on a 2-vCPU guest (best of 7),
+    one call over an H = 3 episode's states took 39, 69 and 76 us at V = 8,
+    32 and 64, against 59, 91 and 99 us for three one-state calls; a lone
+    state pays 5-7 us for the stacking (26-36 us).
     """
     state = _check_state(model, state)
-    return _sigma_max(model, state, _hidden(model, state))
+    return _sigma_maxes(model, (state,), (_hidden(model, state),))[0]
 
 
 def _kernel_scale(model: PolicyModel, state: int) -> float | None:
@@ -241,29 +245,38 @@ def _kernel_scale(model: PolicyModel, state: int) -> float | None:
     return None
 
 
-def _sigma_max(model: PolicyModel, state: int, hidden: np.ndarray | None) -> float:
-    """``sigma_max`` at a checked state, with ``hidden = _hidden(model, state)``."""
-    lam = _kernel_scale(model, state)
-    if lam is not None:
-        return math.sqrt(lam)
-    phi = model.features[state]
+def _sigma_maxes(model: PolicyModel, states: Sequence[int], hiddens: Sequence[np.ndarray | None]) -> list[float]:
+    """``sigma_max`` at each checked state of ``states``, with ``hiddens[i] = _hidden(model, states[i])``.
+
+    MLP1's B matrices are stacked, so their Gram matrices take one batched
+    product and their top eigenvalues one ``eigvalsh`` call, and each value
+    is bit for bit its one-state call's.  A NaN or an overflowing square is
+    raised at the first state, in the order of ``states``, that has one.
+    """
+    if model.family is not Family.MLP1:
+        return [math.sqrt(_kernel_scale(model, state)) for state in states]
     _, _, w2, _ = model.mlp_views
-    b = w2 * (1.0 - hidden**2)
+    b = w2 * (1.0 - np.array(hiddens) ** 2)[:, None, :]
     # sigma_max(B)^2 is the top eigenvalue of B's Gram matrix on its smaller side
+    bt = b.transpose(0, 2, 1)
     with np.errstate(over="ignore"):
-        gram = b @ b.T if b.shape[0] <= b.shape[1] else b.T @ b
-    # LAPACK is handed finite entries only.  Otherwise the largest |entry| is
-    # NaN (from a NaN parameter) or inf, and since no entry exceeds
-    # sigma_max(B)^2, an inf entry puts that square beyond the float range
-    if np.logical_and.reduce(np.isfinite(gram), axis=None):
-        top_b2 = float(np.linalg.eigvalsh(gram)[-1])
-    else:
-        top_b2 = float(np.maximum.reduce(np.abs(gram), axis=None))
-    if math.isnan(top_b2):
-        raise InvalidInputError("sigma_max is undefined: w2 diag(1 - h^2) has a NaN entry")
-    if top_b2 == math.inf:
-        raise InvalidInputError("sigma_max overflows: sigma_max(w2 diag(1 - h^2))^2 lies beyond the float range")
-    return float(np.sqrt((hidden @ hidden + 1.0) + (phi @ phi + 1.0) * top_b2))
+        gram = b @ bt if w2.shape[0] <= w2.shape[1] else bt @ b
+    # LAPACK is handed finite matrices only.  A matrix's largest |entry| is
+    # finite exactly when all its entries are; otherwise it is NaN (from a NaN
+    # parameter) or inf, and since no entry exceeds sigma_max(B)^2, an inf
+    # entry puts that square beyond the float range
+    top = np.maximum.reduce(np.abs(gram), axis=(1, 2))
+    finite = np.isfinite(top)
+    top[finite] = np.linalg.eigvalsh(gram[finite])[:, -1]
+    sigmas = []
+    for state, hidden, top_b2 in zip(states, hiddens, top.tolist()):
+        if math.isnan(top_b2):
+            raise InvalidInputError("sigma_max is undefined: w2 diag(1 - h^2) has a NaN entry")
+        if top_b2 == math.inf:
+            raise InvalidInputError("sigma_max overflows: sigma_max(w2 diag(1 - h^2))^2 lies beyond the float range")
+        phi = model.features[state]
+        sigmas.append(float(np.sqrt((hidden @ hidden + 1.0) + (phi @ phi + 1.0) * top_b2)))
+    return sigmas
 
 
 def linearization_residual(model: PolicyModel, theta, theta_star, state: int) -> float:

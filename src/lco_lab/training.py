@@ -17,7 +17,9 @@ runs one forward pass and one softmax at the snapshot, ``episode_eval``
 one of each at theta (the softmax pass also gives the log-softmax to the
 objectives that read it, ``Objective.policy``), and the logged statistics
 and the envelope reuse those results.  MLP1's tanh layer is part of that
-one evaluation, shared by the forward pass, the pullback and sigma_max.
+one evaluation, shared by the forward pass, the pullback and sigma_max,
+which the record takes for all of an episode's states in one call, after
+every timestep's statistics as the public path takes it.
 Each check runs once, where its data is made:
 config fields and the dense estimators' tables in ``TrainerConfig``, which
 also builds each table row's advantage vector there, once per run, and
@@ -36,20 +38,20 @@ takes its means without summing: the mean of one value x is x (the loss)
 or x + 0.0 (the logged statistics, as ``np.add.reduce`` starts its sum at
 +0.0).
 
-A step works on the spans of theta its episode touches: one logit row
-per visited state for TABULAR, all of theta for LINEAR and MLP1.  The
-trainer state owns theta, the snapshot and one n_params gradient buffer,
-and ``train_step`` advances the state in place: the episode gradient is
-summed into the buffer span by span; the division by the horizon, the
-finiteness scan, clipping and the update run on the touched spans alone;
-then those spans of the buffer are zeroed again.  A snapshot refresh
-copies only the spans of theta written since the last refresh, where
-theta and the snapshot can differ (the trainer state keeps them; a state
-whose spans are unknown, or more than ``WINDOW_CAP`` of them, is copied
-whole).  One pass still reads all of theta: the logged parameter-gradient
-norm is taken over the whole zero-padded buffer, because the touched rows
-alone are summed in a different order by BLAS and can differ in the last
-bit.
+A step works on the spans of theta its episode touches, each a (start,
+stop) pair: one logit row per visited state for TABULAR, all of theta for
+LINEAR and MLP1.  The trainer state owns theta, the snapshot and one
+n_params gradient buffer, and ``train_step`` advances the state in place:
+the episode gradient is summed into the buffer span by span; the division
+by the horizon, the finiteness scan, clipping and the update run on the
+touched spans alone; then those spans of the buffer are zeroed again.  A
+snapshot refresh copies the spans of theta written since the last
+refresh, where theta and the snapshot can differ (the trainer state keeps
+them; a state built on a caller's snapshot, or past ``WINDOW_CAP`` spans,
+counts all of theta, (0, n_params), as written).  One pass still reads all
+of theta: the logged parameter-gradient norm is taken over the whole
+zero-padded buffer, because the touched rows alone are summed in a
+different order by BLAS and can differ in the last bit.
 
 The snapshot refreshes every ``snapshot_interval`` steps, so importance
 ratios and alignment targets stay anchored to one behavioral policy inside
@@ -118,7 +120,7 @@ from .policy import (
     _forward,
     _hidden,
     _kernel_scale,
-    _sigma_max,
+    _sigma_maxes,
     _span,
     _vjp,
     forward,
@@ -259,12 +261,12 @@ class TrainerState:
     ``window`` (see the module docstring), which a refresh clears and a
     step otherwise only adds to, up to ``WINDOW_CAP`` entries, and whose
     arrays are read-only; the behavioral model ``snapshot``, ``model`` over
-    ``snapshot_theta``; and ``written``, the (start, stop) spans of theta
-    updated since the last refresh, outside which theta and the snapshot
-    are equal, so a refresh copies those spans alone.  ``written`` is None
-    while unknown, in a new state or past ``WINDOW_CAP`` spans, and the
-    next refresh then copies all of theta; ``init_trainer`` sets it empty.
-    A caller that writes either buffer itself builds a new state on them.
+    ``snapshot_theta``; and ``written``, the set of (start, stop) spans of
+    theta updated since the last refresh, outside which theta and the
+    snapshot are equal, so a refresh copies those spans alone.  Where that
+    is not known, in a new state or past ``WINDOW_CAP`` spans, the set holds
+    the whole-theta span (0, n_params); ``init_trainer`` empties it.  A
+    caller that writes either buffer itself builds a new state on them.
     """
 
     model: PolicyModel
@@ -273,13 +275,13 @@ class TrainerState:
     grad: np.ndarray = field(init=False, repr=False)
     window: dict = field(init=False, repr=False)
     snapshot: PolicyModel = field(init=False, repr=False)
-    written: set | None = field(init=False, repr=False)
+    written: set = field(init=False, repr=False)
 
     def __post_init__(self):
         self.grad = np.zeros(self.model.n_params)
         self.window = {}
         self.snapshot = self.model.with_theta(self.snapshot_theta)
-        self.written = None
+        self.written = {(0, self.model.n_params)}
 
 
 def init_trainer(model: PolicyModel) -> TrainerState:
@@ -289,7 +291,7 @@ def init_trainer(model: PolicyModel) -> TrainerState:
     refresh at step 0 copies nothing.
     """
     state = TrainerState(model.with_theta(model.theta.copy()), model.theta.copy())
-    state.written = set()
+    state.written.clear()
     return state
 
 
@@ -397,7 +399,7 @@ def _snapshot_target(
 class EpisodeEval:
     loss: float
     grad_theta: np.ndarray
-    spans: tuple[slice, ...]  # the disjoint slices of grad_theta the episode wrote
+    spans: tuple[tuple[int, int], ...]  # the disjoint (start, stop) spans of grad_theta the episode wrote
     # per timestep: (its LossEval, the advantage values, the logits at theta,
     # their softmax or None for a logit-target loss, MLP1's tanh layer at theta
     # or None for other families)
@@ -448,20 +450,20 @@ def episode_eval(
         pi, log_pi = objective.policy(z)
         step = (a, float(values[a]), float(rollout.pi_old[t][a]), config.clip_epsilon)
         evaluation = objective.kernel(z, pi, log_pi, target, step)
-        offset, size = span = _span(model, state)
-        touched = out[offset : offset + size]  # added into in place, without a write-back
+        start, stop = span = _span(model, state)
+        touched = out[start:stop]  # added into in place, without a write-back
         touched += _vjp(model, state, evaluation.logit_gradient, hidden)
         # a family's spans are either equal or disjoint, so dropping repeats
         # leaves each touched entry in exactly one span
         spans[span] = None
         timesteps.append((evaluation, values, z, pi, hidden))
-    spans = tuple(slice(o, o + n) for o, n in spans)
+    spans = tuple(spans)
     if env.horizon == 1:
         # the mean of one timestep is that timestep: x / 1 is x
         loss = float(timesteps[0][0].value)
     else:
-        for span in spans:
-            out[span] /= env.horizon
+        for start, stop in spans:
+            out[start:stop] /= env.horizon
         loss = pairwise_sum([evaluation.value for evaluation, *_ in timesteps]) / env.horizon
     return EpisodeEval(loss, out, spans, tuple(timesteps))
 
@@ -500,13 +502,9 @@ def train_step(
     losses of +inf and -inf) raises ``NonFiniteLossError``.
     """
     if state.step % config.snapshot_interval == 0:
-        if state.written is None:
-            np.copyto(state.snapshot_theta, state.model.theta)
-            state.written = set()
-        else:
-            for start, stop in state.written:
-                state.snapshot_theta[start:stop] = state.model.theta[start:stop]
-            state.written.clear()
+        for start, stop in state.written:
+            state.snapshot_theta[start:stop] = state.model.theta[start:stop]
+        state.written.clear()
         state.window.clear()
 
     rollout = rollout_episode(state.snapshot, env, config, rng, state.window)
@@ -520,7 +518,7 @@ def train_step(
         # still have overflowed from finite entries, so only then are the
         # touched spans scanned
         if not math.isfinite(raw_norm):
-            if not all(np.isfinite(grad[span]).all() for span in episode.spans):
+            if not all(np.isfinite(grad[start:stop]).all() for start, stop in episode.spans):
                 raise NonFiniteGradientError(
                     f"non-finite gradient at step {state.step} "
                     f"(objective {config.objective.value}, loss {episode.loss!r})"
@@ -547,20 +545,18 @@ def train_step(
         # clipped ahead of the record, as the public path clips it
         if config.grad_clip_norm is not None and raw_norm > config.grad_clip_norm:
             scale = config.grad_clip_norm / raw_norm
-            for span in episode.spans:
-                grad[span] *= scale
+            for start, stop in episode.spans:
+                grad[start:stop] *= scale
         record = _record(state, env, config, rollout, episode, raw_norm)
-        for span in episode.spans:
-            updated = state.model.theta[span]  # updated in place, without a write-back
-            updated -= config.learning_rate * grad[span]
-        if state.written is not None:
-            for span in episode.spans:
-                state.written.add((span.start, span.stop))
-            if len(state.written) > WINDOW_CAP:
-                state.written = None
+        for start, stop in episode.spans:
+            updated = state.model.theta[start:stop]  # updated in place, without a write-back
+            updated -= config.learning_rate * grad[start:stop]
+        state.written.update(episode.spans)
+        if len(state.written) > WINDOW_CAP:
+            state.written = {(0, state.model.n_params)}
     finally:
-        for span in episode.spans if episode is not None else (slice(None),):
-            state.grad[span] = 0.0
+        for start, stop in episode.spans if episode is not None else ((0, state.grad.size),):
+            state.grad[start:stop] = 0.0
     state.step += 1
     return state, record
 
@@ -580,30 +576,29 @@ def _record(
     makes, and the non-sampled entries of a logit gradient are the slices
     on either side of the sampled action, in ``np.delete``'s order.
     """
-    table_bound = OBJECTIVES[config.objective].bound
-    columns = []
-    for t, (evaluation, values, z, pi, hidden) in enumerate(episode.timesteps):
+    statistics = []
+    for t, (evaluation, values, z, pi, _) in enumerate(episode.timesteps):
         a = rollout.actions[t]
         g = np.abs(evaluation.logit_gradient)
-        sigma = _sigma_max(state.model, rollout.states[t], hidden)
         nonsampled = np.add.reduce(np.concatenate((g[:a], g[a + 1 :]))) / (g.size - 1)
         if pi is None:  # a logit-target loss: pi at theta is taken here, as the public path takes it
             pi = _softmax(z)
-        columns.append((
-            g[a],
-            nonsampled,
-            _entropy(pi),
-            pi[a],
-            values[a],
-            _envelope(table_bound, evaluation.value, sigma, env.vocab_size),
-        ))
+        statistics.append((g[a], nonsampled, _entropy(pi), pi[a], values[a]))
+    # sigma_max and the envelope come after every timestep's statistics, as in the public path
+    table_bound = OBJECTIVES[config.objective].bound
+    sigmas = _sigma_maxes(state.model, rollout.states, [hidden for *_, hidden in episode.timesteps])
+    envelopes = [
+        _envelope(table_bound, evaluation.value, sigma, env.vocab_size)
+        for (evaluation, *_), sigma in zip(episode.timesteps, sigmas)
+    ]
+    # one row per logged statistic, one column per timestep
+    rows = [*zip(*statistics), envelopes]
     if env.horizon == 1:
         # np.add.reduce starts its sum at +0.0, so the mean of one value x is x + 0.0
-        means = [float(x) + 0.0 for x in columns[0]]
+        means = [float(row[0]) + 0.0 for row in rows]
     else:
-        # one contiguous row per logged statistic, one column per timestep, so a
-        # row mean is the pairwise sum np.mean makes over a list of its values
-        means = (np.add.reduce(np.array(list(zip(*columns))), axis=1) / env.horizon).tolist()
+        # each row contiguous, so a row mean is the pairwise sum np.mean makes over a list of its values
+        means = (np.add.reduce(np.array(rows), axis=1) / env.horizon).tolist()
     sampled_mag, nonsampled_mag, entropy, sampled_prob, sampled_adv, bound = means
 
     return DynamicsRecord(

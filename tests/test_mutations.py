@@ -14,7 +14,7 @@ import functools
 import numpy as np
 import pytest
 
-from lco_lab import convexity, objectives, policy, targets
+from lco_lab import convexity, dist, objectives, policy, targets, training
 from lco_lab.objectives import OBJECTIVES, LossEval, ObjectiveKind
 from lco_lab.policy import Family
 from lco_lab.verify import SUITES
@@ -54,21 +54,22 @@ def _doubled_beta(optimal_policy):
     return lambda pi_old, values, beta: optimal_policy(pi_old, values, 2.0 * beta)
 
 
-def _sigma_max_without_the_feature_factor(monkeypatch):
+def _without_the_feature_factor(sigma_maxes):
     # MLP1's J J^T = (||h||^2 + 1) I + (||phi||^2 + 1) B B^T, read with
-    # (||phi||^2 + 1) as 1: phi is zeroed after the hidden layer was taken
-    original = policy._sigma_max
-
-    def mutant(model, state, hidden):
+    # (||phi||^2 + 1) as 1: phi is zeroed after the hidden layers were taken
+    def mutant(model, states, hiddens):
         if model.family is Family.MLP1:
             model = dataclasses.replace(model, features=np.zeros_like(model.features))
-        return original(model, state, hidden)
+        return sigma_maxes(model, states, hiddens)
 
-    monkeypatch.setattr(policy, "_sigma_max", mutant)
+    return mutant
 
 
 MUTATIONS = {
-    "sigma_max without (||phi||^2 + 1)": (_sigma_max_without_the_feature_factor, {"bounds": (1500, 150)}),
+    "sigma_max without (||phi||^2 + 1)": (
+        lambda mp: _rebind(mp, "_sigma_maxes", _without_the_feature_factor, modules=(policy, training)),
+        {"bounds": (1500, 150)},
+    ),
     # tanh(z* - z) / V in place of tanh(z - z*) / V
     "LCO-LCH gradient with the wrong tanh sign": (
         lambda mp: _rebind(mp, "_lco_lch_eval", _negated_gradient),
@@ -102,6 +103,20 @@ MUTATIONS = {
         lambda mp: _replace_entry(mp, ObjectiveKind.LCO_LCH, curvature=0.8),
         {"convergence": (160, 40)},
     ),
+    "advantages left uncentered": (
+        lambda mp: _rebind(mp, "normalize_advantages", lambda f: dist.as_advantages, modules=(dist, training)),
+        {"dist": (2402, 1000)},
+    ),
+    "a log-softmax 1e-9 too high": (
+        lambda mp: _rebind(mp, "_log_softmax", lambda f: lambda z: f(z) + 1e-9, modules=(dist, objectives)),
+        {"dist": (2402, 200)},
+    ),
+    # pi* - pi in place of pi - pi*: recovery's runs climb away from pi*; bounds
+    # reads 0 failures, since the flip keeps the gradient's norm
+    "a negated LCO-KLD gradient": (
+        lambda mp: _rebind(mp, "_lco_kld_eval", _negated_gradient),
+        {"recovery": (20, 20), "gradients": (1300, 200), "directionality": (1300, 563), "dynamics": (4, 1)},
+    ),
 }
 
 
@@ -122,7 +137,6 @@ def test_each_mutation_fails_its_suites_with_the_pinned_counts(monkeypatch, name
         assert (result.cases, result.failures) == counts
 
 
-def test_every_suite_but_dist_and_recovery_has_a_row():
-    # the two suites no recorded mutation reaches yet; a row for either removes it here
+def test_every_suite_has_a_row():
     caught = {suite for _, expected in MUTATIONS.values() for suite in expected}
-    assert set(SUITES) - caught == {"dist", "recovery"}
+    assert set(SUITES) <= caught

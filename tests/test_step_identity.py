@@ -239,32 +239,34 @@ def test_a_refresh_copies_only_the_written_spans_and_matches_a_full_copy(kind, i
     state, rng = init_trainer(model), np.random.default_rng(config.seed)
     for step in range(3 * interval):
         state, _ = train_step(state, env, config, rng)
-        assert state.written is not None and len(state.written) <= env.horizon * (step % interval + 1)
+        assert (0, model.n_params) not in state.written
+        assert len(state.written) <= env.horizon * (step % interval + 1)
 
 
 def test_a_state_built_by_its_caller_has_all_of_theta_copied_at_its_first_refresh():
     # the caller's snapshot is stale everywhere; with its written spans unknown,
-    # the refresh at step 0 must copy all of theta, not nothing
+    # the state counts all of theta as written, so the refresh at step 0 copies it
     model, env, config = _tabular_run(ObjectiveKind.REINFORCE, 2, seed=7, vocab=8)
 
     def stale(m):
         return TrainerState(m.with_theta(m.theta.copy()), np.zeros(m.n_params))
 
-    assert stale(model).written is None
+    assert stale(model).written == {(0, model.n_params)}
     assert assert_steps_identical(model, env, config, steps=5, start=stale) is None
 
 
 @pytest.mark.parametrize("interval", [6, 10**6])
 def test_a_run_past_the_span_bound_copies_all_of_theta_at_its_next_refresh(monkeypatch, interval):
     # with the bound at 4 spans, six steps of three visited states go past it
-    # between refreshes; a frozen run (10**6) stops tracking instead of growing
+    # between refreshes, and all of theta counts as written; a frozen run (10**6)
+    # keeps the set that small instead of growing it with the run
     monkeypatch.setattr(training, "WINDOW_CAP", 4)
     model, env, config = _tabular_run(ObjectiveKind.LCO_KLD, interval, seed=11, vocab=8)
     assert assert_steps_identical(model, env, config, steps=14) is None
     state, rng = init_trainer(model), np.random.default_rng(config.seed)
     for _ in range(6):
         state, _ = train_step(state, env, config, rng)
-    assert state.written is None
+    assert (0, model.n_params) in state.written
 
 
 @pytest.mark.parametrize("family", list(Family))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import inspect
 import itertools
@@ -188,9 +189,9 @@ def test_episode_eval_into_out_writes_only_its_spans():
         episode = episode_eval(model, env, config, rollout, {}, out=out)
         assert episode.grad_theta is out and out.tobytes() == fresh.grad_theta.tobytes()
         touched = np.zeros(model.n_params, dtype=bool)
-        for span in episode.spans:
-            assert not touched[span].any()  # disjoint
-            touched[span] = True
+        for start, stop in episode.spans:
+            assert not touched[start:stop].any()  # disjoint
+            touched[start:stop] = True
         assert not out[~touched].any()
         tabular = model.family is Family.TABULAR
         assert touched.sum() == (env.horizon * env.vocab_size if tabular else model.n_params)
@@ -364,6 +365,53 @@ def test_a_sigma_max_beyond_the_float_range_raises():
         train_step(state, env, config, np.random.default_rng(config.seed))
     assert state.model.theta.tobytes() == theta.tobytes()
     assert not state.grad.any()
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("horizon, vocab", [(1, 64), (3, 8), (16, 2)])
+def test_an_episode_takes_each_states_sigma_max_bit_for_bit(family, horizon, vocab):
+    rng = np.random.default_rng(horizon)
+    env = ToyEnvironment(vocab, horizon, TableReward(rng.uniform(-1.0, 1.0, (horizon, vocab))))
+    fresh = {
+        Family.TABULAR: lambda: tabular_policy(env.n_states, vocab),
+        Family.LINEAR: lambda: linear_policy(env.n_states, vocab, 3, seed=horizon),
+        Family.MLP1: lambda: mlp1_policy(env.n_states, vocab, 3, hidden=16, seed=horizon),
+    }[family]()
+    model = fresh.with_theta(rng.uniform(-2.0, 2.0, fresh.n_params))
+    config = TrainerConfig(objective=ObjectiveKind.LCO_MSE, steps=1, seed=horizon)
+    for seed in range(5):
+        rollout = rollout_episode(model, env, config, np.random.default_rng(seed), {})
+        episode = episode_eval(model, env, config, rollout, {})
+        sigmas = policy._sigma_maxes(model, rollout.states, [hidden for *_, hidden in episode.timesteps])
+        per_state = [policy.sigma_max(model, state) for state in rollout.states]
+        assert np.array(sigmas).tobytes() == np.array(per_state).tobytes()
+
+
+@pytest.mark.parametrize("nan_at, overflow_at", [(2, None), (None, 2), (2, 1), (1, 2)])
+def test_an_episode_raises_the_sigma_max_error_of_its_first_state_that_has_one(nan_at, overflow_at):
+    # three MLP1 states of a V = 3 / H = 3 episode; B = w2 diag(1 - h^2) is NaN
+    # where the state's features are, and overflows under w2 entries of
+    # +/-1e160 where tanh does not saturate (saturated, 1 - h^2 and B are 0)
+    model = mlp1_policy(13, 3, 3, hidden=4, seed=0)
+    states = (0, 2, 7)
+    theta, features = model.theta.copy(), model.features.copy()
+    if overflow_at is not None:
+        w2 = theta[4 * 3 + 4 : 4 * 3 + 4 + 3 * 4]
+        w2[:] = np.where(np.arange(w2.size) % 2 == 0, 1e160, -1e160)
+        features[[s for t, s in enumerate(states) if t != overflow_at]] *= 1e6
+    if nan_at is not None:
+        features[states[nan_at]] = np.nan
+    model = dataclasses.replace(model.with_theta(theta), features=features)
+    first = min(t for t in (nan_at, overflow_at) if t is not None)
+    for state in states[:first]:
+        assert math.isfinite(policy.sigma_max(model, state))
+    with pytest.raises(InvalidInputError) as per_state:
+        policy.sigma_max(model, states[first])
+    hiddens = [policy._hidden(model, state) for state in states]
+    with pytest.raises(InvalidInputError) as episode:
+        policy._sigma_maxes(model, states, hiddens)
+    assert str(episode.value) == str(per_state.value)
+    assert str(episode.value).startswith("sigma_max overflows" if first == overflow_at else "sigma_max is undefined")
 
 
 def _overflowing_target_setup():
