@@ -3,9 +3,10 @@
 No nesting, no quoting: a line is blank, a comment (#), a [section]
 header, or ``key = value``.  ``SECTIONS`` holds every section, the keys
 each may hold and the reader of each key's text; an unknown section or key
-is an error, so a typo cannot fall back to a default, and a value its
-reader rejects exits at its line.  Paths are resolved relative to the
-config file.
+is an error, so a typo cannot fall back to a default, as is a key given
+twice in one section (across repeated headers too), so a later line cannot
+silently override an earlier one; a value its reader rejects exits at its
+line.  Paths are resolved relative to the config file.
 
 Each section is passed straight to the constructor it configures, with
 only the keys the config sets: ``[environment]`` to the reward rule and
@@ -163,6 +164,9 @@ def parse_config(path: str | Path) -> RawConfig:
             raise ConfigError(
                 f"{path}:{lineno}: unknown key {key!r} in [{current}]; known: {', '.join(SECTIONS[current])}"
             )
+        if key in sections[current]:
+            first = sections[current][key][1]
+            raise ConfigError(f"{path}:{lineno}: [{current}] {key} is given twice; first at line {first}")
         sections[current][key] = (value.strip(), lineno)
     return RawConfig(path, sections)
 

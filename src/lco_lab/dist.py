@@ -257,8 +257,8 @@ def sample_actions(p, temperature: float, top_p: float, rng: np.random.Generator
     """
     size = check_integer(size, "size", 1)
     p = as_probs(p)
-    if not temperature > 0.0:
-        raise InvalidInputError("temperature must be positive")
+    if not 0.0 < temperature < math.inf:
+        raise InvalidInputError("temperature must be positive and finite")
     if not 0.0 < top_p <= 1.0:
         raise InvalidInputError("top_p must lie in (0, 1]")
     return _pick(*_nucleus(p, temperature, top_p), rng, size)

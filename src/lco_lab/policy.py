@@ -156,36 +156,22 @@ def _forward(model: PolicyModel, state: int, hidden: np.ndarray | None) -> np.nd
     return w2 @ hidden + b2
 
 
-def pullback(model: PolicyModel, state: int, grad_z, out: np.ndarray | None = None) -> np.ndarray:
+def pullback(model: PolicyModel, state: int, grad_z) -> np.ndarray:
     """Vector-Jacobian product J(state)^T grad_z in reverse mode.
 
     Never forms the V x n_params Jacobian: TABULAR scatters grad_z into the
     state's logit row, LINEAR is the outer product grad_z phi^T, and MLP1
-    backpropagates once through the tanh layer.  With ``out`` (a float64
-    vector of n_params entries) the product is added into ``out`` in place
-    and ``out`` is returned, so an episode sums its timesteps in one buffer
-    and TABULAR touches only one row of it.
+    backpropagates once through the tanh layer.  The product is zero
+    outside the state's span of theta (``_span``).
     """
     state = _check_state(model, state)
     grad_z = np.asarray(grad_z, dtype=np.float64)
     if grad_z.shape != (model.vocab_size,):
         raise InvalidInputError(f"grad_z must have shape ({model.vocab_size},), got {grad_z.shape}")
-    if out is not None:
-        _check_out(model, out)
     start, stop = _span(model, state)
-    product = _vjp(model, state, grad_z, _hidden(model, state))
-    if out is None:
-        out = np.zeros(model.n_params)
-        out[start:stop] = product
-    else:
-        out[start:stop] += product
+    out = np.zeros(model.n_params)
+    out[start:stop] = _vjp(model, state, grad_z, _hidden(model, state))
     return out
-
-
-def _check_out(model: PolicyModel, out) -> None:
-    """``out`` is a float64 vector of n_params entries, as ``pullback(..., out=)`` adds into."""
-    if not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == (model.n_params,)):
-        raise InvalidInputError(f"out must be a float64 array of shape ({model.n_params},)")
 
 
 def _span(model: PolicyModel, state: int) -> tuple[int, int]:

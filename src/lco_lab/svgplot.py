@@ -1,7 +1,8 @@
 """Deterministic SVG line charts for run CSVs.
 
 Fixed 800x500 canvas, linear axes auto-ranged to the data with 5% margins,
-legend from series names.  Output is a pure function of the input series,
+legend from series names (escaped, as is the x label, so any CSV header
+makes well-formed XML).  Output is a pure function of the input series,
 so identical data yields byte-identical files.  Points with a non-finite
 coordinate are left out, and data spanning more than the float range (say
 -1e308 to 1e308) is ranged and scaled through halved values, so every
@@ -46,6 +47,12 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
+def _escape(text: str) -> str:
+    """``text`` as XML character data, as ``xml.sax.saxutils.escape`` makes
+    it; importing that module would load ``urllib.request`` with the package."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def render_chart(series: dict[str, tuple[list[float], list[float]]], x_label: str = "x") -> str:
     """SVG text for named (x, y) series; axes alone when there is no data."""
     left, top, right, bottom = PLOT
@@ -72,7 +79,7 @@ def render_chart(series: dict[str, tuple[list[float], list[float]]], x_label: st
         f'<text x="{right - 40:.2f}" y="{bottom + 28:.2f}" font-size="12">{_fmt(x_hi)}</text>',
         f'<text x="{left - 62:.2f}" y="{bottom:.2f}" font-size="12">{_fmt(y_lo)}</text>',
         f'<text x="{left - 62:.2f}" y="{top + 10:.2f}" font-size="12">{_fmt(y_hi)}</text>',
-        f'<text x="{(left + right) / 2:.2f}" y="{bottom + 28:.2f}" font-size="12">{x_label}</text>',
+        f'<text x="{(left + right) / 2:.2f}" y="{bottom + 28:.2f}" font-size="12">{_escape(x_label)}</text>',
     ]
 
     for i, (name, (xs, ys)) in enumerate(series.items()):
@@ -89,7 +96,7 @@ def render_chart(series: dict[str, tuple[list[float], list[float]]], x_label: st
             f'<rect x="{right - 170:.2f}" y="{legend_y - 9:.2f}" width="10" height="10" fill="{color}"/>'
         )
         parts.append(
-            f'<text x="{right - 155:.2f}" y="{legend_y:.2f}" font-size="12">{name}</text>'
+            f'<text x="{right - 155:.2f}" y="{legend_y:.2f}" font-size="12">{_escape(name)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

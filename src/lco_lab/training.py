@@ -26,8 +26,8 @@ also builds each table row's advantage vector there, once per run, and
 rejects a table its estimator never reads; each visited state against the
 model's state space and each forward output for finiteness, as
 ``forward`` and ``as_logits`` check them (the state index is the
-environment's own, built from checked actions); the gradient buffer once
-per episode; each sampled advantage for finiteness as its vector is built;
+environment's own, built from checked actions); each sampled advantage for
+finiteness as its vector is built;
 and the LCO envelope's loss and sigma_max through the scalar checks of
 ``gradient_norm_bound``.  Everything else calls the private kernels of
 ``dist``, ``objectives``, ``targets``, ``policy`` and ``envs``, which hold
@@ -40,18 +40,20 @@ or x + 0.0 (the logged statistics, as ``np.add.reduce`` starts its sum at
 
 A step works on the spans of theta its episode touches, each a (start,
 stop) pair: one logit row per visited state for TABULAR, all of theta for
-LINEAR and MLP1.  The trainer state owns theta, the snapshot and one
-n_params gradient buffer, and ``train_step`` advances the state in place:
-the episode gradient is summed into the buffer span by span; the division
-by the horizon, the finiteness scan, clipping and the update run on the
-touched spans alone; then those spans of the buffer are zeroed again.  A
-snapshot refresh copies the spans of theta written since the last
-refresh, where theta and the snapshot can differ (the trainer state keeps
-them; a state built on a caller's snapshot, or past ``WINDOW_CAP`` spans,
-counts all of theta, (0, n_params), as written).  One pass still reads all
-of theta: the logged parameter-gradient norm is taken over the whole
-zero-padded buffer, because the touched rows alone are summed in a
-different order by BLAS and can differ in the last bit.
+LINEAR and MLP1.  The trainer state owns theta, the snapshot, the snapshot
+window and one n_params gradient buffer, and each phase of a step reads
+them from it: ``rollout_episode`` draws under the snapshot, ``episode_eval``
+sums the episode gradient into the buffer span by span, and ``train_step``
+advances the state in place.  The division by the horizon, the finiteness
+scan, clipping and the update run on the touched spans alone; then those
+spans of the buffer are zeroed again.  A snapshot refresh copies the spans
+of theta written since the last refresh, where theta and the snapshot can
+differ (the trainer state keeps them; a state built on a caller's
+snapshot, or past ``WINDOW_CAP`` spans, counts all of theta, (0, n_params),
+as written).  One pass still reads all of theta: the logged
+parameter-gradient norm is taken over the whole zero-padded buffer,
+because the touched rows alone are summed in a different order by BLAS
+and can differ in the last bit.
 
 The snapshot refreshes every ``snapshot_interval`` steps, so importance
 ratios and alignment targets stay anchored to one behavioral policy inside
@@ -65,10 +67,11 @@ window, a dict of
 where the nucleus is built the first time the state is sampled and rebuilt
 when the temperature or top_p changes, and A is the advantage vector's
 bytes.  A lookup that misses computes exactly what it computes in an
-empty window, in the same order, so errors surface at the same point,
-and a computation that raises stores nothing (a rollout stores its new
-entries only once the whole episode is drawn).  The window is cleared when
-the snapshot refreshes and holds at most ``WINDOW_CAP`` entries; once full,
+empty window, in the same order, so errors surface at the same point, and
+stores the entry as soon as it is made.  An entry depends on the snapshot
+alone, so one stored before a later timestep raises is what a fresh
+evaluation of that state computes.  The window is cleared when the
+snapshot refreshes and holds at most ``WINDOW_CAP`` entries; once full,
 misses compute without storing.  Its arrays are read-only, because the
 ``Rollout`` of every step in the window shares them.
 
@@ -115,7 +118,6 @@ from .objectives import OBJECTIVES, LossEval, Objective, ObjectiveKind, pairwise
 from .policy import (
     Family,
     PolicyModel,
-    _check_out,
     _check_state,
     _forward,
     _hidden,
@@ -247,20 +249,22 @@ class Rollout:
 
 @dataclass(eq=False)  # a state advanced in place is compared by identity
 class TrainerState:
-    """Parameters, behavioral snapshot and gradient buffer of one run.
+    """Parameters, behavioral snapshot, snapshot window and gradient buffer of one run.
 
     ``train_step`` advances the state in place, and adds 1 to ``step`` once
     a step has completed.  The state owns three n_params float64 buffers,
     ``model.theta``, ``snapshot_theta`` and ``grad``, which must not share
     memory: a step updates theta on the spans its episode touched, copies
     theta into ``snapshot_theta`` when the snapshot refreshes, and sums its
-    episode's gradient in ``grad``, which is all zero between steps.  An
-    earlier iterate is kept by copying it (``state.model.theta.copy()``).
+    episode's gradient in ``grad`` (``episode_eval``), which is all zero
+    between steps.  An earlier iterate is kept by copying it
+    (``state.model.theta.copy()``).
 
     The constructor builds the rest: ``grad``; the empty snapshot
-    ``window`` (see the module docstring), which a refresh clears and a
-    step otherwise only adds to, up to ``WINDOW_CAP`` entries, and whose
-    arrays are read-only; the behavioral model ``snapshot``, ``model`` over
+    ``window`` (see the module docstring), which a refresh clears and the
+    rollout and the targets otherwise only add to, up to ``WINDOW_CAP``
+    entries, and whose arrays are read-only; the behavioral model
+    ``snapshot`` that ``rollout_episode`` draws under, ``model`` over
     ``snapshot_theta``; and ``written``, the set of (start, stop) spans of
     theta updated since the last refresh, outside which theta and the
     snapshot are equal, so a refresh copies those spans alone.  Where that
@@ -307,31 +311,31 @@ def _store(window: dict, key, value) -> None:
 
 
 def rollout_episode(
-    snapshot: PolicyModel, env: ToyEnvironment, config: TrainerConfig, rng: np.random.Generator, window: dict
+    state: TrainerState, env: ToyEnvironment, config: TrainerConfig, rng: np.random.Generator
 ) -> Rollout:
-    """Generate one episode under the snapshot policy.
+    """Generate one episode under the state's behavioral snapshot.
 
     A ``teacher_forced`` objective (SFT, which is supervised) walks the
-    verifier target sequence instead of sampling.  ``window`` is the snapshot
-    window of ``snapshot`` (see ``TrainerState``): a state evaluated before
-    reuses its logits, softmax and sampler nucleus, and a new one is stored
-    there.  A caller without a window passes ``{}``.  The returned arrays
-    are read-only.
+    verifier target sequence instead of sampling.  A visited state found in
+    ``state.window`` (see ``TrainerState``) reuses its logits, softmax and
+    sampler nucleus; a new visit is stored there as soon as it is made.
+    The returned arrays are read-only.
     """
     teacher_forced = OBJECTIVES[config.objective].teacher_forced
     if teacher_forced and not isinstance(env.reward, MatchReward):
         raise InvalidInputError("SFT training needs a match-reward environment with a target")
 
+    snapshot, window = state.snapshot, state.window
     sampler = (config.temperature, config.top_p)
-    state = 0  # the empty prefix
-    timesteps, made = [], []
+    s = 0  # the empty prefix
+    timesteps = []
     for t in range(env.horizon):
         if t:
-            state = env._child(state, action)
-        cached = visit = window.get(state)
+            s = env._child(s, action)
+        cached = visit = window.get(s)
         if visit is None:
-            _check_state(snapshot, state)
-            z = _frozen(_finite_logits(_forward(snapshot, state, _hidden(snapshot, state))))
+            _check_state(snapshot, s)
+            z = _frozen(_finite_logits(_forward(snapshot, s, _hidden(snapshot, s))))
             visit = (z, _frozen(_softmax(z)), None)
         z, p, nucleus = visit
         if teacher_forced:
@@ -342,11 +346,8 @@ def rollout_episode(
                 visit = (z, p, nucleus)
             action = int(_pick(nucleus[1], nucleus[2], rng, None))
         if visit is not cached:
-            made.append((state, visit))
-        timesteps.append((state, action, z, p))
-    # stored only now, so an episode that raises leaves the window as it was
-    for state, visit in made:
-        _store(window, state, visit)
+            _store(window, s, visit)
+        timesteps.append((s, action, z, p))
     return Rollout(*zip(*timesteps))
 
 
@@ -398,61 +399,48 @@ def _snapshot_target(
 @dataclass(frozen=True)
 class EpisodeEval:
     loss: float
-    grad_theta: np.ndarray
-    spans: tuple[tuple[int, int], ...]  # the disjoint (start, stop) spans of grad_theta the episode wrote
+    spans: tuple[tuple[int, int], ...]  # the disjoint (start, stop) spans of the gradient buffer the episode wrote
     # per timestep: (its LossEval, the advantage values, the logits at theta,
     # their softmax or None for a logit-target loss, MLP1's tanh layer at theta
     # or None for other families)
     timesteps: tuple[tuple[LossEval, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None], ...]
 
 
-def episode_eval(
-    model: PolicyModel,
-    env: ToyEnvironment,
-    config: TrainerConfig,
-    rollout: Rollout,
-    window: dict,
-    out: np.ndarray | None = None,
-) -> EpisodeEval:
-    """Mean loss and parameter gradient of one fixed episode.
+def episode_eval(state: TrainerState, env: ToyEnvironment, config: TrainerConfig, rollout: Rollout) -> EpisodeEval:
+    """Mean loss of one fixed episode at ``state.model``, its gradient summed into ``state.grad``.
 
-    ``window`` is the snapshot window the rollout was drawn under (see
-    ``TrainerState``): closed-form targets are looked up there and stored
-    there.  A caller without a window passes ``{}``.  With ``out`` (an
-    all-zero float64 vector of n_params entries, checked once here as
-    ``pullback`` checks it) the gradient is computed in place in ``out``,
-    which becomes ``grad_theta``; only its ``spans`` are written.  Each
-    timestep adds its vector-Jacobian product into its span of ``out``
-    directly: the state was checked against the model's state space, and
-    the logit gradient has the logits' shape.  The objective's table entry
+    The rollout is one drawn under the state's snapshot (see
+    ``TrainerState``), so closed-form targets are looked up in
+    ``state.window`` and stored there.  Each timestep adds its
+    vector-Jacobian product into its span of the all-zero buffer
+    ``state.grad`` directly: the visited state was checked against the
+    model's state space, and the logit gradient has the logits' shape.
+    Only the returned ``spans`` are written.  The objective's table entry
     is looked up once per call, and each visited state is evaluated once
     at theta: one forward pass (MLP1's hidden layer once, shared by the
     forward pass, the pullback and the logged sigma_max) and one softmax.
     """
-    if out is None:
-        out = np.zeros(model.n_params)
-    else:
-        _check_out(model, out)
+    model, grad = state.model, state.grad
     objective = OBJECTIVES[config.objective]
     timesteps, spans = [], {}
     for t in range(env.horizon):
-        state, a = rollout.states[t], rollout.actions[t]
+        s, a = rollout.states[t], rollout.actions[t]
         values = _step_advantages(env, config, rollout, t)
         # the target comes from the snapshot alone, so an overflowing target is
         # reported ahead of non-finite logits at theta
-        target = _snapshot_target(objective, config.beta, rollout, values, t, window)
+        target = _snapshot_target(objective, config.beta, rollout, values, t, state.window)
         # checked as forward checks it, since a caller may pass another model's rollout
-        hidden = _hidden(model, _check_state(model, state))
-        z = _finite_logits(_forward(model, state, hidden))
+        hidden = _hidden(model, _check_state(model, s))
+        z = _finite_logits(_forward(model, s, hidden))
         # a logit-target loss reads z and its target alone, so its pi is None
         # here and ``_record`` takes it, where the public path takes it; a
         # floating-point event of that softmax then comes after the loss's own
         pi, log_pi = objective.policy(z)
         step = (a, float(values[a]), float(rollout.pi_old[t][a]), config.clip_epsilon)
         evaluation = objective.kernel(z, pi, log_pi, target, step)
-        start, stop = span = _span(model, state)
-        touched = out[start:stop]  # added into in place, without a write-back
-        touched += _vjp(model, state, evaluation.logit_gradient, hidden)
+        start, stop = span = _span(model, s)
+        touched = grad[start:stop]  # added into in place, without a write-back
+        touched += _vjp(model, s, evaluation.logit_gradient, hidden)
         # a family's spans are either equal or disjoint, so dropping repeats
         # leaves each touched entry in exactly one span
         spans[span] = None
@@ -463,9 +451,9 @@ def episode_eval(
         loss = float(timesteps[0][0].value)
     else:
         for start, stop in spans:
-            out[start:stop] /= env.horizon
+            grad[start:stop] /= env.horizon
         loss = pairwise_sum([evaluation.value for evaluation, *_ in timesteps]) / env.horizon
-    return EpisodeEval(loss, out, spans, tuple(timesteps))
+    return EpisodeEval(loss, spans, tuple(timesteps))
 
 
 def _envelope(bound: Callable[[float, float, int], float] | None, loss: float, sigma: float, vocab_size: int) -> float:
@@ -507,11 +495,11 @@ def train_step(
         state.written.clear()
         state.window.clear()
 
-    rollout = rollout_episode(state.snapshot, env, config, rng, state.window)
+    rollout = rollout_episode(state, env, config, rng)
     episode = None
     try:
-        episode = episode_eval(state.model, env, config, rollout, state.window, out=state.grad)
-        grad = episode.grad_theta
+        episode = episode_eval(state, env, config, rollout)
+        grad = state.grad
         # the 2-norm as np.linalg.norm takes it, without its wrapper
         raw_norm = math.sqrt(grad.dot(grad))
         # a finite norm has finite entries; a norm that is not finite may

@@ -535,9 +535,15 @@ def suite_recovery(seed: int = 808):
         model = tabular_policy(env.n_states, v, init_logits=z_old)
         state = init_trainer(model)
         sampler = np.random.default_rng(config.seed)
-        reached = False
+        reached, previous = False, np.inf
         for _ in range(RECOVERY_MAX_STEPS):
-            state, _ = train_step(state, env, config, sampler)
+            state, record = train_step(state, env, config, sampler)
+            # the logit Hessian diag(pi) - pi pi^T has lambda_max <= 1/2 and J J^T = I,
+            # so at eta = 0.5 < 4 a working run descends monotonically, and the
+            # first rising loss (suite_convergence's test) ends a run as failed
+            if record.loss > previous * (1.0 + 1e-12) + 5e-324:
+                break
+            previous = record.loss
             # the arithmetic of total_variation(softmax(forward(model, 0)), pi*) on the
             # trainer's own theta row, without re-checking arrays the trainer made
             if dist._total_variation(dist._softmax(state.model.theta[:v]), pi_star) < 1e-6:

@@ -1,5 +1,6 @@
 import inspect
 import re
+import xml.dom.minidom
 from pathlib import Path
 
 import numpy as np
@@ -373,6 +374,20 @@ def test_plot_drops_points_with_a_non_finite_x(tmp_path):
     points, labels = _svg_numbers(body)
     assert len(points) == 4 and all(np.isfinite(points)) and all(np.isfinite(labels))
     assert "nan" not in body and "inf" not in body
+
+
+def test_plot_escapes_the_column_names_it_writes(tmp_path):
+    # a header of step,a&b,c<d once wrote an SVG that no XML parser reads
+    csv = tmp_path / "r&d.csv"
+    csv.write_text("st<e>p,a&b,c<d\n0,1,2\n1,3,0.5\n")
+    svg = tmp_path / "chart.svg"
+    assert main(["plot", "--csv", str(csv), "--out", str(svg)]) == 0
+    texts = [node.firstChild.data for node in xml.dom.minidom.parse(str(svg)).getElementsByTagName("text")]
+    assert {"st<e>p", "a&b", "c<d"} <= set(texts)
+    twice = tmp_path / "twice.svg"
+    assert main(["plot", "--csv", str(csv), "--csv", str(csv), "--out", str(twice)]) == 0
+    texts = [node.firstChild.data for node in xml.dom.minidom.parse(str(twice)).getElementsByTagName("text")]
+    assert {"r&d:a&b", "r&d:c<d"} <= set(texts)
 
 
 def test_render_chart_is_pure():

@@ -12,7 +12,15 @@ import numpy as np
 import pytest
 
 from lco_lab.cli import main
-from lco_lab.config import SECTIONS, build_converge, build_environment, build_model, build_trainer, parse_config
+from lco_lab.config import (
+    SECTIONS,
+    ConfigError,
+    build_converge,
+    build_environment,
+    build_model,
+    build_trainer,
+    parse_config,
+)
 from lco_lab.csvio import DYNAMICS_HEADER, NUMERIC_COLUMNS, format_float
 from lco_lab.envs import MatchReward, ToyEnvironment
 from lco_lab.objectives import ObjectiveKind
@@ -319,3 +327,20 @@ def test_no_output_directory_exits_2(tmp_path, capsys):
     cfg, _ = write(tmp_path, TRAIN)
     assert main(["train", "--config", str(cfg)]) == 2
     assert "no output directory" in capsys.readouterr().err
+
+
+
+@pytest.mark.parametrize("second_header", [False, True])
+def test_a_key_given_twice_in_a_section_exits_2_at_its_second_line(tmp_path, capsys, second_header):
+    # the second value once won without a word: a learning rate of 50.0, not 0.5
+    lines = ["[environment]", "vocab_size = 2", "horizon = 1", "target = 0"]
+    lines += ["[training]", "objective = LCO_KLD", "learning_rate = 0.5", "steps = 5"]
+    lines += ["[training]"] * second_header + ["learning_rate = 50"]
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    message = f"{cfg}:{len(lines)}: [training] learning_rate is given twice; first at line 7"
+    with pytest.raises(ConfigError) as raised:
+        parse_config(cfg)
+    assert str(raised.value) == message
+    assert run("train", cfg, tmp_path / "o") == 2
+    assert message in capsys.readouterr().err

@@ -202,6 +202,13 @@ def test_sample_rejects_bad_parameters():
         sample_action([0.5, 0.5], 0.0, 1.0, np.random.default_rng(0))
     with pytest.raises(InvalidInputError):
         sample_action([0.5, 0.5], 1.0, 0.0, np.random.default_rng(0))
+    # log 0 / inf is NaN: an infinite temperature once drew action 0 every time
+    # from [0.7, 0.3, 0.0], and drew uniformly from [0.7, 0.3]
+    for p in ([0.7, 0.3, 0.0], [0.7, 0.3]):
+        with pytest.raises(InvalidInputError, match="^temperature must be positive and finite$"):
+            sample_action(p, np.inf, 1.0, np.random.default_rng(0))
+        with pytest.raises(InvalidInputError, match="^temperature must be positive and finite$"):
+            sample_actions(p, np.inf, 1.0, np.random.default_rng(0), 10_000)
 
 
 class _TopUniform:

@@ -145,37 +145,40 @@ def test_episode_gradient_matches_finite_differences(family, objective):
     else:
         model = mlp1_policy(env.n_states, env.vocab_size, 3, hidden=6, seed=4)
 
-    rollout = rollout_episode(model, env, config, np.random.default_rng(config.seed), {})
-    episode = episode_eval(model, env, config, rollout, {})
+    state = init_trainer(model)
+    rollout = rollout_episode(state, env, config, np.random.default_rng(config.seed))
+    episode_eval(state, env, config, rollout)
 
     step = 1e-5
     numeric = np.zeros(model.n_params)
     for i in range(model.n_params):
         bump = np.zeros(model.n_params)
         bump[i] = step
-        hi = episode_eval(model.with_theta(model.theta + bump), env, config, rollout, {}).loss
-        lo = episode_eval(model.with_theta(model.theta - bump), env, config, rollout, {}).loss
+        hi = episode_eval(init_trainer(model.with_theta(model.theta + bump)), env, config, rollout).loss
+        lo = episode_eval(init_trainer(model.with_theta(model.theta - bump)), env, config, rollout).loss
         numeric[i] = (hi - lo) / (2 * step)
-    assert rel_close(episode.grad_theta, numeric, rel=1e-5, floor=1e-7)
+    assert rel_close(state.grad, numeric, rel=1e-5, floor=1e-7)
 
 
-def test_episode_eval_sums_into_one_gradient_buffer():
+def test_episode_eval_sums_into_the_state_gradient_buffer():
     env = ToyEnvironment(64, 3, MatchReward((1, 0, 2)))
     model = tabular_policy(env.n_states, env.vocab_size)
     config = TrainerConfig(objective=ObjectiveKind.LCO_KLD, learning_rate=0.1, steps=1, seed=5)
-    rollout = rollout_episode(model, env, config, np.random.default_rng(5), {})
-    episode_eval(model, env, config, rollout, {})  # warm caches outside the trace
+    warm, state = init_trainer(model), init_trainer(model)
+    rollout = rollout_episode(warm, env, config, np.random.default_rng(5))
+    episode_eval(warm, env, config, rollout)  # warm caches outside the trace
+    grad = state.grad
     tracemalloc.start()
     try:
-        episode = episode_eval(model, env, config, rollout, {})
+        episode_eval(state, env, config, rollout)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert episode.grad_theta.nbytes == model.n_params * 8
-    assert peak < 1.5 * model.n_params * 8
+    assert state.grad is grad and state.grad.tobytes() == warm.grad.tobytes()
+    assert peak < 0.5 * model.n_params * 8
 
 
-def test_episode_eval_into_out_writes_only_its_spans():
+def test_episode_eval_writes_only_its_spans_of_the_state_buffer():
     env = ToyEnvironment(8, 3, MatchReward((1, 0, 2)))
     config = TrainerConfig(objective=ObjectiveKind.PPO, learning_rate=0.1, steps=1, seed=5)
     for model in (
@@ -183,22 +186,15 @@ def test_episode_eval_into_out_writes_only_its_spans():
         linear_policy(env.n_states, env.vocab_size, 3, seed=2),
         mlp1_policy(env.n_states, env.vocab_size, 3, hidden=6, seed=4),
     ):
-        rollout = rollout_episode(model, env, config, np.random.default_rng(5), {})
-        fresh = episode_eval(model, env, config, rollout, {})
-        out = np.zeros(model.n_params)
-        episode = episode_eval(model, env, config, rollout, {}, out=out)
-        assert episode.grad_theta is out and out.tobytes() == fresh.grad_theta.tobytes()
+        state = init_trainer(model)
+        episode = episode_eval(state, env, config, rollout_episode(state, env, config, np.random.default_rng(5)))
         touched = np.zeros(model.n_params, dtype=bool)
         for start, stop in episode.spans:
             assert not touched[start:stop].any()  # disjoint
             touched[start:stop] = True
-        assert not out[~touched].any()
+        assert state.grad[touched].any() and not state.grad[~touched].any()
         tabular = model.family is Family.TABULAR
         assert touched.sum() == (env.horizon * env.vocab_size if tabular else model.n_params)
-        n = model.n_params
-        for bad in (np.zeros(n + 1), np.zeros(n, dtype=np.float32), [0.0] * n):
-            with pytest.raises(InvalidInputError, match="out must be"):
-                episode_eval(model, env, config, rollout, {}, out=bad)
 
 
 def test_warm_train_step_allocates_no_parameter_sized_array():
@@ -315,7 +311,7 @@ def test_an_overflowing_gradient_norm_is_taken_scaled_and_the_clipped_step_moves
         objective=ObjectiveKind.REINFORCE, learning_rate=0.1, steps=1, seed=0, grad_clip_norm=1.0
     )
     model = tabular_policy(env.n_states, env.vocab_size)
-    action = rollout_episode(model, env, config, np.random.default_rng(0), {}).actions[0]
+    action = rollout_episode(init_trainer(model), env, config, np.random.default_rng(0)).actions[0]
     z = forward(model, 0)
     gradient = policy.pullback(model, 0, evaluate(ObjectiveKind.REINFORCE, z, step=(action, 1e300)).logit_gradient)
     expected = math.hypot(*gradient)
@@ -380,10 +376,11 @@ def test_an_episode_takes_each_states_sigma_max_bit_for_bit(family, horizon, voc
     model = fresh.with_theta(rng.uniform(-2.0, 2.0, fresh.n_params))
     config = TrainerConfig(objective=ObjectiveKind.LCO_MSE, steps=1, seed=horizon)
     for seed in range(5):
-        rollout = rollout_episode(model, env, config, np.random.default_rng(seed), {})
-        episode = episode_eval(model, env, config, rollout, {})
+        state = init_trainer(model)
+        rollout = rollout_episode(state, env, config, np.random.default_rng(seed))
+        episode = episode_eval(state, env, config, rollout)
         sigmas = policy._sigma_maxes(model, rollout.states, [hidden for *_, hidden in episode.timesteps])
-        per_state = [policy.sigma_max(model, state) for state in rollout.states]
+        per_state = [policy.sigma_max(model, s) for s in rollout.states]
         assert np.array(sigmas).tobytes() == np.array(per_state).tobytes()
 
 
@@ -526,16 +523,15 @@ def test_kld_fixed_point_with_frozen_target():
     )
     # at the optimum the gradient vanishes
     at_target = tabular_policy(env.n_states, env.vocab_size, init_logits=z_old + advantages)
-    rollout = rollout_episode(
-        tabular_policy(env.n_states, env.vocab_size, init_logits=z_old), env, config,
-        np.random.default_rng(0), {},
-    )
-    grad = episode_eval(at_target, env, config, rollout, {}).grad_theta
-    assert np.abs(grad).max() < 1e-10
-    # away from it the gradient does not
     away = tabular_policy(env.n_states, env.vocab_size, init_logits=z_old)
-    grad = episode_eval(away, env, config, rollout, {}).grad_theta
-    assert np.abs(grad).max() > 1e-3
+    rollout = rollout_episode(init_trainer(away), env, config, np.random.default_rng(0))
+    state = init_trainer(at_target)
+    episode_eval(state, env, config, rollout)
+    assert np.abs(state.grad).max() < 1e-10
+    # away from it the gradient does not
+    state = init_trainer(away)
+    episode_eval(state, env, config, rollout)
+    assert np.abs(state.grad).max() > 1e-3
     assert total_variation(softmax(forward(at_target, 0)), pi_star) < 1e-12
 
 
@@ -698,7 +694,7 @@ def test_sft_requires_match_reward():
     config = TrainerConfig(objective=ObjectiveKind.SFT, learning_rate=0.1, steps=1)
     model = tabular_policy(env.n_states, env.vocab_size)
     with pytest.raises(InvalidInputError):
-        rollout_episode(model, env, config, np.random.default_rng(0), {})
+        rollout_episode(init_trainer(model), env, config, np.random.default_rng(0))
 
 
 # --- convergence experiments -------------------------------------------------

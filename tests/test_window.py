@@ -1,12 +1,13 @@
-"""The trainer's snapshot window: what it stores, when it stores nothing, and
-that a step reading from it equals a step computing everything afresh."""
+"""The trainer's snapshot window: what it stores, what a rollout that raises
+leaves in it, and that a step reading from it equals a step computing
+everything afresh."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from lco_lab.envs import MatchReward, TableReward, ToyEnvironment
+from lco_lab.envs import TableReward, ToyEnvironment
 from lco_lab.errors import InvalidInputError
 from lco_lab.objectives import ObjectiveKind
 from lco_lab.policy import Family, tabular_policy
@@ -68,8 +69,8 @@ def test_changing_the_config_between_steps_matches_a_fresh_state():
         config = TrainerConfig(objective=kind, beta=beta, temperature=temperature, top_p=top_p, **base)
         seed = int(rng.integers(2**31))
         fresh = _copy(state)
-        cached = rollout_episode(state.snapshot, env, config, np.random.default_rng(seed), state.window)
-        afresh = rollout_episode(fresh.snapshot, env, config, np.random.default_rng(seed), {})
+        cached = rollout_episode(state, env, config, np.random.default_rng(seed))
+        afresh = rollout_episode(_copy(fresh), env, config, np.random.default_rng(seed))
         assert cached.actions == afresh.actions
         for _ in range(5):
             state, record = train_step(state, env, config, np.random.default_rng(seed))
@@ -78,17 +79,48 @@ def test_changing_the_config_between_steps_matches_a_fresh_state():
             assert state.model.theta.tobytes() == fresh.model.theta.tobytes()
 
 
-def test_a_rollout_that_raises_stores_nothing():
-    env = ToyEnvironment(2, 2, MatchReward((0, 1)))
+def _seed_drawing(*actions):
+    """The first seed whose uniforms pick ``actions`` from a uniform V = 2 sampler."""
+    return next(
+        seed
+        for seed in itertools.count()
+        if [int(u >= 0.5) for u in np.random.default_rng(seed).random(len(actions))] == list(actions)
+    )
+
+
+def _visit_bytes(visit):
+    z, p, (sampler, kept, bounds) = visit
+    return z.tobytes(), p.tobytes(), sampler, kept.tobytes(), bounds.tobytes()
+
+
+def test_a_rollout_that_raises_keeps_what_a_fresh_evaluation_computes():
+    env = ToyEnvironment(2, 3, TableReward(np.random.default_rng(3).uniform(-1.0, 1.0, (3, 2))))
     theta = np.zeros(env.n_states * env.vocab_size)
-    theta[env.vocab_size :] = np.inf  # the root is finite, every state after it is not
+    bad, new = env.state_index((1, 1)), env.state_index((1,))
+    theta[bad * 2 : (bad + 1) * 2] = np.inf  # every state but the one after actions (1, 1) is finite
     state = init_trainer(tabular_policy(env.n_states, env.vocab_size).with_theta(theta))
-    config = TrainerConfig(objective=ObjectiveKind.LCO_MSE, learning_rate=0.1, steps=1, snapshot_interval=10**6)
-    for _ in range(2):
-        with pytest.raises(InvalidInputError, match="logits must be finite"):
-            train_step(state, env, config, np.random.default_rng(0))
-        assert state.window == {}
-        assert not state.grad.any()
+    config = TrainerConfig(objective=ObjectiveKind.LCO_KLD, learning_rate=0.3, steps=1, snapshot_interval=10**6)
+    state, _ = train_step(state, env, config, np.random.default_rng(_seed_drawing(0, 0)))
+    kept = dict(state.window)
+    assert 0 in kept and new not in kept
+    with pytest.raises(InvalidInputError, match="logits must be finite"):
+        train_step(state, env, config, np.random.default_rng(_seed_drawing(1, 1)))
+    assert state.step == 1 and not state.grad.any()
+    # the rollout stored its one new visit before the next state raised ...
+    assert state.window.keys() - kept.keys() == {new}
+    assert all(state.window[key] is value for key, value in kept.items())
+    # ... as a rollout of the same snapshot on an empty window makes it
+    fresh = _copy(state)
+    rollout_episode(fresh, env, config, np.random.default_rng(_seed_drawing(1, 0)))
+    assert _visit_bytes(state.window[new]) == _visit_bytes(fresh.window[new])
+    # and the next step, which reads it, is the step of a fresh window
+    fresh = _copy(state)
+    for _ in range(3):
+        seed = _seed_drawing(1, 0)
+        state, record = train_step(state, env, config, np.random.default_rng(seed))
+        fresh, expected = train_step(fresh, env, config, np.random.default_rng(seed))
+        assert record == expected
+        assert state.model.theta.tobytes() == fresh.model.theta.tobytes()
 
 
 def test_a_long_frozen_run_stays_within_the_cap():
@@ -118,7 +150,7 @@ def test_window_arrays_are_read_only():
     arrays = []
     for value in state.window.values():
         arrays += [value] if isinstance(value, np.ndarray) else [value[0], value[1], *value[2][1:]]
-    rollout = rollout_episode(state.snapshot, env, config, rng, state.window)
+    rollout = rollout_episode(state, env, config, rng)
     arrays += [*rollout.z_old, *rollout.pi_old]
     assert len(arrays) > 10
     for array in arrays:
