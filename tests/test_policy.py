@@ -4,7 +4,10 @@ import pytest
 from lco_lab.errors import InvalidInputError, InvalidStateError
 from lco_lab.policy import (
     Family,
+    _hidden,
     _kernel_scale,
+    _span,
+    _vjp,
     forward,
     linear_policy,
     linearization_residual,
@@ -258,6 +261,24 @@ def test_pullback_and_sigma_max_reject_bad_input(family):
     for bad in (np.ones(2), np.ones(4), np.ones((3, 1))):
         with pytest.raises(InvalidInputError):
             pullback(model, 0, bad)
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("v", [2, 64])
+def test_pullback_returns_a_fresh_vector_that_is_zero_outside_the_states_span(family, v):
+    # an episode adds ``_vjp`` into the ``_span`` slice of its trainer state's
+    # buffer; pullback puts the same product in a new all-zero vector
+    rng = np.random.default_rng(11 + v)
+    model = _random_model(family, v, rng)
+    for state in (0, 3):
+        g = rng.standard_normal(v)
+        first = pullback(model, state, g)
+        start, stop = _span(model, state)
+        assert stop - start == (v if family is Family.TABULAR else model.n_params)
+        assert not first[:start].any() and not first[stop:].any()
+        assert first[start:stop].tobytes() == _vjp(model, state, g, _hidden(model, state)).tobytes()
+        second = pullback(model, state, g)
+        assert second is not first and second.tobytes() == first.tobytes()
 
 
 @pytest.mark.parametrize("family", list(Family))
