@@ -24,7 +24,6 @@ from .objectives import (
     ppo_active,
 )
 from .targets import (
-    EstimatorKind,
     OptimalTarget,
     load_logprob_table,
     optimal_logits,

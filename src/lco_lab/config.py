@@ -35,7 +35,7 @@ from .envs import MatchReward, TableReward, ToyEnvironment
 from .errors import LcoLabError
 from .objectives import ObjectiveKind
 from .policy import Family, PolicyModel, linear_policy, mlp1_policy, tabular_policy
-from .targets import EstimatorKind, load_logprob_table
+from .targets import load_logprob_table
 from .training import ConvergeConfig, DynamicsRecord, TrainerConfig, run_training
 
 
@@ -87,8 +87,8 @@ SECTIONS = {
     "model": {"family": _member(Family), "feature_dim": int, "hidden": int, "init_seed": int, "init_logits": _floats},
     "training": {
         "objective": _objective, "learning_rate": float, "steps": int, "beta": float, "clip_epsilon": float,
-        "estimator": _member(EstimatorKind), "scorer_table": Path, "ref_table": Path, "normalize": _bool,
-        "grad_clip_norm": float, "seed": int, "snapshot_interval": int, "temperature": float, "top_p": float,
+        "scorer_table": Path, "ref_table": Path, "normalize": _bool, "grad_clip_norm": float, "seed": int,
+        "snapshot_interval": int, "temperature": float, "top_p": float,
     },
     # cmd dynamics only: the two objectives it trains side by side
     "dynamics": {"objectives": lambda text: tuple(map(_objective, _names(text)))},
@@ -139,8 +139,8 @@ class RawConfig:
 def parse_config(path: str | Path) -> RawConfig:
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     sections: dict[str, dict[str, tuple[str, int]]] = {}
     current: str | None = None

@@ -6,7 +6,7 @@ for every objective, cross-checks them with second differences, certifies
 non-convexity of the clipped surrogate with a witness direction, the
 eigenvector of its Hessian's least eigenvalue, and evaluates the
 loss-anchored gradient-norm bounds of the LCO objectives.
-The analytic Hessians, curvature constants and bounds are entries of
+The analytic Hessians and bounds are entries of
 ``objectives.OBJECTIVES``, which documents their forms; this module looks
 them up.  Both Hessians take the table's point (z, target, step), the
 input form of every objective's kernel and row value, and check it once

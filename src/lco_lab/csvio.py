@@ -48,8 +48,11 @@ def write_dynamics_csv(path: str | Path, records: list[DynamicsRecord]) -> None:
 
 
 def read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    """Header and raw string rows of a comma-separated file."""
-    lines = Path(path).read_text().splitlines()
+    """Header and raw string rows of a comma-separated UTF-8 file."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: not UTF-8 text: {exc}") from exc
     if not lines:
         raise InvalidInputError(f"{path}: empty file")
     header = lines[0].split(",")

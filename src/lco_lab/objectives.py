@@ -17,10 +17,12 @@ gradient with respect to the logit vector.
 
 ``OBJECTIVES`` holds one ``Objective`` record per kind: its kernel, its
 row-batched value, the closed-form target it aligns to, its analytic
-Hessian and where the loss is smooth enough for it, its curvature
-constant, its gradient-norm bound and the residual radius within which
-the convergence envelope is asserted.  The trainer, ``convexity`` and
-``verify`` look these facts up there, so a new objective is one entry.
+Hessian and where the loss is smooth enough for it, its gradient-norm
+bound and the residual radius within which the convergence envelope is
+asserted.  A logit regression's Hessian at its target is c I, and the
+convergence run reads c from it (``training._curvature``).  The trainer,
+``convexity`` and ``verify`` look these facts up there, so a new
+objective is one entry.
 The kernel, the row value and the Hessian all read one point,
 ``(z, target, step)``, which ``Objective.point`` checks.  The kernel holds
 the only copy of the objective's arithmetic and takes pi = softmax(z), and
@@ -304,7 +306,6 @@ class Objective:
     target: str | None = None
     log_policy: bool = False  # the kernel reads log softmax(z)
     hessian: Callable[[np.ndarray, np.ndarray, np.ndarray | None, tuple], np.ndarray] | None = None
-    curvature: float | None = None  # the Hessian is (curvature / V) I at the target
     bound: Callable[[float, float, int], float] | None = None  # (loss, sigma_max, V) -> envelope
     smooth: Callable[[np.ndarray, tuple], bool] | None = None  # None: twice differentiable everywhere
     envelope_radius: float = math.inf  # residual sup-norm within which the converge envelope is asserted
@@ -390,7 +391,6 @@ OBJECTIVES: dict[ObjectiveKind, Objective] = {
         value=lambda z, target, step: _lco_mse_value(z - target),
         target="logits",
         hessian=lambda z, pi, target, step: (2.0 / z.size) * np.eye(z.size),
-        curvature=2.0,
         bound=lambda loss, sigma, v: 2.0 / v * sigma * np.sqrt(v * loss),
     ),
     ObjectiveKind.LCO_LCH: Objective(
@@ -398,7 +398,6 @@ OBJECTIVES: dict[ObjectiveKind, Objective] = {
         value=lambda z, target, step: _lco_lch_value(z - target),
         target="logits",
         hessian=lambda z, pi, target, step: _lco_lch_hessian(z, target),
-        curvature=1.0,
         bound=lambda loss, sigma, v: sigma / v * np.sqrt(v * (-np.expm1(-2.0 * loss))),
         envelope_radius=LCH_NEIGHBORHOOD,
     ),

@@ -1,24 +1,30 @@
 """Deterministic SVG line charts for run CSVs.
 
 Fixed 800x500 canvas, linear axes auto-ranged to the data with 5% margins,
-legend from series names (escaped, as is the x label, so any CSV header
-makes well-formed XML).  Output is a pure function of the input series,
-so identical data yields byte-identical files.  Points with a non-finite
-coordinate are left out, and data spanning more than the float range (say
--1e308 to 1e308) is ranged and scaled through halved values, so every
-number written is finite.
+legend from series names (escaped, as is the x label, so a CSV header
+makes well-formed XML or, holding a character XML cannot hold, raises).
+Output is a pure function of the input series, so identical data yields
+byte-identical files.  Points with a non-finite coordinate are left
+out, and data spanning more than the float range (say -1e308 to 1e308)
+is ranged and scaled through halved values, so every number written is
+finite.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import sys
 from pathlib import Path
+
+from .errors import InvalidInputError
 
 WIDTH, HEIGHT = 800, 500
 PLOT = (70.0, 20.0, 770.0, 450.0)  # left, top, right, bottom
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
 FLOAT_MAX = sys.float_info.max
+# a character outside XML 1.0's Char production, which no escape can write
+NOT_XML_CHAR = re.compile(r"[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 def _axis_range(values: list[float]) -> tuple[float, float]:
@@ -49,7 +55,15 @@ def _fmt(value: float) -> str:
 
 def _escape(text: str) -> str:
     """``text`` as XML character data, as ``xml.sax.saxutils.escape`` makes
-    it; importing that module would load ``urllib.request`` with the package."""
+    it; importing that module would load ``urllib.request`` with the package.
+
+    A C0 control character other than tab, newline and carriage return (or
+    U+FFFE, U+FFFF, a lone surrogate) is not allowed in XML 1.0 even as a
+    character reference, so a label holding one raises ``InvalidInputError``.
+    """
+    bad = NOT_XML_CHAR.search(text)
+    if bad:
+        raise InvalidInputError(f"label {text!r} holds {bad.group()!r}, which XML cannot hold")
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 

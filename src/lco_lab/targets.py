@@ -5,15 +5,14 @@ closed-form solution pi*(i) proportional to pi_old(i) * exp(A_i / beta),
 realized in logit space by the representative z* = z_old + A / beta.
 The advantage A is a plain float vector, checked by ``dist.as_advantages``.
 This module computes both targets and the constant shift that minimizes
-||A + C*1||^2, names the advantage estimators the trainer builds A with
-(``EstimatorKind``), and reads their scorer tables.
+||A + C*1||^2, and reads the scorer tables the trainer builds dense
+advantages from.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -34,12 +33,6 @@ class OptimalTarget:
         object.__setattr__(self, "z_star", as_logits(self.z_star))
         if np.abs(softmax(self.z_star) - self.pi_star).max() > 1e-10:
             raise InvalidInputError("z_star does not induce pi_star")
-
-
-class EstimatorKind(Enum):
-    SPARSE_SAMPLED = "SPARSE_SAMPLED"
-    DENSE_LOGPROB = "DENSE_LOGPROB"
-    DENSE_DPO_RATIO = "DENSE_DPO_RATIO"
 
 
 def optimal_policy(pi_old, a, beta: float) -> np.ndarray:
@@ -115,11 +108,15 @@ def optimal_shift(a) -> float:
 def load_logprob_table(path: str | Path) -> np.ndarray:
     """Read a scorer table: one row per timestep of space-separated floats.
 
-    Blank lines and '#' comments are skipped.  Every row must have the same
-    width (the vocabulary size).
+    The file is UTF-8 text.  Blank lines and '#' comments are skipped.
+    Every row must have the same width (the vocabulary size).
     """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: not UTF-8 text: {exc}") from exc
     rows: list[list[float]] = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -1,16 +1,20 @@
 """Training loop, episode gradients, and convergence-rate experiments.
 
 One training step rolls out a single episode under a frozen behavioral
-snapshot, takes per-timestep advantages (a plain float vector: the sampled
-action's scalar reward in an otherwise zero vector, or a row the config
-built from its scorer tables), evaluates the configured objective at
-every visited state, pulls the logit gradients back through the model
-with a vector-Jacobian product (the kernel behind ``policy.pullback``;
-the dense Jacobian is never formed), and applies one plain
-gradient-descent update:
+snapshot, takes per-timestep advantages (a plain float vector), evaluates
+the configured objective at every visited state, pulls the logit
+gradients back through the model with a vector-Jacobian product (the
+kernel behind ``policy.pullback``; the dense Jacobian is never formed),
+and applies one plain gradient-descent update:
 
     grad_theta = (1/T) * sum_t J(s_t)^T grad_z L_t
     theta     <- theta - lr * grad_theta
+
+The tables a ``TrainerConfig`` is given pick the advantage rule.  With
+none, a timestep's vector holds the sampled action's scalar reward and is
+zero elsewhere; with a ``scorer_table``, it is the table's row of
+log-probabilities; with a ``ref_table`` too, the scorer's row minus the
+reference's, DPO's implicit reward (Rafailov et al. 2023).
 
 Each visited state is evaluated once per parameter vector: the rollout
 runs one forward pass and one softmax at the snapshot, ``episode_eval``
@@ -21,14 +25,13 @@ one evaluation, shared by the forward pass, the pullback and sigma_max,
 which the record takes for all of an episode's states in one call, after
 every timestep's statistics as the public path takes it.
 Each check runs once, where its data is made:
-config fields and the dense estimators' tables in ``TrainerConfig``, which
-also builds each table row's advantage vector there, once per run, and
-rejects a table its estimator never reads; each visited state against the
-model's state space and each forward output for finiteness, as
-``forward`` and ``as_logits`` check them (the state index is the
-environment's own, built from checked actions); each sampled advantage for
-finiteness as its vector is built;
-and the LCO envelope's loss and sigma_max through the scalar checks of
+config fields and the scorer tables in ``TrainerConfig``, which also
+builds each table row's advantage vector there, once per run, and rejects
+a ``ref_table`` or ``normalize`` without a ``scorer_table``; each visited
+state against the model's state space and each forward output for
+finiteness, as ``forward`` and ``as_logits`` check them (the state index
+is the environment's own, built from checked actions); each sampled
+advantage for finiteness as its vector is built; and the LCO envelope's loss and sigma_max through the scalar checks of
 ``gradient_norm_bound``.  Everything else calls the private kernels of
 ``dist``, ``objectives``, ``targets``, ``policy`` and ``envs``, which hold
 the same arithmetic as their public functions, so a step's results are bit
@@ -76,10 +79,11 @@ misses compute without storing.  Its arrays are read-only, because the
 ``Rollout`` of every step in the window shares them.
 
 ``converge_experiment`` runs the sampling-free single-state recursion whose
-per-step error contracts by I - eta*c*J J^T, with c = curvature/V from the
-objective table (2/V for the squared loss, 1/V for the log-cosh loss, which
-near its optimum reduces to the same linear update), and tabulates the loss
-against the geometric envelope (curvature / 2V) * rho^{2k} * ||A||^2 / beta^2.
+per-step error contracts by I - eta*c*J J^T, where c I is the logit
+regression's own analytic Hessian at its target (``_curvature``: 2/V for
+the squared loss, 1/V for the log-cosh loss, which near its optimum reduces
+to the same linear update), and tabulates the loss against the geometric
+envelope (c / 2) * rho^{2k} * ||A||^2 / beta^2.
 It takes its single-state model from the family constructors and reads lam
 of J J^T = lam I from it (``policy._kernel_scale``; a family without that
 form is refused), so rho = |1 - eta*c*lam| and the Jacobian is never
@@ -128,13 +132,7 @@ from .policy import (
     forward,
     pullback,
 )
-from .targets import EstimatorKind, _optimal_logits
-
-# the tables each dense estimator reads, in the order their rows are checked
-DENSE_TABLES = {
-    EstimatorKind.DENSE_LOGPROB: ("scorer_table",),
-    EstimatorKind.DENSE_DPO_RATIO: ("scorer_table", "ref_table"),
-}
+from .targets import _optimal_logits
 
 # Entries a snapshot window holds at most, and the written spans of theta a
 # trainer state tracks at most.  A frozen run keeps one window for the whole
@@ -151,16 +149,15 @@ class TrainerConfig:
     steps: int = 100
     beta: float = 1.0
     clip_epsilon: float = 0.2
-    estimator: EstimatorKind = EstimatorKind.SPARSE_SAMPLED
     normalize: bool = False
     grad_clip_norm: float | None = None
     seed: int = 0
     snapshot_interval: int = 1
     temperature: float = 1.0
     top_p: float = 1.0
-    scorer_table: np.ndarray | None = None  # (horizon, V) rows for dense estimators
-    ref_table: np.ndarray | None = None
-    # derived, not an option: a dense estimator's read-only advantage values per table row
+    scorer_table: np.ndarray | None = None  # (horizon, V) scorer log-probabilities: dense advantages
+    ref_table: np.ndarray | None = None  # (horizon, V) reference log-probabilities, subtracted from the scorer's
+    # derived, not an option: the read-only dense advantage values per table row, None without a scorer_table
     _advantage_rows: tuple[np.ndarray, ...] | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -180,34 +177,31 @@ class TrainerConfig:
             raise InvalidInputError("top_p must lie in (0, 1]")
         for name in ("scorer_table", "ref_table"):
             table = getattr(self, name)
-            if table is None:
-                continue
-            if np.ndim(table) != 2:
+            if table is not None and np.ndim(table) != 2:
                 raise InvalidInputError(
                     f"{name} must be a 2-D (horizon, V) array, got shape {np.shape(table)}"
                 )
-            # a table the run never reads is a mistake, as a misspelled config key is
-            if name not in DENSE_TABLES.get(self.estimator, ()):
-                raise InvalidInputError(f"{name} is given but the {self.estimator.value} estimator does not read it")
-        if self.estimator in DENSE_TABLES:
+        # the tables pick the advantage rule; a field the run never reads is a
+        # mistake, as a misspelled config key is
+        if self.scorer_table is not None:
             object.__setattr__(self, "_advantage_rows", _dense_advantages(self))
+        elif self.ref_table is not None:
+            raise InvalidInputError("ref_table is given without a scorer_table, so the run never reads it")
+        elif self.normalize:
+            raise InvalidInputError("normalize is set without a scorer_table: a sampled advantage is never centered")
 
 
 def _dense_advantages(config: TrainerConfig) -> tuple[np.ndarray, ...]:
     """Each table row's advantage vector, centered when ``normalize`` is set.
 
-    DENSE_LOGPROB's row t is the scorer's row t; DENSE_DPO_RATIO's is the
-    scorer's row minus the reference's, DPO's implicit reward.  Each row
-    read is checked here, once per run instead of once per step.  The
-    vectors are as wide as the scorer table; ``_step_advantages`` checks
-    that width and the row count against the environment.
+    Row t is the scorer's row t of log-probabilities or, with a
+    ``ref_table``, the scorer's row minus the reference's: DPO's implicit
+    reward.  Each row read is checked here, once per run instead of once
+    per step.  The vectors are as wide as the scorer table;
+    ``_step_advantages`` checks that width and the row count against the
+    environment.
     """
-    names = DENSE_TABLES[config.estimator]
-    tables = [getattr(config, name) for name in names]
-    if any(table is None for table in tables):
-        needs = "a scorer_table" if len(names) == 1 else "scorer_table and ref_table"
-        raise InvalidInputError(f"{config.estimator.value} needs {needs}")
-    tables = [np.asarray(table, dtype=np.float64) for table in tables]
+    tables = [np.asarray(t, dtype=np.float64) for t in (config.scorer_table, config.ref_table) if t is not None]
     width = tables[0].shape[1]
     rows = []
     for row in zip(*tables):
@@ -354,24 +348,24 @@ def rollout_episode(
 def _step_advantages(env: ToyEnvironment, config: TrainerConfig, rollout: Rollout, t: int) -> np.ndarray:
     """The advantage values of timestep t.
 
-    SPARSE_SAMPLED puts the sampled action's scalar advantage in an
+    Without a scorer table, the sampled action's scalar advantage in an
     otherwise zero vector; that action is valid, since it came from the
-    sampler or the environment's target.  A dense estimator reads row t of
-    the vectors ``TrainerConfig`` built, centered there when ``normalize``
-    is set; centering a sparse vector would smear signal onto unobserved
-    actions, so only dense advantages are normalized.
+    sampler or the environment's target.  With one, row t of the vectors
+    ``TrainerConfig`` built from the tables, centered there when
+    ``normalize`` is set; centering a sparse vector would smear signal onto
+    unobserved actions, so only dense advantages are normalized.
     """
-    if config.estimator is EstimatorKind.SPARSE_SAMPLED:
+    rows = config._advantage_rows
+    if rows is None:
         scalar = env.sampled_advantage(rollout.actions, t)
         if not math.isfinite(scalar):
             raise InvalidInputError("advantage must be finite")
         values = np.zeros(env.vocab_size)
         values[rollout.actions[t]] = scalar
         return values
-    rows = config._advantage_rows
     # there is one row for each timestep that every table has a row for
     if len(rows) < env.horizon:
-        name = next(n for n in DENSE_TABLES[config.estimator] if len(getattr(config, n)) < env.horizon)
+        name = "scorer_table" if len(config.scorer_table) < env.horizon else "ref_table"
         raise InvalidInputError(
             f"{name} has {len(getattr(config, name))} rows but the horizon is {env.horizon}: "
             "it needs one row per timestep"
@@ -635,7 +629,7 @@ class ConvergeConfig:
     z_old: np.ndarray | None = None  # one entry per advantage; zero when not given
 
     def __post_init__(self):
-        if OBJECTIVES[self.objective].curvature is None:
+        if OBJECTIVES[self.objective].target != "logits":
             raise InvalidInputError("convergence experiments cover LCO_MSE and LCO_LCH")
         check_integer(self.steps, "steps", 1)
         if not 0.0 < self.eta < np.inf:
@@ -656,11 +650,17 @@ class ConvergeResult:
     """One convergence run as columns, with entry k for iterate k = 0, ..., steps."""
 
     loss: np.ndarray  # the loss at iterate k
-    bound: np.ndarray  # its envelope (curvature / 2V) * rho^{2k} * ||A||^2 / beta^2
+    bound: np.ndarray  # its envelope (c / 2) * rho^{2k} * ||A||^2 / beta^2
     residual_inf: np.ndarray  # the sup-norm of the logit residual z_k - z*
     rho: float
     objective: ObjectiveKind
     family: Family
+
+
+def _curvature(kind: ObjectiveKind, v: int) -> float:
+    """c of a logit regression's analytic Hessian c I at its target, read at z = target = 0."""
+    zero = np.zeros(v)
+    return float(OBJECTIVES[kind].hessian(zero, None, zero, ())[0, 0])
 
 
 def converge_experiment(model: PolicyModel, config: ConvergeConfig) -> ConvergeResult:
@@ -670,11 +670,11 @@ def converge_experiment(model: PolicyModel, config: ConvergeConfig) -> ConvergeR
     or LINEAR one, as their constructors build it); its theta is not read.
     The parameters start at J^T z_old / lam, the least-norm ones whose
     logits are z_old, the target is z_old + A/beta, and each step applies
-    the error recursion theta <- theta - eta*c*J^T (z - z*) with
-    c = curvature / V.  For the squared loss this is its exact gradient; for
-    the log-cosh loss it is the near-optimum update that the linear
-    convergence rate is stated for, while the reported loss is the true
-    log-cosh value at every iterate.
+    the error recursion theta <- theta - eta*c*J^T (z - z*), with c I the
+    objective's Hessian at its target (``_curvature``).  For the squared
+    loss this is its exact gradient; for the log-cosh loss it is the
+    near-optimum update that the linear convergence rate is stated for,
+    while the reported loss is the true log-cosh value at every iterate.
     """
     if model.n_states != 1:
         raise InvalidInputError("a convergence run takes a single-state model")
@@ -688,7 +688,7 @@ def converge_experiment(model: PolicyModel, config: ConvergeConfig) -> ConvergeR
     model = model.with_theta(pullback(model, 0, z_old) / lam)
 
     # J J^T = lam I, so every eigenvalue of the contraction is 1 - eta*c*lam
-    c = spec.curvature / v
+    c = _curvature(config.objective, v)
     rho = abs(1.0 - config.eta * c * lam)
     if rho >= 1.0:
         raise StepSizeError(rho)
@@ -698,7 +698,7 @@ def converge_experiment(model: PolicyModel, config: ConvergeConfig) -> ConvergeR
         anchor = float(np.float64(advantages @ advantages) / np.float64(config.beta) ** 2)
     if not math.isfinite(anchor):
         raise InvalidInputError("the envelope anchor ||A||^2 / beta^2 overflows")
-    prefactor = spec.curvature / (2.0 * v)
+    prefactor = c / 2.0
 
     # iterate in residual coordinates: theta <- theta - eta*c*J^T r pushed
     # through these exactly linear models is r <- (1 - eta*c*lam) r, and

@@ -32,10 +32,10 @@ from .envs import TableReward, ToyEnvironment
 from .errors import WitnessSearchError
 from .objectives import OBJECTIVES, ObjectiveKind
 from .policy import _kernel_scale, forward, linear_policy, mlp1_policy, pullback, sigma_max, tabular_policy
-from .targets import EstimatorKind
 from .training import (
     ConvergeConfig,
     TrainerConfig,
+    _curvature,
     converge_experiment,
     converge_violations,
     envelope_violations,
@@ -503,7 +503,7 @@ def suite_convergence(seed: int = 707):
         for model in (tabular_policy(1, v), linear_policy(1, v, feature_dim, seed=model_seed)):
             lam = _kernel_scale(model, 0)
             for objective in (ObjectiveKind.LCO_MSE, ObjectiveKind.LCO_LCH):
-                c = OBJECTIVES[objective].curvature / v
+                c = _curvature(objective, v)
                 config = ConvergeConfig(
                     objective, advantages, eta=u / (c * lam), steps=CONVERGENCE_STEPS, beta=beta, z_old=z_old
                 )
@@ -527,7 +527,6 @@ def suite_recovery(seed: int = 808):
             learning_rate=0.5,
             steps=RECOVERY_MAX_STEPS,
             beta=1.0,
-            estimator=EstimatorKind.DENSE_LOGPROB,
             seed=int(rng.integers(100_000)),
             snapshot_interval=RECOVERY_MAX_STEPS + 1,
             scorer_table=advantages[None, :],

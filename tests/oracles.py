@@ -14,9 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp, mpf, exp, log
 
+from lco_lab.objectives import ObjectiveKind
 from lco_lab.policy import Family, PolicyModel, _check_state, sigma_max
 
 mp.dps = 50
+
+# c of each logit regression's Hessian (c / V) I at its target, from the
+# losses' definitions: (1/V) sum (z - z*)^2 and (1/V) sum log cosh(z - z*)
+CURVATURE = {ObjectiveKind.LCO_MSE: 2.0, ObjectiveKind.LCO_LCH: 1.0}
 
 
 def softmax_hp(z):

@@ -29,7 +29,6 @@ family = TABULAR
 objective = LCO_KLD
 learning_rate = 0.3
 steps = 6
-estimator = SPARSE_SAMPLED
 seed = 3
 """
 
@@ -142,10 +141,31 @@ def test_train_scorer_table_shorter_than_horizon_exits_2(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,
         "[environment]\nvocab_size = 3\nhorizon = 2\nreward = match\ntarget = 0 1\n"
-        "[training]\nobjective = LCO_KLD\nsteps = 2\nestimator = DENSE_LOGPROB\nscorer_table = scores.txt\n",
+        "[training]\nobjective = LCO_KLD\nsteps = 2\nscorer_table = scores.txt\n",
     )
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "scorer_table has 1 rows but the horizon is 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("reader", ["config", "scorer_table", "csv"])
+def test_a_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys, reader):
+    # each reader decoded it with a UnicodeDecodeError traceback and exit 1
+    config = "[environment]\nvocab_size = 3\nhorizon = 1\nreward = match\ntarget = 0\n[training]\nobjective = LCO_KLD\n"
+    bad = tmp_path / "bad.txt"
+    if reader == "config":
+        bad.write_bytes(config.encode() + b"steps = 2 # \xff\n")
+        argv = ["train", "--config", str(bad), "--out", str(tmp_path / "o")]
+    elif reader == "scorer_table":
+        bad.write_bytes(b"-0.5 -1.0 -2.0 # \xff\n")
+        cfg = write_cfg(tmp_path, config + "scorer_table = bad.txt\n")
+        argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    else:
+        bad.write_bytes(b"step,loss\n0,1\xff\n")
+        argv = ["plot", "--csv", str(bad), "--out", str(tmp_path / "o" / "chart.svg")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "can't decode byte 0xff" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_train_scorer_table_with_a_non_finite_entry_exits_2(tmp_path, capsys):
@@ -154,7 +174,7 @@ def test_train_scorer_table_with_a_non_finite_entry_exits_2(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,
         "[environment]\nvocab_size = 3\nhorizon = 2\nreward = match\ntarget = 0 1\n"
-        "[training]\nobjective = LCO_KLD\nsteps = 2\nestimator = DENSE_LOGPROB\nscorer_table = scores.txt\n",
+        "[training]\nobjective = LCO_KLD\nsteps = 2\nscorer_table = scores.txt\n",
     )
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "non-finite entry" in capsys.readouterr().err
@@ -162,24 +182,23 @@ def test_train_scorer_table_with_a_non_finite_entry_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "estimator, table, scores",
+    "key, text, message",
     [
-        ("SPARSE_SAMPLED", "scorer_table", "-0.5 nan -2.0\n"),
-        ("DENSE_LOGPROB", "ref_table", "-0.5 inf -2.0\n"),
+        ("ref_table", "unread.txt", "ref_table is given without a scorer_table"),
+        ("normalize", "yes", "normalize is set without a scorer_table"),
     ],
 )
-def test_train_with_a_table_its_estimator_never_reads_exits_2(tmp_path, capsys, estimator, table, scores):
-    (tmp_path / "scores.txt").write_text("-0.5 -1.0 -2.0\n")
-    (tmp_path / "unread.txt").write_text(scores)
-    read = "scorer_table = scores.txt\n" if estimator == "DENSE_LOGPROB" else ""
+def test_train_with_a_key_only_a_scorer_table_gives_meaning_exits_2_at_its_line(tmp_path, capsys, key, text, message):
+    # the run never reads it; a NaN reference table would otherwise pass unseen
+    (tmp_path / "unread.txt").write_text("-0.5 nan -2.0\n")
     cfg = write_cfg(
         tmp_path,
         "[environment]\nvocab_size = 3\nhorizon = 1\nreward = match\ntarget = 0\n"
-        f"[training]\nobjective = LCO_KLD\nsteps = 2\nestimator = {estimator}\n{read}{table} = unread.txt\n",
+        f"[training]\nobjective = LCO_KLD\nsteps = 2\n{key} = {text}\n",
     )
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert f"{table} is given but the {estimator} estimator does not read it" in capsys.readouterr().err
-    assert not (tmp_path / "o" / "dynamics.csv").exists()
+    assert f"{cfg}:9: [training] invalid: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_float_serialization_is_17_digits():
@@ -388,6 +407,17 @@ def test_plot_escapes_the_column_names_it_writes(tmp_path):
     assert main(["plot", "--csv", str(csv), "--csv", str(csv), "--out", str(twice)]) == 0
     texts = [node.firstChild.data for node in xml.dom.minidom.parse(str(twice)).getElementsByTagName("text")]
     assert {"r&d:a&b", "r&d:c<d"} <= set(texts)
+
+
+@pytest.mark.parametrize("label", ["a\x01b", "\x1f", "a\uffffb"])
+def test_plot_of_a_column_name_xml_cannot_hold_exits_2(tmp_path, capsys, label):
+    # XML 1.0 has no escape for these: a header of step,a\x01b wrote an SVG no parser reads
+    csv = tmp_path / "ctl.csv"
+    csv.write_text(f"step,{label}\n0,1\n1,2\n", encoding="utf-8")
+    svg = tmp_path / "ctl.svg"
+    assert main(["plot", "--csv", str(csv), "--out", str(svg)]) == 2
+    assert "which XML cannot hold" in capsys.readouterr().err
+    assert not svg.exists()
 
 
 def test_render_chart_is_pure():

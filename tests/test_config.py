@@ -7,6 +7,7 @@ never reads exits 2 at its line.
 """
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -100,6 +101,23 @@ def test_every_section_runs_through_a_command():
     assert set(TRAIN) | set(DYNAMICS) | set(CONVERGE) | {"output"} == set(SECTIONS)
 
 
+def test_the_training_keys_are_the_trainer_s_parameters():
+    # a field the trainer loses cannot leave its key behind, nor a new field go unreachable
+    assert set(SECTIONS["training"]) == set(inspect.signature(TrainerConfig).parameters)
+
+
+def test_the_model_keys_are_the_family_constructors_keyword_parameters():
+    # n_states and vocab_size come from the environment; init_seed is the constructors' seed
+    keywords = {
+        name
+        for constructor in (tabular_policy, linear_policy, mlp1_policy)
+        for name, parameter in inspect.signature(constructor).parameters.items()
+        if parameter.default is not parameter.empty
+    }
+    keys = {{"init_seed": "seed"}.get(key, key) for key in SECTIONS["model"] if key != "family"}
+    assert keys == keywords
+
+
 # --- defaults live in the constructors -----------------------------------------
 
 
@@ -177,7 +195,7 @@ def test_train_runs_the_model_its_constructor_builds(tmp_path, family, keys, dir
 @pytest.mark.parametrize("text, value", [("yes", True), ("off", False)])
 def test_normalize_is_read_as_a_bool(tmp_path, text, value):
     (tmp_path / "scores.txt").write_text("-0.5 -1.0 -2.0\n-1.0 -1.5 -0.5\n")
-    training = {"objective": "LCO_KLD", "estimator": "DENSE_LOGPROB", "scorer_table": "scores.txt", "normalize": text}
+    training = {"objective": "LCO_KLD", "scorer_table": "scores.txt", "normalize": text}
     cfg, _ = write(tmp_path, {**TRAIN, "training": training})
     config = build_trainer(parse_config(cfg))
     assert config.normalize is value

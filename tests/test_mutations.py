@@ -38,6 +38,11 @@ def _halved_bound(monkeypatch, kind):
     _replace_entry(monkeypatch, kind, bound=lambda loss, sigma, v: 0.5 * bound(loss, sigma, v))
 
 
+def _scaled_hessian(monkeypatch, kind, scale):
+    hessian = OBJECTIVES[kind].hessian
+    _replace_entry(monkeypatch, kind, hessian=lambda z, pi, target, step: scale * hessian(z, pi, target, step))
+
+
 def _negated_gradient(kernel):
     def mutant(*args):
         evaluation = kernel(*args)
@@ -99,9 +104,14 @@ MUTATIONS = {
     ),
     "LCO-MSE's bound halved": (lambda mp: _halved_bound(mp, ObjectiveKind.LCO_MSE), {"bounds": (1500, 500)}),
     "LCO-KLD's bound halved": (lambda mp: _halved_bound(mp, ObjectiveKind.LCO_KLD), {"bounds": (1500, 187)}),
-    "LCO-LCH curvature 0.8 in place of 1": (
-        lambda mp: _replace_entry(mp, ObjectiveKind.LCO_LCH, curvature=0.8),
-        {"convergence": (160, 40)},
+    # the convergence run reads its rate c from the Hessian at the target
+    "an LCO-LCH Hessian scaled by 0.8": (
+        lambda mp: _rebind(mp, "_lco_lch_hessian", lambda f: lambda z, target: 0.8 * f(z, target)),
+        {"convergence": (160, 40), "hessian": (3100, 300)},
+    ),
+    "an LCO-MSE Hessian scaled by 1.1": (
+        lambda mp: _scaled_hessian(mp, ObjectiveKind.LCO_MSE, 1.1),
+        {"hessian": (3100, 300)},
     ),
     "advantages left uncentered": (
         lambda mp: _rebind(mp, "normalize_advantages", lambda f: dist.as_advantages, modules=(dist, training)),

@@ -10,8 +10,9 @@ from lco_lab.envs import MatchReward, ToyEnvironment
 from lco_lab.errors import DegenerateRatioError, InvalidInputError
 from lco_lab.convexity import hessian_analytic, hessian_numeric, ppo_witness
 from lco_lab.objectives import LCO_KINDS, OBJECTIVES, ObjectiveKind, evaluate, ppo_active
+from lco_lab.training import ConvergeConfig, _curvature
 
-from oracles import central_diff, log_cosh_hp, rel_close
+from oracles import CURVATURE, central_diff, log_cosh_hp, rel_close
 
 SFT, PPO, REINFORCE = ObjectiveKind.SFT, ObjectiveKind.PPO, ObjectiveKind.REINFORCE
 LCO_MSE, LCO_LCH, LCO_KLD = LCO_KINDS
@@ -366,12 +367,18 @@ def test_only_objectives_knows_the_clip_boundary():
 @pytest.mark.parametrize("v", [2, 5, 64])
 def test_curvature_constant_is_the_top_hessian_eigenvalue_at_the_target(kind, v):
     report = hessian_analytic(kind, np.zeros(v), np.zeros(v))
-    assert OBJECTIVES[kind].curvature / v == report.max_eigenvalue
+    assert _curvature(kind, v) == CURVATURE[kind] / v == report.max_eigenvalue
 
 
-def test_only_the_logit_regressions_have_a_constant_curvature():
-    curved = [kind for kind, objective in OBJECTIVES.items() if objective.curvature is not None]
-    assert curved == [ObjectiveKind.LCO_MSE, ObjectiveKind.LCO_LCH]
+def test_only_the_logit_regressions_run_convergence_experiments():
+    accepted = []
+    for kind in ObjectiveKind:
+        try:
+            ConvergeConfig(kind, np.ones(2), 0.1)
+        except InvalidInputError:
+            continue
+        accepted.append(kind)
+    assert accepted == [ObjectiveKind.LCO_MSE, ObjectiveKind.LCO_LCH]
 
 
 @pytest.mark.parametrize("kind", LCO_KINDS)

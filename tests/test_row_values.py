@@ -30,6 +30,8 @@ from lco_lab.training import (
 )
 from lco_lab.verify import CONFIGS, GRAD_STEP, _point, _ppo_case, central_gradient, suite_gradients
 
+from oracles import CURVATURE
+
 HESSIAN_KINDS = [kind for kind, objective in OBJECTIVES.items() if objective.hessian is not None]
 
 
@@ -222,7 +224,7 @@ def _reference_converge(model, config):
         phi = model.features[0]
         lam = float(phi @ phi)
         model = model.with_theta((np.outer(z_old, phi) / lam).ravel())
-    curvature = OBJECTIVES[config.objective].curvature
+    curvature = CURVATURE[config.objective]
     c = curvature / v
     rho = abs(1.0 - config.eta * c * lam)
     anchor = np.float64(config.advantages @ config.advantages) / np.float64(config.beta) ** 2
@@ -246,7 +248,7 @@ def _random_converge(rng, family, objective):
         model = linear_policy(1, v, feature_dim, seed=seed)
         phi = model.features[0]
         lam = float(phi @ phi)
-    c = OBJECTIVES[objective].curvature / v
+    c = CURVATURE[objective] / v
     return model, ConvergeConfig(
         objective, advantages=rng.uniform(-3.0, 3.0, v), eta=float(rng.uniform(0.1, 1.9)) / (c * lam),
         steps=int(rng.integers(1, 400)), beta=float(rng.uniform(0.3, 3.0)), z_old=rng.uniform(-2.0, 2.0, v),

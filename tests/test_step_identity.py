@@ -21,7 +21,7 @@ from lco_lab.envs import MatchReward, TableReward, ToyEnvironment
 from lco_lab.errors import InvalidInputError, NonFiniteGradientError, NonFiniteLossError
 from lco_lab.objectives import LCO_KINDS, ObjectiveKind, evaluate, pairwise_sum
 from lco_lab.policy import Family, forward, linear_policy, mlp1_policy, pullback, sigma_max, tabular_policy
-from lco_lab.targets import EstimatorKind, optimal_logits, optimal_policy
+from lco_lab.targets import optimal_logits, optimal_policy
 from lco_lab.training import DynamicsRecord, Rollout, TrainerConfig, TrainerState, init_trainer, train_step
 
 # --- reference step ----------------------------------------------------------
@@ -50,7 +50,7 @@ def _ref_rollout(snapshot, env, config, rng):
 
 
 def _ref_advantages(env, config, rollout, t):
-    if config.estimator is EstimatorKind.SPARSE_SAMPLED:
+    if config.scorer_table is None:
         scalar = env.sampled_advantage(rollout.actions, t)
         if not np.isfinite(scalar):
             raise InvalidInputError("advantage must be finite")
@@ -58,7 +58,7 @@ def _ref_advantages(env, config, rollout, t):
         values[rollout.actions[t]] = scalar
         return values  # never centered: that would smear signal onto unobserved actions
     values = np.array(config.scorer_table[t], dtype=np.float64)
-    if config.estimator is EstimatorKind.DENSE_DPO_RATIO:
+    if config.ref_table is not None:
         values = values - config.ref_table[t]
     return values - values.mean() if config.normalize else values
 
@@ -200,21 +200,20 @@ def test_train_step_matches_public_reference(case):
     else:
         reward = TableReward(rng.uniform(-1.0, 1.0, (h, v)))
     env = ToyEnvironment(v, h, reward)
-    estimator = list(EstimatorKind)[int(rng.integers(3))]
+    tables = int(rng.integers(3))  # 0: sampled advantages, 1: a scorer_table, 2: a ref_table too
     config = TrainerConfig(
         objective=kind,
         learning_rate=float(rng.choice([0.3, 1.0, 4.0])),
         steps=1,
         beta=float(rng.choice([0.5, 1.0])),
-        estimator=estimator,
-        normalize=bool(rng.integers(2)),
+        normalize=bool(rng.integers(2)) and tables > 0,
         grad_clip_norm=None if rng.random() < 0.5 else 0.05,
         seed=int(rng.integers(2**31)),
         snapshot_interval=int(rng.choice([1, 2, 10**6])),
         temperature=float(rng.choice([0.3, 1.0, 2.5])),
         top_p=float(rng.choice([0.5, 0.9, 1.0])),
-        scorer_table=None if estimator is EstimatorKind.SPARSE_SAMPLED else _log_prob_table(rng, h, v),
-        ref_table=_log_prob_table(rng, h, v) if estimator is EstimatorKind.DENSE_DPO_RATIO else None,
+        scorer_table=_log_prob_table(rng, h, v) if tables > 0 else None,
+        ref_table=_log_prob_table(rng, h, v) if tables == 2 else None,
     )
     assert_steps_identical(_model(family, env, rng), env, config, steps=5)
 

@@ -3,11 +3,12 @@
 Each of the 300 runs is drawn from its own ``np.random.default_rng(i)``, so
 the set is fixed: it does not depend on the modules loaded before it or on
 the test order.  A run draws a tabular or linear model at V 2-8 and
-horizon 1-3, an objective, an estimator with its tables, a match or table
-reward with scores up to +/-1e300, and a beta down to 1e-300, then steps
-``train_step`` next to ``test_step_identity._ref_train_step``.  Where a step
-succeeds the two must give ``==`` records and the same parameter bytes;
-where it raises, the same exception type and message.  The draws reach the
+horizon 1-3, an objective, its advantage tables (none, a scorer's, or a
+scorer's and a reference's), a match or table reward with scores up to
++/-1e300, and a beta down to 1e-300, then steps ``train_step`` next to
+``test_step_identity._ref_train_step``.  Where a step succeeds the two
+must give ``==`` records and the same parameter bytes; where it raises,
+the same exception type and message.  The draws reach the
 error surfaces the reference meets through the checked public functions
 (overflowing targets, a loss too large for its envelope, degenerate
 importance ratios) and, under
@@ -30,7 +31,6 @@ import pytest
 from lco_lab.envs import MatchReward, TableReward, ToyEnvironment
 from lco_lab.objectives import ObjectiveKind
 from lco_lab.policy import Family, linear_policy, tabular_policy
-from lco_lab.targets import EstimatorKind
 from lco_lab.training import TrainerConfig
 
 from test_step_identity import assert_steps_identical
@@ -76,7 +76,7 @@ def _run(index):
     v = int(rng.integers(2, 9))
     h = int(rng.integers(1, 4))
     kind = list(ObjectiveKind)[int(rng.integers(len(ObjectiveKind)))]
-    estimator = list(EstimatorKind)[int(rng.integers(len(EstimatorKind)))]
+    tables = int(rng.integers(3))  # 0: sampled advantages, 1: a scorer_table, 2: a ref_table too
     if kind is ObjectiveKind.SFT or rng.random() < 0.5:
         reward = MatchReward(tuple(int(a) for a in rng.integers(v, size=h)))
     else:
@@ -95,15 +95,14 @@ def _run(index):
         steps=STEPS,
         beta=beta,
         clip_epsilon=float(rng.choice([0.05, 0.2, 0.9])),
-        estimator=estimator,
-        normalize=bool(rng.integers(2)),
+        normalize=bool(rng.integers(2)) and tables > 0,
         grad_clip_norm=None if rng.random() < 0.5 else _scale(rng),
         seed=int(rng.integers(2**31)),
         snapshot_interval=int(rng.choice([1, 2, 10**6])),
         temperature=float(rng.choice([0.3, 1.0, 2.5, 1000.0])),
         top_p=float(rng.choice([0.5, 0.9, 1.0])),
-        scorer_table=None if estimator is EstimatorKind.SPARSE_SAMPLED else _table(rng, h, v),
-        ref_table=_table(rng, h, v) if estimator is EstimatorKind.DENSE_DPO_RATIO else None,
+        scorer_table=_table(rng, h, v) if tables > 0 else None,
+        ref_table=_table(rng, h, v) if tables == 2 else None,
     )
     # logits up to +/-1000 put probabilities below the 1e-300 ratio floor
     spread = float(rng.choice([3.0, 30.0, 1000.0]))

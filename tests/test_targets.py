@@ -9,7 +9,6 @@ from lco_lab.envs import TableReward, ToyEnvironment
 from lco_lab.errors import EstimatorDomainError, InvalidInputError
 from lco_lab.objectives import ObjectiveKind
 from lco_lab.targets import (
-    EstimatorKind,
     OptimalTarget,
     load_logprob_table,
     optimal_logits,
@@ -81,45 +80,49 @@ def test_optimal_target_pair_validation():
         OptimalTarget(np.array([0.9, 0.1]), np.array([0.0, 0.0]))
 
 
-def _dense_rows(estimator, normalize=False, **tables):
-    config = TrainerConfig(ObjectiveKind.LCO_KLD, 0.1, 1, estimator=estimator, normalize=normalize, **tables)
+def _dense_rows(normalize=False, **tables):
+    config = TrainerConfig(ObjectiveKind.LCO_KLD, 0.1, 1, normalize=normalize, **tables)
     return config._advantage_rows
 
 
 def test_sparse_estimator():
     env = ToyEnvironment(5, 1, TableReward(np.array([[0.5, 0.5, 0.5, 2.0, 0.5]])))
-    config = TrainerConfig(ObjectiveKind.LCO_KLD, 0.1, 1, estimator=EstimatorKind.SPARSE_SAMPLED, normalize=True)
+    config = TrainerConfig(ObjectiveKind.LCO_KLD, 0.1, 1)
+    assert config._advantage_rows is None
     rollout = Rollout((0,), (3,), (np.zeros(5),), (np.full(5, 0.2),))
-    # the sampled action's scalar alone, never centered
+    # without a scorer table, the sampled action's scalar alone
     assert np.array_equal(_step_advantages(env, config, rollout, 0), [0, 0, 0, 2.0, 0])
+    # which is never centered, so asking for that is an error, not a no-op
+    with pytest.raises(InvalidInputError, match="^normalize is set without a scorer_table"):
+        TrainerConfig(ObjectiveKind.LCO_KLD, 0.1, 1, normalize=True)
 
 
 def test_dpo_estimator_identical_models_is_zero():
     logp = np.log(softmax(np.array([0.2, -0.5, 1.0])))[None, :]
-    (row,) = _dense_rows(EstimatorKind.DENSE_DPO_RATIO, scorer_table=logp, ref_table=logp)
+    (row,) = _dense_rows(scorer_table=logp, ref_table=logp)
     assert np.array_equal(row, np.zeros(3))
 
 
 def test_logprob_estimator_uniform_centers_to_zero():
     logp = np.full((1, 4), -np.log(4.0))
-    (row,) = _dense_rows(EstimatorKind.DENSE_LOGPROB, scorer_table=logp)
+    (row,) = _dense_rows(scorer_table=logp)
     assert np.allclose(row, -np.log(4.0))
-    (centered,) = _dense_rows(EstimatorKind.DENSE_LOGPROB, normalize=True, scorer_table=logp)
+    (centered,) = _dense_rows(normalize=True, scorer_table=logp)
     assert np.abs(centered).max() <= 1e-15
 
 
 def test_estimator_domain_errors():
     with pytest.raises(EstimatorDomainError, match="scorer_log_probs contains a non-finite entry"):
-        _dense_rows(EstimatorKind.DENSE_LOGPROB, scorer_table=np.array([[-np.inf, -1.0]]))
+        _dense_rows(scorer_table=np.array([[-np.inf, -1.0]]))
     with pytest.raises(EstimatorDomainError, match="ref_log_probs contains a non-finite entry"):
-        _dense_rows(EstimatorKind.DENSE_DPO_RATIO, scorer_table=np.zeros((1, 2)), ref_table=np.array([[np.nan, 0]]))
+        _dense_rows(scorer_table=np.zeros((1, 2)), ref_table=np.array([[np.nan, 0]]))
     with pytest.raises(InvalidInputError, match=r"ref_log_probs must have shape \(2,\), got \(3,\)"):
-        _dense_rows(EstimatorKind.DENSE_DPO_RATIO, scorer_table=np.zeros((1, 2)), ref_table=np.zeros((1, 3)))
-    with pytest.raises(InvalidInputError, match="DENSE_LOGPROB needs a scorer_table"):
-        _dense_rows(EstimatorKind.DENSE_LOGPROB)
+        _dense_rows(scorer_table=np.zeros((1, 2)), ref_table=np.zeros((1, 3)))
+    with pytest.raises(InvalidInputError, match="^ref_table is given without a scorer_table"):
+        _dense_rows(ref_table=np.zeros((1, 2)))
     huge = np.array([[1e308, 0.0]])
     with pytest.raises(InvalidInputError, match="advantages must be finite"):  # the DPO difference overflows
-        _dense_rows(EstimatorKind.DENSE_DPO_RATIO, scorer_table=huge, ref_table=-huge)
+        _dense_rows(scorer_table=huge, ref_table=-huge)
 
 
 def test_targets_reject_an_advantage_vector_of_the_wrong_shape():

@@ -18,7 +18,7 @@ from lco_lab.envs import MatchReward, TableReward, ToyEnvironment
 from lco_lab.errors import InvalidInputError, NonFiniteGradientError, StepSizeError
 from lco_lab.objectives import OBJECTIVES, ObjectiveKind, evaluate
 from lco_lab.policy import Family, forward, linear_policy, mlp1_policy, tabular_policy
-from lco_lab.targets import EstimatorKind, optimal_policy
+from lco_lab.targets import optimal_policy
 from lco_lab.training import (
     ConvergeConfig,
     DynamicsRecord,
@@ -34,7 +34,7 @@ from lco_lab.training import (
     train_step,
 )
 
-from oracles import jacobian, rel_close
+from oracles import CURVATURE, jacobian, rel_close
 
 
 def test_environment_state_indexing():
@@ -112,7 +112,6 @@ def test_constant_dense_advantage_with_normalization_freezes_model():
         objective=ObjectiveKind.LCO_MSE,
         learning_rate=0.7,
         steps=5,
-        estimator=EstimatorKind.DENSE_LOGPROB,
         scorer_table=np.full((1, 3), -1.7),
         normalize=True,
         seed=0,
@@ -131,7 +130,6 @@ def test_episode_gradient_matches_finite_differences(family, objective):
         objective=objective,
         learning_rate=0.1,
         steps=1,
-        estimator=EstimatorKind.SPARSE_SAMPLED,
         seed=3,
         temperature=0.9,
         top_p=1.0,
@@ -247,7 +245,7 @@ def test_warm_sparse_train_step_calls_no_checked_public_function(monkeypatch, ki
         model = linear_policy(env.n_states, env.vocab_size, 3, seed=2)
     else:
         model = mlp1_policy(env.n_states, env.vocab_size, 3, hidden=4, seed=2)
-    config = TrainerConfig(objective=kind, learning_rate=0.1, steps=3, estimator=EstimatorKind.SPARSE_SAMPLED)
+    config = TrainerConfig(objective=kind, learning_rate=0.1, steps=3)
     state = init_trainer(model)
     rng = np.random.default_rng(5)
     state, _ = train_step(state, env, config, rng)  # warm
@@ -275,20 +273,19 @@ def test_warm_sparse_train_step_calls_no_checked_public_function(monkeypatch, ki
     assert calls == Counter(as_advantages=1, as_logits=1, check_integer=1, pullback=1, delete=1, norm=1, tanh=1 + mlp1)
 
 
-@pytest.mark.parametrize("estimator", [EstimatorKind.DENSE_LOGPROB, EstimatorKind.DENSE_DPO_RATIO])
+@pytest.mark.parametrize("ref", [False, True])
 @pytest.mark.parametrize("normalize", [False, True])
-def test_dense_train_steps_build_no_advantages(monkeypatch, estimator, normalize):
+def test_dense_train_steps_build_no_advantages(monkeypatch, ref, normalize):
     # the config checks each table row and builds its advantage vector once
     env = ToyEnvironment(4, 3, MatchReward((1, 0, 2)))
     rng = np.random.default_rng(3)
     tables = {"scorer_table": rng.normal(-1.5, 1.0, (3, 4))}
-    if estimator is EstimatorKind.DENSE_DPO_RATIO:
+    if ref:
         tables["ref_table"] = rng.normal(-1.5, 1.0, (3, 4))
     config = TrainerConfig(
         objective=ObjectiveKind.LCO_KLD,
         learning_rate=0.1,
         steps=3,
-        estimator=estimator,
         normalize=normalize,
         **tables,
     )
@@ -516,7 +513,6 @@ def test_kld_fixed_point_with_frozen_target():
         objective=ObjectiveKind.LCO_KLD,
         learning_rate=0.5,
         steps=1,
-        estimator=EstimatorKind.DENSE_LOGPROB,
         scorer_table=advantages[None, :],
         seed=0,
         snapshot_interval=100,
@@ -602,22 +598,20 @@ def test_grad_clip_norm_caps_the_update_and_logs_the_raw_norm(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "estimator, short",
+    "ref, short",
     [
-        (EstimatorKind.DENSE_LOGPROB, "scorer_table"),
-        (EstimatorKind.DENSE_DPO_RATIO, "scorer_table"),
-        (EstimatorKind.DENSE_DPO_RATIO, "ref_table"),
+        (False, "scorer_table"),
+        (True, "scorer_table"),
+        (True, "ref_table"),
     ],
 )
-def test_table_shorter_than_the_horizon_is_rejected(estimator, short):
+def test_table_shorter_than_the_horizon_is_rejected(ref, short):
     env = ToyEnvironment(3, 2, MatchReward((1, 2)))
     tables = {"scorer_table": np.full((2, 3), -1.1), "ref_table": np.full((2, 3), -1.0)}
     tables[short] = tables[short][:1]
-    if estimator is EstimatorKind.DENSE_LOGPROB:
+    if not ref:
         del tables["ref_table"]
-    config = TrainerConfig(
-        objective=ObjectiveKind.LCO_MSE, learning_rate=0.1, steps=1, estimator=estimator, **tables
-    )
+    config = TrainerConfig(objective=ObjectiveKind.LCO_MSE, learning_rate=0.1, steps=1, **tables)
     model = tabular_policy(env.n_states, env.vocab_size)
     with pytest.raises(InvalidInputError, match=rf"{short} has 1 rows but the horizon is 2"):
         train_step(init_trainer(model), env, config, np.random.default_rng(0))
@@ -675,18 +669,19 @@ def test_trainer_config_rejects_unusable_values(tmp_path, field, value):
 
 
 @pytest.mark.parametrize(
-    "estimator, name, table",
+    "name, value, message",
     [
-        (EstimatorKind.SPARSE_SAMPLED, "scorer_table", np.full((1, 3), np.nan)),
-        (EstimatorKind.SPARSE_SAMPLED, "ref_table", np.zeros((1, 3))),
-        (EstimatorKind.DENSE_LOGPROB, "ref_table", np.full((1, 3), np.inf)),
+        ("ref_table", np.zeros((1, 3)), "ref_table is given without a scorer_table"),
+        ("ref_table", np.full((1, 3), np.nan), "ref_table is given without a scorer_table"),
+        ("normalize", True, "normalize is set without a scorer_table"),
     ],
 )
-def test_a_table_the_estimator_never_reads_is_rejected(estimator, name, table):
-    # ignoring it would let a table with no effect, even a NaN one, pass unseen
-    tables = {"scorer_table": np.zeros((1, 3))} if estimator is EstimatorKind.DENSE_LOGPROB else {}
-    with pytest.raises(InvalidInputError, match=f"{name} is given but the {estimator.value} estimator does not read"):
-        TrainerConfig(**VALID, estimator=estimator, **tables, **{name: table})
+def test_a_field_only_a_scorer_table_gives_meaning_is_rejected_without_one(name, value, message):
+    # ignoring it would let a field with no effect, even a NaN table, pass unseen
+    with pytest.raises(InvalidInputError, match=message):
+        TrainerConfig(**VALID, **{name: value})
+    # with a scorer table the run reads it
+    TrainerConfig(**VALID, scorer_table=np.zeros((1, 3)), **{name: {"ref_table": np.zeros((1, 3))}.get(name, value)})
 
 
 def test_sft_requires_match_reward():
@@ -879,7 +874,7 @@ def test_converge_reproduces_its_pinned_digests(index):
     for model in (tabular_policy(1, v), linear_policy(1, v, feature_dim, seed=seed)):
         for objective in (ObjectiveKind.LCO_MSE, ObjectiveKind.LCO_LCH):
             # sigma_max^2 is the kernel scale lam up to its last bit, the same at either commit
-            eta = u / (OBJECTIVES[objective].curvature / v * policy.sigma_max(model, 0) ** 2)
+            eta = u / (CURVATURE[objective] / v * policy.sigma_max(model, 0) ** 2)
             result = converge_experiment(model, ConvergeConfig(objective, advantages, eta, steps, beta, z_old))
             for column in (result.loss, result.bound, result.residual_inf, np.float64(result.rho)):
                 digest.update(np.asarray(column).tobytes())

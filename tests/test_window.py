@@ -11,7 +11,6 @@ from lco_lab.envs import TableReward, ToyEnvironment
 from lco_lab.errors import InvalidInputError
 from lco_lab.objectives import ObjectiveKind
 from lco_lab.policy import Family, tabular_policy
-from lco_lab.targets import EstimatorKind
 from lco_lab.training import WINDOW_CAP, TrainerConfig, TrainerState, init_trainer, rollout_episode, train_step
 
 from test_step_identity import _log_prob_table, _model, assert_steps_identical
@@ -34,7 +33,6 @@ def test_window_steps_match_the_public_reference(case):
         learning_rate=0.3,
         steps=1,
         beta=0.5,
-        estimator=EstimatorKind.DENSE_LOGPROB if dense else EstimatorKind.SPARSE_SAMPLED,
         normalize=dense,
         seed=case,
         snapshot_interval=interval,
