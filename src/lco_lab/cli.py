@@ -16,7 +16,7 @@ from . import config as cfg
 from .csvio import TEXT_COLUMNS, format_float, numeric_column, read_csv, write_dynamics_csv
 from .errors import InvalidInputError, LcoLabError, StepSizeError
 from .svgplot import write_chart
-from .training import converge_experiment, converge_violations, envelope_violations
+from .training import converge_violations, envelope_violations
 from .verify import SUITES, run_suites
 
 
@@ -95,9 +95,8 @@ def cmd_dynamics(config_path: str, out: str | None) -> int:
 def cmd_converge(config_path: str, out: str | None) -> int:
     raw = cfg.parse_config(config_path)
     out_dir = cfg.output_directory(raw, out)
-    model, converge_config = cfg.build_converge(raw)
     try:
-        result = converge_experiment(model, converge_config)
+        result = cfg.converge(raw)
     except StepSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

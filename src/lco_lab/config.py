@@ -19,12 +19,16 @@ constructor's default, which is stated there and nowhere here.  A key the
 chosen family or reward rule has no parameter for is an error at its
 line, as a misspelled key is; a key a required parameter needs and the
 config leaves out is an error too.  Parse failures carry the offending
-line number so the CLI can exit with a usable diagnostic.
+line number so the CLI can exit with a usable diagnostic, and so does an
+``InvalidInputError`` that a constructor or a run (``train``,
+``converge``) raises: it names the config, and the line of the key whose
+parameter its message opens with.
 """
 
 from __future__ import annotations
 
 import inspect
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,11 +36,11 @@ import numpy as np
 
 from .csvio import NUMERIC_COLUMNS
 from .envs import MatchReward, TableReward, ToyEnvironment
-from .errors import LcoLabError
+from .errors import InvalidInputError, LcoLabError
 from .objectives import ObjectiveKind
 from .policy import Family, PolicyModel, linear_policy, mlp1_policy, tabular_policy
 from .targets import load_logprob_table
-from .training import ConvergeConfig, DynamicsRecord, TrainerConfig, run_training
+from .training import ConvergeConfig, ConvergeResult, DynamicsRecord, TrainerConfig, converge_experiment, run_training
 
 
 class ConfigError(LcoLabError, ValueError):
@@ -177,9 +181,8 @@ def _construct(raw: RawConfig, section: str, constructor, given: dict, who: str,
     A key with no parameter of ``constructor`` exits at its line; a
     parameter with no default that neither ``args`` nor ``given`` sets is a
     missing key.  A path value names a log-prob table, which is loaded
-    here: the constructors take the table.  A library error is the
-    section's ConfigError, at the line of the key whose parameter its
-    message opens with ("seed must be >= 0, ..."), where there is one.
+    here: the constructors take the table, and a table that cannot be read
+    exits at its key's line.  A library error is labelled by ``_labelled``.
     """
     parameters = inspect.signature(constructor).parameters
     kwargs = {}
@@ -189,6 +192,11 @@ def _construct(raw: RawConfig, section: str, constructor, given: dict, who: str,
             raise ConfigError(
                 f"{raw.path}:{raw.line(section, key)}: [{section}] {key} is given but {who} does not read it"
             )
+        if isinstance(value, Path):
+            try:
+                value = load_logprob_table(value)
+            except (OSError, InvalidInputError) as exc:
+                raise ConfigError(f"{raw.path}:{raw.line(section, key)}: [{section}] {key}: {exc}") from exc
         kwargs[name] = value
     missing = [
         name
@@ -197,13 +205,23 @@ def _construct(raw: RawConfig, section: str, constructor, given: dict, who: str,
     ]
     if missing:
         raise ConfigError(f"{raw.path}: {who} needs [{section}] {', '.join(missing)}")
-    try:
-        kwargs = {name: load_logprob_table(v) if isinstance(v, Path) else v for name, v in kwargs.items()}
+    with _labelled(raw, section):
         return constructor(*args, **kwargs)
-    except LcoLabError as exc:
-        # a library error opens with the parameter it rejects, where it rejects one
-        named = (raw.line(section, key) for key in given if str(exc).startswith(f"{_PARAMETER.get(key, key)} "))
-        line = next(named, 0)
+
+
+@contextmanager
+def _labelled(raw: RawConfig, section: str):
+    """Re-raise an ``InvalidInputError`` of the library as the section's ConfigError.
+
+    A library error opens with the parameter it rejects, where it rejects
+    one ("seed must be >= 0, ..."), so the error is put at the line of the
+    section's key for that parameter, where there is one.
+    """
+    try:
+        yield
+    except InvalidInputError as exc:
+        keys = raw.sections.get(section, {})
+        line = next((raw.line(section, key) for key in keys if str(exc).startswith(f"{_PARAMETER.get(key, key)} ")), 0)
         raise ConfigError(f"{raw.path}{f':{line}' if line else ''}: [{section}] invalid: {exc}") from exc
 
 
@@ -240,7 +258,9 @@ def train(raw: RawConfig, objective: ObjectiveKind | None = None) -> tuple[Polic
     with ``run_training``.
     """
     env = build_environment(raw)
-    return run_training(build_model(raw, env), env, build_trainer(raw, objective))
+    model, config = build_model(raw, env), build_trainer(raw, objective)
+    with _labelled(raw, "training"):
+        return run_training(model, env, config)
 
 
 def dynamics_objectives(raw: RawConfig) -> tuple[ObjectiveKind, ObjectiveKind]:
@@ -266,6 +286,18 @@ def build_converge(raw: RawConfig) -> tuple[PolicyModel, ConvergeConfig]:
     fields = {key: given.pop(key) for key in list(given) if key in parameters}
     model = _construct(raw, "converge", FAMILIES[family], fields, f"the {family.value} family", 1)
     return model, _construct(raw, "converge", ConvergeConfig, given, f"the {family.value} convergence run")
+
+
+def converge(raw: RawConfig) -> ConvergeResult:
+    """The convergence run ``[converge]`` describes, as ``converge_experiment`` runs it.
+
+    Its cross-key checks (the advantages against the vocabulary, the
+    target's range) are labelled as the constructors' checks are; a
+    divergent step size still raises ``StepSizeError``.
+    """
+    model, config = build_converge(raw)
+    with _labelled(raw, "converge"):
+        return converge_experiment(model, config)
 
 
 def output_directory(raw: RawConfig, override: str | None) -> Path:

@@ -15,12 +15,11 @@ with ``Objective.point``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import _softmax, as_logits, as_probs, check_action, check_integer
+from .dist import _softmax, as_logits, as_probs, check_action, check_integer, check_real
 from .errors import InvalidInputError, KinkError, WitnessSearchError
 from .linalg import require_symmetric
 from .objectives import OBJECTIVES, Objective, ObjectiveKind, evaluate, ppo_hessian_matrix
@@ -88,8 +87,7 @@ def hessian_numeric(kind: ObjectiveKind, z, target=None, step=(), h: float = 1e-
     """
     objective = _with_hessian(kind)
     z, target, step = objective.point(z, target, step)
-    if not h > 0.0:
-        raise InvalidInputError("h must be positive")
+    h = check_real(h, "h")
 
     n = z.size
     bump = h * np.eye(n)
@@ -131,7 +129,7 @@ def ppo_witness(pi, action: int, advantage_sign: int) -> np.ndarray:
     V >= 3 or pi(a) > 1/2.  Where the least eigenvalue is not below -1e-8,
     WitnessSearchError is raised with it.
     """
-    pi = as_probs(pi)
+    pi = as_probs(pi, "pi")
     action = check_action(action, pi.size)
     if np.any(pi <= 0.0) or np.any(pi >= 1.0):
         raise InvalidInputError("witness search needs a non-degenerate distribution")
@@ -157,9 +155,12 @@ def directionality(kind: ObjectiveKind, z, z_star, pi_star=None) -> float:
     objective = OBJECTIVES[kind]
     if objective.target is None:
         raise InvalidInputError(f"directionality is defined for LCO objectives, not {kind!r}")
-    z = as_logits(z)
-    z_star = as_logits(z_star)
-    target = pi_star if objective.target == "policy" and pi_star is not None else objective.target_at(z_star)
+    z = as_logits(z, "z")
+    z_star = as_logits(z_star, "z_star")
+    if objective.target == "policy" and pi_star is not None:
+        target = as_probs(pi_star, "pi_star")
+    else:
+        target = objective.target_at(z_star)
     return float(evaluate(kind, z, target).logit_gradient @ (z - z_star))
 
 
@@ -178,11 +179,9 @@ def gradient_norm_bound(kind: ObjectiveKind, loss_value: float, sigma_max: float
 
 
 def _check_bound_inputs(loss_value: float, sigma_max: float) -> None:
-    """The scalar checks of ``gradient_norm_bound``: a finite, nonnegative loss and sigma_max."""
-    if not (math.isfinite(loss_value) and loss_value >= 0.0):
-        raise InvalidInputError(f"loss must be finite and nonnegative, got {loss_value!r}")
-    if not (math.isfinite(sigma_max) and sigma_max >= 0.0):
-        raise InvalidInputError(f"sigma_max must be finite and nonnegative, got {sigma_max!r}")
+    """The scalar checks of ``gradient_norm_bound``: the loss and sigma_max in their intervals."""
+    check_real(loss_value, "loss_value", "loss")
+    check_real(sigma_max, "sigma_max")
 
 
 def bound_check(
@@ -192,11 +191,12 @@ def bound_check(
     sigma_max: float,
     vocab_size: int,
 ) -> BoundCheck:
+    actual_gradient_norm = check_real(actual_gradient_norm, "actual_gradient_norm")
     bound = gradient_norm_bound(kind, loss_value, sigma_max, vocab_size)
     return BoundCheck(
-        actual_gradient_norm=float(actual_gradient_norm),
+        actual_gradient_norm=actual_gradient_norm,
         bound_value=bound,
-        satisfied=bool(actual_gradient_norm <= bound + BOUND_SLACK),
+        satisfied=actual_gradient_norm <= bound + BOUND_SLACK,
         objective=kind,
         sigma_max=float(sigma_max),
     )

@@ -6,6 +6,13 @@ nonnegative and sums to one within 1e-12; an "advantage vector" is any finite
 real vector of length >= 1.  ``as_logits``, ``as_probs`` and ``as_advantages``
 are the one check of each.
 
+Every numeric argument the library takes is read here, by one of two
+readers: ``as_array`` turns a float-array argument into float64 of a stated
+shape (the three vector checks above are its cases), and ``check_real``
+checks a real number against its parameter's interval in ``INTERVALS``,
+where each interval is written once.  A bad argument raises
+``InvalidInputError`` whose message opens with the parameter's name.
+
 Each public primitive validates its inputs and then calls a private kernel
 (``_softmax``, ``_log_softmax``, ``_entropy``, ``_total_variation``, and
 ``_nucleus`` with ``_pick`` for the sampler) that holds its only copy of the
@@ -25,6 +32,7 @@ Everything here is a pure function of its inputs; RNG state is caller-owned.
 from __future__ import annotations
 
 import math
+import reprlib
 
 import numpy as np
 
@@ -33,43 +41,87 @@ from .errors import DivergenceUndefinedError, InvalidInputError
 PROB_ATOL = 1e-12
 
 
-def as_logits(z) -> np.ndarray:
-    """Validate and return a logit vector as a float64 array."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1 or z.size < 2:
-        raise InvalidInputError(f"logits must be a 1-D vector of length >= 2, got shape {z.shape}")
-    return _finite_logits(z)
+def as_array(value, name: str, shape: int | tuple[int, ...], min_size: int = 0, finite: bool = True) -> np.ndarray:
+    """``value`` as a float64 array of ``shape``, finite unless told otherwise.
+
+    ``shape`` is the exact shape, or the number of dimensions where any
+    lengths will do.  The one reader of every float-array argument: a value
+    numpy cannot read as floats (ragged, non-numeric), another shape, fewer
+    than ``min_size`` entries or a non-finite entry raises
+    ``InvalidInputError``, and every message opens with ``name``.
+    """
+    try:
+        array = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{name} must be an array of real numbers, got {reprlib.repr(value)}") from None
+    got = array.shape
+    if (len(got) != shape if type(shape) is int else got != shape) or array.size < min_size:
+        if type(shape) is int:
+            form = f"a 1-D vector of length >= {min_size}" if shape == 1 else f"a {shape}-D array"
+        else:
+            form = f"a 1-D vector of length {shape[0]}" if len(shape) == 1 else f"an array of shape {shape}"
+        raise InvalidInputError(f"{name} must be {form}, got shape {got}")
+    return _finite(array, name) if finite else array
 
 
-def _finite_logits(z: np.ndarray) -> np.ndarray:
-    """The one check of ``as_logits`` that a model's own (V,) output can fail: finiteness."""
+def _finite(array: np.ndarray, name: str) -> np.ndarray:
+    """The one check of ``as_array`` that a model's own output can fail: finiteness."""
     # the reduction ndarray.all calls, without its wrapper
-    if not np.logical_and.reduce(np.isfinite(z)):
-        raise InvalidInputError("logits must be finite")
-    return z
+    if not np.logical_and.reduce(np.isfinite(array), axis=None):
+        raise InvalidInputError(f"{name} must be finite")
+    return array
 
 
-def as_probs(p) -> np.ndarray:
+def as_logits(z, name: str = "logits") -> np.ndarray:
+    """Validate and return a logit vector as a float64 array."""
+    return as_array(z, name, 1, 2)
+
+
+def as_probs(p, name: str = "probabilities") -> np.ndarray:
     """Validate and return a probability vector as a float64 array."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or p.size < 2:
-        raise InvalidInputError(f"probabilities must be a 1-D vector of length >= 2, got shape {p.shape}")
-    if not np.isfinite(p).all() or (p < 0.0).any():
-        raise InvalidInputError("probabilities must be finite and nonnegative")
+    p = as_array(p, name, 1, 2)
+    if (p < 0.0).any():
+        raise InvalidInputError(f"{name} must be nonnegative")
     if abs(float(p.sum()) - 1.0) > PROB_ATOL:
-        raise InvalidInputError(f"probabilities sum to {p.sum()!r}, not 1")
+        raise InvalidInputError(f"{name} sums to {p.sum()!r}, not 1")
     return p
 
 
-def as_advantages(a, size: int | None = None) -> np.ndarray:
+def as_advantages(a, size: int | None = None, name: str = "advantages") -> np.ndarray:
     """Validate and return an advantage vector as a float64 array, of length ``size`` when given."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 1 or a.size < 1 or (size is not None and a.size != size):
-        length = "length >= 1" if size is None else f"length {size}"
-        raise InvalidInputError(f"advantages must be a 1-D vector of {length}, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise InvalidInputError("advantages must be finite")
-    return a
+    return as_array(a, name, 1 if size is None else (size,), 1)
+
+
+# the interval of every real parameter, written once: ``check_real`` reads it
+INTERVALS = {
+    "learning_rate": "(0, inf)", "eta": "(0, inf)", "beta": "(0, inf]", "clip_epsilon": "(0, 1)",
+    "temperature": "(0, inf)", "top_p": "(0, 1]", "grad_clip_norm": "(0, inf)", "h": "(0, inf)",
+    "loss": "[0, inf)", "sigma_max": "[0, inf)", "actual_gradient_norm": "[0, inf]", "behavioral_prob": "(0, 1]",
+    "advantage": "(-inf, inf)",
+}
+# each interval as (low, high, low is closed, high is closed)
+_BOUNDS = {
+    key: (*map(float, ends[1:-1].split(",")), ends[0] == "[", ends[-1] == "]") for key, ends in INTERVALS.items()
+}
+
+
+def check_real(value, name: str, interval: str | None = None) -> float:
+    """``value`` as a float: a real number (not a bool) in ``INTERVALS[interval]``, ``INTERVALS[name]`` without one.
+
+    A violation raises ``InvalidInputError``, whose message opens with ``name``.
+    """
+    key = interval or name
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+            raise InvalidInputError(f"{name} must be a real number, got {reprlib.repr(value)}")
+        try:
+            value = float(value)
+        except OverflowError:  # an int beyond the float range
+            value = math.inf if value > 0 else -math.inf
+    low, high, low_closed, high_closed = _BOUNDS[key]
+    if not ((low < value or low_closed and value == low) and (value < high or high_closed and value == high)):
+        raise InvalidInputError(f"{name} must lie in {INTERVALS[key]}, got {value!r}")
+    return value
 
 
 def check_integer(value, name: str, low: int | None = None) -> int:
@@ -92,7 +144,7 @@ def check_action(index: int, vocab_size: int) -> int:
 
 def softmax(z) -> np.ndarray:
     """Max-shifted softmax; invariant under adding a constant to all logits."""
-    return _softmax(as_logits(z))
+    return _softmax(as_logits(z, "z"))
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -102,7 +154,7 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 def log_softmax(z) -> np.ndarray:
     """z - max(z) - log(sum(exp(z - max(z)))); exp of this matches softmax(z)."""
-    return _log_softmax(as_logits(z))
+    return _log_softmax(as_logits(z, "z"))
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -125,7 +177,7 @@ def _shifted_exp(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def entropy(p) -> float:
     """Shannon entropy in nats with the 0*log(0) := 0 convention."""
-    return _entropy(as_probs(p))
+    return _entropy(as_probs(p, "p"))
 
 
 def _entropy(p: np.ndarray) -> float:
@@ -139,10 +191,10 @@ def kl_divergence(p, q) -> float:
     Requires q > 0 wherever p > 0; a support violation makes the divergence
     undefined rather than infinite.
     """
-    p = as_probs(p)
-    q = as_probs(q)
+    p = as_probs(p, "p")
+    q = as_probs(q, "q")
     if p.size != q.size:
-        raise InvalidInputError("distributions must have equal length")
+        raise InvalidInputError("q must have the length of p")
     support = p > 0.0
     if np.any(q[support] <= 0.0):
         raise DivergenceUndefinedError("q has zero mass on the support of p")
@@ -178,10 +230,10 @@ def kl_between(p: np.ndarray, q: np.ndarray, log_q: np.ndarray | None = None) ->
 
 def total_variation(p, q) -> float:
     """Half the L1 distance between two distributions; lies in [0, 1]."""
-    p = as_probs(p)
-    q = as_probs(q)
+    p = as_probs(p, "p")
+    q = as_probs(q, "q")
     if p.size != q.size:
-        raise InvalidInputError("distributions must have equal length")
+        raise InvalidInputError("q must have the length of p")
     return _total_variation(p, q)
 
 
@@ -191,7 +243,7 @@ def _total_variation(p: np.ndarray, q: np.ndarray) -> float:
 
 def normalize_advantages(a) -> np.ndarray:
     """Advantages centered to mean zero; a mean or difference that overflows raises."""
-    a = as_advantages(a)
+    a = as_advantages(a, name="a")
     with np.errstate(over="ignore"):
         centered = a - a.mean()
     if not np.isfinite(centered).all():
@@ -256,12 +308,8 @@ def sample_actions(p, temperature: float, top_p: float, rng: np.random.Generator
     leaves it in the same state.  Deterministic given the generator state.
     """
     size = check_integer(size, "size", 1)
-    p = as_probs(p)
-    if not 0.0 < temperature < math.inf:
-        raise InvalidInputError("temperature must be positive and finite")
-    if not 0.0 < top_p <= 1.0:
-        raise InvalidInputError("top_p must lie in (0, 1]")
-    return _pick(*_nucleus(p, temperature, top_p), rng, size)
+    p = as_probs(p, "p")
+    return _pick(*_nucleus(p, check_real(temperature, "temperature"), check_real(top_p, "top_p")), rng, size)
 
 
 def sample_action(p, temperature: float, top_p: float, rng: np.random.Generator) -> int:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import check_action, check_integer
+from .dist import as_array, check_action, check_integer
 from .errors import InvalidInputError
 
 MAX_STATES = 100_000
@@ -31,6 +31,9 @@ class MatchReward:
 @dataclass(frozen=True)
 class TableReward:
     table: np.ndarray  # (horizon, vocab)
+
+    def __post_init__(self):
+        object.__setattr__(self, "table", as_array(self.table, "table", 2))
 
 
 @dataclass(frozen=True)
@@ -56,14 +59,8 @@ class ToyEnvironment:
             target = tuple(check_action(t, self.vocab_size) for t in self.reward.target)
             object.__setattr__(self, "reward", MatchReward(target))
         elif isinstance(self.reward, TableReward):
-            table = np.asarray(self.reward.table, dtype=np.float64)
-            if table.shape != (self.horizon, self.vocab_size):
-                raise InvalidInputError(
-                    f"score table must have shape ({self.horizon}, {self.vocab_size})"
-                )
-            if not np.all(np.isfinite(table)):
-                raise InvalidInputError("score table must be finite")
-            object.__setattr__(self, "reward", TableReward(table))
+            if self.reward.table.shape != (self.horizon, self.vocab_size):
+                raise InvalidInputError(f"table must have shape ({self.horizon}, {self.vocab_size})")
         else:
             raise InvalidInputError("reward must be MatchReward or TableReward")
 

@@ -21,10 +21,6 @@ class DegenerateRatioError(LcoLabError, ValueError):
     """Behavioral probability of the sampled action is numerically zero."""
 
 
-class EstimatorDomainError(LcoLabError, ValueError):
-    """Advantage estimator inputs outside its domain (e.g. log of zero)."""
-
-
 class InactiveRegionError(LcoLabError, ValueError):
     """Clipped-surrogate curvature requested where the gradient is gated off."""
 

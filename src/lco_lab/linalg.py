@@ -9,17 +9,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dist import as_array
 from .errors import InvalidInputError
 
 SYMMETRY_ATOL = 1e-10
 
 
 def require_symmetric(matrix) -> np.ndarray:
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise InvalidInputError(f"expected a square matrix, got shape {matrix.shape}")
-    if not np.all(np.isfinite(matrix)):
-        raise InvalidInputError("matrix must be finite")
+    matrix = as_array(matrix, "matrix", 2)
+    if matrix.shape[0] != matrix.shape[1]:
+        raise InvalidInputError(f"matrix must be square, got shape {matrix.shape}")
     if np.abs(matrix - matrix.T).max() > SYMMETRY_ATOL:
         raise InvalidInputError("matrix is not symmetric within 1e-10")
     return matrix

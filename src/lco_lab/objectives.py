@@ -68,7 +68,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dist import _log_softmax, _softmax, _softmax_and_log, as_logits, as_probs, check_action, kl_between
+from .dist import _log_softmax, _softmax, _softmax_and_log, as_logits, as_probs, check_action, check_real, kl_between
 from .errors import DegenerateRatioError, InactiveRegionError, InvalidInputError
 from .targets import _optimal_logits, _optimal_policy
 
@@ -265,11 +265,11 @@ def _ppo_hessian(pi: np.ndarray, action: int, advantage: float, behavioral: floa
 # ---------------------------------------------------------------------------
 
 
-# what each step value after the action (which must index z) satisfies, in order
-_STEP_RULES = (
-    ("the advantage must be finite", np.isfinite),
-    ("the behavioral probability must lie in (0, 1]", lambda x: 0.0 < x <= 1.0),
-    ("clip_epsilon must lie in (0, 1)", lambda x: 0.0 < x < 1.0),
+# each step value after the action (which must index z), in order: its name and its interval's
+_STEP_VALUES = (
+    ("step advantage", "advantage"),
+    ("step behavioral probability", "behavioral_prob"),
+    ("step clip_epsilon", "clip_epsilon"),
 )
 
 
@@ -317,28 +317,22 @@ class Objective:
         The target is checked in this objective's form, of z's length (None
         without a form); ``step`` is a tuple or list of at least ``reads``
         values, its action checked by ``check_action`` and the rest by
-        ``_STEP_RULES``, and returned as its first ``reads``.  Every
-        violation raises ``InvalidInputError``.
+        ``check_real`` against ``_STEP_VALUES``, and returned as its first
+        ``reads``.  Every violation raises ``InvalidInputError``.
         """
-        z = as_logits(z)
+        z = as_logits(z, "z")
         if self.target is None:
             target = None
         else:
-            target = as_logits(target) if self.target == "logits" else as_probs(target)
+            target = as_logits(target, "target") if self.target == "logits" else as_probs(target, "target")
             if target.size != z.size:
-                raise InvalidInputError("the target and the logits must have equal length")
+                raise InvalidInputError("target must have the length of z")
         if not isinstance(step, (tuple, list)) or len(step) < self.reads:
             raise InvalidInputError(f"step must be a tuple of at least {self.reads} values, got {step!r}")
         if not self.reads:
             return z, target, ()
         action = check_action(step[0], z.size)
-        try:
-            values = tuple(map(float, step[1 : self.reads]))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InvalidInputError(f"step values must be numbers, got {step!r}") from exc
-        for value, (rule, holds) in zip(values, _STEP_RULES):
-            if not holds(value):
-                raise InvalidInputError(f"{rule}, got {value!r}")
+        values = (check_real(value, *names) for value, names in zip(step[1 : self.reads], _STEP_VALUES))
         return z, target, (action, *values)
 
     def policy(self, z: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:

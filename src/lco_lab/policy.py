@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dist import check_integer
+from .dist import as_array, check_integer
 from .errors import InvalidInputError, InvalidStateError
 
 
@@ -53,15 +53,18 @@ class PolicyModel:
     features: np.ndarray | None = None  # (n_states, feature_dim) for LINEAR/MLP1
     hidden: int = 0  # MLP1 width
 
+    def __post_init__(self):
+        # read, not checked finite: theta may be a diverged run's, and sigma_max reports a NaN it meets
+        object.__setattr__(self, "theta", as_array(self.theta, "theta", 1, 1, finite=False))
+        if self.features is not None:
+            object.__setattr__(self, "features", as_array(self.features, "features", 2, finite=False))
+
     @property
     def n_params(self) -> int:
         return self.theta.size
 
     def with_theta(self, theta: np.ndarray) -> "PolicyModel":
-        theta = np.asarray(theta, dtype=np.float64)
-        if theta.shape != self.theta.shape:
-            raise InvalidInputError("parameter shape mismatch")
-        return replace(self, theta=theta)
+        return replace(self, theta=as_array(theta, "theta", self.theta.shape, finite=False))
 
     @cached_property
     def mlp_views(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -83,10 +86,7 @@ def tabular_policy(n_states: int, vocab_size: int, init_logits=None) -> PolicyMo
     n_states, vocab_size = _check_shape(n_states, vocab_size)
     theta = np.zeros(n_states * vocab_size)
     if init_logits is not None:
-        row = np.asarray(init_logits, dtype=np.float64)
-        if row.shape != (vocab_size,):
-            raise InvalidInputError(f"init_logits must have shape ({vocab_size},)")
-        theta = np.tile(row, n_states)
+        theta = np.tile(as_array(init_logits, "init_logits", (vocab_size,)), n_states)
     return PolicyModel(Family.TABULAR, theta, n_states, vocab_size)
 
 
@@ -165,9 +165,8 @@ def pullback(model: PolicyModel, state: int, grad_z) -> np.ndarray:
     outside the state's span of theta (``_span``).
     """
     state = _check_state(model, state)
-    grad_z = np.asarray(grad_z, dtype=np.float64)
-    if grad_z.shape != (model.vocab_size,):
-        raise InvalidInputError(f"grad_z must have shape ({model.vocab_size},), got {grad_z.shape}")
+    # a non-finite grad_z pulls back to a non-finite vector, which the trainer's gradient check reports
+    grad_z = as_array(grad_z, "grad_z", (model.vocab_size,), finite=False)
     start, stop = _span(model, state)
     out = np.zeros(model.n_params)
     out[start:stop] = _vjp(model, state, grad_z, _hidden(model, state))
@@ -268,10 +267,8 @@ def _sigma_maxes(model: PolicyModel, states: Sequence[int], hiddens: Sequence[np
 def linearization_residual(model: PolicyModel, theta, theta_star, state: int) -> float:
     """Relative remainder of the first-order logit expansion between theta
     and theta_star; exactly zero for the TABULAR and LINEAR families."""
-    theta = np.asarray(theta, dtype=np.float64)
-    theta_star = np.asarray(theta_star, dtype=np.float64)
-    if theta.shape != model.theta.shape or theta_star.shape != model.theta.shape:
-        raise InvalidInputError("parameter shape mismatch")
+    theta = as_array(theta, "theta", model.theta.shape)
+    theta_star = as_array(theta_star, "theta_star", model.theta.shape)
     at_theta = model.with_theta(theta)
     z = forward(at_theta, state)
     z_star = forward(model.with_theta(theta_star), state)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dist import as_advantages, as_logits, as_probs, softmax
+from .dist import as_advantages, as_logits, as_probs, check_real, softmax
 from .errors import InvalidInputError
 
 
@@ -29,8 +29,8 @@ class OptimalTarget:
     z_star: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "pi_star", as_probs(self.pi_star))
-        object.__setattr__(self, "z_star", as_logits(self.z_star))
+        object.__setattr__(self, "pi_star", as_probs(self.pi_star, "pi_star"))
+        object.__setattr__(self, "z_star", as_logits(self.z_star, "z_star"))
         if np.abs(softmax(self.z_star) - self.pi_star).max() > 1e-10:
             raise InvalidInputError("z_star does not induce pi_star")
 
@@ -42,8 +42,8 @@ def optimal_policy(pi_old, a, beta: float) -> np.ndarray:
     advantage-to-beta ratios cannot overflow; a ratio beyond the float range
     raises instead of returning NaN.
     """
-    pi_old = as_probs(pi_old)
-    return _optimal_policy(pi_old, _checked_advantages(a, beta, pi_old.size), beta)
+    pi_old = as_probs(pi_old, "pi_old")
+    return _optimal_policy(pi_old, as_advantages(a, pi_old.size, "a"), check_real(beta, "beta"))
 
 
 def _optimal_policy(pi_old: np.ndarray, values: np.ndarray, beta: float) -> np.ndarray:
@@ -60,8 +60,8 @@ def _optimal_policy(pi_old: np.ndarray, values: np.ndarray, beta: float) -> np.n
 
 def optimal_logits(z_old, a, beta: float) -> np.ndarray:
     """Representative target logits z_old + A / beta."""
-    z_old = as_logits(z_old)
-    return _optimal_logits(z_old, _checked_advantages(a, beta, z_old.size), beta)
+    z_old = as_logits(z_old, "z_old")
+    return _optimal_logits(z_old, as_advantages(a, z_old.size, "a"), check_real(beta, "beta"))
 
 
 def _optimal_logits(z_old: np.ndarray, values: np.ndarray, beta: float) -> np.ndarray:
@@ -71,14 +71,6 @@ def _optimal_logits(z_old: np.ndarray, values: np.ndarray, beta: float) -> np.nd
     if not np.all(np.isfinite(z_star)):
         raise InvalidInputError("target logits z_old + A/beta overflow")
     return z_star
-
-
-def _checked_advantages(a, beta: float, size: int) -> np.ndarray:
-    """Advantages of the given length, with a positive beta."""
-    values = as_advantages(a, size)
-    if not beta > 0.0:
-        raise InvalidInputError("beta must be positive")
-    return values
 
 
 def _scaled(values: np.ndarray, beta: float) -> np.ndarray:
@@ -97,7 +89,7 @@ def optimal_target(z_old, a, beta: float) -> OptimalTarget:
 
 def optimal_shift(a) -> float:
     """Constant C minimizing ||A + C*1||^2, i.e. the negated mean of A."""
-    values = as_advantages(a)
+    values = as_advantages(a, name="a")
     with np.errstate(over="ignore"):
         mean = float(values.mean())
     if not math.isfinite(mean):

@@ -108,16 +108,18 @@ import numpy as np
 from .convexity import BOUND_SLACK, _check_bound_inputs
 from .dist import (
     _entropy,
-    _finite_logits,
+    _finite,
     _nucleus,
     _pick,
     _softmax,
     as_advantages,
+    as_array,
     check_integer,
+    check_real,
     normalize_advantages,
 )
 from .envs import MatchReward, ToyEnvironment
-from .errors import EstimatorDomainError, InvalidInputError, NonFiniteGradientError, NonFiniteLossError, StepSizeError
+from .errors import InvalidInputError, NonFiniteGradientError, NonFiniteLossError, StepSizeError
 from .objectives import OBJECTIVES, LossEval, Objective, ObjectiveKind, pairwise_sum
 from .policy import (
     Family,
@@ -161,26 +163,11 @@ class TrainerConfig:
     _advantage_rows: tuple[np.ndarray, ...] | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0.0 < self.learning_rate < np.inf:
-            raise InvalidInputError("learning_rate must be positive and finite")
         for name, low in (("steps", 1), ("snapshot_interval", 1), ("seed", 0)):
             check_integer(getattr(self, name), name, low)
-        if not self.beta > 0.0:
-            raise InvalidInputError("beta must be positive")
-        if not 0.0 < self.clip_epsilon < 1.0:
-            raise InvalidInputError("clip_epsilon must lie in (0, 1)")
-        if self.grad_clip_norm is not None and not 0.0 < self.grad_clip_norm < np.inf:
-            raise InvalidInputError("grad_clip_norm must be positive and finite")
-        if not 0.0 < self.temperature < np.inf:
-            raise InvalidInputError("temperature must be positive and finite")
-        if not 0.0 < self.top_p <= 1.0:
-            raise InvalidInputError("top_p must lie in (0, 1]")
-        for name in ("scorer_table", "ref_table"):
-            table = getattr(self, name)
-            if table is not None and np.ndim(table) != 2:
-                raise InvalidInputError(
-                    f"{name} must be a 2-D (horizon, V) array, got shape {np.shape(table)}"
-                )
+        reals = ("learning_rate", "beta", "clip_epsilon", "temperature", "top_p", "grad_clip_norm")
+        for name in reals if self.grad_clip_norm is not None else reals[:-1]:
+            object.__setattr__(self, name, check_real(getattr(self, name), name))
         # the tables pick the advantage rule; a field the run never reads is a
         # mistake, as a misspelled config key is
         if self.scorer_table is not None:
@@ -194,26 +181,24 @@ class TrainerConfig:
 def _dense_advantages(config: TrainerConfig) -> tuple[np.ndarray, ...]:
     """Each table row's advantage vector, centered when ``normalize`` is set.
 
-    Row t is the scorer's row t of log-probabilities or, with a
-    ``ref_table``, the scorer's row minus the reference's: DPO's implicit
-    reward.  Each row read is checked here, once per run instead of once
-    per step.  The vectors are as wide as the scorer table;
-    ``_step_advantages`` checks that width and the row count against the
+    The tables are read as finite 2-D float arrays, a ``ref_table`` as wide
+    as the scorer's.  Row t is the scorer's row t of log-probabilities or,
+    with a ``ref_table``, the scorer's row minus the reference's: DPO's
+    implicit reward, one for each row both tables have.  Each row is
+    checked here, once per run instead of once per step;
+    ``_step_advantages`` checks the width and the row count against the
     environment.
     """
-    tables = [np.asarray(t, dtype=np.float64) for t in (config.scorer_table, config.ref_table) if t is not None]
-    width = tables[0].shape[1]
-    rows = []
-    for row in zip(*tables):
-        for values, name in zip(row, ("scorer_log_probs", "ref_log_probs")):
-            if values.shape != (width,):
-                raise InvalidInputError(f"{name} must have shape ({width},), got {values.shape}")
-            if not np.isfinite(values).all():
-                raise EstimatorDomainError(f"{name} contains a non-finite entry (log of zero probability?)")
+    scorer = as_array(config.scorer_table, "scorer_table", 2)
+    values = scorer.copy()
+    if config.ref_table is not None:
+        ref = as_array(config.ref_table, "ref_table", 2)
+        if ref.shape[1] != scorer.shape[1]:
+            raise InvalidInputError(f"ref_table must have the scorer_table's width {scorer.shape[1]}, got {ref.shape}")
         with np.errstate(over="ignore"):
-            values = row[0] - row[1] if len(row) == 2 else row[0].copy()
-        rows.append(_frozen(normalize_advantages(values) if config.normalize else as_advantages(values)))
-    return tuple(rows)
+            values = scorer[: len(ref)] - ref[: len(scorer)]
+    rows = (as_advantages(row) for row in values)
+    return tuple(_frozen(normalize_advantages(row) if config.normalize else row) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -329,7 +314,7 @@ def rollout_episode(
         cached = visit = window.get(s)
         if visit is None:
             _check_state(snapshot, s)
-            z = _frozen(_finite_logits(_forward(snapshot, s, _hidden(snapshot, s))))
+            z = _frozen(_finite(_forward(snapshot, s, _hidden(snapshot, s)), "z"))
             visit = (z, _frozen(_softmax(z)), None)
         z, p, nucleus = visit
         if teacher_forced:
@@ -357,11 +342,8 @@ def _step_advantages(env: ToyEnvironment, config: TrainerConfig, rollout: Rollou
     """
     rows = config._advantage_rows
     if rows is None:
-        scalar = env.sampled_advantage(rollout.actions, t)
-        if not math.isfinite(scalar):
-            raise InvalidInputError("advantage must be finite")
         values = np.zeros(env.vocab_size)
-        values[rollout.actions[t]] = scalar
+        values[rollout.actions[t]] = check_real(env.sampled_advantage(rollout.actions, t), "advantage")
         return values
     # there is one row for each timestep that every table has a row for
     if len(rows) < env.horizon:
@@ -372,7 +354,7 @@ def _step_advantages(env: ToyEnvironment, config: TrainerConfig, rollout: Rollou
         )
     values = rows[t]
     if values.size != env.vocab_size:
-        raise InvalidInputError(f"scorer_log_probs must have shape ({env.vocab_size},), got {values.shape}")
+        raise InvalidInputError(f"scorer_table rows must have length {env.vocab_size}, got {values.size}")
     return values
 
 
@@ -425,7 +407,7 @@ def episode_eval(state: TrainerState, env: ToyEnvironment, config: TrainerConfig
         target = _snapshot_target(objective, config.beta, rollout, values, t, state.window)
         # checked as forward checks it, since a caller may pass another model's rollout
         hidden = _hidden(model, _check_state(model, s))
-        z = _finite_logits(_forward(model, s, hidden))
+        z = _finite(_forward(model, s, hidden), "z")
         # a logit-target loss reads z and its target alone, so its pi is None
         # here and ``_record`` takes it, where the public path takes it; a
         # floating-point event of that softmax then comes after the loss's own
@@ -632,17 +614,11 @@ class ConvergeConfig:
         if OBJECTIVES[self.objective].target != "logits":
             raise InvalidInputError("convergence experiments cover LCO_MSE and LCO_LCH")
         check_integer(self.steps, "steps", 1)
-        if not 0.0 < self.eta < np.inf:
-            raise InvalidInputError("eta must be positive and finite")
-        if not 0.0 < self.beta < np.inf:
-            raise InvalidInputError("beta must be positive and finite")
-        advantages = as_advantages(self.advantages)
-        object.__setattr__(self, "advantages", advantages)
+        for name in ("eta", "beta"):
+            object.__setattr__(self, name, check_real(getattr(self, name), name))
+        object.__setattr__(self, "advantages", as_advantages(self.advantages))
         if self.z_old is not None:
-            z_old = np.asarray(self.z_old, dtype=np.float64)
-            if z_old.shape != advantages.shape or not np.isfinite(z_old).all():
-                raise InvalidInputError(f"z_old must be a finite vector of shape {advantages.shape}")
-            object.__setattr__(self, "z_old", z_old)
+            object.__setattr__(self, "z_old", as_array(self.z_old, "z_old", self.advantages.shape))
 
 
 @dataclass(frozen=True)

@@ -177,7 +177,7 @@ def test_train_scorer_table_with_a_non_finite_entry_exits_2(tmp_path, capsys):
         "[training]\nobjective = LCO_KLD\nsteps = 2\nscorer_table = scores.txt\n",
     )
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert "non-finite entry" in capsys.readouterr().err
+    assert f"{cfg}:9: [training] invalid: scorer_table must be finite" in capsys.readouterr().err
     assert not (tmp_path / "o" / "dynamics.csv").exists()
 
 

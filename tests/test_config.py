@@ -255,7 +255,7 @@ def test_a_converge_family_without_a_scaled_identity_kernel_exits_2(tmp_path, ca
         ),
         ("train", {**TRAIN, "model": {"family": "LINEAR", "init_seed": "-5"}}, ("model", "init_seed"), "seed must be"),
         ("train", {**TRAIN, "model": {"family": "MLP1", "init_seed": "-1"}}, ("model", "init_seed"), "seed must be"),
-        ("converge", with_key(CONVERGE, "converge", "eta", "-0.1"), ("converge", "eta"), "eta must be positive"),
+        ("converge", with_key(CONVERGE, "converge", "eta", "-0.1"), ("converge", "eta"), "eta must lie in (0, inf)"),
         ("train", with_key(TRAIN, "training", "clip_epsilon", "1.5"), ("training", "clip_epsilon"), "clip_epsilon"),
     ],
 )
@@ -312,6 +312,59 @@ def test_dynamics_needs_exactly_two_objectives(tmp_path, capsys):
     cfg, at = write(tmp_path, {**TRAIN, "dynamics": {"objectives": "PPO"}})
     assert run("dynamics", cfg, tmp_path / "o") == 2
     assert f"{cfg}:{at['dynamics', 'objectives']}: need exactly two objectives" in capsys.readouterr().err
+
+
+# --- errors met after the constructors --------------------------------------------
+
+SCORED = with_key(TRAIN, "training", "scorer_table", "s.txt")
+
+
+@pytest.mark.parametrize(
+    "section, key, sections",
+    [
+        ("training", "scorer_table", with_key(TRAIN, "training", "scorer_table", "missing.txt")),
+        ("training", "ref_table", with_key(SCORED, "training", "ref_table", "missing.txt")),
+        ("environment", "table", {**TRAIN, "environment": {"vocab_size": "3", "horizon": "2", "reward": "table",
+                                                           "table": "missing.txt"}}),
+    ],
+)
+def test_a_table_file_that_cannot_be_read_exits_2_at_its_key_s_line(tmp_path, capsys, section, key, sections):
+    # its OSError once reached the CLI bare: "error: [Errno 2] No such file or directory: ..."
+    (tmp_path / "s.txt").write_text("-1.0 -2.0 -3.0\n-1.0 -2.0 -3.0\n")
+    cfg, at = write(tmp_path, sections)
+    assert run("train", cfg, tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}:{at[section, key]}: [{section}] {key}: [Errno 2] No such file or directory")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "keys, at_key, message",
+    [
+        ({"advantages": "1, -1, 0"}, "advantages", "advantages must be a 1-D vector of length 2, got shape (3,)"),
+        ({"advantages": "1e308, -1e308", "beta": "1e-10"}, None, "A/beta overflows"),
+        ({"advantages": "1e308, 0", "z_old": "1e308, 0"}, None, "target logits z_old + A/beta overflow"),
+    ],
+)
+def test_a_converge_cross_key_failure_exits_2_naming_the_config(tmp_path, capsys, keys, at_key, message):
+    # checked by converge_experiment against the model, once a bare message naming no file
+    sections = CONVERGE
+    for key, text in keys.items():
+        sections = with_key(sections, "converge", key, text)
+    cfg, at = write(tmp_path, sections)
+    assert run("converge", cfg, tmp_path / "o") == 2
+    line = f":{at['converge', at_key]}" if at_key else ""
+    assert capsys.readouterr().err == f"error: {cfg}{line}: [converge] invalid: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_training_failure_of_a_key_s_value_exits_2_at_its_line(tmp_path, capsys):
+    # the table is read when the config is, its row count against the horizon as the run starts
+    (tmp_path / "s.txt").write_text("-1.0 -2.0 -3.0\n")
+    cfg, at = write(tmp_path, with_key(TRAIN, "training", "scorer_table", "s.txt"))
+    assert run("train", cfg, tmp_path / "o") == 2
+    error = capsys.readouterr().err
+    assert error.startswith(f"error: {cfg}:{at['training', 'scorer_table']}: [training] invalid: scorer_table has 1 rows")
 
 
 # --- [output] --------------------------------------------------------------------

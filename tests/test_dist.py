@@ -205,9 +205,9 @@ def test_sample_rejects_bad_parameters():
     # log 0 / inf is NaN: an infinite temperature once drew action 0 every time
     # from [0.7, 0.3, 0.0], and drew uniformly from [0.7, 0.3]
     for p in ([0.7, 0.3, 0.0], [0.7, 0.3]):
-        with pytest.raises(InvalidInputError, match="^temperature must be positive and finite$"):
+        with pytest.raises(InvalidInputError, match=r"^temperature must lie in \(0, inf\), got inf$"):
             sample_action(p, np.inf, 1.0, np.random.default_rng(0))
-        with pytest.raises(InvalidInputError, match="^temperature must be positive and finite$"):
+        with pytest.raises(InvalidInputError, match=r"^temperature must lie in \(0, inf\), got inf$"):
             sample_actions(p, np.inf, 1.0, np.random.default_rng(0), 10_000)
 
 

@@ -250,7 +250,7 @@ def test_evaluate_is_the_kernel_at_the_checked_point(kind):
     for target, step in BAD_POINTS[kind]:
         with pytest.raises(InvalidInputError):
             evaluate(kind, Z, target, step)
-    with pytest.raises(InvalidInputError, match="logits must be finite"):
+    with pytest.raises(InvalidInputError, match="^z must be finite"):
         evaluate(kind, [0.1, np.inf, 0.0], *GOOD_POINTS[kind])
 
 

@@ -278,7 +278,7 @@ def test_non_finite_theta_raises_from_the_rollout(family):
     config = TrainerConfig(objective=ObjectiveKind.LCO_KLD, learning_rate=0.1, steps=1)
     with np.errstate(invalid="ignore"):
         error = assert_steps_identical(model.with_theta(theta), env, config, steps=1)
-    assert error == (InvalidInputError, "logits must be finite")
+    assert error == (InvalidInputError, "z must be finite")
 
 
 def test_non_finite_gradient_raises_after_the_episode():

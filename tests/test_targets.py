@@ -6,7 +6,7 @@ from mpmath import log, mpf, workdps
 
 from lco_lab.dist import normalize_advantages, softmax, total_variation
 from lco_lab.envs import TableReward, ToyEnvironment
-from lco_lab.errors import EstimatorDomainError, InvalidInputError
+from lco_lab.errors import InvalidInputError
 from lco_lab.objectives import ObjectiveKind
 from lco_lab.targets import (
     OptimalTarget,
@@ -111,12 +111,13 @@ def test_logprob_estimator_uniform_centers_to_zero():
     assert np.abs(centered).max() <= 1e-15
 
 
-def test_estimator_domain_errors():
-    with pytest.raises(EstimatorDomainError, match="scorer_log_probs contains a non-finite entry"):
+def test_tables_outside_the_dense_rule_s_domain():
+    # a log of zero probability is a non-finite entry, which the array reader rejects
+    with pytest.raises(InvalidInputError, match="^scorer_table must be finite"):
         _dense_rows(scorer_table=np.array([[-np.inf, -1.0]]))
-    with pytest.raises(EstimatorDomainError, match="ref_log_probs contains a non-finite entry"):
+    with pytest.raises(InvalidInputError, match="^ref_table must be finite"):
         _dense_rows(scorer_table=np.zeros((1, 2)), ref_table=np.array([[np.nan, 0]]))
-    with pytest.raises(InvalidInputError, match=r"ref_log_probs must have shape \(2,\), got \(3,\)"):
+    with pytest.raises(InvalidInputError, match=r"^ref_table must have the scorer_table's width 2, got \(1, 3\)"):
         _dense_rows(scorer_table=np.zeros((1, 2)), ref_table=np.zeros((1, 3)))
     with pytest.raises(InvalidInputError, match="^ref_table is given without a scorer_table"):
         _dense_rows(ref_table=np.zeros((1, 2)))
@@ -137,7 +138,7 @@ def test_targets_reject_an_advantage_vector_of_the_wrong_shape():
 
 @pytest.mark.parametrize("bad", [[], np.zeros((2, 2)), 1.0, [np.nan, 0.0]])
 def test_optimal_shift_rejects_what_is_not_an_advantage_vector(bad):
-    with pytest.raises(InvalidInputError, match="advantages must be"):
+    with pytest.raises(InvalidInputError, match="^a must be"):
         optimal_shift(bad)
 
 

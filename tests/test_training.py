@@ -768,7 +768,6 @@ def test_converge_rejects_a_model_the_config_does_not_fit(model, message):
         ("beta", 0.0),
         ("beta", -1.0),
         ("beta", float("nan")),
-        ("beta", float("inf")),
         ("eta", 0.0),
         ("eta", -0.1),
         ("eta", float("nan")),
@@ -818,6 +817,14 @@ def test_converge_closed_form_matches_the_dense_jacobian_recursion(feature_dim, 
         assert rel_close(loss, evaluate(objective, residual, np.zeros(v)).value, rel=1e-12, floor=1e-300)
         assert rel_close(residual_inf, np.abs(residual).max(), rel=1e-12, floor=1e-300)
         residual = residual - eta * c * (gram @ residual)
+
+
+def test_an_infinite_beta_anchors_the_run_at_z_old():
+    # beta lies in (0, inf] wherever it is read: A / inf = 0, so the target is z_old itself
+    config = ConvergeConfig(**{**CONVERGE_VALID, "beta": float("inf"), "z_old": np.array([0.5, 0.0, -0.5, 1.0])})
+    result = converge_experiment(tabular_policy(1, 4), config)
+    assert np.all(result.loss == 0.0) and np.all(result.bound == 0.0)
+    assert converge_violations(result) == 0
 
 
 def test_converge_rejects_an_overflowing_envelope_anchor():
