@@ -1,9 +1,17 @@
 """Command-line runner: verify / train / dynamics / converge / plot.
 
-Exit codes: 0 success, 1 failed checks or bound violations, 2 unusable
-configuration or input schema, 3 divergent step size in a convergence run.
-All artifacts land inside the output directory passed with --out (or the
-config's [output] directory).
+Exit codes: 0 success, 1 failed checks or bound violations, or a run
+that stopped on a typed library error (a non-finite loss or gradient, or
+a number no output can hold), 2 unusable configuration or input schema,
+3 divergent step size in a convergence run.  All artifacts land inside
+the output directory passed with --out (or the config's [output]
+directory).
+
+A command runs with numpy's overflow events silenced: each overflow a run
+can meet is followed by a typed check (the step's loss and gradient
+checks, the next step's logits check), and every number a command writes
+goes through ``csvio.format_float``, which refuses one that is not finite,
+so an overflow ends in the one ``error:`` line, not in numpy warnings.
 """
 
 from __future__ import annotations
@@ -11,6 +19,8 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import config as cfg
 from .csvio import TEXT_COLUMNS, format_float, numeric_column, read_csv, write_dynamics_csv
@@ -26,16 +36,19 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run property suites")
     p.add_argument("--suite", action="append", choices=sorted(SUITES), help="run only this suite")
+    p.set_defaults(run=lambda args: cmd_verify(args.suite))
 
-    for name in ("train", "dynamics", "converge"):
+    for name, command in (("train", cmd_train), ("dynamics", cmd_dynamics), ("converge", cmd_converge)):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None, help="output directory")
+        p.set_defaults(run=lambda args, command=command: command(args.config, args.out))
 
     p = sub.add_parser("plot", help="render CSV columns as an SVG line chart")
     p.add_argument("--csv", action="append", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--columns", default=None, help="comma-separated y columns")
+    p.set_defaults(run=lambda args: cmd_plot(args.csv, args.out, args.columns))
     return parser
 
 
@@ -140,23 +153,14 @@ def cmd_plot(csv_paths: list[str], out: str, columns: str | None) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            return cmd_verify(args.suite)
-        if args.command == "train":
-            return cmd_train(args.config, args.out)
-        if args.command == "dynamics":
-            return cmd_dynamics(args.config, args.out)
-        if args.command == "converge":
-            return cmd_converge(args.config, args.out)
-        if args.command == "plot":
-            return cmd_plot(args.csv, args.out, args.columns)
+        with np.errstate(over="ignore"):  # see the module docstring
+            return args.run(args)
     except (cfg.ConfigError, InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LcoLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

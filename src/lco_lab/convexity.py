@@ -22,7 +22,7 @@ import numpy as np
 from .dist import _softmax, as_logits, as_probs, check_action, check_integer, check_real
 from .errors import InvalidInputError, KinkError, WitnessSearchError
 from .linalg import require_symmetric
-from .objectives import OBJECTIVES, Objective, ObjectiveKind, evaluate, ppo_hessian_matrix
+from .objectives import Objective, ObjectiveKind, entry, evaluate, ppo_hessian_matrix
 
 WITNESS_TOL = 1e-8
 BOUND_SLACK = 1e-9  # absolute roundoff allowance of ``bound_check``
@@ -108,7 +108,7 @@ def hessian_numeric(kind: ObjectiveKind, z, target=None, step=(), h: float = 1e-
 
 
 def _with_hessian(kind: ObjectiveKind) -> Objective:
-    objective = OBJECTIVES[kind]
+    objective = entry(kind)
     if objective.hessian is None:
         raise InvalidInputError(f"no Hessian for {kind!r}")
     return objective
@@ -152,7 +152,7 @@ def directionality(kind: ObjectiveKind, z, z_star, pi_star=None) -> float:
     a minimizer.  For LCO_KLD the representative target logits are used; any
     constant shift of them is invisible because that gradient sums to zero.
     """
-    objective = OBJECTIVES[kind]
+    objective = entry(kind)
     if objective.target is None:
         raise InvalidInputError(f"directionality is defined for LCO objectives, not {kind!r}")
     z = as_logits(z, "z")
@@ -171,7 +171,7 @@ def gradient_norm_bound(kind: ObjectiveKind, loss_value: float, sigma_max: float
     LCO_KLD: sigma sqrt(2 L).  Monotone increasing in the loss, so the bound
     dissipates as training closes in on the target.
     """
-    bound = OBJECTIVES[kind].bound
+    bound = entry(kind).bound
     if bound is None:
         raise InvalidInputError(f"no gradient-norm bound for {kind!r}")
     _check_bound_inputs(loss_value, sigma_max)

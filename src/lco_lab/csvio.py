@@ -7,9 +7,10 @@ produce byte-identical output.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NonFiniteOutputError
 from .training import DynamicsRecord
 
 DYNAMICS_HEADER = (
@@ -29,6 +30,13 @@ NUMERIC_COLUMNS = tuple(name for name in DYNAMICS_HEADER if name not in TEXT_COL
 
 
 def format_float(value: float) -> str:
+    """``value`` in 17 significant digits, the form of every number a command writes.
+
+    A value that is not finite is what an overflow left in a run, and no
+    output holds one: it raises ``NonFiniteOutputError``.
+    """
+    if not math.isfinite(value):
+        raise NonFiniteOutputError(f"{value} cannot be written: a run overflowed, and outputs hold finite numbers")
     return f"{value:.17g}"
 
 

@@ -27,6 +27,13 @@ MAX_STATES = 100_000
 class MatchReward:
     target: tuple[int, ...]
 
+    def __post_init__(self):
+        try:
+            tokens = tuple(self.target)
+        except TypeError:
+            raise InvalidInputError(f"target must be a sequence of integers, got {self.target!r}") from None
+        object.__setattr__(self, "target", tuple(check_integer(token, "target") for token in tokens))
+
 
 @dataclass(frozen=True)
 class TableReward:
@@ -56,8 +63,8 @@ class ToyEnvironment:
         if isinstance(self.reward, MatchReward):
             if len(self.reward.target) != self.horizon:
                 raise InvalidInputError("target length must equal the horizon")
-            target = tuple(check_action(t, self.vocab_size) for t in self.reward.target)
-            object.__setattr__(self, "reward", MatchReward(target))
+            for token in self.reward.target:
+                check_action(token, self.vocab_size)
         elif isinstance(self.reward, TableReward):
             if self.reward.table.shape != (self.horizon, self.vocab_size):
                 raise InvalidInputError(f"table must have shape ({self.horizon}, {self.vocab_size})")

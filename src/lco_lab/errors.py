@@ -51,3 +51,7 @@ class NonFiniteGradientError(LcoLabError, FloatingPointError):
 
 class NonFiniteLossError(LcoLabError, FloatingPointError):
     """Training produced a NaN or infinite episode loss."""
+
+
+class NonFiniteOutputError(LcoLabError, FloatingPointError):
+    """A number bound for an output file is not finite."""

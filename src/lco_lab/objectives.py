@@ -24,7 +24,8 @@ convergence run reads c from it (``training._curvature``).  The trainer,
 ``convexity`` and ``verify`` look these facts up there, so a new
 objective is one entry.
 The kernel, the row value and the Hessian all read one point,
-``(z, target, step)``, which ``Objective.point`` checks.  The kernel holds
+``(z, target, step)``, which ``Objective.point`` checks, and a public
+function reads its kind with ``entry``.  The kernel holds
 the only copy of the objective's arithmetic and takes pi = softmax(z), and
 log pi where it reads it, from its caller (``Objective.policy`` makes both
 from one shift, exponential and sum), so a trainer that already holds them
@@ -409,6 +410,17 @@ OBJECTIVES: dict[ObjectiveKind, Objective] = {
 LCO_KINDS = tuple(kind for kind, objective in OBJECTIVES.items() if objective.target is not None)
 
 
+def entry(kind, name: str = "kind") -> Objective:
+    """The ``OBJECTIVES`` entry of ``kind``, the one reader of an objective kind at the library boundary.
+
+    Anything but an ``ObjectiveKind`` (its name as a string, None) raises
+    ``InvalidInputError``, whose message opens with ``name``.
+    """
+    if not isinstance(kind, ObjectiveKind):
+        raise InvalidInputError(f"{name} must be an ObjectiveKind, got {kind!r}")
+    return OBJECTIVES[kind]
+
+
 def evaluate(kind: ObjectiveKind, z, target=None, step=()) -> LossEval:
     """The loss of ``kind`` and its logit gradient at the table's point (z, target, step).
 
@@ -418,7 +430,7 @@ def evaluate(kind: ObjectiveKind, z, target=None, step=()) -> LossEval:
     their target, z* for LCO_MSE and LCO_LCH and pi* for LCO_KLD.  A
     logit-target loss never takes the softmax, as in the trainer.
     """
-    objective = OBJECTIVES[kind]
+    objective = entry(kind)
     z, target, step = objective.point(z, target, step)
     return objective.kernel(z, *objective.policy(z), target, step)
 

@@ -78,6 +78,12 @@ snapshot refreshes and holds at most ``WINDOW_CAP`` entries; once full,
 misses compute without storing.  Its arrays are read-only, because the
 ``Rollout`` of every step in the window shares them.
 
+``run_steps`` is the one run loop: it builds the state and the seeded
+generator and yields each step's state and record, so ``run_training``
+collects it and a caller with a stop rule leaves it early.  It calls
+``train_step`` through this module's global, where a profiler that rebinds
+the name reaches every step.
+
 ``converge_experiment`` runs the sampling-free single-state recursion whose
 per-step error contracts by I - eta*c*J J^T, where c I is the logit
 regression's own analytic Hessian at its target (``_curvature``: 2/V for
@@ -101,7 +107,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -120,7 +126,7 @@ from .dist import (
 )
 from .envs import MatchReward, ToyEnvironment
 from .errors import InvalidInputError, NonFiniteGradientError, NonFiniteLossError, StepSizeError
-from .objectives import OBJECTIVES, LossEval, Objective, ObjectiveKind, pairwise_sum
+from .objectives import OBJECTIVES, LossEval, Objective, ObjectiveKind, entry, pairwise_sum
 from .policy import (
     Family,
     PolicyModel,
@@ -163,6 +169,7 @@ class TrainerConfig:
     _advantage_rows: tuple[np.ndarray, ...] | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        entry(self.objective, "objective")  # read once here; a step looks its entry up by the kind
         for name, low in (("steps", 1), ("snapshot_interval", 1), ("seed", 0)):
             check_integer(getattr(self, name), name, low)
         reals = ("learning_rate", "beta", "clip_epsilon", "temperature", "top_p", "grad_clip_norm")
@@ -578,17 +585,31 @@ def _record(
     )
 
 
+def run_steps(
+    model: PolicyModel, env: ToyEnvironment, config: TrainerConfig
+) -> Iterator[tuple[TrainerState, DynamicsRecord]]:
+    """The ``(state, record)`` of each of ``config.steps`` episode updates, one run's loop.
+
+    The state is ``init_trainer(model)``, advanced in place, and every step
+    draws from one generator seeded with ``config.seed``.  A caller that
+    stops early leaves the loop: the steps it did not take are never run.
+    """
+    state, rng = init_trainer(model), np.random.default_rng(config.seed)
+    for _ in range(config.steps):
+        yield train_step(state, env, config, rng)
+
+
 def run_training(
     model: PolicyModel, env: ToyEnvironment, config: TrainerConfig
 ) -> tuple[PolicyModel, list[DynamicsRecord]]:
-    """Run ``config.steps`` episode updates from a fresh seeded generator."""
-    rng = np.random.default_rng(config.seed)
-    state = init_trainer(model)
-    records: list[DynamicsRecord] = []
-    for _ in range(config.steps):
-        state, record = train_step(state, env, config, rng)
-        records.append(record)
-    return state.model, records
+    """The final model and the records of all ``config.steps`` steps of ``run_steps``."""
+    steps = list(run_steps(model, env, config))
+    return steps[-1][0].model, [record for _, record in steps]
+
+
+def rises(previous: float | np.ndarray, loss: float | np.ndarray) -> bool | np.ndarray:
+    """Whether ``loss`` exceeds ``previous`` by more than roundoff, elementwise: a descent that broke."""
+    return loss > previous * (1.0 + 1e-12) + 5e-324
 
 
 def envelope_violations(records: list[DynamicsRecord]) -> int:
@@ -611,7 +632,7 @@ class ConvergeConfig:
     z_old: np.ndarray | None = None  # one entry per advantage; zero when not given
 
     def __post_init__(self):
-        if OBJECTIVES[self.objective].target != "logits":
+        if entry(self.objective, "objective").target != "logits":
             raise InvalidInputError("convergence experiments cover LCO_MSE and LCO_LCH")
         check_integer(self.steps, "steps", 1)
         for name in ("eta", "beta"):

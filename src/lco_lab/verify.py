@@ -14,7 +14,10 @@ the entry's facts alone, and the oracle is the entry's row value, so no
 suite restates an objective.  ``suite_dynamics`` runs the shipped
 configs through ``config.train``, as ``lco-lab train`` runs them, and
 counts envelope violations with ``training.envelope_violations``, as
-``lco-lab dynamics`` counts them.
+``lco-lab dynamics`` counts them.  ``suite_recovery`` runs each of its
+runs as ``training.run_steps``, the loop every run is, and leaves it at
+its stop rule: the first rising loss by ``training.rises``, the test of
+``suite_convergence``'s monotone verdict, or the target reached.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 from . import config as cfg
 from . import convexity, dist, objectives, targets
 from .envs import TableReward, ToyEnvironment
-from .errors import WitnessSearchError
+from .errors import InvalidInputError, WitnessSearchError
 from .objectives import OBJECTIVES, ObjectiveKind
 from .policy import _kernel_scale, forward, linear_policy, mlp1_policy, pullback, sigma_max, tabular_policy
 from .training import (
@@ -39,8 +42,8 @@ from .training import (
     converge_experiment,
     converge_violations,
     envelope_violations,
-    init_trainer,
-    train_step,
+    rises,
+    run_steps,
 )
 
 GRAD_STEP = 1e-3
@@ -489,6 +492,19 @@ def suite_directionality(seed: int = 606):
 # ---------------------------------------------------------------------------
 
 
+def _slope_misses(kind: ObjectiveKind, v: int, c: float) -> bool:
+    """Whether c, read from the Hessian at the target, misses the slope of ``evaluate``'s gradient there.
+
+    The slope is g(h e_0)[0] / h at h = 2^-20 against a zero target: exact
+    for LCO-MSE's (2/V) r, and tanh(h) / (V h) = (1 - h^2/3 + ...) / V, about
+    3e-13 below c, for LCO-LCH's.  A Hessian and a gradient that disagree on
+    the scale miss by far more than 1e-9 c.
+    """
+    h = 2.0**-20
+    slope = objectives.evaluate(kind, h * np.eye(v)[0], np.zeros(v)).logit_gradient[0] / h
+    return abs(slope - c) > 1e-9 * c
+
+
 @_suite
 def suite_convergence(seed: int = 707):
     rng = np.random.default_rng(seed)
@@ -508,8 +524,8 @@ def suite_convergence(seed: int = 707):
                     objective, advantages, eta=u / (c * lam), steps=CONVERGENCE_STEPS, beta=beta, z_old=z_old
                 )
                 result = converge_experiment(model, config)
-                yield converge_violations(result) > 0
-                yield np.any(result.loss[1:] > result.loss[:-1] * (1.0 + 1e-12) + 5e-324)
+                yield converge_violations(result) > 0 or _slope_misses(objective, v, c)
+                yield np.any(rises(result.loss[:-1], result.loss[1:]))
 
 
 @_suite
@@ -532,21 +548,17 @@ def suite_recovery(seed: int = 808):
             scorer_table=advantages[None, :],
         )
         model = tabular_policy(env.n_states, v, init_logits=z_old)
-        state = init_trainer(model)
-        sampler = np.random.default_rng(config.seed)
         reached, previous = False, np.inf
-        for _ in range(RECOVERY_MAX_STEPS):
-            state, record = train_step(state, env, config, sampler)
+        for state, record in run_steps(model, env, config):
             # the logit Hessian diag(pi) - pi pi^T has lambda_max <= 1/2 and J J^T = I,
             # so at eta = 0.5 < 4 a working run descends monotonically, and the
-            # first rising loss (suite_convergence's test) ends a run as failed
-            if record.loss > previous * (1.0 + 1e-12) + 5e-324:
+            # first rising loss ends a run as failed
+            if rises(previous, record.loss):
                 break
             previous = record.loss
             # the arithmetic of total_variation(softmax(forward(model, 0)), pi*) on the
             # trainer's own theta row, without re-checking arrays the trainer made
-            if dist._total_variation(dist._softmax(state.model.theta[:v]), pi_star) < 1e-6:
-                reached = True
+            if reached := dist._total_variation(dist._softmax(state.model.theta[:v]), pi_star) < 1e-6:
                 break
         yield not reached
 
@@ -601,5 +613,5 @@ def run_suites(names: list[str] | None = None) -> list[SuiteResult]:
     selected = names or list(SUITES)
     unknown = [n for n in selected if n not in SUITES]
     if unknown:
-        raise KeyError(f"unknown suite(s): {', '.join(unknown)}")
+        raise InvalidInputError(f"names must name suites of SUITES, got unknown {', '.join(unknown)}")
     return [SUITES[name]() for name in selected]

@@ -1,4 +1,5 @@
 import inspect
+import math
 import re
 import xml.dom.minidom
 from pathlib import Path
@@ -9,9 +10,12 @@ import pytest
 from lco_lab import dist
 from lco_lab.cli import main
 from lco_lab.config import ConfigError, parse_config
-from lco_lab.csvio import DYNAMICS_HEADER, format_float
+from lco_lab.csvio import DYNAMICS_HEADER, dynamics_rows, format_float
+from lco_lab.errors import InvalidInputError, NonFiniteOutputError
 from lco_lab.policy import forward, tabular_policy
 from lco_lab.svgplot import render_chart
+from lco_lab.training import DynamicsRecord
+from lco_lab.verify import run_suites
 
 CONFIG_DIR = "configs"
 
@@ -201,8 +205,63 @@ def test_train_with_a_key_only_a_scorer_table_gives_meaning_exits_2_at_its_line(
     assert not (tmp_path / "o").exists()
 
 
+# a REINFORCE run on one state whose table scores both tokens alike
+SCORED_RUN_CFG = """
+[environment]
+vocab_size = 2
+horizon = 1
+reward = table
+table = scores.txt
+
+[model]
+init_logits = {init_logits}
+
+[training]
+objective = REINFORCE
+learning_rate = {learning_rate}
+steps = 1
+seed = 4
+"""
+
+
+@pytest.mark.parametrize(
+    "score, logits, rate, extra, message",
+    [
+        # the case of test_a_gradient_norm_beyond_the_float_range_raises: the loss and
+        # the gradient norm overflow, and the step's gradient check stops the run
+        (
+            "1.7e308", "2, 0", "0.1", "grad_clip_norm = 1.0\n",
+            "gradient norm beyond the float range at step 0 (objective REINFORCE, loss inf)",
+        ),
+        # a finite step whose update overflows theta: the parent wrote inf to model.txt and exited 0
+        (
+            "-1.7e308", "1e308, 1e308", "1.0", "",
+            "inf cannot be written: a run overflowed, and outputs hold finite numbers",
+        ),
+    ],
+    ids=["gradient-norm", "theta-update"],
+)
+def test_a_run_that_overflows_exits_1_with_one_error_line(tmp_path, capsys, score, logits, rate, extra, message):
+    # numpy's overflow warnings are silenced in a command, so the typed error is all it prints
+    (tmp_path / "scores.txt").write_text(f"{score} {score}\n")
+    cfg = write_cfg(tmp_path, SCORED_RUN_CFG.format(init_logits=logits, learning_rate=rate) + extra)
+    out = tmp_path / "o"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (out / "model.txt").exists()
+
+
+def test_a_step_without_a_bound_writes_an_empty_bound_cell():
+    record = DynamicsRecord(3, 0.5, 0.25, 0.125, 0.0625, 0.5, 0.75, "positive")
+    assert record.bound_value is None
+    assert dynamics_rows([record])[1] == "3,0.5,0.25,0.125,0.0625,0.5,0.75,positive,"
+
+
 def test_float_serialization_is_17_digits():
     assert format_float(1.0 / 3.0) == "0.33333333333333331"
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(NonFiniteOutputError, match=f"^{value} cannot be written"):
+            format_float(value)
 
 
 def test_train_ppo_spike_csv_shape(tmp_path):
@@ -326,6 +385,15 @@ def test_plot_header_only_csv_gives_axes(tmp_path):
     assert main(["plot", "--csv", str(csv), "--out", str(svg)]) == 0
     body = svg.read_text()
     assert "<line" in body and "<polyline" not in body
+
+
+@pytest.mark.parametrize("text, message", [("", "empty file"), ("\n0,1\n", "missing header row")])
+def test_plot_of_a_csv_without_a_header_exits_2(tmp_path, capsys, text, message):
+    csv = tmp_path / "headless.csv"
+    csv.write_text(text)
+    assert main(["plot", "--csv", str(csv), "--out", str(tmp_path / "chart.svg")]) == 2
+    assert capsys.readouterr().err == f"error: {csv}: {message}\n"
+    assert not (tmp_path / "chart.svg").exists()
 
 
 def test_plot_missing_column_exits_2(tmp_path, capsys):
@@ -468,6 +536,9 @@ def test_verify_unknown_suite_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", "--suite", "bogus"])
     assert excinfo.value.code == 2
+    # the library refuses it as a bad argument, not with Python's KeyError
+    with pytest.raises(InvalidInputError, match="^names must name suites of SUITES, got unknown nope$"):
+        run_suites(["nope"])
 
 
 def test_verify_dynamics_without_the_config_directory_exits_2(tmp_path, monkeypatch, capsys):

@@ -14,6 +14,7 @@ from lco_lab.convexity import (
     ppo_witness,
 )
 from lco_lab.dist import softmax
+from lco_lab.linalg import require_symmetric
 from lco_lab.errors import (
     InactiveRegionError,
     InvalidInputError,
@@ -162,6 +163,8 @@ def test_min_eigenvalue_against_cholesky_bisection():
 def test_min_eigenvalue_rejects_asymmetric():
     with pytest.raises(InvalidInputError):
         min_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(InvalidInputError, match=r"^matrix must be square, got shape \(2, 3\)$"):
+        require_symmetric(np.zeros((2, 3)))
 
 
 def test_eigh_exact_on_diagonal():
@@ -291,3 +294,30 @@ def test_ppo_witness_follows_the_closed_form_convexity_map():
             assert abs(np.linalg.norm(witness) - 1.0) <= 1e-14
             assert abs(witness @ hess @ witness - least) <= 1e-13, (i, v, action, sign)
     assert len(outcomes) == 4, outcomes  # both verdicts at both signs
+
+
+def test_a_numeric_hessian_refuses_a_stencil_past_the_float_range():
+    # z + 2h e_0 overflows: the stencil point is not a point
+    with np.errstate(over="ignore"), pytest.raises(InvalidInputError, match="^logits must be finite at every stencil"):
+        hessian_numeric(ObjectiveKind.LCO_MSE, [1.7e308, 0.0], [0.0, 0.0], h=1e308)
+
+
+@pytest.mark.parametrize(
+    "pi, sign, message",
+    [
+        ([0.0, 0.5, 0.5], 1, "^witness search needs a non-degenerate distribution$"),
+        ([0.25, 0.75], 2, r"^advantage_sign must be \+1 or -1$"),
+        ([0.25, 0.75], 0, r"^advantage_sign must be \+1 or -1$"),
+    ],
+)
+def test_ppo_witness_refuses_a_degenerate_distribution_and_a_sign_other_than_one(pi, sign, message):
+    with pytest.raises(InvalidInputError, match=message):
+        ppo_witness(pi, 1, sign)
+
+
+def test_a_kind_without_a_target_or_a_bound_is_refused_where_one_is_read():
+    z = [0.5, -0.5]
+    with pytest.raises(InvalidInputError, match="^directionality is defined for LCO objectives, not "):
+        directionality(ObjectiveKind.PPO, z, z)
+    with pytest.raises(InvalidInputError, match="^no gradient-norm bound for "):
+        gradient_norm_bound(ObjectiveKind.SFT, 0.5, 1.0, 2)

@@ -113,6 +113,11 @@ def test_kl_support_violation():
         kl_divergence([0.5, 0.5], [1.0, 0.0])
 
 
+def test_kl_of_vectors_of_unequal_length_is_refused():
+    with pytest.raises(InvalidInputError, match="^q must have the length of p$"):
+        kl_divergence([0.5, 0.5], [0.25, 0.25, 0.5])
+
+
 def test_kl_nonnegative_near_equal():
     # cancellation regime: q is p plus a few ulps
     p = softmax(np.array([0.3, -0.4, 1.1]))

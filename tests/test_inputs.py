@@ -5,6 +5,9 @@ A float-array argument that is ragged, non-numeric or ``None`` (where
 number, raises ``InvalidInputError`` whose message opens with the
 parameter's name, which ``config`` reads to put the config line on the
 error.  Each parameter's interval is written once, in ``dist.INTERVALS``.
+An objective kind is read by ``objectives.entry`` and a match target by
+``MatchReward`` itself, and a kind given by its name or as ``None``, or a
+target that is not a sequence of integers, raises the same way.
 """
 
 import ast
@@ -18,6 +21,7 @@ import pytest
 import lco_lab
 from lco_lab import (
     Family,
+    MatchReward,
     ObjectiveKind,
     OptimalTarget,
     PolicyModel,
@@ -82,20 +86,24 @@ EXPORTS = [
         dict(p=P, temperature=1.0, top_p=1.0, rng=np.random.default_rng(0), size=3),
         {"p": "array", "temperature": "real", "top_p": "real"},
     ),
-    (evaluate, dict(kind=KLD, z=Z, target=P), {"z": "array", "target": "array"}),
+    (evaluate, dict(kind=KLD, z=Z, target=P), {"kind": "kind", "z": "array", "target": "array"}),
     (evaluate, dict(kind=PPO, z=Z0, step=PPO_STEP), {"step": "step"}),
     (ppo_active, dict(z=Z0, step=PPO_STEP), {"z": "array", "step": "step"}),
-    (hessian_analytic, dict(kind=MSE, z=Z, target=Z), {"z": "array", "target": "array"}),
+    (hessian_analytic, dict(kind=MSE, z=Z, target=Z), {"kind": "kind", "z": "array", "target": "array"}),
     (hessian_analytic, dict(kind=PPO, z=Z0, step=PPO_STEP), {"step": "step"}),
-    (hessian_numeric, dict(kind=MSE, z=Z, target=Z, h=1e-3), {"z": "array", "target": "array", "h": "real"}),
+    (hessian_numeric, dict(kind=MSE, z=Z, target=Z, h=1e-3), {
+        "kind": "kind", "z": "array", "target": "array", "h": "real"
+    }),
     (min_eigenvalue, dict(matrix=np.eye(2)), {"matrix": "array"}),
     (ppo_witness, dict(pi=P, action=0, advantage_sign=1), {"pi": "array"}),
-    (directionality, dict(kind=KLD, z=Z, z_star=Z, pi_star=P), {"z": "array", "z_star": "array", "pi_star": "array"}),
+    (directionality, dict(kind=KLD, z=Z, z_star=Z, pi_star=P), {
+        "kind": "kind", "z": "array", "z_star": "array", "pi_star": "array"
+    }),
     (gradient_norm_bound, dict(kind=KLD, loss_value=0.5, sigma_max=1.0, vocab_size=2), {
-        "loss_value": "real", "sigma_max": "real"
+        "kind": "kind", "loss_value": "real", "sigma_max": "real"
     }),
     (bound_check, dict(kind=KLD, actual_gradient_norm=0.1, loss_value=0.5, sigma_max=1.0, vocab_size=2), {
-        "actual_gradient_norm": "real", "loss_value": "real", "sigma_max": "real"
+        "kind": "kind", "actual_gradient_norm": "real", "loss_value": "real", "sigma_max": "real"
     }),
     (optimal_policy, dict(pi_old=P, a=A, beta=1.0), {"pi_old": "array", "a": "array", "beta": "real"}),
     (optimal_logits, dict(z_old=Z, a=A, beta=1.0), {"z_old": "array", "a": "array", "beta": "real"}),
@@ -109,16 +117,17 @@ EXPORTS = [
         "theta": "array", "theta_star": "array"
     }),
     (TableReward, dict(table=[[0.0, 1.0]]), {"table": "array"}),
+    (MatchReward, dict(target=(0,)), {"target": "tokens"}),
     (
         TrainerConfig,
         dict(objective=KLD, scorer_table=[[-0.5, -1.0]], ref_table=[[-0.7, -0.7]], grad_clip_norm=1.0),
         {name: "real" for name in ("learning_rate", "beta", "clip_epsilon", "grad_clip_norm", "temperature", "top_p")}
-        | {"scorer_table": "array", "ref_table": "array"},
+        | {"objective": "kind", "scorer_table": "array", "ref_table": "array"},
     ),
     (
         ConvergeConfig,
         dict(objective=MSE, advantages=A, eta=0.1, z_old=Z),
-        {"advantages": "array", "eta": "real", "beta": "real", "z_old": "array"},
+        {"objective": "kind", "advantages": "array", "eta": "real", "beta": "real", "z_old": "array"},
     ),
 ]
 # the parameters whose documented default is None
@@ -126,11 +135,14 @@ NONE_IS_DOCUMENTED = {
     ("directionality", "pi_star"), ("tabular_policy", "init_logits"), ("TrainerConfig", "grad_clip_norm"),
     ("TrainerConfig", "scorer_table"), ("TrainerConfig", "ref_table"), ("ConvergeConfig", "z_old"),
 }
-# the bad value of each kind of parameter, by name: an array gets all three
+# the bad value of each kind of parameter, by name: an array gets all three, an objective kind its name
+# as a string, and a token sequence (a match reward's target) what is not a sequence of integers
 BAD = {
     "array": {"ragged": [[1.0, 2.0], [3.0]], "non-numeric": ["a", "b"], "None": None},
     "real": {"non-numeric": "a", "None": None},
     "step": {"non-numeric": (0, "a", 0.5, 0.2), "None": (0, None, 0.5, 0.2)},
+    "kind": {"string": "LCO_KLD", "None": None},
+    "tokens": {"non-integer": (0.5,), "non-numeric": ("a",), "None": None},
 }
 
 
@@ -151,12 +163,18 @@ def test_a_bad_argument_raises_invalid_input_naming_its_parameter(function, kwar
     assert str(raised.value).startswith(f"{parameter} "), str(raised.value)
 
 
+def test_a_match_target_reads_as_a_tuple_of_python_ints():
+    target = MatchReward((np.int64(1), 2)).target
+    assert target == (1, 2) and all(type(token) is int for token in target)
+    assert MatchReward([0, 1]).target == (0, 1)
+
+
 def test_every_export_that_reads_a_float_array_or_a_real_scalar_is_probed():
     # a new export with a numeric parameter must join EXPORTS; the rest are enums, the records a call
     # returns, and exports whose parameters are integers, models, configs, generators or paths
     not_probed = {
         "Family", "ObjectiveKind", "LossEval", "BoundCheck", "HessianReport", "DynamicsRecord", "ConvergeResult",
-        "MatchReward", "ToyEnvironment", "linear_policy", "mlp1_policy", "forward", "sigma_max", "load_logprob_table",
+        "ToyEnvironment", "linear_policy", "mlp1_policy", "forward", "sigma_max", "load_logprob_table",
         "run_training", "train_step", "converge_experiment", "converge_violations",
     }
     probed = {function.__name__ for function, _, _ in EXPORTS}

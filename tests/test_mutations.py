@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from lco_lab import convexity, dist, objectives, policy, targets, training
+from lco_lab.cli import main
 from lco_lab.objectives import OBJECTIVES, LossEval, ObjectiveKind
 from lco_lab.policy import Family
 from lco_lab.verify import SUITES
@@ -43,12 +44,18 @@ def _scaled_hessian(monkeypatch, kind, scale):
     _replace_entry(monkeypatch, kind, hessian=lambda z, pi, target, step: scale * hessian(z, pi, target, step))
 
 
-def _negated_gradient(kernel):
-    def mutant(*args):
-        evaluation = kernel(*args)
-        return LossEval(evaluation.value, -evaluation.logit_gradient)
+def _scaled_gradient(scale):
+    def mutation(kernel):
+        def mutant(*args):
+            evaluation = kernel(*args)
+            return LossEval(evaluation.value, scale * evaluation.logit_gradient)
 
-    return mutant
+        return mutant
+
+    return mutation
+
+
+_negated_gradient = _scaled_gradient(-1.0)
 
 
 def _negated(function):
@@ -109,9 +116,15 @@ MUTATIONS = {
         lambda mp: _rebind(mp, "_lco_lch_hessian", lambda f: lambda z, target: 0.8 * f(z, target)),
         {"convergence": (160, 40), "hessian": (3100, 300)},
     ),
+    # convergence checks c against the slope of the objective's own gradient at the target
     "an LCO-MSE Hessian scaled by 1.1": (
         lambda mp: _scaled_hessian(mp, ObjectiveKind.LCO_MSE, 1.1),
-        {"hessian": (3100, 300)},
+        {"convergence": (160, 40), "hessian": (3100, 300)},
+    ),
+    # (2/V) 0.95 r in place of (2/V) r; bounds reads 0 failures, since a shorter gradient stays under its bound
+    "an LCO-MSE gradient scaled by 0.95": (
+        lambda mp: _rebind(mp, "_lco_mse_eval", _scaled_gradient(0.95)),
+        {"convergence": (160, 40), "gradients": (1300, 200), "directionality": (1300, 200)},
     ),
     "advantages left uncentered": (
         lambda mp: _rebind(mp, "normalize_advantages", lambda f: dist.as_advantages, modules=(dist, training)),
@@ -150,3 +163,10 @@ def test_each_mutation_fails_its_suites_with_the_pinned_counts(monkeypatch, name
 def test_every_suite_has_a_row():
     caught = {suite for _, expected in MUTATIONS.values() for suite in expected}
     assert set(SUITES) <= caught
+
+
+def test_verify_prints_a_failing_suite_s_count_and_exits_1(monkeypatch, capsys):
+    apply, _ = MUTATIONS["a negated LCO-KLD gradient"]
+    apply(monkeypatch)
+    assert main(["verify", "--suite", "recovery"]) == 1
+    assert capsys.readouterr().out == "suite recovery: FAIL (20/20 cases failed)\n"

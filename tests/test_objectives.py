@@ -1,3 +1,4 @@
+import ast
 import re
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from lco_lab.dist import log_softmax, softmax
 from lco_lab.envs import MatchReward, ToyEnvironment
 from lco_lab.errors import DegenerateRatioError, InvalidInputError
 from lco_lab.convexity import hessian_analytic, hessian_numeric, ppo_witness
-from lco_lab.objectives import LCO_KINDS, OBJECTIVES, ObjectiveKind, evaluate, ppo_active
+from lco_lab.objectives import LCO_KINDS, OBJECTIVES, ObjectiveKind, evaluate, pairwise_sum, ppo_active
 from lco_lab.training import ConvergeConfig, _curvature
 
 from oracles import CURVATURE, central_diff, log_cosh_hp, rel_close
@@ -279,9 +280,10 @@ def _action_entry_points(action):
 
 @pytest.mark.parametrize("action", [1.7, 1.0, np.float64(1.0), True, np.True_, "1", None, 1 + 0j])
 def test_an_action_that_is_not_an_integer_is_rejected(action):
-    # int() would truncate 1.7 and True to token 1
+    # int() would truncate 1.7 and True to token 1; a match target reads its tokens as its own parameter
     for name, call in _action_entry_points(action).items():
-        with pytest.raises(InvalidInputError, match="action must be an integer"):
+        parameter = "target" if name == "target token" else "action"
+        with pytest.raises(InvalidInputError, match=f"{parameter} must be an integer"):
             call()
             pytest.fail(name)
 
@@ -309,6 +311,17 @@ def test_an_action_outside_the_vocabulary_is_rejected(action):
 
 
 # --- the objective table -----------------------------------------------------
+
+
+def test_an_objective_without_a_target_has_none_to_align_to():
+    z_old = np.array([0.5, -0.5])
+    for kind, objective in OBJECTIVES.items():
+        target = objective.optimal_target(z_old, softmax(z_old), np.array([1.0, -1.0]), 1.0)
+        assert (target is None) == (kind not in LCO_KINDS), kind
+
+
+def test_a_pairwise_sum_of_nothing_is_zero():
+    assert pairwise_sum([]) == 0.0 and pairwise_sum([2.5]) == 2.5
 
 
 def test_objective_table_has_one_entry_per_kind():
@@ -354,6 +367,21 @@ def test_only_config_builds_a_run_from_a_config():
         if not hit.startswith("config.py:")
     ]
     assert not hits, "\n".join(hits)
+
+
+def test_only_run_steps_steps_a_run():
+    # every run in the library is run_steps' loop, and a caller that stops early leaves it
+    calls = []
+    for path in sorted(Path(lco_lab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None)) if isinstance(node, ast.Call) else None
+            if name in ("init_trainer", "train_step"):
+                # ast.walk is breadth first, so the innermost function holding the call comes last
+                holders = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                calls.append((name, path.name, holders[-1] if holders else None))
+    assert sorted(calls) == [("init_trainer", "training.py", "run_steps"), ("train_step", "training.py", "run_steps")]
 
 
 def test_only_objectives_knows_the_clip_boundary():

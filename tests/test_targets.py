@@ -194,6 +194,10 @@ def test_load_logprob_table(tmp_path):
     empty.write_text("# nothing\n")
     with pytest.raises(InvalidInputError):
         load_logprob_table(empty)
+    words = tmp_path / "words.txt"
+    words.write_text("-1.0 -2.0\n-1.0 high\n")
+    with pytest.raises(InvalidInputError, match=r"words.txt:2: not a float row: '-1.0 high'$"):
+        load_logprob_table(words)
 
 
 def _objective_hp(p, pi_old, advantages, beta):

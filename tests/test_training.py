@@ -87,9 +87,28 @@ def test_environment_rewards():
     env = ToyEnvironment(2, 2, MatchReward((1, 0)))
     assert env.terminal_reward((1, 0)) == 1.0
     assert env.terminal_reward((0, 0)) == -1.0
+    assert env.step_reward(0, 1) == 0.0  # the verifier scores the whole sequence alone
+    with pytest.raises(InvalidInputError, match="^sequence length must equal the horizon$"):
+        env.terminal_reward((1,))
     table = ToyEnvironment(2, 2, TableReward(np.array([[0.5, -0.5], [1.0, 0.0]])))
     assert table.terminal_reward((1, 0)) == 0.5
     assert table.sampled_advantage((1, 0), 0) == -0.5
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ToyEnvironment(2, 0, MatchReward(())), r"^horizon must lie in \[1, 16\]$"),
+        (lambda: ToyEnvironment(2, 17, MatchReward((0,) * 17)), r"^horizon must lie in \[1, 16\]$"),
+        (lambda: ToyEnvironment(64, 4, MatchReward((0,) * 4)), "^prefix state space has 266305 states"),
+        (lambda: ToyEnvironment(2, 2, MatchReward((0,))), "^target length must equal the horizon$"),
+        (lambda: ToyEnvironment(2, 1, TableReward(np.zeros((1, 3)))), r"^table must have shape \(1, 2\)$"),
+        (lambda: ToyEnvironment(2, 1, (0,)), "^reward must be MatchReward or TableReward$"),
+    ],
+)
+def test_an_environment_outside_its_contract_is_refused(build, message):
+    with pytest.raises(InvalidInputError, match=message):
+        build()
 
 
 def test_identical_seeds_identical_trajectories():
@@ -614,6 +633,14 @@ def test_table_shorter_than_the_horizon_is_rejected(ref, short):
     config = TrainerConfig(objective=ObjectiveKind.LCO_MSE, learning_rate=0.1, steps=1, **tables)
     model = tabular_policy(env.n_states, env.vocab_size)
     with pytest.raises(InvalidInputError, match=rf"{short} has 1 rows but the horizon is 2"):
+        train_step(init_trainer(model), env, config, np.random.default_rng(0))
+
+
+def test_a_scorer_table_row_of_another_width_is_rejected():
+    env = ToyEnvironment(2, 1, MatchReward((0,)))
+    config = TrainerConfig(objective=ObjectiveKind.LCO_KLD, steps=1, scorer_table=np.full((1, 3), -1.0))
+    model = tabular_policy(env.n_states, env.vocab_size)
+    with pytest.raises(InvalidInputError, match="^scorer_table rows must have length 2, got 3$"):
         train_step(init_trainer(model), env, config, np.random.default_rng(0))
 
 
