@@ -1,11 +1,14 @@
 """Command-line runner: verify / train / dynamics / converge / plot.
 
 Exit codes: 0 success, 1 failed checks or bound violations, or a run
-that stopped on a typed library error (a non-finite loss or gradient, or
+that stopped on a typed library error (a non-finite loss, gradient or logit, or
 a number no output can hold), 2 unusable configuration or input schema,
 3 divergent step size in a convergence run.  All artifacts land inside
 the output directory passed with --out (or the config's [output]
-directory).
+directory).  A command formats every output it makes before it writes
+the first, so a run that stops on an error, or a number no output can
+hold, leaves no file behind.  A config section or key the command never reads exits 2
+at its line (``config.COMMANDS``).
 
 A command runs with numpy's overflow events silenced: each overflow a run
 can meet is followed by a typed check (the step's loss and gradient
@@ -23,9 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfg
-from .csvio import TEXT_COLUMNS, format_float, numeric_column, read_csv, write_dynamics_csv
+from .csvio import TEXT_COLUMNS, dynamics_rows, format_float, numeric_column, parse_csv, read_csv, write_dynamics_csv
 from .errors import InvalidInputError, LcoLabError, StepSizeError
-from .svgplot import write_chart
+from .svgplot import render_chart, write_chart
 from .training import converge_violations, envelope_violations
 from .verify import SUITES, run_suites
 
@@ -63,50 +66,57 @@ def cmd_verify(suites: list[str] | None) -> int:
 
 
 def _made(out_dir: Path) -> Path:
-    """``out_dir``, created if missing; called only once there is something to write."""
+    """``out_dir``, created if missing; called only once every output is formatted."""
     out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir
 
 
-def _dump_model(path: Path, model) -> None:
+def _model_text(model) -> str:
     lines = [f"# {model.family.value} n_states={model.n_states} vocab={model.vocab_size}"]
     lines.extend(format_float(x) for x in model.theta)
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def cmd_train(config_path: str, out: str | None) -> int:
-    raw = cfg.parse_config(config_path)
+    raw = cfg.parse_config(config_path, "train")
     columns = cfg.plot_columns(raw)  # read against the dynamics CSV before anything runs
     out_dir = cfg.output_directory(raw, out)
     final_model, records = cfg.train(raw)
-    write_dynamics_csv(_made(out_dir) / "dynamics.csv", records)
-    _dump_model(out_dir / "model.txt", final_model)
+    csv_path = out_dir / "dynamics.csv"
+    rows, model_text = dynamics_rows(records), _model_text(final_model)
+    chart = None
     if columns:
-        _plot_csvs([out_dir / "dynamics.csv"], out_dir / "dynamics.svg", list(columns))
-    print(f"wrote {out_dir / 'dynamics.csv'} ({len(records)} steps)")
+        chart = render_chart(*_series([csv_path], list(columns), lambda path: parse_csv(rows, path)))
+    _made(out_dir)
+    write_dynamics_csv(csv_path, rows)
+    (out_dir / "model.txt").write_text(model_text)
+    if chart is not None:
+        (out_dir / "dynamics.svg").write_text(chart)
+    print(f"wrote {csv_path} ({len(records)} steps)")
     return 0
 
 
 def cmd_dynamics(config_path: str, out: str | None) -> int:
-    raw = cfg.parse_config(config_path)
+    raw = cfg.parse_config(config_path, "dynamics")
     out_dir = cfg.output_directory(raw, out)
-    summary_lines = []
-    for kind in cfg.dynamics_objectives(raw):
-        _, records = cfg.train(raw, kind)
-        write_dynamics_csv(_made(out_dir) / f"dynamics_{kind.value}.csv", records)
-        summary_lines.append(
-            f"{kind.value}: max_grad_norm={format_float(max(r.grad_norm_param for r in records))} "
-            f"final_entropy={format_float(records[-1].entropy)} "
-            f"final_sampled_prob={format_float(records[-1].sampled_prob)} "
-            f"envelope_violations={envelope_violations(records)}"
-        )
+    runs = [(kind, cfg.train(raw, kind)[1]) for kind in cfg.dynamics_objectives(raw)]
+    tables = {f"dynamics_{kind.value}.csv": dynamics_rows(records) for kind, records in runs}
+    summary_lines = [
+        f"{kind.value}: max_grad_norm={format_float(max(r.grad_norm_param for r in records))} "
+        f"final_entropy={format_float(records[-1].entropy)} "
+        f"final_sampled_prob={format_float(records[-1].sampled_prob)} "
+        f"envelope_violations={envelope_violations(records)}"
+        for kind, records in runs
+    ]
+    for name, rows in tables.items():
+        write_dynamics_csv(_made(out_dir) / name, rows)
     (out_dir / "summary.txt").write_text("\n".join(summary_lines) + "\n")
     print("\n".join(summary_lines))
     return 0
 
 
 def cmd_converge(config_path: str, out: str | None) -> int:
-    raw = cfg.parse_config(config_path)
+    raw = cfg.parse_config(config_path, "converge")
     out_dir = cfg.output_directory(raw, out)
     try:
         result = cfg.converge(raw)
@@ -126,11 +136,12 @@ def cmd_converge(config_path: str, out: str | None) -> int:
     return 0 if violations == 0 else 1
 
 
-def _plot_csvs(paths: list[Path], out_path: Path, columns: list[str] | None) -> None:
+def _series(paths: list[Path], columns: list[str] | None, read=read_csv):
+    """The chart series and x label of the CSVs at ``paths``, each read by ``read`` in turn."""
     series: dict[str, tuple[list[float], list[float]]] = {}
     x_label = "x"
     for path in paths:
-        header, rows = read_csv(path)
+        header, rows = read(path)
         if not header or not header[0]:
             raise InvalidInputError(f"{path}: missing header row")
         x_label = header[0]
@@ -140,12 +151,12 @@ def _plot_csvs(paths: list[Path], out_path: Path, columns: list[str] | None) -> 
             ys = numeric_column(header, rows, name, path)
             label = name if len(paths) == 1 else f"{path.stem}:{name}"
             series[label] = (xs, ys)
-    write_chart(out_path, series, x_label=x_label)
+    return series, x_label
 
 
 def cmd_plot(csv_paths: list[str], out: str, columns: str | None) -> int:
     wanted = [c.strip() for c in columns.split(",") if c.strip()] if columns else None
-    _plot_csvs([Path(p) for p in csv_paths], Path(out), wanted)
+    write_chart(Path(out), *_series([Path(p) for p in csv_paths], wanted))
     print(f"wrote {out}")
     return 0
 

@@ -6,23 +6,27 @@ each may hold and the reader of each key's text; an unknown section or key
 is an error, so a typo cannot fall back to a default, as is a key given
 twice in one section (across repeated headers too), so a later line cannot
 silently override an earlier one; a value its reader rejects exits at its
-line.  Paths are resolved relative to the config file.
+line.  ``COMMANDS`` holds the sections each command reads and the keys of
+them it never reads, and a config parsed for a command that gives one of
+those exits at its line too.  Paths are resolved relative to the config
+file.
 
 Each section is passed straight to the constructor it configures, with
 only the keys the config sets: ``[environment]`` to the reward rule and
 ``ToyEnvironment``, ``[model]`` to the family's policy constructor
 (``init_seed`` is its ``seed``), ``[training]`` to ``TrainerConfig``, and
-``[converge]`` to the family's constructor for a one-state model
-(``vocab_size``, and LINEAR's ``feature_dim`` and ``seed``) and the rest
-to ``ConvergeConfig``.  An absent key therefore takes the
-constructor's default, which is stated there and nowhere here.  A key the
-chosen family or reward rule has no parameter for is an error at its
-line, as a misspelled key is; a key a required parameter needs and the
-config leaves out is an error too.  Parse failures carry the offending
-line number so the CLI can exit with a usable diagnostic, and so does an
-``InvalidInputError`` that a constructor or a run (``train``,
-``converge``) raises: it names the config, and the line of the key whose
-parameter its message opens with.
+``[converge]`` to ``ConvergeConfig``.  Every command's model comes from
+``[model]``: over the environment's states and actions for ``train`` and
+``dynamics``, and over one state and ``len(advantages)`` actions for
+``converge``.  An absent key therefore takes the constructor's default,
+which is stated there and nowhere here.  A key the chosen family or
+reward rule has no parameter for is an error at its line, as a
+misspelled key is; a key a required parameter needs and the config leaves
+out is an error too, at its line where it is given empty.  Parse failures
+carry the offending line number so the CLI can exit with a usable
+diagnostic, and so does an ``InvalidInputError`` that a constructor or a
+run (``train``, ``converge``) raises: it names the config, and the line
+of the key whose parameter its message opens with.
 """
 
 from __future__ import annotations
@@ -96,13 +100,23 @@ SECTIONS = {
     },
     # cmd dynamics only: the two objectives it trains side by side
     "dynamics": {"objectives": lambda text: tuple(map(_objective, _names(text)))},
-    "converge": {  # cmd converge only
-        "family": _member(Family), "objective": _objective, "vocab_size": int, "eta": float, "steps": int,
-        "beta": float, "advantages": _floats, "feature_dim": int, "seed": int, "z_old": _floats,
+    # cmd converge only: the run on the one-state model [model] describes
+    "converge": {
+        "objective": _objective, "eta": float, "steps": int, "beta": float, "advantages": _floats, "z_old": _floats,
     },
     "output": {"directory": Path, "plot_columns": _columns},
 }
 
+# the sections each command reads, each with the keys of it that the command
+# never reads: dynamics trains its [dynamics] objectives and plots nothing, and
+# a convergence run starts at [converge] z_old, never at the model's theta
+COMMANDS = {
+    "train": {"environment": (), "model": (), "training": (), "output": ()},
+    "dynamics": {
+        "environment": (), "model": (), "training": ("objective",), "dynamics": (), "output": ("plot_columns",),
+    },
+    "converge": {"model": ("init_logits",), "converge": (), "output": ("plot_columns",)},
+}
 # the reward rule each [environment] reward names; its fields are the keys it reads
 REWARDS = {"match": MatchReward, "table": TableReward}
 FAMILIES = {Family.TABULAR: tabular_policy, Family.LINEAR: linear_policy, Family.MLP1: mlp1_policy}
@@ -122,6 +136,11 @@ class RawConfig:
     def line(self, section: str, key: str) -> int:
         return self.sections.get(section, {}).get(key, ("", 0))[1]
 
+    def at(self, section: str, key: str) -> str:
+        """``path:line`` of the key, where the config gives it (perhaps empty); the bare path where not."""
+        line = self.line(section, key)
+        return f"{self.path}:{line}" if line else str(self.path)
+
     def value(self, section: str, key: str, default=None):
         """The key's text read by its ``SECTIONS`` reader; ``default`` where it is absent or empty."""
         text = self.get(section, key)
@@ -140,8 +159,15 @@ class RawConfig:
         return {key: self.value(section, key) for key, (text, _) in self.sections.get(section, {}).items() if text}
 
 
-def parse_config(path: str | Path) -> RawConfig:
+def parse_config(path: str | Path, command: str | None = None) -> RawConfig:
+    """The sections of the config at ``path``, each key with its text and line.
+
+    Given the ``command`` that runs the config, a section or key of
+    ``SECTIONS`` that ``COMMANDS`` says the command never reads is an
+    error at its line, as an unknown one is.
+    """
     path = Path(path)
+    reads = COMMANDS[command] if command else dict.fromkeys(SECTIONS, ())
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -156,6 +182,8 @@ def parse_config(path: str | Path) -> RawConfig:
             current = line[1:-1].strip().lower()
             if current not in SECTIONS:
                 raise ConfigError(f"{path}:{lineno}: unknown section [{current}]; known: {', '.join(SECTIONS)}")
+            if current not in reads:
+                raise ConfigError(f"{path}:{lineno}: [{current}] is given but the {command} command does not read it")
             sections.setdefault(current, {})
             continue
         if "=" not in line:
@@ -167,6 +195,10 @@ def parse_config(path: str | Path) -> RawConfig:
         if key not in SECTIONS[current]:
             raise ConfigError(
                 f"{path}:{lineno}: unknown key {key!r} in [{current}]; known: {', '.join(SECTIONS[current])}"
+            )
+        if key in reads[current]:
+            raise ConfigError(
+                f"{path}:{lineno}: [{current}] {key} is given but the {command} command does not read it"
             )
         if key in sections[current]:
             first = sections[current][key][1]
@@ -203,26 +235,33 @@ def _construct(raw: RawConfig, section: str, constructor, given: dict, who: str,
         for name, parameter in list(parameters.items())[len(args):]
         if parameter.default is parameter.empty and name not in kwargs
     ]
-    if missing:
-        raise ConfigError(f"{raw.path}: {who} needs [{section}] {', '.join(missing)}")
+    if missing:  # at the line of the first that is given empty, if one is
+        given_empty = next((name for name in missing if raw.line(section, name)), missing[0])
+        raise ConfigError(f"{raw.at(section, given_empty)}: {who} needs [{section}] {', '.join(missing)}")
     with _labelled(raw, section):
         return constructor(*args, **kwargs)
 
 
 @contextmanager
-def _labelled(raw: RawConfig, section: str):
-    """Re-raise an ``InvalidInputError`` of the library as the section's ConfigError.
+def _labelled(raw: RawConfig, *sections: str):
+    """Re-raise an ``InvalidInputError`` of the library as a ConfigError of the config's ``sections``.
 
     A library error opens with the parameter it rejects, where it rejects
     one ("seed must be >= 0, ..."), so the error is put at the line of the
-    section's key for that parameter, where there is one.
+    key for that parameter, in the first of ``sections`` that sets one, and
+    labelled with that section, or else with the first.
     """
     try:
         yield
     except InvalidInputError as exc:
-        keys = raw.sections.get(section, {})
-        line = next((raw.line(section, key) for key in keys if str(exc).startswith(f"{_PARAMETER.get(key, key)} ")), 0)
-        raise ConfigError(f"{raw.path}{f':{line}' if line else ''}: [{section}] invalid: {exc}") from exc
+        keyed = (
+            (section, key)
+            for section in sections
+            for key in raw.sections.get(section, {})
+            if str(exc).startswith(f"{_PARAMETER.get(key, key)} ")
+        )
+        section, key = next(keyed, (sections[0], None))
+        raise ConfigError(f"{raw.at(section, key)}: [{section}] invalid: {exc}") from exc
 
 
 def build_environment(raw: RawConfig) -> ToyEnvironment:
@@ -235,12 +274,15 @@ def build_environment(raw: RawConfig) -> ToyEnvironment:
     return _construct(raw, "environment", ToyEnvironment, {**given, "reward": reward}, "the environment")
 
 
-def build_model(raw: RawConfig, env: ToyEnvironment) -> PolicyModel:
+def _policy(raw: RawConfig, n_states: int, vocab_size: int) -> PolicyModel:
+    """The model ``[model]`` describes, over ``n_states`` states and ``vocab_size`` actions; TABULAR by default."""
     given = raw.values("model")
     family = given.pop("family", Family.TABULAR)
-    return _construct(
-        raw, "model", FAMILIES[family], given, f"the {family.value} family", env.n_states, env.vocab_size
-    )
+    return _construct(raw, "model", FAMILIES[family], given, f"the {family.value} family", n_states, vocab_size)
+
+
+def build_model(raw: RawConfig, env: ToyEnvironment) -> PolicyModel:
+    return _policy(raw, env.n_states, env.vocab_size)
 
 
 def build_trainer(raw: RawConfig, objective: ObjectiveKind | None = None) -> TrainerConfig:
@@ -266,37 +308,31 @@ def train(raw: RawConfig, objective: ObjectiveKind | None = None) -> tuple[Polic
 def dynamics_objectives(raw: RawConfig) -> tuple[ObjectiveKind, ObjectiveKind]:
     kinds = raw.value("dynamics", "objectives")
     if kinds is None:
-        raise ConfigError(f"{raw.path}: missing [dynamics] objectives")
+        raise ConfigError(f"{raw.at('dynamics', 'objectives')}: missing [dynamics] objectives")
     if len(kinds) != 2:
         raise ConfigError(f"{raw.path}:{raw.line('dynamics', 'objectives')}: need exactly two objectives")
     return kinds
 
 
 def build_converge(raw: RawConfig) -> tuple[PolicyModel, ConvergeConfig]:
-    """The single-state model and the config of the convergence run ``[converge]`` describes.
+    """The single-state model and the config of the convergence run the config describes.
 
-    The keys the family's constructor has a parameter for build the model,
-    as ``[model]`` builds it; the rest configure the run.
+    ``[converge]`` configures the run, and ``[model]`` builds its model as
+    ``build_model`` builds it, over one state and ``len(advantages)`` actions.
     """
-    given = raw.values("converge")
-    family = given.pop("family", None)
-    if family is None:
-        raise ConfigError(f"{raw.path}: the convergence run needs [converge] family")
-    parameters = inspect.signature(FAMILIES[family]).parameters
-    fields = {key: given.pop(key) for key in list(given) if key in parameters}
-    model = _construct(raw, "converge", FAMILIES[family], fields, f"the {family.value} family", 1)
-    return model, _construct(raw, "converge", ConvergeConfig, given, f"the {family.value} convergence run")
+    config = _construct(raw, "converge", ConvergeConfig, raw.values("converge"), "the convergence run")
+    return _policy(raw, 1, config.advantages.size), config
 
 
 def converge(raw: RawConfig) -> ConvergeResult:
-    """The convergence run ``[converge]`` describes, as ``converge_experiment`` runs it.
+    """The convergence run the config describes, as ``converge_experiment`` runs it.
 
-    Its cross-key checks (the advantages against the vocabulary, the
-    target's range) are labelled as the constructors' checks are; a
-    divergent step size still raises ``StepSizeError``.
+    Its cross-key checks (the target's range, the envelope anchor) are
+    labelled as the constructors' checks are; a divergent step size still
+    raises ``StepSizeError``.
     """
     model, config = build_converge(raw)
-    with _labelled(raw, "converge"):
+    with _labelled(raw, "converge", "model"):
         return converge_experiment(model, config)
 
 
@@ -305,7 +341,8 @@ def output_directory(raw: RawConfig, override: str | None) -> Path:
         return Path(override)
     directory = raw.value("output", "directory")
     if directory is None:
-        raise ConfigError(f"{raw.path}: no output directory (pass --out or set [output] directory)")
+        where = raw.at("output", "directory")
+        raise ConfigError(f"{where}: no output directory (pass --out or set [output] directory)")
     return directory
 
 

@@ -95,7 +95,7 @@ def hessian_numeric(kind: ObjectiveKind, z, target=None, step=(), h: float = 1e-
     bi, bj = bump[rows], bump[cols]
     points = z + np.concatenate([np.zeros((1, n)), 2 * bump, -2 * bump, bi + bj, bi - bj, bj - bi, -bi - bj])
     if not np.isfinite(points).all():
-        raise InvalidInputError("logits must be finite at every stencil point")
+        raise InvalidInputError("z must stay finite at every stencil point, z +/- 2h e_i and z +/- h e_i +/- h e_j")
     if objective.smooth is not None and not objective.smooth(points, step):
         raise KinkError("stencil point crossed the clip boundary")
 

@@ -11,7 +11,6 @@ import math
 from pathlib import Path
 
 from .errors import InvalidInputError, NonFiniteOutputError
-from .training import DynamicsRecord
 
 DYNAMICS_HEADER = (
     "step",
@@ -51,8 +50,9 @@ def dynamics_rows(records) -> list[str]:
     return [",".join(DYNAMICS_HEADER)] + [",".join(map(_cell, vars(r).values())) for r in records]
 
 
-def write_dynamics_csv(path: str | Path, records: list[DynamicsRecord]) -> None:
-    Path(path).write_text("\n".join(dynamics_rows(records)) + "\n")
+def write_dynamics_csv(path: str | Path, rows: list[str]) -> None:
+    """The lines ``dynamics_rows`` formats, written to ``path``: a command formats every output before it writes one."""
+    Path(path).write_text("\n".join(rows) + "\n")
 
 
 def read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
@@ -61,6 +61,11 @@ def read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise InvalidInputError(f"{path}: not UTF-8 text: {exc}") from exc
+    return parse_csv(lines, path)
+
+
+def parse_csv(lines: list[str], path: str | Path) -> tuple[list[str], list[list[str]]]:
+    """Header and raw string rows of the comma-separated ``lines`` of ``path``."""
     if not lines:
         raise InvalidInputError(f"{path}: empty file")
     header = lines[0].split(",")

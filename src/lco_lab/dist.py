@@ -134,11 +134,11 @@ def check_integer(value, name: str, low: int | None = None) -> int:
     return value
 
 
-def check_action(index: int, vocab_size: int) -> int:
-    """An action index as an int: an integer (not a bool) in [0, vocab_size)."""
-    index = check_integer(index, "action")
+def check_action(index: int, vocab_size: int, name: str = "action") -> int:
+    """An action index as an int: an integer (not a bool) in [0, vocab_size); messages open with ``name``."""
+    index = check_integer(index, name)
     if not 0 <= index < vocab_size:
-        raise InvalidInputError(f"action {index} outside vocabulary of size {vocab_size}")
+        raise InvalidInputError(f"{name} {index} outside vocabulary of size {vocab_size}")
     return index
 
 

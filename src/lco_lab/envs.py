@@ -64,7 +64,7 @@ class ToyEnvironment:
             if len(self.reward.target) != self.horizon:
                 raise InvalidInputError("target length must equal the horizon")
             for token in self.reward.target:
-                check_action(token, self.vocab_size)
+                check_action(token, self.vocab_size, "target")
         elif isinstance(self.reward, TableReward):
             if self.reward.table.shape != (self.horizon, self.vocab_size):
                 raise InvalidInputError(f"table must have shape ({self.horizon}, {self.vocab_size})")

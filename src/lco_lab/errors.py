@@ -53,5 +53,9 @@ class NonFiniteLossError(LcoLabError, FloatingPointError):
     """Training produced a NaN or infinite episode loss."""
 
 
+class NonFiniteModelError(LcoLabError, FloatingPointError):
+    """Training met parameters whose logits are not finite, or whose sigma_max overflows."""
+
+
 class NonFiniteOutputError(LcoLabError, FloatingPointError):
     """A number bound for an output file is not finite."""

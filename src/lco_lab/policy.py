@@ -54,17 +54,39 @@ class PolicyModel:
     hidden: int = 0  # MLP1 width
 
     def __post_init__(self):
-        # read, not checked finite: theta may be a diverged run's, and sigma_max reports a NaN it meets
-        object.__setattr__(self, "theta", as_array(self.theta, "theta", 1, 1, finite=False))
-        if self.features is not None:
-            object.__setattr__(self, "features", as_array(self.features, "features", 2, finite=False))
+        """The layout checked against the family: each field it cannot use raises ``InvalidInputError`` naming it.
+
+        TABULAR reads no ``features`` and LINEAR and MLP1 one row of them per
+        state; only MLP1 has a ``hidden`` layer, of width >= 1; and ``theta``
+        holds ``_n_params`` entries.  Arrays are read, not checked finite:
+        theta may be a diverged run's, and sigma_max reports a NaN it meets.
+        """
+        if not isinstance(self.family, Family):
+            raise InvalidInputError(f"family must be a Family, got {self.family!r}")
+        n_states, vocab_size = _check_shape(self.n_states, self.vocab_size)
+        feature_dim = 0
+        if self.family is Family.TABULAR:
+            if self.features is not None:
+                raise InvalidInputError("features must be None for the TABULAR family, which reads none")
+        else:
+            features = as_array(self.features, "features", 2, 1, finite=False)
+            if len(features) != n_states:
+                raise InvalidInputError(f"features must have one row per state, {n_states}, got shape {features.shape}")
+            object.__setattr__(self, "features", features)
+            feature_dim = features.shape[1]
+        if self.family is Family.MLP1:
+            check_integer(self.hidden, "hidden", 1)
+        elif self.hidden != 0:
+            raise InvalidInputError(f"hidden must be 0 for the {self.family.value} family, got {self.hidden!r}")
+        size = _n_params(self.family, n_states, vocab_size, feature_dim, self.hidden)
+        object.__setattr__(self, "theta", as_array(self.theta, "theta", (size,), finite=False))
 
     @property
     def n_params(self) -> int:
         return self.theta.size
 
     def with_theta(self, theta: np.ndarray) -> "PolicyModel":
-        return replace(self, theta=as_array(theta, "theta", self.theta.shape, finite=False))
+        return replace(self, theta=theta)  # read by __post_init__ against the layout
 
     @cached_property
     def mlp_views(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -82,9 +104,18 @@ class PolicyModel:
         return w1, b1, w2, b2
 
 
+def _n_params(family: Family, n_states: int, vocab_size: int, feature_dim: int, hidden: int) -> int:
+    """The length of theta in a family's layout, the one place it is stated."""
+    if family is Family.TABULAR:
+        return n_states * vocab_size
+    if family is Family.LINEAR:
+        return vocab_size * feature_dim
+    return hidden * feature_dim + hidden + vocab_size * hidden + vocab_size
+
+
 def tabular_policy(n_states: int, vocab_size: int, init_logits=None) -> PolicyModel:
     n_states, vocab_size = _check_shape(n_states, vocab_size)
-    theta = np.zeros(n_states * vocab_size)
+    theta = np.zeros(_n_params(Family.TABULAR, n_states, vocab_size, 0, 0))
     if init_logits is not None:
         theta = np.tile(as_array(init_logits, "init_logits", (vocab_size,)), n_states)
     return PolicyModel(Family.TABULAR, theta, n_states, vocab_size)
@@ -95,7 +126,7 @@ def linear_policy(n_states: int, vocab_size: int, feature_dim: int = 4, seed: in
     feature_dim = check_integer(feature_dim, "feature_dim", 1)
     rng = np.random.default_rng(check_integer(seed, "seed", 0))
     features = rng.standard_normal((n_states, feature_dim))
-    theta = np.zeros(vocab_size * feature_dim)
+    theta = np.zeros(_n_params(Family.LINEAR, n_states, vocab_size, feature_dim, 0))
     return PolicyModel(Family.LINEAR, theta, n_states, vocab_size, features=features)
 
 
@@ -107,8 +138,7 @@ def mlp1_policy(
     hidden = check_integer(hidden, "hidden", 1)
     rng = np.random.default_rng(check_integer(seed, "seed", 0))
     features = rng.standard_normal((n_states, feature_dim))
-    n_params = hidden * feature_dim + hidden + vocab_size * hidden + vocab_size
-    theta = rng.uniform(-0.1, 0.1, size=n_params)
+    theta = rng.uniform(-0.1, 0.1, size=_n_params(Family.MLP1, n_states, vocab_size, feature_dim, hidden))
     return PolicyModel(Family.MLP1, theta, n_states, vocab_size, features=features, hidden=hidden)
 
 

@@ -28,10 +28,12 @@ Each check runs once, where its data is made:
 config fields and the scorer tables in ``TrainerConfig``, which also
 builds each table row's advantage vector there, once per run, and rejects
 a ``ref_table`` or ``normalize`` without a ``scorer_table``; each visited
-state against the model's state space and each forward output for
-finiteness, as ``forward`` and ``as_logits`` check them (the state index
-is the environment's own, built from checked actions); each sampled
-advantage for finiteness as its vector is built; and the LCO envelope's loss and sigma_max through the scalar checks of
+state against the model's state space, as ``forward`` checks it (the state
+index is the environment's own, built from checked actions); each forward
+output for finiteness, where logits that are not finite, or a sigma_max
+that overflows, raise ``NonFiniteModelError`` naming the step, as the loss
+and gradient checks do, since parameters that overflowed are no argument's
+fault; each sampled advantage for finiteness as its vector is built; and the LCO envelope's loss and sigma_max through the scalar checks of
 ``gradient_norm_bound``.  Everything else calls the private kernels of
 ``dist``, ``objectives``, ``targets``, ``policy`` and ``envs``, which hold
 the same arithmetic as their public functions, so a step's results are bit
@@ -114,7 +116,6 @@ import numpy as np
 from .convexity import BOUND_SLACK, _check_bound_inputs
 from .dist import (
     _entropy,
-    _finite,
     _nucleus,
     _pick,
     _softmax,
@@ -125,7 +126,7 @@ from .dist import (
     normalize_advantages,
 )
 from .envs import MatchReward, ToyEnvironment
-from .errors import InvalidInputError, NonFiniteGradientError, NonFiniteLossError, StepSizeError
+from .errors import InvalidInputError, NonFiniteGradientError, NonFiniteLossError, NonFiniteModelError, StepSizeError
 from .objectives import OBJECTIVES, LossEval, Objective, ObjectiveKind, entry, pairwise_sum
 from .policy import (
     Family,
@@ -309,7 +310,7 @@ def rollout_episode(
     """
     teacher_forced = OBJECTIVES[config.objective].teacher_forced
     if teacher_forced and not isinstance(env.reward, MatchReward):
-        raise InvalidInputError("SFT training needs a match-reward environment with a target")
+        raise InvalidInputError("objective SFT needs a match-reward environment with a target")
 
     snapshot, window = state.snapshot, state.window
     sampler = (config.temperature, config.top_p)
@@ -321,7 +322,7 @@ def rollout_episode(
         cached = visit = window.get(s)
         if visit is None:
             _check_state(snapshot, s)
-            z = _frozen(_finite(_forward(snapshot, s, _hidden(snapshot, s)), "z"))
+            z = _frozen(_logits(_forward(snapshot, s, _hidden(snapshot, s)), "snapshot", state.step, s))
             visit = (z, _frozen(_softmax(z)), None)
         z, p, nucleus = visit
         if teacher_forced:
@@ -335,6 +336,19 @@ def rollout_episode(
             _store(window, s, visit)
         timesteps.append((s, action, z, p))
     return Rollout(*zip(*timesteps))
+
+
+def _logits(z: np.ndarray, at: str, step: int, s: int) -> np.ndarray:
+    """``z``, the logits at ``at`` (theta or the snapshot) of visited state s, checked finite.
+
+    Logits that are not finite come from parameters that overflowed, in
+    this run or before it, so they raise ``NonFiniteModelError`` naming the
+    step, not ``InvalidInputError``: no argument is at fault.
+    """
+    # the reduction ndarray.all calls, without its wrapper
+    if not np.logical_and.reduce(np.isfinite(z), axis=None):
+        raise NonFiniteModelError(f"non-finite {at} logits at step {step} (state {s})")
+    return z
 
 
 def _step_advantages(env: ToyEnvironment, config: TrainerConfig, rollout: Rollout, t: int) -> np.ndarray:
@@ -414,7 +428,7 @@ def episode_eval(state: TrainerState, env: ToyEnvironment, config: TrainerConfig
         target = _snapshot_target(objective, config.beta, rollout, values, t, state.window)
         # checked as forward checks it, since a caller may pass another model's rollout
         hidden = _hidden(model, _check_state(model, s))
-        z = _finite(_forward(model, s, hidden), "z")
+        z = _logits(_forward(model, s, hidden), "theta", state.step, s)
         # a logit-target loss reads z and its target alone, so its pi is None
         # here and ``_record`` takes it, where the public path takes it; a
         # floating-point event of that softmax then comes after the loss's own
@@ -557,7 +571,10 @@ def _record(
         statistics.append((g[a], nonsampled, _entropy(pi), pi[a], values[a]))
     # sigma_max and the envelope come after every timestep's statistics, as in the public path
     table_bound = OBJECTIVES[config.objective].bound
-    sigmas = _sigma_maxes(state.model, rollout.states, [hidden for *_, hidden in episode.timesteps])
+    try:
+        sigmas = _sigma_maxes(state.model, rollout.states, [hidden for *_, hidden in episode.timesteps])
+    except InvalidInputError as exc:  # theta overflowed: no argument is at fault, as for non-finite logits
+        raise NonFiniteModelError(f"{exc} at step {state.step}") from None
     envelopes = [
         _envelope(table_bound, evaluation.value, sigma, env.vocab_size)
         for (evaluation, *_), sigma in zip(episode.timesteps, sigmas)
@@ -633,11 +650,14 @@ class ConvergeConfig:
 
     def __post_init__(self):
         if entry(self.objective, "objective").target != "logits":
-            raise InvalidInputError("convergence experiments cover LCO_MSE and LCO_LCH")
+            raise InvalidInputError(
+                f"objective must be LCO_MSE or LCO_LCH for a convergence run, got {self.objective.value}"
+            )
         check_integer(self.steps, "steps", 1)
         for name in ("eta", "beta"):
             object.__setattr__(self, name, check_real(getattr(self, name), name))
-        object.__setattr__(self, "advantages", as_advantages(self.advantages))
+        # one per action of the run's state, so at least two
+        object.__setattr__(self, "advantages", as_array(self.advantages, "advantages", 1, 2))
         if self.z_old is not None:
             object.__setattr__(self, "z_old", as_array(self.z_old, "z_old", self.advantages.shape))
 
@@ -677,7 +697,8 @@ def converge_experiment(model: PolicyModel, config: ConvergeConfig) -> ConvergeR
         raise InvalidInputError("a convergence run takes a single-state model")
     lam = _kernel_scale(model, 0)
     if lam is None:
-        raise InvalidInputError(f"convergence runs need J J^T = lam I, which the {model.family.value} family lacks")
+        family = model.family.value
+        raise InvalidInputError(f"family must have J J^T = lam I for a convergence run, which {family} lacks")
     spec = OBJECTIVES[config.objective]
     v = model.vocab_size
     advantages = as_advantages(config.advantages, v)

@@ -85,8 +85,8 @@ REJECTED_KEY_CFG = {
     "train": TRAIN_CFG.replace("family = TABULAR", "family = TABULAR\nhidden = 4"),
     "dynamics": TRAIN_CFG.replace("objective = LCO_KLD", "").replace("family = TABULAR", "family = TABULAR\nhidden = 4")
     + "\n[dynamics]\nobjectives = PPO, LCO_KLD\n",
-    "converge": "[converge]\nfamily = TABULAR\nobjective = LCO_MSE\nvocab_size = 4\n"
-    "advantages = 1, -0.5, 0.25, 0\neta = 0.1\nsteps = 10\nfeature_dim = 7\n",
+    "converge": "[model]\nfamily = TABULAR\nfeature_dim = 7\n"
+    "[converge]\nobjective = LCO_MSE\nadvantages = 1, -0.5, 0.25, 0\neta = 0.1\nsteps = 10\n",
 }
 
 
@@ -96,7 +96,7 @@ def test_a_rejected_key_exits_2_and_leaves_no_output_path(tmp_path, capsys, comm
     cfg = write_cfg(tmp_path, REJECTED_KEY_CFG[command])
     out = tmp_path / "nested" / "o"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
-    rejected = "feature_dim is given but the TABULAR convergence run" if command == "converge" else "hidden is given"
+    rejected = "feature_dim is given but the TABULAR family" if command == "converge" else "hidden is given"
     assert f"{rejected} " in capsys.readouterr().err
     assert not (tmp_path / "nested").exists()
 
@@ -219,7 +219,6 @@ init_logits = {init_logits}
 [training]
 objective = REINFORCE
 learning_rate = {learning_rate}
-steps = 1
 seed = 4
 """
 
@@ -230,16 +229,24 @@ seed = 4
         # the case of test_a_gradient_norm_beyond_the_float_range_raises: the loss and
         # the gradient norm overflow, and the step's gradient check stops the run
         (
-            "1.7e308", "2, 0", "0.1", "grad_clip_norm = 1.0\n",
+            "1.7e308", "2, 0", "0.1", "steps = 1\ngrad_clip_norm = 1.0\n",
             "gradient norm beyond the float range at step 0 (objective REINFORCE, loss inf)",
         ),
         # a finite step whose update overflows theta: the parent wrote inf to model.txt and exited 0
         (
-            "-1.7e308", "1e308, 1e308", "1.0", "",
+            "-1.7e308", "1e308, 1e308", "1.0", "steps = 1\n",
             "inf cannot be written: a run overflowed, and outputs hold finite numbers",
         ),
+        # the same update with a step after it, which draws under the refreshed snapshot:
+        # the parent exited 2 with "[training] invalid: z must be finite", as if a key were at fault
+        ("-1.7e308", "1e308, 1e308", "1.0", "steps = 2\n", "non-finite snapshot logits at step 1 (state 0)"),
+        # and inside a snapshot window, where the step meets the overflow at theta
+        (
+            "-1.7e308", "1e308, 1e308", "1.0", "steps = 2\nsnapshot_interval = 2\n",
+            "non-finite theta logits at step 1 (state 0)",
+        ),
     ],
-    ids=["gradient-norm", "theta-update"],
+    ids=["gradient-norm", "theta-update", "theta-update-then-snapshot", "theta-update-then-theta"],
 )
 def test_a_run_that_overflows_exits_1_with_one_error_line(tmp_path, capsys, score, logits, rate, extra, message):
     # numpy's overflow warnings are silenced in a command, so the typed error is all it prints
@@ -248,7 +255,8 @@ def test_a_run_that_overflows_exits_1_with_one_error_line(tmp_path, capsys, scor
     out = tmp_path / "o"
     assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
-    assert not (out / "model.txt").exists()
+    # every output is formatted before the first is written: the parent left dynamics.csv behind
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_a_step_without_a_bound_writes_an_empty_bound_cell():
@@ -306,6 +314,20 @@ def test_dynamics_identical_objectives_identical_summaries(tmp_path):
     assert a == b
 
 
+def test_a_dynamics_run_whose_second_objective_fails_writes_nothing(tmp_path, capsys):
+    # SFT needs a match reward; the parent wrote the first objective's CSV before running the second
+    (tmp_path / "scores.txt").write_text("-1.0 -2.0\n")
+    cfg = write_cfg(
+        tmp_path,
+        "[environment]\nvocab_size = 2\nhorizon = 1\nreward = table\ntable = scores.txt\n"
+        "[training]\nsteps = 3\n[dynamics]\nobjectives = LCO_KLD, SFT\n",
+    )
+    out = tmp_path / "o"
+    assert main(["dynamics", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "objective SFT needs a match-reward environment" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- converge ----------------------------------------------------------------
 
 
@@ -321,8 +343,7 @@ def test_converge_default_config_passes(tmp_path):
 def test_converge_divergent_step_exits_3(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,
-        "[converge]\nfamily = TABULAR\nobjective = LCO_MSE\nvocab_size = 4\n"
-        "advantages = 1, 1, 1, 1\neta = 4.1\nsteps = 10\n",
+        "[converge]\nobjective = LCO_MSE\nadvantages = 1, 1, 1, 1\neta = 4.1\nsteps = 10\n",
     )
     assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
     assert "spectral radius" in capsys.readouterr().err
@@ -333,10 +354,12 @@ def test_converge_divergent_step_exits_3(tmp_path, capsys):
     ["beta = 0", "beta = 1e-170", "eta = nan", "eta = -0.1", "steps = -3", "steps = 2.5", "feature_dim = 0"],
 )
 def test_converge_unusable_value_exits_2(tmp_path, capsys, line):
+    # a model key goes in [model], the rest in [converge]
+    model, run = (line, "") if line.startswith("feature_dim") else ("", line)
     cfg = write_cfg(
         tmp_path,
-        "[converge]\nfamily = LINEAR\nobjective = LCO_MSE\nvocab_size = 4\n"
-        f"advantages = 1, -0.5, 0.25, 0\neta = 0.1\nsteps = 10\n{line}\n",
+        f"[model]\nfamily = LINEAR\n{model}\n[converge]\nobjective = LCO_MSE\n"
+        f"advantages = 1, -0.5, 0.25, 0\neta = 0.1\nsteps = 10\n{run}\n",
     )
     out = tmp_path / "o"
     assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 2
@@ -347,8 +370,7 @@ def test_converge_unusable_value_exits_2(tmp_path, capsys, line):
 def test_converge_beta_scaling(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     base = (
-        "[converge]\nfamily = TABULAR\nobjective = LCO_MSE\nvocab_size = 2\n"
-        "advantages = 1.0, -0.5\neta = 0.1\nsteps = 3\nbeta = {beta}\n"
+        "[converge]\nobjective = LCO_MSE\nadvantages = 1.0, -0.5\neta = 0.1\nsteps = 3\nbeta = {beta}\n"
     )
     main(["converge", "--config", str(write_cfg(tmp_path, base.format(beta=1.0), "a.cfg")), "--out", str(out_a)])
     main(["converge", "--config", str(write_cfg(tmp_path, base.format(beta=2.0), "b.cfg")), "--out", str(out_b)])

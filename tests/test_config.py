@@ -14,6 +14,7 @@ import pytest
 
 from lco_lab.cli import main
 from lco_lab.config import (
+    COMMANDS,
     SECTIONS,
     ConfigError,
     build_converge,
@@ -26,7 +27,7 @@ from lco_lab.csvio import DYNAMICS_HEADER, NUMERIC_COLUMNS, format_float
 from lco_lab.envs import MatchReward, ToyEnvironment
 from lco_lab.objectives import ObjectiveKind
 from lco_lab.policy import Family, linear_policy, mlp1_policy, tabular_policy
-from lco_lab.training import ConvergeConfig, TrainerConfig, run_training
+from lco_lab.training import ConvergeConfig, TrainerConfig, converge_experiment, run_training
 
 # a runnable config per command, as {section: {key: text}}
 TRAIN = {
@@ -34,13 +35,14 @@ TRAIN = {
     "model": {"family": "TABULAR"},
     "training": {"objective": "LCO_KLD", "learning_rate": "0.3", "steps": "4", "seed": "1"},
 }
-DYNAMICS = {**TRAIN, "dynamics": {"objectives": "PPO, LCO_KLD"}}
-CONVERGE = {
-    "converge": {
-        "family": "TABULAR", "objective": "LCO_MSE", "vocab_size": "2", "advantages": "1, -1", "eta": "0.1",
-        "steps": "2",
-    },
+# dynamics trains its [dynamics] objectives, so its [training] sets none
+DYNAMICS = {
+    **TRAIN,
+    "training": {key: text for key, text in TRAIN["training"].items() if key != "objective"},
+    "dynamics": {"objectives": "PPO, LCO_KLD"},
 }
+# the run's model is [model]'s, TABULAR by default, with one action per advantage
+CONVERGE = {"converge": {"objective": "LCO_MSE", "advantages": "1, -1", "eta": "0.1", "steps": "2"}}
 
 # keys whose reader takes any text: a path
 ANY_TEXT = {
@@ -99,6 +101,9 @@ def test_the_keys_left_out_above_read_any_text(section, key):
 
 def test_every_section_runs_through_a_command():
     assert set(TRAIN) | set(DYNAMICS) | set(CONVERGE) | {"output"} == set(SECTIONS)
+    assert set().union(*COMMANDS.values()) == set(SECTIONS)
+    for reads in COMMANDS.values():
+        assert all(set(unread) < set(SECTIONS[section]) for section, unread in reads.items())
 
 
 def test_the_training_keys_are_the_trainer_s_parameters():
@@ -135,10 +140,7 @@ def test_required_keys_alone_build_what_the_constructors_build(tmp_path):
         {
             "environment": {"vocab_size": "3", "horizon": "2", "target": "1, 2"},
             "training": {"objective": "SFT"},
-            "converge": {
-                "family": "LINEAR", "objective": "LCO_MSE", "vocab_size": "3", "advantages": "1, 0, -1",
-                "eta": "0.1",
-            },
+            "converge": {"objective": "LCO_MSE", "advantages": "1, 0, -1", "eta": "0.1"},
         },
     )
     raw = parse_config(cfg)
@@ -147,10 +149,10 @@ def test_required_keys_alone_build_what_the_constructors_build(tmp_path):
     # no [model] section: TABULAR
     assert np.array_equal(build_model(raw, env).theta, tabular_policy(env.n_states, 3).theta)
     assert build_trainer(raw) == TrainerConfig(ObjectiveKind.SFT)
+    # one state, one action per advantage, and no [model] section: TABULAR too
     model, config = build_converge(raw)
-    direct = linear_policy(1, 3)
-    assert model.family is Family.LINEAR and np.array_equal(model.features, direct.features)
-    assert np.array_equal(model.theta, direct.theta)
+    assert model.family is Family.TABULAR and (model.n_states, model.vocab_size) == (1, 3)
+    assert np.array_equal(model.theta, tabular_policy(1, 3).theta)
     assert_same(config, ConvergeConfig(ObjectiveKind.LCO_MSE, np.array([1.0, 0.0, -1.0]), 0.1))
 
 
@@ -226,21 +228,38 @@ def test_a_model_key_the_family_never_reads_exits_2_at_its_line(tmp_path, capsys
     assert not (out / "dynamics.csv").exists()
 
 
-@pytest.mark.parametrize("key, text", [("feature_dim", "7"), ("seed", "5")])
-def test_a_converge_key_the_tabular_family_never_reads_exits_2_at_its_line(tmp_path, capsys, key, text):
-    cfg, at = write(tmp_path, with_key(CONVERGE, "converge", key, text))
+@pytest.mark.parametrize("key, text", [("feature_dim", "7"), ("init_seed", "5")])
+def test_a_converge_model_key_the_tabular_family_never_reads_exits_2_at_its_line(tmp_path, capsys, key, text):
+    # the convergence run builds its model as [model] builds train's
+    cfg, at = write(tmp_path, {"model": {key: text}, **CONVERGE})
     out = tmp_path / "o"
     assert run("converge", cfg, out) == 2
-    message = f"{cfg}:{at['converge', key]}: [converge] {key} is given but the TABULAR convergence run does not read it"
+    message = f"{cfg}:{at['model', key]}: [model] {key} is given but the TABULAR family does not read it"
     assert message in capsys.readouterr().err
     assert not (out / "converge.csv").exists()
 
 
-def test_a_converge_family_without_a_scaled_identity_kernel_exits_2(tmp_path, capsys):
-    cfg, _ = write(tmp_path, with_key(CONVERGE, "converge", "family", "MLP1"))
+def test_converge_runs_the_linear_model_its_constructor_builds(tmp_path):
+    # [model] once went unread by converge: a LINEAR family ran TABULAR and exited 0
+    cfg, _ = write(tmp_path, {"model": {"family": "LINEAR", "feature_dim": "3", "init_seed": "7"}, **CONVERGE})
+    out = tmp_path / "o"
+    assert run("converge", cfg, out) == 0
+    result = converge_experiment(
+        linear_policy(1, 2, 3, seed=7), ConvergeConfig(ObjectiveKind.LCO_MSE, np.array([1.0, -1.0]), 0.1, steps=2)
+    )
+    assert result.family is Family.LINEAR
+    rho = format_float(result.rho)
+    rows = [f"{k},{format_float(loss)},{format_float(bound)},{rho}" for k, (loss, bound) in
+            enumerate(zip(result.loss.tolist(), result.bound.tolist()))]
+    assert (out / "converge.csv").read_text() == "\n".join(["step,loss,bound,rho", *rows]) + "\n"
+
+
+def test_a_converge_family_without_a_scaled_identity_kernel_exits_2_at_its_line(tmp_path, capsys):
+    cfg, at = write(tmp_path, {"model": {"family": "MLP1"}, **CONVERGE})
     out = tmp_path / "o"
     assert run("converge", cfg, out) == 2
-    assert "convergence runs need J J^T = lam I, which the MLP1 family lacks" in capsys.readouterr().err
+    message = "family must have J J^T = lam I for a convergence run, which MLP1 lacks"
+    assert capsys.readouterr().err == f"error: {cfg}:{at['model', 'family']}: [model] invalid: {message}\n"
     assert not (out / "converge.csv").exists()
 
 
@@ -249,8 +268,8 @@ def test_a_converge_family_without_a_scaled_identity_kernel_exits_2(tmp_path, ca
     [
         (
             "converge",
-            with_key(with_key(CONVERGE, "converge", "family", "LINEAR"), "converge", "seed", "-5"),
-            ("converge", "seed"),
+            {"model": {"family": "LINEAR", "init_seed": "-5"}, **CONVERGE},
+            ("model", "init_seed"),
             "seed must be >= 0",
         ),
         ("train", {**TRAIN, "model": {"family": "LINEAR", "init_seed": "-5"}}, ("model", "init_seed"), "seed must be"),
@@ -267,6 +286,50 @@ def test_a_value_its_constructor_rejects_exits_2_at_its_line(tmp_path, capsys, c
     section, _ = at_key
     assert f"{cfg}:{at[at_key]}: [{section}] invalid: {message}" in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("section", ["dynamics", "converge"])
+def test_a_section_train_never_reads_exits_2_at_its_line(tmp_path, capsys, section):
+    # each was dropped unseen
+    cfg, _ = write(tmp_path, {**TRAIN, section: {}})
+    out = tmp_path / "o"
+    assert run("train", cfg, out) == 2
+    line = 1 + sum(1 + len(keys) for keys in TRAIN.values())
+    message = f"error: {cfg}:{line}: [{section}] is given but the train command does not read it\n"
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section", ["environment", "training", "dynamics"])
+def test_a_section_converge_never_reads_exits_2_at_its_line(tmp_path, capsys, section):
+    # each was dropped unseen: the run reads its model and its [converge] keys alone
+    cfg, at = write(tmp_path, {**CONVERGE, section: DYNAMICS[section]})
+    out = tmp_path / "o"
+    assert run("converge", cfg, out) == 2
+    line = min(number for (name, _), number in at.items() if name == section) - 1
+    message = f"error: {cfg}:{line}: [{section}] is given but the converge command does not read it\n"
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, sections, section, key",
+    [
+        # the [dynamics] objectives once overrode it without a word
+        ("dynamics", with_key(DYNAMICS, "training", "objective", "SFT"), "training", "objective"),
+        # the run starts at [converge] z_old and never reads theta
+        ("converge", {"model": {"init_logits": "5, 0"}, **CONVERGE}, "model", "init_logits"),
+        ("dynamics", with_key(DYNAMICS, "output", "plot_columns", "loss"), "output", "plot_columns"),
+        ("converge", with_key(CONVERGE, "output", "plot_columns", "loss"), "output", "plot_columns"),
+    ],
+)
+def test_a_key_its_command_never_reads_exits_2_at_its_line(tmp_path, capsys, command, sections, section, key):
+    cfg, at = write(tmp_path, sections)
+    out = tmp_path / "o"
+    assert run(command, cfg, out) == 2
+    message = f"error: {cfg}:{at[section, key]}: [{section}] {key} is given but the {command} command does not read it"
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -291,15 +354,10 @@ def test_an_environment_key_the_reward_rule_never_reads_exits_2_at_its_line(tmp_
         ("train", without(TRAIN, "training", "objective"), "the trainer needs [training] objective"),
         ("train", without(TRAIN, "environment", "vocab_size"), "the environment needs [environment] vocab_size"),
         ("train", without(TRAIN, "environment", "target"), "the match reward needs [environment] target"),
-        ("dynamics", TRAIN, "missing [dynamics] objectives"),
-        ("converge", without(CONVERGE, "converge", "family"), "the convergence run needs [converge] family"),
-        ("converge", without(CONVERGE, "converge", "vocab_size"), "the TABULAR family needs [converge] vocab_size"),
-        (
-            "converge",
-            without(CONVERGE, "converge", "objective"),
-            "the TABULAR convergence run needs [converge] objective",
-        ),
-        ("converge", without(CONVERGE, "converge", "eta"), "the TABULAR convergence run needs [converge] eta"),
+        ("dynamics", without(TRAIN, "training", "objective"), "missing [dynamics] objectives"),
+        ("converge", without(CONVERGE, "converge", "advantages"), "the convergence run needs [converge] advantages"),
+        ("converge", without(CONVERGE, "converge", "objective"), "the convergence run needs [converge] objective"),
+        ("converge", without(CONVERGE, "converge", "eta"), "the convergence run needs [converge] eta"),
     ],
 )
 def test_a_missing_key_exits_2(tmp_path, capsys, command, sections, message):
@@ -309,7 +367,7 @@ def test_a_missing_key_exits_2(tmp_path, capsys, command, sections, message):
 
 
 def test_dynamics_needs_exactly_two_objectives(tmp_path, capsys):
-    cfg, at = write(tmp_path, {**TRAIN, "dynamics": {"objectives": "PPO"}})
+    cfg, at = write(tmp_path, with_key(DYNAMICS, "dynamics", "objectives", "PPO"))
     assert run("dynamics", cfg, tmp_path / "o") == 2
     assert f"{cfg}:{at['dynamics', 'objectives']}: need exactly two objectives" in capsys.readouterr().err
 
@@ -341,13 +399,13 @@ def test_a_table_file_that_cannot_be_read_exits_2_at_its_key_s_line(tmp_path, ca
 @pytest.mark.parametrize(
     "keys, at_key, message",
     [
-        ({"advantages": "1, -1, 0"}, "advantages", "advantages must be a 1-D vector of length 2, got shape (3,)"),
+        ({"z_old": "1, -1, 0"}, "z_old", "z_old must be a 1-D vector of length 2, got shape (3,)"),
         ({"advantages": "1e308, -1e308", "beta": "1e-10"}, None, "A/beta overflows"),
         ({"advantages": "1e308, 0", "z_old": "1e308, 0"}, None, "target logits z_old + A/beta overflow"),
     ],
 )
 def test_a_converge_cross_key_failure_exits_2_naming_the_config(tmp_path, capsys, keys, at_key, message):
-    # checked by converge_experiment against the model, once a bare message naming no file
+    # checked by ConvergeConfig and converge_experiment, once a bare message naming no file
     sections = CONVERGE
     for key, text in keys.items():
         sections = with_key(sections, "converge", key, text)

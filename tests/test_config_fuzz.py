@@ -6,6 +6,8 @@ one of ``VALUES``, or a key its section knows given with one of them
 (given twice, if the config already sets it).  ``steps`` is capped at 30
 so that every run is short.  Every exit code is one the CLI documents, and
 every exit-2 message opens with the config's path, as a config error does.
+Where one key was mutated, an exit-2 message names that key's line, unless
+it is of a cross-key class in ``CROSS_KEY``, whose fault no one line owns.
 """
 
 import contextlib
@@ -31,6 +33,15 @@ VALUES = [
     "missing.txt", "neg_score_both.txt", "PPO", "LCO_MSE", "LCO_KLD", "SFT", "LINEAR", "MLP1", "table", "yes", "",
 ]
 MAX_STEPS = 30
+# exit-2 messages of faults between keys, which one mutated key can cause while another key's
+# line is named or none is: each class by name, with the pattern of its messages
+CROSS_KEY = {
+    # the family or reward rule picks the keys read, so a changed rule finds another key unread
+    "a key the chosen family or reward rule does not read": r"\] \w+ is given but the \w+ (family|reward) does not",
+    "a reward table against vocab_size and horizon": r"\[environment\] invalid: table must have shape",
+    "a match target against vocab_size and horizon": r"\[environment\] invalid: target (length must|\d+ outside)",
+    "the envelope anchor ||A||^2 / beta^2 of advantages and beta": r"\[converge\] invalid: the envelope anchor",
+}
 KEY = re.compile(r"^(\w+)\s*=\s*([^#]*?)\s*(#.*)?$")
 
 
@@ -59,9 +70,11 @@ def _capped(lines):
 
 @st.composite
 def mutated_configs(draw):
+    """A shipped config's name, its mutated text, and the line of the one mutated key (None after two)."""
     name = draw(st.sampled_from(SHIPPED))
     lines = _lines((CONFIGS / name).read_text())
-    for _ in range(draw(st.integers(1, 2))):
+    mutations = draw(st.integers(1, 2))
+    for _ in range(mutations):
         value = draw(st.sampled_from(VALUES))
         keyed = [i for i, (_, key, _) in enumerate(lines) if key is not None]
         if draw(st.booleans()):
@@ -70,17 +83,17 @@ def mutated_configs(draw):
             lines[i] = (section, key, f"{key} = {value}")
         else:
             sections = [i for i, (section, key, line) in enumerate(lines) if key is None and line.strip().startswith("[")]
-            i = draw(st.sampled_from(sections))
-            section = lines[i][0]
+            i = draw(st.sampled_from(sections)) + 1
+            section = lines[i - 1][0]
             key = draw(st.sampled_from(sorted(SECTIONS[section])))
-            lines.insert(i + 1, (section, key, f"{key} = {value}"))
-    return name, "\n".join(line for *_, line in _capped(lines)) + "\n"
+            lines.insert(i, (section, key, f"{key} = {value}"))
+    return name, "\n".join(line for *_, line in _capped(lines)) + "\n", i + 1 if mutations == 1 else None
 
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(mutated_configs())
 def test_a_mutated_shipped_config_exits_with_a_documented_code(case):
-    name, text = case
+    name, text, line = case
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         shutil.copytree(CONFIGS, root / "configs", ignore=shutil.ignore_patterns("out"))
@@ -90,5 +103,10 @@ def test_a_mutated_shipped_config_exits_with_a_documented_code(case):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
             code = main([COMMAND.get(name, "train"), "--config", str(cfg), "--out", str(root / "out")])
     assert code in (0, 1, 2, 3), (code, text)
+    message = stderr.getvalue()
     if code == 2:
-        assert stderr.getvalue().startswith(f"error: {cfg}"), (stderr.getvalue(), text)
+        assert message.startswith(f"error: {cfg}"), (message, text)
+    if code == 2 and line is not None:
+        # at the key's line, or, for a key given twice, naming it as the first
+        named = message.startswith(f"error: {cfg}:{line}: ") or message.endswith(f"; first at line {line}\n")
+        assert named or any(re.search(pattern, message) for pattern in CROSS_KEY.values()), (message, text)

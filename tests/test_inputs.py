@@ -34,9 +34,11 @@ from lco_lab import (
     hessian_analytic,
     hessian_numeric,
     kl_divergence,
+    linear_policy,
     linearization_residual,
     log_softmax,
     min_eigenvalue,
+    mlp1_policy,
     normalize_advantages,
     optimal_logits,
     optimal_policy,
@@ -161,6 +163,49 @@ def test_a_bad_argument_raises_invalid_input_naming_its_parameter(function, kwar
     with pytest.raises(InvalidInputError) as raised:
         function(**{**kwargs, parameter: bad})
     assert str(raised.value).startswith(f"{parameter} "), str(raised.value)
+
+
+FEATURES = np.ones((1, 3))  # one state, three features
+LINEAR = dict(family=Family.LINEAR, n_states=1, vocab_size=2, features=FEATURES)
+MLP1 = dict(family=Family.MLP1, n_states=1, vocab_size=2, features=FEATURES, hidden=4)
+
+
+@pytest.mark.parametrize(
+    "fields, parameter",
+    [
+        # a TABULAR layout over one state and two actions has two parameters; this one returned one logit
+        (dict(family=Family.TABULAR, theta=np.zeros(1), n_states=1, vocab_size=2), "theta"),
+        (dict(family=Family.TABULAR, theta=np.zeros(4), n_states=1, vocab_size=2), "theta"),
+        (dict(family=Family.TABULAR, theta=np.zeros(2), n_states=1, vocab_size=2, features=FEATURES), "features"),
+        (dict(family=Family.TABULAR, theta=np.zeros(2), n_states=1, vocab_size=2, hidden=4), "hidden"),
+        (dict(family=Family.TABULAR, theta=np.zeros(2), n_states=0, vocab_size=2), "n_states"),
+        (dict(family=Family.TABULAR, theta=np.zeros(1), n_states=1, vocab_size=1), "vocab_size"),
+        (dict(family="TABULAR", theta=np.zeros(2), n_states=1, vocab_size=2), "family"),
+        # LINEAR needs its features: None was Python's TypeError
+        (dict(family=Family.LINEAR, theta=np.zeros(6), n_states=1, vocab_size=2), "features"),
+        (dict(family=Family.LINEAR, theta=np.zeros(6), n_states=2, vocab_size=2, features=FEATURES), "features"),
+        (dict(family=Family.LINEAR, theta=np.zeros(6), n_states=1, vocab_size=2, features=np.ones(3)), "features"),
+        (dict(LINEAR, theta=np.zeros(5)), "theta"),
+        (dict(LINEAR, theta=np.zeros(6), hidden=1), "hidden"),
+        # MLP1 at hidden 4: 4*3 + 4 + 2*4 + 2 = 26 parameters; a short theta was numpy's ValueError
+        (dict(MLP1, theta=np.zeros(25)), "theta"),
+        (dict(MLP1, theta=np.zeros(26), features=None), "features"),
+        (dict(MLP1, theta=np.zeros(26), hidden=0), "hidden"),
+        (dict(MLP1, theta=np.zeros(26), hidden=-4), "hidden"),
+        (dict(MLP1, theta=np.zeros(26), hidden=4.0), "hidden"),
+    ],
+)
+def test_a_layout_its_family_cannot_use_raises_invalid_input_naming_the_field(fields, parameter):
+    with pytest.raises(InvalidInputError) as raised:
+        PolicyModel(**fields)
+    assert str(raised.value).startswith(f"{parameter} "), str(raised.value)
+
+
+def test_the_constructors_layouts_are_the_ones_a_model_accepts():
+    for model in (tabular_policy(3, 2), linear_policy(3, 2, 5, seed=1), mlp1_policy(3, 2, 5, hidden=4, seed=1)):
+        assert PolicyModel(model.family, model.theta, 3, 2, model.features, model.hidden).n_params == model.n_params
+        with pytest.raises(InvalidInputError, match="^theta must be a 1-D vector of length"):
+            model.with_theta(np.zeros(model.n_params + 1))
 
 
 def test_a_match_target_reads_as_a_tuple_of_python_ints():

@@ -6,7 +6,10 @@ repeated where the public functions repeat it.  The arithmetic is the
 same, so records must compare ``==``, parameters must match byte for byte,
 and any exception must have the same type and message.  Both steps raise
 ``NonFiniteLossError`` for a non-finite episode loss, after the gradient
-norm and before clipping.
+norm and before clipping, and ``NonFiniteModelError`` for logits that are
+not finite or a sigma_max that overflows, where the public functions
+raise ``InvalidInputError``: the parameters overflowed, and no argument is
+at fault.
 """
 
 import itertools
@@ -18,7 +21,7 @@ from lco_lab import training
 from lco_lab.convexity import gradient_norm_bound
 from lco_lab.dist import entropy, sample_action, softmax
 from lco_lab.envs import MatchReward, TableReward, ToyEnvironment
-from lco_lab.errors import InvalidInputError, NonFiniteGradientError, NonFiniteLossError
+from lco_lab.errors import InvalidInputError, NonFiniteGradientError, NonFiniteLossError, NonFiniteModelError
 from lco_lab.objectives import LCO_KINDS, ObjectiveKind, evaluate, pairwise_sum
 from lco_lab.policy import Family, forward, linear_policy, mlp1_policy, pullback, sigma_max, tabular_policy
 from lco_lab.targets import optimal_logits, optimal_policy
@@ -27,15 +30,22 @@ from lco_lab.training import DynamicsRecord, Rollout, TrainerConfig, TrainerStat
 # --- reference step ----------------------------------------------------------
 
 
-def _ref_rollout(snapshot, env, config, rng):
+def _ref_logits(model, state, at, step):
+    z = forward(model, state)
+    if not np.all(np.isfinite(z)):
+        raise NonFiniteModelError(f"non-finite {at} logits at step {step} (state {state})")
+    return z
+
+
+def _ref_rollout(snapshot, env, config, rng, step):
     teacher_forced = config.objective is ObjectiveKind.SFT
     if teacher_forced and not isinstance(env.reward, MatchReward):
-        raise InvalidInputError("SFT training needs a match-reward environment with a target")
+        raise InvalidInputError("objective SFT needs a match-reward environment with a target")
     prefix = ()
     states, actions, z_old, pi_old = [], [], [], []
     for t in range(env.horizon):
         state = env.state_index(prefix)
-        z = forward(snapshot, state)
+        z = _ref_logits(snapshot, state, "snapshot", step)
         p = softmax(z)
         if teacher_forced:
             action = env.reward.target[t]
@@ -63,8 +73,8 @@ def _ref_advantages(env, config, rollout, t):
     return values - values.mean() if config.normalize else values
 
 
-def _ref_eval(model, config, rollout, adv, t):
-    z = forward(model, rollout.states[t])
+def _ref_eval(model, config, rollout, adv, t, step):
+    z = _ref_logits(model, rollout.states[t], "theta", step)
     kind = config.objective
     if kind is ObjectiveKind.SFT:
         return evaluate(kind, z, step=(rollout.actions[t],))
@@ -82,13 +92,13 @@ def _ref_train_step(state, env, config, rng):
     if state.step % config.snapshot_interval == 0:
         state = TrainerState(state.model, state.model.theta.copy(), state.step)
     model = state.model
-    rollout = _ref_rollout(state.snapshot, env, config, rng)
+    rollout = _ref_rollout(state.snapshot, env, config, rng, state.step)
 
     evals, advantages = [], []
     grad = np.zeros(model.n_params)
     for t in range(env.horizon):
         adv = _ref_advantages(env, config, rollout, t)
-        evaluation = _ref_eval(model, config, rollout, adv, t)
+        evaluation = _ref_eval(model, config, rollout, adv, t, state.step)
         grad += pullback(model, rollout.states[t], evaluation.logit_gradient)
         evals.append(evaluation)
         advantages.append(adv)
@@ -118,7 +128,10 @@ def _ref_train_step(state, env, config, rng):
         sampled_advs.append(float(advantages[t][a]))
     envelope = []
     for t, evaluation in enumerate(evals):
-        sigma = sigma_max(model, rollout.states[t])
+        try:
+            sigma = sigma_max(model, rollout.states[t])
+        except InvalidInputError as exc:
+            raise NonFiniteModelError(f"{exc} at step {state.step}") from None
         if config.objective in LCO_KINDS:
             envelope.append(gradient_norm_bound(config.objective, max(evaluation.value, 0.0), sigma, env.vocab_size))
         else:
@@ -278,7 +291,8 @@ def test_non_finite_theta_raises_from_the_rollout(family):
     config = TrainerConfig(objective=ObjectiveKind.LCO_KLD, learning_rate=0.1, steps=1)
     with np.errstate(invalid="ignore"):
         error = assert_steps_identical(model.with_theta(theta), env, config, steps=1)
-    assert error == (InvalidInputError, "z must be finite")
+    # the rollout's snapshot logits at the first state are +inf for every family
+    assert error == (NonFiniteModelError, "non-finite snapshot logits at step 0 (state 0)")
 
 
 def test_non_finite_gradient_raises_after_the_episode():

@@ -15,7 +15,7 @@ from lco_lab.config import ConfigError, build_trainer, parse_config
 from lco_lab.convexity import BOUND_SLACK
 from lco_lab.dist import softmax, total_variation
 from lco_lab.envs import MatchReward, TableReward, ToyEnvironment
-from lco_lab.errors import InvalidInputError, NonFiniteGradientError, StepSizeError
+from lco_lab.errors import InvalidInputError, NonFiniteGradientError, NonFiniteModelError, StepSizeError
 from lco_lab.objectives import OBJECTIVES, ObjectiveKind, evaluate
 from lco_lab.policy import Family, forward, linear_policy, mlp1_policy, tabular_policy
 from lco_lab.targets import optimal_policy
@@ -373,7 +373,8 @@ def test_a_sigma_max_beyond_the_float_range_raises():
     env = ToyEnvironment(2, 1, TableReward(np.array([[0.5, -0.5]])))
     config = TrainerConfig(objective=ObjectiveKind.LCO_MSE, learning_rate=0.1, steps=1, seed=0)
     state = init_trainer(model)
-    with pytest.raises(InvalidInputError, match="sigma_max overflows"):
+    # theta's sigma_max: no argument is at fault, so the run names its step
+    with pytest.raises(NonFiniteModelError, match="^sigma_max overflows: .* at step 0$"):
         train_step(state, env, config, np.random.default_rng(config.seed))
     assert state.model.theta.tobytes() == theta.tobytes()
     assert not state.grad.any()
@@ -763,7 +764,8 @@ def test_converge_rejects_divergent_step_size():
 
 
 def test_converge_rejects_wrong_kinds():
-    with pytest.raises(InvalidInputError, match="LCO_MSE and LCO_LCH"):
+    wrong = "^objective must be LCO_MSE or LCO_LCH for a convergence run, got PPO$"
+    with pytest.raises(InvalidInputError, match=wrong):
         ConvergeConfig(ObjectiveKind.PPO, advantages=np.ones(2), eta=0.1, steps=5)
     config = ConvergeConfig(ObjectiveKind.LCO_MSE, advantages=np.ones(2), eta=0.1, steps=5)
     with pytest.raises(InvalidInputError, match="J J\\^T = lam I"):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lco_lab.envs import TableReward, ToyEnvironment
-from lco_lab.errors import InvalidInputError
+from lco_lab.errors import NonFiniteModelError
 from lco_lab.objectives import ObjectiveKind
 from lco_lab.policy import Family, tabular_policy
 from lco_lab.training import WINDOW_CAP, TrainerConfig, TrainerState, init_trainer, rollout_episode, train_step
@@ -101,7 +101,7 @@ def test_a_rollout_that_raises_keeps_what_a_fresh_evaluation_computes():
     state, _ = train_step(state, env, config, np.random.default_rng(_seed_drawing(0, 0)))
     kept = dict(state.window)
     assert 0 in kept and new not in kept
-    with pytest.raises(InvalidInputError, match="^z must be finite"):
+    with pytest.raises(NonFiniteModelError, match=rf"^non-finite snapshot logits at step 1 \(state {bad}\)$"):
         train_step(state, env, config, np.random.default_rng(_seed_drawing(1, 1)))
     assert state.step == 1 and not state.grad.any()
     # the rollout stored its one new visit before the next state raised ...
