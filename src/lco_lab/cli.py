@@ -5,10 +5,13 @@ that stopped on a typed library error (a non-finite loss, gradient or logit, or
 a number no output can hold), 2 unusable configuration or input schema,
 3 divergent step size in a convergence run.  All artifacts land inside
 the output directory passed with --out (or the config's [output]
-directory).  A command formats every output it makes before it writes
-the first, so a run that stops on an error, or a number no output can
-hold, leaves no file behind.  A config section or key the command never reads exits 2
-at its line (``config.COMMANDS``).
+directory); --out given empty exits 2.  ``train``, ``dynamics`` and
+``converge`` each format every file they make and hand them all to one
+``_write``, which creates the directory and writes them, so a run that
+stops on an error, or a number no output can hold, leaves no file
+behind.  A config value is read when the config is parsed: one given
+empty, or a section or key the command never reads
+(``config.COMMANDS``), exits 2 at its line.
 
 A command runs with numpy's overflow events silenced: each overflow a run
 can meet is followed by a typed check (the step's loss and gradient
@@ -26,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfg
-from .csvio import TEXT_COLUMNS, dynamics_rows, format_float, numeric_column, parse_csv, read_csv, write_dynamics_csv
+from .csvio import TEXT_COLUMNS, dynamics_rows, format_float, numeric_column, parse_csv, read_csv
 from .errors import InvalidInputError, LcoLabError, StepSizeError
 from .svgplot import render_chart, write_chart
 from .training import converge_violations, envelope_violations
@@ -65,10 +68,11 @@ def cmd_verify(suites: list[str] | None) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _made(out_dir: Path) -> Path:
-    """``out_dir``, created if missing; called only once every output is formatted."""
+def _write(out_dir: Path, files: dict[str, str]) -> None:
+    """Each of ``files``, a name with its formatted text, written under ``out_dir``, created if missing."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
+    for name, text in files.items():
+        (out_dir / name).write_text(text)
 
 
 def _model_text(model) -> str:
@@ -79,20 +83,16 @@ def _model_text(model) -> str:
 
 def cmd_train(config_path: str, out: str | None) -> int:
     raw = cfg.parse_config(config_path, "train")
-    columns = cfg.plot_columns(raw)  # read against the dynamics CSV before anything runs
     out_dir = cfg.output_directory(raw, out)
     final_model, records = cfg.train(raw)
-    csv_path = out_dir / "dynamics.csv"
-    rows, model_text = dynamics_rows(records), _model_text(final_model)
-    chart = None
+    rows = dynamics_rows(records)
+    files = {"dynamics.csv": "\n".join(rows) + "\n", "model.txt": _model_text(final_model)}
+    columns = raw.value("output", "plot_columns")
     if columns:
-        chart = render_chart(*_series([csv_path], list(columns), lambda path: parse_csv(rows, path)))
-    _made(out_dir)
-    write_dynamics_csv(csv_path, rows)
-    (out_dir / "model.txt").write_text(model_text)
-    if chart is not None:
-        (out_dir / "dynamics.svg").write_text(chart)
-    print(f"wrote {csv_path} ({len(records)} steps)")
+        series = _series([out_dir / "dynamics.csv"], list(columns), lambda path: parse_csv(rows, path))
+        files["dynamics.svg"] = render_chart(*series)
+    _write(out_dir, files)
+    print(f"wrote {out_dir / 'dynamics.csv'} ({len(records)} steps)")
     return 0
 
 
@@ -100,18 +100,16 @@ def cmd_dynamics(config_path: str, out: str | None) -> int:
     raw = cfg.parse_config(config_path, "dynamics")
     out_dir = cfg.output_directory(raw, out)
     runs = [(kind, cfg.train(raw, kind)[1]) for kind in cfg.dynamics_objectives(raw)]
-    tables = {f"dynamics_{kind.value}.csv": dynamics_rows(records) for kind, records in runs}
-    summary_lines = [
+    files = {f"dynamics_{kind.value}.csv": "\n".join(dynamics_rows(records)) + "\n" for kind, records in runs}
+    summary = "".join(
         f"{kind.value}: max_grad_norm={format_float(max(r.grad_norm_param for r in records))} "
         f"final_entropy={format_float(records[-1].entropy)} "
         f"final_sampled_prob={format_float(records[-1].sampled_prob)} "
-        f"envelope_violations={envelope_violations(records)}"
+        f"envelope_violations={envelope_violations(records)}\n"
         for kind, records in runs
-    ]
-    for name, rows in tables.items():
-        write_dynamics_csv(_made(out_dir) / name, rows)
-    (out_dir / "summary.txt").write_text("\n".join(summary_lines) + "\n")
-    print("\n".join(summary_lines))
+    )
+    _write(out_dir, {**files, "summary.txt": summary})
+    print(summary, end="")
     return 0
 
 
@@ -127,7 +125,7 @@ def cmd_converge(config_path: str, out: str | None) -> int:
     lines = ["step,loss,bound,rho"]
     for step, (loss, bound) in enumerate(zip(result.loss.tolist(), result.bound.tolist())):
         lines.append(f"{step},{format_float(loss)},{format_float(bound)},{rho}")
-    (_made(out_dir) / "converge.csv").write_text("\n".join(lines) + "\n")
+    _write(out_dir, {"converge.csv": "\n".join(lines) + "\n"})
     violations = converge_violations(result)
     print(
         f"{result.family.value}/{result.objective.value}: rho={result.rho:.6g} "

@@ -2,14 +2,17 @@
 
 No nesting, no quoting: a line is blank, a comment (#), a [section]
 header, or ``key = value``.  ``SECTIONS`` holds every section, the keys
-each may hold and the reader of each key's text; an unknown section or key
-is an error, so a typo cannot fall back to a default, as is a key given
-twice in one section (across repeated headers too), so a later line cannot
-silently override an earlier one; a value its reader rejects exits at its
-line.  ``COMMANDS`` holds the sections each command reads and the keys of
-them it never reads, and a config parsed for a command that gives one of
+each may hold and the reader of each key's text, and ``parse_config``
+reads each value once, at its line.  An unknown section or key is an
+error, so a typo cannot fall back to a default, as is a key given empty,
+so an empty value cannot either, and a key given twice in one section
+(across repeated headers too), so a later line cannot silently override
+an earlier one; a value its reader rejects exits at its line.
+``COMMANDS`` holds the sections each command reads and the keys of them
+it never reads, and a config parsed for a command that gives one of
 those exits at its line too.  Paths are resolved relative to the config
-file.
+file as they are read; a table file is loaded only once its key has
+reached a constructor that reads it.
 
 Each section is passed straight to the constructor it configures, with
 only the keys the config sets: ``[environment]`` to the reward rule and
@@ -22,7 +25,7 @@ only the keys the config sets: ``[environment]`` to the reward rule and
 which is stated there and nowhere here.  A key the chosen family or
 reward rule has no parameter for is an error at its line, as a
 misspelled key is; a key a required parameter needs and the config leaves
-out is an error too, at its line where it is given empty.  Parse failures
+out is an error too, naming the config.  Parse failures
 carry the offending line number so the CLI can exit with a usable
 diagnostic, and so does an ``InvalidInputError`` that a constructor or a
 run (``train``, ``converge``) raises: it names the config, and the line
@@ -127,41 +130,30 @@ _PARAMETER = {"init_seed": "seed"}
 @dataclass(frozen=True)
 class RawConfig:
     path: Path
-    sections: dict[str, dict[str, tuple[str, int]]]
-
-    def get(self, section: str, key: str, default: str | None = None) -> str | None:
-        entry = self.sections.get(section, {}).get(key)
-        return entry[0] if entry is not None else default
+    sections: dict[str, dict[str, tuple[object, int]]]
 
     def line(self, section: str, key: str) -> int:
-        return self.sections.get(section, {}).get(key, ("", 0))[1]
+        return self.sections.get(section, {}).get(key, (None, 0))[1]
 
     def at(self, section: str, key: str) -> str:
-        """``path:line`` of the key, where the config gives it (perhaps empty); the bare path where not."""
+        """``path:line`` of the key, where the config gives it; the bare path where not."""
         line = self.line(section, key)
         return f"{self.path}:{line}" if line else str(self.path)
 
-    def value(self, section: str, key: str, default=None):
-        """The key's text read by its ``SECTIONS`` reader; ``default`` where it is absent or empty."""
-        text = self.get(section, key)
-        if not text:
-            return default
-        try:
-            value = SECTIONS[section][key](text)
-        except (ValueError, KeyError) as exc:
-            raise ConfigError(
-                f"{self.path}:{self.line(section, key)}: bad value for [{section}] {key}: {text!r}"
-            ) from exc
-        return self.path.parent / value if isinstance(value, Path) else value
+    def value(self, section: str, key: str):
+        """The key's value as its ``SECTIONS`` reader read it; None where it is absent."""
+        return self.sections.get(section, {}).get(key, (None,))[0]
 
     def values(self, section: str) -> dict:
-        """Every key the section sets to a non-empty text, read as ``value`` reads it."""
-        return {key: self.value(section, key) for key, (text, _) in self.sections.get(section, {}).items() if text}
+        """Every key the section sets, with its value."""
+        return {key: value for key, (value, _) in self.sections.get(section, {}).items()}
 
 
 def parse_config(path: str | Path, command: str | None = None) -> RawConfig:
-    """The sections of the config at ``path``, each key with its text and line.
+    """The sections of the config at ``path``, each key with its value and line.
 
+    Each value is read at its line by the key's ``SECTIONS`` reader, so a
+    value given empty or that the reader rejects is an error at its line.
     Given the ``command`` that runs the config, a section or key of
     ``SECTIONS`` that ``COMMANDS`` says the command never reads is an
     error at its line, as an unknown one is.
@@ -172,7 +164,7 @@ def parse_config(path: str | Path, command: str | None = None) -> RawConfig:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    sections: dict[str, dict[str, tuple[str, int]]] = {}
+    sections: dict[str, dict[str, tuple[object, int]]] = {}
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -190,8 +182,8 @@ def parse_config(path: str | Path, command: str | None = None) -> RawConfig:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         if current is None:
             raise ConfigError(f"{path}:{lineno}: key outside any [section]")
-        key, _, value = line.partition("=")
-        key = key.strip().lower()
+        key, _, given = line.partition("=")
+        key, given = key.strip().lower(), given.strip()
         if key not in SECTIONS[current]:
             raise ConfigError(
                 f"{path}:{lineno}: unknown key {key!r} in [{current}]; known: {', '.join(SECTIONS[current])}"
@@ -203,7 +195,13 @@ def parse_config(path: str | Path, command: str | None = None) -> RawConfig:
         if key in sections[current]:
             first = sections[current][key][1]
             raise ConfigError(f"{path}:{lineno}: [{current}] {key} is given twice; first at line {first}")
-        sections[current][key] = (value.strip(), lineno)
+        if not given:
+            raise ConfigError(f"{path}:{lineno}: [{current}] {key} is given empty")
+        try:
+            value = SECTIONS[current][key](given)
+        except (ValueError, KeyError) as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for [{current}] {key}: {given!r}") from exc
+        sections[current][key] = (path.parent / value if isinstance(value, Path) else value, lineno)
     return RawConfig(path, sections)
 
 
@@ -221,23 +219,20 @@ def _construct(raw: RawConfig, section: str, constructor, given: dict, who: str,
     for key, value in given.items():
         name = _PARAMETER.get(key, key)
         if name not in parameters:
-            raise ConfigError(
-                f"{raw.path}:{raw.line(section, key)}: [{section}] {key} is given but {who} does not read it"
-            )
+            raise ConfigError(f"{raw.at(section, key)}: [{section}] {key} is given but {who} does not read it")
         if isinstance(value, Path):
             try:
                 value = load_logprob_table(value)
             except (OSError, InvalidInputError) as exc:
-                raise ConfigError(f"{raw.path}:{raw.line(section, key)}: [{section}] {key}: {exc}") from exc
+                raise ConfigError(f"{raw.at(section, key)}: [{section}] {key}: {exc}") from exc
         kwargs[name] = value
     missing = [
         name
         for name, parameter in list(parameters.items())[len(args):]
         if parameter.default is parameter.empty and name not in kwargs
     ]
-    if missing:  # at the line of the first that is given empty, if one is
-        given_empty = next((name for name in missing if raw.line(section, name)), missing[0])
-        raise ConfigError(f"{raw.at(section, given_empty)}: {who} needs [{section}] {', '.join(missing)}")
+    if missing:
+        raise ConfigError(f"{raw.path}: {who} needs [{section}] {', '.join(missing)}")
     with _labelled(raw, section):
         return constructor(*args, **kwargs)
 
@@ -268,7 +263,7 @@ def build_environment(raw: RawConfig) -> ToyEnvironment:
     given = raw.values("environment")
     rule = given.pop("reward", "match")
     if rule not in REWARDS:
-        raise ConfigError(f"{raw.path}:{raw.line('environment', 'reward')}: reward must be match or table")
+        raise ConfigError(f"{raw.at('environment', 'reward')}: reward must be match or table")
     fields = {key: given.pop(key) for key in ("target", "table") if key in given}
     reward = _construct(raw, "environment", REWARDS[rule], fields, f"the {rule} reward")
     return _construct(raw, "environment", ToyEnvironment, {**given, "reward": reward}, "the environment")
@@ -308,9 +303,9 @@ def train(raw: RawConfig, objective: ObjectiveKind | None = None) -> tuple[Polic
 def dynamics_objectives(raw: RawConfig) -> tuple[ObjectiveKind, ObjectiveKind]:
     kinds = raw.value("dynamics", "objectives")
     if kinds is None:
-        raise ConfigError(f"{raw.at('dynamics', 'objectives')}: missing [dynamics] objectives")
-    if len(kinds) != 2:
-        raise ConfigError(f"{raw.path}:{raw.line('dynamics', 'objectives')}: need exactly two objectives")
+        raise ConfigError(f"{raw.path}: missing [dynamics] objectives")
+    if len(kinds) != 2 or kinds[0] == kinds[1]:
+        raise ConfigError(f"{raw.at('dynamics', 'objectives')}: need exactly two objectives that differ")
     return kinds
 
 
@@ -337,14 +332,10 @@ def converge(raw: RawConfig) -> ConvergeResult:
 
 
 def output_directory(raw: RawConfig, override: str | None) -> Path:
-    if override:
-        return Path(override)
-    directory = raw.value("output", "directory")
+    """``--out`` where it is given, else ``[output] directory``; ``--out`` given empty is an error."""
+    if override == "":
+        raise ConfigError("--out is given empty")
+    directory = raw.value("output", "directory") if override is None else Path(override)
     if directory is None:
-        where = raw.at("output", "directory")
-        raise ConfigError(f"{where}: no output directory (pass --out or set [output] directory)")
+        raise ConfigError(f"{raw.path}: no output directory (pass --out or set [output] directory)")
     return directory
-
-
-def plot_columns(raw: RawConfig) -> tuple[str, ...]:
-    return raw.value("output", "plot_columns", ())

@@ -50,11 +50,6 @@ def dynamics_rows(records) -> list[str]:
     return [",".join(DYNAMICS_HEADER)] + [",".join(map(_cell, vars(r).values())) for r in records]
 
 
-def write_dynamics_csv(path: str | Path, rows: list[str]) -> None:
-    """The lines ``dynamics_rows`` formats, written to ``path``: a command formats every output before it writes one."""
-    Path(path).write_text("\n".join(rows) + "\n")
-
-
 def read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
     """Header and raw string rows of a comma-separated UTF-8 file."""
     try:

@@ -1,6 +1,7 @@
 import inspect
 import math
 import re
+import shutil
 import xml.dom.minidom
 from pathlib import Path
 
@@ -49,8 +50,8 @@ def write_cfg(tmp_path, text, name="run.cfg"):
 def test_parse_config_sections_and_comments(tmp_path):
     path = write_cfg(tmp_path, "# top\n[environment]\nvocab_size = 3  # inline\n\n[training]\nsteps = 7\n")
     raw = parse_config(path)
-    assert raw.get("environment", "vocab_size") == "3"
-    assert raw.get("training", "steps") == "7"
+    assert raw.value("environment", "vocab_size") == 3
+    assert raw.value("training", "steps") == 7
     assert raw.line("training", "steps") == 6
 
 
@@ -79,6 +80,31 @@ def test_a_misspelled_config_name_exits_2_at_its_line(tmp_path, capsys, line, ty
     assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
     assert f"{cfg}:{lineno}: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_an_empty_value_in_a_shipped_config_exits_2_at_its_line(tmp_path, capsys):
+    # it was once read as absent: the run trained at the default learning rate 0.1 and exited 0
+    shipped = (Path(CONFIG_DIR) / "kld_negative.cfg").read_text()
+    assert shipped.splitlines()[15] == "learning_rate = 0.5"
+    cfg = write_cfg(tmp_path, shipped.replace("learning_rate = 0.5", "learning_rate ="))
+    out = tmp_path / "o"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:16: [training] learning_rate is given empty\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [("train", "kld_negative.cfg"), ("dynamics", "dynamics_ppo_vs_kld.cfg"), ("converge", "converge_tabular_mse.cfg")],
+)
+def test_an_empty_out_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, command, name):
+    # --out "" once read as not given: the run wrote under the config's [output] directory and exited 0
+    shutil.copytree(CONFIG_DIR, tmp_path / "configs", ignore=shutil.ignore_patterns("out"))
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--config", str(tmp_path / "configs" / name), "--out", ""]) == 2
+    assert capsys.readouterr().err == "error: --out is given empty\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["configs"]
+    assert not (tmp_path / "configs" / "out").exists()
 
 
 REJECTED_KEY_CFG = {
@@ -300,18 +326,22 @@ def test_dynamics_comparison_envelope(tmp_path):
     assert (out / "dynamics_LCO_KLD.csv").exists()
 
 
-def test_dynamics_identical_objectives_identical_summaries(tmp_path):
+def test_dynamics_runs_an_objective_alike_in_either_place(tmp_path):
+    # an objective's run does not depend on its place or its partner (one objective named twice exits 2)
     base = (
         "[environment]\nvocab_size = 2\nhorizon = 1\nreward = match\ntarget = 0\n"
         "[model]\nfamily = TABULAR\n"
         "[training]\nlearning_rate = 0.2\nsteps = 10\nseed = 5\n"
-        "[dynamics]\nobjectives = REINFORCE, REINFORCE\n"
+        "[dynamics]\nobjectives = {}\n"
     )
-    cfg = write_cfg(tmp_path, base)
-    out = tmp_path / "out"
-    assert main(["dynamics", "--config", str(cfg), "--out", str(out)]) == 0
-    a, b = (out / "summary.txt").read_text().splitlines()
-    assert a == b
+    summaries = []
+    for name, objectives in (("first", "REINFORCE, PPO"), ("second", "PPO, REINFORCE")):
+        cfg = write_cfg(tmp_path, base.format(objectives), f"{name}.cfg")
+        assert main(["dynamics", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        summaries.append((tmp_path / name / "summary.txt").read_text().splitlines())
+    (first_reinforce, first_ppo), (second_ppo, second_reinforce) = summaries
+    assert first_reinforce == second_reinforce and first_ppo == second_ppo
+    assert first_reinforce.startswith("REINFORCE:") and first_ppo.startswith("PPO:")
 
 
 def test_a_dynamics_run_whose_second_objective_fails_writes_nothing(tmp_path, capsys):

@@ -78,6 +78,11 @@ def run(command, cfg, out):
     return main([command, "--config", str(cfg), "--out", str(out)])
 
 
+def runnable(section):
+    """The command that reads ``section``, and a config it runs."""
+    return {"dynamics": ("dynamics", DYNAMICS), "converge": ("converge", CONVERGE)}.get(section, ("train", TRAIN))
+
+
 # --- every key has a reader ----------------------------------------------------
 
 
@@ -86,12 +91,22 @@ def run(command, cfg, out):
     [(section, key) for section, keys in SECTIONS.items() for key in keys if (section, key) not in ANY_TEXT],
 )
 def test_an_unreadable_value_exits_2_at_its_line(tmp_path, capsys, section, key):
-    command = {"dynamics": "dynamics", "converge": "converge"}.get(section, "train")
-    base = {"dynamics": DYNAMICS, "converge": CONVERGE}.get(section, TRAIN)
+    command, base = runnable(section)
     cfg, at = write(tmp_path, with_key(base, section, key, "banana"))
     assert run(command, cfg, tmp_path / "o") == 2
     assert f"{cfg}:{at[section, key]}: " in capsys.readouterr().err
     assert not list((tmp_path / "o").glob("*.csv"))
+
+
+@pytest.mark.parametrize("section, key", [(section, key) for section, keys in SECTIONS.items() for key in keys])
+def test_a_key_given_empty_exits_2_at_its_line(tmp_path, capsys, section, key):
+    # each was once read as absent: an empty learning_rate trained at the default 0.1 and exited 0
+    command, base = runnable(section)
+    cfg, at = write(tmp_path, with_key(base, section, key, ""))
+    out = tmp_path / "o"
+    assert run(command, cfg, out) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:{at[section, key]}: [{section}] {key} is given empty\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("section, key", sorted(ANY_TEXT))
@@ -366,10 +381,15 @@ def test_a_missing_key_exits_2(tmp_path, capsys, command, sections, message):
     assert f"{cfg}: {message}" in capsys.readouterr().err
 
 
-def test_dynamics_needs_exactly_two_objectives(tmp_path, capsys):
-    cfg, at = write(tmp_path, with_key(DYNAMICS, "dynamics", "objectives", "PPO"))
-    assert run("dynamics", cfg, tmp_path / "o") == 2
-    assert f"{cfg}:{at['dynamics', 'objectives']}: need exactly two objectives" in capsys.readouterr().err
+@pytest.mark.parametrize("objectives", ["PPO", "PPO, LCO_KLD, SFT", "PPO, PPO", "lco_kld, LCO_KLD"])
+def test_dynamics_needs_exactly_two_objectives(tmp_path, capsys, objectives):
+    # one objective named twice once trained twice, wrote one CSV and a two-line summary, and exited 0
+    cfg, at = write(tmp_path, with_key(DYNAMICS, "dynamics", "objectives", objectives))
+    out = tmp_path / "o"
+    assert run("dynamics", cfg, out) == 2
+    message = f"error: {cfg}:{at['dynamics', 'objectives']}: need exactly two objectives that differ\n"
+    assert capsys.readouterr().err == message
+    assert not out.exists()
 
 
 # --- errors met after the constructors --------------------------------------------

@@ -77,6 +77,12 @@ def test_environment_sizes_must_be_integers(vocab_size, horizon):
         ToyEnvironment(vocab_size, horizon, MatchReward((0,)))
 
 
+@pytest.mark.parametrize("vocab_size", [1, 65])
+def test_the_vocabulary_size_lies_in_2_to_64(vocab_size):
+    with pytest.raises(InvalidInputError, match=r"^vocab_size must lie in \[2, 64\]$"):
+        ToyEnvironment(vocab_size, 1, MatchReward((0,)))
+
+
 def test_environment_sizes_and_target_read_as_ints():
     env = ToyEnvironment(np.int64(3), np.int32(2), MatchReward((np.int64(1), 2)))
     assert (env.vocab_size, env.horizon, env.n_states, env.reward.target) == (3, 2, 4, (1, 2))
